@@ -59,11 +59,13 @@ bench-json: bench-query
 # the cold scatter-gather path, the cached hot path (whose allocs/op
 # is also pinned by bench-allocs), LTTB bounding, and the compressed
 # storage tier (zero-alloc block scan, compression ratio, rollup-served
-# wide windows).
+# wide windows), and the hot tier underneath both (a region scan that
+# costs its range, not its region; the in-order put).
 bench-query:
 	@rm -f bench-query.out
 	$(GO) test -run '^$$' -bench 'BenchmarkQuery' -benchtime $(BENCHTIME) -benchmem ./internal/query/ > bench-query.out
 	$(GO) test -run '^$$' -bench 'BenchmarkCompressedScan|BenchmarkBlockCompress|BenchmarkRollupQuery' -benchtime $(BENCHTIME) -benchmem ./internal/tsdb/ >> bench-query.out
+	$(GO) test -run '^$$' -bench 'BenchmarkRegionScanNarrow|BenchmarkRegionPutInOrder' -benchtime $(BENCHTIME) -benchmem ./internal/hbase/ >> bench-query.out
 	$(GO) run ./cmd/benchjson -out BENCH_query.json < bench-query.out
 	@rm -f bench-query.out
 
@@ -88,6 +90,7 @@ bench-gate:
 	@rm -f bench-gate.out
 	$(GO) test -run '^$$' -bench 'BenchmarkQueryCacheHit|BenchmarkQueryColdScatterGather' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/query/ > bench-gate.out
 	$(GO) test -run '^$$' -bench 'BenchmarkCompressedScan|BenchmarkBlockCompress' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/tsdb/ >> bench-gate.out
+	$(GO) test -run '^$$' -bench 'BenchmarkRegionScanNarrow' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/hbase/ >> bench-gate.out
 	$(GO) test -run '^$$' -bench 'BenchmarkOnlineEvalThroughput' -benchtime $(GATE_BENCHTIME) -benchmem . >> bench-gate.out
 	$(GO) run ./cmd/benchgate -pins BENCH_PINS -baseline BENCH_query.json -baseline BENCH_evaluation.json -skip BenchmarkLoad < bench-gate.out
 	@rm -f bench-gate.out

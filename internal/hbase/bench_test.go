@@ -3,6 +3,7 @@ package hbase
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"testing"
 )
 
@@ -86,4 +87,83 @@ func BenchmarkMemstoreFlushReopen(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// seriesRow is a TSDB-shaped row key: series s, hour h.
+func seriesRow(s, h int) []byte { return []byte(fmt.Sprintf("m-%02d-h%03d", s, h)) }
+
+// offsetQual is a TSDB-shaped qualifier: the second within the hour.
+func offsetQual(sec int) []byte { return binary.BigEndian.AppendUint16(nil, uint16(sec)) }
+
+// BenchmarkRegionScanNarrow pins the hot tier's read cost model: a scan
+// costs the range it asks for, not the region it lands in. The region
+// holds 20 000 slots — 4 series × 20 hours × 250 samples — of which the
+// 19 000 of the first 19 hours were deleted after a seal; the scan asks
+// for one series' hot row (250 cells, about five minutes at 1 Hz).
+// visited/cell is how many cells the scan stepped over per cell it
+// returned: 1 when the cost follows the answer, 80 if it walked every
+// slot the region was ever given.
+func BenchmarkRegionScanNarrow(b *testing.B) {
+	const series, hours, perRow = 4, 20, 250
+	r := newRegion(RegionInfo{ID: 1})
+	seq := int64(0)
+	for h := 0; h < hours; h++ {
+		for sec := 0; sec < perRow; sec++ {
+			for s := 0; s < series; s++ {
+				seq++
+				r.put([]Cell{{Row: seriesRow(s, h), Qual: offsetQual(sec), Value: make([]byte, 8)}}, seq)
+			}
+		}
+	}
+	for h := 0; h < hours-1; h++ {
+		for s := 0; s < series; s++ {
+			dead := make([]Cell, perRow)
+			for sec := range dead {
+				dead[sec] = Cell{Row: seriesRow(s, h), Qual: offsetQual(sec), Tomb: true}
+			}
+			seq++
+			r.put(dead, seq)
+		}
+	}
+	start, end := seriesRow(2, hours-1), seriesRow(2, hours)
+	r.walked.Store(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	returned := 0
+	for i := 0; i < b.N; i++ {
+		returned += len(r.scan(start, end, 0))
+	}
+	if returned != perRow*b.N {
+		b.Fatalf("scan returned %d cells per op, want %d", returned/b.N, perRow)
+	}
+	b.ReportMetric(float64(r.walked.Load())/float64(returned), "visited/cell")
+}
+
+// BenchmarkRegionPutInOrder is the write side of the same layout: one
+// op is one second of a 16-series fleet — 16 cells, each the next
+// qualifier of its series' current row — which is what the TSDB sends.
+// A fresh region starts every simulated hour so memory stays bounded.
+func BenchmarkRegionPutInOrder(b *testing.B) {
+	const series = 16
+	rows := make([][]byte, series)
+	batch := make([]Cell, series)
+	val := make([]byte, 8)
+	var r *region
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sec := i % 3600
+		if sec == 0 {
+			r = newRegion(RegionInfo{ID: 1})
+			for s := range rows {
+				rows[s] = seriesRow(s, i/3600)
+			}
+		}
+		qual := offsetQual(sec)
+		for s := range batch {
+			batch[s] = Cell{Row: rows[s], Qual: qual, Value: val}
+		}
+		r.put(batch, int64(i+1))
+	}
+	b.ReportMetric(float64(series*b.N)/b.Elapsed().Seconds(), "cells/s")
 }

@@ -6,6 +6,20 @@
 //   - Regions: contiguous row-key ranges served by RegionServers, with
 //     in-memory MemStores flushed to immutable store files in HDFS and
 //     a write-ahead log for crash recovery.
+//   - Row-ordered MemStores: a hash index row → row record for O(1)
+//     puts, the row records in a key-sorted slice, and each row's cells
+//     in a qualifier-sorted slice (memstore.go). A scan seeks every
+//     source — store files, a flush snapshot in flight, the live
+//     memstore — to its start row by binary search and merges them
+//     newest-wins up to the end row or the limit, so a read costs
+//     O(log rows) plus the cells in its range, whatever the region
+//     holds. A delete marker lives only while a store file or a flush
+//     snapshot could still hold an older version of its slot;
+//     otherwise the delete frees the slot (and an emptied row) at once.
+//   - Immutable cell bytes: the Row, Qual and Value of cells a scan
+//     returns alias the store's own bytes. The store never modifies
+//     them (an overwrite replaces the cell), and callers must not
+//     either.
 //   - Bounded RPC queues: RegionServers crash when their inbound queue
 //     overflows persistently (§III-B), which is why the ingestion
 //     pipeline needs the buffering reverse proxy.
@@ -20,7 +34,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Cell is one versioned key-value entry: row key, column qualifier and
@@ -35,13 +48,17 @@ type Cell struct {
 	Tomb  bool
 }
 
-// Less orders cells by (Row, Qual).
-func (c Cell) Less(o Cell) bool {
+// compare orders cells by (Row, Qual): negative, zero or positive as c
+// sorts before, at or after o.
+func (c Cell) compare(o Cell) int {
 	if r := bytes.Compare(c.Row, o.Row); r != 0 {
-		return r < 0
+		return r
 	}
-	return bytes.Compare(c.Qual, o.Qual) < 0
+	return bytes.Compare(c.Qual, o.Qual)
 }
+
+// Less orders cells by (Row, Qual).
+func (c Cell) Less(o Cell) bool { return c.compare(o) < 0 }
 
 // Same reports whether two cells address the same (Row, Qual) slot.
 func (c Cell) Same(o Cell) bool {
@@ -56,24 +73,6 @@ func (c Cell) clone() Cell {
 		Value: append([]byte(nil), c.Value...),
 		Tomb:  c.Tomb,
 	}
-}
-
-// slotKey returns an unambiguous map key for (Row, Qual) using a
-// length prefix (rows may contain any byte, so plain concatenation
-// would collide).
-func slotKey(row, qual []byte) string {
-	var b bytes.Buffer
-	var lp [4]byte
-	binary.BigEndian.PutUint32(lp[:], uint32(len(row)))
-	b.Write(lp[:])
-	b.Write(row)
-	b.Write(qual)
-	return b.String()
-}
-
-// sortCells orders cells by (Row, Qual) in place.
-func sortCells(cells []Cell) {
-	sort.Slice(cells, func(i, j int) bool { return cells[i].Less(cells[j]) })
 }
 
 // encodeCells serializes cells for a store file: a length-prefixed

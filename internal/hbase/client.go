@@ -266,7 +266,8 @@ func (cl *Client) ScanContext(ctx context.Context, start, end []byte, limit int)
 			lastErr = scanErr
 			continue
 		}
-		sortCells(out)
+		// Regions are disjoint, listed in key order, and each returns
+		// sorted cells: the concatenation is already sorted.
 		if limit > 0 && len(out) > limit {
 			out = out[:limit]
 		}
@@ -292,7 +293,8 @@ func (cl *Client) scanSerial(ctx context.Context, regions []RegionInfo, start, e
 	return out, nil
 }
 
-// scanPipelined issues every region scan concurrently and merges.
+// scanPipelined issues every region scan concurrently and concatenates
+// the results in region order.
 func (cl *Client) scanPipelined(ctx context.Context, regions []RegionInfo, start, end []byte) ([]Cell, error) {
 	futs := make([]*rpc.Future, len(regions))
 	for i, ri := range regions {

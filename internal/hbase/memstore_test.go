@@ -1,0 +1,326 @@
+package hbase
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/hdfs"
+)
+
+// setDataNodes kills or restarts every datanode: with none live a
+// store-file write fails.
+func setDataNodes(t *testing.T, dfs *hdfs.Cluster, up bool) {
+	t.Helper()
+	for _, id := range dfs.DataNodes() {
+		op := dfs.KillDataNode
+		if up {
+			op = dfs.RestartDataNode
+		}
+		if err := op(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFlushKeepsConcurrentWrites is the regression test for the flush
+// race: cells put while a store file is being written used to vanish
+// when the flush swapped in an empty memstore afterwards. Writers put
+// while flushes run — one of them failing at the HDFS write — and every
+// put must be readable afterwards, from memory and from a reopen.
+func TestFlushKeepsConcurrentWrites(t *testing.T) {
+	dfs := hdfs.NewCluster(2)
+	r := newRegion(RegionInfo{ID: 11})
+	const writers, perWriter = 4, 400
+	var seq atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				// Each slot is written twice; the later value must win
+				// whichever side of a flush each write lands on.
+				for _, v := range []string{"old", "new"} {
+					r.seqMu.Lock() // as handlePut does: sequence order is apply order
+					r.put([]Cell{cell(fmt.Sprintf("w%d-%03d", w, i/10), fmt.Sprintf("q%d", i%10), v)}, seq.Add(1))
+					r.seqMu.Unlock()
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for flushes, running := 0, true; running; flushes++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if flushes == 3 { // this one finds no datanode to write to
+			setDataNodes(t, dfs, false)
+			if _, err := r.flush(dfs); err != nil && !errors.Is(err, hdfs.ErrNoDataNodes) {
+				t.Fatal(err)
+			}
+			setDataNodes(t, dfs, true)
+			continue
+		}
+		if _, err := r.flush(dfs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(name string, got []Cell) {
+		t.Helper()
+		if len(got) != writers*perWriter {
+			t.Fatalf("%s: %d cells readable, want %d", name, len(got), writers*perWriter)
+		}
+		for _, c := range got {
+			if string(c.Value) != "new" {
+				t.Fatalf("%s: slot %s/%s reads %q, want the later write", name, c.Row, c.Qual, c.Value)
+			}
+		}
+	}
+	check("after flushes", r.scan(nil, nil, 0))
+	if r.snap != nil {
+		t.Fatal("flush snapshot still registered with no flush in flight")
+	}
+	if _, err := r.flush(dfs); err != nil {
+		t.Fatal(err)
+	}
+	r2, _, err := openRegion(RegionInfo{ID: 11}, dfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("reopened", r2.scan(nil, nil, 0))
+}
+
+// TestFailedFlushFoldsSnapshotBack walks a flush whose HDFS write
+// fails: a reader sees snapshot and later writes merged while it is in
+// flight, the snapshot returns under those writes (deletes included),
+// and the next flush persists both.
+func TestFailedFlushFoldsSnapshotBack(t *testing.T) {
+	dfs := hdfs.NewCluster(2)
+	r := newRegion(RegionInfo{ID: 12})
+	r.put([]Cell{cell("a", "1", "snap"), cell("a", "2", "snap"), cell("b", "1", "snap")}, 1)
+	snap, seq := r.snapshot()
+	if snap == nil || seq != 1 {
+		t.Fatalf("snapshot = %v, seq %d", snap, seq)
+	}
+	tomb := cell("a", "2", "")
+	tomb.Tomb = true
+	r.put([]Cell{cell("a", "1", "later"), tomb, cell("c", "1", "later")}, 2)
+	want := "a/1=later b/1=snap c/1=later"
+	if got := render(r.scan(nil, nil, 0)); got != want {
+		t.Fatalf("scan during flush = %q, want %q", got, want)
+	}
+	r.restore(snap)
+	if got := render(r.scan(nil, nil, 0)); got != want || r.snap != nil {
+		t.Fatalf("scan after abandoned flush = %q (snapshot still set: %v), want %q", got, r.snap != nil, want)
+	}
+	setDataNodes(t, dfs, false)
+	if _, err := r.flush(dfs); !errors.Is(err, hdfs.ErrNoDataNodes) {
+		t.Fatalf("flush with no datanodes = %v", err)
+	}
+	setDataNodes(t, dfs, true)
+	if got := render(r.scan(nil, nil, 0)); got != want {
+		t.Fatalf("scan after failed flush = %q, want %q", got, want)
+	}
+	if seq, err := r.flush(dfs); err != nil || seq != 2 {
+		t.Fatalf("flush after recovery = %d, %v", seq, err)
+	}
+	r2, _, err := openRegion(RegionInfo{ID: 12}, dfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := render(r2.scan(nil, nil, 0)); got != want {
+		t.Fatalf("reopened = %q, want %q", got, want)
+	}
+}
+
+// TestFlushUnderLoadSurvivesCrash drives the same race through the
+// region servers: threshold and explicit flushes run under two writers
+// per region, then a server dies and the only copy of its unflushed
+// tail is the WAL. Every acked cell must be readable before the crash,
+// and after it — which holds only if each flush truncated the WAL no
+// further than the sequence of the snapshot it persisted.
+func TestFlushUnderLoadSurvivesCrash(t *testing.T) {
+	c := newTestCluster(t, Config{RegionServers: 2, FlushThresholdBytes: 2048})
+	if err := c.CreateTable(byteSplits(4)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := c.ActiveMaster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions := m.Regions()
+	const writers, perWriter = 8, 300
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cl := c.NewClient(ClientConfig{})
+			for i := 0; i < perWriter; i++ {
+				row := []byte{byte(w * 32), byte(i / 20)} // two writers to each of the four regions
+				if err := cl.Put([]Cell{{Row: row, Qual: []byte{byte(i % 20)}, Value: []byte("0123456789abcdef")}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		for _, ri := range regions {
+			if _, err := c.net.Call(context.Background(), rsAddr(ri.Server), "flush", &FlushRequest{Region: ri.ID}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cl := c.NewClient(ClientConfig{})
+	for _, stage := range []string{"before crash", "after crash"} {
+		got, err := cl.Scan(nil, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != writers*perWriter {
+			t.Fatalf("%s: %d cells readable, want %d", stage, len(got), writers*perWriter)
+		}
+		if stage == "before crash" {
+			if err := c.KillRegionServer(regions[0].Server); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// render prints cells as "row/qual=value …" for comparisons.
+func render(cells []Cell) string {
+	var b bytes.Buffer
+	for i, c := range cells {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s/%s=%s", c.Row, c.Qual, c.Value)
+	}
+	return b.String()
+}
+
+// TestRegionMatchesModel runs seeded random schedules of put /
+// overwrite / delete / flush / failed flush / compact / reopen against
+// a naive reference map. After every step, scans over random ranges and
+// limits must equal the reference: sorted by (Row, Qual), no delete
+// marker returned, no deleted cell resurrected.
+func TestRegionMatchesModel(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runRegionModel(t, seed, 250) })
+	}
+}
+
+func runRegionModel(t *testing.T, seed int64, steps int) {
+	rng := rand.New(rand.NewSource(seed))
+	// Keys that are prefixes of one another, and empty qualifiers, are
+	// where an ordering or slot-identity bug would show.
+	rows := []string{"a", "a\x00", "ab", "abc", "b", "b\xff", "c", "d"}
+	quals := []string{"", "0", "1", "10", "2"}
+	bounds := append([]string{"", "a\x00\x00", "bb", "e"}, rows...)
+	info := RegionInfo{ID: int(seed)}
+	dfs := hdfs.NewCluster(2)
+	r := newRegion(info)
+	ref := make(map[[2]string]string)
+	var wal []walEntry // what a server's log would hold past the last flush
+	fail := func(step int, format string, args ...any) {
+		t.Helper()
+		t.Fatalf("seed %d step %d: %s\nrepro: go test ./internal/hbase -run 'TestRegionMatchesModel/seed=%d$'",
+			seed, step, fmt.Sprintf(format, args...), seed)
+	}
+	for step := 1; step <= steps; step++ {
+		seq := int64(step)
+		switch op := rng.Intn(20); {
+		case op < 11: // put or delete a small batch
+			batch := make([]Cell, 1+rng.Intn(4))
+			for i := range batch {
+				c := cell(rows[rng.Intn(len(rows))], quals[rng.Intn(len(quals))], fmt.Sprintf("v%d.%d", step, i))
+				if rng.Intn(3) == 0 {
+					c.Tomb, c.Value = true, nil
+					delete(ref, [2]string{string(c.Row), string(c.Qual)})
+				} else {
+					ref[[2]string{string(c.Row), string(c.Qual)}] = string(c.Value)
+				}
+				batch[i] = c
+				wal = append(wal, walEntry{Region: info.ID, Seq: seq, Cell: c})
+			}
+			r.put(batch, seq)
+		case op < 14:
+			flushed, err := r.flush(dfs)
+			if err != nil {
+				fail(step, "flush: %v", err)
+			}
+			if flushed > 0 {
+				wal = wal[:0]
+			}
+		case op < 15:
+			setDataNodes(t, dfs, false)
+			if _, err := r.flush(dfs); err == nil && len(r.mem.rows) > 0 {
+				fail(step, "flush with no datanodes succeeded")
+			}
+			setDataNodes(t, dfs, true)
+		case op < 17:
+			if _, err := r.compact(dfs); err != nil {
+				fail(step, "compact: %v", err)
+			}
+		default: // crash and reassignment: store files plus WAL replay
+			r2, flushedSeq, err := openRegion(info, dfs)
+			if err != nil {
+				fail(step, "reopen: %v", err)
+			}
+			for _, e := range wal {
+				if e.Seq > flushedSeq {
+					r2.put([]Cell{e.Cell}, e.Seq)
+				}
+			}
+			r = r2
+		}
+		for probe := 0; probe < 4; probe++ {
+			start, end, limit := bounds[rng.Intn(len(bounds))], bounds[rng.Intn(len(bounds))], 0
+			if probe == 0 {
+				start, end = "", ""
+			}
+			if rng.Intn(3) == 0 {
+				limit = 1 + rng.Intn(6)
+			}
+			got := render(r.scan([]byte(start), []byte(end), limit))
+			if want := render(modelScan(ref, start, end, limit)); got != want {
+				fail(step, "scan(%q, %q, %d)\n got %q\nwant %q", start, end, limit, got, want)
+			}
+		}
+	}
+}
+
+// modelScan is the reference scan: filter, sort, truncate.
+func modelScan(ref map[[2]string]string, start, end string, limit int) []Cell {
+	var out []Cell
+	for k, v := range ref {
+		if inRange([]byte(k[0]), []byte(start), []byte(end)) {
+			out = append(out, cell(k[0], k[1], v))
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
+	}
+	return out
+}

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/hdfs"
 )
@@ -37,32 +38,52 @@ type storeFile struct {
 
 // region is the in-memory serving state for one assigned region.
 type region struct {
-	mu    sync.RWMutex
-	info  RegionInfo
-	mem   map[string]Cell // slotKey → newest cell
-	memSz int             // approximate bytes in memstore
-	files []storeFile     // sorted by seq ascending
+	mu   sync.RWMutex
+	info RegionInfo
+	mem  *memstore // live write buffer
+	// snap is the memstore a flush in flight is writing out: immutable,
+	// newer than every store file, older than mem. Scans read it until
+	// its store file is registered.
+	snap  *memstore
+	files []storeFile // sorted by seq ascending
 	// maxSeq is the highest WAL sequence applied to this region (for
 	// flush markers).
 	maxSeq int64
+	// flushMu admits one flush at a time; a second caller waits.
+	flushMu sync.Mutex
+	// seqMu makes a logged write one step: a server holds it from drawing
+	// the WAL sequence to applying the cells, and snapshot takes it, so a
+	// snapshot at sequence S holds every write up to S and none after —
+	// the WAL can be cut at S and the next store file gets a later name.
+	seqMu sync.Mutex
+	// walked counts the cells scans stepped over, returned or not.
+	walked atomic.Int64
 }
 
 func newRegion(info RegionInfo) *region {
-	return &region{info: info, mem: make(map[string]Cell)}
+	return &region{info: info, mem: newMemstore()}
 }
 
 // put applies cells (already range-checked) carrying WAL sequence seq.
+// A delete marker is kept only while something older could still hold
+// its slot — a store file or a flush snapshot; otherwise the delete
+// clears the slot outright, and a row whose last cell goes leaves the
+// memstore.
 func (r *region) put(cells []Cell, seq int64) {
 	r.mu.Lock()
+	keepTombs := len(r.files) > 0 || r.snap != nil
+	var cleared []*memRow
 	for _, c := range cells {
-		k := slotKey(c.Row, c.Qual)
-		if old, ok := r.mem[k]; ok {
-			r.memSz -= len(old.Row) + len(old.Qual) + len(old.Value)
+		row := r.mem.row(c.Row, keepTombs || !c.Tomb)
+		if row == nil {
+			continue // deleting from a row the memstore does not hold
 		}
-		cc := c.clone()
-		r.mem[k] = cc
-		r.memSz += len(cc.Row) + len(cc.Qual) + len(cc.Value)
+		r.mem.set(row, c)
+		if c.Tomb && !keepTombs && (len(cleared) == 0 || cleared[len(cleared)-1] != row) {
+			cleared = append(cleared, row)
+		}
 	}
+	r.mem.sweep(cleared)
 	if seq > r.maxSeq {
 		r.maxSeq = seq
 	}
@@ -73,40 +94,28 @@ func (r *region) put(cells []Cell, seq int64) {
 func (r *region) memSize() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.memSz
+	return r.mem.size
 }
 
-// scan returns the merged view of [start, end): memstore shadows store
-// files, newer files shadow older ones. Cells are sorted by (Row, Qual).
-// limit <= 0 means unlimited.
+// scan returns the merged view of [start, end): memstore shadows the
+// flush snapshot, which shadows store files, newer files shadow older
+// ones. Every source is sorted, so the scan seeks each to start and
+// walks to end (or limit): its cost is the cells in range, not the
+// cells in the region. Cells are sorted by (Row, Qual) and alias
+// immutable store bytes. limit <= 0 means unlimited.
 func (r *region) scan(start, end []byte, limit int) []Cell {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	merged := make(map[string]Cell)
-	// Oldest files first so newer overwrite.
+	runs := make([]run, 0, len(r.files)+2)
 	for _, sf := range r.files {
-		for _, c := range sf.cells {
-			if inRange(c.Row, start, end) {
-				merged[slotKey(c.Row, c.Qual)] = c
-			}
-		}
+		runs = append(runs, fileRun(sf.cells, start, end))
 	}
-	for k, c := range r.mem {
-		if inRange(c.Row, start, end) {
-			merged[k] = c
-		}
+	if r.snap != nil {
+		runs = append(runs, r.snap.run(start, end))
 	}
-	out := make([]Cell, 0, len(merged))
-	for _, c := range merged {
-		if c.Tomb {
-			continue // delete marker shadows older versions
-		}
-		out = append(out, c)
-	}
-	sortCells(out)
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
+	runs = append(runs, r.mem.run(start, end))
+	out, walked := mergeRuns(runs, limit, false)
+	r.walked.Add(int64(walked))
 	return out
 }
 
@@ -116,32 +125,55 @@ type flushMarker struct {
 	Files      []string `json:"files"`
 }
 
-// flush writes the memstore to a new immutable store file in HDFS and
-// clears it, returning the flushed sequence. A nil error with seq 0
-// means the memstore was empty.
-func (r *region) flush(dfs *hdfs.Cluster) (int64, error) {
+// snapshot starts a flush: under one lock it takes the memstore (nil
+// if empty) with the sequence it reaches and swaps in a fresh one, so
+// no write can fall between the two. The snapshot is immutable from
+// here and stays readable through r.snap.
+func (r *region) snapshot() (*memstore, int64) {
+	r.seqMu.Lock()
+	defer r.seqMu.Unlock()
 	r.mu.Lock()
-	if len(r.mem) == 0 {
-		r.mu.Unlock()
+	defer r.mu.Unlock()
+	if len(r.mem.rows) == 0 {
+		return nil, 0
+	}
+	r.snap, r.mem = r.mem, newMemstore()
+	return r.snap, r.maxSeq
+}
+
+// restore abandons a flush: the writes that arrived since the snapshot
+// are folded back over it and it becomes the live memstore again.
+func (r *region) restore(snap *memstore) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	snap.absorb(r.mem)
+	r.snap, r.mem = nil, snap
+}
+
+// flush writes the memstore to a new immutable store file in HDFS,
+// returning the flushed sequence: everything up to it is in store
+// files, so the WAL may be truncated that far and no further. A nil
+// error with seq 0 means the memstore was empty. Writes arriving while
+// the file is written land in a fresh memstore; if the write fails
+// nothing is lost (restore).
+func (r *region) flush(dfs *hdfs.Cluster) (int64, error) {
+	r.flushMu.Lock()
+	defer r.flushMu.Unlock()
+	snap, seq := r.snapshot()
+	if snap == nil {
 		return 0, nil
 	}
-	cells := make([]Cell, 0, len(r.mem))
-	for _, c := range r.mem {
-		cells = append(cells, c)
-	}
-	sortCells(cells)
-	seq := r.maxSeq
+	cells, _ := mergeRuns([]run{snap.run(nil, nil)}, 0, true)
 	path := fmt.Sprintf("%ssf-%020d", r.info.dir(), seq)
-	r.mu.Unlock()
-
 	if err := dfs.WriteFile(path, encodeCells(cells)); err != nil {
+		r.restore(snap)
 		return 0, fmt.Errorf("hbase: flush region %d: %w", r.info.ID, err)
 	}
 	r.mu.Lock()
+	// Flushes are serialized and maxSeq only grows: appending keeps
+	// files in sequence order.
 	r.files = append(r.files, storeFile{path: path, seq: seq, cells: cells})
-	sort.Slice(r.files, func(i, j int) bool { return r.files[i].seq < r.files[j].seq })
-	r.mem = make(map[string]Cell)
-	r.memSz = 0
+	r.snap = nil
 	files := make([]string, len(r.files))
 	for i, sf := range r.files {
 		files[i] = sf.path
@@ -168,31 +200,20 @@ func (r *region) writeMarker(dfs *hdfs.Cluster, seq int64, files []string) error
 // compact merges all store files into one (newest wins), deleting the
 // inputs. It returns the number of files compacted away.
 func (r *region) compact(dfs *hdfs.Cluster) (int, error) {
-	r.mu.Lock()
-	if len(r.files) < 2 {
-		r.mu.Unlock()
+	r.mu.RLock()
+	old := append([]storeFile(nil), r.files...)
+	r.mu.RUnlock()
+	if len(old) < 2 {
 		return 0, nil
 	}
-	old := append([]storeFile(nil), r.files...)
-	merged := make(map[string]Cell)
-	maxSeq := int64(0)
-	for _, sf := range old { // ascending seq: newest wins
-		for _, c := range sf.cells {
-			merged[slotKey(c.Row, c.Qual)] = c
-		}
-		if sf.seq > maxSeq {
-			maxSeq = sf.seq
-		}
+	runs := make([]run, len(old))
+	for i, sf := range old { // ascending seq: newest wins
+		runs[i] = run{cells: sf.cells}
 	}
-	cells := make([]Cell, 0, len(merged))
-	for _, c := range merged {
-		if c.Tomb {
-			continue // major compaction reclaims delete markers
-		}
-		cells = append(cells, c)
-	}
-	sortCells(cells)
-	r.mu.Unlock()
+	maxSeq := old[len(old)-1].seq
+	// Major compaction reclaims delete markers: every file they could
+	// shadow is merged away with them.
+	cells, _ := mergeRuns(runs, 0, false)
 
 	path := fmt.Sprintf("%ssf-%020d-c", r.info.dir(), maxSeq)
 	if err := dfs.WriteFile(path, encodeCells(cells)); err != nil {

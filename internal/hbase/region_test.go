@@ -28,13 +28,6 @@ func TestCellOrderingAndEquality(t *testing.T) {
 	}
 }
 
-func TestSlotKeyUnambiguous(t *testing.T) {
-	// Classic ambiguity: row "a" + qual "bc" vs row "ab" + qual "c".
-	if slotKey([]byte("a"), []byte("bc")) == slotKey([]byte("ab"), []byte("c")) {
-		t.Fatal("slotKey must disambiguate row/qual boundaries")
-	}
-}
-
 func TestEncodeDecodeCellsRoundTrip(t *testing.T) {
 	f := func(rows [][3][]byte) bool {
 		cells := make([]Cell, len(rows))

@@ -159,11 +159,8 @@ func (rs *RegionServer) handle(_ context.Context, method string, payload any) (a
 	case "delete":
 		del := payload.(*DeleteRequest)
 		cells := make([]Cell, len(del.Cells))
-		for i, c := range del.Cells {
-			cc := c.clone()
-			cc.Tomb = true
-			cc.Value = nil
-			cells[i] = cc
+		for i, c := range del.Cells { // handlePut copies what it keeps
+			cells[i] = Cell{Row: c.Row, Qual: c.Qual, Tomb: true}
 		}
 		return nil, rs.handlePut(&PutRequest{Region: del.Region, Cells: cells})
 	case "scan":
@@ -204,14 +201,20 @@ func (rs *RegionServer) handlePut(req *PutRequest) error {
 	// Emulated per-node service cost: one token per cell. This is what
 	// gives the cluster a calibrated per-node throughput ceiling.
 	rs.bucket.Take(float64(len(req.Cells)))
-	// WAL first (durability), then memstore.
-	seq := rs.seq.Add(1)
+	// WAL first (durability), then memstore — in one step as far as a
+	// flush snapshot is concerned (region.seqMu).
 	entries := make([]walEntry, len(req.Cells))
 	for i, c := range req.Cells {
-		entries[i] = walEntry{Region: req.Region, Seq: seq, Cell: c.clone()}
+		entries[i] = walEntry{Region: req.Region, Cell: c.clone()}
+	}
+	r.seqMu.Lock()
+	seq := rs.seq.Add(1)
+	for i := range entries {
+		entries[i].Seq = seq
 	}
 	rs.clu.wal.Append(rs.name, entries)
 	r.put(req.Cells, seq)
+	r.seqMu.Unlock()
 	rs.CellsWritten.Add(int64(len(req.Cells)))
 	if th := rs.clu.cfg.FlushThresholdBytes; th > 0 && r.memSize() > th {
 		if err := rs.flushRegion(r); err != nil {

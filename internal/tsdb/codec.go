@@ -114,72 +114,69 @@ func (c *Codec) Encode(p *Point) (hbase.Cell, error) {
 	return hbase.Cell{Row: key, Qual: qual[:], Value: val[:]}, nil
 }
 
-// decoded is one sample recovered from a cell.
-type decoded struct {
+// rowMeta is what a data row key names: one series and the base time
+// of its hour.
+type rowMeta struct {
 	metric string
 	tags   map[string]string
-	ts     int64
-	value  float64
+	base   int64
 }
 
-// Decode parses a data cell (regular or row-compacted) back into
-// samples. Cells that do not parse as data (e.g. UID meta rows) return
-// a nil slice and no error.
-func (c *Codec) Decode(cell hbase.Cell) ([]decoded, error) {
-	key := cell.Row
+// decodeRow parses a data row key. Scans return a row's cells
+// together, so callers decode the key once per row — the UID lookups
+// and the tag map are the expensive part of reading a cell. ok is false
+// for rows that do not hold data (UID meta rows).
+func (c *Codec) decodeRow(key []byte) (m rowMeta, ok bool, err error) {
 	if len(key) == 0 || key[0] == metaPrefix {
-		return nil, nil
+		return rowMeta{}, false, nil
 	}
 	if c.SaltBuckets > 0 {
-		if len(key) < 1 {
-			return nil, nil
-		}
 		key = key[1:]
 	}
 	if len(key) < uidWidth+4 || (len(key)-uidWidth-4)%(2*uidWidth) != 0 {
-		return nil, fmt.Errorf("tsdb: bad row key length %d", len(key))
+		return rowMeta{}, false, fmt.Errorf("tsdb: bad row key length %d", len(key))
 	}
 	metricUID := readUID(key[:uidWidth])
-	metric, ok := c.uids.Name(kindMetric, metricUID)
-	if !ok {
-		return nil, fmt.Errorf("%w: uid %d", ErrNoSuchMetric, metricUID)
+	if m.metric, ok = c.uids.Name(kindMetric, metricUID); !ok {
+		return rowMeta{}, false, fmt.Errorf("%w: uid %d", ErrNoSuchMetric, metricUID)
 	}
-	base := int64(binary.BigEndian.Uint32(key[uidWidth : uidWidth+4]))
-	tags := make(map[string]string)
+	m.base = int64(binary.BigEndian.Uint32(key[uidWidth : uidWidth+4]))
+	m.tags = make(map[string]string)
 	for rest := key[uidWidth+4:]; len(rest) > 0; rest = rest[2*uidWidth:] {
 		ku := readUID(rest[:uidWidth])
 		vu := readUID(rest[uidWidth : 2*uidWidth])
 		kname, ok1 := c.uids.Name(kindTagK, ku)
 		vname, ok2 := c.uids.Name(kindTagV, vu)
 		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("tsdb: dangling tag uid (%d,%d)", ku, vu)
+			return rowMeta{}, false, fmt.Errorf("tsdb: dangling tag uid (%d,%d)", ku, vu)
 		}
-		tags[kname] = vname
+		m.tags[kname] = vname
 	}
+	return m, true, nil
+}
+
+// decodeCell appends to dst the samples held by one cell (regular or
+// row-compacted) of a row whose base time is base.
+func decodeCell(dst []Sample, base int64, cell hbase.Cell) ([]Sample, error) {
 	// Row-compacted wide cell: qualifier 0xFF 0xFF, value is a packed
 	// list of (offset u16, value f64) pairs.
 	if len(cell.Qual) == 2 && cell.Qual[0] == 0xFF && cell.Qual[1] == 0xFF {
 		if len(cell.Value)%10 != 0 {
-			return nil, fmt.Errorf("tsdb: bad compacted cell size %d", len(cell.Value))
+			return dst, fmt.Errorf("tsdb: bad compacted cell size %d", len(cell.Value))
 		}
-		out := make([]decoded, 0, len(cell.Value)/10)
 		for v := cell.Value; len(v) > 0; v = v[10:] {
 			off := binary.BigEndian.Uint16(v[:2])
 			bits := binary.BigEndian.Uint64(v[2:10])
-			out = append(out, decoded{
-				metric: metric, tags: tags,
-				ts:    base + int64(off),
-				value: math.Float64frombits(bits),
-			})
+			dst = append(dst, Sample{Timestamp: base + int64(off), Value: math.Float64frombits(bits)})
 		}
-		return out, nil
+		return dst, nil
 	}
 	if len(cell.Qual) != 2 || len(cell.Value) != 8 {
-		return nil, fmt.Errorf("tsdb: bad cell shape qual=%d val=%d", len(cell.Qual), len(cell.Value))
+		return dst, fmt.Errorf("tsdb: bad cell shape qual=%d val=%d", len(cell.Qual), len(cell.Value))
 	}
 	off := binary.BigEndian.Uint16(cell.Qual)
 	bits := binary.BigEndian.Uint64(cell.Value)
-	return []decoded{{metric: metric, tags: tags, ts: base + int64(off), value: math.Float64frombits(bits)}}, nil
+	return append(dst, Sample{Timestamp: base + int64(off), Value: math.Float64frombits(bits)}), nil
 }
 
 // rowRanges returns the scan ranges covering metric UID mu over

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -385,25 +386,37 @@ func (t *TSD) QueryContext(ctx context.Context, q Query) ([]Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, cell := range cells {
-			samples, err := t.codec.Decode(cell)
+		// Scan output is sorted, so a row's cells arrive together: the
+		// key is decoded, tag-filtered and grouped once per row.
+		var samples []Sample
+		for len(cells) > 0 {
+			rowCells := cells[:rowLen(cells)]
+			cells = cells[len(rowCells):]
+			meta, ok, err := t.codec.decodeRow(rowCells[0].Row)
 			if err != nil {
 				return nil, err
 			}
-			for _, s := range samples {
-				if s.ts < q.Start || s.ts > q.End {
-					continue
+			if !ok || !tagsMatch(q.Tags, meta.tags) {
+				continue
+			}
+			var ser *Series
+			for _, cell := range rowCells {
+				if samples, err = decodeCell(samples[:0], meta.base, cell); err != nil {
+					return nil, err
 				}
-				if !tagsMatch(q.Tags, s.tags) {
-					continue
+				for _, s := range samples {
+					if s.Timestamp < q.Start || s.Timestamp > q.End {
+						continue
+					}
+					if ser == nil {
+						id := seriesID(meta.metric, meta.tags)
+						if ser = grouped[id]; ser == nil {
+							ser = &Series{Metric: meta.metric, Tags: meta.tags}
+							grouped[id] = ser
+						}
+					}
+					ser.Samples = append(ser.Samples, s)
 				}
-				id := seriesID(s.metric, s.tags)
-				ser, ok := grouped[id]
-				if !ok {
-					ser = &Series{Metric: s.metric, Tags: s.tags}
-					grouped[id] = ser
-				}
-				ser.Samples = append(ser.Samples, Sample{Timestamp: s.ts, Value: s.value})
 			}
 		}
 	}
@@ -597,12 +610,10 @@ func (t *TSD) sealRows(ctx context.Context, bs *BlockStore, beforeBase int64) (i
 	if err != nil {
 		return 0, err
 	}
-	byRow := make(map[string][]hbase.Cell)
-	for _, c := range cells {
-		byRow[string(c.Row)] = append(byRow[string(c.Row)], c)
-	}
 	sealed := 0
-	for _, rowCells := range byRow {
+	for len(cells) > 0 {
+		rowCells := cells[:rowLen(cells)]
+		cells = cells[len(rowCells):]
 		if err := ctx.Err(); err != nil {
 			return sealed, err
 		}
@@ -610,23 +621,23 @@ func (t *TSD) sealRows(ctx context.Context, bs *BlockStore, beforeBase int64) (i
 		if !ok || base >= beforeBase {
 			continue
 		}
-		var metric string
-		var tags map[string]string
+		meta, ok, err := t.codec.decodeRow(rowCells[0].Row)
+		if err != nil {
+			return sealed, err
+		}
+		if !ok {
+			continue
+		}
 		samples := make([]Sample, 0, len(rowCells))
 		for _, c := range rowCells {
-			decodedCells, err := t.codec.Decode(c)
-			if err != nil {
+			if samples, err = decodeCell(samples, meta.base, c); err != nil {
 				return sealed, err
-			}
-			for _, s := range decodedCells {
-				metric, tags = s.metric, s.tags
-				samples = append(samples, Sample{Timestamp: s.ts, Value: s.value})
 			}
 		}
 		if len(samples) == 0 {
 			continue
 		}
-		if err := bs.Seal(metric, tags, samples); err != nil {
+		if err := bs.Seal(meta.metric, meta.tags, samples); err != nil {
 			return sealed, err
 		}
 		if err := t.client.DeleteContext(ctx, rowCells); err != nil {
@@ -636,6 +647,16 @@ func (t *TSD) sealRows(ctx context.Context, bs *BlockStore, beforeBase int64) (i
 		sealed++
 	}
 	return sealed, nil
+}
+
+// rowLen returns how many leading cells of sorted scan output share
+// the first cell's row.
+func rowLen(cells []hbase.Cell) int {
+	n := 1
+	for n < len(cells) && bytes.Equal(cells[n].Row, cells[0].Row) {
+		n++
+	}
+	return n
 }
 
 // rowBase extracts the base time from a data row key.

@@ -93,19 +93,22 @@ func TestCodecEncodeDecodeRoundTrip(t *testing.T) {
 	if len(cell.Row) != 1+3+4+12 {
 		t.Fatalf("row key length = %d", len(cell.Row))
 	}
-	got, err := codec.Decode(cell)
+	meta, ok, err := codec.decodeRow(cell.Row)
+	if err != nil || !ok {
+		t.Fatalf("decodeRow: ok=%v err=%v", ok, err)
+	}
+	got, err := decodeCell(nil, meta.base, cell)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 {
 		t.Fatalf("decoded %d samples", len(got))
 	}
-	s := got[0]
-	if s.metric != MetricEnergy || s.ts != 7249 || s.value != 123.456 {
-		t.Fatalf("decoded = %+v", s)
+	if meta.metric != MetricEnergy || got[0] != (Sample{Timestamp: 7249, Value: 123.456}) {
+		t.Fatalf("decoded = %+v %+v", meta, got[0])
 	}
-	if s.tags["unit"] != "42" || s.tags["sensor"] != "867" {
-		t.Fatalf("tags = %v", s.tags)
+	if meta.tags["unit"] != "42" || meta.tags["sensor"] != "867" {
+		t.Fatalf("tags = %v", meta.tags)
 	}
 }
 
@@ -385,12 +388,16 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := codec.Decode(cell)
+		meta, ok, err := codec.decodeRow(cell.Row)
+		if err != nil || !ok {
+			return false
+		}
+		got, err := decodeCell(nil, meta.base, cell)
 		if err != nil || len(got) != 1 {
 			return false
 		}
-		return got[0].ts == ts && got[0].value == val &&
-			got[0].tags["unit"] == fmt.Sprint(unit) && got[0].tags["sensor"] == fmt.Sprint(sensor)
+		return got[0] == (Sample{Timestamp: ts, Value: val}) &&
+			meta.tags["unit"] == fmt.Sprint(unit) && meta.tags["sensor"] == fmt.Sprint(sensor)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

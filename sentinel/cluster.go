@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net"
 	"net/http"
 	"sort"
@@ -158,6 +159,9 @@ type NodeConfig struct {
 	// Now supplies "current" fleet time to the gateway's pages
 	// (default wall-clock seconds).
 	Now func() int64
+	// AccessLog receives a gateway node's one line per request; nil
+	// uses the process logger (as GatewayConfig.AccessLog).
+	AccessLog *log.Logger
 }
 
 func (c NodeConfig) withNodeDefaults() NodeConfig {
@@ -489,6 +493,7 @@ func StartNode(cfg NodeConfig) (node *Node, err error) {
 			Ready:     n.readyChecks(),
 			Now:       now,
 			Cluster:   n.ClusterStatus,
+			AccessLog: cfg.AccessLog,
 		})
 	} else {
 		n.handler = n.opsHandler()

@@ -1,10 +1,15 @@
 package sentinel
 
 import (
+	"bytes"
 	"context"
+	"io"
+	"log"
 	"net"
 	"net/http/httptest"
+	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -281,6 +286,44 @@ func TestClusterEndToEnd(t *testing.T) {
 				t.Fatalf("no promoted store leader in map %+v", cm)
 			}
 			time.Sleep(300 * time.Millisecond)
+		}
+	}
+}
+
+// TestNodeAccessLog: a gateway node writes its access lines to
+// NodeConfig.AccessLog, so one started with a discarding logger leaves
+// the process logger alone (and one started without still uses it).
+func TestNodeAccessLog(t *testing.T) {
+	var std bytes.Buffer
+	log.SetOutput(&std)
+	defer log.SetOutput(os.Stderr)
+	for _, tc := range []struct {
+		logger *log.Logger
+		lines  int
+	}{{log.New(io.Discard, "", 0), 0}, {nil, 1}} {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := StartNode(NodeConfig{
+			Name:     "solo",
+			Roles:    []Role{RoleBroker, RoleStore, RoleDetect, RoleGateway},
+			Listener: lis,
+			Peers:    map[string]string{"solo": lis.Addr().String()},
+			Units:    2, SensorsPerUnit: 2,
+			AccessLog: tc.logger,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		n.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+		n.Close()
+		if rec.Code != 200 {
+			t.Fatalf("GET /healthz = %d", rec.Code)
+		}
+		if got := strings.Count(std.String(), "access method=GET path=/healthz"); got != tc.lines {
+			t.Fatalf("AccessLog %v: process logger got %d access lines, want %d:\n%s", tc.logger != nil, got, tc.lines, std.String())
 		}
 	}
 }
