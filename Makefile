@@ -18,7 +18,7 @@ ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|Ben
 # stable ns/op medians, short enough for a PR loop.
 GATE_BENCHTIME ?= 300ms
 
-.PHONY: build lint vet fmt test bench bench-json bench-query bench-allocs bench-gate soak backtest chaos conformance cluster cluster-smoke load-smoke load check
+.PHONY: build lint vet fmt assembly test bench bench-json bench-query bench-allocs bench-gate bench-compare soak backtest chaos conformance serve cluster cluster-smoke load-smoke load check
 
 build:
 	$(GO) build ./...
@@ -32,7 +32,20 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-lint: fmt vet
+# assembly guards the one-assembly rule: each tier constructor is
+# called from exactly one non-test file under sentinel/ and cmd/
+# (sentinel/assembly.go), so a second hand wiring of the pipeline
+# cannot quietly regrow. cmd/tsdbench, the storage-only Fig. 2
+# microbenchmark, is exempt.
+assembly:
+	@for call in 'api\.New(' 'tsdb\.NewCompactor(' 'ingest\.StartStorageWriters(' 'viz\.NewServer(' 'hbase\.NewCluster('; do \
+		files=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=tsdbench "$$call" sentinel cmd); \
+		if [ $$(echo "$$files" | grep -c .) -gt 1 ]; then \
+			echo "assembly fork: $$call is called from more than one file:"; echo "$$files"; exit 1; \
+		fi; \
+	done
+
+lint: fmt vet assembly
 
 test:
 	$(GO) test -race ./...
@@ -95,6 +108,31 @@ bench-gate:
 	$(GO) run ./cmd/benchgate -pins BENCH_PINS -baseline BENCH_query.json -baseline BENCH_evaluation.json -skip BenchmarkLoad < bench-gate.out
 	@rm -f bench-gate.out
 
+# bench-compare applies the repo's own verdict rule (BENCHMARK.json's
+# bounds → ok / worse / unresolved per metric and workload) to this tree
+# against BASE: BASE is exported into a temporary directory, the two
+# trees alternate `go run ./benchmark --out` for PAIRS pairs (which
+# side goes first alternates per pair), and `benchmark --compare`
+# prints the verdict. ~3 minutes per pair.
+BASE ?= HEAD
+PAIRS ?= 10
+bench-compare:
+	@rm -f bench-base.jsonl bench-head.jsonl
+	@base=$$(mktemp -d) && trap 'rm -rf "$$base"' EXIT && \
+	git archive $(BASE) | tar -x -C "$$base" && \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
+		for side in $$order; do \
+			echo "pair $$i/$(PAIRS): $$side"; \
+			if [ $$side = base ]; then \
+				(cd "$$base" && $(GO) run ./benchmark --out "$(CURDIR)/bench-base.jsonl") || exit 1; \
+			else \
+				$(GO) run ./benchmark --out bench-head.jsonl || exit 1; \
+			fi; \
+		done; \
+	done && \
+	$(GO) run ./benchmark --compare bench-base.jsonl bench-head.jsonl
+
 # load-smoke is the gating overload-contract check: cmd/loadgen boots
 # an in-process System behind a real listener, calibrates capacity
 # closed-loop, then drives 2x capacity open-loop (coordinated-omission
@@ -148,6 +186,14 @@ chaos:
 # envelope code. Cheap, deterministic, gating in CI.
 conformance:
 	$(GO) test ./internal/api/... -run TestV1Conformance
+
+# serve runs the whole pipeline as one daemon: every role on one node
+# without peers (the same assembly the cluster splits by role), the
+# /api/v1 surface and the HTML pages on 127.0.0.1:8080. Ctrl-C drains
+# gracefully.
+serve:
+	$(GO) build -o bin/sentineld ./cmd/sentineld
+	bin/sentineld -name solo -role all -http 127.0.0.1:8080
 
 # cluster boots a local four-process cluster on fixed ports: one
 # broker, two store nodes, and a combined detect+gateway node hosting

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"log"
 	"net/http"
@@ -8,17 +9,19 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
+	"time"
 
+	"repro/internal/api"
 	"repro/sentinel"
 )
 
 func main() {
 	var (
 		name         = flag.String("name", "", "cluster-unique node name (required)")
-		roles        = flag.String("role", "", "comma-separated roles: broker,store,detect,gateway (required)")
-		listen       = flag.String("listen", "127.0.0.1:0", "rpc transport listen address")
+		roles        = flag.String("role", "", "comma-separated roles: broker,store,detect,gateway, or all (required)")
+		listen       = flag.String("listen", "127.0.0.1:0", "rpc transport listen address (unused without -peers)")
 		httpAddr     = flag.String("http", "", "HTTP listen address (empty disables)")
-		peers        = flag.String("peers", "", "comma-separated name=host:port pairs, one per cluster node")
+		peers        = flag.String("peers", "", "comma-separated name=host:port pairs, one per cluster node (empty: this node is the whole deployment)")
 		zkNode       = flag.String("zk-node", "", "peer hosting the coordination service (default: self when gateway)")
 		partitions   = flag.Int("partitions", 4, "cluster-wide bus partition count")
 		units        = flag.Int("units", 10, "fleet units")
@@ -30,6 +33,15 @@ func main() {
 		warmup       = flag.Int("warmup", 0, "detector warmup rows (0 = family default)")
 		stores       = flag.Int("stores", 1, "store nodes to wait for before serving")
 		seed         = flag.Uint64("seed", 42, "detector seed")
+		rate         = flag.Float64("rate", 0, "per-client request rate limit on the gateway (req/s; 0 disables)")
+		apiKeys      = flag.String("api-keys", "", "comma-separated X-API-Key values granted their own rate-limit bucket (unlisted keys fall back to per-IP)")
+		drainFor     = flag.Duration("drain", 15*time.Second, "graceful shutdown budget")
+
+		sealAfter    = flag.Int64("seal-after", 3600, "store nodes: fleet-seconds behind the ingest frontier before a closed storage row seals into the compressed block tier")
+		compactEvery = flag.Duration("compact-every", 15*time.Second, "store nodes: maintenance cadence — seal closed rows, spill over-budget blocks, enforce retention (0 disables)")
+		rawTTL       = flag.Int64("raw-ttl", 0, "store nodes: drop sealed raw blocks older than this many fleet-seconds (rollups survive; 0 keeps forever)")
+		rollupTTL    = flag.Int64("rollup-ttl", 0, "store nodes: drop rollup buckets older than this many fleet-seconds (0 keeps forever)")
+		spillBytes   = flag.Int64("spill-bytes", 64<<20, "store nodes: resident compressed payload budget before sealed blocks spill to the HDFS tier (negative spills everything)")
 	)
 	flag.Parse()
 	log.SetPrefix("sentineld: ")
@@ -71,6 +83,15 @@ func main() {
 		DetectorParams:  detParams,
 		ExpectStores:    *stores,
 		Seed:            *seed,
+		SealAfter:       *sealAfter,
+		CompactEvery:    *compactEvery,
+		RawTTL:          *rawTTL,
+		RollupTTL:       *rollupTTL,
+		HotBlockBytes:   *spillBytes,
+		GatewayConfig: sentinel.GatewayConfig{
+			RatePerSec: *rate,
+			APIKeys:    api.SplitKeys(*apiKeys),
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -79,7 +100,8 @@ func main() {
 
 	var srv *http.Server
 	if *httpAddr != "" {
-		srv = &http.Server{Addr: *httpAddr, Handler: node.Handler()}
+		srv = &http.Server{Addr: *httpAddr, Handler: node.Handler(), ReadHeaderTimeout: 10 * time.Second}
+		srv.RegisterOnShutdown(node.EndStreams)
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				log.Fatalf("http: %v", err)
@@ -91,9 +113,19 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	log.Printf("%s shutting down", node.Name())
+	// In dependency order: stop accepting requests, then let the node
+	// drain what it acked (bus into storage, proxy into the TSDs)
+	// before its tiers go.
+	log.Printf("%s shutting down (budget %s)", node.Name(), *drainFor)
+	ctx, cancel := context.WithTimeout(context.Background(), *drainFor)
+	defer cancel()
 	if srv != nil {
-		srv.Close()
+		if err := srv.Shutdown(ctx); err != nil {
+			log.Printf("http shutdown: %v", err)
+		}
 	}
-	node.Close()
+	if err := node.Shutdown(ctx); err != nil {
+		log.Printf("drain: %v", err)
+	}
+	log.Printf("%s shutdown complete", node.Name())
 }

@@ -5,7 +5,13 @@
 // ranking, and the live SSE anomaly stream.
 //
 //	go run ./examples/fleetmonitor           # one-shot walk-through
-//	go run ./examples/fleetmonitor -serve    # keep serving on :8080
+//	go run ./examples/fleetmonitor -serve    # then keep serving on :8080, live
+//
+// With -serve the walk-through is followed by a live loop: one fleet
+// second is ingested per wall-clock second, the streaming detectors
+// flag it, and the pages at http://localhost:8080/ (fleet overview →
+// machine sparklines with red anomaly flags → sensor drill-down) and
+// the SSE stream follow along.
 package main
 
 import (
@@ -17,6 +23,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	v1 "repro/internal/api/v1"
@@ -25,7 +32,7 @@ import (
 )
 
 func main() {
-	serve := flag.Bool("serve", false, "keep the web app running on :8080")
+	serve := flag.Bool("serve", false, "keep the web app running on :8080, ingesting one fleet second per second")
 	flag.Parse()
 
 	sys, err := sentinel.New(sentinel.Config{
@@ -55,9 +62,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// One handler serves everything: /api/v1, the legacy shims and the
-	// Figure-3 HTML pages.
-	handler, tail := sys.Gateway(160, sentinel.GatewayConfig{})
+	// One handler serves everything: /api/v1 and the Figure-3 HTML
+	// pages. now is the fleet time they treat as current.
+	var now atomic.Int64
+	now.Store(160)
+	handler, tail := sys.Gateway(0, sentinel.GatewayConfig{Now: now.Load})
 	defer tail.Close()
 	srv := httptest.NewServer(handler)
 	defer srv.Close()
@@ -135,6 +144,7 @@ func main() {
 		if _, err := sys.IngestRange(160, 5); err != nil {
 			log.Printf("live ingest: %v", err)
 		}
+		now.Store(165)
 	}()
 	var first v1.AnomalyEvent
 	if first, err = stream.Next(); err != nil {
@@ -162,6 +172,15 @@ func main() {
 
 	if *serve {
 		fmt.Println("serving on http://localhost:8080/ — Ctrl-C to stop")
+		go func() {
+			for range time.Tick(time.Second) {
+				if _, err := sys.IngestRange(now.Load(), 1); err != nil {
+					log.Printf("live ingest t=%d: %v", now.Load(), err)
+					continue
+				}
+				now.Add(1)
+			}
+		}()
 		log.Fatal(http.ListenAndServe(":8080", handler))
 	}
 }

@@ -124,7 +124,7 @@ func TestAdmissionShedsByClassOrder(t *testing.T) {
 	}
 
 	// Ops routes never shed, even fully over budget.
-	for _, path := range []string{"/healthz", "/readyz", "/api/v1/metrics", "/metrics"} {
+	for _, path := range []string{"/healthz", "/readyz", "/api/v1/metrics"} {
 		if w := doReq(g, "GET", path, "", nil); w.Code != 200 {
 			t.Errorf("%s at pressure 1.5 = %d, want 200", path, w.Code)
 		}

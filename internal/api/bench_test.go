@@ -89,8 +89,8 @@ func BenchmarkGatewayPutPath(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestPutBaseline is the pre-gateway ingestd handler shape
-// — read, parse, publish, 204 — under the same harness, the reference
+// BenchmarkIngestPutBaseline is a bare handler — read, parse, publish,
+// 204 — under the same harness, the reference
 // the put-path pin is judged against (the acceptance criterion allows
 // the chain one attributable allocation per layer over this).
 func BenchmarkIngestPutBaseline(b *testing.B) {
@@ -117,7 +117,7 @@ func BenchmarkIngestPutBaseline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest("POST", "/api/put", strings.NewReader(putBody))
+		req := httptest.NewRequest("POST", "/put", strings.NewReader(putBody))
 		rec := httptest.NewRecorder()
 		h(rec, req)
 		if rec.Code != 204 {

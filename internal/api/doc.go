@@ -2,8 +2,8 @@
 // surface of the architecture. The paper exposes ingestion, detection
 // and visualization as one coherent service; this package is that
 // front — every write, read, detection and ops route lives under
-// /api/v1/*, with the pre-v1 paths kept alive as thin deprecated
-// shims.
+// /api/v1/*. sentinel.Node.Gateway mounts it on every node; routes
+// whose dependency a node's roles do not provide answer 503.
 //
 // # Route table
 //
@@ -18,13 +18,6 @@
 //	GET  /api/v1/detectors                           detector tier status (primary / shadows / ensemble)
 //	GET  /api/v1/metrics                             telemetry exposition
 //	GET  /healthz, /readyz (+ /api/v1 aliases)       liveness / readiness
-//
-// Legacy shims: /api/put, /api/put/line, /api/query, /api/fleet,
-// /api/machine/{unit}, /api/series, /api/top, /metrics. Each answers
-// exactly as its pre-v1 implementation did (status codes and body
-// shapes preserved) while delegating to the v1 internals, and carries
-// `Deprecation: true` plus a `Link: rel="successor-version"` header
-// naming its replacement.
 //
 // # Middleware chain
 //

@@ -190,8 +190,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Gateway is the unified versioned HTTP surface: every write, read,
-// detection and ops route of the system under /api/v1/*, the legacy
-// paths as deprecated shims, and (optionally) the HTML application.
+// detection and ops route of the system under /api/v1/*, and
+// (optionally) the HTML application.
 // It implements http.Handler. See doc.go for the route table and the
 // middleware chain.
 type Gateway struct {
@@ -308,20 +308,6 @@ func New(cfg Config) *Gateway {
 	// Ops endpoints at their conventional unversioned paths.
 	handle("GET", "/healthz", std(admission.Exempt, g.handleHealth))
 	handle("GET", "/readyz", std(admission.Exempt, g.handleReady))
-
-	// Legacy shims: the pre-v1 surfaces of ingestd and vizserver, kept
-	// byte-compatible for old clients and marked deprecated. Each is a
-	// thin adapter onto the v1 handler's internals. They get the same
-	// method-less 405 fallback as v1 routes — without it, a wrong-method
-	// request would fall through to the HTML catch-all and answer 200.
-	handle("POST", "/api/put", std(admission.Ingest, g.legacyPut(false)))
-	handle("POST", "/api/put/line", std(admission.Ingest, g.legacyPut(true)))
-	handle("GET", "/api/query", std(admission.Interactive, g.legacyQuery))
-	handle("GET", "/api/fleet", std(admission.Interactive, g.legacyFleet))
-	handle("GET", "/api/machine/{unit}", std(admission.Interactive, g.legacyMachine))
-	handle("GET", "/api/series", std(admission.Interactive, g.legacySeries))
-	handle("GET", "/api/top", std(admission.Interactive, g.legacyTop))
-	handle("GET", "/metrics", std(admission.Exempt, g.legacyMetrics))
 
 	if cfg.HTML != nil {
 		g.mux.Handle("/", std(admission.Interactive, cfg.HTML.ServeHTTP))
@@ -462,8 +448,7 @@ func validatePoints(pts []tsdb.Point) ([]tsdb.Point, error) {
 // BusPublisher publishes points onto the ingestion commit log, one
 // record per unit batch. A multi-unit request is not atomic — an error
 // can leave earlier units' batches appended — but point writes are
-// idempotent, so retrying the whole request wholesale converges (the
-// same contract the pre-v1 ingestd documented).
+// idempotent, so retrying the whole request wholesale converges.
 type BusPublisher struct {
 	Topic bus.TopicHandle
 	// Timeout bounds publish backpressure before shedding load with a
@@ -723,7 +708,7 @@ func (g *Gateway) handleSensorPath(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSeries is GET /api/v1/series?unit=&sensor= (the query-param
-// spelling of the drill-down, kept for symmetry with the legacy path).
+// spelling of the drill-down).
 func (g *Gateway) handleSeries(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	unit, err1 := strconv.Atoi(q.Get("unit"))
@@ -769,40 +754,34 @@ func (g *Gateway) serveSensor(w http.ResponseWriter, r *http.Request, unit, sens
 }
 
 func (g *Gateway) handleTop(w http.ResponseWriter, r *http.Request) {
-	top, err := g.topAnomalies(r)
-	if err != nil {
-		writeError(w, mapError(err))
-		return
-	}
-	writeJSON(w, v1.TopResponse{Anomalies: top})
-}
-
-func (g *Gateway) topAnomalies(r *http.Request) ([]v1.TopAnomaly, error) {
-	b := g.cfg.Backend
+	b := g.requireBackend(w)
 	if b == nil {
-		return nil, &apiError{status: http.StatusServiceUnavailable, code: v1.CodeUnavailable, msg: "no view backend"}
+		return
 	}
 	from, to, err := g.window(r)
 	if err != nil {
-		return nil, err
+		writeError(w, mapError(err))
+		return
 	}
 	limit := 10
 	if v := r.URL.Query().Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
-			return nil, errBadRequest("bad limit %q", v)
+			writeError(w, errBadRequest("bad limit %q", v))
+			return
 		}
 		limit = n
 	}
 	top, err := b.TopAnomalies(r.Context(), from, to, limit)
 	if err != nil {
-		return nil, err
+		writeError(w, mapError(err))
+		return
 	}
 	out := make([]v1.TopAnomaly, len(top))
 	for i, a := range top {
 		out[i] = v1.TopAnomaly{Unit: a.Unit, Sensor: a.Sensor, Timestamp: a.Timestamp, Severity: a.Severity}
 	}
-	return out, nil
+	writeJSON(w, v1.TopResponse{Anomalies: out})
 }
 
 // ---- ops ------------------------------------------------------------
@@ -874,182 +853,4 @@ func (g *Gateway) handleReady(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, resp)
-}
-
-// ---- legacy shims ---------------------------------------------------
-
-// deprecate marks a legacy response and names the successor route.
-func deprecate(w http.ResponseWriter, successor string) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", "<"+successor+">; rel=\"successor-version\"")
-}
-
-// legacyPut serves POST /api/put and /api/put/line: same parse, same
-// publish path as v1, but the historical 204 No Content answer.
-func (g *Gateway) legacyPut(lines bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		deprecate(w, v1.PathPrefix+"/points")
-		body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, g.cfg.MaxBody))
-		if err != nil {
-			writeError(w, mapError(err))
-			return
-		}
-		var points []tsdb.Point
-		if lines {
-			points, err = parsePutLines(body)
-		} else {
-			points, err = parsePutJSON(body)
-		}
-		if err != nil {
-			writeError(w, mapError(err))
-			return
-		}
-		if _, err := g.publish(r.Context(), points); err != nil {
-			writeError(w, mapError(err))
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	}
-}
-
-// legacyQuery preserves ingestd's pre-v1 /api/query contract: `to` is
-// required, and the body is the hand-rolled
-// [{"series":"id","samples":[[t,v],…]}] shape — but reads now go
-// through the cached query tier like everything else.
-func (g *Gateway) legacyQuery(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, v1.PathPrefix+"/query")
-	if g.cfg.Query == nil {
-		writeError(w, &apiError{status: http.StatusServiceUnavailable, code: v1.CodeUnavailable, msg: "no query backend"})
-		return
-	}
-	q := r.URL.Query()
-	metric := q.Get("metric")
-	if metric == "" {
-		metric = tsdb.MetricEnergy
-	}
-	from, _ := strconv.ParseInt(q.Get("from"), 10, 64)
-	to, err := strconv.ParseInt(q.Get("to"), 10, 64)
-	if err != nil {
-		writeError(w, errBadRequest("to required"))
-		return
-	}
-	tags := map[string]string{}
-	if u := q.Get("unit"); u != "" {
-		tags["unit"] = u
-	}
-	if s := q.Get("sensor"); s != "" {
-		tags["sensor"] = s
-	}
-	series, err := g.cfg.Query.QueryContext(r.Context(), tsdb.Query{Metric: metric, Tags: tags, Start: from, End: to})
-	if err != nil && !isNoMetric(err) {
-		writeError(w, mapError(err))
-		return
-	}
-	w.Header().Set("Content-Type", v1.ContentTypeJSON)
-	var b strings.Builder
-	b.WriteString("[")
-	for i := range series {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		fmt.Fprintf(&b, `{"series":%q,"samples":[`, series[i].ID())
-		for j, sm := range series[i].Samples {
-			if j > 0 {
-				b.WriteString(",")
-			}
-			fmt.Fprintf(&b, `[%d,%g]`, sm.Timestamp, sm.Value)
-		}
-		b.WriteString("]}")
-	}
-	b.WriteString("]\n")
-	_, _ = io.WriteString(w, b.String())
-}
-
-func (g *Gateway) legacyFleet(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, v1.PathPrefix+"/fleet")
-	b := g.requireBackend(w)
-	if b == nil {
-		return
-	}
-	from, to, err := g.window(r)
-	if err != nil {
-		writeError(w, mapError(err))
-		return
-	}
-	fleet, err := b.Fleet(r.Context(), from, to)
-	if err != nil {
-		writeError(w, mapError(err))
-		return
-	}
-	writeJSON(w, fleet)
-}
-
-func (g *Gateway) legacyMachine(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, v1.PathPrefix+"/machines/{unit}")
-	b := g.requireBackend(w)
-	if b == nil {
-		return
-	}
-	unit, err := strconv.Atoi(r.PathValue("unit"))
-	if err != nil {
-		writeError(w, errBadRequest("bad unit"))
-		return
-	}
-	from, to, err := g.window(r)
-	if err != nil {
-		writeError(w, mapError(err))
-		return
-	}
-	mv, err := b.Machine(r.Context(), unit, from, to)
-	if err != nil {
-		writeError(w, mapError(err))
-		return
-	}
-	writeJSON(w, mv)
-}
-
-func (g *Gateway) legacySeries(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, v1.PathPrefix+"/series")
-	b := g.requireBackend(w)
-	if b == nil {
-		return
-	}
-	q := r.URL.Query()
-	unit, err1 := strconv.Atoi(q.Get("unit"))
-	sensor, err2 := strconv.Atoi(q.Get("sensor"))
-	if err1 != nil || err2 != nil {
-		writeError(w, errBadRequest("unit and sensor required"))
-		return
-	}
-	from, to, err := g.window(r)
-	if err != nil {
-		writeError(w, mapError(err))
-		return
-	}
-	det, err := b.Sensor(r.Context(), unit, sensor, from, to)
-	if err != nil {
-		writeError(w, mapError(err))
-		return
-	}
-	writeJSON(w, det)
-}
-
-func (g *Gateway) legacyTop(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, v1.PathPrefix+"/anomalies/top")
-	top, err := g.topAnomalies(r)
-	if err != nil {
-		writeError(w, mapError(err))
-		return
-	}
-	// The pre-v1 body was a bare array.
-	legacy := make([]viz.TopAnomaly, len(top))
-	for i, a := range top {
-		legacy[i] = viz.TopAnomaly{Unit: a.Unit, Sensor: a.Sensor, Timestamp: a.Timestamp, Severity: a.Severity}
-	}
-	writeJSON(w, legacy)
-}
-
-func (g *Gateway) legacyMetrics(w http.ResponseWriter, r *http.Request) {
-	deprecate(w, v1.PathPrefix+"/metrics")
-	g.handleMetrics(w, r)
 }

@@ -233,54 +233,20 @@ func TestV1Conformance(t *testing.T) {
 	}
 }
 
-// TestLegacyShims pins the deprecated paths: same bodies as before the
-// gateway, Deprecation + successor headers on every one.
-func TestLegacyShims(t *testing.T) {
-	gw := testGateway(t, nil)
-	cases := []struct {
-		path      string
-		want      string
-		successor string
-	}{
-		{"/api/fleet?from=0&to=59", `"critical":1`, "/api/v1/fleet"},
-		{"/api/machine/2?from=0&to=59", `"status":"warning"`, "/api/v1/machines/{unit}"},
-		{"/api/series?unit=1&sensor=2&from=0&to=59", `"anomalies"`, "/api/v1/series"},
-		{"/api/top?from=0&to=59&limit=2", `"severity":5.5`, "/api/v1/anomalies/top"},
-		{"/api/query?unit=1&sensor=2&from=0&to=59", "energy{sensor=2,unit=1}", "/api/v1/query"},
-		{"/metrics", "http_requests", "/api/v1/metrics"},
-	}
-	for _, tc := range cases {
-		rec := get(t, gw, tc.path)
-		if rec.Code != 200 {
-			t.Errorf("GET %s = %d (%s)", tc.path, rec.Code, rec.Body)
-			continue
-		}
-		if !strings.Contains(rec.Body.String(), tc.want) {
-			t.Errorf("GET %s body missing %q:\n%s", tc.path, tc.want, rec.Body)
-		}
-		if rec.Header().Get("Deprecation") != "true" {
-			t.Errorf("GET %s not marked deprecated", tc.path)
-		}
-		if !strings.Contains(rec.Header().Get("Link"), tc.successor) {
-			t.Errorf("GET %s Link = %q, want successor %s", tc.path, rec.Header().Get("Link"), tc.successor)
-		}
-	}
-	// The legacy top body is a bare array, not the v1 wrapper.
-	rec := get(t, gw, "/api/top?from=0&to=59")
-	if !strings.HasPrefix(strings.TrimSpace(rec.Body.String()), "[") {
-		t.Errorf("legacy /api/top body is not a bare array: %s", rec.Body)
-	}
-	// Wrong-method legacy requests must answer 405 even with an HTML
-	// catch-all mounted — not fall through to a 200 HTML page.
+// TestWrongMethodNeverHTML: with the HTML catch-all mounted, a
+// wrong-method request on a claimed route still answers the 405
+// envelope with an Allow header — it must not fall through to a 200
+// HTML page.
+func TestWrongMethodNeverHTML(t *testing.T) {
 	withHTML := testGateway(t, func(c *Config) {
 		c.HTML = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			_, _ = w.Write([]byte("<html>fleet</html>"))
 		})
 	})
 	for _, tc := range []struct{ method, path string }{
-		{"GET", "/api/put"},
-		{"POST", "/api/fleet"},
-		{"DELETE", "/api/query"},
+		{"GET", "/api/v1/points"},
+		{"POST", "/api/v1/fleet"},
+		{"DELETE", "/api/v1/query"},
 		{"POST", "/healthz"},
 	} {
 		rec := httptest.NewRecorder()
@@ -290,6 +256,9 @@ func TestLegacyShims(t *testing.T) {
 		}
 		if rec.Header().Get("Allow") == "" {
 			t.Errorf("%s %s missing Allow header", tc.method, tc.path)
+		}
+		if envelope(t, rec).Code != v1.CodeBadRequest {
+			t.Errorf("%s %s body is not the error envelope: %s", tc.method, tc.path, rec.Body)
 		}
 	}
 	// The HTML catch-all still serves everything unclaimed.
@@ -533,22 +502,16 @@ func TestGzipErrorEnvelopeMarked(t *testing.T) {
 	if err := json.Unmarshal(raw, &env); err != nil || env.Error == nil || env.Error.Code != v1.CodeNotFound {
 		t.Fatalf("decoded envelope = %s (%v)", raw, err)
 	}
-	// A bodyless 204 (legacy put shim) must not claim an encoding.
-	gwPut := testGateway(t, func(c *Config) {
-		c.Publisher = publisherFunc(func(ctx context.Context, pts []tsdb.Point) (int, error) {
-			return len(pts), nil
-		})
-	})
-	req := httptest.NewRequest("POST", "/api/put",
-		strings.NewReader(`[{"metric":"energy","timestamp":1,"value":1,"tags":{"unit":"0","sensor":"0"}}]`))
+	// A bodyless 204 must not claim an encoding.
+	bodyless := Gzip()(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	req := httptest.NewRequest("POST", "/", nil)
 	req.Header.Set("Accept-Encoding", "gzip")
 	rec204 := httptest.NewRecorder()
-	gwPut.ServeHTTP(rec204, req)
-	if rec204.Code != 204 {
-		t.Fatalf("legacy put = %d", rec204.Code)
-	}
-	if rec204.Header().Get("Content-Encoding") != "" {
-		t.Fatal("204 claims a Content-Encoding")
+	bodyless.ServeHTTP(rec204, req)
+	if rec204.Code != 204 || rec204.Header().Get("Content-Encoding") != "" {
+		t.Fatalf("204 = %d, Content-Encoding %q", rec204.Code, rec204.Header().Get("Content-Encoding"))
 	}
 }
 

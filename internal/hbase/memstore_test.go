@@ -3,6 +3,7 @@ package hbase
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -323,4 +324,73 @@ func modelScan(ref map[[2]string]string, start, end string, limit int) []Cell {
 		out = out[:limit]
 	}
 	return out
+}
+
+// TestFailoverFlushKeepsAckedCells: a region flushes on one server,
+// fails over to a server whose WAL sequence is far below that flush,
+// takes more writes, flushes and fails over again. The second flush
+// must get its own store file and cut the second server's WAL only up
+// to its own snapshot — every acked cell stays readable, store-file
+// paths stay unique.
+func TestFailoverFlushKeepsAckedCells(t *testing.T) {
+	const repro = "repro: go test ./internal/hbase -run TestFailoverFlushKeepsAckedCells"
+	c := newTestCluster(t, Config{RegionServers: 3})
+	if err := c.CreateTable(nil); err != nil {
+		t.Fatal(err)
+	}
+	m, err := c.ActiveMaster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := c.NewClient(ClientConfig{})
+	acked := 0
+	put := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := cl.Put([]Cell{{Row: []byte(fmt.Sprintf("row-%04d", acked)), Qual: []byte("q"), Value: []byte("v")}}); err != nil {
+				t.Fatal(err)
+			}
+			acked++
+		}
+	}
+	flush := func() {
+		ri := m.Regions()[0]
+		if _, err := c.net.Call(context.Background(), rsAddr(ri.Server), "flush", &FlushRequest{Region: ri.ID}); err != nil {
+			t.Fatalf("flush on %s: %v (%s)", ri.Server, err, repro)
+		}
+	}
+	failover := func(stage string) {
+		if err := c.KillRegionServer(m.Regions()[0].Server); err != nil {
+			t.Fatal(err)
+		}
+		got, err := cl.Scan(nil, nil, 0) // retries until the master reassigns
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != acked {
+			t.Fatalf("%s: %d of %d acked cells readable (%s)", stage, len(got), acked, repro)
+		}
+	}
+	put(40) // the first server's sequence reaches 40
+	flush()
+	failover("after first failover")
+	put(10) // the new server draws its sequences from (near) zero
+	flush()
+	put(10) // logged after the second flush's snapshot: only the WAL has them
+	failover("after second failover")
+
+	var marker flushMarker
+	data, err := c.dfs.ReadFile(regionDir(m.Regions()[0].ID) + "marker")
+	if err != nil || json.Unmarshal(data, &marker) != nil {
+		t.Fatalf("read flush marker: %v", err)
+	}
+	seen := make(map[string]bool)
+	for _, path := range marker.Files {
+		if seen[path] {
+			t.Fatalf("store file %s listed twice in %v (%s)", path, marker.Files, repro)
+		}
+		seen[path] = true
+	}
+	if len(marker.Files) != 2 {
+		t.Fatalf("store files = %v, want one per flush (%s)", marker.Files, repro)
+	}
 }

@@ -2,6 +2,7 @@ package hbase
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -119,6 +120,10 @@ func (r *region) scan(start, end []byte, limit int) []Cell {
 	return out
 }
 
+// errStoreFileExists refuses a flush whose sequence names a store file
+// the region already has.
+var errStoreFileExists = errors.New("store file already exists")
+
 // flushMarker is the durable record of how far a region has flushed.
 type flushMarker struct {
 	FlushedSeq int64    `json:"flushedSeq"`
@@ -164,10 +169,16 @@ func (r *region) flush(dfs *hdfs.Cluster) (int64, error) {
 		return 0, nil
 	}
 	cells, _ := mergeRuns([]run{snap.run(nil, nil)}, 0, true)
+	// Store files are immutable: a flush never reuses a name (WriteFile
+	// would replace the older file's cells), whatever its sequence is.
 	path := fmt.Sprintf("%ssf-%020d", r.info.dir(), seq)
-	if err := dfs.WriteFile(path, encodeCells(cells)); err != nil {
+	err := errStoreFileExists
+	if !dfs.Exists(path) {
+		err = dfs.WriteFile(path, encodeCells(cells))
+	}
+	if err != nil {
 		r.restore(snap)
-		return 0, fmt.Errorf("hbase: flush region %d: %w", r.info.ID, err)
+		return 0, fmt.Errorf("hbase: flush region %d to %s: %w", r.info.ID, path, err)
 	}
 	r.mu.Lock()
 	// Flushes are serialized and maxSeq only grows: appending keeps

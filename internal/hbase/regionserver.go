@@ -240,6 +240,17 @@ func (rs *RegionServer) handleOpen(req *OpenRequest) error {
 	if err != nil {
 		return err
 	}
+	// This server's sequence may trail the one the region's previous
+	// server flushed at. Sequences drawn below flushedSeq would leave the
+	// region's maxSeq stalled there, so the next flush would name its
+	// store file after the old one and cut this server's WAL at the
+	// stale sequence — dropping acked cells written after the snapshot.
+	for {
+		cur := rs.seq.Load()
+		if cur >= flushedSeq || rs.seq.CompareAndSwap(cur, flushedSeq) {
+			break
+		}
+	}
 	// Replay recovered WAL entries newer than the flush marker, writing
 	// them into this server's own WAL for durability.
 	for _, e := range req.Replay {

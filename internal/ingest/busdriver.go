@@ -277,7 +277,7 @@ func UnitKey(p *tsdb.Point) uint64 {
 }
 
 // GroupByUnit splits an arbitrary point batch into per-key UnitBatch
-// payloads ready to publish (the ingestd HTTP path, where one request
+// payloads ready to publish (the gateway's HTTP path, where one request
 // may carry points for many units).
 func GroupByUnit(points []tsdb.Point) map[uint64]*UnitBatch {
 	out := make(map[uint64]*UnitBatch)

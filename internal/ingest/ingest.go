@@ -10,7 +10,7 @@
 //
 // The codec half implements the OpenTSDB telnet line protocol
 // ("put <metric> <ts> <value> k=v ...") and the JSON /api/put payload
-// so the ingestd binary exposes the same surface real collectors use.
+// so the gateway exposes the same surface real collectors use.
 package ingest
 
 import (

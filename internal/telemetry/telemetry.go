@@ -399,8 +399,7 @@ func (r *Registry) RegisterFunc(name string, f func() int64) {
 // Expose writes the exposition format served on /metrics: one
 // "name value" line per counter, gauge and func, plus
 // "name_count/_mean/_p99" lines per histogram, sorted by name. It is
-// the single metrics writer every server shares — ingestd's
-// hand-rolled fmt.Fprintf writer is gone.
+// the single metrics writer every server shares.
 func (r *Registry) Expose(w io.Writer) {
 	// Snapshot under the lock, read values after releasing it: funcs
 	// and instruments may themselves take locks (consumer-group lag)

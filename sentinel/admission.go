@@ -4,8 +4,9 @@ import (
 	"repro/internal/admission"
 )
 
-// AdmissionSignals returns the system's standard overload signals for
-// an admission controller:
+// AdmissionSignals returns the node's standard overload signals for
+// an admission controller (the second only where the store tier is
+// local):
 //
 //   - storage consumer lag — records published but not yet durably
 //     committed by the storage group, against lagLimit. Lag growing
@@ -17,31 +18,34 @@ import (
 //     is still non-blocking.
 //   - ingestion proxy queue depth against its buffer, catching a
 //     stalled downstream before the bus signal moves.
-func (s *System) AdmissionSignals(lagLimit int64) []admission.Signal {
+func (n *Node) AdmissionSignals(lagLimit int64) []admission.Signal {
 	if lagLimit <= 0 {
-		buf := s.cfg.BusBuffer
+		buf := n.tier.BusBuffer
 		if buf <= 0 {
 			buf = 1024 // the bus package default (unbounded gets the same budget)
 		}
-		lagLimit = int64(s.cfg.Partitions) * int64(buf) / 2
+		lagLimit = int64(n.tier.Partitions) * int64(buf) / 2
 	}
-	pbuf := s.cfg.ProxyBuffer
-	if pbuf <= 0 {
-		pbuf = 1024 // ingest.Config.BufferBatches default
+	signals := []admission.Signal{
+		{Name: "storage_lag", Load: n.topic(TopicEnergy).Group(GroupStorage).Lag, Limit: lagLimit},
 	}
-	return []admission.Signal{
-		{Name: "storage_lag", Load: s.storage.Lag, Limit: lagLimit},
-		{Name: "proxy_queue", Load: s.Proxy.QueueDepth.Value, Limit: int64(pbuf)},
+	if n.Proxy != nil {
+		pbuf := n.tier.ProxyBuffer
+		if pbuf <= 0 {
+			pbuf = 1024 // ingest.Config.BufferBatches default
+		}
+		signals = append(signals, admission.Signal{Name: "proxy_queue", Load: n.Proxy.QueueDepth.Value, Limit: int64(pbuf)})
 	}
+	return signals
 }
 
 // NewAdmissionController builds an adaptive overload controller wired
-// to the system's load signals (AdmissionSignals). lagLimit is the
+// to the node's load signals (AdmissionSignals). lagLimit is the
 // storage-lag budget in records (0: half the bus's buffered capacity).
 // Extra caller signals in cfg.Signals are kept; pass the result to
 // GatewayConfig.Admission.
-func (s *System) NewAdmissionController(lagLimit int64, cfg admission.Config) *admission.Controller {
-	cfg.Signals = append(cfg.Signals, s.AdmissionSignals(lagLimit)...)
+func (n *Node) NewAdmissionController(lagLimit int64, cfg admission.Config) *admission.Controller {
+	cfg.Signals = append(cfg.Signals, n.AdmissionSignals(lagLimit)...)
 	return admission.NewController(cfg)
 }
 
@@ -52,16 +56,16 @@ func (s *System) NewAdmissionController(lagLimit int64, cfg admission.Config) *a
 // a quarter of the bus's buffered capacity; Max 0 defaults to the
 // partition count (more members than partitions sit idle). Stop the
 // returned autoscaler before the pool.
-func (s *System) AutoscaleDetectors(pool *DetectorPool, cfg admission.AutoscaleConfig) *admission.Autoscaler {
+func (n *Node) AutoscaleDetectors(pool *DetectorPool, cfg admission.AutoscaleConfig) *admission.Autoscaler {
 	if cfg.ScaleUpLag <= 0 {
-		buf := s.cfg.BusBuffer
+		buf := n.tier.BusBuffer
 		if buf <= 0 {
 			buf = 1024
 		}
-		cfg.ScaleUpLag = int64(s.cfg.Partitions) * int64(buf) / 4
+		cfg.ScaleUpLag = int64(n.tier.Partitions) * int64(buf) / 4
 	}
 	if cfg.Max <= 0 {
-		cfg.Max = s.cfg.Partitions
+		cfg.Max = n.tier.Partitions
 	}
 	a := admission.NewAutoscaler(pool.Group().Lag, pool.Workers, pool.Resize, cfg)
 	a.Start()

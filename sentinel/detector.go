@@ -16,7 +16,6 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
-	"repro/internal/tsdb"
 )
 
 // DetectorPool is the streaming half of the detector: a consumer group
@@ -103,10 +102,10 @@ func transientStorage(err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// DetectorEnv is everything a DetectorPool needs to run, decoupled
-// from System so a detect-only cluster node can operate a pool against
-// a remote bus and a remote anomaly sink without booting the full
-// single-process stack.
+// DetectorEnv is everything a DetectorPool needs to run, behind seams,
+// so one pool implementation serves a node alone (local bus handles,
+// in-process sink) and a detect-only cluster node (remote bus, rpc
+// sink) alike.
 type DetectorEnv struct {
 	// Sensors is the per-unit sensor count batches are validated
 	// against.
@@ -126,16 +125,15 @@ type DetectorEnv struct {
 	Shadows      []string
 	ShadowBuffer int
 	// OnStop, when non-nil, runs once inside Stop after the workers
-	// and shadow runner have halted; it owns group detachment (System
+	// and shadow runner have halted; it owns group detachment (a Node
 	// uses it for pool-registry bookkeeping). When nil, Stop closes
 	// the group itself.
 	OnStop func(p *DetectorPool)
 }
 
 // NewDetectorPool starts workers consumer-group members evaluating
-// unit batches from group through env. Callers wanting System's group
-// sharing and registry semantics use System.StartDetectors; cluster
-// detect nodes build pools directly against a remote group.
+// unit batches from group through env. Callers wanting a node's group
+// sharing and registry semantics use Node.StartDetectors.
 func NewDetectorPool(env DetectorEnv, group bus.GroupHandle, workers int) *DetectorPool {
 	if workers <= 0 {
 		workers = 1
@@ -209,67 +207,57 @@ func (p *DetectorPool) Resize(n int) {
 // until a later StartDetectors consumes them. Without it,
 // StartDetectors itself attaches at the then-current end, skipping
 // history. Idempotent while a group is attached.
-func (s *System) AttachDetectorGroup() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.attachDetectorGroupLocked()
+func (n *Node) AttachDetectorGroup() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.attachDetectorGroupLocked()
 }
 
-// attachDetectorGroupLocked is AttachDetectorGroup under s.mu, shared
+// attachDetectorGroupLocked is AttachDetectorGroup under n.mu, shared
 // with StartDetectors so attach and pool registration happen in one
 // critical section (a concurrent Stop cannot detach the group in
 // between).
-func (s *System) attachDetectorGroupLocked() bus.GroupHandle {
-	if s.detGroup == nil {
-		g := s.topic.Group(GroupDetectors)
+func (n *Node) attachDetectorGroupLocked() bus.GroupHandle {
+	if n.detGroup == nil {
+		n.detGroup = n.topic(TopicEnergy).Group(GroupDetectors)
 		// Skip history (typically the training range, already stored
 		// and not worth flagging); the group sees live traffic only.
-		g.SeekToEnd()
-		s.detGroup = bus.LocalGroup{Group: g}
+		n.detGroup.SeekToEnd()
 	}
-	return s.detGroup
+	return n.detGroup
 }
 
-// StartDetectors starts a pool of detector workers
-// (Config.DetectorWorkers when workers <= 0) consuming the detector
-// group — attached now at the end of the topic, or wherever a prior
+// StartDetectors is the detect tier: a pool of detector workers
+// (DetectorWorkers when workers <= 0) consuming the detector group —
+// attached now at the end of the topic, or wherever a prior
 // AttachDetectorGroup left it. Stop the pool before Close; stopping
 // detaches the group, so records published while no pool runs are not
 // replayed to a later one.
-func (s *System) StartDetectors(workers int) *DetectorPool {
+func (n *Node) StartDetectors(workers int) *DetectorPool {
 	if workers <= 0 {
-		workers = s.cfg.DetectorWorkers
+		workers = n.tier.DetectorWorkers
 	}
-	env := DetectorEnv{
-		Sensors:      s.cfg.SensorsPerUnit,
-		Primary:      s.cfg.PrimaryDetector,
-		NewDetector:  s.newDetector,
-		Sink:         &tsdb.Sink{TSD: s.TSDB.TSDs()[0]},
-		Flags:        bus.LocalTopic{Topic: s.flags},
-		Shadows:      s.cfg.ShadowDetectors,
-		ShadowBuffer: s.cfg.ShadowBuffer,
-		OnStop:       s.poolStopped,
-	}
+	env := n.detectorEnv()
 	// Attach (or reuse) the group and register the pool atomically, so
 	// a concurrent Stop of the last running pool either sees this pool
 	// as a sharer or has fully detached before the group is resolved.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p := NewDetectorPool(env, s.attachDetectorGroupLocked(), workers)
-	s.pools = append(s.pools, p)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	p := NewDetectorPool(env, n.attachDetectorGroupLocked(), workers)
+	n.pools = append(n.pools, p)
 	return p
 }
 
-// poolStopped is the System side of DetectorPool.Stop: deregister the
+// poolStopped is the node's side of DetectorPool.Stop: deregister the
 // pool and — once no other pool shares its group — detach the group,
 // so stopping one pool never kills a sibling started by a second
 // StartDetectors call.
-func (s *System) poolStopped(p *DetectorPool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (n *Node) poolStopped(p *DetectorPool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	shared := false
-	kept := s.pools[:0]
-	for _, other := range s.pools {
+	kept := n.pools[:0]
+	for _, other := range n.pools {
 		if other == p {
 			continue
 		}
@@ -278,10 +266,10 @@ func (s *System) poolStopped(p *DetectorPool) {
 			shared = true
 		}
 	}
-	s.pools = kept
+	n.pools = kept
 	if !shared {
-		if s.detGroup == p.group {
-			s.detGroup = nil
+		if n.detGroup == p.group {
+			n.detGroup = nil
 		}
 		// Detach inside the critical section: a concurrent
 		// StartDetectors must observe either the attached group (and

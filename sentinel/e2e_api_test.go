@@ -4,10 +4,8 @@ import (
 	"context"
 	"io"
 	"log"
-	"net/http"
 	"net/http/httptest"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -207,41 +205,14 @@ func TestEndToEndThroughPublicAPI(t *testing.T) {
 		t.Fatalf("top = %+v, %v", top, err)
 	}
 
-	// --- Legacy shims still serve the old URLs over the same tiers. ---
-	for _, path := range []string{
-		"/api/fleet?from=95&to=105",
-		"/api/machine/0?from=95&to=105",
-		"/api/query?unit=0&sensor=0&from=95&to=105",
-		"/api/top?from=95&to=105",
-		"/metrics",
-	} {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("legacy %s: %v", path, err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("legacy %s = %d (%s)", path, resp.StatusCode, body)
-		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Fatalf("legacy %s not marked deprecated", path)
-		}
-	}
-
-	// The legacy query path went through the cached engine, not a raw
-	// TSD bypass: a repeat is served with zero extra storage scans.
+	// --- Reads go through the cached engine, not a raw TSD bypass: a
+	// repeated query is served with zero extra storage scans. ---
 	scans := sys.TSDB.QueriesServed()
-	resp, err := srv.Client().Get(srv.URL + "/api/query?unit=0&sensor=0&from=95&to=105")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(raw), "energy{sensor=0,unit=0}") {
-		t.Fatalf("legacy query body = %s", raw)
+	again, err := c.Query(ctx, client.QueryParams{Unit: "0", Sensor: "0", From: 95, To: 105})
+	if err != nil || len(again) != len(series) {
+		t.Fatalf("repeat query = %+v, %v", again, err)
 	}
 	if got := sys.TSDB.QueriesServed(); got != scans {
-		t.Fatalf("legacy repeat query hit storage: %d → %d scans", scans, got)
+		t.Fatalf("repeat query hit storage: %d → %d scans", scans, got)
 	}
 }

@@ -18,20 +18,22 @@ import (
 	"repro/sentinel/client"
 )
 
-// startTestCluster boots a four-node cluster over loopback TCP: a
-// broker, two stores, and a combined detect+gateway node hosting the
-// coordination service. Listeners are pre-bound so the peer map is
-// known before any node starts; nodes boot concurrently because each
-// blocks on the others (stores need the gateway's coordination
-// service, the gateway waits for both stores).
-func startTestCluster(t *testing.T) map[string]*Node {
+// fourNodes is the standard cluster topology: a broker, two stores, and
+// a combined detect+gateway node hosting the coordination service.
+var fourNodes = map[string][]Role{
+	"broker":  {RoleBroker},
+	"store-1": {RoleStore},
+	"store-2": {RoleStore},
+	"dg":      {RoleDetect, RoleGateway},
+}
+
+// startTestCluster boots the given topology (which must include the
+// "dg" and "broker" nodes of fourNodes) over loopback TCP. Listeners
+// are pre-bound so the peer map is known before any node starts; nodes
+// boot concurrently because each blocks on the others (everyone needs
+// dg's coordination service, gateways wait for both stores).
+func startTestCluster(t *testing.T, roles map[string][]Role) map[string]*Node {
 	t.Helper()
-	roles := map[string][]Role{
-		"broker":  {RoleBroker},
-		"store-1": {RoleStore},
-		"store-2": {RoleStore},
-		"dg":      {RoleDetect, RoleGateway},
-	}
 	peers := make(map[string]string)
 	listeners := make(map[string]net.Listener)
 	for name := range roles {
@@ -98,7 +100,10 @@ func startTestCluster(t *testing.T) map[string]*Node {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	for _, name := range []string{"store-1", "store-2"} {
+	for name := range roles {
+		if name == "dg" || name == "broker" {
+			continue
+		}
 		wg.Add(1)
 		go func(name string) { defer wg.Done(); start(name) }(name)
 	}
@@ -111,6 +116,61 @@ func startTestCluster(t *testing.T) map[string]*Node {
 	return nodes
 }
 
+// The fleet shape startTestCluster's nodes agree on.
+const clusterUnits, clusterSensors = 4, 3
+
+// putStep writes one fleet-wide time step through a gateway, retrying
+// transient failures (a bus leadership handover in flight), and
+// returns how many samples the gateway acked.
+func putStep(t *testing.T, c *client.Client, step int64, val func(u, s int) float64) int {
+	t.Helper()
+	pts := make([]v1.Point, 0, clusterUnits*clusterSensors)
+	for u := 0; u < clusterUnits; u++ {
+		for s := 0; s < clusterSensors; s++ {
+			pts = append(pts, v1.Point{
+				Metric:    "energy",
+				Timestamp: step,
+				Value:     val(u, s),
+				Tags:      map[string]string{"unit": strconv.Itoa(u), "sensor": strconv.Itoa(s)},
+			})
+		}
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		n, err := c.PutPoints(context.Background(), pts)
+		if err == nil {
+			return n
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("put step %d: %v", step, err)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+}
+
+// waitEnergySamples polls the gateway's query tier until the energy
+// series over [0, to] hold exactly want samples, and returns them.
+func waitEnergySamples(t *testing.T, c *client.Client, to int64, want int) []v1.Series {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		series, err := c.Query(context.Background(), client.QueryParams{Metric: "energy", From: 0, To: to})
+		got := 0
+		if err == nil {
+			for _, s := range series {
+				got += len(s.Samples)
+			}
+			if got == want {
+				return series
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("waiting for %d samples through ts %d: have %d (err %v)", want, to, got, err)
+		}
+		time.Sleep(200 * time.Millisecond)
+	}
+}
+
 // TestClusterEndToEnd drives the existing e2e flow through a
 // four-process-shaped cluster (in-process here; cmd/clustersmoke runs
 // the same topology as real OS processes): SDK ingest through the
@@ -120,7 +180,7 @@ func startTestCluster(t *testing.T) map[string]*Node {
 // anomaly stream, and the membership map — then kills the broker and
 // checks a store is promoted and ingest/query still work.
 func TestClusterEndToEnd(t *testing.T) {
-	nodes := startTestCluster(t)
+	nodes := startTestCluster(t, fourNodes)
 	dg := nodes["dg"]
 	ts := httptest.NewServer(dg.Handler())
 	defer ts.Close()
@@ -130,59 +190,13 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	ctx := context.Background()
 	const (
-		units, sensors = 4, 3
+		units, sensors = clusterUnits, clusterSensors
 		warm           = 30 // past the detectors' shortened warmup
 		spikes         = 10
 	)
 
-	// put writes one fleet-wide time step through the gateway,
-	// retrying transient failures (a bus leadership handover in
-	// flight), and returns how many samples the gateway acked.
-	put := func(step int64, val func(u, s int) float64) int {
-		pts := make([]v1.Point, 0, units*sensors)
-		for u := 0; u < units; u++ {
-			for s := 0; s < sensors; s++ {
-				pts = append(pts, v1.Point{
-					Metric:    "energy",
-					Timestamp: step,
-					Value:     val(u, s),
-					Tags:      map[string]string{"unit": strconv.Itoa(u), "sensor": strconv.Itoa(s)},
-				})
-			}
-		}
-		deadline := time.Now().Add(60 * time.Second)
-		for {
-			n, err := c.PutPoints(ctx, pts)
-			if err == nil {
-				return n
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("put step %d: %v", step, err)
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
-	}
-	// waitSamples polls the fanned-out query tier until the energy
-	// series over [0, to] hold exactly want samples.
-	waitSamples := func(to int64, want int) {
-		deadline := time.Now().Add(60 * time.Second)
-		for {
-			series, err := c.Query(ctx, client.QueryParams{Metric: "energy", From: 0, To: to})
-			got := 0
-			if err == nil {
-				for _, s := range series {
-					got += len(s.Samples)
-				}
-				if got == want {
-					return
-				}
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("waiting for %d samples through ts %d: have %d (err %v)", want, to, got, err)
-			}
-			time.Sleep(200 * time.Millisecond)
-		}
-	}
+	put := func(step int64, val func(u, s int) float64) int { return putStep(t, c, step, val) }
+	waitSamples := func(to int64, want int) { waitEnergySamples(t, c, to, want) }
 
 	// Subscribe the SSE tail before detection can fire so no flag is
 	// missed.
@@ -311,7 +325,7 @@ func TestNodeAccessLog(t *testing.T) {
 			Listener: lis,
 			Peers:    map[string]string{"solo": lis.Addr().String()},
 			Units:    2, SensorsPerUnit: 2,
-			AccessLog: tc.logger,
+			GatewayConfig: GatewayConfig{AccessLog: tc.logger},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -2,7 +2,7 @@
 // integrated system for scalable anomaly detection and visualization
 // in power-generating assets (Jain et al., 2017).
 //
-// A System wires together every layer of Figure 1:
+// One assembly (assembly.go) wires every layer of Figure 1:
 //
 //   - a simulated fleet of power-generating assets (§II-A's synthetic
 //     dataset: units × sensors at 1 Hz with injected faults),
@@ -12,46 +12,35 @@
 //     engine, online evaluation writing flags back to storage (§IV),
 //   - and the web visualization (§V).
 //
-// Minimal use:
+// A Node runs the tiers of the roles it carries and reaches the rest of
+// a cluster over rpc (node.go; cmd/sentineld is the daemon). A System
+// is the node that carries all four roles and has no peers, plus the
+// simulated fleet and the offline trainer. Minimal use:
 //
 //	sys, _ := sentinel.New(sentinel.Config{StorageNodes: 5, Units: 10, SensorsPerUnit: 50})
 //	defer sys.Close()
-//	sys.IngestRange(0, 120)                  // stream two minutes of data
-//	sys.TrainFromTSDB(0, 100, true)          // fit per-unit models
-//	reports, _ := sys.Detect(100, 20)        // flag anomalies, write back
-//	http.ListenAndServe(":8080", sys.Viz(120)) // serve the control center
+//	sys.IngestRange(0, 120)           // stream two minutes of data
+//	sys.TrainFromTSDB(0, 100, true)   // fit per-unit models
+//	reports, _ := sys.Detect(100, 20) // flag anomalies, write back
+//	h, tail := sys.Gateway(120, sentinel.GatewayConfig{})
+//	defer tail.Close()
+//	http.ListenAndServe(":8080", h) // serve the control center
 package sentinel
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"log"
-	"net/http"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/admission"
-	"repro/internal/api"
-	v1 "repro/internal/api/v1"
 	"repro/internal/bus"
-	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/faultinject"
 	"repro/internal/fdr"
-	"repro/internal/hbase"
-	"repro/internal/hdfs"
 	"repro/internal/ingest"
-	"repro/internal/mllib"
-	"repro/internal/proxy"
-	"repro/internal/query"
 	"repro/internal/resilience"
 	"repro/internal/simdata"
-	"repro/internal/telemetry"
 	"repro/internal/tsdb"
-	"repro/internal/viz"
 )
 
 // Bus topic and consumer-group names used by the ingestion pipeline.
@@ -68,11 +57,7 @@ const (
 	// GroupDetectors is the consumer group evaluating samples online.
 	GroupDetectors = "detectors"
 	// GroupStream prefixes the consumer groups anomaly tails drain
-	// TopicAnomalies with. Each tail gets its own group
-	// (NewAnomalyTail appends a sequence number): consumer groups
-	// split partitions among members, so two tails sharing one group
-	// would each see only part of the fleet's flags — and the first
-	// Close would detach the group under the other.
+	// TopicAnomalies with, one group per tail (see NewAnomalyTail).
 	GroupStream = "stream"
 )
 
@@ -234,158 +219,60 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// System is a running deployment of the full architecture.
+// System is a running deployment of the full architecture in one
+// process: the Node that carries every role and has no peers, plus the
+// simulated fleet, the dataflow engine and the offline trainer.
 type System struct {
-	cfg Config
+	*Node
 
 	Fleet   *simdata.Fleet
-	Cluster *hbase.Cluster
-	TSDB    *tsdb.Deployment
-	Proxy   *proxy.Proxy
 	Engine  *dataflow.Engine
-	Catalog *core.ModelCatalog
 	Trainer *core.Trainer
 
-	// Blocks is the deployment-shared compressed sealed tier; closed
-	// storage rows compact into it and spill to HDFS under retention
-	// (see internal/tsdb). Compactor drives its maintenance passes —
-	// running in the background when Config.CompactEvery > 0, and
-	// manually through CompactNow always.
-	Blocks    *tsdb.BlockStore
-	Compactor *tsdb.Compactor
-
-	// Breakers holds the per-TSD circuit breakers shared by the
-	// ingestion proxy and the gateway's query tier: one health view
-	// per backend, fed by both read and write outcomes.
-	Breakers *resilience.Group
-
-	// Bus is the partitioned commit log decoupling producers from the
-	// storage and detection tiers; Writers drains it into the proxy.
-	Bus     *bus.Broker
-	Writers *ingest.StorageWriters
-
-	topic    *bus.Topic
-	flags    *bus.Topic
-	storage  *bus.Group
 	pipeline *core.Pipeline
-	source   *tsdb.Source
-
-	mu       sync.Mutex
-	pools    []*DetectorPool
-	detGroup bus.GroupHandle
-
-	streamSeq atomic.Int64
 }
 
-// New boots a System: cluster, TSD tier, proxy, dataflow engine and an
-// HDFS-backed model catalog.
+// New boots a System: the bus and store tiers up, detection and the
+// gateway attached on demand (StartDetectors, Gateway).
 func New(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
-	fleet := simdata.NewFleet(simdata.Config{
-		Units:          cfg.Units,
-		SensorsPerUnit: cfg.SensorsPerUnit,
-		Seed:           cfg.Seed,
-		FaultFraction:  cfg.FaultFraction,
-		FaultOnset:     cfg.FaultOnset,
-		FaultSensors:   cfg.FaultSensors,
-		DriftPerStep:   cfg.DriftPerStep,
-		ShiftSigma:     cfg.ShiftSigma,
-	})
-	cluster, err := hbase.NewCluster(hbase.Config{
-		RegionServers:    cfg.StorageNodes,
-		RSQueueCap:       cfg.RSQueueCap,
-		CrashOnOverflow:  cfg.CrashOnOverflow,
-		ServiceRatePerRS: cfg.PerNodeRate,
-		Clock:            clock.Real{},
-	})
+	node, err := startNode(NodeConfig{Name: "local", Roles: allRoles}, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("sentinel: boot cluster: %w", err)
+		return nil, err
 	}
-	deployment, err := tsdb.NewDeployment(cluster, cfg.StorageNodes, tsdb.TSDConfig{
-		SaltBuckets: cfg.SaltBuckets,
-	})
-	if err != nil {
-		cluster.Stop()
-		return nil, fmt.Errorf("sentinel: boot tsdb: %w", err)
+	sys := &System{
+		Node: node,
+		Fleet: simdata.NewFleet(simdata.Config{
+			Units:          cfg.Units,
+			SensorsPerUnit: cfg.SensorsPerUnit,
+			Seed:           cfg.Seed,
+			FaultFraction:  cfg.FaultFraction,
+			FaultOnset:     cfg.FaultOnset,
+			FaultSensors:   cfg.FaultSensors,
+			DriftPerStep:   cfg.DriftPerStep,
+			ShiftSigma:     cfg.ShiftSigma,
+		}),
+		Engine: dataflow.NewEngine(cfg.EngineWorkers),
 	}
-	if err := deployment.CreateTable(); err != nil {
-		cluster.Stop()
-		return nil, fmt.Errorf("sentinel: create table: %w", err)
-	}
-	breakers := resilience.NewGroup(cfg.Breaker)
-	px, err := proxy.New(cluster.Network(), deployment.Addrs(), proxy.Config{
-		MaxInFlight:   cfg.ProxyMaxInFlight,
-		BufferBatches: cfg.ProxyBuffer,
-		MaxRetries:    cfg.ProxyMaxRetries,
-		Breakers:      breakers,
-	})
-	if err != nil {
-		cluster.Stop()
-		return nil, fmt.Errorf("sentinel: boot proxy: %w", err)
-	}
-	engine := dataflow.NewEngine(cfg.EngineWorkers)
-	catalog := &core.ModelCatalog{Store: &hdfs.Store{C: cluster.DFS(), Prefix: "/detector/"}}
-	trainer := core.NewTrainer(engine, core.TrainerConfig{
+	sys.Trainer = core.NewTrainer(sys.Engine, core.TrainerConfig{
 		EnergyFraction: cfg.EnergyFraction,
 		MaxComponents:  cfg.MaxComponents,
 	})
-	sys := &System{
-		cfg:      cfg,
-		Fleet:    fleet,
-		Cluster:  cluster,
-		TSDB:     deployment,
-		Proxy:    px,
-		Engine:   engine,
-		Catalog:  catalog,
-		Trainer:  trainer,
-		Breakers: breakers,
-	}
-	// The compressed sealed tier: closed rows compact into Gorilla
-	// blocks with hot rollups, spilling to the HDFS tier under the
-	// configured retention. The compactor loop only runs when a cadence
-	// is configured; the tier itself is always attached so manual
-	// CompactNow passes (and operator tooling) work out of the box.
-	sys.Compactor = tsdb.NewCompactor(deployment,
-		tsdb.BlockStoreConfig{HotBlockBytes: cfg.HotBlockBytes},
-		tsdb.CompactorConfig{
-			Interval:  cfg.CompactEvery,
-			SealAfter: cfg.SealAfter,
-			Retention: tsdb.RetentionPolicy{RawTTL: cfg.RawTTL, RollupTTL: cfg.RollupTTL},
-		})
-	sys.Blocks = sys.Compactor.Store()
-	if cfg.CompactEvery > 0 {
-		sys.Compactor.Start()
-	}
-	sys.source = &tsdb.Source{TSD: deployment.TSDs()[0], Sensors: cfg.SensorsPerUnit}
+	tsd := node.TSDB.TSDs()[0]
 	sys.pipeline = core.NewPipeline(
-		catalog,
+		node.Catalog,
 		core.EvaluatorConfig{Procedure: cfg.Procedure, Level: cfg.Level},
-		sys.source,
-		&tsdb.Sink{TSD: deployment.TSDs()[0]},
+		&tsdb.Source{TSD: tsd, Sensors: cfg.SensorsPerUnit},
+		&tsdb.Sink{TSD: tsd},
 	)
 	// Online evaluation fans out across units on the same engine the
 	// offline trainer uses, so Detect throughput scales with cores.
-	sys.pipeline.Engine = engine
-	// The ingestion bus: producers publish unit-keyed batches to the
-	// partitioned log; the storage consumer group drains them through
-	// the proxy into the TSD tier. Detection consumers attach
-	// independently (StartDetectors), so a slow detector never stalls
-	// storage writes — the paper's reason for the Kafka tier.
-	sys.Bus = bus.New(bus.Config{Partitions: cfg.Partitions, PartitionBuffer: cfg.BusBuffer})
-	sys.topic = sys.Bus.Topic(TopicEnergy)
-	// The flag feed: detector workers publish every anomaly they write
-	// so the gateway's SSE endpoint can tail detection live. Workers
-	// publish only while a tail's consumer group is attached — a
-	// group-less topic is never trimmed, so feeding it with nobody
-	// consuming would retain flags forever.
-	sys.flags = sys.Bus.Topic(TopicAnomalies)
-	sys.storage = sys.topic.Group(GroupStorage)
-	sys.Writers = ingest.StartStorageWriters(context.Background(), bus.LocalGroup{Group: sys.storage}, px, cfg.StorageWriters)
+	sys.pipeline.Engine = sys.Engine
 	return sys, nil
 }
 
 // Config returns the effective configuration.
-func (s *System) Config() Config { return s.cfg }
+func (s *System) Config() Config { return s.tier }
 
 // SetFaults installs (or, with nil, removes) one fault injector across
 // every injection point of the system: the RPC fabric (operations
@@ -402,39 +289,21 @@ func (s *System) SetFaults(f *faultinject.Injector) {
 	s.Proxy.SetFaults(f)
 }
 
-// Close releases every component: the compactor and detector pools
-// first (both touch storage), then the storage writers and the bus,
-// then the storage tier under them.
+// Close releases every component: the node's tiers, then the engine.
 func (s *System) Close() {
-	s.Compactor.Stop()
-	s.mu.Lock()
-	pools := s.pools
-	s.pools = nil
-	s.mu.Unlock()
-	for _, p := range pools {
-		p.Stop()
-	}
-	s.Writers.Stop()
-	s.Bus.Close()
-	s.Proxy.Close()
+	s.Node.Close()
 	s.Engine.Close()
-	s.Cluster.Stop()
 }
 
 // Topic returns the ingestion commit-log topic (for replay tooling and
 // custom consumers).
-func (s *System) Topic() *bus.Topic { return s.topic }
+func (s *System) Topic() *bus.Topic { return s.Bus.Topic(TopicEnergy) }
 
 // AnomalyTopic returns the flag-feed topic detector workers publish
-// onto (the SSE tail's source).
-func (s *System) AnomalyTopic() *bus.Topic { return s.flags }
-
-// NewAnomalyTail attaches a live tail to the flag feed under its own
-// consumer group, so every tail sees every flag and closing one never
-// detaches another's. Close the tail before System.Close.
-func (s *System) NewAnomalyTail() *api.AnomalyTail {
-	return api.NewAnomalyTail(bus.LocalTopic{Topic: s.flags}, fmt.Sprintf("%s-%d", GroupStream, s.streamSeq.Add(1)))
-}
+// onto (the SSE tail's source). Workers publish only while a tail's
+// consumer group is attached — a group-less topic is never trimmed, so
+// feeding it with nobody consuming would retain flags forever.
+func (s *System) AnomalyTopic() *bus.Topic { return s.Bus.Topic(TopicAnomalies) }
 
 // IngestRange streams fleet time steps [from, from+steps) onto the
 // commit log and waits until the storage consumer group has drained
@@ -442,7 +311,7 @@ func (s *System) NewAnomalyTail() *api.AnomalyTail {
 // the training and detection paths rely on. Detector pools consume the
 // same records asynchronously.
 func (s *System) IngestRange(from int64, steps int) (ingest.Stats, error) {
-	driver := ingest.NewBusDriver(s.Fleet, bus.LocalTopic{Topic: s.topic}, ingest.DriverConfig{})
+	driver := ingest.NewBusDriver(s.Fleet, s.topic(TopicEnergy), ingest.DriverConfig{})
 	stats, err := driver.Run(from, steps)
 	if err != nil {
 		return stats, err
@@ -454,19 +323,9 @@ func (s *System) IngestRange(from int64, steps int) (ingest.Stats, error) {
 	return stats, nil
 }
 
-// CompactNow runs one storage-tier maintenance pass synchronously:
-// rows whose hour has closed (per Config.SealAfter) seal into
-// compressed blocks, blocks over the resident budget spill to HDFS,
-// and retention TTLs are enforced. Safe alongside the background
-// compactor; useful in tests and batch tooling that want the tier
-// advanced deterministically.
-func (s *System) CompactNow(ctx context.Context) error {
-	return s.Compactor.RunOnce(ctx)
-}
-
 // Units returns all unit ids.
 func (s *System) Units() []int {
-	units := make([]int, s.cfg.Units)
+	units := make([]int, s.tier.Units)
 	for i := range units {
 		units[i] = i
 	}
@@ -479,7 +338,7 @@ func (s *System) Units() []int {
 func (s *System) TrainFromTSDB(from int64, count int, concurrent bool) error {
 	src := &tsdb.Source{
 		TSD:        s.TSDB.TSDs()[0],
-		Sensors:    s.cfg.SensorsPerUnit,
+		Sensors:    s.tier.SensorsPerUnit,
 		TrainFrom:  from,
 		TrainCount: count,
 	}
@@ -497,78 +356,6 @@ func (s *System) TrainFromFleet(from int64, count int, concurrent bool) error {
 	return err
 }
 
-// newDetector builds one unit's instance of the named registered
-// family, wiring the system's model catalog, seed and ensemble
-// configuration into the factory context.
-func (s *System) newDetector(name string, unit int) (mllib.Detector, error) {
-	return mllib.New(name, mllib.Context{
-		Unit:    unit,
-		Sensors: s.cfg.SensorsPerUnit,
-		Seed:    s.cfg.Seed ^ uint64(unit)<<1,
-		Members: s.cfg.EnsembleMembers,
-		Params: map[string]float64{
-			"level":     s.cfg.Level,
-			"procedure": float64(s.cfg.Procedure),
-			"minvotes":  float64(max(s.cfg.EnsembleMinVotes, 2)),
-		},
-		LoadModel: func() (any, error) { return s.Catalog.Load(unit) },
-	})
-}
-
-// DetectorStatus reports every registered detector family with its
-// role in this system (primary / shadow / off), its flag and
-// shadow-comparison counters aggregated across running pools, and the
-// effective ensemble configuration — the /api/v1/detectors payload.
-func (s *System) DetectorStatus() v1.DetectorsResponse {
-	shadowNames := make(map[string]bool, len(s.cfg.ShadowDetectors))
-	for _, n := range s.cfg.ShadowDetectors {
-		shadowNames[n] = true
-	}
-	var primaryFlags int64
-	shadow := make(map[string]ShadowStats)
-	s.mu.Lock()
-	for _, p := range s.pools {
-		primaryFlags += p.AnomaliesWritten.Value()
-		for name, st := range p.ShadowStats() {
-			agg := shadow[name]
-			agg.Batches += st.Batches
-			agg.Flags += st.Flags
-			agg.Agreements += st.Agreements
-			agg.Disagreements += st.Disagreements
-			agg.Shed += st.Shed
-			agg.Errors += st.Errors
-			shadow[name] = agg
-		}
-	}
-	s.mu.Unlock()
-	resp := v1.DetectorsResponse{Primary: s.cfg.PrimaryDetector}
-	members := s.cfg.EnsembleMembers
-	if len(members) == 0 {
-		members = []string{"cusum", "zscore", "iforest"}
-	}
-	resp.Ensemble = v1.EnsembleConfig{
-		Members:  members,
-		MinVotes: max(s.cfg.EnsembleMinVotes, 2),
-	}
-	for _, name := range mllib.Registered() {
-		info := v1.DetectorInfo{Name: name, Mode: "off"}
-		switch {
-		case name == s.cfg.PrimaryDetector:
-			info.Mode = "primary"
-			info.Flags = primaryFlags
-		case shadowNames[name]:
-			info.Mode = "shadow"
-			st := shadow[name]
-			info.Flags = st.Flags
-			info.Agreements = st.Agreements
-			info.Disagreements = st.Disagreements
-			info.Shed = st.Shed
-		}
-		resp.Detectors = append(resp.Detectors, info)
-	}
-	return resp
-}
-
 // Detect evaluates every trained unit over [from, from+count) reading
 // observations from storage, writes flags back to the "anomaly"
 // metric, and returns the reports. Units are evaluated concurrently on
@@ -577,211 +364,8 @@ func (s *System) Detect(from int64, count int) (map[int][]*core.Report, error) {
 	return s.pipeline.ProcessFleet(from, count)
 }
 
-// SamplesEvaluated reports the cumulative sensor samples scored by the
-// online evaluator (the §IV-A throughput unit).
+// SamplesEvaluated reports the cumulative sensor samples scored by
+// Detect (the §IV-A throughput unit).
 func (s *System) SamplesEvaluated() int64 {
 	return s.pipeline.SamplesEvaluated.Value()
-}
-
-// QueryEngine builds a scatter-gather read tier spanning every TSD of
-// the deployment, wired to its write watermarks for cache
-// invalidation.
-func (s *System) QueryEngine(cfg query.Config) *query.Engine {
-	return query.NewFromDeployment(s.TSDB, cfg)
-}
-
-// GatewayConfig tunes the handler Gateway assembles. Zero values take
-// the api package defaults.
-type GatewayConfig struct {
-	// Now supplies "current" fleet time (nil: the fixed now passed to
-	// Gateway).
-	Now func() int64
-	// MaxPoints bounds rendered series via LTTB (default 512).
-	MaxPoints int
-	// CacheEntries sizes the query tier's window cache (default 256).
-	CacheEntries int
-	// RatePerSec/Burst enable per-client rate limiting (0 disables).
-	RatePerSec float64
-	Burst      int
-	// AccessLog overrides the gateway's access logger.
-	AccessLog *log.Logger
-	// HedgeDelay, when > 0, hedges straggler shard reads: a duplicate
-	// sub-query goes to the next TSD once the primary has been silent
-	// this long, first success wins.
-	HedgeDelay time.Duration
-	// NoServeStale disables degraded-mode reads. By default the query
-	// tier answers from stale cache (marked via X-Sentinel-Degraded
-	// and the DTO degraded field) when the storage tier cannot.
-	NoServeStale bool
-	// APIKeys lists client keys (X-API-Key) that earn their own
-	// rate-limit bucket and admission quota identity.
-	APIKeys []string
-	// Admission, when set, gates every route on the adaptive overload
-	// controller — see System.NewAdmissionController.
-	Admission *admission.Controller
-}
-
-// Gateway returns the full web surface of the system as one handler:
-// the /api/v1 tier (writes onto the ingestion bus, reads through a
-// cached scatter-gather engine, the SSE anomaly stream, metrics and
-// readiness), the legacy shim paths, and the Figure-3 HTML
-// application. now is the fleet time pages treat as "current" when
-// cfg.Now is nil. Close the returned tail before System.Close.
-func (s *System) Gateway(now int64, cfg GatewayConfig) (http.Handler, *api.AnomalyTail) {
-	if cfg.Now == nil {
-		cfg.Now = func() int64 { return now }
-	}
-	if cfg.MaxPoints <= 0 {
-		cfg.MaxPoints = 512
-	}
-	if cfg.CacheEntries == 0 {
-		cfg.CacheEntries = 256
-	}
-	engine := s.QueryEngine(query.Config{
-		MaxEntries: cfg.CacheEntries,
-		Breakers:   s.Breakers,
-		HedgeDelay: cfg.HedgeDelay,
-		ServeStale: !cfg.NoServeStale,
-	})
-	backend := &viz.Backend{
-		Q:         engine,
-		Units:     s.cfg.Units,
-		Sensors:   s.cfg.SensorsPerUnit,
-		MaxPoints: cfg.MaxPoints,
-	}
-	tail := s.NewAnomalyTail()
-	reg := telemetry.NewRegistry()
-	s.RegisterMetrics(reg)
-	// Query-tier resilience counters live on the per-gateway engine.
-	reg.RegisterCounter("query_hedged", &engine.Hedged)
-	reg.RegisterCounter("query_hedge_wins", &engine.HedgeWins)
-	reg.RegisterCounter("query_degraded_serves", &engine.DegradedServes)
-	gw := api.New(api.Config{
-		Backend:    backend,
-		Publisher:  &api.BusPublisher{Topic: bus.LocalTopic{Topic: s.topic}},
-		Query:      engine,
-		Tail:       tail,
-		Registry:   reg,
-		HTML:       viz.NewServer(backend, cfg.Now),
-		Ready:      s.ReadyChecks(),
-		Now:        cfg.Now,
-		Detectors:  s.DetectorStatus,
-		Cluster:    s.ClusterStatus,
-		RatePerSec: cfg.RatePerSec,
-		Burst:      cfg.Burst,
-		AccessLog:  cfg.AccessLog,
-		APIKeys:    cfg.APIKeys,
-		Admission:  cfg.Admission,
-	})
-	return gw, tail
-}
-
-// Viz returns the web application handler; now is the fleet time the
-// pages treat as "current".
-//
-// Deprecated: Viz serves the gateway without exposing its anomaly
-// tail, which therefore lives until System.Close. Use Gateway for
-// shutdown control.
-func (s *System) Viz(now int64) http.Handler {
-	h, _ := s.Gateway(now, GatewayConfig{})
-	return h
-}
-
-// RegisterMetrics exposes the system's counters on reg under the
-// names the /metrics endpoints serve.
-func (s *System) RegisterMetrics(reg *telemetry.Registry) {
-	reg.RegisterCounter("bus_published", &s.Bus.Published)
-	reg.RegisterCounter("bus_polled", &s.Bus.Polled)
-	reg.RegisterCounter("bus_rebalances", &s.Bus.Rebalances)
-	reg.RegisterFunc("storage_lag", s.storage.Lag)
-	reg.RegisterCounter("writer_delivered", &s.Writers.Delivered)
-	reg.RegisterCounter("writer_failures", &s.Writers.Failures)
-	reg.RegisterCounter("proxy_accepted", &s.Proxy.Accepted)
-	reg.RegisterCounter("proxy_delivered", &s.Proxy.Delivered)
-	reg.RegisterCounter("proxy_dropped", &s.Proxy.Dropped)
-	reg.RegisterCounter("proxy_retries", &s.Proxy.Retries)
-	reg.RegisterGauge("proxy_queue_depth", &s.Proxy.QueueDepth)
-	reg.RegisterFunc("samples_evaluated", s.SamplesEvaluated)
-	reg.RegisterFunc("tsdb_points_written", s.TSDB.PointsWritten)
-	reg.RegisterFunc("tsdb_queries_served", s.TSDB.QueriesServed)
-	reg.RegisterCounter("breaker_opens", &s.Breakers.Opens)
-	reg.RegisterCounter("breaker_half_opens", &s.Breakers.HalfOpens)
-	reg.RegisterCounter("breaker_closes", &s.Breakers.Closes)
-	reg.RegisterFunc("breakers_open", func() int64 { return int64(s.Breakers.OpenCount()) })
-	reg.RegisterCounter("blocks_sealed", &s.Blocks.BlocksSealed)
-	reg.RegisterCounter("samples_sealed", &s.Blocks.SamplesSealed)
-	reg.RegisterCounter("bytes_sealed", &s.Blocks.BytesSealed)
-	reg.RegisterCounter("blocks_spilled", &s.Blocks.BlocksSpilled)
-	reg.RegisterCounter("spill_reads", &s.Blocks.SpillReads)
-	reg.RegisterCounter("block_scans", &s.Blocks.BlockScans)
-	reg.RegisterCounter("rollup_serves", &s.Blocks.RollupServes)
-	reg.RegisterCounter("blocks_expired", &s.Blocks.BlocksExpired)
-	reg.RegisterCounter("rollups_expired", &s.Blocks.RollupsExpired)
-	reg.RegisterFunc("blocks_hot_bytes", s.Blocks.HotBytes)
-	reg.RegisterCounter("compactor_passes", &s.Compactor.Passes)
-	reg.RegisterCounter("compactor_pass_errors", &s.Compactor.PassErrors)
-	reg.RegisterCounter("writer_parks", &s.Writers.Parks)
-	reg.RegisterGauge("writer_parked", &s.Writers.Parked)
-	reg.RegisterFunc("detector_parks", func() int64 { return s.detectorStat(func(p *DetectorPool) int64 { return p.Parks.Value() }) })
-	reg.RegisterFunc("detector_parked", func() int64 { return s.detectorStat(func(p *DetectorPool) int64 { return p.Parked.Value() }) })
-}
-
-// detectorStat sums one per-pool counter across the running pools.
-func (s *System) detectorStat(get func(*DetectorPool) int64) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var n int64
-	for _, p := range s.pools {
-		n += get(p)
-	}
-	return n
-}
-
-// ReadyChecks probes the tiers a serving gateway depends on: the bus
-// accepting publishes, the storage group draining it, and a detector
-// pool attached (detection running). Liveness is weaker — see
-// /healthz vs /readyz in internal/api.
-func (s *System) ReadyChecks() []api.ReadyCheck {
-	return []api.ReadyCheck{
-		{Name: "bus", Check: func() error {
-			if !s.Bus.Running() {
-				return errors.New("bus not accepting publishes")
-			}
-			return nil
-		}},
-		{Name: "storage", Check: func() error {
-			n := len(s.TSDB.Addrs())
-			if n == 0 {
-				return errors.New("no TSDs")
-			}
-			open := s.Breakers.OpenCount()
-			if open >= n {
-				return fmt.Errorf("all %d backend circuits open", open)
-			}
-			if open > 0 {
-				// Some backends are tripped but the tier still
-				// answers (failover, stale cache): degraded, not down.
-				return api.Degraded(fmt.Errorf("%d of %d backend circuits open", open, n))
-			}
-			return nil
-		}},
-		{Name: "detectors", Check: func() error {
-			s.mu.Lock()
-			attached := s.detGroup != nil
-			var parked int64
-			for _, p := range s.pools {
-				parked += p.Parked.Value()
-			}
-			s.mu.Unlock()
-			if !attached {
-				return errors.New("no detector pool attached")
-			}
-			if parked > 0 {
-				// Parked workers are riding out a storage fault with
-				// their records uncommitted — lagging, not lost.
-				return api.Degraded(fmt.Errorf("%d detector workers parked on storage faults", parked))
-			}
-			return nil
-		}},
-	}
 }
