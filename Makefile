@@ -3,9 +3,10 @@ GO ?= go
 # CI smoke uses BENCHTIME=1x.
 BENCHTIME ?= 1s
 # The evaluation benchmarks recorded in BENCH_evaluation.json:
-# E5 (FDR corrections), E6 (online eval throughput), E9 (end-to-end),
-# plus the in-place hot-path benches whose allocs/op are pinned.
-EVAL_BENCH = BenchmarkFDRCorrections|BenchmarkOnlineEvalThroughput|BenchmarkEndToEndPipeline
+# E5 (FDR corrections), E6 (online eval throughput), plus the in-place
+# hot-path benches whose allocs/op are pinned. E9, the integrated loop,
+# is `go run ./benchmark --workload detect-paced`.
+EVAL_BENCH = BenchmarkFDRCorrections|BenchmarkOnlineEvalThroughput
 
 # The in-place benchmarks whose allocs/op are pinned in ALLOC_PINS and
 # gated by bench-allocs. BenchmarkBusPublish also matches
@@ -55,7 +56,7 @@ test:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# bench-json runs the evaluation benchmarks (E5/E6/E9 plus the in-place
+# bench-json runs the evaluation benchmarks (E5/E6 plus the in-place
 # core/fdr hot paths) with -benchmem and records name → samples/s,
 # ns/op, allocs/op in BENCH_evaluation.json — the committed perf
 # trajectory. See README.md "Perf methodology".
@@ -65,7 +66,7 @@ bench-json: bench-query
 	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateBatch|BenchmarkApplyInto' -benchtime $(BENCHTIME) -benchmem ./internal/core/ ./internal/fdr/ >> bench-eval.out
 	$(GO) test -run '^$$' -bench 'BenchmarkBusPublishConsume|BenchmarkDetectorPoolFanout' -benchtime $(BENCHTIME) -benchmem ./internal/bus/ ./sentinel/ >> bench-eval.out
 	$(GO) test -run '^$$' -bench 'BenchmarkGatewayPutPath|BenchmarkGatewayCachedQuery|BenchmarkIngestPutBaseline' -benchtime $(BENCHTIME) -benchmem ./internal/api/ >> bench-eval.out
-	$(GO) run ./cmd/benchjson -out BENCH_evaluation.json < bench-eval.out
+	$(GO) run ./cmd/benchgate -json BENCH_evaluation.json < bench-eval.out
 	@rm -f bench-eval.out
 
 # bench-query records the read-tier trajectory in BENCH_query.json:
@@ -79,18 +80,21 @@ bench-query:
 	$(GO) test -run '^$$' -bench 'BenchmarkQuery' -benchtime $(BENCHTIME) -benchmem ./internal/query/ > bench-query.out
 	$(GO) test -run '^$$' -bench 'BenchmarkCompressedScan|BenchmarkBlockCompress|BenchmarkRollupQuery' -benchtime $(BENCHTIME) -benchmem ./internal/tsdb/ >> bench-query.out
 	$(GO) test -run '^$$' -bench 'BenchmarkRegionScanNarrow|BenchmarkRegionPutInOrder' -benchtime $(BENCHTIME) -benchmem ./internal/hbase/ >> bench-query.out
-	$(GO) run ./cmd/benchjson -out BENCH_query.json < bench-query.out
+	$(GO) run ./cmd/benchgate -json BENCH_query.json < bench-query.out
 	@rm -f bench-query.out
 
 # bench-allocs gates the allocs/op pins: the in-place hot paths run
-# once (-benchtime=1x -benchmem) and cmd/allocgate fails the build if
-# any exceeds its ceiling in ALLOC_PINS. Timing-noise free, so it is a
-# gating CI step, unlike the bench-json smoke.
+# once (-benchtime=1x -benchmem) and benchgate -allocs fails the build
+# if any exceeds its ceiling in ALLOC_PINS. Timing-noise free, so it is
+# a gating CI step, unlike the bench-json smoke. -cpu 1 because the
+# pins are the code's own allocations: with more procs
+# linalg.parallelRows spawns row-stripe goroutines, and their count
+# (7–9 allocs/op on two cores) follows GOMAXPROCS, not the code.
 bench-allocs:
 	@rm -f bench-allocs.out
-	$(GO) test -run '^$$' -bench '$(ALLOC_BENCH)' -benchtime 1x -benchmem \
+	$(GO) test -run '^$$' -bench '$(ALLOC_BENCH)' -benchtime 1x -benchmem -cpu 1 \
 		./internal/core/ ./internal/fdr/ ./internal/linalg/ ./internal/bus/ ./internal/query/ ./internal/api/ ./internal/mllib/ ./internal/tsdb/ > bench-allocs.out
-	$(GO) run ./cmd/allocgate -pins ALLOC_PINS < bench-allocs.out
+	$(GO) run ./cmd/benchgate -allocs ALLOC_PINS < bench-allocs.out
 	@rm -f bench-allocs.out
 
 # bench-gate is the regression ratchet: re-run the benchmarks whose

@@ -29,7 +29,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/tsdb"
 	"repro/internal/viz"
-	"repro/sentinel"
 )
 
 // paperPerNodeRate is the emulated per-node service ceiling in
@@ -439,44 +438,6 @@ func BenchmarkVizMachinePage(b *testing.B) {
 			b.Fatalf("status %d", rec.Code)
 		}
 	}
-}
-
-// BenchmarkEndToEndPipeline is E9 — the integrated loop: ingest one
-// fleet tick through the proxy into storage, evaluate it against the
-// trained models, and write flags back (samples/second end to end).
-func BenchmarkEndToEndPipeline(b *testing.B) {
-	sys, err := sentinel.New(sentinel.Config{
-		StorageNodes:   4,
-		Units:          8,
-		SensorsPerUnit: 50,
-		FaultFraction:  0.4,
-		FaultOnset:     64,
-		ShiftSigma:     5,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sys.Close()
-	if _, err := sys.IngestRange(0, 64); err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.TrainFromTSDB(0, 64, true); err != nil {
-		b.Fatal(err)
-	}
-	samplesPerTick := float64(8 * 50)
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		t := int64(64 + i)
-		if _, err := sys.IngestRange(t, 1); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.Detect(t, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(samplesPerTick*float64(b.N)/time.Since(start).Seconds(), "samples/s")
 }
 
 // BenchmarkPipelinedPut is E10 — the async-fabric refactor: one

@@ -44,36 +44,31 @@ func main() {
 	}
 	fmt.Println("trained FDR models for all units (covariance → SVD, cached to HDFS)")
 
-	// 3. Evaluate the post-onset window; flags are written back to the
-	// TSDB under the "anomaly" metric.
-	reports, err := sys.Detect(100, 20)
+	// 3. Score the post-onset window; flags are written back to the
+	// TSDB under the "anomaly" metric and returned, ordered by unit.
+	flags, err := sys.Detect(100, 20)
 	if err != nil {
 		log.Fatal(err)
 	}
+	perUnit := make(map[int]int)
+	for _, a := range flags {
+		perUnit[a.Unit]++
+	}
 	for _, u := range sys.Units() {
-		fault := sys.Fleet.UnitFault(u)
-		flagged := 0
-		for _, rep := range reports[u] {
-			flagged += len(rep.Flags)
-		}
-		fmt.Printf("unit %d: injected fault=%-6s flags=%d\n", u, fault.Class, flagged)
+		fmt.Printf("unit %d: injected fault=%-6s flags=%d\n", u, sys.Fleet.UnitFault(u).Class, perUnit[u])
 	}
 
 	// 4. Cross-check one flagged unit against ground truth.
-	for _, u := range sys.Units() {
-		if sys.Fleet.UnitFault(u).Class == simdata.FaultNone {
+	for _, a := range flags {
+		if sys.Fleet.UnitFault(a.Unit).Class == simdata.FaultNone {
 			continue
 		}
-		for _, rep := range reports[u] {
-			for _, f := range rep.Flags {
-				truth := "false alarm"
-				if sys.Fleet.Faulty(u, f.Sensor, rep.Timestamp) {
-					truth = "true fault"
-				}
-				fmt.Printf("example flag: unit %d sensor %d t=%d z=%.1f (%s)\n",
-					u, f.Sensor, rep.Timestamp, f.Z, truth)
-				return
-			}
+		truth := "false alarm"
+		if sys.Fleet.Faulty(a.Unit, a.Sensor, a.Timestamp) {
+			truth = "true fault"
 		}
+		fmt.Printf("example flag: unit %d sensor %d t=%d severity=%.1f (%s)\n",
+			a.Unit, a.Sensor, a.Timestamp, a.Score, truth)
+		return
 	}
 }

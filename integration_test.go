@@ -62,28 +62,34 @@ func TestCSVDatasetEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var flagged []core.Anomaly
-	sink := core.AnomalySinkFunc(func(a core.Anomaly) error {
-		flagged = append(flagged, a)
-		return nil
-	})
-	pipe := core.NewPipeline(cat, core.EvaluatorConfig{Procedure: fdr.BH, Level: 0.05}, ds, sink)
-	if _, err := pipe.ProcessFleet(140, 20); err != nil {
-		t.Fatal(err)
-	}
-	if len(flagged) == 0 {
-		t.Fatal("CSV pipeline flagged nothing despite injected faults")
-	}
 	tp, fp := 0, 0
-	for _, a := range flagged {
-		if ds.Faulty(a.Unit, a.Sensor, a.Timestamp) {
-			tp++
-		} else {
-			fp++
+	for _, u := range ds.Units() {
+		m, err := cat.Load(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		det, err := core.NewMGDDetector(m, core.EvaluatorConfig{Procedure: fdr.BH, Level: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs, ts, err := ds.Observations(u, 140, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out core.Detections
+		if err := det.DetectBatchInto(xs, ts, &out); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range out.Flags {
+			if ds.Faulty(u, f.Sensor, ts[f.Row]) {
+				tp++
+			} else {
+				fp++
+			}
 		}
 	}
 	if tp == 0 {
-		t.Fatal("no true detections")
+		t.Fatal("CSV dataset raised no true detections despite injected faults")
 	}
 	if fp > tp {
 		t.Fatalf("false alarms (%d) exceed true detections (%d)", fp, tp)

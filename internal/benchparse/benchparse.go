@@ -1,7 +1,7 @@
 // Package benchparse parses `go test -bench` result lines: the single
 // definition of benchmark-name normalization and value/unit pairing
-// shared by cmd/benchjson (the committed perf trajectory) and
-// cmd/allocgate (the CI allocation gate), so the two can never
+// shared by cmd/benchgate's modes (the committed perf trajectory, the
+// regression ratchet, the CI allocation gate), so they can never
 // disagree about which benchmark a line belongs to or what it
 // reported.
 package benchparse

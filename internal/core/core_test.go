@@ -314,7 +314,7 @@ func TestEvaluatorInputValidation(t *testing.T) {
 	}
 }
 
-// fleetSource adapts a simdata.Fleet to WindowSource and SampleSource.
+// fleetSource adapts a simdata.Fleet to WindowSource.
 type fleetSource struct {
 	fleet *simdata.Fleet
 	rows  int
@@ -322,15 +322,6 @@ type fleetSource struct {
 
 func (fs *fleetSource) TrainingWindow(unit int) ([][]float64, error) {
 	return fs.fleet.UnitWindow(unit, 0, fs.rows), nil
-}
-
-func (fs *fleetSource) Observations(unit int, from int64, count int) ([][]float64, []int64, error) {
-	rows := fs.fleet.UnitWindow(unit, from, count)
-	ts := make([]int64, count)
-	for i := range ts {
-		ts[i] = from + int64(i)
-	}
-	return rows, ts, nil
 }
 
 func TestTrainFleetSerialAndConcurrentAgree(t *testing.T) {
@@ -391,113 +382,4 @@ func TestTrainFleetPropagatesSourceError(t *testing.T) {
 	if _, err := tr.TrainFleet([]int{1}, src, nil, true); err == nil {
 		t.Fatal("concurrent training must propagate source errors")
 	}
-}
-
-func TestPipelineEndToEndOnSimulatedFleet(t *testing.T) {
-	eng := newEngine(t)
-	fleet := simdata.NewFleet(simdata.Config{
-		Units: 8, SensorsPerUnit: 30, Seed: 101,
-		FaultFraction: 0.5, FaultOnset: 400, ShiftSigma: 6, DriftPerStep: 0.05,
-	})
-	src := &fleetSource{fleet: fleet, rows: 350} // training window predates onset
-	cat := &ModelCatalog{Store: NewMemStore()}
-	tr := NewTrainer(eng, TrainerConfig{})
-	units := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	if _, err := tr.TrainFleet(units, src, cat, true); err != nil {
-		t.Fatal(err)
-	}
-
-	var written []Anomaly
-	sink := AnomalySinkFunc(func(a Anomaly) error {
-		written = append(written, a)
-		return nil
-	})
-	p := NewPipeline(cat, EvaluatorConfig{Procedure: fdr.BH, Level: 0.05}, src, sink)
-
-	// Evaluate well after every fault's onset (drift needs time to grow).
-	reports, err := p.ProcessFleet(800, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != len(units) {
-		t.Fatalf("reports for %d units, want %d", len(reports), len(units))
-	}
-
-	// Score flags against ground truth: faulty units must dominate.
-	var tp, fp int
-	for _, a := range written {
-		if fleet.Faulty(a.Unit, a.Sensor, a.Timestamp) {
-			tp++
-		} else {
-			fp++
-		}
-	}
-	if tp == 0 {
-		t.Fatal("pipeline flagged no true faults")
-	}
-	if fp > tp {
-		t.Fatalf("false alarms (%d) exceed true detections (%d)", fp, tp)
-	}
-	// Every faulty unit must raise at least one flag in the window.
-	for _, u := range units {
-		if fleet.UnitFault(u).Class == simdata.FaultNone {
-			continue
-		}
-		found := false
-		for _, a := range written {
-			if a.Unit == u {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("faulty unit %d raised no flags", u)
-		}
-	}
-	if p.SamplesEvaluated.Value() != int64(len(units)*20*30) {
-		t.Fatalf("SamplesEvaluated = %d", p.SamplesEvaluated.Value())
-	}
-	if p.AnomaliesWritten.Value() != int64(len(written)) {
-		t.Fatal("AnomaliesWritten mismatch")
-	}
-}
-
-func TestPipelineMissingModel(t *testing.T) {
-	cat := &ModelCatalog{Store: NewMemStore()}
-	p := NewPipeline(cat, EvaluatorConfig{}, nil, nil)
-	if _, err := p.ProcessWindow(5, 0, 1); !errors.Is(err, ErrNotTrained) {
-		t.Fatalf("err = %v, want ErrNotTrained", err)
-	}
-}
-
-func TestPipelineSinkErrorPropagates(t *testing.T) {
-	eng := newEngine(t)
-	rng := rand.New(rand.NewSource(57))
-	const sensors = 10
-	tr := NewTrainer(eng, TrainerConfig{})
-	m, err := tr.TrainUnit(0, gaussianWindow(rng, 200, sensors, constVec(sensors, 0), constVec(sensors, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := &ModelCatalog{Store: NewMemStore()}
-	if err := cat.Save(m); err != nil {
-		t.Fatal(err)
-	}
-	// Source returns an extreme observation so a flag is guaranteed.
-	src := sourceFunc(func(unit int, from int64, count int) ([][]float64, []int64, error) {
-		row := constVec(sensors, 100)
-		return [][]float64{row}, []int64{from}, nil
-	})
-	sink := AnomalySinkFunc(func(a Anomaly) error { return errors.New("sink down") })
-	p := NewPipeline(cat, EvaluatorConfig{Procedure: fdr.BH}, src, sink)
-	if _, err := p.ProcessWindow(0, 0, 1); err == nil {
-		t.Fatal("sink error must propagate")
-	}
-}
-
-// sourceFunc adapts a function to SampleSource.
-type sourceFunc func(unit int, from int64, count int) ([][]float64, []int64, error)
-
-func (f sourceFunc) Observations(unit int, from int64, count int) ([][]float64, []int64, error) {
-	return f(unit, from, count)
 }

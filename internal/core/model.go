@@ -15,8 +15,9 @@
 //     and a per-unit Hotelling T² statistic; per-sensor p-values are
 //     then corrected with the False Discovery Rate procedure before
 //     anything is flagged.
-//   - Pipeline glues a sample source (the TSDB), the evaluator and an
-//     anomaly sink (written back to the TSDB for the visualization).
+//   - MGDDetector adapts the evaluator to the pluggable mllib.Detector
+//     interface; the detection loop that feeds it rows and writes its
+//     flags to an AnomalySink lives in package sentinel (DetectorPool).
 //
 // # Scratch reuse and report retention
 //

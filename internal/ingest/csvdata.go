@@ -13,9 +13,9 @@ import (
 
 // Dataset is an in-memory sensor dataset loaded from the CSV format
 // cmd/datagen emits (timestamp,unit,sensor,value[,faulty]). It adapts
-// external data to the detector's WindowSource/SampleSource seams, so
-// a user with real asset telemetry can export to CSV and run the full
-// train → detect pipeline without the simulator.
+// external data to the trainer's WindowSource seam and to observation
+// rows a detector scores, so a user with real asset telemetry can
+// export to CSV and run train → detect without the simulator.
 type Dataset struct {
 	units   map[int]map[int64][]float64 // unit → timestamp → sensor values
 	sensors int
@@ -144,7 +144,8 @@ func (d *Dataset) Window(unit int, from int64, count int) ([][]float64, error) {
 	return out, nil
 }
 
-// Observations implements the core.SampleSource shape.
+// Observations returns unit's rows over [from, from+count) with their
+// timestamps — the (xs, ts) pair a detector's DetectBatchInto takes.
 func (d *Dataset) Observations(unit int, from int64, count int) ([][]float64, []int64, error) {
 	rows, err := d.Window(unit, from, count)
 	if err != nil {

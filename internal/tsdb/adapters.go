@@ -53,8 +53,9 @@ func deadlineCtx(d time.Duration) (context.Context, context.CancelFunc) {
 	return context.Background(), func() {}
 }
 
-// Observations implements core.SampleSource: it returns unit's sensor
-// matrix for [from, from+count) with one row per second.
+// Observations returns unit's sensor matrix for [from, from+count),
+// one row per second with one column per sensor, plus the matching
+// timestamps; a missing sample is an error.
 func (s *Source) Observations(unit int, from int64, count int) ([][]float64, []int64, error) {
 	ctx, cancel := deadlineCtx(s.Timeout)
 	defer cancel()
@@ -109,8 +110,9 @@ func (s *Source) TrainingWindow(unit int) ([][]float64, error) {
 }
 
 // Sink adapts a TSD into core.AnomalySink: each flag becomes a point
-// under the "anomaly" metric whose value is the standardized deviation
-// (z-score), which the visualization renders as severity.
+// under the "anomaly" metric whose value is Anomaly.Z — the raising
+// family's severity score (|z| for mgd), which the visualization
+// renders as severity.
 type Sink struct {
 	TSD *TSD
 	// Timeout, when > 0, bounds each write-back with a deadline.
@@ -132,7 +134,6 @@ func (s *Sink) WriteAnomaly(a core.Anomaly) error {
 
 // Compile-time interface checks against the detector's seams.
 var (
-	_ core.SampleSource = (*Source)(nil)
 	_ core.WindowSource = (*Source)(nil)
 	_ core.AnomalySink  = (*Sink)(nil)
 )

@@ -6,54 +6,6 @@ import (
 	"testing"
 )
 
-// BenchmarkDetectFanout isolates the online detection phase of E9 —
-// storage read, evaluation, flag write-back for every unit — with the
-// per-unit fan-out over the dataflow engine toggled off and on. The
-// end-to-end pipeline benchmark is ingest-bound by the emulated
-// per-node service ceiling, so this is where the evaluation sharding
-// shows: serial evaluates units one after another, fanout one task per
-// unit across the executor pool.
-func BenchmarkDetectFanout(b *testing.B) {
-	const (
-		units   = 16
-		sensors = 100
-		window  = 16
-	)
-	for _, fanout := range []bool{false, true} {
-		b.Run(fmt.Sprintf("fanout=%v", fanout), func(b *testing.B) {
-			sys, err := New(Config{
-				StorageNodes:   4,
-				Units:          units,
-				SensorsPerUnit: sensors,
-				FaultFraction:  0.25,
-				FaultOnset:     64,
-				ShiftSigma:     5,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sys.Close()
-			if _, err := sys.IngestRange(0, 64+window); err != nil {
-				b.Fatal(err)
-			}
-			if err := sys.TrainFromTSDB(0, 64, true); err != nil {
-				b.Fatal(err)
-			}
-			if !fanout {
-				sys.pipeline.Engine = nil
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sys.Detect(64, window); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(units*sensors*window)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
-		})
-	}
-}
-
 // BenchmarkDetectorPoolFanout measures the streaming detector tier in
 // isolation: a window of unit batches is staged on the commit log
 // under a stopped timer, then a pool of N consumer-group workers

@@ -46,11 +46,9 @@ import (
 // emitting flags or backpressuring the primary path (a slow shadow
 // sheds batches instead).
 //
-// Workers are dedicated goroutines, not dataflow-engine tasks: the
-// engine's bounded executor pool is shared with Detect's per-unit
-// fan-out and the offline trainer, and parking long-lived consumers
-// there would starve those batch jobs (or deadlock outright once
-// workers outnumber executors).
+// One detection loop: workers assemble bus records into observation
+// rows (process), System.Detect reads stored rows, and both hand them
+// to score — the only code that turns rows into stored flags.
 type DetectorPool struct {
 	env    DetectorEnv
 	group  bus.GroupHandle
@@ -138,11 +136,7 @@ func NewDetectorPool(env DetectorEnv, group bus.GroupHandle, workers int) *Detec
 	if workers <= 0 {
 		workers = 1
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	p := &DetectorPool{env: env, group: group, ctx: ctx, cancel: cancel}
-	if len(env.Shadows) > 0 {
-		p.shadow = newShadowRunner(env.NewDetector, env.Shadows, env.ShadowBuffer)
-	}
+	p := newScorer(env, group)
 	// Join every member before the first worker polls, so the pool
 	// starts on a settled assignment instead of rebalancing (and
 	// redelivering) its way up.
@@ -155,6 +149,18 @@ func NewDetectorPool(env DetectorEnv, group bus.GroupHandle, workers int) *Detec
 		p.startWorkerLocked(c)
 	}
 	p.wmu.Unlock()
+	return p
+}
+
+// newScorer builds a pool with no workers yet: the scorer, its
+// counters and the shadow runner. System.Detect feeds one directly
+// (group nil); NewDetectorPool adds the consumer-group workers.
+func newScorer(env DetectorEnv, group bus.GroupHandle) *DetectorPool {
+	ctx, cancel := context.WithCancel(context.Background())
+	p := &DetectorPool{env: env, group: group, ctx: ctx, cancel: cancel}
+	if len(env.Shadows) > 0 {
+		p.shadow = newShadowRunner(env.NewDetector, env.Shadows, env.ShadowBuffer)
+	}
 	return p
 }
 
@@ -332,11 +338,13 @@ func (p *DetectorPool) Stop() {
 			// close safely.
 			p.shadow.stop()
 		}
-		if p.env.OnStop != nil {
+		switch {
+		case p.group == nil: // Detect's feeder consumes no group
+		case p.env.OnStop != nil:
 			p.env.OnStop(p)
-			return
+		default:
+			p.group.Close()
 		}
-		p.group.Close()
 	})
 }
 
@@ -353,6 +361,10 @@ type detectorScratch struct {
 	ts       []int64
 	seen     []bool
 	rowFlags []bool
+	// keep makes score retain every flag it stores in stored — Detect's
+	// return value; pool workers leave it off.
+	keep   bool
+	stored []core.Anomaly
 }
 
 // detector returns (lazily constructing) this worker's instance of the
@@ -365,6 +377,9 @@ func (p *DetectorPool) detector(sc *detectorScratch, unit int) (mllib.Detector, 
 	if err != nil {
 		return nil, err
 	}
+	if sc.dets == nil {
+		sc.dets = make(map[int]mllib.Detector)
+	}
 	sc.dets[unit] = d
 	return d, nil
 }
@@ -376,8 +391,7 @@ func (p *DetectorPool) detector(sc *detectorScratch, unit int) (mllib.Detector, 
 func (p *DetectorPool) worker(ctx context.Context, c bus.ConsumerHandle) {
 	defer p.wg.Done()
 	defer c.Leave()
-	sc := detectorScratch{dets: make(map[int]mllib.Detector)}
-	sink := p.env.Sink
+	var sc detectorScratch
 	buf := make([]bus.Record, 0, 16)
 	boff := resilience.Backoff{Base: 5 * time.Millisecond, Factor: 2, Max: 500 * time.Millisecond, Jitter: true}
 	pollFails := 0
@@ -398,7 +412,7 @@ func (p *DetectorPool) worker(ctx context.Context, c bus.ConsumerHandle) {
 		}
 		pollFails = 0
 		for i := range recs {
-			if err := p.process(ctx, &recs[i], sink, &sc); err != nil {
+			if err := p.process(ctx, &recs[i], &sc); err != nil {
 				p.Errors.Inc()
 			}
 			p.Batches.Inc()
@@ -413,7 +427,8 @@ func (p *DetectorPool) worker(ctx context.Context, c bus.ConsumerHandle) {
 // not committed while parked, so detection resumes exactly where the
 // outage interrupted it (point writes are idempotent, so a replay of
 // already-landed flags is harmless).
-func (p *DetectorPool) writeFlag(ctx context.Context, sink core.AnomalySink, a core.Anomaly) error {
+func (p *DetectorPool) writeFlag(ctx context.Context, a core.Anomaly) error {
+	sink := p.env.Sink
 	boff := resilience.Backoff{Base: 5 * time.Millisecond, Factor: 2, Max: 500 * time.Millisecond, Jitter: true}
 	parked := false
 	defer func() {
@@ -440,26 +455,33 @@ func (p *DetectorPool) writeFlag(ctx context.Context, sink core.AnomalySink, a c
 	}
 }
 
-// process scores one unit batch through the primary detector, writes
-// its flags back, and hands a copy to the shadow runner.
-func (p *DetectorPool) process(ctx context.Context, rec *bus.Record, sink core.AnomalySink, sc *detectorScratch) error {
+// process assembles one bus record into observation rows and scores
+// them.
+func (p *DetectorPool) process(ctx context.Context, rec *bus.Record, sc *detectorScratch) error {
 	batch, ok := rec.Value.(*ingest.UnitBatch)
 	if !ok {
 		return fmt.Errorf("sentinel: record %d/%d is not a unit batch", rec.Partition, rec.Offset)
 	}
-	sensors := p.env.Sensors
-	if err := sc.assemble(batch, sensors); err != nil {
+	if err := sc.assemble(batch, p.env.Sensors); err != nil {
 		return err
 	}
-	d, err := p.detector(sc, batch.Unit)
+	return p.score(ctx, batch.Unit, sc.rows, sc.ts, sc)
+}
+
+// score is the scorer: one unit's observation rows through the primary
+// detector, each flag written back (parking on a transient storage
+// fault), published on the flag feed and counted, and the batch with
+// the primary's row verdicts offered to the shadow runner.
+func (p *DetectorPool) score(ctx context.Context, unit int, rows [][]float64, ts []int64, sc *detectorScratch) error {
+	d, err := p.detector(sc, unit)
 	if err != nil {
 		return err
 	}
-	n := len(batch.Points) / sensors
-	if err := d.DetectBatchInto(sc.rows[:n], sc.ts[:n], &sc.det); err != nil {
+	if err := d.DetectBatchInto(rows, ts, &sc.det); err != nil {
 		return err
 	}
-	p.SamplesEvaluated.Add(int64(n * sensors))
+	n := len(rows)
+	p.SamplesEvaluated.Add(int64(n * p.env.Sensors))
 	if cap(sc.rowFlags) < n {
 		sc.rowFlags = make([]bool, n)
 	}
@@ -469,9 +491,9 @@ func (p *DetectorPool) process(ctx context.Context, rec *bus.Record, sink core.A
 	for _, f := range sc.det.Flags {
 		sc.rowFlags[f.Row] = true
 		a := core.Anomaly{
-			Unit:      batch.Unit,
+			Unit:      unit,
 			Sensor:    f.Sensor,
-			Timestamp: sc.ts[f.Row],
+			Timestamp: ts[f.Row],
 			Z:         f.Score,
 			PValue:    f.PValue,
 			Adjusted:  f.Adjusted,
@@ -479,12 +501,15 @@ func (p *DetectorPool) process(ctx context.Context, rec *bus.Record, sink core.A
 			Score:     f.Score,
 		}
 		if f.Sensor >= 0 {
-			a.Value = sc.rows[f.Row][f.Sensor]
+			a.Value = rows[f.Row][f.Sensor]
 		}
-		if err := p.writeFlag(ctx, sink, a); err != nil {
+		if err := p.writeFlag(ctx, a); err != nil {
 			return fmt.Errorf("sentinel: write anomaly: %w", err)
 		}
 		p.AnomaliesWritten.Inc()
+		if sc.keep {
+			sc.stored = append(sc.stored, a)
+		}
 		// Feed the live stream — only while a tail (consumer
 		// group) is attached: a group-less topic is never trimmed,
 		// so publishing into one would retain every flag forever.
@@ -501,7 +526,7 @@ func (p *DetectorPool) process(ctx context.Context, rec *bus.Record, sink core.A
 		}
 	}
 	if p.shadow != nil {
-		p.shadow.offer(batch.Unit, sc.rows[:n], sc.ts[:n], sc.rowFlags)
+		p.shadow.offer(unit, rows, ts, sc.rowFlags)
 	}
 	return nil
 }

@@ -12,6 +12,14 @@
 //     engine, online evaluation writing flags back to storage (§IV),
 //   - and the web visualization (§V).
 //
+// There is one detection loop (detector.go). DetectorPool.score is the
+// only code that turns observation rows into stored flags: primary
+// detector, flag write-back that parks on a transient storage fault,
+// flag-feed publish, shadow offer, counters. Pool workers assemble its
+// rows from bus records — the streaming path every topology runs;
+// System.Detect feeds it a stored range read back from the TSDB. Nothing
+// else scores.
+//
 // A Node runs the tiers of the roles it carries and reaches the rest of
 // a cluster over rpc (node.go; cmd/sentineld is the daemon). A System
 // is the node that carries all four roles and has no peers, plus the
@@ -21,15 +29,19 @@
 //	defer sys.Close()
 //	sys.IngestRange(0, 120)           // stream two minutes of data
 //	sys.TrainFromTSDB(0, 100, true)   // fit per-unit models
-//	reports, _ := sys.Detect(100, 20) // flag anomalies, write back
+//	flags, _ := sys.Detect(100, 20)   // flag anomalies, write back
 //	h, tail := sys.Gateway(120, sentinel.GatewayConfig{})
 //	defer tail.Close()
 //	http.ListenAndServe(":8080", h) // serve the control center
 package sentinel
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/bus"
@@ -229,7 +241,9 @@ type System struct {
 	Engine  *dataflow.Engine
 	Trainer *core.Trainer
 
-	pipeline *core.Pipeline
+	// feeder is the worker-less pool Detect feeds, registered with the
+	// node so its work shows on the node's metrics and detector report.
+	feeder *DetectorPool
 }
 
 // New boots a System: the bus and store tiers up, detection and the
@@ -258,16 +272,10 @@ func New(cfg Config) (*System, error) {
 		EnergyFraction: cfg.EnergyFraction,
 		MaxComponents:  cfg.MaxComponents,
 	})
-	tsd := node.TSDB.TSDs()[0]
-	sys.pipeline = core.NewPipeline(
-		node.Catalog,
-		core.EvaluatorConfig{Procedure: cfg.Procedure, Level: cfg.Level},
-		&tsdb.Source{TSD: tsd, Sensors: cfg.SensorsPerUnit},
-		&tsdb.Sink{TSD: tsd},
-	)
-	// Online evaluation fans out across units on the same engine the
-	// offline trainer uses, so Detect throughput scales with cores.
-	sys.pipeline.Engine = sys.Engine
+	sys.feeder = newScorer(node.detectorEnv(), nil)
+	node.mu.Lock()
+	node.pools = append(node.pools, sys.feeder)
+	node.mu.Unlock()
 	return sys, nil
 }
 
@@ -356,16 +364,51 @@ func (s *System) TrainFromFleet(from int64, count int, concurrent bool) error {
 	return err
 }
 
-// Detect evaluates every trained unit over [from, from+count) reading
-// observations from storage, writes flags back to the "anomaly"
-// metric, and returns the reports. Units are evaluated concurrently on
-// the dataflow engine, one task per unit.
-func (s *System) Detect(from int64, count int) (map[int][]*core.Report, error) {
-	return s.pipeline.ProcessFleet(from, count)
-}
-
-// SamplesEvaluated reports the cumulative sensor samples scored by
-// Detect (the §IV-A throughput unit).
-func (s *System) SamplesEvaluated() int64 {
-	return s.pipeline.SamplesEvaluated.Value()
+// Detect scores every unit of the fleet over [from, from+count) from
+// stored observations (the bus trims to its slowest group's commit, so
+// a stored range cannot be replayed from the log) through the scorer
+// the streaming pools run — see the package doc — with units spread
+// over DetectorWorkers goroutines as partitions are over pool workers.
+// It returns the flags it stored, ordered by unit, timestamp, sensor.
+//
+// Every unit's detector is built before any row is scored, so under
+// "mgd" a unit without a model fails the call with core.ErrNotTrained
+// and nothing written; model-free families need no catalog. Detectors
+// are built afresh on each call: streaming families start from warm-up,
+// as on a new owner after a rebalance.
+func (s *System) Detect(from int64, count int) ([]core.Anomaly, error) {
+	src := &tsdb.Source{TSD: s.TSDB.TSDs()[0], Sensors: s.tier.SensorsPerUnit}
+	scratch := make([]detectorScratch, min(s.tier.DetectorWorkers, s.tier.Units))
+	for u := 0; u < s.tier.Units; u++ {
+		if _, err := s.feeder.detector(&scratch[u%len(scratch)], u); err != nil {
+			return nil, err
+		}
+	}
+	errs := make([]error, len(scratch))
+	var wg sync.WaitGroup
+	for w := range scratch {
+		sc := &scratch[w]
+		sc.keep = true
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for u := w; u < s.tier.Units && errs[w] == nil; u += len(scratch) {
+				rows, ts, err := src.Observations(u, from, count)
+				if err != nil {
+					errs[w] = fmt.Errorf("sentinel: read unit %d window: %w", u, err)
+					break
+				}
+				errs[w] = s.feeder.score(s.feeder.ctx, u, rows, ts, sc)
+			}
+		}()
+	}
+	wg.Wait()
+	var flags []core.Anomaly
+	for w := range scratch {
+		flags = append(flags, scratch[w].stored...)
+	}
+	slices.SortFunc(flags, func(a, b core.Anomaly) int {
+		return cmp.Or(cmp.Compare(a.Unit, b.Unit), cmp.Compare(a.Timestamp, b.Timestamp), cmp.Compare(a.Sensor, b.Sensor))
+	})
+	return flags, errors.Join(errs...)
 }

@@ -1,13 +1,25 @@
 package sentinel
 
 import (
+	"cmp"
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"log"
+	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	v1 "repro/internal/api/v1"
+	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/fdr"
 	"repro/internal/query"
 	"repro/internal/simdata"
@@ -17,9 +29,9 @@ import (
 
 // newSmallSystem boots a laptop-scale deployment with aggressive
 // faults so the integration paths all fire.
-func newSmallSystem(t *testing.T) *System {
+func newSmallSystem(t *testing.T, mods ...func(*Config)) *System {
 	t.Helper()
-	sys, err := New(Config{
+	cfg := Config{
 		StorageNodes:   2,
 		Units:          4,
 		SensorsPerUnit: 12,
@@ -27,12 +39,60 @@ func newSmallSystem(t *testing.T) *System {
 		FaultFraction:  0.6,
 		FaultOnset:     60,
 		Procedure:      fdr.BH,
-	})
+	}
+	for _, mod := range mods {
+		mod(&cfg)
+	}
+	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(sys.Close)
 	return sys
+}
+
+// metricValue reads one figure off the node's /api/v1/metrics surface.
+func metricValue(t *testing.T, h http.Handler, name string) int64 {
+	t.Helper()
+	for _, line := range strings.Split(do(h, "GET", "/api/v1/metrics", "", "").Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("metric line %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("metric %q not on /api/v1/metrics", name)
+	return 0
+}
+
+// storedFlags reads the "anomaly" metric back over [from, to] as sorted
+// "unit/sensor/timestamp/value" keys: the flag set storage holds.
+func storedFlags(t *testing.T, sys *System, from, to int64) []string {
+	t.Helper()
+	series, err := sys.TSDB.TSDs()[0].Query(tsdb.Query{Metric: tsdb.MetricAnomaly, Start: from, End: to})
+	if err != nil && !errors.Is(err, tsdb.ErrNoSuchMetric) { // no flag ever written
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, ser := range series {
+		for _, smp := range ser.Samples {
+			keys = append(keys, fmt.Sprintf("%s/%s/%d/%v", ser.Tags["unit"], ser.Tags["sensor"], smp.Timestamp, smp.Value))
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// flagKeys renders flags the way storedFlags renders stored ones.
+func flagKeys(flags []core.Anomaly) []string {
+	keys := make([]string, len(flags))
+	for i, a := range flags {
+		keys[i] = fmt.Sprintf("%d/%d/%d/%v", a.Unit, a.Sensor, a.Timestamp, a.Z)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func TestConfigDefaults(t *testing.T) {
@@ -49,7 +109,7 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestEndToEndIngestTrainDetectVisualize(t *testing.T) {
-	sys := newSmallSystem(t)
+	sys := newSmallSystem(t, func(c *Config) { c.ShadowDetectors = []string{"cusum"} })
 
 	// Ingest 100 steps: 50 healthy (training) + post-onset faults.
 	stats, err := sys.IngestRange(0, 100)
@@ -73,44 +133,74 @@ func TestEndToEndIngestTrainDetectVisualize(t *testing.T) {
 		t.Fatalf("catalog units = %v, %v", units, err)
 	}
 
+	// The gateway, like production; its tail is attached before Detect
+	// runs, so the flags are also published on the live feed.
+	handler, tail := sys.Gateway(100, GatewayConfig{AccessLog: log.New(io.Discard, "", 0)})
+	defer tail.Close()
+
 	// Detect over the post-onset window.
-	reports, err := sys.Detect(80, 20)
+	flags, err := sys.Detect(80, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 4 {
-		t.Fatalf("reports for %d units", len(reports))
+	if !slices.IsSortedFunc(flags, func(a, b core.Anomaly) int {
+		return cmp.Or(cmp.Compare(a.Unit, b.Unit), cmp.Compare(a.Timestamp, b.Timestamp), cmp.Compare(a.Sensor, b.Sensor))
+	}) {
+		t.Fatal("Detect's flags are not ordered by unit, timestamp, sensor")
 	}
-	if sys.SamplesEvaluated() != int64(4*12*20) {
-		t.Fatalf("SamplesEvaluated = %d", sys.SamplesEvaluated())
+	// Detect's work shows on the node's own surfaces, exactly.
+	if got := metricValue(t, handler, "samples_evaluated"); got != 4*12*20 {
+		t.Fatalf("samples_evaluated = %d, want %d", got, 4*12*20)
 	}
-	// Every faulted unit should have flags; count write-backs through
-	// the viz backend below.
+	if got := metricValue(t, handler, "anomalies_written"); got != int64(len(flags)) {
+		t.Fatalf("anomalies_written = %d, Detect returned %d flags", got, len(flags))
+	}
+	if got := sys.feeder.FlagsPublished.Value(); got != int64(len(flags)) {
+		t.Fatalf("published %d flags on the feed with a tail attached, want %d", got, len(flags))
+	}
+	if got, want := storedFlags(t, sys, 80, 99), flagKeys(flags); !slices.Equal(got, want) {
+		t.Fatalf("storage holds %d flags, Detect returned %d", len(got), len(want))
+	}
+	// Every faulted unit should have flags.
+	flagged := make(map[int]bool)
+	for _, a := range flags {
+		if a.Detector != "mgd" || a.Z != a.Score || a.Z < 0 {
+			t.Fatalf("flag %+v: want detector mgd and Z = Score = |z|", a)
+		}
+		flagged[a.Unit] = true
+	}
 	faulty := 0
-	flagged := 0
 	for _, u := range sys.Units() {
 		if sys.Fleet.UnitFault(u).Class == simdata.FaultNone {
 			continue
 		}
 		faulty++
-		for _, rep := range reports[u] {
-			if rep.Anomalous() {
-				flagged++
-				break
-			}
+		if !flagged[u] {
+			t.Fatalf("faulty unit %d raised no flags", u)
 		}
 	}
 	if faulty == 0 {
 		t.Fatal("test fleet has no faulty units; raise FaultFraction")
 	}
-	if flagged < faulty {
-		t.Fatalf("only %d of %d faulty units flagged", flagged, faulty)
+
+	// The shadow family saw Detect's batches.
+	if err := sys.feeder.DrainShadows(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var ds v1.DetectorsResponse
+	if err := json.Unmarshal(do(handler, "GET", "/api/v1/detectors", "", "").Body.Bytes(), &ds); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range ds.Detectors {
+		switch {
+		case d.Name == "mgd" && (d.Mode != "primary" || d.Flags != int64(len(flags))):
+			t.Fatalf("detectors report for the primary = %+v, want %d flags", d, len(flags))
+		case d.Name == "cusum" && (d.Mode != "shadow" || d.Agreements+d.Disagreements == 0):
+			t.Fatalf("shadow never compared a row Detect flagged: %+v", d)
+		}
 	}
 
-	// The visualization must surface the flags (Figure 3 path), served
-	// through the gateway like production.
-	handler, tail := sys.Gateway(100, GatewayConfig{AccessLog: log.New(io.Discard, "", 0)})
-	defer tail.Close()
+	// The visualization must surface the flags (Figure 3 path).
 	req := httptest.NewRequest("GET", "/?from=80&to=100", nil)
 	rec := httptest.NewRecorder()
 	handler.ServeHTTP(rec, req)
@@ -154,18 +244,107 @@ func TestTrainFromFleetMatchesTSDBPath(t *testing.T) {
 	}
 }
 
+// TestDetectWithoutTrainingFails pins Detect's contract on untrained
+// units: it scores the whole fleet, not the catalog's entries, so under
+// "mgd" an untrained unit fails the call with nothing written, and a
+// model-free primary needs no catalog at all.
 func TestDetectWithoutTrainingFails(t *testing.T) {
 	sys := newSmallSystem(t)
 	if _, err := sys.IngestRange(0, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Detect(0, 5); err == nil {
-		// ProcessFleet with an empty catalog returns no units — that is
-		// acceptable; but it must not invent reports.
-		reports, _ := sys.Detect(0, 5)
-		if len(reports) != 0 {
-			t.Fatal("reports produced without trained models")
+	flags, err := sys.Detect(0, 5)
+	if !errors.Is(err, core.ErrNotTrained) {
+		t.Fatalf("Detect without models = %v, want core.ErrNotTrained", err)
+	}
+	if len(flags) != 0 || sys.feeder.AnomaliesWritten.Value() != 0 || len(storedFlags(t, sys, 0, 10)) != 0 {
+		t.Fatalf("untrained Detect wrote flags: returned %d, counted %d", len(flags), sys.feeder.AnomaliesWritten.Value())
+	}
+
+	free := newSmallSystem(t, func(c *Config) { c.PrimaryDetector = "zscore" })
+	if _, err := free.IngestRange(0, 100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := free.Detect(0, 100); err != nil {
+		t.Fatalf("model-free primary with an empty catalog: %v", err)
+	}
+	if got := free.feeder.SamplesEvaluated.Value(); got != 4*12*100 {
+		t.Fatalf("zscore evaluated %d samples, want %d", got, 4*12*100)
+	}
+}
+
+// TestDetectPropagatesUnitErrors: one unit's failure (a corrupt model)
+// surfaces through the per-worker fan-out and fails the whole call
+// before anything is written.
+func TestDetectPropagatesUnitErrors(t *testing.T) {
+	sys := newSmallSystem(t)
+	if _, err := sys.IngestRange(0, 80); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.TrainFromTSDB(0, 50, true); err != nil {
+		t.Fatal(err)
+	}
+	data, err := (&core.Model{Unit: 1, Sensors: 12}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Catalog.Store.Put("models/unit-1", data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Detect(60, 20); err == nil {
+		t.Fatal("corrupt model must fail the fleet evaluation")
+	}
+	if got := sys.feeder.AnomaliesWritten.Value(); got != 0 {
+		t.Fatalf("failed Detect wrote %d flags", got)
+	}
+}
+
+// TestDetectParksOnTransientStorageFault: Detect rides out a storage
+// blackout the way a pool worker does — parked, retrying, then done —
+// instead of failing on the first refused write.
+func TestDetectParksOnTransientStorageFault(t *testing.T) {
+	sys := newSmallSystem(t)
+	if _, err := sys.IngestRange(0, 80); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.TrainFromTSDB(0, 50, true); err != nil {
+		t.Fatal(err)
+	}
+	handler, tail := sys.Gateway(80, GatewayConfig{AccessLog: log.New(io.Discard, "", 0)})
+	defer tail.Close()
+	inj := faultinject.New(1)
+	sys.SetFaults(inj)
+	inj.Set("blackout-put", faultinject.Rule{Op: "tsdb/put/", ErrorRate: 1})
+
+	type result struct {
+		flags []core.Anomaly
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		flags, err := sys.Detect(60, 20)
+		done <- result{flags, err}
+	}()
+	deadline := time.Now().Add(30 * time.Second)
+	for metricValue(t, handler, "detector_parks") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("Detect never parked on the storage fault")
 		}
+		time.Sleep(time.Millisecond)
+	}
+	inj.Clear("blackout-put")
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("Detect across a transient storage fault = %v, want nil", res.err)
+	}
+	if len(res.flags) == 0 {
+		t.Fatal("faulty fleet produced no flags; the park was never exercised")
+	}
+	if got, want := storedFlags(t, sys, 60, 79), flagKeys(res.flags); !slices.Equal(got, want) {
+		t.Fatalf("storage holds %d flags after the blackout, Detect returned %d", len(got), len(want))
+	}
+	if parked := metricValue(t, handler, "detector_parked"); parked != 0 {
+		t.Fatalf("detector_parked = %d after Detect returned", parked)
 	}
 }
 
