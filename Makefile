@@ -12,8 +12,9 @@ EVAL_BENCH = BenchmarkFDRCorrections|BenchmarkOnlineEvalThroughput
 # gated by bench-allocs. BenchmarkBusPublish also matches
 # BenchmarkBusPublishConsume; BenchmarkGatewayPutPath pins the /api/v1
 # ingest edge through the full middleware chain; BenchmarkDetectorBatch
-# matches every detector family's warmed batch path.
-ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|BenchmarkBusPublish|BenchmarkQueryCacheHit|BenchmarkGatewayPutPath|BenchmarkDetectorBatch|BenchmarkCompressedScan
+# matches every detector family's warmed batch path;
+# BenchmarkRegionPutInOrder is the hot tier's in-order append.
+ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|BenchmarkBusPublish|BenchmarkQueryCacheHit|BenchmarkGatewayPutPath|BenchmarkDetectorBatch|BenchmarkCompressedScan|BenchmarkRegionPutInOrder
 
 # GATE_BENCHTIME drives the bench-gate comparison runs: long enough for
 # stable ns/op medians, short enough for a PR loop.
@@ -74,12 +75,13 @@ bench-json: bench-query
 # is also pinned by bench-allocs), LTTB bounding, and the compressed
 # storage tier (zero-alloc block scan, compression ratio, rollup-served
 # wide windows), and the hot tier underneath both (a region scan that
-# costs its range, not its region; the in-order put).
+# costs its range, not its region; the in-order put; the heap a hot
+# cell costs across WAL and memstore).
 bench-query:
 	@rm -f bench-query.out
 	$(GO) test -run '^$$' -bench 'BenchmarkQuery' -benchtime $(BENCHTIME) -benchmem ./internal/query/ > bench-query.out
 	$(GO) test -run '^$$' -bench 'BenchmarkCompressedScan|BenchmarkBlockCompress|BenchmarkRollupQuery' -benchtime $(BENCHTIME) -benchmem ./internal/tsdb/ >> bench-query.out
-	$(GO) test -run '^$$' -bench 'BenchmarkRegionScanNarrow|BenchmarkRegionPutInOrder' -benchtime $(BENCHTIME) -benchmem ./internal/hbase/ >> bench-query.out
+	$(GO) test -run '^$$' -bench 'BenchmarkRegionScanNarrow|BenchmarkRegionPutInOrder|BenchmarkHotTierFootprint' -benchtime $(BENCHTIME) -benchmem ./internal/hbase/ >> bench-query.out
 	$(GO) run ./cmd/benchgate -json BENCH_query.json < bench-query.out
 	@rm -f bench-query.out
 
@@ -93,7 +95,7 @@ bench-query:
 bench-allocs:
 	@rm -f bench-allocs.out
 	$(GO) test -run '^$$' -bench '$(ALLOC_BENCH)' -benchtime 1x -benchmem -cpu 1 \
-		./internal/core/ ./internal/fdr/ ./internal/linalg/ ./internal/bus/ ./internal/query/ ./internal/api/ ./internal/mllib/ ./internal/tsdb/ > bench-allocs.out
+		./internal/core/ ./internal/fdr/ ./internal/linalg/ ./internal/bus/ ./internal/query/ ./internal/api/ ./internal/mllib/ ./internal/tsdb/ ./internal/hbase/ > bench-allocs.out
 	$(GO) run ./cmd/benchgate -allocs ALLOC_PINS < bench-allocs.out
 	@rm -f bench-allocs.out
 
@@ -107,7 +109,7 @@ bench-gate:
 	@rm -f bench-gate.out
 	$(GO) test -run '^$$' -bench 'BenchmarkQueryCacheHit|BenchmarkQueryColdScatterGather' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/query/ > bench-gate.out
 	$(GO) test -run '^$$' -bench 'BenchmarkCompressedScan|BenchmarkBlockCompress' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/tsdb/ >> bench-gate.out
-	$(GO) test -run '^$$' -bench 'BenchmarkRegionScanNarrow' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/hbase/ >> bench-gate.out
+	$(GO) test -run '^$$' -bench 'BenchmarkRegionScanNarrow|BenchmarkHotTierFootprint' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/hbase/ >> bench-gate.out
 	$(GO) test -run '^$$' -bench 'BenchmarkOnlineEvalThroughput' -benchtime $(GATE_BENCHTIME) -benchmem . >> bench-gate.out
 	$(GO) run ./cmd/benchgate -pins BENCH_PINS -baseline BENCH_query.json -baseline BENCH_evaluation.json -skip BenchmarkLoad < bench-gate.out
 	@rm -f bench-gate.out

@@ -19,8 +19,9 @@
 // `ns_per_op`, `bytes_per_op`, `allocs_per_op`, or any custom unit the
 // benchmark reports (`samples/s`, `bytes/sample`, ...). Tolerance is a
 // factor >= 1: lower-is-better metrics (ns/op, B/op, allocs/op,
-// bytes/sample) fail when fresh > baseline*tolerance; higher-is-better
-// metrics (rates) fail when fresh < baseline/tolerance. Tolerances
+// bytes/sample, heap-B/cell) fail when fresh > baseline*tolerance;
+// higher-is-better metrics (rates) fail when fresh < baseline/tolerance.
+// Tolerances
 // absorb shared-runner noise; a genuine 2x regression still fails.
 // After an intentional perf change, refresh the baselines
 // (`make bench-json`) in the same commit.
@@ -94,6 +95,7 @@ var lowerBetter = map[string]bool{
 	"bytes_per_op":  true,
 	"allocs_per_op": true,
 	"bytes/sample":  true,
+	"heap-B/cell":   true,
 }
 
 type multiFlag []string

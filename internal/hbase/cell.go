@@ -6,20 +6,37 @@
 //   - Regions: contiguous row-key ranges served by RegionServers, with
 //     in-memory MemStores flushed to immutable store files in HDFS and
 //     a write-ahead log for crash recovery.
-//   - Row-ordered MemStores: a hash index row → row record for O(1)
-//     puts, the row records in a key-sorted slice, and each row's cells
-//     in a qualifier-sorted slice (memstore.go). A scan seeks every
-//     source — store files, a flush snapshot in flight, the live
+//   - Packed, row-ordered MemStores: a hash index row → row record for
+//     O(1) puts and the row records in a key-sorted slice; a row record
+//     is its key, one append-only byte arena of entries (flags,
+//     qualifier and value lengths, qualifier, value — a fixed 6-byte
+//     header) and the 32-bit offsets of the live entries in qualifier
+//     order (memstore.go). An in-order put appends to both and allocates
+//     nothing once they have grown; an overwrite or delete repoints or
+//     removes the offset, and the row is repacked into a fresh arena
+//     once more than half of it is dead. A hot cell costs its payload
+//     plus 10 bytes, not a Cell struct and a buffer, and the size the
+//     flush threshold bounds is the bytes the rows hold. A scan seeks
+//     every source — store files, a flush snapshot in flight, the live
 //     memstore — to its start row by binary search and merges them
-//     newest-wins up to the end row or the limit, so a read costs
-//     O(log rows) plus the cells in its range, whatever the region
-//     holds. A delete marker lives only while a store file or a flush
-//     snapshot could still hold an older version of its slot;
-//     otherwise the delete frees the slot (and an emptied row) at once.
+//     newest-wins up to the end row or the limit, decoding packed
+//     entries as it emits them, so a read costs O(log rows) plus the
+//     cells in its range, whatever the region holds. A delete marker
+//     lives only while a store file or a flush snapshot could still
+//     hold an older version of its slot; otherwise the delete frees the
+//     slot (and an emptied row) at once.
+//   - A byte WAL: each server's log is a list of fixed-size chunks
+//     holding one record per put RPC — region, sequence, then every
+//     cell of the batch with its row key — encoded straight from the
+//     request under the region's sequence lock (wal.go). Records are
+//     decoded only when a dead server's log is replayed. Truncating a
+//     flushed region releases the chunks it alone filled and rewrites
+//     the ones it shared, so the log's memory follows what is unflushed.
 //   - Immutable cell bytes: the Row, Qual and Value of cells a scan
-//     returns alias the store's own bytes. The store never modifies
-//     them (an overwrite replaces the cell), and callers must not
-//     either.
+//     returns alias the store's own bytes — row keys, arenas, store
+//     files. The store never modifies them (an overwrite appends a new
+//     entry; a repack copies to a new arena and leaves the old one to
+//     its holders), and callers must not either.
 //   - Bounded RPC queues: RegionServers crash when their inbound queue
 //     overflows persistently (§III-B), which is why the ingestion
 //     pipeline needs the buffering reverse proxy.
@@ -63,16 +80,6 @@ func (c Cell) Less(o Cell) bool { return c.compare(o) < 0 }
 // Same reports whether two cells address the same (Row, Qual) slot.
 func (c Cell) Same(o Cell) bool {
 	return bytes.Equal(c.Row, o.Row) && bytes.Equal(c.Qual, o.Qual)
-}
-
-// clone deep-copies a cell so callers can reuse buffers.
-func (c Cell) clone() Cell {
-	return Cell{
-		Row:   append([]byte(nil), c.Row...),
-		Qual:  append([]byte(nil), c.Qual...),
-		Value: append([]byte(nil), c.Value...),
-		Tomb:  c.Tomb,
-	}
 }
 
 // encodeCells serializes cells for a store file: a length-prefixed

@@ -186,6 +186,9 @@ func (cl *Client) mutate(ctx context.Context, cells []Cell, method string, req f
 			if errors.Is(err, rpc.ErrQueueOverflow) && failFast {
 				return err // surface backpressure to the caller
 			}
+			if errors.Is(err, ErrCellTooLarge) {
+				return err // no retry makes the cell fit
+			}
 			lastErr = err
 			failed = append(failed, groups[ids[i]]...)
 		}

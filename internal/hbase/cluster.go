@@ -241,6 +241,28 @@ func (c *Cluster) TotalCellsWritten() int64 {
 	return total
 }
 
+// MemstoreBytes returns the bytes the live servers' memstores hold:
+// row keys, packed entries (superseded ones included until their row
+// repacks) and offset indexes.
+func (c *Cluster) MemstoreBytes() int64 {
+	var total int64
+	for _, rs := range c.RegionServers() {
+		if rs.Crashed() {
+			continue // its regions were reopened elsewhere
+		}
+		rs.mu.RLock()
+		for _, r := range rs.regions {
+			total += int64(r.memSize())
+		}
+		rs.mu.RUnlock()
+	}
+	return total
+}
+
+// WALBytes returns the record bytes the write-ahead logs hold: what was
+// put and not yet flushed, on every server.
+func (c *Cluster) WALBytes() int64 { return int64(c.wal.Bytes()) }
+
 // WriteShares returns each live server's fraction of all written
 // cells — the hotspotting diagnostic for the salting experiment.
 func (c *Cluster) WriteShares() map[string]float64 {

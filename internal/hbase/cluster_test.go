@@ -1,8 +1,10 @@
 package hbase
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -463,5 +465,111 @@ func TestShutdownRaceUnderLoad(t *testing.T) {
 	// The fabric must reject, not panic: a post-stop put fails cleanly.
 	if err := cl.Put([]Cell{cell("after", "q", "v")}); err == nil {
 		t.Fatal("put after cluster stop must fail")
+	}
+}
+
+// TestPutRejectsOversizedCell: a qualifier or value the packed entry
+// header cannot express is refused outright — not truncated, not
+// retried — and nothing of its batch is stored.
+func TestPutRejectsOversizedCell(t *testing.T) {
+	c := newTestCluster(t, Config{RegionServers: 1})
+	if err := c.CreateTable(nil); err != nil {
+		t.Fatal(err)
+	}
+	cl := c.NewClient(ClientConfig{})
+	for name, big := range map[string]Cell{
+		"row":       {Row: make([]byte, maxRowLen+1), Qual: []byte("q"), Value: []byte("v")},
+		"qualifier": {Row: []byte("r"), Qual: make([]byte, maxQualLen+1), Value: []byte("v")},
+		"value":     {Row: []byte("r"), Qual: []byte("q"), Value: make([]byte, maxValueLen+1)},
+	} {
+		err := cl.Put([]Cell{cell("ok", "q", "v"), big})
+		if !errors.Is(err, ErrCellTooLarge) || errors.Is(err, ErrRetriesExhausted) {
+			t.Fatalf("put with an oversized %s = %v, want ErrCellTooLarge at once", name, err)
+		}
+	}
+	if got, err := cl.Scan(nil, nil, 0); err != nil || len(got) != 0 {
+		t.Fatalf("scan after rejected puts = %v, %v; want nothing stored", got, err)
+	}
+	if c.WALBytes() != 0 || c.MemstoreBytes() != 0 {
+		t.Fatalf("rejected puts left %d WAL bytes, %d memstore bytes", c.WALBytes(), c.MemstoreBytes())
+	}
+	at := Cell{Row: []byte("r"), Qual: make([]byte, maxQualLen), Value: make([]byte, maxValueLen)}
+	if err := cl.Put([]Cell{at}); err != nil {
+		t.Fatalf("put at the limits: %v", err)
+	}
+	got, err := cl.Scan(nil, nil, 0)
+	if err != nil || len(got) != 1 || len(got[0].Qual) != maxQualLen || len(got[0].Value) != maxValueLen {
+		t.Fatalf("scan of the cell at the limits = %d cells, %v", len(got), err)
+	}
+}
+
+// TestFailoverReplaysPackedWAL: what a server logged as byte records —
+// multi-cell batches spanning rows under one sequence, overwrites,
+// delete markers shadowing flushed cells — is what its regions hold
+// after it dies, and again after the server that replayed it dies.
+func TestFailoverReplaysPackedWAL(t *testing.T) {
+	c := newTestCluster(t, Config{RegionServers: 3, FlushThresholdBytes: -1})
+	if err := c.CreateTable(byteSplits(2)); err != nil {
+		t.Fatal(err)
+	}
+	m, err := c.ActiveMaster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := c.NewClient(ClientConfig{})
+	rng := rand.New(rand.NewSource(5))
+	ref := make(map[[2]string]string)
+	rows := []string{"\x01a", "\x01b", "\x20c", "\x90d", "\x90e", "\xf0f"} // both regions
+	write := func(steps int) {
+		for step := 0; step < steps; step++ {
+			batch := make([]Cell, 1+rng.Intn(6))
+			for i := range batch {
+				batch[i] = cell(rows[rng.Intn(len(rows))], fmt.Sprintf("q%d", rng.Intn(8)), fmt.Sprintf("v%d.%d", step, i))
+			}
+			if rng.Intn(3) == 0 {
+				if err := cl.Delete(batch); err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range batch {
+					delete(ref, [2]string{string(c.Row), string(c.Qual)})
+				}
+				continue
+			}
+			if err := cl.Put(batch); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range batch { // within a batch the later cell wins
+				ref[[2]string{string(c.Row), string(c.Qual)}] = string(c.Value)
+			}
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		got, err := cl.Scan(nil, nil, 0) // retries until the master reassigns
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := render(got), render(modelScan(ref, "", "", 0)); got != want {
+			t.Fatalf("%s:\n got %q\nwant %q", stage, got, want)
+		}
+	}
+	write(60)
+	for _, ri := range m.Regions() { // later deletes must shadow these files
+		if _, err := c.net.Call(context.Background(), rsAddr(ri.Server), "flush", &FlushRequest{Region: ri.ID}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(120)
+	check("before any crash")
+	for _, stage := range []string{"after the first failover", "after failing over the replayed log"} {
+		if c.WALBytes() == 0 {
+			t.Fatalf("%s: nothing in the WAL to replay", stage)
+		}
+		if err := c.KillRegionServer(m.Regions()[0].Server); err != nil {
+			t.Fatal(err)
+		}
+		check(stage)
+		write(40)
+		check(stage + ", then written to")
 	}
 }

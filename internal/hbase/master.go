@@ -265,7 +265,7 @@ func (m *Master) reconcile() {
 // assignRegion opens ri on a live server, replaying the previous
 // owner's WAL when there was one.
 func (m *Master) assignRegion(ri *RegionInfo, live []string, prevOwner string) error {
-	var replay []walEntry
+	var replay []walRecord
 	if prevOwner != "" {
 		replay = m.clu.wal.EntriesFor(prevOwner, ri.ID, 0)
 	}

@@ -2,33 +2,150 @@ package hbase
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"sort"
 )
 
-// memRow is one memstore row: its key and the newest version of each of
-// its slots, in qualifier order. Every cell's Row aliases key.
+// A row entry is one cell version packed into its row's arena:
+//
+//	flags u8 | qual-len u16 | value-len u24 | qual | value
+//
+// little-endian, with the row key held once by the memRow. The header is
+// fixed-width so a scan decodes an entry with loads at known offsets.
+const (
+	entryHeader = 6
+	entryTomb   = 1 << 0 // flags: the entry is a delete marker
+
+	// maxRowLen bounds a row key only in the WAL record (wal.go), which
+	// carries it per cell; handlePut checks all three limits.
+	maxRowLen   = 1<<16 - 1
+	maxQualLen  = 1<<16 - 1
+	maxValueLen = 1<<24 - 1
+)
+
+// checkCellLens rejects a cell whose fields the packed headers cannot
+// express.
+func checkCellLens(c Cell) error {
+	switch {
+	case len(c.Row) > maxRowLen:
+		return fmt.Errorf("row key of %d bytes exceeds %d", len(c.Row), maxRowLen)
+	case len(c.Qual) > maxQualLen:
+		return fmt.Errorf("qualifier of %d bytes exceeds %d", len(c.Qual), maxQualLen)
+	case len(c.Value) > maxValueLen:
+		return fmt.Errorf("value of %d bytes exceeds %d", len(c.Value), maxValueLen)
+	}
+	return nil
+}
+
+func entrySize(c Cell) int { return entryHeader + len(c.Qual) + len(c.Value) }
+
+// cellFlags returns the flags byte of c's packed forms.
+func cellFlags(c Cell) byte {
+	if c.Tomb {
+		return entryTomb
+	}
+	return 0
+}
+
+// appendEntry packs c (minus its row key) onto dst.
+func appendEntry(dst []byte, c Cell) []byte {
+	ql, vl := len(c.Qual), len(c.Value)
+	dst = append(dst, cellFlags(c), byte(ql), byte(ql>>8), byte(vl), byte(vl>>8), byte(vl>>16))
+	dst = append(dst, c.Qual...)
+	return append(dst, c.Value...)
+}
+
+// entryLens reads the qualifier and value lengths from the header of
+// the entry at the front of e.
+func entryLens(e []byte) (ql, vl int) {
+	return int(e[1]) | int(e[2])<<8, int(e[3]) | int(e[4])<<8 | int(e[5])<<16
+}
+
+// memRow is one memstore row: its key, the arena its entries are
+// appended to, and the offsets of the live entries — the newest version
+// of each slot — in qualifier order. Arena bytes are never rewritten: a
+// superseded or removed entry stays where it is, counted in dead, until
+// repack moves the live ones to a fresh arena. Offsets are 32-bit: one
+// row's arena stays below 4 GiB.
 type memRow struct {
 	key   []byte
-	cells []Cell
+	arena []byte
+	offs  []uint32
+	dead  int
+}
+
+// size is the bytes the row holds: key, arena (dead entries included)
+// and offset index.
+func (row *memRow) size() int { return len(row.key) + len(row.arena) + 4*len(row.offs) }
+
+// qual returns the qualifier of the entry at off.
+func (row *memRow) qual(off uint32) []byte {
+	e := row.arena[off:]
+	ql, _ := entryLens(e)
+	return e[entryHeader : entryHeader+ql]
+}
+
+// entryLen returns the arena bytes the entry at off occupies.
+func (row *memRow) entryLen(off uint32) int {
+	ql, vl := entryLens(row.arena[off:])
+	return entryHeader + ql + vl
+}
+
+// decode reads the entry at off into c, whose fields then alias the
+// row's key and arena. Capacities are clipped: appending to a field
+// cannot reach its neighbour.
+func (row *memRow) decode(off uint32, c *Cell) {
+	e := row.arena[off:]
+	ql, vl := entryLens(e)
+	q, v := entryHeader+ql, entryHeader+ql+vl
+	c.Row, c.Qual, c.Value, c.Tomb = row.key, e[entryHeader:q:q], e[q:v:v], e[0]&entryTomb != 0
+}
+
+// cell returns the entry at off, decoded.
+func (row *memRow) cell(off uint32) (c Cell) {
+	row.decode(off, &c)
+	return c
+}
+
+// seek returns the position in offs of the first entry whose qualifier
+// is >= qual, and whether it is qual's own slot.
+func (row *memRow) seek(qual []byte) (at int, found bool) {
+	at = len(row.offs)
+	// The usual put is the row's next qualifier: past the last entry.
+	if at == 0 || bytes.Compare(row.qual(row.offs[at-1]), qual) < 0 {
+		return at, false
+	}
+	at = sort.Search(at, func(i int) bool { return bytes.Compare(row.qual(row.offs[i]), qual) >= 0 })
+	return at, bytes.Equal(row.qual(row.offs[at]), qual)
+}
+
+// repack moves the live entries to a fresh arena. The old one is left
+// intact for the scan results that alias it.
+func (row *memRow) repack() {
+	arena := make([]byte, 0, len(row.arena)-row.dead)
+	for i, off := range row.offs {
+		row.offs[i] = uint32(len(arena))
+		arena = append(arena, row.arena[off:int(off)+row.entryLen(off)]...)
+	}
+	row.arena, row.dead = arena, 0
 }
 
 // memstore is a region's write buffer, kept in row order: index finds a
 // row in O(1) for puts, rows (sorted by key) is what scans seek and
 // walk. TSDB writes arrive in time order per series-hour, so the usual
-// put is an index hit plus an append to the row; out-of-order rows and
-// qualifiers binary-insert. Stored key, qualifier and value bytes are
-// never modified once written — an overwrite replaces the cell — which
-// is what lets scans hand out cells that alias them.
+// put is an index hit plus an append to the row's arena and offsets;
+// out-of-order rows and qualifiers binary-insert. Stored key and entry
+// bytes are never modified once written — an overwrite appends a new
+// entry and repoints the slot — which is what lets scans hand out cells
+// that alias them.
 type memstore struct {
 	index map[string]*memRow
 	rows  []*memRow
-	size  int // approximate bytes: row + qualifier + value per slot
+	size  int // bytes held: the sum of the rows' size()
 }
 
 func newMemstore() *memstore { return &memstore{index: make(map[string]*memRow)} }
-
-func cellSize(c Cell) int { return len(c.Row) + len(c.Qual) + len(c.Value) }
 
 // cutRange returns the positions [lo, hi) that the keys of [start, end)
 // occupy among n sorted keys (empty start or end: unbounded).
@@ -61,52 +178,63 @@ func (m *memstore) row(key []byte, create bool) *memRow {
 		at, _ = cutRange(at, m.rowKey, key, nil)
 	}
 	m.rows = slices.Insert(m.rows, at, row)
+	m.size += len(row.key)
 	return row
 }
 
 // set stores a copy of c as the newest version of its slot in row.
 func (m *memstore) set(row *memRow, c Cell) {
-	at := len(row.cells)
-	if at > 0 && bytes.Compare(row.cells[at-1].Qual, c.Qual) >= 0 {
-		at = sort.Search(at, func(i int) bool { return bytes.Compare(row.cells[i].Qual, c.Qual) >= 0 })
+	at, found := row.seek(c.Qual)
+	off := uint32(len(row.arena))
+	row.arena = appendEntry(row.arena, c)
+	m.size += entrySize(c)
+	if !found {
+		row.offs = slices.Insert(row.offs, at, off)
+		m.size += 4
+		return
 	}
-	// One buffer holds qualifier and value; the qualifier's capacity is
-	// clipped so appending to it cannot reach the value.
-	buf := make([]byte, len(c.Qual)+len(c.Value))
-	n := copy(buf, c.Qual)
-	copy(buf[n:], c.Value)
-	cc := Cell{Row: row.key, Qual: buf[:n:n], Value: buf[n:], Tomb: c.Tomb}
-	if at < len(row.cells) && bytes.Equal(row.cells[at].Qual, c.Qual) {
-		m.size -= cellSize(row.cells[at])
-		row.cells[at] = cc
-	} else {
-		row.cells = slices.Insert(row.cells, at, cc)
-	}
-	m.size += cellSize(cc)
+	row.dead += row.entryLen(row.offs[at])
+	row.offs[at] = off
+	m.reclaim(row)
 }
 
-// sweep drops the delete markers of the given rows, and the rows they
-// leave empty.
-func (m *memstore) sweep(rows []*memRow) {
+// unset removes qual's slot from row, if it holds one.
+func (m *memstore) unset(row *memRow, qual []byte) {
+	at, found := row.seek(qual)
+	if !found {
+		return
+	}
+	row.dead += row.entryLen(row.offs[at])
+	row.offs = slices.Delete(row.offs, at, at+1)
+	m.size -= 4
+}
+
+// reclaim repacks row once more than half of its arena is dead.
+func (m *memstore) reclaim(row *memRow) {
+	if row.dead > len(row.arena)/2 {
+		m.size -= row.dead
+		row.repack()
+	}
+}
+
+// settle finishes a batch of unsets: it drops the given rows that were
+// left empty and reclaims the others' dead bytes.
+func (m *memstore) settle(rows []*memRow) {
 	emptied := false
 	for _, row := range rows {
-		kept := row.cells[:0]
-		for _, c := range row.cells {
-			if c.Tomb {
-				m.size -= cellSize(c)
-			} else {
-				kept = append(kept, c)
-			}
+		if len(row.offs) > 0 {
+			m.reclaim(row)
+			continue
 		}
-		clear(row.cells[len(kept):])
-		row.cells = kept
-		if len(row.cells) == 0 {
-			delete(m.index, string(row.key))
-			emptied = true
+		if m.index[string(row.key)] != row {
+			continue // listed twice, dropped the first time
 		}
+		m.size -= row.size()
+		delete(m.index, string(row.key))
+		emptied = true
 	}
 	if emptied {
-		m.rows = slices.DeleteFunc(m.rows, func(row *memRow) bool { return len(row.cells) == 0 })
+		m.rows = slices.DeleteFunc(m.rows, func(row *memRow) bool { return len(row.offs) == 0 })
 	}
 }
 
@@ -114,8 +242,8 @@ func (m *memstore) sweep(rows []*memRow) {
 func (m *memstore) absorb(newer *memstore) {
 	for _, src := range newer.rows {
 		dst := m.row(src.key, true)
-		for _, c := range src.cells {
-			m.set(dst, c)
+		for _, off := range src.offs {
+			m.set(dst, src.cell(off))
 		}
 	}
 }
@@ -134,29 +262,71 @@ func fileRun(cells []Cell, start, end []byte) run {
 }
 
 // run is a cursor over one sorted source of a merge: a store file's
-// cells, or a memstore's rows (cells is then the rest of the current
-// row and rows what follows it).
+// cells, or a memstore's packed rows — row is then the current row,
+// offs what is left of it and rows what follows it.
 type run struct {
 	cells []Cell
-	rows  []*memRow
+
+	rows []*memRow
+	row  *memRow
+	offs []uint32
 }
 
-// head returns the cursor's current cell, or nil at the end.
-func (u *run) head() *Cell {
-	for len(u.cells) == 0 {
+// more reports whether the cursor is on a cell, moving a packed cursor
+// on to its next row when it has finished one.
+func (u *run) more() bool {
+	for len(u.cells) == 0 && len(u.offs) == 0 {
 		if len(u.rows) == 0 {
-			return nil
+			return false
 		}
-		u.cells, u.rows = u.rows[0].cells, u.rows[1:]
+		u.row, u.rows = u.rows[0], u.rows[1:]
+		u.offs = u.row.offs
 	}
-	return &u.cells[0]
+	return true
+}
+
+// slot returns the (row, qualifier) of the cell at the cursor.
+func (u *run) slot() (row, qual []byte) {
+	if len(u.cells) > 0 {
+		return u.cells[0].Row, u.cells[0].Qual
+	}
+	return u.row.key, u.row.qual(u.offs[0])
+}
+
+// compare orders the cells at two cursors by (Row, Qual).
+func (u *run) compare(o *run) int {
+	row, qual := u.slot()
+	orow, oqual := o.slot()
+	if r := bytes.Compare(row, orow); r != 0 {
+		return r
+	}
+	return bytes.Compare(qual, oqual)
+}
+
+// read writes the cell at the cursor to dst; a packed entry is decoded
+// into fields that alias its row.
+func (u *run) read(dst *Cell) {
+	if len(u.cells) > 0 {
+		*dst = u.cells[0]
+		return
+	}
+	u.row.decode(u.offs[0], dst)
+}
+
+// next steps past the cell at the cursor.
+func (u *run) next() {
+	if len(u.cells) > 0 {
+		u.cells = u.cells[1:]
+	} else {
+		u.offs = u.offs[1:]
+	}
 }
 
 // remaining counts the cells from the cursor to the end.
 func (u *run) remaining() int {
-	n := len(u.cells)
+	n := len(u.cells) + len(u.offs)
 	for _, row := range u.rows {
-		n += len(row.cells)
+		n += len(row.offs)
 	}
 	return n
 }
@@ -179,17 +349,16 @@ func mergeRuns(runs []run, limit int, keepTombs bool) (out []Cell, walked int) {
 		var best *run
 		for i := range runs {
 			u := &runs[i]
-			c := u.head()
-			if c == nil {
+			if !u.more() {
 				continue
 			}
 			if best != nil {
-				order := c.compare(best.cells[0])
+				order := u.compare(best)
 				if order > 0 {
 					continue
 				}
 				if order == 0 { // the newer run shadows the older
-					best.cells = best.cells[1:]
+					best.next()
 					walked++
 				}
 			}
@@ -198,10 +367,14 @@ func mergeRuns(runs []run, limit int, keepTombs bool) (out []Cell, walked int) {
 		if best == nil {
 			break
 		}
-		if c := best.cells[0]; keepTombs || !c.Tomb {
-			out = append(out, c)
+		// Read straight into the result's next slot (size counted every
+		// cell, so there is one); a delete marker is backed out again.
+		out = out[:len(out)+1]
+		best.read(&out[len(out)-1])
+		if !keepTombs && out[len(out)-1].Tomb {
+			out = out[:len(out)-1]
 		}
-		best.cells = best.cells[1:]
+		best.next()
 		walked++
 	}
 	return out, walked

@@ -219,19 +219,40 @@ func render(cells []Cell) string {
 	return b.String()
 }
 
+// modelSchedule weights the steps of one TestRegionMatchesModel run:
+// of 20, put steps put or delete a batch, flush, failFlush and compact
+// do that, and the rest reopen the region from store files and WAL.
+type modelSchedule struct {
+	name                           string
+	put, flush, failFlush, compact int
+	tombOneIn                      int  // a put cell is a delete one time in this many
+	wantRepack                     bool // the run must repack a row under a held scan result
+}
+
+var modelSchedules = []modelSchedule{
+	{name: "", put: 11, flush: 3, failFlush: 1, compact: 2, tombOneIn: 3},
+	// Long stretches between flushes over 40 slots: nearly every put
+	// lands on a slot the memstore already holds.
+	{name: "overwrite/", put: 18, flush: 0, failFlush: 1, compact: 0, tombOneIn: 12, wantRepack: true},
+	{name: "delete/", put: 17, flush: 1, failFlush: 0, compact: 1, tombOneIn: 2, wantRepack: true},
+}
+
 // TestRegionMatchesModel runs seeded random schedules of put /
 // overwrite / delete / flush / failed flush / compact / reopen against
 // a naive reference map. After every step, scans over random ranges and
 // limits must equal the reference: sorted by (Row, Qual), no delete
-// marker returned, no deleted cell resurrected.
+// marker returned, no deleted cell resurrected — and every scan result
+// still held from an earlier step must read byte for byte as it did
+// when it was returned, whatever the store repacked or flushed since.
 func TestRegionMatchesModel(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runRegionModel(t, seed, 250) })
+	for _, sched := range modelSchedules {
+		for seed := int64(1); seed <= 40; seed++ {
+			t.Run(fmt.Sprintf("%sseed=%d", sched.name, seed), func(t *testing.T) { runRegionModel(t, sched, seed, 250) })
+		}
 	}
 }
 
-func runRegionModel(t *testing.T, seed int64, steps int) {
+func runRegionModel(t *testing.T, sched modelSchedule, seed int64, steps int) {
 	rng := rand.New(rand.NewSource(seed))
 	// Keys that are prefixes of one another, and empty qualifiers, are
 	// where an ordering or slot-identity bug would show.
@@ -242,44 +263,51 @@ func runRegionModel(t *testing.T, seed int64, steps int) {
 	dfs := hdfs.NewCluster(2)
 	r := newRegion(info)
 	ref := make(map[[2]string]string)
-	var wal []walEntry // what a server's log would hold past the last flush
+	wal := newWALStore()                       // what the server's log holds past the last flush
+	type heldScan struct{ cells, want []Cell } // a scan result and a deep copy taken when it was returned
+	var held []heldScan
+	repacks := 0
 	fail := func(step int, format string, args ...any) {
 		t.Helper()
-		t.Fatalf("seed %d step %d: %s\nrepro: go test ./internal/hbase -run 'TestRegionMatchesModel/seed=%d$'",
-			seed, step, fmt.Sprintf(format, args...), seed)
+		t.Fatalf("seed %d step %d: %s\nrepro: go test ./internal/hbase -run 'TestRegionMatchesModel/%sseed=%d$'",
+			seed, step, fmt.Sprintf(format, args...), sched.name, seed)
 	}
 	for step := 1; step <= steps; step++ {
 		seq := int64(step)
+		arenas := make(map[*memRow]int, len(r.mem.rows))
+		for _, row := range r.mem.rows {
+			arenas[row] = len(row.arena)
+		}
 		switch op := rng.Intn(20); {
-		case op < 11: // put or delete a small batch
+		case op < sched.put: // put or delete a small batch
 			batch := make([]Cell, 1+rng.Intn(4))
 			for i := range batch {
 				c := cell(rows[rng.Intn(len(rows))], quals[rng.Intn(len(quals))], fmt.Sprintf("v%d.%d", step, i))
-				if rng.Intn(3) == 0 {
+				if rng.Intn(sched.tombOneIn) == 0 {
 					c.Tomb, c.Value = true, nil
 					delete(ref, [2]string{string(c.Row), string(c.Qual)})
 				} else {
 					ref[[2]string{string(c.Row), string(c.Qual)}] = string(c.Value)
 				}
 				batch[i] = c
-				wal = append(wal, walEntry{Region: info.ID, Seq: seq, Cell: c})
 			}
+			wal.Append("rs", info.ID, seq, batch)
 			r.put(batch, seq)
-		case op < 14:
+		case op < sched.put+sched.flush:
 			flushed, err := r.flush(dfs)
 			if err != nil {
 				fail(step, "flush: %v", err)
 			}
 			if flushed > 0 {
-				wal = wal[:0]
+				wal.Truncate("rs", info.ID, flushed)
 			}
-		case op < 15:
+		case op < sched.put+sched.flush+sched.failFlush:
 			setDataNodes(t, dfs, false)
 			if _, err := r.flush(dfs); err == nil && len(r.mem.rows) > 0 {
 				fail(step, "flush with no datanodes succeeded")
 			}
 			setDataNodes(t, dfs, true)
-		case op < 17:
+		case op < sched.put+sched.flush+sched.failFlush+sched.compact:
 			if _, err := r.compact(dfs); err != nil {
 				fail(step, "compact: %v", err)
 			}
@@ -288,12 +316,31 @@ func runRegionModel(t *testing.T, seed int64, steps int) {
 			if err != nil {
 				fail(step, "reopen: %v", err)
 			}
-			for _, e := range wal {
-				if e.Seq > flushedSeq {
-					r2.put([]Cell{e.Cell}, e.Seq)
-				}
+			for _, rec := range wal.EntriesFor("rs", info.ID, flushedSeq) {
+				r2.put(rec.Cells, rec.Seq)
 			}
 			r = r2
+		}
+		rowBytes := 0
+		for _, row := range r.mem.rows {
+			rowBytes += row.size()
+		}
+		if r.mem.size != rowBytes || len(r.mem.index) != len(r.mem.rows) {
+			fail(step, "memstore size %d with %d indexed rows; its %d rows hold %d bytes", r.mem.size, len(r.mem.index), len(r.mem.rows), rowBytes)
+		}
+		if len(held) > 0 {
+			for _, row := range r.mem.rows { // an arena only ever shrinks by a repack
+				if before, ok := arenas[row]; ok && len(row.arena) < before {
+					repacks++
+				}
+			}
+		}
+		for _, h := range held {
+			for i, c := range h.cells {
+				if w := h.want[i]; !bytes.Equal(c.Row, w.Row) || !bytes.Equal(c.Qual, w.Qual) || !bytes.Equal(c.Value, w.Value) {
+					fail(step, "a held scan result changed\n now %q\nheld %q", render(h.cells), render(h.want))
+				}
+			}
 		}
 		for probe := 0; probe < 4; probe++ {
 			start, end, limit := bounds[rng.Intn(len(bounds))], bounds[rng.Intn(len(bounds))], 0
@@ -303,11 +350,22 @@ func runRegionModel(t *testing.T, seed int64, steps int) {
 			if rng.Intn(3) == 0 {
 				limit = 1 + rng.Intn(6)
 			}
-			got := render(r.scan([]byte(start), []byte(end), limit))
+			cells := r.scan([]byte(start), []byte(end), limit)
+			got := render(cells)
 			if want := render(modelScan(ref, start, end, limit)); got != want {
 				fail(step, "scan(%q, %q, %d)\n got %q\nwant %q", start, end, limit, got, want)
 			}
+			if probe == 0 && step%8 == 0 {
+				want := make([]Cell, len(cells))
+				for i, c := range cells {
+					want[i] = Cell{Row: bytes.Clone(c.Row), Qual: bytes.Clone(c.Qual), Value: bytes.Clone(c.Value)}
+				}
+				held = append(held, heldScan{cells, want})
+			}
 		}
+	}
+	if sched.wantRepack && repacks == 0 {
+		t.Fatalf("seed %d: schedule %q never repacked a row while a scan result was held", seed, sched.name)
 	}
 }
 
@@ -392,5 +450,95 @@ func TestFailoverFlushKeepsAckedCells(t *testing.T) {
 	}
 	if len(marker.Files) != 2 {
 		t.Fatalf("store files = %v, want one per flush (%s)", marker.Files, repro)
+	}
+}
+
+// TestRowEntryRoundTrip: whatever is set into a packed row reads back
+// slot for slot in qualifier order — empty qualifiers and values, delete
+// markers, overwrites (so repacks), fields at the header limits — and
+// the memstore's size is the bytes its rows hold.
+func TestRowEntryRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 60; round++ {
+		m := newMemstore()
+		row := m.row([]byte(fmt.Sprintf("row-%d", round)), true)
+		type slot struct {
+			value []byte
+			tomb  bool
+		}
+		ref := map[string]slot{}
+		set := func(c Cell) {
+			if err := checkCellLens(c); err != nil {
+				t.Fatal(err)
+			}
+			m.set(row, c)
+			ref[string(c.Qual)] = slot{bytes.Clone(c.Value), c.Tomb}
+		}
+		if round == 0 { // the header's limits, beside the smallest entries
+			set(Cell{Qual: make([]byte, maxQualLen), Value: make([]byte, maxValueLen)})
+			set(Cell{})
+			set(Cell{Qual: []byte{0}, Tomb: true})
+		}
+		for i, n := 0, rng.Intn(120); i < n; i++ {
+			c := Cell{Qual: make([]byte, rng.Intn(3)), Value: make([]byte, rng.Intn(20)), Tomb: rng.Intn(5) == 0}
+			rng.Read(c.Qual)
+			rng.Read(c.Value)
+			set(c)
+		}
+		quals := make([]string, 0, len(ref))
+		for q := range ref {
+			quals = append(quals, q)
+		}
+		sort.Strings(quals)
+		if len(row.offs) != len(quals) {
+			t.Fatalf("round %d: row holds %d slots, want %d", round, len(row.offs), len(quals))
+		}
+		for i, off := range row.offs {
+			got, want := row.cell(off), ref[quals[i]]
+			if string(got.Qual) != quals[i] || !bytes.Equal(got.Value, want.value) || got.Tomb != want.tomb || !bytes.Equal(got.Row, row.key) {
+				t.Fatalf("round %d slot %d: read back %x=%x tomb=%v, want %x=%x tomb=%v", round, i, got.Qual, got.Value, got.Tomb, quals[i], want.value, want.tomb)
+			}
+			if cap(got.Qual) != len(got.Qual) || cap(got.Value) != len(got.Value) {
+				t.Fatalf("round %d slot %d: a decoded field can be appended into its neighbour", round, i)
+			}
+		}
+		if row.dead > len(row.arena)/2 {
+			t.Fatalf("round %d: %d of %d arena bytes dead, past the repack threshold", round, row.dead, len(row.arena))
+		}
+		if want := len(row.key) + len(row.arena) + 4*len(row.offs); m.size != want {
+			t.Fatalf("round %d: memstore size %d, its row holds %d bytes", round, m.size, want)
+		}
+	}
+}
+
+// TestMemstoreSizeIsBytesHeld: the size the flush threshold is compared
+// with counts a row key once, every entry with its header and index
+// slot, and superseded entries until their row repacks — and returns to
+// zero when deletes empty the memstore.
+func TestMemstoreSizeIsBytesHeld(t *testing.T) {
+	r := newRegion(RegionInfo{ID: 1})
+	const perCell = entryHeader + 2 + 8 + 4 // header, qualifier, value, offset
+	var batch []Cell
+	for i := 0; i < 10; i++ {
+		batch = append(batch, Cell{Row: []byte("a-long-row-key"), Qual: []byte{0, byte(i)}, Value: make([]byte, 8)})
+	}
+	r.put(batch, 1)
+	if got, want := r.memSize(), len("a-long-row-key")+10*perCell; got != want {
+		t.Fatalf("10 cells of one row: size %d, want %d", got, want)
+	}
+	r.put(batch[:3], 2) // overwrites: three dead entries stay in the arena
+	if got, want := r.memSize(), len("a-long-row-key")+10*perCell+3*(perCell-4); got != want {
+		t.Fatalf("after 3 overwrites: size %d, want %d", got, want)
+	}
+	for i := range batch {
+		batch[i].Tomb, batch[i].Value = true, nil
+	}
+	r.put(batch[:9], 3) // the arena is now mostly dead: repacked down to one entry
+	if got, want := r.memSize(), len("a-long-row-key")+perCell; got != want {
+		t.Fatalf("after deleting 9 of 10: size %d, want %d", got, want)
+	}
+	r.put(batch, 4)
+	if r.memSize() != 0 || len(r.mem.rows) != 0 || len(r.mem.index) != 0 {
+		t.Fatalf("after deleting every cell: size %d, %d rows", r.memSize(), len(r.mem.rows))
 	}
 }

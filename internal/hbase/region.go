@@ -75,23 +75,27 @@ func (r *region) put(cells []Cell, seq int64) {
 	keepTombs := len(r.files) > 0 || r.snap != nil
 	var cleared []*memRow
 	for _, c := range cells {
-		row := r.mem.row(c.Row, keepTombs || !c.Tomb)
+		if !c.Tomb || keepTombs {
+			r.mem.set(r.mem.row(c.Row, true), c)
+			continue
+		}
+		row := r.mem.row(c.Row, false)
 		if row == nil {
 			continue // deleting from a row the memstore does not hold
 		}
-		r.mem.set(row, c)
-		if c.Tomb && !keepTombs && (len(cleared) == 0 || cleared[len(cleared)-1] != row) {
+		r.mem.unset(row, c.Qual)
+		if len(cleared) == 0 || cleared[len(cleared)-1] != row {
 			cleared = append(cleared, row)
 		}
 	}
-	r.mem.sweep(cleared)
+	r.mem.settle(cleared)
 	if seq > r.maxSeq {
 		r.maxSeq = seq
 	}
 	r.mu.Unlock()
 }
 
-// memSize returns the approximate memstore footprint in bytes.
+// memSize returns the bytes the live memstore holds.
 func (r *region) memSize() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -107,7 +111,10 @@ func (r *region) memSize() int {
 func (r *region) scan(start, end []byte, limit int) []Cell {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	runs := make([]run, 0, len(r.files)+2)
+	// The usual region has a store file or two: its cursors fit on the
+	// stack.
+	var few [4]run
+	runs := few[:0]
 	for _, sf := range r.files {
 		runs = append(runs, fileRun(sf.cells, start, end))
 	}

@@ -218,29 +218,3 @@ func TestRegionCompaction(t *testing.T) {
 		t.Fatalf("reopen after compaction = %d cells", len(got))
 	}
 }
-
-func TestWALStore(t *testing.T) {
-	w := newWALStore()
-	w.Append("rs-1", []walEntry{
-		{Region: 1, Seq: 1, Cell: cell("a", "q", "1")},
-		{Region: 2, Seq: 2, Cell: cell("b", "q", "2")},
-		{Region: 1, Seq: 3, Cell: cell("c", "q", "3")},
-	})
-	if got := w.EntriesFor("rs-1", 1, 0); len(got) != 2 {
-		t.Fatalf("region 1 entries = %d", len(got))
-	}
-	if got := w.EntriesFor("rs-1", 1, 1); len(got) != 1 || got[0].Seq != 3 {
-		t.Fatalf("afterSeq filter wrong: %v", got)
-	}
-	w.Truncate("rs-1", 1, 1)
-	if got := w.EntriesFor("rs-1", 1, 0); len(got) != 1 {
-		t.Fatalf("after truncate = %d", len(got))
-	}
-	if w.Len("rs-1") != 2 {
-		t.Fatalf("total after truncate = %d", w.Len("rs-1"))
-	}
-	w.Drop("rs-1")
-	if w.Len("rs-1") != 0 {
-		t.Fatal("Drop must clear the log")
-	}
-}

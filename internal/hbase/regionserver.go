@@ -17,6 +17,7 @@ import (
 var (
 	ErrWrongRegion   = errors.New("hbase: region not served here")
 	ErrKeyOutOfRange = errors.New("hbase: key outside region range")
+	ErrCellTooLarge  = errors.New("hbase: cell field too long")
 )
 
 // RPC payload types exchanged with region servers.
@@ -37,10 +38,10 @@ type (
 		Cells []Cell
 	}
 	// OpenRequest assigns a region to the server, optionally replaying
-	// WAL entries recovered from a dead server.
+	// WAL records recovered from a dead server.
 	OpenRequest struct {
 		Info   RegionInfo
-		Replay []walEntry
+		Replay []walRecord
 	}
 	// DeleteRequest tombstones the (Row, Qual) slots of its cells.
 	DeleteRequest struct {
@@ -197,22 +198,19 @@ func (rs *RegionServer) handlePut(req *PutRequest) error {
 		if !r.info.Contains(c.Row) {
 			return fmt.Errorf("%w: region %d", ErrKeyOutOfRange, req.Region)
 		}
+		if err := checkCellLens(c); err != nil {
+			return fmt.Errorf("%w: region %d: %v", ErrCellTooLarge, req.Region, err)
+		}
 	}
 	// Emulated per-node service cost: one token per cell. This is what
 	// gives the cluster a calibrated per-node throughput ceiling.
 	rs.bucket.Take(float64(len(req.Cells)))
 	// WAL first (durability), then memstore — in one step as far as a
-	// flush snapshot is concerned (region.seqMu).
-	entries := make([]walEntry, len(req.Cells))
-	for i, c := range req.Cells {
-		entries[i] = walEntry{Region: req.Region, Cell: c.clone()}
-	}
+	// flush snapshot is concerned (region.seqMu). Both copy the cells
+	// into their own bytes.
 	r.seqMu.Lock()
 	seq := rs.seq.Add(1)
-	for i := range entries {
-		entries[i].Seq = seq
-	}
-	rs.clu.wal.Append(rs.name, entries)
+	rs.clu.wal.Append(rs.name, req.Region, seq, req.Cells)
 	r.put(req.Cells, seq)
 	r.seqMu.Unlock()
 	rs.CellsWritten.Add(int64(len(req.Cells)))
@@ -251,15 +249,15 @@ func (rs *RegionServer) handleOpen(req *OpenRequest) error {
 			break
 		}
 	}
-	// Replay recovered WAL entries newer than the flush marker, writing
+	// Replay recovered WAL records newer than the flush marker, writing
 	// them into this server's own WAL for durability.
-	for _, e := range req.Replay {
-		if e.Seq <= flushedSeq {
+	for _, rec := range req.Replay {
+		if rec.Seq <= flushedSeq {
 			continue
 		}
 		seq := rs.seq.Add(1)
-		rs.clu.wal.Append(rs.name, []walEntry{{Region: info.ID, Seq: seq, Cell: e.Cell}})
-		r.put([]Cell{e.Cell}, seq)
+		rs.clu.wal.Append(rs.name, info.ID, seq, rec.Cells)
+		r.put(rec.Cells, seq)
 	}
 	rs.mu.Lock()
 	rs.regions[info.ID] = r

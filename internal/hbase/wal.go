@@ -1,15 +1,88 @@
 package hbase
 
 import (
+	"encoding/binary"
 	"sync"
 )
 
-// walEntry is one durable write-ahead record: the cell, the region it
-// belongs to, and the server-local sequence number.
-type walEntry struct {
-	Region int
-	Seq    int64
-	Cell   Cell
+// A WAL record is one put RPC as the log holds it: every cell of the
+// batch under the one sequence number the server drew for it,
+//
+//	size u32 | region u32 | seq u64 | cells…
+//
+// little-endian, size counting the whole record. Each cell carries its
+// row key — a record may span rows —
+//
+//	flags u8 | row-len u16 | qual-len u16 | value-len u24 | row | qual | value
+const (
+	walRecordHeader = 16
+	walCellHeader   = 8
+
+	// walChunkSize is the capacity a server's log grows by. A record
+	// never straddles chunks; one larger than this gets a chunk of its
+	// own.
+	walChunkSize = 64 << 10
+)
+
+// walRecord is a decoded record, as the replay path hands it on.
+type walRecord struct {
+	Seq   int64
+	Cells []Cell
+}
+
+func walRecordSize(cells []Cell) int {
+	n := walRecordHeader
+	for _, c := range cells {
+		n += walCellHeader + len(c.Row) + len(c.Qual) + len(c.Value)
+	}
+	return n
+}
+
+// appendWALRecord encodes one record onto dst. Field lengths are within
+// the header limits (checkCellLens).
+func appendWALRecord(dst []byte, region int, seq int64, cells []Cell) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // the size, once known
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(region))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(seq))
+	for _, c := range cells {
+		rl, ql, vl := len(c.Row), len(c.Qual), len(c.Value)
+		dst = append(dst, cellFlags(c), byte(rl), byte(rl>>8), byte(ql), byte(ql>>8), byte(vl), byte(vl>>8), byte(vl>>16))
+		dst = append(dst, c.Row...)
+		dst = append(dst, c.Qual...)
+		dst = append(dst, c.Value...)
+	}
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start))
+	return dst
+}
+
+// walRecordMeta reads the header of the record at the front of b.
+func walRecordMeta(b []byte) (size, region int, seq int64) {
+	return int(binary.LittleEndian.Uint32(b)),
+		int(binary.LittleEndian.Uint32(b[4:])),
+		int64(binary.LittleEndian.Uint64(b[8:]))
+}
+
+// decodeWALCells decodes the cells of one whole record. They share one
+// copy of the record's bytes, not the log's.
+func decodeWALCells(rec []byte) []Cell {
+	b := append([]byte(nil), rec[walRecordHeader:]...)
+	var cells []Cell
+	for len(b) > 0 {
+		r := walCellHeader + (int(b[1]) | int(b[2])<<8)
+		q := r + (int(b[3]) | int(b[4])<<8)
+		v := q + (int(b[5]) | int(b[6])<<8 | int(b[7])<<16)
+		cells = append(cells, Cell{Row: b[walCellHeader:r:r], Qual: b[r:q:q], Value: b[q:v:v], Tomb: b[0]&entryTomb != 0})
+		b = b[v:]
+	}
+	return cells
+}
+
+// walLog is one server's log: records packed back to back into chunks,
+// in append order. Only the last chunk takes appends.
+type walLog struct {
+	mu     sync.Mutex
+	chunks [][]byte
 }
 
 // walStore models the node-local durable disks holding each region
@@ -18,47 +91,101 @@ type walEntry struct {
 // master replay un-flushed writes on failover. Indexed by server name.
 type walStore struct {
 	mu   sync.Mutex
-	logs map[string][]walEntry
+	logs map[string]*walLog
 }
 
 func newWALStore() *walStore {
-	return &walStore{logs: make(map[string][]walEntry)}
+	return &walStore{logs: make(map[string]*walLog)}
 }
 
-// Append durably records entries for server.
-func (w *walStore) Append(server string, entries []walEntry) {
-	w.mu.Lock()
-	w.logs[server] = append(w.logs[server], entries...)
-	w.mu.Unlock()
-}
-
-// EntriesFor returns the entries server holds for region with sequence
-// greater than afterSeq, in append order.
-func (w *walStore) EntriesFor(server string, region int, afterSeq int64) []walEntry {
+// log returns server's log; when it is missing, create starts an empty
+// one (nil otherwise).
+func (w *walStore) log(server string, create bool) *walLog {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var out []walEntry
-	for _, e := range w.logs[server] {
-		if e.Region == region && e.Seq > afterSeq {
-			out = append(out, e)
+	l := w.logs[server]
+	if l == nil && create {
+		l = &walLog{}
+		w.logs[server] = l
+	}
+	return l
+}
+
+// Append durably records cells as one record of region under seq in
+// server's log. The cells are copied.
+func (w *walStore) Append(server string, region int, seq int64, cells []Cell) {
+	l := w.log(server, true)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	size := walRecordSize(cells)
+	last := len(l.chunks) - 1
+	if last < 0 || len(l.chunks[last])+size > cap(l.chunks[last]) {
+		l.chunks = append(l.chunks, make([]byte, 0, max(walChunkSize, size)))
+		last++
+	}
+	l.chunks[last] = appendWALRecord(l.chunks[last], region, seq, cells)
+}
+
+// EntriesFor returns the records server holds for region with sequence
+// greater than afterSeq, in append order.
+func (w *walStore) EntriesFor(server string, region int, afterSeq int64) []walRecord {
+	l := w.log(server, false)
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []walRecord
+	for _, chunk := range l.chunks {
+		for len(chunk) > 0 {
+			size, reg, seq := walRecordMeta(chunk)
+			if reg == region && seq > afterSeq {
+				out = append(out, walRecord{Seq: seq, Cells: decodeWALCells(chunk[:size])})
+			}
+			chunk = chunk[size:]
 		}
 	}
 	return out
 }
 
-// Truncate drops server's entries for region with sequence ≤ uptoSeq
-// (called after a successful flush made them redundant).
+// Truncate drops server's records for region with sequence ≤ uptoSeq
+// (called after a successful flush made them redundant). A chunk left
+// with no record is released whole; one that keeps some is rewritten to
+// just those, so the dropped bytes are freed either way.
 func (w *walStore) Truncate(server string, region int, uptoSeq int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	log := w.logs[server]
-	kept := log[:0]
-	for _, e := range log {
-		if e.Region != region || e.Seq > uptoSeq {
-			kept = append(kept, e)
+	l := w.log(server, false)
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	kept := l.chunks[:0]
+	for _, chunk := range l.chunks {
+		dropped := 0
+		for rest := chunk; len(rest) > 0; {
+			size, reg, seq := walRecordMeta(rest)
+			if reg == region && seq <= uptoSeq {
+				dropped += size
+			}
+			rest = rest[size:]
+		}
+		switch {
+		case dropped == 0:
+			kept = append(kept, chunk)
+		case dropped < len(chunk):
+			live := make([]byte, 0, len(chunk)-dropped)
+			for rest := chunk; len(rest) > 0; {
+				size, reg, seq := walRecordMeta(rest)
+				if reg != region || seq > uptoSeq {
+					live = append(live, rest[:size]...)
+				}
+				rest = rest[size:]
+			}
+			kept = append(kept, live)
 		}
 	}
-	w.logs[server] = kept
+	clear(l.chunks[len(kept):])
+	l.chunks = kept
 }
 
 // Drop removes server's entire log (after its regions were recovered
@@ -69,9 +196,17 @@ func (w *walStore) Drop(server string) {
 	w.mu.Unlock()
 }
 
-// Len returns the number of entries held for server (for tests).
-func (w *walStore) Len(server string) int {
+// Bytes returns the record bytes held across all servers' logs.
+func (w *walStore) Bytes() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.logs[server])
+	n := 0
+	for _, l := range w.logs {
+		l.mu.Lock()
+		for _, chunk := range l.chunks {
+			n += len(chunk)
+		}
+		l.mu.Unlock()
+	}
+	return n
 }

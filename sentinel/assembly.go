@@ -176,6 +176,8 @@ func (n *Node) registerStoreMetrics(reg *telemetry.Registry) {
 	reg.RegisterCounter("proxy_dropped", &n.Proxy.Dropped)
 	reg.RegisterCounter("proxy_retries", &n.Proxy.Retries)
 	reg.RegisterGauge("proxy_queue_depth", &n.Proxy.QueueDepth)
+	reg.RegisterFunc("hbase_memstore_bytes", n.Cluster.MemstoreBytes)
+	reg.RegisterFunc("hbase_wal_bytes", n.Cluster.WALBytes)
 	reg.RegisterFunc("tsdb_points_written", n.TSDB.PointsWritten)
 	reg.RegisterFunc("tsdb_queries_served", n.TSDB.QueriesServed)
 	reg.RegisterCounter("blocks_sealed", &n.Blocks.BlocksSealed)

@@ -28,7 +28,7 @@ var metricsByRole = map[Role]string{
 	RoleStore: `bus_published bus_polled bus_rebalances storage_lag
 		writer_delivered writer_failures writer_parks writer_parked
 		proxy_accepted proxy_delivered proxy_dropped proxy_retries proxy_queue_depth
-		tsdb_points_written tsdb_queries_served
+		hbase_memstore_bytes hbase_wal_bytes tsdb_points_written tsdb_queries_served
 		blocks_sealed samples_sealed bytes_sealed blocks_spilled spill_reads block_scans
 		rollup_serves blocks_expired rollups_expired blocks_hot_bytes
 		compactor_passes compactor_pass_errors`,
@@ -344,6 +344,12 @@ func TestMetricsUnified(t *testing.T) {
 	for _, want := range []string{"bus_published 1\n", "proxy_accepted 1\n", "proxy_delivered 1\n", "storage_lag 0\n", "http_requests"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
+		}
+	}
+	// The stored point is held by the hot tier, and its footprint shows.
+	for _, gauge := range []string{"hbase_memstore_bytes", "hbase_wal_bytes"} {
+		if !strings.Contains(body, gauge+" ") || strings.Contains(body, gauge+" 0\n") {
+			t.Fatalf("%s is absent or zero after a stored point:\n%s", gauge, body)
 		}
 	}
 }
