@@ -11,16 +11,19 @@ EVAL_BENCH = BenchmarkFDRCorrections|BenchmarkOnlineEvalThroughput
 # The in-place benchmarks whose allocs/op are pinned in ALLOC_PINS and
 # gated by bench-allocs. BenchmarkBusPublish also matches
 # BenchmarkBusPublishConsume; BenchmarkGatewayPutPath pins the /api/v1
-# ingest edge through the full middleware chain; BenchmarkDetectorBatch
+# ingest edge through the full middleware chain, BenchmarkGatewayPutRow
+# the same edge for a 50- and a 200-point row (one number: the decode
+# may not grow with the row) and BenchmarkGroupByUnit the per-request
+# grouping; BenchmarkDetectorBatch
 # matches every detector family's warmed batch path;
 # BenchmarkRegionPutInOrder is the hot tier's in-order append.
-ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|BenchmarkBusPublish|BenchmarkQueryCacheHit|BenchmarkGatewayPutPath|BenchmarkDetectorBatch|BenchmarkCompressedScan|BenchmarkRegionPutInOrder
+ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|BenchmarkBusPublish|BenchmarkQueryCacheHit|BenchmarkGatewayPutPath|BenchmarkGatewayPutRow|BenchmarkGroupByUnit|BenchmarkDetectorBatch|BenchmarkCompressedScan|BenchmarkRegionPutInOrder
 
 # GATE_BENCHTIME drives the bench-gate comparison runs: long enough for
 # stable ns/op medians, short enough for a PR loop.
 GATE_BENCHTIME ?= 300ms
 
-.PHONY: build lint vet fmt assembly test bench bench-json bench-query bench-allocs bench-gate bench-compare soak backtest chaos conformance serve cluster cluster-smoke load-smoke load check
+.PHONY: build lint vet fmt assembly test bench bench-json bench-query bench-allocs bench-gate bench-compare soak backtest chaos conformance fuzz-smoke serve cluster cluster-smoke load-smoke load check
 
 build:
 	$(GO) build ./...
@@ -95,7 +98,7 @@ bench-query:
 bench-allocs:
 	@rm -f bench-allocs.out
 	$(GO) test -run '^$$' -bench '$(ALLOC_BENCH)' -benchtime 1x -benchmem -cpu 1 \
-		./internal/core/ ./internal/fdr/ ./internal/linalg/ ./internal/bus/ ./internal/query/ ./internal/api/ ./internal/mllib/ ./internal/tsdb/ ./internal/hbase/ > bench-allocs.out
+		./internal/core/ ./internal/fdr/ ./internal/linalg/ ./internal/bus/ ./internal/query/ ./internal/api/ ./internal/ingest/ ./internal/mllib/ ./internal/tsdb/ ./internal/hbase/ > bench-allocs.out
 	$(GO) run ./cmd/benchgate -allocs ALLOC_PINS < bench-allocs.out
 	@rm -f bench-allocs.out
 
@@ -193,6 +196,14 @@ chaos:
 conformance:
 	$(GO) test ./internal/api/... -run TestV1Conformance
 
+# fuzz-smoke runs the put decoder's differential fuzz target for 15 s:
+# the one-pass scanner against the encoding/json route it replaced —
+# both reject a body, or both accept it with identical points. Seeded
+# from internal/api/testdata/fuzz; a finding lands there as a new
+# regression seed. Gating in CI.
+fuzz-smoke:
+	$(GO) test ./internal/api -run '^$$' -fuzz FuzzPutDecode -fuzztime 15s
+
 # serve runs the whole pipeline as one daemon: every role on one node
 # without peers (the same assembly the cluster splits by role), the
 # /api/v1 surface and the HTML pages on 127.0.0.1:8080. Ctrl-C drains
@@ -228,4 +239,4 @@ cluster-smoke:
 	$(GO) build -o bin/sentineld ./cmd/sentineld
 	$(GO) run ./cmd/clustersmoke -bin bin/sentineld
 
-check: lint build test bench bench-allocs bench-gate backtest chaos conformance cluster-smoke load-smoke
+check: lint build test bench bench-allocs bench-gate backtest chaos conformance fuzz-smoke cluster-smoke load-smoke

@@ -1,6 +1,8 @@
 package api
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -86,6 +88,54 @@ func BenchmarkGatewayPutPath(b *testing.B) {
 		if rec.Code != 200 {
 			b.Fatalf("status = %d (%s)", rec.Code, rec.Body)
 		}
+	}
+}
+
+// rowBody is one unit's row as the v1 envelope: sensors points, the
+// shape the fleet's collectors (and the repo benchmark) post.
+func rowBody(unit, sensors int, ts int64) []byte {
+	b := []byte(`{"points":[`)
+	for s := 0; s < sensors; s++ {
+		if s > 0 {
+			b = append(b, ',')
+		}
+		b = fmt.Appendf(b, `{"metric":"energy","timestamp":%d,"value":%v,"tags":{"unit":"%d","sensor":"%d"}}`,
+			ts, 0.25+float64(s)*1.0625, unit, s)
+	}
+	return append(b, `]}`...)
+}
+
+// BenchmarkGatewayPutRow is BenchmarkGatewayPutPath for a whole row:
+// the decode must cost the same number of allocations at any row
+// width (ALLOC_PINS holds both widths to one number) — the points
+// slice, the unit batch and the chain, nothing per point.
+func BenchmarkGatewayPutRow(b *testing.B) {
+	for _, sensors := range []int{50, 200} {
+		b.Run(fmt.Sprintf("sensors=%d", sensors), func(b *testing.B) {
+			gw := New(Config{
+				Publisher: &BusPublisher{Topic: bus.LocalTopic{Topic: benchTopic(b)}},
+				Registry:  telemetry.NewRegistry(),
+				AccessLog: testLogger(),
+			})
+			body := rowBody(7, sensors, 11)
+			put := func() {
+				req := httptest.NewRequest("POST", "/api/v1/points", bytes.NewReader(body))
+				rec := httptest.NewRecorder()
+				gw.ServeHTTP(rec, req)
+				if rec.Code != 200 {
+					b.Fatalf("status = %d (%s)", rec.Code, rec.Body)
+				}
+			}
+			for i := 0; i < 64; i++ {
+				put()
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				put()
+			}
+		})
 	}
 }
 

@@ -84,6 +84,49 @@
 //
 // POST /api/v1/points is the ingest edge and runs the full chain;
 // BenchmarkGatewayPutPath pins its allocs/op in ALLOC_PINS so a new
-// middleware cannot silently tax ingestion. The wrappers the chain
-// allocates per request (status recorder, gzip writer) are pooled.
+// middleware cannot silently tax ingestion, and BenchmarkGatewayPutRow
+// holds a 50- and a 200-point row to the same number: the edge
+// allocates per request, not per point. The wrappers the chain
+// allocates per request (status recorder, gzip writer) are pooled, and
+// so is the body buffer — pre-sized from Content-Length, bounded by
+// Config.MaxBody (413 past it), returned to the pool when the handler
+// ends. Every decoder therefore copies the strings its points keep.
+//
+// # Put body grammar
+//
+// A JSON put body is decoded in one pass by a scanner (putdecode.go)
+// for exactly this grammar, with JSON whitespace allowed between any
+// two tokens:
+//
+//	body     = envelope | array | point
+//	envelope = { "points" : array }
+//	array    = [ ] | [ point , … ]
+//	point    = { } | { member , … }        members in any order, each at most once
+//	member   = "metric" : string | "timestamp" : integer | "value" : number | "tags" : tags
+//	tags     = { } | { string : string , … }   names unique
+//	string   = " bytes 0x20–0x7F other than \ and " "
+//	number   = the JSON number grammar; integer = a number without fraction or exponent
+//
+// A member left out keeps its zero value, and a timestamp or value
+// that does not fit int64 / float64 rejects the request — both as
+// encoding/json does. Whatever the scanner finds that is JSON but not
+// this grammar — a string escape, a non-ASCII byte, null, a value of
+// another type, a repeated, unknown or differently-cased member name,
+// a second envelope member, a top-level scalar — makes it hand the
+// whole body to the encoding/json route (v1.PutRequest, then
+// ingest.ParseJSON), which is the only reader of those constructs.
+// The decision is made from the body's bytes; there is no option.
+// FuzzPutDecode holds the two routes to "both reject, or both accept
+// identical points" on every body.
+//
+// Decoded points share what repeats: the bytes of a tags object key a
+// process-wide table of canonical tag maps (fixed capacity, no
+// eviction; a set it has no room for decodes into a map of its own),
+// and metric names are interned the same way. Nothing downstream
+// writes a decoded point's tags — see tsdb.Point.Tags. Text/plain
+// bodies (telnet "put" lines) go through ingest.ParseLine.
+//
+// Whatever the format, every decoded point passes tsdb.Point.Validate
+// before anything is published: a request either publishes all of its
+// points or answers 400 and publishes none.
 package api

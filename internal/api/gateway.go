@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -29,6 +28,8 @@ import (
 type Publisher interface {
 	// PublishPoints durably appends points and returns how many were
 	// accepted. A multi-unit batch is not atomic — see BusPublisher.
+	// The slice is handed over: a publisher may retain it (the log
+	// does), so the caller does not touch it again.
 	PublishPoints(ctx context.Context, points []tsdb.Point) (int, error)
 }
 
@@ -379,42 +380,21 @@ func (g *Gateway) publish(ctx context.Context, points []tsdb.Point) (int, error)
 }
 
 // readPoints decodes the request body into points, honoring MaxBody.
+// The body lives in a pooled buffer for the length of this call only:
+// every decoder copies the strings its points keep.
 func (g *Gateway) readPoints(r *http.Request) ([]tsdb.Point, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, g.cfg.MaxBody))
-	if err != nil {
+	d := putDecoders.Get().(*putDecoder)
+	defer d.release()
+	if err := d.readBody(r.Body, r.ContentLength, g.cfg.MaxBody); err != nil {
 		if isMaxBytes(err) {
 			return nil, err
 		}
 		return nil, errBadRequest("read body: %v", err)
 	}
 	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, v1.ContentTypeLines) {
-		return parsePutLines(body)
+		return parsePutLines(d.body)
 	}
-	return parsePutJSON(body)
-}
-
-// parsePutJSON accepts the v1 envelope, a bare array, or one object.
-func parsePutJSON(body []byte) ([]tsdb.Point, error) {
-	// Peek at the first token without copying the body (hot path).
-	i := 0
-	for i < len(body) && (body[i] == ' ' || body[i] == '\t' || body[i] == '\r' || body[i] == '\n') {
-		i++
-	}
-	if i < len(body) && body[i] == '{' {
-		var req v1.PutRequest
-		if err := json.Unmarshal(body, &req); err == nil && req.Points != nil {
-			out := make([]tsdb.Point, len(req.Points))
-			for i, p := range req.Points {
-				out[i] = tsdb.Point{Metric: p.Metric, Timestamp: p.Timestamp, Value: p.Value, Tags: p.Tags}
-			}
-			return validatePoints(out)
-		}
-	}
-	pts, err := ingest.ParseJSON(body)
-	if err != nil {
-		return nil, errBadRequest("%v", err)
-	}
-	return validatePoints(pts)
+	return d.decodeJSON()
 }
 
 func parsePutLines(body []byte) ([]tsdb.Point, error) {
@@ -431,18 +411,6 @@ func parsePutLines(body []byte) ([]tsdb.Point, error) {
 		points = append(points, p)
 	}
 	return validatePoints(points)
-}
-
-func validatePoints(pts []tsdb.Point) ([]tsdb.Point, error) {
-	if len(pts) == 0 {
-		return nil, errBadRequest("no points in request")
-	}
-	for i := range pts {
-		if pts[i].Metric == "" {
-			return nil, errBadRequest("point %d has no metric", i)
-		}
-	}
-	return pts, nil
 }
 
 // BusPublisher publishes points onto the ingestion commit log, one

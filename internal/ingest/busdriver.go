@@ -22,7 +22,10 @@ import (
 // (len(Points) is a multiple of the unit's sensor count), laid out
 // row-major — all sensors of a step, then the next step. Records are
 // retained by the log until every consumer group commits past them, so
-// a batch is immutable once published.
+// a batch is immutable once published: Points may be the very slice a
+// gateway request decoded into (GroupByUnit aliases it), and the tag
+// maps inside are shared with every other batch of the same series
+// (tsdb.Point.Tags) — consumers read, never write.
 type UnitBatch struct {
 	Unit   int
 	Points []tsdb.Point
@@ -278,23 +281,48 @@ func UnitKey(p *tsdb.Point) uint64 {
 
 // GroupByUnit splits an arbitrary point batch into per-key UnitBatch
 // payloads ready to publish (the gateway's HTTP path, where one request
-// may carry points for many units).
+// may carry points for many units). The common request — every point
+// carrying the same numeric unit tag — comes back as one batch whose
+// Points is the argument itself, not a copy: the caller hands the slice
+// over and must not write to it afterwards.
 func GroupByUnit(points []tsdb.Point) map[uint64]*UnitBatch {
+	if len(points) > 0 {
+		unit := points[0].Tags["unit"]
+		if key, err := strconv.ParseUint(unit, 10, 64); err == nil && sameUnit(points[1:], unit) {
+			return map[uint64]*UnitBatch{key: {Unit: unitID(&points[0]), Points: points}}
+		}
+	}
 	out := make(map[uint64]*UnitBatch)
 	for _, p := range points {
 		key := UnitKey(&p)
 		b, ok := out[key]
 		if !ok {
-			unit := -1
-			if u, err := strconv.Atoi(p.Tags["unit"]); err == nil {
-				unit = u
-			}
-			b = &UnitBatch{Unit: unit}
+			b = &UnitBatch{Unit: unitID(&p)}
 			out[key] = b
 		}
 		b.Points = append(b.Points, p)
 	}
 	return out
+}
+
+// unitID is a batch's Unit: the point's unit tag as an int, else -1.
+func unitID(p *tsdb.Point) int {
+	if u, err := strconv.Atoi(p.Tags["unit"]); err == nil {
+		return u
+	}
+	return -1
+}
+
+// sameUnit reports whether every point's unit tag is spelled unit.
+// ("07" and "7" are one unit but two spellings; the general path
+// merges them.)
+func sameUnit(points []tsdb.Point, unit string) bool {
+	for i := range points {
+		if points[i].Tags["unit"] != unit {
+			return false
+		}
+	}
+	return true
 }
 
 // Validate checks a UnitBatch is well formed against a sensor count:

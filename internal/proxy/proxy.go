@@ -16,7 +16,9 @@
 //     into its HBase client;
 //   - batches rotate across TSD daemons round-robin, and transient
 //     failures (queue overflow, server down during failover) are
-//     retried on the next daemon with backoff.
+//     retried on the next daemon with backoff; a batch a daemon refuses
+//     as malformed (tsdb.ErrBadPoint) is permanent — dropped at once,
+//     never retried, never charged to a circuit breaker.
 //
 // Shutdown follows the fabric's drain protocol: Close first turns new
 // submitters away, then unblocks any producer waiting on a full
@@ -28,6 +30,7 @@ package proxy
 import (
 	"context"
 	"errors"
+	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,6 +121,7 @@ type Proxy struct {
 	workers    sync.WaitGroup
 	pending    sync.WaitGroup
 	closeOnce  sync.Once
+	poisonLog  sync.Once // the first refused batch is logged, the rest counted
 
 	// drainMu/drainIdle share one idle-waiter across retried Drain
 	// calls (see rpc.Server.Drain for the rationale).
@@ -128,7 +132,8 @@ type Proxy struct {
 	Accepted telemetry.Counter
 	// Delivered counts points acknowledged by a TSD.
 	Delivered telemetry.Counter
-	// Dropped counts points abandoned after MaxRetries.
+	// Dropped counts points abandoned: after MaxRetries, or at once
+	// when a TSD refuses the batch as malformed (tsdb.ErrBadPoint).
 	Dropped telemetry.Counter
 	// Retries counts re-sent batches.
 	Retries telemetry.Counter
@@ -290,15 +295,27 @@ func (p *Proxy) deliver(batch []tsdb.Point) {
 			}
 			_, err = p.net.Call(ctx, addr, "put", &tsdb.PutBatch{Points: batch})
 			cancel()
-			if err == nil {
-				if br != nil {
+			// A backend that refuses the batch as malformed has answered:
+			// it is healthy, and no retry on any backend can change the
+			// verdict. Only the batch is dropped.
+			poison := errors.Is(err, tsdb.ErrBadPoint)
+			if br != nil {
+				if err == nil || poison {
 					br.Success()
+				} else {
+					br.Failure()
 				}
+			}
+			if err == nil {
 				p.Delivered.Add(int64(len(batch)))
 				return
 			}
-			if br != nil {
-				br.Failure()
+			if poison {
+				p.Dropped.Add(int64(len(batch)))
+				p.poisonLog.Do(func() {
+					log.Printf("proxy: dropped a batch of %d points %s refused: %v (later ones are only counted, in Dropped)", len(batch), addr, err)
+				})
+				return
 			}
 		}
 		if !p.canRetry(attempt) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/resilience"
 	"repro/internal/rpc"
 	"repro/internal/tsdb"
 )
@@ -395,5 +396,64 @@ func TestDeliveryTimeoutPropagates(t *testing.T) {
 		default:
 			time.Sleep(time.Millisecond)
 		}
+	}
+}
+
+// TestPermanentErrorIsNotRetried: a batch the TSDs refuse as malformed
+// is dropped at once — in the retry-forever setting too — without
+// wedging a sender, without a retry, and without opening the circuit
+// of a backend whose only fault was answering.
+func TestPermanentErrorIsNotRetried(t *testing.T) {
+	net := rpc.NewNetwork(0, nil)
+	t.Cleanup(net.Close)
+	var delivered atomic.Int64
+	addrs := []string{"tsd/a", "tsd/b"}
+	for _, addr := range addrs {
+		_, err := net.Register(addr, func(_ context.Context, _ string, payload any) (any, error) {
+			pts := payload.(*tsdb.PutBatch).Points
+			for i := range pts {
+				if err := pts[i].Validate(); err != nil {
+					return nil, err
+				}
+			}
+			delivered.Add(int64(len(pts)))
+			return nil, nil
+		}, rpc.ServerConfig{QueueCap: 64, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	breakers := resilience.NewGroup(resilience.BreakerConfig{FailureThreshold: 2})
+	p, err := New(net, addrs, Config{MaxInFlight: 1, MaxRetries: -1, Breakers: breakers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	poison := somePoints(3)
+	poison[1].Tags = nil
+	for i := 0; i < 4; i++ { // enough to trip both breakers twice over, were they charged
+		if err := p.Submit(poison); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		if err := p.Submit(somePoints(5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := p.Drain(ctx); err != nil {
+		t.Fatalf("the poison batches never ended: %v (retries %d)", err, p.Retries.Value())
+	}
+	if p.Dropped.Value() != 12 || p.Delivered.Value() != 30 || delivered.Load() != 30 {
+		t.Fatalf("dropped %d delivered %d (backends saw %d), want 12 / 30 / 30", p.Dropped.Value(), p.Delivered.Value(), delivered.Load())
+	}
+	if p.Retries.Value() != 0 {
+		t.Fatalf("Retries = %d, want 0", p.Retries.Value())
+	}
+	if breakers.Opens.Value() != 0 {
+		t.Fatalf("a permanent error opened %d circuits", breakers.Opens.Value())
 	}
 }

@@ -478,6 +478,15 @@ func (n *Network) Call(ctx context.Context, addr, method string, payload any) (a
 // server down, closed network, expired context) resolve the future
 // immediately; it never blocks on the destination.
 func (n *Network) Go(ctx context.Context, addr, method string, payload any) *Future {
+	return n.dispatch(ctx, addr, method, payload, true)
+}
+
+// dispatch is Go; forward says whether an address with no local server
+// may leave along a route. A request that arrived over the wire may
+// not (Transport.serveConn): the sender's route already chose this
+// process, and forwarding it again — a node routes its own name to its
+// own listener — would loop until the deadline.
+func (n *Network) dispatch(ctx context.Context, addr, method string, payload any, forward bool) *Future {
 	n.Calls.Inc()
 	if ctx == nil {
 		ctx = context.Background()
@@ -493,7 +502,7 @@ func (n *Network) Go(ctx context.Context, addr, method string, payload any) *Fut
 	s, ok := n.servers[addr]
 	lat := n.latency
 	n.mu.RUnlock()
-	if !ok {
+	if !ok && forward {
 		// Not served here: forward along a configured route, so remote
 		// processes look like locally registered servers to callers.
 		if fwdAddr, endpoint, rok := n.lookupRoute(addr); rok {
@@ -504,6 +513,8 @@ func (n *Network) Go(ctx context.Context, addr, method string, payload any) *Fut
 			}
 			return n.goRemote(ctx, addr, fwdAddr, endpoint, method, payload)
 		}
+	}
+	if !ok {
 		return resolved(fmt.Errorf("%w: %s", ErrUnknownAddr, addr))
 	}
 	c := &call{ctx: ctx, method: method, payload: payload, fut: newFuture()}

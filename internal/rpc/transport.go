@@ -17,7 +17,8 @@ package rpc
 // to "store-1/tsd/tsd-1" to ep as "tsd/tsd-1" (a prefix ending in "/"
 // is stripped, namespacing the remote node's address space), while
 // AddRoute("zk", ep) forwards "zk" verbatim. Locally registered
-// servers always win over routes.
+// servers always win over routes, and routes apply to local callers
+// only: a request received over TCP is never forwarded again.
 
 import (
 	"context"
@@ -345,9 +346,11 @@ type Transport struct {
 }
 
 // ServeTCP exposes n's registered servers on lis: every decoded
-// request is dispatched through n.Go (queues, worker pools and fault
+// request is dispatched as n.Go would (queues, worker pools and fault
 // injection all apply, exactly as for in-process callers) and its
-// response framed back. Serving continues until Close.
+// response framed back — except that an address with no server
+// registered here fails with ErrUnknownAddr instead of following n's
+// routes: one hop per call. Serving continues until Close.
 func ServeTCP(n *Network, lis net.Listener) *Transport {
 	t := &Transport{lis: lis, net: n, conns: make(map[net.Conn]struct{})}
 	t.serveWG.Add(1)
@@ -409,7 +412,8 @@ func (t *Transport) serveConn(conn net.Conn) {
 			if req.BudgetMS > 0 {
 				ctx, cancel = context.WithTimeout(ctx, time.Duration(req.BudgetMS)*time.Millisecond)
 			}
-			v, err := t.net.Go(ctx, req.Addr, req.Method, req.Payload).Wait(ctx)
+			// Local servers only: a frame is served here or not at all.
+			v, err := t.net.dispatch(ctx, req.Addr, req.Method, req.Payload, false).Wait(ctx)
 			cancel()
 			resp := wireResponse{ID: req.ID, Payload: v}
 			if err != nil {

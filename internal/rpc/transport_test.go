@@ -194,3 +194,42 @@ func TestTransportPeerCrashFailsFast(t *testing.T) {
 		}
 	}
 }
+
+// TestTransportDoesNotReforward: a node routes its own name to its own
+// listener (sentinel joinFabric), so once the service behind that name
+// is removed a frame for it must fail where it lands — one hop —
+// instead of being forwarded to itself until the deadline.
+func TestTransportDoesNotReforward(t *testing.T) {
+	n := NewNetwork(0, nil)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := ServeTCP(n, lis)
+	t.Cleanup(func() { tr.Close(); n.Close() })
+	n.AddRoute("bus/self", tr.Addr().String())
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err = n.Call(ctx, "bus/self", "fetch", nil)
+	if !errors.Is(err, ErrUnknownAddr) {
+		t.Fatalf("err = %v, want ErrUnknownAddr", err)
+	}
+	if time.Since(start) > time.Second {
+		t.Fatalf("the call took %v: it looped until its budget ran out", time.Since(start))
+	}
+	// One dispatch by the caller, one for the single frame served.
+	if got := n.Calls.Value(); got != 2 {
+		t.Fatalf("Calls = %d, want 2 (the caller's, and one frame served)", got)
+	}
+
+	// A registered server still answers through the same self-route.
+	if _, err := n.Register("bus/self2", func(context.Context, string, any) (any, error) { return "ok", nil }, ServerConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	n.AddRoute("self/", tr.Addr().String())
+	if v, err := n.Call(ctx, "self/bus/self2", "fetch", nil); err != nil || v != "ok" {
+		t.Fatalf("prefixed self-route: %v, %v", v, err)
+	}
+}

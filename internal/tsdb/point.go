@@ -60,7 +60,11 @@ var (
 // Point is one sample: a metric, a tag set, a Unix-seconds timestamp
 // and a value.
 type Point struct {
-	Metric    string
+	Metric string
+	// Tags is shared and immutable: the gateway decodes every point of
+	// a series into the same map, and published batches keep it for as
+	// long as the log retains them. Whoever holds a Point reads Tags
+	// and never assigns into it; to change a tag, build a new map.
 	Tags      map[string]string
 	Timestamp int64
 	Value     float64
