@@ -41,7 +41,9 @@ vet:
 # called from exactly one non-test file under sentinel/ and cmd/
 # (sentinel/assembly.go), so a second hand wiring of the pipeline
 # cannot quietly regrow. cmd/tsdbench, the storage-only Fig. 2
-# microbenchmark, is exempt.
+# microbenchmark, is exempt. It guards the one-token-bucket rule the
+# same way: clock.TokenBucket is the only refill loop, so no non-test
+# file outside internal/clock may declare a `tokens` field.
 assembly:
 	@for call in 'api\.New(' 'tsdb\.NewCompactor(' 'ingest\.StartStorageWriters(' 'viz\.NewServer(' 'hbase\.NewCluster('; do \
 		files=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=tsdbench "$$call" sentinel cmd); \
@@ -49,6 +51,10 @@ assembly:
 			echo "assembly fork: $$call is called from more than one file:"; echo "$$files"; exit 1; \
 		fi; \
 	done
+	@files=$$(grep -rlE --include='*.go' --exclude='*_test.go' '^[[:space:]]*tokens[[:space:]]+[A-Za-z*[]' . | grep -v '^\./internal/clock/'); \
+	if [ -n "$$files" ]; then \
+		echo "second token bucket: a tokens field outside internal/clock (use clock.TokenBucket):"; echo "$$files"; exit 1; \
+	fi
 
 lint: fmt vet assembly
 

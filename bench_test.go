@@ -427,7 +427,7 @@ func BenchmarkVizMachinePage(b *testing.B) {
 	if err := tsd.Put(pts); err != nil {
 		b.Fatal(err)
 	}
-	backend := &viz.Backend{TSD: tsd, Units: 2, Sensors: 40}
+	backend := &viz.Backend{Q: tsd, Units: 2, Sensors: 40}
 	server := viz.NewServer(backend, func() int64 { return 120 })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

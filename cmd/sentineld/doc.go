@@ -31,7 +31,11 @@
 // report the detect role; metrics, readiness, health and the cluster
 // map answer everywhere. The storage-lifecycle flags (-seal-after,
 // -compact-every, -raw-ttl, -rollup-ttl, -spill-bytes) apply to every
-// node with the store role; -rate and -api-keys to the gateway.
+// node with the store role. -rate and -api-keys configure the
+// gateway's admission stage: each client — a listed X-API-Key, else
+// the remote IP — gets -rate requests/s with a burst of twice that,
+// and is answered 429 + Retry-After (the time to its next token) past
+// it; refusals count as admission_rate_limited on /api/v1/metrics.
 //
 // SIGINT/SIGTERM shut the node down gracefully within -drain: the
 // listener stops (ending SSE streams), the bus drains into storage,

@@ -11,6 +11,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/api"
 	"repro/sentinel"
 )
@@ -33,8 +34,8 @@ func main() {
 		warmup       = flag.Int("warmup", 0, "detector warmup rows (0 = family default)")
 		stores       = flag.Int("stores", 1, "store nodes to wait for before serving")
 		seed         = flag.Uint64("seed", 42, "detector seed")
-		rate         = flag.Float64("rate", 0, "per-client request rate limit on the gateway (req/s; 0 disables)")
-		apiKeys      = flag.String("api-keys", "", "comma-separated X-API-Key values granted their own rate-limit bucket (unlisted keys fall back to per-IP)")
+		rate         = flag.Float64("rate", 0, "per-client request budget at the gateway's admission stage (req/s, burst 2x; over it: 429 + Retry-After; 0 disables)")
+		apiKeys      = flag.String("api-keys", "", "comma-separated X-API-Key values that are their own client under -rate (unlisted keys fall back to per-IP)")
 		drainFor     = flag.Duration("drain", 15*time.Second, "graceful shutdown budget")
 
 		sealAfter    = flag.Int64("seal-after", 3600, "store nodes: fleet-seconds behind the ingest frontier before a closed storage row seals into the compressed block tier")
@@ -67,6 +68,13 @@ func main() {
 		detParams = map[string]float64{"warmup": float64(*warmup)}
 	}
 
+	// -rate alone is a controller with a budget and no load signals: it
+	// answers 429 per client and never sheds.
+	gateway := sentinel.GatewayConfig{APIKeys: api.SplitKeys(*apiKeys)}
+	if *rate > 0 {
+		gateway.Admission = admission.NewController(admission.Config{RatePerSec: *rate})
+	}
+
 	node, err := sentinel.StartNode(sentinel.NodeConfig{
 		Name:            *name,
 		Roles:           roleList,
@@ -88,10 +96,7 @@ func main() {
 		RawTTL:          *rawTTL,
 		RollupTTL:       *rollupTTL,
 		HotBlockBytes:   *spillBytes,
-		GatewayConfig: sentinel.GatewayConfig{
-			RatePerSec: *rate,
-			APIKeys:    api.SplitKeys(*apiKeys),
-		},
+		GatewayConfig:   gateway,
 	})
 	if err != nil {
 		log.Fatal(err)

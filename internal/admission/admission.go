@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 )
 
@@ -52,14 +53,6 @@ type Signal struct {
 	Limit int64
 }
 
-// Quota is a per-tenant token bucket: RatePerSec sustained requests
-// with bursts up to Burst (default: equal to RatePerSec). Zero
-// RatePerSec means unlimited.
-type Quota struct {
-	RatePerSec float64
-	Burst      float64
-}
-
 // Config tunes a Controller. Zero values take the documented defaults.
 type Config struct {
 	// Signals are the queue-depth pressure inputs (e.g. storage-group
@@ -84,29 +77,31 @@ type Config struct {
 	// no background work (default 100ms).
 	RecomputeEvery time.Duration
 
-	// Quotas maps tenant (validated API key) to its budget;
-	// DefaultQuota applies to tenants not in the map. A zero
-	// DefaultQuota leaves unlisted tenants unlimited.
-	Quotas       map[string]Quota
-	DefaultQuota Quota
+	// RatePerSec is every identity's request budget: a token bucket
+	// refilling at RatePerSec with bursts up to Burst (default 2× the
+	// rate in whole tokens, at least 1). Zero RatePerSec leaves
+	// requests unbudgeted.
+	RatePerSec float64
+	Burst      float64
 
-	// Now overrides the clock (tests).
-	Now func() time.Time
+	// Clock overrides the wall clock (tests run on clock.Manual).
+	Clock clock.Clock
 }
 
 // Decision is the outcome of Admit. When !OK the request must be
 // rejected with Status and Retry-After before any per-request work.
 type Decision struct {
 	OK         bool
-	Status     int    // 503 (shed) or 429 (quota)
+	Status     int    // 503 (pressure shed) or 429 (budget spent)
 	RetryAfter int    // seconds
-	Reason     string // human-readable shed reason
+	Reason     string // human-readable refusal reason
 }
 
-// Controller folds load signals into one pressure scalar and admits or
-// sheds requests by class. The hot path (Admit under steady pressure)
-// is two atomic loads and an atomic increment — no locks, no
-// allocation.
+// Controller is the gateway's one refusal point. It folds load signals
+// into one pressure scalar and sheds requests by class, then charges
+// the request to its identity's budget. The hot path (Admit under
+// steady pressure, no budget) is two atomic loads and an atomic
+// increment — no locks, no allocation.
 type Controller struct {
 	cfg        Config
 	thresholds [numClasses]float64
@@ -119,20 +114,33 @@ type Controller struct {
 	fastEWMA atomic.Uint64 // ingest latency ms, float64 bits
 	slowEWMA atomic.Uint64
 
-	qmu     sync.Mutex
-	buckets map[string]*tenantBucket
+	// The identity → bucket table behind the budget; see take and
+	// makeRoom.
+	bmu       sync.Mutex
+	buckets   map[string]*identityBucket
+	lastPrune time.Time
 
-	// Admitted and Shed count decisions per class (index by Class).
+	// Admitted and Shed count pressure decisions per class (index by
+	// Class).
 	Admitted [numClasses]telemetry.Counter
 	Shed     [numClasses]telemetry.Counter
-	// QuotaDenials counts tenant-quota 429s (also counted in Shed).
-	QuotaDenials telemetry.Counter
+	// RateLimited counts budget 429s. They are not sheds: a client over
+	// its budget says nothing about overload.
+	RateLimited telemetry.Counter
 }
 
-type tenantBucket struct {
-	tokens float64
-	last   time.Time
+// identityBucket is one identity's budget and when it last spent from
+// it (what idle pruning goes by).
+type identityBucket struct {
+	*clock.TokenBucket
+	last time.Time
 }
+
+// maxIdentities hard-caps the bucket table. Identities are validated
+// keys or remote IPs — not freely attacker-mintable — but a widely
+// distributed caller population can still be large, so the table must
+// stay bounded in memory and O(1) per request.
+const maxIdentities = 4096
 
 // EWMA smoothing per latency observation: the fast track reacts within
 // a handful of requests, the slow one holds the recent baseline.
@@ -161,15 +169,18 @@ func NewController(cfg Config) *Controller {
 	if cfg.RecomputeEvery <= 0 {
 		cfg.RecomputeEvery = 100 * time.Millisecond
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
+	if cfg.Burst <= 0 {
+		cfg.Burst = math.Max(1, math.Floor(2*cfg.RatePerSec))
+	}
+	if cfg.Clock == nil {
+		cfg.Clock = clock.Real{}
 	}
 	c := &Controller{
 		cfg:       cfg,
 		gradLimit: cfg.GradientLimit,
 		minLatMs:  float64(cfg.MinLatency) / float64(time.Millisecond),
 		recompute: int64(cfg.RecomputeEvery),
-		buckets:   make(map[string]*tenantBucket, len(cfg.Quotas)),
+		buckets:   make(map[string]*identityBucket),
 	}
 	c.thresholds[Exempt] = math.Inf(1)
 	c.thresholds[Ingest] = cfg.IngestThreshold
@@ -179,28 +190,36 @@ func NewController(cfg Config) *Controller {
 }
 
 // Admit decides whether a request of the given class, from the given
-// tenant, may proceed. tenant is the validated API key ("" for
-// anonymous traffic — anonymous requests are class-shed but never
-// quota'd; the per-IP rate limiter covers them).
-func (c *Controller) Admit(class Class, tenant string) Decision {
-	if class == Exempt || class >= numClasses {
-		return Decision{OK: true}
+// identity (a validated API key, else the remote IP), may proceed.
+// Pressure sheds first — 503, by class (Exempt's threshold is
+// infinite), and never on a controller without Signals: the latency
+// gradient alone, with no queue to corroborate it, is not overload.
+// Then the identity's budget — 429 once its bucket is empty, whatever
+// the class.
+func (c *Controller) Admit(class Class, identity string) Decision {
+	if class >= numClasses {
+		class = Exempt
 	}
-	c.maybeRecompute()
-	p := c.Pressure()
-	if th := c.thresholds[class]; p >= th {
-		c.Shed[class].Inc()
-		return Decision{
-			Status:     503,
-			RetryAfter: retryAfter(p, th),
-			Reason:     "shedding " + class.String() + " traffic under overload",
+	if len(c.cfg.Signals) > 0 {
+		c.maybeRecompute()
+		p := c.Pressure()
+		if th := c.thresholds[class]; p >= th {
+			c.Shed[class].Inc()
+			return Decision{
+				Status:     503,
+				RetryAfter: retryAfter(p, th),
+				Reason:     "shedding " + class.String() + " traffic under overload",
+			}
 		}
 	}
-	if tenant != "" && (c.cfg.DefaultQuota.RatePerSec > 0 || len(c.cfg.Quotas) > 0) {
-		if !c.takeQuota(tenant) {
-			c.Shed[class].Inc()
-			c.QuotaDenials.Inc()
-			return Decision{Status: 429, RetryAfter: 1, Reason: "tenant quota exceeded"}
+	if c.cfg.RatePerSec > 0 {
+		if ok, wait := c.take(identity); !ok {
+			c.RateLimited.Inc()
+			return Decision{
+				Status:     429,
+				RetryAfter: int((wait + time.Second - 1) / time.Second), // whole seconds, rounded up
+				Reason:     "rate limit exceeded",
+			}
 		}
 	}
 	c.Admitted[class].Inc()
@@ -250,7 +269,7 @@ func (c *Controller) Recompute() {
 }
 
 func (c *Controller) maybeRecompute() {
-	now := c.cfg.Now().UnixNano()
+	now := c.cfg.Clock.Now().UnixNano()
 	last := c.lastTick.Load()
 	if now-last < c.recompute {
 		return
@@ -261,41 +280,49 @@ func (c *Controller) maybeRecompute() {
 	c.Recompute()
 }
 
-// takeQuota spends one token from the tenant's bucket. The map is
-// bounded by the set of validated API keys, so it cannot be grown by
-// unauthenticated traffic.
-func (c *Controller) takeQuota(tenant string) bool {
-	q, ok := c.cfg.Quotas[tenant]
-	if !ok {
-		q = c.cfg.DefaultQuota
-	}
-	if q.RatePerSec <= 0 {
-		return true
-	}
-	if q.Burst <= 0 {
-		q.Burst = q.RatePerSec
-	}
-	now := c.cfg.Now()
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	b := c.buckets[tenant]
+// take spends one token of identity's bucket, reporting the wait until
+// the next token when it is empty.
+func (c *Controller) take(identity string) (bool, time.Duration) {
+	now := c.cfg.Clock.Now()
+	c.bmu.Lock()
+	b := c.buckets[identity]
 	if b == nil {
-		b = &tenantBucket{tokens: q.Burst, last: now}
-		c.buckets[tenant] = b
+		if len(c.buckets) >= maxIdentities {
+			c.makeRoom(now)
+		}
+		b = &identityBucket{TokenBucket: clock.NewTokenBucket(c.cfg.RatePerSec, c.cfg.Burst, c.cfg.Clock)}
+		c.buckets[identity] = b
 	}
-	b.tokens += now.Sub(b.last).Seconds() * q.RatePerSec
 	b.last = now
-	if b.tokens > q.Burst {
-		b.tokens = q.Burst
-	}
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
+	c.bmu.Unlock()
+	return b.TryTake(1)
 }
 
-// ShedTotal sums sheds across all classes (the loadgen / soak
+// makeRoom keeps the table under its cap: buckets idle long enough to
+// have refilled (indistinguishable from fresh ones) are reclaimed, at
+// most once a second — a full-table scan must not run per request —
+// and then arbitrary entries are evicted. An evicted active identity
+// merely restarts with a full bucket, which is the fail-open
+// direction. Called with bmu held.
+func (c *Controller) makeRoom(now time.Time) {
+	if now.Sub(c.lastPrune) >= time.Second {
+		c.lastPrune = now
+		idle := max(time.Minute, time.Duration(c.cfg.Burst/c.cfg.RatePerSec*float64(time.Second)))
+		for k, b := range c.buckets {
+			if now.Sub(b.last) > idle {
+				delete(c.buckets, k)
+			}
+		}
+	}
+	for k := range c.buckets {
+		if len(c.buckets) < maxIdentities {
+			break
+		}
+		delete(c.buckets, k)
+	}
+}
+
+// ShedTotal sums pressure sheds across all classes (the loadgen / soak
 // assertion counter).
 func (c *Controller) ShedTotal() int64 {
 	var n int64
@@ -312,7 +339,7 @@ func (c *Controller) Register(reg *telemetry.Registry) {
 		reg.RegisterCounter("admission_admitted_"+class.String(), &c.Admitted[class])
 		reg.RegisterCounter("admission_shed_"+class.String(), &c.Shed[class])
 	}
-	reg.RegisterCounter("admission_quota_denials", &c.QuotaDenials)
+	reg.RegisterCounter("admission_rate_limited", &c.RateLimited)
 	reg.RegisterFunc("admission_pressure_milli", func() int64 {
 		return int64(c.Pressure() * 1000)
 	})

@@ -16,11 +16,11 @@ func newFakeAutoscaler(p *fakePool, cfg AutoscaleConfig) *Autoscaler {
 }
 
 func TestAutoscalerGrowsAndShrinks(t *testing.T) {
-	clk := &fakeClock{}
+	clk := newClock()
 	p := &fakePool{workers: 2}
 	a := newFakeAutoscaler(p, AutoscaleConfig{
 		Min: 1, Max: 4, ScaleUpLag: 100, ScaleDownLag: 10,
-		Cooldown: time.Second, Now: clk.now,
+		Cooldown: time.Second, Now: clk.Now,
 	})
 
 	p.lag.Store(500)
@@ -33,13 +33,13 @@ func TestAutoscalerGrowsAndShrinks(t *testing.T) {
 	if p.workers != 3 {
 		t.Fatalf("workers = %d, scaled inside cooldown", p.workers)
 	}
-	clk.advance(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	a.Tick()
 	if p.workers != 4 {
 		t.Fatalf("workers = %d, want 4", p.workers)
 	}
 	// At Max: lag stays high but the pool must not grow further.
-	clk.advance(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	a.Tick()
 	if p.workers != 4 {
 		t.Fatalf("workers = %d, grew past Max", p.workers)
@@ -48,7 +48,7 @@ func TestAutoscalerGrowsAndShrinks(t *testing.T) {
 	// Backlog drained: shrink one worker per cooldown down to Min.
 	p.lag.Store(0)
 	for i := 0; i < 10; i++ {
-		clk.advance(2 * time.Second)
+		clk.Advance(2 * time.Second)
 		a.Tick()
 	}
 	if p.workers != 1 {
@@ -63,15 +63,15 @@ func TestAutoscalerGrowsAndShrinks(t *testing.T) {
 }
 
 func TestAutoscalerDeadBand(t *testing.T) {
-	clk := &fakeClock{}
+	clk := newClock()
 	p := &fakePool{workers: 2}
 	a := newFakeAutoscaler(p, AutoscaleConfig{
-		Min: 1, Max: 4, ScaleUpLag: 100, ScaleDownLag: 10, Now: clk.now,
+		Min: 1, Max: 4, ScaleUpLag: 100, ScaleDownLag: 10, Now: clk.Now,
 	})
 	// Lag between the thresholds: steady state, no flapping.
 	p.lag.Store(50)
 	for i := 0; i < 10; i++ {
-		clk.advance(10 * time.Second)
+		clk.Advance(10 * time.Second)
 		a.Tick()
 	}
 	if p.workers != 2 {

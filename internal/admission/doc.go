@@ -1,15 +1,15 @@
-// Package admission is the adaptive overload-control layer: it decides,
+// Package admission is the gateway's one refusal point: it decides,
 // per request, whether the system should do the work at all — before
-// any of the work (body decode, timeout context, concurrency slot) has
-// been spent.
+// any of the work (body decode, timeout context) has been spent.
+// Controller.Admit(class, identity) gives the one verdict: the
+// adaptive overload shed first, then the identity's request budget.
 //
-// The static limits elsewhere in the stack (token buckets, concurrency
-// caps) protect against abusive clients; they say nothing about whether
-// the tiers *behind* the gateway are keeping up. Admission closes that
-// loop: a Controller samples load signals — bus consumer lag (queue
-// depth) and the gradient of ingest latency — folds them into one
-// scalar pressure, and sheds traffic by priority class as pressure
-// rises.
+// A per-client budget protects against abusive clients; it says
+// nothing about whether the tiers *behind* the gateway are keeping up.
+// The shed closes that loop: a Controller samples load signals — bus
+// consumer lag (queue depth) and the gradient of ingest latency —
+// folds them into one scalar pressure, and sheds traffic by priority
+// class as pressure rises.
 //
 // # Pressure
 //
@@ -22,6 +22,10 @@
 //     A ratio at Config.GradientLimit (default 3×) maps to pressure
 //     1.0 — latency rising fast means saturation even before queues
 //     show it.
+//
+// A controller with no Signals never sheds: without a queue to
+// corroborate it, a latency gradient is not overload (a budget-only
+// gateway — sentineld -rate — answers 429s and no 503).
 //
 // # Classes
 //
@@ -41,13 +45,19 @@
 // nothing: the decision is two atomic loads, taken before the request
 // body is read.
 //
-// # Quotas
+// # Budget
 //
-// Per-tenant token buckets layer on the API-key identity: a tenant is
-// a *validated* X-API-Key (never an attacker-chosen header), and a
-// tenant over its Config.Quotas budget gets 429 "rate_limited" even
-// when the system is idle. Anonymous traffic is not quota'd here — the
-// per-IP rate limiter already covers it.
+// Config.RatePerSec and Burst are the request budget, the only place
+// it is configured: every identity — a *validated* X-API-Key, else
+// the remote IP; the gateway resolves it, never from an
+// attacker-chosen header — owns one clock.TokenBucket of that shape.
+// An identity whose bucket is empty gets 429 "rate_limited" with the
+// time to its next token as Retry-After, whatever the class (ops
+// routes spend budget too) and even when the system is idle; the
+// refusal counts as RateLimited, not as a shed. The bucket table is
+// bounded (4096 identities): at the cap, buckets idle long enough to
+// have refilled are pruned, then arbitrary ones evicted — an evicted
+// identity restarts full, the fail-open direction.
 //
 // # Autoscaling
 //

@@ -8,9 +8,11 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/admission"
 	v1 "repro/internal/api/v1"
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 	"repro/internal/tsdb"
 )
@@ -165,13 +167,15 @@ func TestAdmissionShedsBeforeBodyRead(t *testing.T) {
 	}
 }
 
+// TestAdmissionTenantQuota: the budget is per identity — a validated
+// key spends its own bucket, everyone else their IP's — and a 429
+// shows on /api/v1/metrics as rate-limited, not as a shed.
 func TestAdmissionTenantQuota(t *testing.T) {
 	var load atomic.Int64
+	clk := clock.NewManual(time.Unix(0, 0))
 	g, _, _ := admissionGateway(t, &load, func(cfg *Config) {
-		cfg.APIKeys = []string{"tenant-a"}
-		cfg.Admission = admission.NewController(admission.Config{
-			Quotas: map[string]admission.Quota{"key:tenant-a": {RatePerSec: 1, Burst: 2}},
-		})
+		cfg.APIKeys = []string{"tenant-a", "ops"}
+		cfg.Admission = admission.NewController(admission.Config{RatePerSec: 0.5, Burst: 2, Clock: clk})
 	})
 	key := map[string]string{"X-API-Key": "tenant-a"}
 	for i := 0; i < 2; i++ {
@@ -181,19 +185,76 @@ func TestAdmissionTenantQuota(t *testing.T) {
 	}
 	w := doReq(g, "POST", "/api/v1/points", putBodyJSON, key)
 	if w.Code != 429 {
-		t.Fatalf("over-quota = %d, want 429", w.Code)
+		t.Fatalf("over-budget = %d, want 429", w.Code)
 	}
-	if env := decodeEnvelope(t, w); env.Code != v1.CodeRateLimited {
-		t.Errorf("quota code = %q, want %q", env.Code, v1.CodeRateLimited)
+	// Empty at one token per 2s: Retry-After is the time to that token,
+	// in the header and in the envelope.
+	env := decodeEnvelope(t, w)
+	if env.Code != v1.CodeRateLimited || env.RetryAfterSeconds != 2 || w.Header().Get("Retry-After") != "2" {
+		t.Errorf("429 = %+v, Retry-After %q; want rate_limited after 2s", env, w.Header().Get("Retry-After"))
 	}
-	// Anonymous traffic and unrecognized keys are not quota'd (an
-	// attacker-chosen header must not name a tenant).
-	for i := 0; i < 5; i++ {
-		if w := doReq(g, "POST", "/api/v1/points", putBodyJSON, nil); w.Code != 200 {
-			t.Fatalf("anonymous request %d = %d", i, w.Code)
+	// tenant-a's empty bucket is nobody else's: anonymous traffic and
+	// unrecognized keys share the remote IP's bucket (an attacker-chosen
+	// header must not name a tenant, nor mint a fresh bucket).
+	for i, hdr := range []map[string]string{nil, {"X-API-Key": "bogus"}} {
+		if w := doReq(g, "POST", "/api/v1/points", putBodyJSON, hdr); w.Code != 200 {
+			t.Fatalf("ip-identified request %d = %d", i, w.Code)
 		}
-		if w := doReq(g, "POST", "/api/v1/points", putBodyJSON, map[string]string{"X-API-Key": "bogus"}); w.Code != 200 {
-			t.Fatalf("bogus-key request %d = %d", i, w.Code)
+	}
+	if w := doReq(g, "POST", "/api/v1/points", putBodyJSON, map[string]string{"X-API-Key": "bogus-2"}); w.Code != 429 {
+		t.Fatalf("third request from one IP under a rotated key = %d, want 429", w.Code)
+	}
+	metrics := doReq(g, "GET", "/api/v1/metrics", "", map[string]string{"X-API-Key": "ops"}).Body.String()
+	for _, want := range []string{"admission_rate_limited 2\n", "admission_shed_ingest 0\n", "admission_admitted_ingest 4\n"} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics missing %q:\n%s", want, metrics)
+		}
+	}
+	clk.Advance(2 * time.Second)
+	if w := doReq(g, "POST", "/api/v1/points", putBodyJSON, key); w.Code != 200 {
+		t.Fatalf("request after the hinted wait = %d, want 200", w.Code)
+	}
+}
+
+// TestRateOnlyGatewayNeverSheds: a gateway whose controller has a
+// budget and no signals (sentineld -rate) answers no 503 while ingest
+// latency spikes 10× — the same spike sheds bulk as soon as one queue
+// signal, however idle, stands behind the gradient.
+func TestRateOnlyGatewayNeverSheds(t *testing.T) {
+	ndjson := map[string]string{"Accept": v1.ContentTypeNDJSON}
+	for _, tc := range []struct {
+		name     string
+		signals  []admission.Signal
+		wantBulk int
+	}{
+		{"rate only", nil, 200},
+		{"idle queue signal", []admission.Signal{{Name: "idle", Load: func() int64 { return 0 }, Limit: 100}}, 503},
+	} {
+		var load atomic.Int64
+		clk := clock.NewManual(time.Unix(0, 0))
+		ctrl := admission.NewController(admission.Config{Signals: tc.signals, RatePerSec: 1000, Clock: clk})
+		g, _, _ := admissionGateway(t, &load, func(cfg *Config) { cfg.Admission = ctrl })
+		for i := 0; i < 200; i++ {
+			ctrl.ObserveLatency(admission.Ingest, 6*time.Millisecond)
+		}
+		for i := 0; i < 20; i++ {
+			ctrl.ObserveLatency(admission.Ingest, 60*time.Millisecond)
+		}
+		clk.Advance(time.Second) // past RecomputeEvery: the next Admit refreshes pressure
+		if w := doReq(g, "GET", "/api/v1/query", "", ndjson); w.Code != tc.wantBulk {
+			t.Errorf("%s: bulk query during the spike = %d, want %d", tc.name, w.Code, tc.wantBulk)
+		}
+		if tc.wantBulk != 200 {
+			continue
+		}
+		if w := doReq(g, "GET", "/api/v1/query", "", nil); w.Code != 200 {
+			t.Errorf("%s: interactive query during the spike = %d, want 200", tc.name, w.Code)
+		}
+		if w := doReq(g, "POST", "/api/v1/points", putBodyJSON, nil); w.Code != 200 {
+			t.Errorf("%s: put during the spike = %d, want 200", tc.name, w.Code)
+		}
+		if ctrl.ShedTotal() != 0 || ctrl.Pressure() != 0 {
+			t.Errorf("%s: ShedTotal = %d, pressure = %v, want 0 and 0", tc.name, ctrl.ShedTotal(), ctrl.Pressure())
 		}
 	}
 }

@@ -23,7 +23,7 @@
 //
 // Standard routes run, outermost first:
 //
-//	RequestID → AccessLog → Recover → Admission → RateLimit → ConcurrencyLimit → Timeout → Gzip → handler
+//	RequestID → AccessLog → Recover → Admission → Timeout → Gzip → handler
 //
 // The order is load-bearing:
 //
@@ -31,48 +31,54 @@
 //     panic logs, error envelopes — can name the request.
 //   - AccessLog wraps Recover so a panicked request is still logged
 //     and counted as a 500.
-//   - The cheap-reject layers run before any per-request work is
-//     spent, cheapest first: Admission (two atomic loads against the
-//     overload controller), then RateLimit (one bucket under a
-//     mutex), then ConcurrencyLimit (a channel slot). A shed or
-//     limited request never reads the body, never allocates a timeout
-//     context, and never takes a slot meant for real work — rejecting
-//     cheap and early is what makes shedding protective rather than
-//     just another cost.
-//   - Timeout is inside the limiters: ConcurrencyLimit sheds rather
-//     than queues (its slot take never blocks), so only requests that
-//     will actually run pay for a deadline context.
+//   - Admission is the one cheap-reject layer and runs before any
+//     per-request work is spent. A refused request never reads the
+//     body and never allocates a timeout context — rejecting cheap and
+//     early is what makes shedding protective rather than just another
+//     cost.
+//   - Timeout is inside it, so only requests that will actually run
+//     pay for a deadline context.
 //   - Gzip is innermost so everything outside it observes the true
 //     status and byte counts.
 //
-// Streaming routes (the SSE tail) drop ConcurrencyLimit, Timeout and
-// Gzip — a tail lives for minutes by design, must not occupy a
-// request slot, and its frames have to flush per event, not per gzip
-// block — and instead respect the gateway's MaxStreams cap.
+// Streaming routes (the SSE tail) drop Timeout and Gzip — a tail
+// lives for minutes by design, and its frames have to flush per
+// event, not per gzip block — and instead respect the gateway's
+// MaxStreams cap.
 //
-// # Admission classes
+// # Admission
 //
-// When Config.Admission is set, every route is classified at
-// registration and gated on the adaptive overload controller
-// (internal/admission): writes are Ingest (shed last), dashboard
-// reads are Interactive, the SSE stream and NDJSON exports are Bulk
-// (shed first — /api/v1/query and the drill-downs escalate from
-// Interactive to Bulk when the client negotiates NDJSON), and the ops
-// routes (/metrics, /healthz, /readyz) are Exempt: operators need
-// them most while the system is melting. Sheds answer 503 with code
-// "overloaded" and a pressure-scaled Retry-After; tenant-quota
-// rejections answer 429 "rate_limited".
+// When Config.Admission is set, one call decides whether a request is
+// refused — admission.Controller.Admit(class, identity) — and one
+// function (reject) writes every refusal, as the v1 error envelope
+// {"error":{"code","message","status","retryAfterSeconds"}} with a
+// Retry-After header:
 //
-// Rejections are typed: the per-client token bucket answers 429 with
-// Retry-After, shed load (concurrency or stream caps) answers 503
-// with Retry-After, and every error body is the v1 error envelope
-// {"error":{"code","message","status"}}.
+//   - 503 "overloaded", Retry-After scaled by how far pressure sits
+//     past the class's threshold: the overload shed. Every route is
+//     classified at registration: writes are Ingest (shed last),
+//     dashboard reads are Interactive, the SSE stream and NDJSON
+//     exports are Bulk (shed first — /api/v1/query and the drill-downs
+//     escalate from Interactive to Bulk when the client negotiates
+//     NDJSON), and the ops routes (/metrics, /healthz, /readyz) are
+//     Exempt: operators need them most while the system is melting. A
+//     controller without load signals never sheds.
+//   - 429 "rate_limited", Retry-After the time to the client's next
+//     token: the request budget (admission.Config.RatePerSec and
+//     Burst, and nowhere else). Every route spends it, ops routes
+//     included. Counted as admission_rate_limited on /api/v1/metrics,
+//     not as a shed.
 //
-// Rate-limit identity is the remote IP, unless the request presents an
-// X-API-Key matching Config.APIKeys — only validated keys earn their
-// own bucket. Unrecognized keys deliberately do NOT: the header is
-// attacker-chosen, and keying on raw values would let any client mint
-// a fresh full bucket per request by rotating keys.
+// The SSE stream cap (MaxStreams) answers 503 "overloaded" through
+// the same writer, and every other error body of the gateway is the
+// same envelope.
+//
+// The identity a budget belongs to is the remote IP, unless the
+// request presents an X-API-Key matching Config.APIKeys — only
+// validated keys earn their own bucket. Unrecognized keys deliberately
+// do NOT: the header is attacker-chosen, and keying on raw values
+// would let any client mint a fresh full bucket per request by
+// rotating keys.
 //
 // The per-route latency histograms AccessLog feeds are windowed
 // (telemetry.Histogram.SetWindow): count and sum are cumulative, but

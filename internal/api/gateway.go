@@ -112,29 +112,23 @@ type Config struct {
 	// (default 100).
 	PageLimit int
 
-	// Admission, when non-nil, gates every non-exempt route on the
-	// adaptive overload controller: requests are classified (ingest /
-	// interactive / bulk) at registration and shed cheap and early —
-	// before the body is read, the timeout context is created, or a
-	// concurrency slot is taken — as the controller's pressure crosses
-	// each class's threshold. The controller's counters register on
-	// Registry when both are set.
+	// Admission, when non-nil, is the gateway's one cheap-reject stage:
+	// requests are classified (ingest / interactive / bulk / exempt) at
+	// registration and refused before the body is read or the timeout
+	// context is created — shed with 503 as the controller's pressure
+	// crosses their class's threshold (ops routes never), answered 429
+	// once their client's budget (admission.Config.RatePerSec) is
+	// spent. The controller's counters register on Registry when both
+	// are set.
 	Admission *admission.Controller
-
-	// RatePerSec enables per-client token-bucket rate limiting
-	// (0 disables); Burst is the bucket size (default 2×rate).
-	RatePerSec float64
-	Burst      int
 	// APIKeys lists the keys clients may present via X-API-Key to get
-	// their own rate-limit bucket (multi-tenant deployments behind a
-	// shared NAT). An unrecognized or absent key falls back to
-	// per-remote-IP identity — unvalidated header values must not mint
-	// buckets, or rotating keys would bypass the limiter entirely.
+	// their own budget (multi-tenant deployments behind a shared NAT).
+	// An unrecognized or absent key falls back to per-remote-IP
+	// identity — unvalidated header values must not mint buckets, or
+	// rotating keys would bypass the limit entirely.
 	APIKeys []string
-	// MaxConcurrent caps non-streaming requests in flight
-	// (0 = unlimited); MaxStreams caps live SSE tails (default 64).
-	MaxConcurrent int
-	MaxStreams    int
+	// MaxStreams caps live SSE tails (default 64).
+	MaxStreams int
 	// RequestTimeout bounds each non-streaming request's context
 	// (default 30s; negative disables).
 	RequestTimeout time.Duration
@@ -172,9 +166,6 @@ func (c Config) withDefaults() Config {
 	if c.PageLimit <= 0 {
 		c.PageLimit = 100
 	}
-	if c.Burst <= 0 {
-		c.Burst = int(2 * c.RatePerSec)
-	}
 	if c.MaxStreams <= 0 {
 		c.MaxStreams = 64
 	}
@@ -198,8 +189,6 @@ func (c Config) withDefaults() Config {
 type Gateway struct {
 	cfg     Config
 	mux     *http.ServeMux
-	limiter *RateLimiter
-	apiKeys map[string]struct{}
 	streams chan struct{}
 }
 
@@ -211,14 +200,9 @@ func New(cfg Config) *Gateway {
 		mux:     http.NewServeMux(),
 		streams: make(chan struct{}, cfg.MaxStreams),
 	}
-	if len(cfg.APIKeys) > 0 {
-		g.apiKeys = make(map[string]struct{}, len(cfg.APIKeys))
-		for _, k := range cfg.APIKeys {
-			g.apiKeys[k] = struct{}{}
-		}
-	}
-	if cfg.RatePerSec > 0 {
-		g.limiter = NewRateLimiter(cfg.RatePerSec, cfg.Burst, nil)
+	apiKeys := make(map[string]string, len(cfg.APIKeys))
+	for _, k := range cfg.APIKeys {
+		apiKeys[k] = "key:" + k
 	}
 	if cfg.Admission != nil && cfg.Registry != nil {
 		cfg.Admission.Register(cfg.Registry)
@@ -241,19 +225,17 @@ func New(cfg Config) *Gateway {
 
 	// std is the full middleware chain for request/response routes;
 	// stream drops the layers that would break a long-lived SSE tail
-	// (timeout, concurrency slots, gzip). Chains wrap per-route — the
-	// mux resolves the pattern first, so AccessLog sees r.Pattern. The
-	// cheap-reject layers (admission, rate limit, concurrency) sit
-	// above Timeout and Gzip so a shed request never pays for a timeout
-	// context or response plumbing it will not use.
+	// (timeout, gzip). Chains wrap per-route — the mux resolves the
+	// pattern first, so AccessLog sees r.Pattern. Admission, the one
+	// cheap-reject layer, sits above Timeout and Gzip so a refused
+	// request never pays for a timeout context or response plumbing it
+	// will not use.
 	stdClass := func(classify func(*http.Request) admission.Class, h http.HandlerFunc) http.Handler {
 		return Chain(h,
 			RequestID(),
 			AccessLog(cfg.AccessLog, cfg.Registry),
 			Recover(cfg.AccessLog),
-			Admission(cfg.Admission, classify, g.apiKeys),
-			RateLimit(g.limiter, g.apiKeys),
-			ConcurrencyLimit(cfg.MaxConcurrent),
+			Admission(cfg.Admission, classify, apiKeys),
 			Timeout(cfg.RequestTimeout),
 			Gzip(),
 		)
@@ -266,8 +248,7 @@ func New(cfg Config) *Gateway {
 			RequestID(),
 			AccessLog(cfg.AccessLog, cfg.Registry),
 			Recover(cfg.AccessLog),
-			Admission(cfg.Admission, static(class), g.apiKeys),
-			RateLimit(g.limiter, g.apiKeys),
+			Admission(cfg.Admission, static(class), apiKeys),
 		)
 	}
 
@@ -296,8 +277,9 @@ func New(cfg Config) *Gateway {
 	handle("GET", "/api/v1/anomalies/stream", stream(admission.Bulk, g.handleStream))
 	handle("GET", "/api/v1/detectors", std(admission.Interactive, g.handleDetectors))
 	handle("GET", "/api/v1/cluster", std(admission.Interactive, g.handleCluster))
-	// Ops routes are exempt from shedding: operators need metrics and
-	// health most while the system is melting.
+	// Ops routes are exempt from shedding (not from their client's
+	// budget): operators need metrics and health most while the system
+	// is melting.
 	handle("GET", "/api/v1/metrics", std(admission.Exempt, g.handleMetrics))
 	handle("GET", "/api/v1/healthz", std(admission.Exempt, g.handleHealth))
 	handle("GET", "/api/v1/readyz", std(admission.Exempt, g.handleReady))
@@ -320,9 +302,6 @@ func New(cfg Config) *Gateway {
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mux.ServeHTTP(w, r)
 }
-
-// Limiter exposes the rate limiter (tests and ops counters).
-func (g *Gateway) Limiter() *RateLimiter { return g.limiter }
 
 // window resolves [from, to] from ?from/?to with gateway defaults,
 // rejecting inverted windows.

@@ -9,10 +9,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	v1 "repro/internal/api/v1"
 	"repro/internal/hbase"
 	"repro/internal/telemetry"
@@ -73,7 +73,7 @@ func testBackend(t *testing.T) (*viz.Backend, *tsdb.Deployment) {
 	if err := tsd.Put(pts); err != nil {
 		t.Fatal(err)
 	}
-	return &viz.Backend{TSD: tsd, Units: 3, Sensors: 4, WarnAt: 1, CritAt: 10}, d
+	return &viz.Backend{Q: tsd, Units: 3, Sensors: 4, WarnAt: 1, CritAt: 10}, d
 }
 
 func testGateway(t *testing.T, mutate func(*Config)) *Gateway {
@@ -377,13 +377,15 @@ func TestContentNegotiation(t *testing.T) {
 	}
 }
 
-// TestRateLimit429RetryAfter: the per-client token bucket sheds with
+// TestRateLimit429RetryAfter: the per-client budget refuses with
 // 429 + Retry-After; distinct configured clients have distinct
 // buckets, and unvalidated X-API-Key values cannot mint fresh ones.
 func TestRateLimit429RetryAfter(t *testing.T) {
 	gw := testGateway(t, func(c *Config) {
-		c.RatePerSec = 0.001 // effectively no refill within the test
-		c.Burst = 2
+		c.Admission = admission.NewController(admission.Config{
+			RatePerSec: 0.001, // effectively no refill within the test
+			Burst:      2,
+		})
 		c.APIKeys = []string{"tenant-a"}
 	})
 	for i := 0; i < 2; i++ {
@@ -402,7 +404,7 @@ func TestRateLimit429RetryAfter(t *testing.T) {
 	if e.Code != v1.CodeRateLimited || e.RetryAfterSeconds <= 0 {
 		t.Fatalf("envelope = %+v", e)
 	}
-	// The 429 still carries a request id (RequestID wraps RateLimit).
+	// The 429 still carries a request id (RequestID wraps Admission).
 	if rec.Header().Get(HeaderRequestID) == "" {
 		t.Fatal("429 without request id")
 	}
@@ -512,38 +514,5 @@ func TestGzipErrorEnvelopeMarked(t *testing.T) {
 	bodyless.ServeHTTP(rec204, req)
 	if rec204.Code != 204 || rec204.Header().Get("Content-Encoding") != "" {
 		t.Fatalf("204 = %d, Content-Encoding %q", rec204.Code, rec204.Header().Get("Content-Encoding"))
-	}
-}
-
-// TestConcurrencyCap: excess in-flight requests shed with 503.
-func TestConcurrencyCap(t *testing.T) {
-	block := make(chan struct{})
-	entered := make(chan struct{})
-	gw := testGateway(t, func(c *Config) {
-		c.MaxConcurrent = 1
-		c.Query = querierFunc(func(ctx context.Context, q tsdb.Query) ([]tsdb.Series, error) {
-			close(entered)
-			<-block
-			return nil, nil
-		})
-	})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		get(t, gw, "/api/v1/query?from=0&to=9")
-	}()
-	<-entered
-	rec := get(t, gw, "/api/v1/query?from=0&to=9")
-	close(block)
-	wg.Wait()
-	if rec.Code != 503 {
-		t.Fatalf("over-cap request = %d, want 503", rec.Code)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After")
-	}
-	if envelope(t, rec).Code != v1.CodeOverloaded {
-		t.Fatalf("envelope = %s", rec.Body)
 	}
 }

@@ -193,30 +193,26 @@ func Recover(logger *log.Logger) Middleware {
 	}
 }
 
-// Admission consults the adaptive overload controller before any
-// per-request work is spent: the shed path is two atomic loads and an
-// error envelope — no body read, no timeout context, no concurrency
-// slot (see internal/admission; rejecting cheap and early is the
-// point, so this layer sits above all of those). classify maps the
-// request to its priority class; routes whose cost depends on content
-// negotiation (a dashboard read vs an NDJSON bulk export of the same
-// path) escalate per request. Admitted ingest requests feed their
-// latency back into the controller's gradient signal. A nil controller
-// disables the stage.
-func Admission(ctrl *admission.Controller, classify func(*http.Request) admission.Class, keys map[string]struct{}) Middleware {
+// Admission is the gateway's one cheap-reject stage: before any
+// per-request work is spent — no body read, no timeout context — it
+// asks the controller whether to do the work at all (see
+// internal/admission; rejecting cheap and early is the point, so this
+// layer sits above Timeout and Gzip). The controller sheds by class
+// under pressure (503) and charges the request to its identity's
+// budget (429). classify maps the request to its priority class;
+// routes whose cost depends on content negotiation (a dashboard read
+// vs an NDJSON bulk export of the same path) escalate per request.
+// Admitted ingest requests feed their latency back into the
+// controller's gradient signal. A nil controller disables the stage.
+func Admission(ctrl *admission.Controller, classify func(*http.Request) admission.Class, keys map[string]string) Middleware {
 	return func(next http.Handler) http.Handler {
 		if ctrl == nil {
 			return next
 		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			class := classify(r)
-			d := ctrl.Admit(class, tenantKey(r, keys))
-			if !d.OK {
-				code := v1.CodeOverloaded
-				if d.Status == http.StatusTooManyRequests {
-					code = v1.CodeRateLimited
-				}
-				writeError(w, &apiError{status: d.Status, code: code, msg: d.Reason, retry: d.RetryAfter})
+			if d := ctrl.Admit(class, clientKey(r, keys)); !d.OK {
+				reject(w, d)
 				return
 			}
 			if class != admission.Ingest {
@@ -230,20 +226,15 @@ func Admission(ctrl *admission.Controller, classify func(*http.Request) admissio
 	}
 }
 
-// tenantKey is the quota identity for admission: the validated
-// X-API-Key, or "" for anonymous traffic (which is never quota'd here
-// — the per-IP rate limiter covers it). Same trust rule as clientKey:
-// an unvalidated header value must not name a tenant.
-func tenantKey(r *http.Request, keys map[string]struct{}) string {
-	if len(keys) == 0 {
-		return ""
+// reject writes every refusal of the cheap-reject path: the
+// controller's 503 overloaded / 429 rate_limited and the SSE stream
+// cap's 503, each with its Retry-After.
+func reject(w http.ResponseWriter, d admission.Decision) {
+	code := v1.CodeOverloaded
+	if d.Status == http.StatusTooManyRequests {
+		code = v1.CodeRateLimited
 	}
-	if k := r.Header.Get("X-API-Key"); k != "" {
-		if _, ok := keys[k]; ok {
-			return "key:" + k
-		}
-	}
-	return ""
+	writeError(w, &apiError{status: d.Status, code: code, msg: d.Reason, retry: d.RetryAfter})
 }
 
 // Timeout bounds each request's context. Handlers thread ctx into the
@@ -264,29 +255,6 @@ func Timeout(d time.Duration) Middleware {
 	}
 }
 
-// ConcurrencyLimit caps requests in flight; excess load is shed with
-// 503 + Retry-After rather than queued without bound (the gateway-tier
-// analogue of the proxy's bounded buffer). Streaming routes get their
-// own cap (MaxStreams) instead of consuming these slots.
-func ConcurrencyLimit(max int) Middleware {
-	return func(next http.Handler) http.Handler {
-		if max <= 0 {
-			return next
-		}
-		slots := make(chan struct{}, max)
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			select {
-			case slots <- struct{}{}:
-				defer func() { <-slots }()
-				next.ServeHTTP(w, r)
-			default:
-				w.Header().Set("Retry-After", "1")
-				writeError(w, &apiError{status: http.StatusServiceUnavailable, code: "overloaded", msg: "concurrency limit reached"})
-			}
-		})
-	}
-}
-
 // remoteIP extracts the caller's network address without the port.
 func remoteIP(r *http.Request) string {
 	host, _, err := net.SplitHostPort(r.RemoteAddr)
@@ -296,147 +264,22 @@ func remoteIP(r *http.Request) string {
 	return host
 }
 
-// clientKey identifies the caller for rate limiting: the X-API-Key
-// header when it matches a configured key (multi-tenant deployments
-// hand keys out), else the remote IP. An unrecognized or absent key
-// never grants its own bucket — X-API-Key is attacker-chosen, and
-// honoring arbitrary values would let any client mint a fresh full
-// bucket per request by rotating keys. The "key:" prefix keeps a key
-// that happens to look like an IP from colliding with real IP buckets.
-func clientKey(r *http.Request, keys map[string]struct{}) string {
+// clientKey is the one identity function — whose budget a request
+// spends: the X-API-Key header when it matches a configured key
+// (multi-tenant deployments hand keys out), else the remote IP. An
+// unrecognized or absent key never grants its own bucket — X-API-Key
+// is attacker-chosen, and honoring arbitrary values would let any
+// client mint a fresh full bucket per request by rotating keys. keys
+// maps each configured key to its identity, "key:"-prefixed so a key
+// that happens to look like an IP cannot collide with a real IP's
+// bucket.
+func clientKey(r *http.Request, keys map[string]string) string {
 	if k := r.Header.Get("X-API-Key"); k != "" {
-		if _, ok := keys[k]; ok {
-			return "key:" + k
+		if id, ok := keys[k]; ok {
+			return id
 		}
 	}
 	return remoteIP(r)
-}
-
-// tokenBucket is one client's refillable budget.
-type tokenBucket struct {
-	tokens float64
-	last   time.Time
-}
-
-// RateLimiter is a per-client token bucket: each client accrues rate
-// tokens/second up to burst, and a request costs one token. Rejections
-// carry 429 + Retry-After (seconds until one token refills).
-type RateLimiter struct {
-	rate  float64
-	burst float64
-	now   func() time.Time
-
-	mu        sync.Mutex
-	clients   map[string]*tokenBucket
-	lastPrune time.Time
-
-	// Rejected counts requests shed with 429.
-	Rejected telemetry.Counter
-}
-
-// maxClients hard-caps the bucket table. Identities are validated
-// keys or remote IPs — not freely attacker-mintable — but a widely
-// distributed caller population can still be large, so the table must
-// stay bounded in memory and O(1) per request.
-const maxClients = 4096
-
-// NewRateLimiter builds a limiter; rate <= 0 disables it (Allow always
-// succeeds). now is injectable for tests (nil = time.Now).
-func NewRateLimiter(rate float64, burst int, now func() time.Time) *RateLimiter {
-	if burst <= 0 {
-		burst = 1
-	}
-	if now == nil {
-		now = time.Now
-	}
-	return &RateLimiter{rate: rate, burst: float64(burst), now: now, clients: make(map[string]*tokenBucket)}
-}
-
-// Allow spends one token of key's bucket. When the bucket is empty it
-// reports the wait until the next token.
-func (l *RateLimiter) Allow(key string) (ok bool, retryAfter time.Duration) {
-	if l == nil || l.rate <= 0 {
-		return true, 0
-	}
-	now := l.now()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	b, found := l.clients[key]
-	if !found {
-		if len(l.clients) >= maxClients {
-			// Reclaim idle buckets at most once a second (a full-map
-			// scan must not run per request), then hard-cap by
-			// evicting arbitrary entries — an evicted active client
-			// merely restarts with a full bucket, which is the
-			// fail-open direction.
-			if now.Sub(l.lastPrune) >= time.Second {
-				l.prune(now)
-				l.lastPrune = now
-			}
-			for k := range l.clients {
-				if len(l.clients) < maxClients {
-					break
-				}
-				delete(l.clients, k)
-			}
-		}
-		b = &tokenBucket{tokens: l.burst, last: now}
-		l.clients[key] = b
-	} else {
-		b.tokens += now.Sub(b.last).Seconds() * l.rate
-		if b.tokens > l.burst {
-			b.tokens = l.burst
-		}
-		b.last = now
-	}
-	if b.tokens >= 1 {
-		b.tokens--
-		return true, 0
-	}
-	wait := time.Duration((1 - b.tokens) / l.rate * float64(time.Second))
-	return false, wait
-}
-
-// prune drops buckets idle long enough to have refilled to burst —
-// indistinguishable from fresh ones — bounding the table under
-// rotating client keys. Called with mu held.
-func (l *RateLimiter) prune(now time.Time) {
-	idle := time.Duration(l.burst / l.rate * float64(time.Second))
-	if idle < time.Minute {
-		idle = time.Minute
-	}
-	for k, b := range l.clients {
-		if now.Sub(b.last) > idle {
-			delete(l.clients, k)
-		}
-	}
-}
-
-// RateLimit applies l per clientKey — the validated X-API-Key when it
-// is in keys, else the remote IP; nil or disabled limiters pass
-// everything through.
-func RateLimit(l *RateLimiter, keys map[string]struct{}) Middleware {
-	return func(next http.Handler) http.Handler {
-		if l == nil || l.rate <= 0 {
-			return next
-		}
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			ok, retry := l.Allow(clientKey(r, keys))
-			if !ok {
-				l.Rejected.Inc()
-				secs := int(retry/time.Second) + 1
-				w.Header().Set("Retry-After", strconv.Itoa(secs))
-				writeError(w, &apiError{
-					status: http.StatusTooManyRequests,
-					code:   "rate_limited",
-					msg:    "rate limit exceeded",
-					retry:  secs,
-				})
-				return
-			}
-			next.ServeHTTP(w, r)
-		})
-	}
 }
 
 // gzipWriter wraps the response, deciding at header time whether to

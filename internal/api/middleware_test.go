@@ -100,10 +100,10 @@ func TestGzipVary(t *testing.T) {
 	}
 }
 
-// TestClientKeyIdentity pins the rate-limit identity rules: only a
+// TestClientKeyIdentity pins the budget identity rules: only a
 // configured key earns its own bucket, everything else keys by IP.
 func TestClientKeyIdentity(t *testing.T) {
-	keys := map[string]struct{}{"tenant-a": {}}
+	keys := map[string]string{"tenant-a": "key:tenant-a"}
 	cases := []struct {
 		header string
 		want   string

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/admission"
 	v1 "repro/internal/api/v1"
 	"repro/internal/bus"
 	"repro/internal/core"
@@ -181,8 +182,7 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	case g.streams <- struct{}{}:
 		defer func() { <-g.streams }()
 	default:
-		w.Header().Set("Retry-After", "1")
-		writeError(w, &apiError{status: http.StatusServiceUnavailable, code: v1.CodeOverloaded, msg: "stream limit reached"})
+		reject(w, admission.Decision{Status: http.StatusServiceUnavailable, RetryAfter: 1, Reason: "stream limit reached"})
 		return
 	}
 	events, cancel := tail.Subscribe()

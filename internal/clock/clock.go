@@ -4,8 +4,11 @@
 //
 //   - Clock: an injectable source of time so tests and the discrete
 //     experiment harnesses can run deterministically, and
-//   - TokenBucket: a service-rate limiter used to emulate the per-node
-//     throughput ceiling of the paper's commodity HBase RegionServers.
+//   - TokenBucket: the repo's one refill loop. Blocking (Take), it is
+//     the service-rate limiter that emulates the per-node throughput
+//     ceiling of the paper's commodity HBase RegionServers;
+//     non-blocking (TryTake), it is the per-identity request budget of
+//     the gateway's admission stage (internal/admission).
 //
 // The paper's Figure 2 numbers (~11–13k samples/s per storage node) are
 // hardware facts about disk- and RPC-bound RegionServers. This package
@@ -138,19 +141,21 @@ func (b *TokenBucket) refillLocked() {
 }
 
 // TryTake consumes n tokens if available without blocking and reports
-// whether it succeeded. Unlimited buckets always succeed.
-func (b *TokenBucket) TryTake(n float64) bool {
+// whether it succeeded; when it did not, wait is how long the refill
+// needs to cover the deficit (the Retry-After of a rate-limited
+// request). Unlimited buckets always succeed.
+func (b *TokenBucket) TryTake(n float64) (ok bool, wait time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.rate <= 0 {
-		return true
+		return true, 0
 	}
 	b.refillLocked()
 	if b.tokens >= n {
 		b.tokens -= n
-		return true
+		return true, 0
 	}
-	return false
+	return false, time.Duration((n - b.tokens) / b.rate * float64(time.Second))
 }
 
 // Take blocks until n tokens are available and consumes them. It

@@ -76,7 +76,7 @@ func TestTokenBucketUnlimited(t *testing.T) {
 	if time.Since(start) > 50*time.Millisecond {
 		t.Fatal("unlimited bucket must not block")
 	}
-	if !b.TryTake(1e9) {
+	if ok, wait := b.TryTake(1e9); !ok || wait != 0 {
 		t.Fatal("unlimited TryTake must succeed")
 	}
 }
@@ -84,18 +84,29 @@ func TestTokenBucketUnlimited(t *testing.T) {
 func TestTokenBucketTryTake(t *testing.T) {
 	m := NewManual(time.Unix(0, 0))
 	b := NewTokenBucket(10, 5, m)
-	if !b.TryTake(5) {
+	if ok, wait := b.TryTake(5); !ok || wait != 0 {
 		t.Fatal("initial burst must be available")
 	}
-	if b.TryTake(1) {
-		t.Fatal("bucket should be empty")
+	// Empty at 10 tokens/s: the next token is 100ms away, and the hint
+	// is exact — one tick short of it still refuses, the tick admits.
+	ok, wait := b.TryTake(1)
+	if ok || wait != 100*time.Millisecond {
+		t.Fatalf("empty bucket: ok=%v wait=%v, want refused with 100ms", ok, wait)
+	}
+	m.Advance(wait - time.Millisecond)
+	if ok, wait := b.TryTake(1); ok || wait <= 0 || wait > 2*time.Millisecond {
+		t.Fatalf("1ms early: ok=%v wait=%v, want refused with ~1ms", ok, wait)
+	}
+	m.Advance(time.Millisecond)
+	if ok, _ := b.TryTake(1); !ok {
+		t.Fatal("token due after the hinted wait")
 	}
 	m.Advance(time.Second) // refills 10, clamped to burst 5
-	if !b.TryTake(5) {
+	if ok, _ := b.TryTake(5); !ok {
 		t.Fatal("bucket should have refilled to burst")
 	}
-	if b.TryTake(0.5) {
-		t.Fatal("bucket should be empty again")
+	if ok, wait := b.TryTake(0.5); ok || wait != 50*time.Millisecond {
+		t.Fatalf("empty again: ok=%v wait=%v, want refused with 50ms", ok, wait)
 	}
 }
 
@@ -103,10 +114,10 @@ func TestTokenBucketBurstClamp(t *testing.T) {
 	m := NewManual(time.Unix(0, 0))
 	b := NewTokenBucket(1000, 10, m)
 	m.Advance(time.Hour)
-	if !b.TryTake(10) {
+	if ok, _ := b.TryTake(10); !ok {
 		t.Fatal("burst tokens must be available")
 	}
-	if b.TryTake(1) {
+	if ok, _ := b.TryTake(1); ok {
 		t.Fatal("refill must be clamped to burst capacity")
 	}
 }

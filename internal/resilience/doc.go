@@ -1,21 +1,16 @@
 // Package resilience provides the shared failure-handling primitives
 // used across the sentinel stack: capped exponential backoff with full
-// jitter, token-budgeted retries with deadline-budget propagation, and
-// per-target circuit breakers with half-open probing.
+// jitter, a context-aware sleep, and per-target circuit breakers with
+// half-open probing.
 //
 // The pieces compose but do not depend on each other:
 //
 //   - Backoff computes per-attempt delays. With Jitter set the delay is
 //     drawn uniformly from [d/2, d] so synchronized clients desynchronize
 //     instead of thundering-herding a recovering server.
-//   - Do runs a function under a retry Policy. Every attempt context is
-//     derived from the caller's context, so a retry only ever gets the
-//     *remaining* deadline budget — never the full timeout again — and
-//     Do gives up early when the next backoff sleep would outlive the
-//     caller's deadline.
-//   - Budget caps retry volume to a fraction of successful work so a
-//     hard outage does not multiply load: each success earns a token
-//     fraction, each retry spends a whole token.
+//   - Sleep waits out a delay or the caller's context, whichever ends
+//     first. Every retry loop in the tree is Backoff.Delay + Sleep
+//     around its own attempt.
 //   - Breaker is a closed → open → half-open circuit breaker. After
 //     Cooldown an open breaker admits a bounded number of probe
 //     requests; probe successes close it, a probe failure re-opens it.

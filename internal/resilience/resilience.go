@@ -2,24 +2,17 @@ package resilience
 
 import (
 	"context"
-	"errors"
 	"math/rand/v2"
 	"sync/atomic"
 	"time"
 )
 
-// Defaults applied by Backoff.Delay and Do when fields are zero.
+// Defaults applied by Backoff.Delay when fields are zero.
 const (
-	DefaultBase        = 10 * time.Millisecond
-	DefaultMax         = 5 * time.Second
-	DefaultFactor      = 2.0
-	DefaultMaxAttempts = 4
+	DefaultBase   = 10 * time.Millisecond
+	DefaultMax    = 5 * time.Second
+	DefaultFactor = 2.0
 )
-
-// ErrBudgetExhausted is returned by Do when the shared retry Budget has
-// no tokens left for another attempt. The last attempt error is joined
-// so callers can still classify the underlying failure.
-var ErrBudgetExhausted = errors.New("resilience: retry budget exhausted")
 
 // Backoff computes capped exponential delays, optionally with full
 // jitter. The zero value is usable and yields 10ms, 20ms, 40ms, ...
@@ -100,127 +93,4 @@ func Sleep(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// Policy configures Do.
-type Policy struct {
-	MaxAttempts int           // total attempts including the first; default 4
-	PerAttempt  time.Duration // optional per-attempt timeout, clamped to the caller's remaining deadline
-	Backoff     Backoff
-	Budget      *Budget          // optional shared retry-token budget
-	Retryable   func(error) bool // nil: every error is retryable
-	OnRetry     func(attempt int, err error)
-}
-
-// Do runs fn under the retry policy. Each attempt receives a context
-// derived from ctx, so a retry only ever sees the remaining deadline
-// budget — with PerAttempt set, min(PerAttempt, remaining). Do stops
-// early when ctx is done, when the error is not Retryable, when the
-// Budget is spent, or when the next backoff sleep would outlive the
-// caller's deadline; it always returns the most recent attempt error.
-func Do(ctx context.Context, p Policy, fn func(context.Context) error) error {
-	maxAttempts := p.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = DefaultMaxAttempts
-	}
-	var err error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 {
-			if p.Budget != nil && !p.Budget.Spend() {
-				return errors.Join(ErrBudgetExhausted, err)
-			}
-			d := p.Backoff.Delay(attempt - 1)
-			if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= d {
-				return err
-			}
-			if p.OnRetry != nil {
-				p.OnRetry(attempt, err)
-			}
-			if serr := Sleep(ctx, d); serr != nil {
-				return err
-			}
-		}
-		actx := ctx
-		var cancel context.CancelFunc
-		if p.PerAttempt > 0 {
-			// WithTimeout clamps to the parent deadline, so the
-			// attempt can never outlive the caller's budget.
-			actx, cancel = context.WithTimeout(ctx, p.PerAttempt)
-		}
-		err = fn(actx)
-		if cancel != nil {
-			cancel()
-		}
-		if err == nil {
-			if p.Budget != nil {
-				p.Budget.OnSuccess()
-			}
-			return nil
-		}
-		if ctx.Err() != nil {
-			return err
-		}
-		if p.Retryable != nil && !p.Retryable(err) {
-			return err
-		}
-	}
-	return err
-}
-
-// Budget caps retry volume to a fraction of successful work. It starts
-// full at max tokens; every retry spends one token and every success
-// earns back earnPerSuccess tokens (capped at max). In steady state
-// retries are therefore bounded to ~earnPerSuccess of the success rate,
-// so a hard outage cannot multiply offered load.
-type Budget struct {
-	milli atomic.Int64 // tokens * 1000
-	max   int64        // milli-tokens
-	earn  int64        // milli-tokens per success
-}
-
-// NewBudget returns a full budget holding max tokens that earns
-// earnPerSuccess tokens back per successful attempt. NewBudget(20, 0.1)
-// allows bursts of 20 retries and sustains one retry per ten successes.
-func NewBudget(max, earnPerSuccess float64) *Budget {
-	if max <= 0 {
-		max = 10
-	}
-	if earnPerSuccess <= 0 {
-		earnPerSuccess = 0.1
-	}
-	b := &Budget{max: int64(max * 1000), earn: int64(earnPerSuccess * 1000)}
-	b.milli.Store(b.max)
-	return b
-}
-
-// Spend takes one retry token, reporting whether one was available.
-func (b *Budget) Spend() bool {
-	for {
-		cur := b.milli.Load()
-		if cur < 1000 {
-			return false
-		}
-		if b.milli.CompareAndSwap(cur, cur-1000) {
-			return true
-		}
-	}
-}
-
-// OnSuccess earns back the per-success token fraction.
-func (b *Budget) OnSuccess() {
-	for {
-		cur := b.milli.Load()
-		next := cur + b.earn
-		if next > b.max {
-			next = b.max
-		}
-		if next == cur || b.milli.CompareAndSwap(cur, next) {
-			return
-		}
-	}
-}
-
-// Tokens reports the tokens currently available.
-func (b *Budget) Tokens() float64 {
-	return float64(b.milli.Load()) / 1000
 }

@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"context"
-	"errors"
 	"testing"
 	"time"
 )
@@ -42,131 +41,22 @@ func TestBackoffDeterministicWithSeed(t *testing.T) {
 	}
 }
 
-func TestDoRetriesUntilSuccess(t *testing.T) {
-	calls := 0
-	err := Do(context.Background(), Policy{
-		MaxAttempts: 5,
-		Backoff:     Backoff{Base: time.Microsecond},
-	}, func(context.Context) error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Do: %v", err)
-	}
-	if calls != 3 {
-		t.Fatalf("calls = %d, want 3", calls)
-	}
-}
-
-func TestDoStopsOnNonRetryable(t *testing.T) {
-	permanent := errors.New("permanent")
-	calls := 0
-	err := Do(context.Background(), Policy{
-		MaxAttempts: 5,
-		Backoff:     Backoff{Base: time.Microsecond},
-		Retryable:   func(err error) bool { return !errors.Is(err, permanent) },
-	}, func(context.Context) error {
-		calls++
-		return permanent
-	})
-	if !errors.Is(err, permanent) {
-		t.Fatalf("err = %v, want permanent", err)
-	}
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1 (no retry of permanent error)", calls)
-	}
-}
-
-// TestDoDeadlineBudgetPropagation is the core contract: a retry must
-// see only the caller's remaining deadline, never the full PerAttempt
-// timeout again, and Do must give up rather than sleep past the
-// caller's deadline.
-func TestDoDeadlineBudgetPropagation(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	var deadlines []time.Duration
-	errAttempt := errors.New("attempt failed")
-	err := Do(ctx, Policy{
-		MaxAttempts: 10,
-		PerAttempt:  time.Minute, // far beyond the parent budget
-		Backoff:     Backoff{Base: 5 * time.Millisecond, Factor: 1},
-	}, func(actx context.Context) error {
-		dl, ok := actx.Deadline()
-		if !ok {
-			t.Fatal("attempt ctx has no deadline")
-		}
-		deadlines = append(deadlines, time.Until(dl))
-		return errAttempt
-	})
-	elapsed := time.Since(start)
-	if !errors.Is(err, errAttempt) {
-		t.Fatalf("err = %v, want last attempt error", err)
-	}
-	if elapsed > 200*time.Millisecond {
-		t.Fatalf("Do ran %v, should have given up near the 50ms parent deadline", elapsed)
-	}
-	for i, d := range deadlines {
-		if d > 51*time.Millisecond {
-			t.Fatalf("attempt %d saw %v of budget, more than the parent's 50ms", i, d)
-		}
-	}
-	if len(deadlines) >= 2 && deadlines[1] >= deadlines[0] {
-		t.Fatalf("retry budget did not shrink: first %v, second %v", deadlines[0], deadlines[1])
-	}
-}
-
-func TestDoRespectsBudget(t *testing.T) {
-	bud := NewBudget(2, 0.001) // two retry tokens, negligible refill
-	calls := 0
-	err := Do(context.Background(), Policy{
-		MaxAttempts: 10,
-		Backoff:     Backoff{Base: time.Microsecond},
-		Budget:      bud,
-	}, func(context.Context) error {
-		calls++
-		return errors.New("always fails")
-	})
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
-	}
-	if calls != 3 { // first attempt + two budgeted retries
-		t.Fatalf("calls = %d, want 3", calls)
-	}
-}
-
-func TestBudgetEarnsBackOnSuccess(t *testing.T) {
-	bud := NewBudget(1, 0.5)
-	if !bud.Spend() {
-		t.Fatal("fresh budget should allow one retry")
-	}
-	if bud.Spend() {
-		t.Fatal("empty budget should reject")
-	}
-	bud.OnSuccess()
-	bud.OnSuccess()
-	if !bud.Spend() {
-		t.Fatal("two successes at 0.5/success should earn one token back")
-	}
-}
-
-func TestDoCancelledContext(t *testing.T) {
+// TestSleepHonoursContext: Sleep returns early with the context's
+// error, and a non-positive delay only reports the context's state.
+func TestSleepHonoursContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	calls := 0
-	errAttempt := errors.New("failed")
-	err := Do(ctx, Policy{MaxAttempts: 5}, func(context.Context) error {
-		calls++
-		return errAttempt
-	})
-	if !errors.Is(err, errAttempt) {
-		t.Fatalf("err = %v", err)
+	if err := Sleep(ctx, 0); err != nil {
+		t.Fatalf("Sleep(live ctx, 0) = %v", err)
 	}
-	if calls != 1 {
-		t.Fatalf("calls = %d, want 1: no retries after cancellation", calls)
+	if err := Sleep(ctx, time.Millisecond); err != nil {
+		t.Fatalf("Sleep(live ctx, 1ms) = %v", err)
+	}
+	cancel()
+	start := time.Now()
+	if err := Sleep(ctx, time.Minute); err != context.Canceled {
+		t.Fatalf("Sleep(cancelled ctx) = %v, want context.Canceled", err)
+	}
+	if time.Since(start) > time.Second {
+		t.Fatal("Sleep outlived its cancelled context")
 	}
 }

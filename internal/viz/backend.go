@@ -62,10 +62,8 @@ const (
 // "energy", flags from "anomaly" — both written by the rest of the
 // pipeline).
 type Backend struct {
-	// Q serves reads; when nil the legacy single-daemon TSD is used.
-	Q Querier
-	// TSD is the legacy direct-daemon read path, used when Q is nil.
-	TSD     *tsdb.TSD
+	// Q serves reads.
+	Q       Querier
 	Units   int
 	Sensors int
 	// WarnAt / CritAt are the anomaly-count thresholds grading a unit
@@ -99,9 +97,6 @@ func (b *Backend) critAt() int {
 func (b *Backend) query(ctx context.Context, q tsdb.Query) ([]tsdb.Series, error) {
 	if b.Q != nil {
 		return b.Q.QueryContext(ctx, q)
-	}
-	if b.TSD != nil {
-		return b.TSD.QueryContext(ctx, q)
 	}
 	return nil, errors.New("viz: backend has no querier")
 }

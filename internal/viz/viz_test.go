@@ -55,7 +55,7 @@ func testEnv(t *testing.T) (*Backend, *Server) {
 	if err := tsd.Put(flags); err != nil {
 		t.Fatal(err)
 	}
-	backend := &Backend{TSD: tsd, Units: 3, Sensors: 4, WarnAt: 1, CritAt: 10}
+	backend := &Backend{Q: tsd, Units: 3, Sensors: 4, WarnAt: 1, CritAt: 10}
 	server := NewServer(backend, func() int64 { return 59 })
 	return backend, server
 }
@@ -319,7 +319,7 @@ func scanEnv(t *testing.T, units int) (*Backend, *tsdb.TSD) {
 	if err := tsd.Put(pts); err != nil {
 		t.Fatal(err)
 	}
-	return &Backend{TSD: tsd, Units: units, Sensors: 4}, tsd
+	return &Backend{Q: tsd, Units: units, Sensors: 4}, tsd
 }
 
 // TestDrillDownScansDontScaleWithFleet is the regression test for the
@@ -389,7 +389,7 @@ func TestErrorStatusMapping(t *testing.T) {
 // vanish from every surface; now the overview counts them.
 func TestFleetSurfacesIgnoredAnomalies(t *testing.T) {
 	backend, _ := testEnv(t)
-	tsd := backend.TSD
+	tsd := backend.Q.(*tsdb.TSD)
 	if err := tsd.Put([]tsdb.Point{
 		{Metric: tsdb.MetricAnomaly, Tags: tsdb.EnergyTags(7, 0), Timestamp: 30, Value: 9},
 		{Metric: tsdb.MetricAnomaly, Tags: tsdb.EnergyTags(7, 0), Timestamp: 31, Value: 9},

@@ -335,9 +335,6 @@ type GatewayConfig struct {
 	MaxPoints int
 	// CacheEntries sizes the query tier's window cache (default 256).
 	CacheEntries int
-	// RatePerSec/Burst enable per-client rate limiting (0 disables).
-	RatePerSec float64
-	Burst      int
 	// AccessLog overrides the gateway's access logger.
 	AccessLog *log.Logger
 	// HedgeDelay, when > 0, hedges straggler shard reads: a duplicate
@@ -348,11 +345,13 @@ type GatewayConfig struct {
 	// tier answers from stale cache (marked via X-Sentinel-Degraded
 	// and the DTO degraded field) when the storage tier cannot.
 	NoServeStale bool
-	// APIKeys lists client keys (X-API-Key) that earn their own
-	// rate-limit bucket and admission quota identity.
+	// APIKeys lists client keys (X-API-Key) that are their own
+	// admission identity; every other request is its remote IP.
 	APIKeys []string
-	// Admission, when set, gates every route on the adaptive overload
-	// controller — see NewAdmissionController.
+	// Admission, when set, is the gateway's one refusal stage: the
+	// overload shed (see NewAdmissionController for the node's
+	// signals) and the per-identity request budget
+	// (admission.Config.RatePerSec).
 	Admission *admission.Controller
 }
 
@@ -438,15 +437,13 @@ func (n *Node) Gateway(now int64, gc GatewayConfig) (http.Handler, *api.AnomalyT
 	reg := telemetry.NewRegistry()
 	n.RegisterMetrics(reg)
 	cfg := api.Config{
-		Registry:   reg,
-		Ready:      n.ReadyChecks(),
-		Now:        gc.Now,
-		Cluster:    n.ClusterStatus,
-		RatePerSec: gc.RatePerSec,
-		Burst:      gc.Burst,
-		AccessLog:  gc.AccessLog,
-		APIKeys:    gc.APIKeys,
-		Admission:  gc.Admission,
+		Registry:  reg,
+		Ready:     n.ReadyChecks(),
+		Now:       gc.Now,
+		Cluster:   n.ClusterStatus,
+		AccessLog: gc.AccessLog,
+		APIKeys:   gc.APIKeys,
+		Admission: gc.Admission,
 	}
 	if n.cfg.has(RoleDetect) {
 		cfg.Detectors = n.DetectorStatus

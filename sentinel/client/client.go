@@ -61,8 +61,8 @@ type Option func(*Client)
 // httptest.Server.Client()).
 func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
 
-// WithAPIKey sends key as X-API-Key, the gateway's rate-limit and
-// logging identity.
+// WithAPIKey sends key as X-API-Key: when the gateway lists it, the
+// identity whose admission budget this client spends.
 func WithAPIKey(key string) Option { return func(c *Client) { c.apiKey = key } }
 
 // WithRetry tunes retry-on-backpressure: up to retries re-attempts
@@ -108,8 +108,9 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 }
 
 // retryable reports whether status is worth another attempt: the
-// gateway sheds load with 429 (rate limit) and 503 (concurrency/bus),
-// and 504 marks publish backpressure that outlived the deadline.
+// gateway refuses with 429 (the client's budget) and 503 (overload
+// shed, stream cap, draining bus), and 504 marks publish backpressure
+// that outlived the deadline.
 func retryable(status int) bool {
 	return status == http.StatusTooManyRequests ||
 		status == http.StatusServiceUnavailable ||
