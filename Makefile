@@ -16,8 +16,10 @@ EVAL_BENCH = BenchmarkFDRCorrections|BenchmarkOnlineEvalThroughput
 # may not grow with the row) and BenchmarkGroupByUnit the per-request
 # grouping; BenchmarkDetectorBatch
 # matches every detector family's warmed batch path;
-# BenchmarkRegionPutInOrder is the hot tier's in-order append.
-ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|BenchmarkBusPublish|BenchmarkQueryCacheHit|BenchmarkGatewayPutPath|BenchmarkGatewayPutRow|BenchmarkGroupByUnit|BenchmarkDetectorBatch|BenchmarkCompressedScan|BenchmarkRegionPutInOrder
+# BenchmarkRegionPutInOrder is the hot tier's in-order append;
+# BenchmarkWireUnitBatch the one encode and one decode a bus record
+# costs on the clustered bus (a 50- and a 200-point row).
+ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|BenchmarkBusPublish|BenchmarkQueryCacheHit|BenchmarkGatewayPutPath|BenchmarkGatewayPutRow|BenchmarkGroupByUnit|BenchmarkDetectorBatch|BenchmarkCompressedScan|BenchmarkRegionPutInOrder|BenchmarkWireUnitBatch
 
 # GATE_BENCHTIME drives the bench-gate comparison runs: long enough for
 # stable ns/op medians, short enough for a PR loop.
@@ -43,7 +45,11 @@ vet:
 # cannot quietly regrow. cmd/tsdbench, the storage-only Fig. 2
 # microbenchmark, is exempt. It guards the one-token-bucket rule the
 # same way: clock.TokenBucket is the only refill loop, so no non-test
-# file outside internal/clock may declare a `tokens` field.
+# file outside internal/clock may declare a `tokens` field. And the
+# one-wire-codec rule: internal/rpc's frame codec is the only encoding
+# that crosses the cluster, so no non-test file outside internal/core
+# (whose model catalog serialises trained models) may import
+# encoding/gob.
 assembly:
 	@for call in 'api\.New(' 'tsdb\.NewCompactor(' 'ingest\.StartStorageWriters(' 'viz\.NewServer(' 'hbase\.NewCluster('; do \
 		files=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=tsdbench "$$call" sentinel cmd); \
@@ -54,6 +60,10 @@ assembly:
 	@files=$$(grep -rlE --include='*.go' --exclude='*_test.go' '^[[:space:]]*tokens[[:space:]]+[A-Za-z*[]' . | grep -v '^\./internal/clock/'); \
 	if [ -n "$$files" ]; then \
 		echo "second token bucket: a tokens field outside internal/clock (use clock.TokenBucket):"; echo "$$files"; exit 1; \
+	fi
+	@files=$$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/gob"' . | grep -v '^\./internal/core/'); \
+	if [ -n "$$files" ]; then \
+		echo "second wire codec: encoding/gob imported outside internal/core (use internal/rpc's wire codec):"; echo "$$files"; exit 1; \
 	fi
 
 lint: fmt vet assembly
@@ -202,13 +212,17 @@ chaos:
 conformance:
 	$(GO) test ./internal/api/... -run TestV1Conformance
 
-# fuzz-smoke runs the put decoder's differential fuzz target for 15 s:
-# the one-pass scanner against the encoding/json route it replaced —
-# both reject a body, or both accept it with identical points. Seeded
-# from internal/api/testdata/fuzz; a finding lands there as a new
-# regression seed. Gating in CI.
+# fuzz-smoke runs the two hand-written decoders' fuzz targets for 15 s
+# each. FuzzPutDecode is differential: the one-pass put scanner against
+# the encoding/json route it replaced — both reject a body, or both
+# accept it with identical points. FuzzWireFrame feeds the rpc frame
+# codec truncated, bit-flipped and length-lying frames: errors, never a
+# panic, never a read past the frame. Seeded from the packages'
+# testdata/fuzz; a finding lands there as a new regression seed. Gating
+# in CI.
 fuzz-smoke:
 	$(GO) test ./internal/api -run '^$$' -fuzz FuzzPutDecode -fuzztime 15s
+	$(GO) test ./internal/rpc -run '^$$' -fuzz FuzzWireFrame -fuzztime 15s
 
 # serve runs the whole pipeline as one daemon: every role on one node
 # without peers (the same assembly the cluster splits by role), the

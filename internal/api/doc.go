@@ -126,8 +126,9 @@
 // identical points" on every body.
 //
 // Decoded points share what repeats: the bytes of a tags object key a
-// process-wide table of canonical tag maps (fixed capacity, no
-// eviction; a set it has no room for decodes into a map of its own),
+// process-wide table of canonical tag maps (tsdb.InternTable: fixed
+// capacity, no eviction; a set it has no room for decodes into a map
+// of its own),
 // and metric names are interned the same way. Nothing downstream
 // writes a decoded point's tags — see tsdb.Point.Tags. Text/plain
 // bodies (telnet "put" lines) go through ingest.ParseLine.

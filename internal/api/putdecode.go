@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"hash/maphash"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	v1 "repro/internal/api/v1"
 	"repro/internal/ingest"
@@ -36,8 +34,8 @@ type putDecoder struct {
 
 	// The intern tables decoded points draw on: the process-wide pair,
 	// except in tests that need a table of their own size.
-	sets    *internTable[map[string]string]
-	metrics *internTable[string]
+	sets    *tsdb.InternTable[map[string]string]
+	metrics *tsdb.InternTable[string]
 }
 
 var putDecoders = sync.Pool{New: func() any {
@@ -138,76 +136,13 @@ func validatePoints(pts []tsdb.Point) ([]tsdb.Point, error) {
 	return pts, nil
 }
 
-// ---- interning ------------------------------------------------------
-
-// Intern table bounds. They are constants on purpose: a full table
-// costs new series a fresh allocation per point — exactly the
-// pre-interning behaviour — so there is nothing to tune.
-const (
-	internShards = 16
-	internMaxKey = 128     // bytes of raw JSON keying one entry
-	maxTagSets   = 1 << 17 // the paper's fleet is 100 000 series
-	maxMetrics   = 1 << 10
-)
-
-// internTable maps the raw bytes of a JSON construct to the one decoded
-// value every occurrence shares. Entries are never evicted and never
-// modified; once limit entries exist, put stores nothing.
-type internTable[V any] struct {
-	limit  int64
-	n      atomic.Int64
-	seed   maphash.Seed
-	shards [internShards]struct {
-		mu sync.RWMutex
-		m  map[string]V
-	}
-}
-
-func newInternTable[V any](limit int64) *internTable[V] {
-	t := &internTable[V]{limit: limit, seed: maphash.MakeSeed()}
-	for i := range t.shards {
-		t.shards[i].m = make(map[string]V)
-	}
-	return t
-}
-
 // putTagSets and putMetrics are process-wide: every gateway in the
-// process decodes into the same canonical tag maps and metric names.
+// process decodes into the same canonical tag maps and metric names,
+// keyed by the raw JSON that spelled them (tsdb.InternTable).
 var (
-	putTagSets = newInternTable[map[string]string](maxTagSets)
-	putMetrics = newInternTable[string](maxMetrics)
+	putTagSets = tsdb.NewInternTable[map[string]string](tsdb.MaxInternedTagSets)
+	putMetrics = tsdb.NewInternTable[string](tsdb.MaxInternedMetrics)
 )
-
-func (t *internTable[V]) get(raw []byte) (v V, ok bool) {
-	if len(raw) > internMaxKey {
-		return v, false
-	}
-	sh := &t.shards[maphash.Bytes(t.seed, raw)%internShards]
-	sh.mu.RLock()
-	v, ok = sh.m[string(raw)]
-	sh.mu.RUnlock()
-	return v, ok
-}
-
-// put offers v as the canonical value for raw and returns the value to
-// use: v itself, or the entry a concurrent request stored first.
-func (t *internTable[V]) put(raw []byte, v V) V {
-	if len(raw) > internMaxKey || t.n.Load() >= t.limit {
-		return v
-	}
-	sh := &t.shards[maphash.Bytes(t.seed, raw)%internShards]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if cur, ok := sh.m[string(raw)]; ok {
-		return cur
-	}
-	if t.n.Add(1) > t.limit {
-		t.n.Add(-1)
-		return v
-	}
-	sh.m[string(raw)] = v
-	return v
-}
 
 // ---- scanner --------------------------------------------------------
 
@@ -514,9 +449,9 @@ func (s *putScanner) internMetric(raw []byte) string {
 	if string(raw) == s.metric {
 		return s.metric
 	}
-	m, ok := s.d.metrics.get(raw)
+	m, ok := s.d.metrics.Get(raw)
 	if !ok {
-		m = s.d.metrics.put(raw, string(raw))
+		m = s.d.metrics.Put(raw, string(raw))
 	}
 	s.metric = m
 	return m
@@ -569,7 +504,7 @@ func (s *putScanner) tags() (map[string]string, error) {
 	}
 	s.d.pairs = pairs
 	raw := s.b[start:s.i]
-	if set, ok := s.d.sets.get(raw); ok {
+	if set, ok := s.d.sets.Get(raw); ok {
 		return set, nil
 	}
 	set := make(map[string]string, len(pairs))
@@ -579,5 +514,5 @@ func (s *putScanner) tags() (map[string]string, error) {
 	if len(set) != len(pairs) {
 		return nil, errDeclined // a repeated tag name: last-wins is encoding/json's rule
 	}
-	return s.d.sets.put(raw, set), nil
+	return s.d.sets.Put(raw, set), nil
 }

@@ -19,8 +19,8 @@ import (
 func testDecoder(body string, maxSets int64) *putDecoder {
 	return &putDecoder{
 		body:    []byte(body),
-		sets:    newInternTable[map[string]string](maxSets),
-		metrics: newInternTable[string](maxSets),
+		sets:    tsdb.NewInternTable[map[string]string](maxSets),
+		metrics: tsdb.NewInternTable[string](maxSets),
 	}
 }
 
@@ -150,8 +150,8 @@ func FuzzPutDecode(f *testing.F) {
 	for i := 0; i <= len(oneRow); i++ {
 		f.Add([]byte(oneRow[:i]))
 	}
-	sets := newInternTable[map[string]string](8)
-	metrics := newInternTable[string](4)
+	sets := tsdb.NewInternTable[map[string]string](8)
+	metrics := tsdb.NewInternTable[string](4)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkAgainstReference(t, "fuzz", body, &putDecoder{sets: sets, metrics: metrics})
 	})
@@ -269,7 +269,7 @@ func TestDecodedTagsAreShared(t *testing.T) {
 	if !reflect.DeepEqual(first, second) || !reflect.DeepEqual(second[1].Tags, want) {
 		t.Errorf("full table changed the decode: %+v vs %+v", first, second)
 	}
-	if n := d.sets.n.Load(); n != 1 {
+	if n := d.sets.Len(); n != 1 {
 		t.Errorf("table holds %d sets, limit 1", n)
 	}
 }
@@ -334,8 +334,8 @@ func TestReadBodyHonoursMaxBody(t *testing.T) {
 // one canonical map, and the table never exceeds its limit.
 func TestInternTableConcurrent(t *testing.T) {
 	const workers, limit = 8, 32
-	sets := newInternTable[map[string]string](limit)
-	metrics := newInternTable[string](limit)
+	sets := tsdb.NewInternTable[map[string]string](limit)
+	metrics := tsdb.NewInternTable[string](limit)
 	bodies := make([]string, 8)
 	for u := range bodies {
 		bodies[u] = string(rowBody(u, 8, 5)) // 64 distinct sets against room for 32
@@ -362,13 +362,13 @@ func TestInternTableConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n := sets.n.Load(); n != limit {
+	if n := sets.Len(); n != limit {
 		t.Fatalf("table holds %d sets, want it full at %d", n, limit)
 	}
 	shared := 0
 	for u := range bodies {
 		for s := 0; s < 8; s++ {
-			if _, ok := sets.get([]byte(`{"unit":"` + strconv.Itoa(u) + `","sensor":"` + strconv.Itoa(s) + `"}`)); !ok {
+			if _, ok := sets.Get([]byte(`{"unit":"` + strconv.Itoa(u) + `","sensor":"` + strconv.Itoa(s) + `"}`)); !ok {
 				continue
 			}
 			shared++

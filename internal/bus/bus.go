@@ -3,10 +3,12 @@ package bus
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/faultinject"
+	"repro/internal/rpc"
 	"repro/internal/telemetry"
 )
 
@@ -77,6 +79,55 @@ type Record struct {
 	Key uint64
 	// Value is the payload.
 	Value any
+}
+
+// AppendWire implements rpc.WireEncoder. A record crosses the wire only
+// on the clustered bus, where its Value is the opaque bytes the producer
+// encoded (service.go) or nil; any other value has no wire form.
+func (r Record) AppendWire(b []byte) ([]byte, error) {
+	val, ok := r.Value.([]byte)
+	if !ok && r.Value != nil {
+		return b, fmt.Errorf("%w: bus record %d/%d holds a %T, not encoded bytes",
+			rpc.ErrWireType, r.Partition, r.Offset, r.Value)
+	}
+	b = rpc.AppendInt(b, int64(r.Partition))
+	b = rpc.AppendInt(b, r.Offset)
+	b = rpc.AppendUint(b, r.Key)
+	return rpc.AppendBytes(b, val), nil
+}
+
+func decodeRecord(r *rpc.WireReader) Record {
+	rec := Record{Partition: int(r.Int()), Offset: r.Int(), Key: r.Uint()}
+	if val := r.Bytes(); val != nil {
+		rec.Value = val
+	}
+	return rec
+}
+
+// recordWireMin is the fewest bytes a record takes on the wire.
+const recordWireMin = 4
+
+func appendRecords(b []byte, recs []Record) ([]byte, error) {
+	b = rpc.AppendUint(b, uint64(len(recs)))
+	for i := range recs {
+		var err error
+		if b, err = recs[i].AppendWire(b); err != nil {
+			return b, err
+		}
+	}
+	return b, nil
+}
+
+func decodeRecords(r *rpc.WireReader) []Record {
+	n := r.Count(recordWireMin)
+	if n == 0 {
+		return nil
+	}
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = decodeRecord(r)
+	}
+	return recs
 }
 
 // Broker is an in-process partitioned commit-log message bus.

@@ -46,16 +46,31 @@
 //     Publish/Fetch/Commit/Rebalance rpc handlers, partition-group
 //     leadership elected through internal/zk (zk.Election), and
 //     synchronous replication of every accepted publish to the
-//     registered follower replicas before the ack — which is what
-//     lets a follower be promoted on leader death without losing an
-//     acked record. The service heartbeats an ephemeral membership
-//     record and evicts stale replicas.
+//     registered follower replicas — all at once — before the ack,
+//     which is what lets a follower be promoted on leader death
+//     without losing an acked record. The service heartbeats an
+//     ephemeral membership record and evicts stale replicas. A
+//     consumer's fetch is a long-poll that waits off the service's rpc
+//     worker pool (rpc.Deferred), so idle consumers cost publishers
+//     nothing.
 //   - remote.go implements RemoteBus/RemoteTopic/RemoteGroup: clients
 //     resolve the current partition-group leader through the
 //     coordination service, retry publishes across a leadership
 //     handover, and rejoin consumer groups after a failover
 //     (committed offsets are mirrored onto followers alongside the
 //     log, so group progress survives promotion).
+//
+// Record values are opaque on the clustered bus: encode once, decode
+// per consumer. RemoteTopic.Publish encodes the value a single time
+// into self-contained tagged bytes (rpc.EncodeValue); the leader's log,
+// replication, backfill and fetch store and forward those bytes
+// verbatim, so follower logs are byte-identical to the leader's; and
+// RemoteConsumer.Poll decodes each record once, handing the consumer
+// the same Go value an in-process topic would (*ingest.UnitBatch,
+// core.Anomaly). The bytes are immutable once published. A publish is
+// acknowledged with the record's partition, offset and key — not its
+// value, which the producer already holds. The in-process Broker is
+// untouched by any of this: a node without peers never encodes.
 //
 // The sentinel cluster runtime (package sentinel, cmd/sentineld) wires
 // these together into broker/store/detect/gateway node roles.

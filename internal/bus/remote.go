@@ -192,12 +192,19 @@ func (t *RemoteTopic) PartitionFor(key uint64) int {
 	return int(key % uint64(t.bus.cfg.Partitions))
 }
 
-// Publish implements TopicHandle: the record is acked only once the
-// leader has replicated it to every live replica, and the call rides
-// through leader failover.
+// Publish implements TopicHandle: value is encoded here, once — the
+// cluster stores and forwards the bytes and only consumers decode them
+// (service.go) — the record is acked only once the leader has
+// replicated it to every live replica, and the call rides through
+// leader failover. The returned record carries partition, offset and
+// key.
 func (t *RemoteTopic) Publish(ctx context.Context, key uint64, value any) (Record, error) {
+	val, err := rpc.EncodeValue(value)
+	if err != nil {
+		return Record{}, fmt.Errorf("bus: publish to %s: %w", t.name, err)
+	}
 	g := t.PartitionFor(key) % t.bus.cfg.partitionGroups()
-	res, err := t.bus.callRetry(ctx, g, "publish", &busOp{Topic: t.name, Key: key, Value: value})
+	res, err := t.bus.callRetry(ctx, g, "publish", &busOp{Topic: t.name, Key: key, Value: val})
 	if err != nil {
 		return Record{}, err
 	}
@@ -355,7 +362,7 @@ func (c *RemoteConsumer) Poll(ctx context.Context, buf []Record) ([]Record, erro
 			c.assigned = append(c.assigned[:0], res.Assigned...)
 			c.mu.Unlock()
 			if len(res.Recs) > 0 {
-				return append(buf, res.Recs...), nil
+				return decodeValues(append(buf, res.Recs...))
 			}
 			continue // long-poll expired server-side; re-fetch
 		case errors.Is(err, ErrUnknownMember):
@@ -374,6 +381,20 @@ func (c *RemoteConsumer) Poll(ctx context.Context, buf []Record) ([]Record, erro
 			return buf, err
 		}
 	}
+}
+
+// decodeValues turns each fetched record's opaque bytes back into the
+// value its producer published — the one decode a consumer pays.
+func decodeValues(recs []Record) ([]Record, error) {
+	for i := range recs {
+		raw, _ := recs[i].Value.([]byte)
+		v, err := rpc.DecodeValue(raw)
+		if err != nil {
+			return recs[:0], fmt.Errorf("bus: record %d/%d: %w", recs[i].Partition, recs[i].Offset, err)
+		}
+		recs[i].Value = v
+	}
+	return recs, nil
 }
 
 // Commit implements ConsumerHandle. Commits are fenced exactly like

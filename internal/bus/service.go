@@ -6,11 +6,24 @@ package bus
 // pipeline's producers and consumers reach the leader through the rpc
 // fabric (remote.go).
 //
+// Values are opaque here. A producer (RemoteTopic.Publish) encodes the
+// record value once, into self-contained tagged bytes
+// (rpc.EncodeValue); the leader's log, replicate, backfill and fetch
+// store and forward those bytes verbatim — a copy per hop, never a
+// decode — so followers are byte-identical to the leader, and each
+// consumer (RemoteConsumer.Poll) decodes once. The bytes are immutable
+// from the moment they are published: every replica log, and on an
+// in-process fabric every reader, holds the same slice. A Broker under
+// a Service therefore holds []byte values only; a record appended to it
+// some other way cannot be fetched remotely (rpc.ErrWireType).
+//
 // Replication protocol. Publish is served by the partition-group
 // leader: it appends locally (normal backpressure applies), then
-// synchronously replicates the record to every *registered* replica
-// before acking — so an acked record exists on all live replicas and
-// survives the leader's death. A replica that has vanished from the zk
+// synchronously replicates the record to every *registered* replica —
+// all of them at once, one round trip — before acking with the record's
+// partition, offset and key (not its value: the producer has that). So
+// an acked record exists on all live replicas and survives the leader's
+// death. A replica that has vanished from the zk
 // registry (its ephemeral node expired) is skipped; one that is
 // registered but failing fails the publish, and the producer retries.
 // Followers detect gaps (a replicated offset ahead of their high-water
@@ -35,7 +48,6 @@ package bus
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -62,17 +74,16 @@ type busOp struct {
 	Group  string
 	Member string
 	Part   int
-	Offset int64
 	UpTo   int64
 	Key    uint64
-	Value  any
+	Value  []byte // publish: the record value as rpc.EncodeValue wrote it
 	WaitMS int64
 	Recs   []Record
 }
 
 // busResult is the single response DTO for every bus rpc method.
 type busResult struct {
-	Rec        Record
+	Rec        Record // publish: partition, offset and key; no value
 	Recs       []Record
 	Assigned   []int
 	Generation int64
@@ -81,10 +92,73 @@ type busResult struct {
 	OK         bool
 }
 
+// AppendWire implements rpc.WireEncoder: the fields in declaration
+// order.
+func (o *busOp) AppendWire(b []byte) ([]byte, error) {
+	b = rpc.AppendString(b, o.Topic)
+	b = rpc.AppendString(b, o.Group)
+	b = rpc.AppendString(b, o.Member)
+	b = rpc.AppendInt(b, int64(o.Part))
+	b = rpc.AppendInt(b, o.UpTo)
+	b = rpc.AppendUint(b, o.Key)
+	b = rpc.AppendBytes(b, o.Value)
+	b = rpc.AppendInt(b, o.WaitMS)
+	return appendRecords(b, o.Recs)
+}
+
+func decodeBusOp(r *rpc.WireReader) *busOp {
+	return &busOp{
+		Topic:  r.Str(),
+		Group:  r.Str(),
+		Member: r.Str(),
+		Part:   int(r.Int()),
+		UpTo:   r.Int(),
+		Key:    r.Uint(),
+		Value:  r.Bytes(),
+		WaitMS: r.Int(),
+		Recs:   decodeRecords(r),
+	}
+}
+
+// AppendWire implements rpc.WireEncoder: the fields in declaration
+// order.
+func (p *busResult) AppendWire(b []byte) ([]byte, error) {
+	b, err := p.Rec.AppendWire(b)
+	if err != nil {
+		return b, err
+	}
+	if b, err = appendRecords(b, p.Recs); err != nil {
+		return b, err
+	}
+	b = rpc.AppendUint(b, uint64(len(p.Assigned)))
+	for _, part := range p.Assigned {
+		b = rpc.AppendInt(b, int64(part))
+	}
+	b = rpc.AppendInt(b, p.Generation)
+	b = rpc.AppendInt(b, p.Offset)
+	b = rpc.AppendInt(b, p.Lag)
+	return rpc.AppendBool(b, p.OK), nil
+}
+
+func decodeBusResult(r *rpc.WireReader) *busResult {
+	p := &busResult{Rec: decodeRecord(r), Recs: decodeRecords(r)}
+	if n := r.Count(1); n > 0 {
+		p.Assigned = make([]int, n)
+		for i := range p.Assigned {
+			p.Assigned[i] = int(r.Int())
+		}
+	}
+	p.Generation = r.Int()
+	p.Offset = r.Int()
+	p.Lag = r.Int()
+	p.OK = r.Bool()
+	return p
+}
+
 func init() {
-	gob.Register(&busOp{})
-	gob.Register(&busResult{})
-	gob.Register(Record{})
+	rpc.RegisterWireType(rpc.TagBusOp, decodeBusOp)
+	rpc.RegisterWireType(rpc.TagBusResult, decodeBusResult)
+	rpc.RegisterWireType(rpc.TagBusRecord, decodeRecord)
 	rpc.RegisterWireError(ErrClosed, ErrDraining, ErrOffsetTrimmed,
 		ErrOffsetOutOfRange, ErrNotMember, ErrNotAssigned,
 		ErrReplicaGap, ErrNotLeader, ErrUnknownMember)
@@ -362,33 +436,53 @@ func (s *Service) replicate(ctx context.Context, topic string, rec Record) error
 	if err != nil {
 		return fmt.Errorf("bus: replica registry: %w", err)
 	}
+	// One round trip, not one per follower: the record goes to every
+	// follower at once, and every answer is collected before a follower
+	// that reported a gap gets its backfill exchange.
+	type attempt struct {
+		node, addr string
+		fut        *rpc.Future
+		v          any
+		err        error
+	}
+	op := &busOp{Topic: topic, Part: rec.Partition, Recs: []Record{rec}}
+	cctx, cancel := context.WithTimeout(ctx, s.cfg.ReplicaTimeout)
+	attempts := make([]attempt, 0, len(set))
 	for node, addr := range set {
-		if err := s.replicateTo(ctx, addr, topic, rec); err != nil {
+		attempts = append(attempts, attempt{node: node, addr: addr, fut: s.net.Go(cctx, addr, "replicate", op)})
+	}
+	for i := range attempts {
+		attempts[i].v, attempts[i].err = attempts[i].fut.Wait(cctx)
+	}
+	cancel()
+	var failed error
+	for _, a := range attempts {
+		if err := s.settleReplica(ctx, a.addr, topic, rec, a.v, a.err); err != nil {
 			// Re-check the registry: a replica that died (and lost its
 			// ephemeral registration) is skipped, anything else fails
 			// the publish.
 			fresh, rerr := s.replicaSet(true)
 			if rerr == nil {
-				if _, still := fresh[node]; !still {
+				if _, still := fresh[a.node]; !still {
 					continue
 				}
 			}
-			return fmt.Errorf("bus: replicate %s/%d@%d to %s: %w",
-				topic, rec.Partition, rec.Offset, node, err)
+			if failed == nil {
+				failed = fmt.Errorf("bus: replicate %s/%d@%d to %s: %w",
+					topic, rec.Partition, rec.Offset, a.node, err)
+			}
+			continue
 		}
 		s.Replicated.Inc()
 	}
-	return nil
+	return failed
 }
 
-// replicateTo ships rec (plus any backfill the follower asks for) to
-// one replica.
-func (s *Service) replicateTo(ctx context.Context, addr, topic string, rec Record) error {
-	batch := []Record{rec}
-	for attempt := 0; attempt < 4; attempt++ {
-		cctx, cancel := context.WithTimeout(ctx, s.cfg.ReplicaTimeout)
-		v, err := s.net.Call(cctx, addr, "replicate", &busOp{Topic: topic, Part: rec.Partition, Recs: batch})
-		cancel()
+// settleReplica takes one replica's answer (v, err) to the replicate
+// call that shipped rec and, while the follower reports a gap, ships it
+// the backfill it asks for.
+func (s *Service) settleReplica(ctx context.Context, addr, topic string, rec Record, v any, err error) error {
+	for attempt := 0; ; attempt++ {
 		if err != nil {
 			return err
 		}
@@ -399,8 +493,11 @@ func (s *Service) replicateTo(ctx context.Context, addr, topic string, rec Recor
 		if res.OK {
 			return nil
 		}
+		if attempt == 3 {
+			return fmt.Errorf("%w: follower %s still gapped after backfill", ErrReplicaGap, addr)
+		}
 		// Gap: the follower is at res.Offset; backfill from our log.
-		batch = nil
+		var batch []Record
 		t := s.broker.Topic(topic)
 		for off := res.Offset; off <= rec.Offset; {
 			chunk, err := t.ReadAt(rec.Partition, off, make([]Record, 0, defaultPollRecords))
@@ -416,22 +513,30 @@ func (s *Service) replicateTo(ctx context.Context, addr, topic string, rec Recor
 		if len(batch) == 0 {
 			return fmt.Errorf("%w: backfill found nothing at %d", ErrReplicaGap, res.Offset)
 		}
+		cctx, cancel := context.WithTimeout(ctx, s.cfg.ReplicaTimeout)
+		v, err = s.net.Call(cctx, addr, "replicate", &busOp{Topic: topic, Part: rec.Partition, Recs: batch})
+		cancel()
 	}
-	return fmt.Errorf("%w: follower %s still gapped after backfill", ErrReplicaGap, addr)
 }
 
-// mirrorCommit pushes a committed offset to the other replicas so a
-// promoted coordinator resumes from it. Best-effort: an unreachable
-// follower merely re-delivers (at-least-once) if it is later promoted.
+// mirrorCommit pushes a committed offset to the other replicas, all at
+// once, so a promoted coordinator resumes from it. Best-effort: an
+// unreachable follower merely re-delivers (at-least-once) if it is
+// later promoted.
 func (s *Service) mirrorCommit(ctx context.Context, topic, group string, part int, upTo int64) {
 	set, err := s.replicaSet(false)
 	if err != nil {
 		return
 	}
+	op := &busOp{Topic: topic, Group: group, Part: part, UpTo: upTo}
+	cctx, cancel := context.WithTimeout(ctx, s.cfg.ReplicaTimeout)
+	defer cancel()
+	futs := make([]*rpc.Future, 0, len(set))
 	for _, addr := range set {
-		cctx, cancel := context.WithTimeout(ctx, s.cfg.ReplicaTimeout)
-		_, _ = s.net.Call(cctx, addr, "commitsync", &busOp{Topic: topic, Group: group, Part: part, UpTo: upTo})
-		cancel()
+		futs = append(futs, s.net.Go(cctx, addr, "commitsync", op))
+	}
+	for _, fut := range futs {
+		_, _ = fut.Wait(cctx)
 	}
 }
 
@@ -470,7 +575,7 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 			// downstream idempotency absorbs the duplicate.
 			return nil, err
 		}
-		return &busResult{Rec: rec}, nil
+		return &busResult{Rec: Record{Partition: rec.Partition, Offset: rec.Offset, Key: rec.Key}}, nil
 
 	case "replicate":
 		var hwm int64
@@ -526,22 +631,15 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 		if wait <= 0 || wait > time.Second {
 			wait = 250 * time.Millisecond
 		}
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		fctx, cancel := context.WithTimeout(ctx, wait)
-		defer cancel()
-		recs, err := m.c.Poll(fctx, make([]Record, 0, defaultPollRecords))
-		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			if errors.Is(err, ErrNotMember) {
-				return nil, fmt.Errorf("%w: evicted", ErrUnknownMember)
-			}
-			return nil, err
-		}
-		return &busResult{
-			Recs:       recs,
-			Assigned:   m.c.Assigned(),
-			Generation: t.Group(op.Group).Generation(),
-		}, nil
+		// A long-poll waits off the server's worker pool: parked
+		// consumers must not starve publish, commit and replicate.
+		return rpc.Deferred(func(reply func(any, error)) {
+			s.wg.Add(1) // on the worker: Close removes the server before it waits
+			go func() {
+				defer s.wg.Done()
+				reply(s.fetch(ctx, t.Group(op.Group), m, wait))
+			}()
+		}), nil
 
 	case "commit":
 		m, err := s.member(op.Topic, op.Group, op.Member)
@@ -589,6 +687,23 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 	default:
 		return nil, fmt.Errorf("bus: unknown method %q", method)
 	}
+}
+
+// fetch is one member's long-poll: its next batch, or an empty one once
+// wait has passed.
+func (s *Service) fetch(ctx context.Context, g *Group, m *remoteMember, wait time.Duration) (any, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	fctx, cancel := context.WithTimeout(ctx, wait)
+	defer cancel()
+	recs, err := m.c.Poll(fctx, make([]Record, 0, defaultPollRecords))
+	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		if errors.Is(err, ErrNotMember) {
+			return nil, fmt.Errorf("%w: evicted", ErrUnknownMember)
+		}
+		return nil, err
+	}
+	return &busResult{Recs: recs, Assigned: m.c.Assigned(), Generation: g.Generation()}, nil
 }
 
 // FollowerLag returns the worst total log shortfall (records) across

@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -96,8 +97,16 @@ func TestBusServicePublishReplicates(t *testing.T) {
 			t.Fatalf("partition %d: %d vs %d records", p, len(lr), len(fr))
 		}
 		for i := range lr {
-			if lr[i] != fr[i] {
-				t.Fatalf("partition %d record %d: %+v vs %+v", p, i, lr[i], fr[i])
+			// Values are opaque bytes in a clustered log: the follower
+			// holds the leader's bytes, and they decode to what was
+			// published.
+			lv, fv := lr[i].Value.([]byte), fr[i].Value.([]byte)
+			lr[i].Value, fr[i].Value = nil, nil
+			if lr[i] != fr[i] || !bytes.Equal(lv, fv) {
+				t.Fatalf("partition %d record %d: %+v %x vs %+v %x", p, i, lr[i], lv, fr[i], fv)
+			}
+			if v, err := rpc.DecodeValue(fv); err != nil || v != fmt.Sprintf("v%d", fr[i].Key) {
+				t.Fatalf("partition %d record %d: follower value decodes to %v, %v", p, i, v, err)
 			}
 		}
 	}

@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/rpc"
+
 // Anomaly is a flagged (unit, sensor, time) event written back to
 // storage for the visualization layer, as in Figure 1's feedback arrow
 // from the detector to OpenTSDB. Sensor is -1 for a unit-level flag
@@ -20,6 +22,35 @@ type Anomaly struct {
 	// the isolation score).
 	Detector string
 	Score    float64
+}
+
+// AppendWire implements rpc.WireEncoder: the fields in declaration
+// order, floats as raw bits.
+func (a Anomaly) AppendWire(b []byte) ([]byte, error) {
+	b = rpc.AppendInt(b, int64(a.Unit))
+	b = rpc.AppendInt(b, int64(a.Sensor))
+	b = rpc.AppendInt(b, a.Timestamp)
+	b = rpc.AppendFloat(b, a.Value)
+	b = rpc.AppendFloat(b, a.Z)
+	b = rpc.AppendFloat(b, a.PValue)
+	b = rpc.AppendFloat(b, a.Adjusted)
+	b = rpc.AppendString(b, a.Detector)
+	return rpc.AppendFloat(b, a.Score), nil
+}
+
+// DecodeAnomaly is Anomaly's registered wire decoder.
+func DecodeAnomaly(r *rpc.WireReader) Anomaly {
+	return Anomaly{
+		Unit:      int(r.Int()),
+		Sensor:    int(r.Int()),
+		Timestamp: r.Int(),
+		Value:     r.Float(),
+		Z:         r.Float(),
+		PValue:    r.Float(),
+		Adjusted:  r.Float(),
+		Detector:  r.Str(),
+		Score:     r.Float(),
+	}
 }
 
 // AnomalySink receives flagged anomalies; implemented by the TSDB

@@ -12,6 +12,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/faultinject"
 	"repro/internal/resilience"
+	"repro/internal/rpc"
 	"repro/internal/simdata"
 	"repro/internal/telemetry"
 	"repro/internal/tsdb"
@@ -29,6 +30,18 @@ import (
 type UnitBatch struct {
 	Unit   int
 	Points []tsdb.Point
+}
+
+// AppendWire implements rpc.WireEncoder: the unit, then the points as
+// tsdb.AppendPoints writes them.
+func (u *UnitBatch) AppendWire(b []byte) ([]byte, error) {
+	return tsdb.AppendPoints(rpc.AppendInt(b, int64(u.Unit)), u.Points), nil
+}
+
+// DecodeUnitBatch is UnitBatch's registered wire decoder; the points'
+// tag maps come shared from tsdb's intern table.
+func DecodeUnitBatch(r *rpc.WireReader) *UnitBatch {
+	return &UnitBatch{Unit: int(r.Int()), Points: tsdb.DecodePoints(r)}
 }
 
 // BusDriver replays fleet data onto a commit-log topic, one record per

@@ -21,7 +21,74 @@
 // Handlers run on a bounded worker pool per server, mirroring an RPC
 // handler thread pool. The caller's context is threaded into the
 // handler, so a deadline set at the proxy propagates through a TSD
-// into its HBase client calls.
+// into its HBase client calls. A handler that must wait for data — a
+// long-poll — returns a Deferred instead of blocking: its worker goes
+// back to the queue, and the call stays in flight (Drain waits for it)
+// until the reply function is called.
+//
+// # The wire format
+//
+// In one process payloads pass by reference and nothing is encoded.
+// Between processes (transport.go: ServeTCP on one side, AddRoute on the
+// other) every call is two frames on a pipelined TCP connection, written
+// and read by the one codec in wire.go — there is no second encoding and
+// no fallback.
+//
+// A frame is a 4-byte little-endian body length, then the body:
+//
+//	request:  id uvarint | addr string | method string | budget-ms varint | payload
+//	response: id uvarint | error code string | error message string | payload
+//
+// Integers are uvarints, or zigzag varints where they can be negative;
+// a string or byte slice is a uvarint length and its bytes; a float is
+// its eight IEEE-754 bytes, little-endian (NaN payloads, -0 and ±Inf
+// cross unchanged); a slice is a uvarint count and its elements. The
+// budget is the caller's remaining deadline in milliseconds (0 = none);
+// the error code is the Error() text of the sentinel registered with
+// RegisterWireError that the server-side error matched, so errors.Is
+// still holds on the caller's side.
+//
+// The payload is a tagged value: one tag byte, then the body that tag
+// defines (AppendValue / DecodeValue are the same encoding outside a
+// frame).
+//
+//	 0 nil        3 string    6 []string             9 float64
+//	 1 int        4 bool      7 map[string]string
+//	 2 int64      5 []byte    8 uint64
+//	16 *bus.busOp        19 *zk.zkOp            22 core.Anomaly
+//	17 *bus.busResult    20 *zk.zkResult        23 *tsdb.PutBatch
+//	18 bus.Record        21 *ingest.UnitBatch   24 *tsdb.QueryRequest
+//	                                            25 *tsdb.QueryResponse
+//
+// Tags 16 and up are structs. Each implements WireEncoder (AppendWire:
+// append the fields, in declaration order) and a decoder over WireReader
+// next to its definition, and is registered with RegisterWireType where
+// its package initialises (bus, zk) or in sentinel.RegisterWireTypes
+// (the application payloads); the Tag constants in wire.go are the one
+// table, so two types cannot claim a tag. A nil and an empty slice
+// encode alike and decode as nil; a nil map stays nil. A payload of any
+// other type fails its own call with ErrWireType — the frame is encoded
+// whole before any byte is written, so a payload that cannot be encoded,
+// or a frame over the cap, never reaches the socket and never costs the
+// calls sharing the connection anything.
+//
+// Frame cap: a body is at most MaxFrame (16 MiB). The encoder refuses to
+// build a larger one (ErrFrameTooLarge, that call only); a reader that
+// sees a larger length announced drops the connection without reading
+// it. Decoding is bounds-checked against the frame: every length and
+// count is compared with the bytes that remain before anything is
+// allocated for it (ErrWireCorrupt), so a lying field can cost no more
+// memory than the frame that carried it. A request whose envelope parses
+// but whose payload does not is answered with the error; the length
+// prefix keeps the stream in step.
+//
+// Ownership of bytes: a connection reads every frame into one buffer it
+// reuses, so decoders copy what they keep — WireReader's Str and Bytes
+// return copies, and only View aliases the frame (for comparing or
+// looking up, as tsdb's intern table does). In the other direction,
+// EncodeValue hands its caller a fresh slice that this package never
+// writes again: the clustered bus stores those bytes in its logs and
+// forwards them verbatim, and whoever holds them reads, never writes.
 //
 // # Shutdown protocol
 //
@@ -64,6 +131,16 @@ var (
 // pass it along. Implementations must be safe for concurrent use (the
 // worker pool invokes them in parallel).
 type Handler func(ctx context.Context, method string, payload any) (any, error)
+
+// Deferred is what a handler returns (with a nil error) when the call
+// will be answered later — a long-poll waiting for data — and must not
+// hold one of the server's pool workers meanwhile. The worker invokes
+// it once with the call's reply function and moves on to the next
+// queued call; the Deferred must return promptly (start a goroutine or
+// register a waiter) and arrange for reply to be called exactly once.
+// Until then the call stays in the server's in-flight accounting, so
+// Drain waits for it, and ctx stays live.
+type Deferred func(reply func(v any, err error))
 
 // ServerConfig bounds a server's inbound processing.
 type ServerConfig struct {
@@ -116,11 +193,15 @@ func resolved(err error) *Future {
 	return f
 }
 
-func (f *Future) resolve(v any, err error) {
+// resolve completes the future and reports whether this call was the
+// one that did.
+func (f *Future) resolve(v any, err error) (first bool) {
 	f.once.Do(func() {
 		f.res = result{value: v, err: err}
 		close(f.done)
+		first = true
 	})
+	return first
 }
 
 // Done returns a channel closed when the call completes.
@@ -134,8 +215,16 @@ func (f *Future) Result() (any, error) {
 
 // Wait blocks until the call completes or ctx is done, whichever comes
 // first. On early cancellation the call keeps executing server-side;
-// only the wait is abandoned.
+// only the wait is abandoned. A call that has already completed is
+// reported as completed even if ctx has expired since — a caller
+// collecting several futures under one deadline must not lose the
+// answers that arrived in time.
 func (f *Future) Wait(ctx context.Context) (any, error) {
+	select {
+	case <-f.done:
+		return f.res.value, f.res.err
+	default:
+	}
 	select {
 	case <-f.done:
 		return f.res.value, f.res.err
@@ -325,6 +414,14 @@ func (s *Server) serve() {
 		}
 		v, err := s.handler(c.ctx, c.method, c.payload)
 		s.Handled.Inc()
+		if d, ok := v.(Deferred); ok && err == nil {
+			d(func(v any, err error) {
+				if c.fut.resolve(v, err) {
+					s.inflight.Done()
+				}
+			})
+			continue
+		}
 		c.fut.resolve(v, err)
 		s.inflight.Done()
 	}

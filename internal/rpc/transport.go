@@ -2,8 +2,9 @@ package rpc
 
 // transport.go bridges the in-process fabric across real processes:
 // a Network can serve its registered addresses over a TCP listener
-// (gob-framed request/response with pipelining) and route outbound
-// calls whose address is not registered locally to peer endpoints.
+// (length-prefixed binary frames with pipelining — wire.go is the
+// codec) and route outbound calls whose address is not registered
+// locally to peer endpoints.
 //
 // The bridge keeps Go/Call semantics intact — callers still receive a
 // Future, deadlines propagate (as a relative budget, so clock skew
@@ -21,11 +22,10 @@ package rpc
 // only: a request received over TCP is never forwarded again.
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -38,36 +38,10 @@ import (
 // in-process server.
 var ErrPeerUnreachable = fmt.Errorf("%w: peer unreachable", ErrServerDown)
 
-// wireRequest is one framed call.
-type wireRequest struct {
-	ID       uint64
-	Addr     string
-	Method   string
-	BudgetMS int64 // remaining deadline budget; 0 = none
-	Payload  any
-}
-
-// wireResponse resolves one framed call.
-type wireResponse struct {
-	ID      uint64
-	Payload any
-	ErrCode string // the matched sentinel's Error() text, "" when none
-	ErrMsg  string // the full error text, "" on success
-}
-
 func init() {
-	gob.Register(wireRequest{})
-	gob.Register(wireResponse{})
-	// Base payload types any handler may return as bare values.
-	gob.Register(0)
-	gob.Register(int64(0))
-	gob.Register("")
-	gob.Register(true)
-	gob.Register([]byte(nil))
-	gob.Register([]string(nil))
-	gob.Register(map[string]string(nil))
 	RegisterWireError(ErrUnknownAddr, ErrQueueOverflow, ErrServerDown,
-		ErrServerStopped, ErrServerDraining, ErrNetworkClosed)
+		ErrServerStopped, ErrServerDraining, ErrNetworkClosed,
+		ErrWireType, ErrFrameTooLarge, ErrWireCorrupt)
 }
 
 // wireErrors maps a sentinel's Error() text back to the sentinel, so
@@ -234,13 +208,69 @@ func (n *Network) ClosePeers() {
 	}
 }
 
+// frameWriter serialises frames onto one connection. A frame is encoded
+// whole into buf before any of it is written, so a payload that cannot
+// be encoded never reaches the socket and fails only its own call.
+type frameWriter struct {
+	mu   sync.Mutex
+	conn net.Conn
+	buf  []byte
+}
+
+// flush writes frame — what an append function made of fw.buf, with its
+// error — and keeps the buffer for the next one. encErr is the
+// encoding's failure (nothing was written); ioErr the socket's. Callers
+// hold mu.
+func (fw *frameWriter) flush(frame []byte, encErr error) (_, ioErr error) {
+	if encErr == nil {
+		_, ioErr = fw.conn.Write(frame)
+	}
+	if cap(frame) <= maxKeptBuffer {
+		fw.buf = frame[:0]
+	} else {
+		fw.buf = nil
+	}
+	return encErr, ioErr
+}
+
+func (fw *frameWriter) writeRequest(q *request) (encErr, ioErr error) {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	return fw.flush(appendRequest(fw.buf[:0], q))
+}
+
+func (fw *frameWriter) writeResponse(p *response) (encErr, ioErr error) {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	return fw.flush(appendResponse(fw.buf[:0], p))
+}
+
+// frameReader reads frames off one connection into a buffer it reuses:
+// the body next returns is valid until the following call, and the
+// decoders copy out everything they keep.
+type frameReader struct {
+	r   *bufio.Reader
+	buf []byte
+}
+
+func newFrameReader(conn net.Conn) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(conn, 64<<10)}
+}
+
+func (fr *frameReader) next() ([]byte, error) {
+	if cap(fr.buf) > maxKeptBuffer {
+		fr.buf = nil
+	}
+	body, err := readFrame(fr.r, fr.buf)
+	fr.buf = body
+	return body, err
+}
+
 // peerConn is one multiplexed client connection: many in-flight
 // requests share it, matched back to futures by request id.
 type peerConn struct {
 	conn net.Conn
-
-	encMu sync.Mutex // guards enc
-	enc   *gob.Encoder
+	w    frameWriter
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -251,7 +281,7 @@ type peerConn struct {
 func newPeerConn(conn net.Conn) *peerConn {
 	p := &peerConn{
 		conn:    conn,
-		enc:     gob.NewEncoder(conn),
+		w:       frameWriter{conn: conn},
 		pending: make(map[uint64]*Future),
 	}
 	go p.readLoop()
@@ -278,42 +308,56 @@ func (p *peerConn) send(addr, method string, budgetMS int64, payload any) *Futur
 	p.pending[id] = fut
 	p.mu.Unlock()
 
-	req := wireRequest{ID: id, Addr: addr, Method: method, BudgetMS: budgetMS, Payload: payload}
-	p.encMu.Lock()
-	err := p.enc.Encode(&req)
-	p.encMu.Unlock()
-	if err != nil {
-		p.mu.Lock()
-		delete(p.pending, id)
-		p.mu.Unlock()
-		// An encode error poisons the gob stream state; drop the conn.
-		p.close(err)
-		fut.resolve(nil, fmt.Errorf("%w: send: %v", ErrPeerUnreachable, err))
+	encErr, ioErr := p.w.writeRequest(&request{id: id, addr: addr, method: method, budgetMS: budgetMS, payload: payload})
+	switch {
+	case encErr != nil:
+		// Nothing was written: the call fails, the connection and every
+		// other call on it carry on.
+		p.take(id)
+		fut.resolve(nil, fmt.Errorf("rpc: %s %s: %w", addr, method, encErr))
+	case ioErr != nil:
+		p.take(id)
+		p.close(ioErr)
+		fut.resolve(nil, fmt.Errorf("%w: send: %v", ErrPeerUnreachable, ioErr))
 	}
+	return fut
+}
+
+// take removes and returns the pending future for id, nil if none.
+func (p *peerConn) take(id uint64) *Future {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	fut := p.pending[id]
+	delete(p.pending, id)
 	return fut
 }
 
 // readLoop resolves responses until the connection dies, then fails
 // every pending future.
 func (p *peerConn) readLoop() {
-	dec := gob.NewDecoder(p.conn)
+	fr := newFrameReader(p.conn)
 	for {
-		var resp wireResponse
-		if err := dec.Decode(&resp); err != nil {
+		body, err := fr.next()
+		if err != nil {
 			p.close(err)
 			return
 		}
-		p.mu.Lock()
-		fut, ok := p.pending[resp.ID]
-		delete(p.pending, resp.ID)
-		p.mu.Unlock()
-		if !ok {
-			continue
+		resp, headerOK, err := decodeResponse(body)
+		if !headerOK {
+			// Not even the call id can be trusted: the stream is not
+			// speaking this protocol.
+			p.close(err)
+			return
 		}
-		if resp.ErrMsg != "" {
-			fut.resolve(nil, decodeWireError(resp.ErrCode, resp.ErrMsg))
-		} else {
-			fut.resolve(resp.Payload, nil)
+		fut := p.take(resp.id)
+		switch {
+		case fut == nil:
+		case err != nil:
+			fut.resolve(nil, fmt.Errorf("rpc: decode response: %w", err))
+		case resp.errMsg != "":
+			fut.resolve(nil, decodeWireError(resp.errCode, resp.errMsg))
+		default:
+			fut.resolve(resp.payload, nil)
 		}
 	}
 }
@@ -389,50 +433,64 @@ func (t *Transport) serveConn(conn net.Conn) {
 		t.mu.Unlock()
 		_ = conn.Close()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	var encMu sync.Mutex
+	fr := newFrameReader(conn)
+	fw := &frameWriter{conn: conn}
 	var calls sync.WaitGroup
 	defer calls.Wait()
 	for {
-		var req wireRequest
-		if err := dec.Decode(&req); err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				// A malformed frame poisons the stream; drop the conn
-				// and let the peer redial.
-				return
-			}
+		body, err := fr.next()
+		if err != nil {
+			// EOF, a closed socket, or an oversize announcement: either
+			// way this connection is done and the peer redials.
 			return
 		}
+		req, headerOK, err := decodeRequest(body)
+		if !headerOK {
+			return
+		}
+		if err != nil {
+			// The envelope parsed, the payload did not: the length prefix
+			// kept the stream in step, so answer this call and carry on.
+			fw.reply(req.id, nil, fmt.Errorf("rpc: decode request: %w", err))
+			continue
+		}
 		calls.Add(1)
-		go func(req wireRequest) {
+		go func() {
 			defer calls.Done()
 			ctx := context.Background()
 			var cancel context.CancelFunc = func() {}
-			if req.BudgetMS > 0 {
-				ctx, cancel = context.WithTimeout(ctx, time.Duration(req.BudgetMS)*time.Millisecond)
+			if req.budgetMS > 0 {
+				ctx, cancel = context.WithTimeout(ctx, time.Duration(req.budgetMS)*time.Millisecond)
 			}
 			// Local servers only: a frame is served here or not at all.
-			v, err := t.net.dispatch(ctx, req.Addr, req.Method, req.Payload, false).Wait(ctx)
+			v, err := t.net.dispatch(ctx, req.addr, req.method, req.payload, false).Wait(ctx)
 			cancel()
-			resp := wireResponse{ID: req.ID, Payload: v}
-			if err != nil {
-				resp.Payload = nil
-				resp.ErrCode, resp.ErrMsg = encodeWireError(err)
-				if resp.ErrMsg == "" {
-					resp.ErrMsg = "unknown error"
-				}
-			}
-			encMu.Lock()
-			encErr := enc.Encode(&resp)
-			encMu.Unlock()
-			if encErr != nil {
-				// Undeliverable (conn gone or unregistered payload
-				// type): close so the peer fails fast and redials. The
-				// gob stream is not recoverable after a failed Encode.
-				_ = conn.Close()
-			}
-		}(req)
+			fw.reply(req.id, v, err)
+		}()
+	}
+}
+
+// reply frames one call's outcome. A result that cannot be encoded
+// (unregistered type, over the frame cap) is answered as that error; a
+// socket failure closes the connection so the peer fails fast and
+// redials.
+func (fw *frameWriter) reply(id uint64, v any, err error) {
+	resp := response{id: id, payload: v}
+	if err != nil {
+		resp.payload = nil
+		resp.errCode, resp.errMsg = encodeWireError(err)
+		if resp.errMsg == "" {
+			resp.errMsg = "unknown error"
+		}
+	}
+	encErr, ioErr := fw.writeResponse(&resp)
+	if encErr != nil {
+		resp.payload = nil
+		resp.errCode, resp.errMsg = encodeWireError(fmt.Errorf("rpc: encode response: %w", encErr))
+		_, ioErr = fw.writeResponse(&resp)
+	}
+	if ioErr != nil {
+		_ = fw.conn.Close()
 	}
 }
 

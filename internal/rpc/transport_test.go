@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -16,7 +15,18 @@ type echoPayload struct {
 	S string
 }
 
-func init() { gob.Register(&echoPayload{}) }
+// tagEcho is a wire tag no product type claims.
+const tagEcho byte = 200
+
+func (p *echoPayload) AppendWire(b []byte) ([]byte, error) {
+	return AppendString(AppendInt(b, int64(p.N)), p.S), nil
+}
+
+func init() {
+	RegisterWireType(tagEcho, func(r *WireReader) *echoPayload {
+		return &echoPayload{N: int(r.Int()), S: r.Str()}
+	})
+}
 
 // startServerNet registers handler at addr on a fresh network and
 // serves it over a loopback TCP listener.

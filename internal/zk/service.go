@@ -10,7 +10,6 @@ package zk
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -44,9 +43,55 @@ type zkResult struct {
 	Children []string
 }
 
+// AppendWire implements rpc.WireEncoder: the fields in declaration
+// order.
+func (o *zkOp) AppendWire(b []byte) ([]byte, error) {
+	b = rpc.AppendInt(b, o.Session)
+	b = rpc.AppendString(b, o.Path)
+	b = rpc.AppendBytes(b, o.Data)
+	b = rpc.AppendBool(b, o.Flag)
+	return rpc.AppendInt(b, int64(o.Version)), nil
+}
+
+func decodeZKOp(r *rpc.WireReader) *zkOp {
+	return &zkOp{
+		Session: r.Int(),
+		Path:    r.Str(),
+		Data:    r.Bytes(),
+		Flag:    r.Bool(),
+		Version: int(r.Int()),
+	}
+}
+
+// AppendWire implements rpc.WireEncoder: the fields in declaration
+// order.
+func (z *zkResult) AppendWire(b []byte) ([]byte, error) {
+	b = rpc.AppendInt(b, z.Session)
+	b = rpc.AppendString(b, z.Path)
+	b = rpc.AppendBytes(b, z.Data)
+	b = rpc.AppendInt(b, int64(z.Version))
+	b = rpc.AppendBool(b, z.Eph)
+	b = rpc.AppendInt(b, z.Owner)
+	b = rpc.AppendBool(b, z.OK)
+	return rpc.AppendStrings(b, z.Children), nil
+}
+
+func decodeZKResult(r *rpc.WireReader) *zkResult {
+	return &zkResult{
+		Session:  r.Int(),
+		Path:     r.Str(),
+		Data:     r.Bytes(),
+		Version:  int(r.Int()),
+		Eph:      r.Bool(),
+		Owner:    r.Int(),
+		OK:       r.Bool(),
+		Children: r.Strings(),
+	}
+}
+
 func init() {
-	gob.Register(&zkOp{})
-	gob.Register(&zkResult{})
+	rpc.RegisterWireType(rpc.TagZKOp, decodeZKOp)
+	rpc.RegisterWireType(rpc.TagZKResult, decodeZKResult)
 	rpc.RegisterWireError(ErrNoNode, ErrNodeExists, ErrNotEmpty,
 		ErrNoParent, ErrSessionClosed, ErrBadVersion)
 }

@@ -34,7 +34,6 @@ package sentinel
 
 import (
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -258,11 +257,11 @@ var wireOnce sync.Once
 // exported for drivers that speak to a cluster without running a node.
 func RegisterWireTypes() {
 	wireOnce.Do(func() {
-		gob.Register(&ingest.UnitBatch{})
-		gob.Register(core.Anomaly{})
-		gob.Register(&tsdb.PutBatch{})
-		gob.Register(&tsdb.QueryRequest{})
-		gob.Register(&tsdb.QueryResponse{})
+		rpc.RegisterWireType(rpc.TagUnitBatch, ingest.DecodeUnitBatch)
+		rpc.RegisterWireType(rpc.TagAnomaly, core.DecodeAnomaly)
+		rpc.RegisterWireType(rpc.TagPutBatch, tsdb.DecodePutBatch)
+		rpc.RegisterWireType(rpc.TagQueryRequest, tsdb.DecodeQueryRequest)
+		rpc.RegisterWireType(rpc.TagQueryResponse, tsdb.DecodeQueryResponse)
 		rpc.RegisterWireError(tsdb.ErrNoSuchMetric, tsdb.ErrBadPoint)
 	})
 }
