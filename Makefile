@@ -94,13 +94,14 @@ bench-json: bench-query
 # is also pinned by bench-allocs), LTTB bounding, and the compressed
 # storage tier (zero-alloc block scan, compression ratio, rollup-served
 # wide windows), and the hot tier underneath both (a region scan that
-# costs its range, not its region; the in-order put; the heap a hot
-# cell costs across WAL and memstore).
+# costs its range, not its region; the in-order put; the heap a cell
+# costs hot — WAL and memstore — and flushed — store-file rows and their
+# HDFS bytes; what reopening a flushed region allocates).
 bench-query:
 	@rm -f bench-query.out
 	$(GO) test -run '^$$' -bench 'BenchmarkQuery' -benchtime $(BENCHTIME) -benchmem ./internal/query/ > bench-query.out
 	$(GO) test -run '^$$' -bench 'BenchmarkCompressedScan|BenchmarkBlockCompress|BenchmarkRollupQuery' -benchtime $(BENCHTIME) -benchmem ./internal/tsdb/ >> bench-query.out
-	$(GO) test -run '^$$' -bench 'BenchmarkRegionScanNarrow|BenchmarkRegionPutInOrder|BenchmarkHotTierFootprint' -benchtime $(BENCHTIME) -benchmem ./internal/hbase/ >> bench-query.out
+	$(GO) test -run '^$$' -bench 'BenchmarkRegionScanNarrow|BenchmarkRegionPutInOrder|BenchmarkHotTierFootprint|BenchmarkMemstoreFlushReopen' -benchtime $(BENCHTIME) -benchmem ./internal/hbase/ >> bench-query.out
 	$(GO) run ./cmd/benchgate -json BENCH_query.json < bench-query.out
 	@rm -f bench-query.out
 
@@ -212,17 +213,22 @@ chaos:
 conformance:
 	$(GO) test ./internal/api/... -run TestV1Conformance
 
-# fuzz-smoke runs the two hand-written decoders' fuzz targets for 15 s
+# fuzz-smoke runs the hand-written decoders' fuzz targets for 15 s
 # each. FuzzPutDecode is differential: the one-pass put scanner against
 # the encoding/json route it replaced — both reject a body, or both
 # accept it with identical points. FuzzWireFrame feeds the rpc frame
 # codec truncated, bit-flipped and length-lying frames: errors, never a
-# panic, never a read past the frame. Seeded from the packages'
-# testdata/fuzz; a finding lands there as a new regression seed. Gating
-# in CI.
+# panic, never a read past the frame. FuzzStoreFile and FuzzWALRecord
+# hold the hot tier's two decoders — a region's open and a dead server's
+# log replay, both over the one packed-entry parser — to the same: an
+# error, never a panic or a neighbour's bytes, and what decodes encodes
+# back to itself. Seeded from the packages' testdata/fuzz; a finding
+# lands there as a new regression seed. Gating in CI.
 fuzz-smoke:
 	$(GO) test ./internal/api -run '^$$' -fuzz FuzzPutDecode -fuzztime 15s
 	$(GO) test ./internal/rpc -run '^$$' -fuzz FuzzWireFrame -fuzztime 15s
+	$(GO) test ./internal/hbase -run '^$$' -fuzz FuzzStoreFile -fuzztime 15s
+	$(GO) test ./internal/hbase -run '^$$' -fuzz FuzzWALRecord -fuzztime 15s
 
 # serve runs the whole pipeline as one daemon: every role on one node
 # without peers (the same assembly the cluster splits by role), the

@@ -3,6 +3,7 @@ package bus
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -119,4 +120,72 @@ func TestBusShutdownStorm(t *testing.T) {
 	b.Close()
 	cancelConsumers()
 	conWG.Wait()
+}
+
+// TestDrainWaitsForRacingPublish is the regression test for the acked
+// loss on graceful shutdown: a publisher that had passed the running
+// check when Drain flipped the state used to append after Drain's lag
+// check had read zero, and got a nil error for a record nobody would
+// consume. Publishers race Drain round after round; every record a
+// Publish acknowledged must lie below what the group had committed when
+// Drain returned.
+func TestDrainWaitsForRacingPublish(t *testing.T) {
+	const rounds, publishers = 400, 4
+	for round := 0; round < rounds; round++ {
+		b := New(Config{Partitions: 1, SegmentRecords: 16, PartitionBuffer: 32})
+		topic := b.Topic("energy")
+		g := topic.Group("workers")
+		ctx, cancel := context.WithCancel(context.Background())
+		var conWG, pubWG sync.WaitGroup
+		conWG.Add(1)
+		go func(c *Consumer) {
+			defer conWG.Done()
+			for buf := make([]Record, 0, 16); ; {
+				recs, err := c.Poll(ctx, buf)
+				if err != nil {
+					return
+				}
+				if err := c.CommitPolled(recs); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g.Join())
+		var acked atomic.Int64 // one past the highest acknowledged offset
+		for w := 0; w < publishers; w++ {
+			pubWG.Add(1)
+			go func() {
+				defer pubWG.Done()
+				for i := 0; ; i++ {
+					rec, err := topic.Publish(ctx, 0, i)
+					if err != nil {
+						if !errors.Is(err, ErrDraining) {
+							t.Errorf("publish: %v", err)
+						}
+						return
+					}
+					for {
+						cur := acked.Load()
+						if rec.Offset < cur || acked.CompareAndSwap(cur, rec.Offset+1) {
+							break
+						}
+					}
+				}
+			}()
+		}
+		for topic.HighWater(0) < int64(round%64) { // a storm of varying length
+			runtime.Gosched()
+		}
+		if err := b.Drain(ctx); err != nil {
+			t.Fatalf("round %d: drain: %v", round, err)
+		}
+		committed := g.Committed(0)
+		pubWG.Wait()
+		if got := acked.Load(); got > committed {
+			t.Fatalf("round %d: Drain returned with the group at offset %d; a publish of offset %d was acknowledged", round, committed, got-1)
+		}
+		b.Close()
+		cancel()
+		conWG.Wait()
+	}
 }

@@ -2,6 +2,7 @@ package bus
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -47,39 +48,32 @@ func (t *Topic) Publish(ctx context.Context, key uint64, value any) (Record, err
 	}
 	p := t.partitions[t.PartitionFor(key)]
 	for {
-		if err := b.publishable(); err != nil {
-			return Record{}, err
-		}
 		// The capacity limit is computed from the slowest group's
 		// committed offset before taking the partition lock; commits
 		// only advance, so a stale limit is merely stricter and the
 		// bound is never overshot.
-		if rec, ok := p.tryAppend(key, value, b.cfg.SegmentRecords, t.appendLimit(p)); ok {
-			b.Published.Inc()
-			b.pulse.wake()
-			return rec, nil
-		}
-		ch := b.pulse.arm()
-		if err := b.publishable(); err != nil {
+		rec, err := p.tryAppend(b, key, value, t.appendLimit(p))
+		if err == errPartitionFull {
+			ch := b.pulse.arm()
+			if rec, err = p.tryAppend(b, key, value, t.appendLimit(p)); err == errPartitionFull {
+				select {
+				case <-ch:
+					b.pulse.disarm()
+					continue
+				case <-ctx.Done():
+					err = ctx.Err()
+				case <-b.stopped:
+					err = ErrClosed
+				}
+			}
 			b.pulse.disarm()
+		}
+		if err != nil {
 			return Record{}, err
 		}
-		if rec, ok := p.tryAppend(key, value, b.cfg.SegmentRecords, t.appendLimit(p)); ok {
-			b.pulse.disarm()
-			b.Published.Inc()
-			b.pulse.wake()
-			return rec, nil
-		}
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			b.pulse.disarm()
-			return Record{}, ctx.Err()
-		case <-b.stopped:
-			b.pulse.disarm()
-			return Record{}, ErrClosed
-		}
-		b.pulse.disarm()
+		b.Published.Inc()
+		b.pulse.wake()
+		return rec, nil
 	}
 }
 
@@ -181,12 +175,23 @@ type segment struct {
 	recs []Record
 }
 
-// tryAppend appends unless the partition has reached limit (exclusive).
-func (p *partition) tryAppend(key uint64, value any, segSize int, limit int64) (Record, bool) {
+// errPartitionFull is tryAppend's answer at the limit: wait for a commit.
+var errPartitionFull = errors.New("bus: partition full")
+
+// tryAppend appends unless the broker has left the running state or the
+// partition has reached limit (exclusive). The state is read under the
+// partition lock, where Group.Lag reads the high-water mark: an append
+// Drain's lag check did not see finds the broker already draining, so
+// Drain never returns with a record nobody will consume.
+func (p *partition) tryAppend(b *Broker, key uint64, value any, limit int64) (Record, error) {
+	segSize := b.cfg.SegmentRecords
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if err := b.publishable(); err != nil {
+		return Record{}, err
+	}
 	if p.hwm >= limit {
-		return Record{}, false
+		return Record{}, errPartitionFull
 	}
 	if len(p.segs) == 0 || len(p.segs[len(p.segs)-1].recs) == segSize {
 		p.segs = append(p.segs, &segment{base: p.hwm, recs: make([]Record, 0, segSize)})
@@ -195,7 +200,7 @@ func (p *partition) tryAppend(key uint64, value any, segSize int, limit int64) (
 	s := p.segs[len(p.segs)-1]
 	s.recs = append(s.recs, rec)
 	p.hwm++
-	return rec, true
+	return rec, nil
 }
 
 // read appends retained records from offset into buf up to its cap.

@@ -79,6 +79,7 @@ func BenchmarkMemstoreFlushReopen(b *testing.B) {
 		b.Fatal(err)
 	}
 	ri := m.Regions()[0]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.net.Call(context.Background(), rsAddr(ri.Server), "flush", &FlushRequest{Region: ri.ID}); err != nil {
@@ -178,11 +179,19 @@ func BenchmarkRegionPutInOrder(b *testing.B) {
 	b.ReportMetric(float64(series*b.N)/b.Elapsed().Seconds(), "cells/s")
 }
 
-// BenchmarkHotTierFootprint prices a hot cell in memory: one op puts an
-// hour of a 16-series fleet (57 600 in-order cells, one put RPC per
-// second) through a region server — WAL record and memstore entry both
-// — and heap-B/cell is the live heap that added, per cell, after a GC.
+// BenchmarkHotTierFootprint prices a cell in memory: one op puts an hour
+// of a 16-series fleet (57 600 in-order cells, one put RPC per second)
+// through a region server, and heap-B/cell is the live heap that added,
+// per cell, after a GC. hot: WAL record and memstore entry both.
+// flushed: the same hour, then one flush — the WAL cut to nothing and
+// the memstore empty, what is left is the store file's rows and the
+// bytes HDFS holds of them.
 func BenchmarkHotTierFootprint(b *testing.B) {
+	b.Run("hot", func(b *testing.B) { benchFootprint(b, false) })
+	b.Run("flushed", func(b *testing.B) { benchFootprint(b, true) })
+}
+
+func benchFootprint(b *testing.B, flush bool) {
 	const series, seconds = 16, 3600
 	rows := make([][]byte, series)
 	for s := range rows {
@@ -216,6 +225,14 @@ func BenchmarkHotTierFootprint(b *testing.B) {
 			}
 			if err := rs.handlePut(req); err != nil {
 				b.Fatal(err)
+			}
+		}
+		if flush {
+			if err := rs.handleFlush(&FlushRequest{Region: req.Region}); err != nil {
+				b.Fatal(err)
+			}
+			if c.WALBytes() != 0 || c.MemstoreBytes() != 0 || c.StoreFileBytes() == 0 {
+				b.Fatalf("after the flush: %d WAL bytes, %d memstore bytes, %d store-file bytes", c.WALBytes(), c.MemstoreBytes(), c.StoreFileBytes())
 			}
 		}
 		b.StopTimer()

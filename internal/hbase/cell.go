@@ -6,37 +6,33 @@
 //   - Regions: contiguous row-key ranges served by RegionServers, with
 //     in-memory MemStores flushed to immutable store files in HDFS and
 //     a write-ahead log for crash recovery.
-//   - Packed, row-ordered MemStores: a hash index row → row record for
-//     O(1) puts and the row records in a key-sorted slice; a row record
-//     is its key, one append-only byte arena of entries (flags,
-//     qualifier and value lengths, qualifier, value — a fixed 6-byte
-//     header) and the 32-bit offsets of the live entries in qualifier
-//     order (memstore.go). An in-order put appends to both and allocates
-//     nothing once they have grown; an overwrite or delete repoints or
-//     removes the offset, and the row is repacked into a fresh arena
-//     once more than half of it is dead. A hot cell costs its payload
-//     plus 10 bytes, not a Cell struct and a buffer, and the size the
-//     flush threshold bounds is the bytes the rows hold. A scan seeks
-//     every source — store files, a flush snapshot in flight, the live
-//     memstore — to its start row by binary search and merges them
-//     newest-wins up to the end row or the limit, decoding packed
-//     entries as it emits them, so a read costs O(log rows) plus the
-//     cells in its range, whatever the region holds. A delete marker
-//     lives only while a store file or a flush snapshot could still
-//     hold an older version of its slot; otherwise the delete frees the
-//     slot (and an emptied row) at once.
-//   - A byte WAL: each server's log is a list of fixed-size chunks
-//     holding one record per put RPC — region, sequence, then every
-//     cell of the batch with its row key — encoded straight from the
-//     request under the region's sequence lock (wal.go). Records are
-//     decoded only when a dead server's log is replayed. Truncating a
-//     flushed region releases the chunks it alone filled and rewrites
-//     the ones it shared, so the log's memory follows what is unflushed.
+//   - One sorted-run format, the packed row (memstore.go): a key, one
+//     append-only byte arena of entries and the offsets of the live ones
+//     in qualifier order, so a cell costs its payload plus 10 bytes
+//     wherever it is held. The memstore is such rows, key-sorted, under a
+//     hash index: an in-order put appends and allocates nothing once
+//     arena and offsets have grown; an overwrite or delete repoints or
+//     removes the offset, and a row more than half dead is repacked. A
+//     flush copies nothing: once HDFS has the rows' keys and live entries
+//     back to back (below), the snapshot's rows are the store file and
+//     own their arenas. A region reopened from the file serves rows that
+//     alias the one buffer it read.
+//   - Scans that cost their range: every source — store files, a flush
+//     snapshot in flight, the live memstore — is sought to the start row
+//     by binary search and merged newest-wins to the end row or the
+//     limit. A delete marker lives only while a store file or a flush
+//     snapshot could still hold an older version of its slot.
+//   - A byte WAL (wal.go): per server, fixed-size chunks holding one
+//     record per put RPC — each cell as its row key and the same packed
+//     entry — written under the region's sequence lock and decoded, by
+//     the bounds-checked parser store files open with, only when a dead
+//     server's log is replayed. Truncating a flushed region frees the
+//     chunks it alone filled and rewrites the rest.
 //   - Immutable cell bytes: the Row, Qual and Value of cells a scan
-//     returns alias the store's own bytes — row keys, arenas, store
-//     files. The store never modifies them (an overwrite appends a new
-//     entry; a repack copies to a new arena and leaves the old one to
-//     its holders), and callers must not either.
+//     returns alias the store's own row keys and arenas. The store never
+//     modifies them (an overwrite appends a new entry; a repack or a
+//     compaction writes new rows and leaves the old to their holders),
+//     and callers must not either.
 //   - Bounded RPC queues: RegionServers crash when their inbound queue
 //     overflows persistently (§III-B), which is why the ingestion
 //     pipeline needs the buffering reverse proxy.
@@ -65,93 +61,90 @@ type Cell struct {
 	Tomb  bool
 }
 
-// compare orders cells by (Row, Qual): negative, zero or positive as c
-// sorts before, at or after o.
-func (c Cell) compare(o Cell) int {
-	if r := bytes.Compare(c.Row, o.Row); r != 0 {
-		return r
-	}
-	return bytes.Compare(c.Qual, o.Qual)
-}
-
 // Less orders cells by (Row, Qual).
-func (c Cell) Less(o Cell) bool { return c.compare(o) < 0 }
+func (c Cell) Less(o Cell) bool {
+	if r := bytes.Compare(c.Row, o.Row); r != 0 {
+		return r < 0
+	}
+	return bytes.Compare(c.Qual, o.Qual) < 0
+}
 
 // Same reports whether two cells address the same (Row, Qual) slot.
 func (c Cell) Same(o Cell) bool {
 	return bytes.Equal(c.Row, o.Row) && bytes.Equal(c.Qual, o.Qual)
 }
 
-// encodeCells serializes cells for a store file: a length-prefixed
-// binary layout (no gob; the format is stable and compact).
-func encodeCells(cells []Cell) []byte {
-	var buf bytes.Buffer
-	var lp [4]byte
-	binary.BigEndian.PutUint32(lp[:], uint32(len(cells)))
-	buf.Write(lp[:])
-	for _, c := range cells {
-		for _, field := range [][]byte{c.Row, c.Qual, c.Value} {
-			binary.BigEndian.PutUint32(lp[:], uint32(len(field)))
-			buf.Write(lp[:])
-			buf.Write(field)
-		}
-		if c.Tomb {
-			buf.WriteByte(1)
-		} else {
-			buf.WriteByte(0)
+// A store file is a sorted run of packed rows, in memory and in HDFS
+// alike. Its bytes are the rows back to back, each key once and only the
+// live entries, in the memstore's entry layout (little-endian):
+//
+//	rows u32 | { key-len u16 | entries u32 | key | entry… }…
+const (
+	fileHeader    = 4
+	fileRowHeader = 6
+)
+
+// encodeRows serializes rows (sorted by key) as a store file.
+func encodeRows(rows []*memRow) []byte {
+	size := fileHeader
+	for _, row := range rows {
+		size += fileRowHeader + len(row.key) + len(row.arena) - row.dead
+	}
+	dst := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(rows)))
+	for _, row := range rows {
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(row.key)))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(row.offs)))
+		dst = append(dst, row.key...)
+		for _, off := range row.offs {
+			dst = append(dst, row.arena[off:int(off)+row.entryLen(off)]...)
 		}
 	}
-	return buf.Bytes()
+	return dst
 }
 
-// errCorrupt reports a malformed store file.
-var errCorrupt = errors.New("hbase: corrupt store file")
+// errCorrupt reports a malformed store file or WAL record.
+var errCorrupt = errors.New("hbase: corrupt store bytes")
 
-// decodeCells parses a store file produced by encodeCells.
-func decodeCells(data []byte) ([]Cell, error) {
-	if len(data) < 4 {
+// decodeRows parses a store file into rows whose keys and arenas alias
+// data: the caller hands the buffer over. Every count and length is
+// checked against the bytes there before anything is sized by it.
+func decodeRows(data []byte) ([]*memRow, error) {
+	if len(data) < fileHeader {
 		return nil, errCorrupt
 	}
-	n := binary.BigEndian.Uint32(data[:4])
-	data = data[4:]
-	cells := make([]Cell, 0, n)
-	readField := func() ([]byte, error) {
-		if len(data) < 4 {
-			return nil, errCorrupt
-		}
-		l := binary.BigEndian.Uint32(data[:4])
-		data = data[4:]
-		if uint32(len(data)) < l {
-			return nil, errCorrupt
-		}
-		f := append([]byte(nil), data[:l]...)
-		data = data[l:]
-		return f, nil
+	n := int(binary.LittleEndian.Uint32(data))
+	data = data[fileHeader:]
+	if n > len(data)/fileRowHeader {
+		return nil, errCorrupt
 	}
-	for i := uint32(0); i < n; i++ {
-		row, err := readField()
-		if err != nil {
-			return nil, err
-		}
-		qual, err := readField()
-		if err != nil {
-			return nil, err
-		}
-		val, err := readField()
-		if err != nil {
-			return nil, err
-		}
-		if len(data) < 1 {
+	rows := make([]*memRow, n)
+	for i := range rows {
+		if len(data) < fileRowHeader {
 			return nil, errCorrupt
 		}
-		tomb := data[0] == 1
-		data = data[1:]
-		cells = append(cells, Cell{Row: row, Qual: qual, Value: val, Tomb: tomb})
+		kl, entries := int(binary.LittleEndian.Uint16(data)), int(binary.LittleEndian.Uint32(data[2:]))
+		data = data[fileRowHeader:]
+		if kl > len(data) || entries > (len(data)-kl)/entryHeader {
+			return nil, errCorrupt
+		}
+		row := &memRow{key: data[:kl:kl], offs: make([]uint32, entries)}
+		data = data[kl:]
+		end := 0
+		for j := range row.offs {
+			size, ok := entryAt(data, end)
+			if !ok {
+				return nil, errCorrupt
+			}
+			row.offs[j] = uint32(end)
+			end += size
+		}
+		row.arena, data = data[:end:end], data[end:]
+		rows[i] = row
 	}
 	if len(data) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", errCorrupt, len(data))
 	}
-	return cells, nil
+	return rows, nil
 }
 
 // inRange reports whether key belongs to [start, end); an empty end

@@ -36,8 +36,6 @@ type Config struct {
 	NetLatency time.Duration
 	// Clock drives rate emulation and latency (default real clock).
 	Clock clock.Clock
-	// Replication is the HDFS replication factor (default 3).
-	Replication int
 }
 
 func (c Config) withDefaults() Config {
@@ -55,9 +53,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Clock == nil {
 		c.Clock = clock.Real{}
-	}
-	if c.Replication <= 0 {
-		c.Replication = 3
 	}
 	return c
 }
@@ -96,7 +91,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		cfg:     cfg,
 		net:     rpc.NewNetwork(cfg.NetLatency, cfg.Clock),
 		zks:     zk.NewServer(),
-		dfs:     hdfs.NewCluster(cfg.RegionServers, hdfs.WithReplication(cfg.Replication)),
+		dfs:     hdfs.NewCluster(cfg.RegionServers),
 		wal:     newWALStore(),
 		servers: make(map[string]*RegionServer),
 	}
@@ -241,10 +236,8 @@ func (c *Cluster) TotalCellsWritten() int64 {
 	return total
 }
 
-// MemstoreBytes returns the bytes the live servers' memstores hold:
-// row keys, packed entries (superseded ones included until their row
-// repacks) and offset indexes.
-func (c *Cluster) MemstoreBytes() int64 {
+// heldBytes sums size over the regions the live servers host.
+func (c *Cluster) heldBytes(size func(*region) int) int64 {
 	var total int64
 	for _, rs := range c.RegionServers() {
 		if rs.Crashed() {
@@ -252,12 +245,21 @@ func (c *Cluster) MemstoreBytes() int64 {
 		}
 		rs.mu.RLock()
 		for _, r := range rs.regions {
-			total += int64(r.memSize())
+			total += int64(size(r))
 		}
 		rs.mu.RUnlock()
 	}
 	return total
 }
+
+// MemstoreBytes returns the bytes the live servers' memstores hold:
+// row keys, packed entries (superseded ones included until their row
+// repacks) and offset indexes.
+func (c *Cluster) MemstoreBytes() int64 { return c.heldBytes((*region).memSize) }
+
+// StoreFileBytes returns the bytes the live servers' store files hold in
+// memory, counted the same way: a flush moves a memstore's bytes here.
+func (c *Cluster) StoreFileBytes() int64 { return c.heldBytes((*region).fileSize) }
 
 // WALBytes returns the record bytes the write-ahead logs hold: what was
 // put and not yet flushed, on every server.

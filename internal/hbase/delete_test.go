@@ -59,7 +59,7 @@ func TestTombstoneShadowsFlushedData(t *testing.T) {
 	if got := r.scan(nil, nil, 0); len(got) != 0 {
 		t.Fatalf("post-compaction scan = %v, want empty", got)
 	}
-	if len(r.files) != 1 || len(r.files[0].cells) != 0 {
+	if len(r.files) != 1 || fileCells(r) != 0 {
 		t.Fatal("major compaction must drop tombstones and shadowed cells")
 	}
 }

@@ -265,9 +265,9 @@ func (m *Master) reconcile() {
 // assignRegion opens ri on a live server, replaying the previous
 // owner's WAL when there was one.
 func (m *Master) assignRegion(ri *RegionInfo, live []string, prevOwner string) error {
-	var replay []walRecord
-	if prevOwner != "" {
-		replay = m.clu.wal.EntriesFor(prevOwner, ri.ID, 0)
+	replay, err := m.clu.wal.EntriesFor(prevOwner, ri.ID, 0) // no owner has no log
+	if err != nil {
+		return err
 	}
 	m.mu.Lock()
 	target, err := m.pickServerLocked(live)
@@ -368,7 +368,6 @@ func (m *Master) Split(regionID int, splitKey []byte) error {
 	if err != nil {
 		return err
 	}
-	cells := parentRegion.scan(nil, nil, 0)
 	live := m.liveServers()
 	m.mu.Lock()
 	left := &RegionInfo{ID: m.nextID, Start: p.Start, End: splitKey}
@@ -376,17 +375,15 @@ func (m *Master) Split(regionID int, splitKey []byte) error {
 	m.nextID += 2
 	m.mu.Unlock()
 
-	if err := m.seedRegion(left, cells); err != nil {
-		return err
+	for _, child := range []*RegionInfo{left, right} {
+		if err := m.seedRegion(child, parentRegion); err != nil {
+			return err
+		}
 	}
-	if err := m.seedRegion(right, cells); err != nil {
-		return err
-	}
-	if err := m.assignRegion(left, live, ""); err != nil {
-		return err
-	}
-	if err := m.assignRegion(right, live, ""); err != nil {
-		return err
+	for _, child := range []*RegionInfo{left, right} {
+		if err := m.assignRegion(child, live, ""); err != nil {
+			return err
+		}
 	}
 	m.mu.Lock()
 	m.regions[left.ID] = left
@@ -401,21 +398,12 @@ func (m *Master) Split(regionID int, splitKey []byte) error {
 	return nil
 }
 
-// seedRegion writes the subset of cells belonging to ri as its first
+// seedRegion writes the cells of parent that belong to ri as its first
 // store file.
-func (m *Master) seedRegion(ri *RegionInfo, cells []Cell) error {
-	var mine []Cell
-	for _, c := range cells {
-		if ri.Contains(c.Row) {
-			mine = append(mine, c)
-		}
-	}
-	if len(mine) == 0 {
-		return nil
-	}
+func (m *Master) seedRegion(ri *RegionInfo, parent *region) error {
 	r := newRegion(*ri)
-	r.put(mine, 1)
-	_, err := r.flush(m.clu.dfs)
+	r.put(parent.scan(ri.Start, ri.End, 0), 1)
+	_, err := r.flush(m.clu.dfs) // nothing to flush writes nothing
 	return err
 }
 

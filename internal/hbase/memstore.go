@@ -12,13 +12,15 @@ import (
 //	flags u8 | qual-len u16 | value-len u24 | qual | value
 //
 // little-endian, with the row key held once by the memRow. The header is
-// fixed-width so a scan decodes an entry with loads at known offsets.
+// fixed-width so a scan decodes an entry with loads at known offsets. A
+// store file is rows of these entries (cell.go); a WAL record prefixes
+// each with its row key (wal.go).
 const (
 	entryHeader = 6
 	entryTomb   = 1 << 0 // flags: the entry is a delete marker
 
-	// maxRowLen bounds a row key only in the WAL record (wal.go), which
-	// carries it per cell; handlePut checks all three limits.
+	// maxRowLen is what the u16 in front of a row key can express, in a
+	// WAL record and in a store file; handlePut checks all three limits.
 	maxRowLen   = 1<<16 - 1
 	maxQualLen  = 1<<16 - 1
 	maxValueLen = 1<<24 - 1
@@ -40,18 +42,14 @@ func checkCellLens(c Cell) error {
 
 func entrySize(c Cell) int { return entryHeader + len(c.Qual) + len(c.Value) }
 
-// cellFlags returns the flags byte of c's packed forms.
-func cellFlags(c Cell) byte {
-	if c.Tomb {
-		return entryTomb
-	}
-	return 0
-}
-
 // appendEntry packs c (minus its row key) onto dst.
 func appendEntry(dst []byte, c Cell) []byte {
+	var flags byte
+	if c.Tomb {
+		flags = entryTomb
+	}
 	ql, vl := len(c.Qual), len(c.Value)
-	dst = append(dst, cellFlags(c), byte(ql), byte(ql>>8), byte(vl), byte(vl>>8), byte(vl>>16))
+	dst = append(dst, flags, byte(ql), byte(ql>>8), byte(vl), byte(vl>>8), byte(vl>>16))
 	dst = append(dst, c.Qual...)
 	return append(dst, c.Value...)
 }
@@ -60,6 +58,18 @@ func appendEntry(dst []byte, c Cell) []byte {
 // the entry at the front of e.
 func entryLens(e []byte) (ql, vl int) {
 	return int(e[1]) | int(e[2])<<8, int(e[3]) | int(e[4])<<8 | int(e[5])<<16
+}
+
+// entryAt returns the bytes the entry at b[at:] occupies; false when b
+// is too short to hold it or its flags are none appendEntry writes: what
+// a decoder of a store file or a WAL record steps by.
+func entryAt(b []byte, at int) (n int, ok bool) {
+	if at > len(b)-entryHeader || b[at]&^entryTomb != 0 {
+		return 0, false
+	}
+	ql, vl := entryLens(b[at:])
+	n = entryHeader + ql + vl
+	return n, n <= len(b)-at
 }
 
 // memRow is one memstore row: its key, the arena its entries are
@@ -147,24 +157,6 @@ type memstore struct {
 
 func newMemstore() *memstore { return &memstore{index: make(map[string]*memRow)} }
 
-// cutRange returns the positions [lo, hi) that the keys of [start, end)
-// occupy among n sorted keys (empty start or end: unbounded).
-func cutRange(n int, key func(int) []byte, start, end []byte) (lo, hi int) {
-	seek := func(k []byte) int {
-		return sort.Search(n, func(i int) bool { return bytes.Compare(key(i), k) >= 0 })
-	}
-	lo, hi = 0, n
-	if len(start) > 0 {
-		lo = seek(start)
-	}
-	if len(end) > 0 {
-		hi = max(lo, seek(end))
-	}
-	return lo, hi
-}
-
-func (m *memstore) rowKey(i int) []byte { return m.rows[i].key }
-
 // row returns the row stored under key; when it is missing, create
 // inserts an empty one (nil otherwise).
 func (m *memstore) row(key []byte, create bool) *memRow {
@@ -175,7 +167,7 @@ func (m *memstore) row(key []byte, create bool) *memRow {
 	m.index[string(row.key)] = row
 	at := len(m.rows)
 	if at > 0 && bytes.Compare(m.rows[at-1].key, key) > 0 {
-		at, _ = cutRange(at, m.rowKey, key, nil)
+		at = sort.Search(at, func(i int) bool { return bytes.Compare(m.rows[i].key, key) >= 0 })
 	}
 	m.rows = slices.Insert(m.rows, at, row)
 	m.size += len(row.key)
@@ -248,34 +240,34 @@ func (m *memstore) absorb(newer *memstore) {
 	}
 }
 
-// run returns a cursor over the rows in [start, end).
-func (m *memstore) run(start, end []byte) run {
-	lo, hi := cutRange(len(m.rows), m.rowKey, start, end)
-	return run{rows: m.rows[lo:hi]}
+// runOf returns a cursor over those of rows (sorted by key) that lie in
+// [start, end); an empty start or end is unbounded.
+func runOf(rows []*memRow, start, end []byte) run {
+	seek := func(k []byte) int {
+		return sort.Search(len(rows), func(i int) bool { return bytes.Compare(rows[i].key, k) >= 0 })
+	}
+	if len(end) > 0 {
+		rows = rows[:seek(end)]
+	}
+	if len(start) > 0 {
+		rows = rows[seek(start):]
+	}
+	return run{rows: rows}
 }
 
-// fileRun returns a cursor over the cells of a store file (sorted)
-// whose rows lie in [start, end).
-func fileRun(cells []Cell, start, end []byte) run {
-	lo, hi := cutRange(len(cells), func(i int) []byte { return cells[i].Row }, start, end)
-	return run{cells: cells[lo:hi]}
-}
-
-// run is a cursor over one sorted source of a merge: a store file's
-// cells, or a memstore's packed rows — row is then the current row,
-// offs what is left of it and rows what follows it.
+// run is a cursor over one sorted source of a merge — the rows of a
+// store file, a flush snapshot or the live memstore: row is the current
+// row, offs what is left of it and rows what follows it.
 type run struct {
-	cells []Cell
-
 	rows []*memRow
 	row  *memRow
 	offs []uint32
 }
 
-// more reports whether the cursor is on a cell, moving a packed cursor
-// on to its next row when it has finished one.
+// more reports whether the cursor is on a cell, moving on to the next
+// row when it has finished one.
 func (u *run) more() bool {
-	for len(u.cells) == 0 && len(u.offs) == 0 {
+	for len(u.offs) == 0 {
 		if len(u.rows) == 0 {
 			return false
 		}
@@ -285,58 +277,60 @@ func (u *run) more() bool {
 	return true
 }
 
-// slot returns the (row, qualifier) of the cell at the cursor.
-func (u *run) slot() (row, qual []byte) {
-	if len(u.cells) > 0 {
-		return u.cells[0].Row, u.cells[0].Qual
-	}
-	return u.row.key, u.row.qual(u.offs[0])
-}
-
 // compare orders the cells at two cursors by (Row, Qual).
 func (u *run) compare(o *run) int {
-	row, qual := u.slot()
-	orow, oqual := o.slot()
-	if r := bytes.Compare(row, orow); r != 0 {
+	if r := bytes.Compare(u.row.key, o.row.key); r != 0 {
 		return r
 	}
-	return bytes.Compare(qual, oqual)
+	return bytes.Compare(u.row.qual(u.offs[0]), o.row.qual(o.offs[0]))
 }
 
-// read writes the cell at the cursor to dst; a packed entry is decoded
-// into fields that alias its row.
-func (u *run) read(dst *Cell) {
-	if len(u.cells) > 0 {
-		*dst = u.cells[0]
-		return
-	}
-	u.row.decode(u.offs[0], dst)
-}
+// read decodes the cell at the cursor into dst, whose fields then alias
+// its row.
+func (u *run) read(dst *Cell) { u.row.decode(u.offs[0], dst) }
 
 // next steps past the cell at the cursor.
-func (u *run) next() {
-	if len(u.cells) > 0 {
-		u.cells = u.cells[1:]
-	} else {
-		u.offs = u.offs[1:]
-	}
-}
+func (u *run) next() { u.offs = u.offs[1:] }
 
 // remaining counts the cells from the cursor to the end.
 func (u *run) remaining() int {
-	n := len(u.cells) + len(u.offs)
+	n := len(u.offs)
 	for _, row := range u.rows {
 		n += len(row.offs)
 	}
 	return n
 }
 
-// mergeRuns merges sorted runs, given oldest first, into one sorted
-// slice holding the newest version of each slot, stopping at limit
-// cells (limit <= 0 means unlimited). Delete markers shadow older
-// versions either way and are emitted only if keepTombs. walked is the
-// number of cells stepped over.
-func mergeRuns(runs []run, limit int, keepTombs bool) (out []Cell, walked int) {
+// nextSlot returns the cursor on the newest version of the next slot of
+// a merge over sorted runs, given oldest first, having stepped the older
+// versions past (counted in walked); nil when all runs are spent. The
+// caller reads the cell and steps the cursor.
+func nextSlot(runs []run, walked *int) *run {
+	var best *run
+	for i := range runs {
+		u := &runs[i]
+		if !u.more() {
+			continue
+		}
+		if best != nil {
+			order := u.compare(best)
+			if order > 0 {
+				continue
+			}
+			if order == 0 { // the newer run shadows the older
+				best.next()
+				*walked++
+			}
+		}
+		best = u
+	}
+	return best
+}
+
+// mergeRuns merges sorted runs into one sorted slice holding the newest
+// version of each slot that is not a delete marker, stopping at limit
+// cells (limit <= 0 means unlimited).
+func mergeRuns(runs []run, limit int) (out []Cell, walked int) {
 	size := 0
 	for i := range runs {
 		size += runs[i].remaining()
@@ -346,24 +340,7 @@ func mergeRuns(runs []run, limit int, keepTombs bool) (out []Cell, walked int) {
 	}
 	out = make([]Cell, 0, size)
 	for limit <= 0 || len(out) < limit {
-		var best *run
-		for i := range runs {
-			u := &runs[i]
-			if !u.more() {
-				continue
-			}
-			if best != nil {
-				order := u.compare(best)
-				if order > 0 {
-					continue
-				}
-				if order == 0 { // the newer run shadows the older
-					best.next()
-					walked++
-				}
-			}
-			best = u
-		}
+		best := nextSlot(runs, &walked)
 		if best == nil {
 			break
 		}
@@ -371,11 +348,25 @@ func mergeRuns(runs []run, limit int, keepTombs bool) (out []Cell, walked int) {
 		// cell, so there is one); a delete marker is backed out again.
 		out = out[:len(out)+1]
 		best.read(&out[len(out)-1])
-		if !keepTombs && out[len(out)-1].Tomb {
+		if out[len(out)-1].Tomb {
 			out = out[:len(out)-1]
 		}
 		best.next()
 		walked++
 	}
 	return out, walked
+}
+
+// mergeRows merges the same way into packed rows, delete markers
+// dropped: what a compaction keeps.
+func mergeRows(runs []run) []*memRow {
+	m, walked := newMemstore(), 0
+	var c Cell
+	for best := nextSlot(runs, &walked); best != nil; best = nextSlot(runs, &walked) {
+		if best.read(&c); !c.Tomb {
+			m.set(m.row(c.Row, true), c) // in slot order: an append to the last row
+		}
+		best.next()
+	}
+	return m.rows
 }

@@ -235,6 +235,10 @@ var modelSchedules = []modelSchedule{
 	// lands on a slot the memstore already holds.
 	{name: "overwrite/", put: 18, flush: 0, failFlush: 1, compact: 0, tombOneIn: 12, wantRepack: true},
 	{name: "delete/", put: 17, flush: 1, failFlush: 0, compact: 1, tombOneIn: 2, wantRepack: true},
+	// A flush or a compaction every other step, half the cells deletes:
+	// snapshots handed over as store files with delete markers in them,
+	// compaction's row builder and the file codec, all under the reopen.
+	{name: "handover/", put: 9, flush: 5, failFlush: 1, compact: 3, tombOneIn: 2},
 }
 
 // TestRegionMatchesModel runs seeded random schedules of put /
@@ -316,7 +320,7 @@ func runRegionModel(t *testing.T, sched modelSchedule, seed int64, steps int) {
 			if err != nil {
 				fail(step, "reopen: %v", err)
 			}
-			for _, rec := range wal.EntriesFor("rs", info.ID, flushedSeq) {
+			for _, rec := range entries(t, wal, "rs", info.ID, flushedSeq) {
 				r2.put(rec.Cells, rec.Seq)
 			}
 			r = r2

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,11 +31,12 @@ func (ri RegionInfo) dir() string { return regionDir(ri.ID) }
 
 func regionDir(id int) string { return fmt.Sprintf("/hbase/region-%d/", id) }
 
-// storeFile is one immutable flushed file, newest sequence wins.
+// storeFile is one immutable flushed file, newest sequence wins: the
+// key-sorted rows it was flushed from or, reopened, decoded into.
 type storeFile struct {
-	path  string
-	seq   int64 // highest WAL sequence contained
-	cells []Cell
+	path string
+	seq  int64 // highest WAL sequence contained
+	rows []*memRow
 }
 
 // region is the in-memory serving state for one assigned region.
@@ -102,6 +104,18 @@ func (r *region) memSize() int {
 	return r.mem.size
 }
 
+// fileSize returns the bytes the rows of the store files hold.
+func (r *region) fileSize() (n int) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, sf := range r.files {
+		for _, row := range sf.rows {
+			n += row.size()
+		}
+	}
+	return n
+}
+
 // scan returns the merged view of [start, end): memstore shadows the
 // flush snapshot, which shadows store files, newer files shadow older
 // ones. Every source is sorted, so the scan seeks each to start and
@@ -116,13 +130,13 @@ func (r *region) scan(start, end []byte, limit int) []Cell {
 	var few [4]run
 	runs := few[:0]
 	for _, sf := range r.files {
-		runs = append(runs, fileRun(sf.cells, start, end))
+		runs = append(runs, runOf(sf.rows, start, end))
 	}
 	if r.snap != nil {
-		runs = append(runs, r.snap.run(start, end))
+		runs = append(runs, runOf(r.snap.rows, start, end))
 	}
-	runs = append(runs, r.mem.run(start, end))
-	out, walked := mergeRuns(runs, limit, false)
+	runs = append(runs, runOf(r.mem.rows, start, end))
+	out, walked := mergeRuns(runs, limit)
 	r.walked.Add(int64(walked))
 	return out
 }
@@ -167,7 +181,8 @@ func (r *region) restore(snap *memstore) {
 // files, so the WAL may be truncated that far and no further. A nil
 // error with seq 0 means the memstore was empty. Writes arriving while
 // the file is written land in a fresh memstore; if the write fails
-// nothing is lost (restore).
+// nothing is lost (restore); if it succeeds the snapshot's rows are the
+// store file, uncopied.
 func (r *region) flush(dfs *hdfs.Cluster) (int64, error) {
 	r.flushMu.Lock()
 	defer r.flushMu.Unlock()
@@ -175,13 +190,13 @@ func (r *region) flush(dfs *hdfs.Cluster) (int64, error) {
 	if snap == nil {
 		return 0, nil
 	}
-	cells, _ := mergeRuns([]run{snap.run(nil, nil)}, 0, true)
 	// Store files are immutable: a flush never reuses a name (WriteFile
-	// would replace the older file's cells), whatever its sequence is.
+	// would replace the older file, whose rows this region still serves),
+	// whatever its sequence is.
 	path := fmt.Sprintf("%ssf-%020d", r.info.dir(), seq)
 	err := errStoreFileExists
 	if !dfs.Exists(path) {
-		err = dfs.WriteFile(path, encodeCells(cells))
+		err = dfs.WriteFile(path, encodeRows(snap.rows))
 	}
 	if err != nil {
 		r.restore(snap)
@@ -190,7 +205,7 @@ func (r *region) flush(dfs *hdfs.Cluster) (int64, error) {
 	r.mu.Lock()
 	// Flushes are serialized and maxSeq only grows: appending keeps
 	// files in sequence order.
-	r.files = append(r.files, storeFile{path: path, seq: seq, cells: cells})
+	r.files = append(r.files, storeFile{path: path, seq: seq, rows: snap.rows})
 	r.snap = nil
 	files := make([]string, len(r.files))
 	for i, sf := range r.files {
@@ -226,35 +241,26 @@ func (r *region) compact(dfs *hdfs.Cluster) (int, error) {
 	}
 	runs := make([]run, len(old))
 	for i, sf := range old { // ascending seq: newest wins
-		runs[i] = run{cells: sf.cells}
+		runs[i] = run{rows: sf.rows}
 	}
 	maxSeq := old[len(old)-1].seq
 	// Major compaction reclaims delete markers: every file they could
 	// shadow is merged away with them.
-	cells, _ := mergeRuns(runs, 0, false)
+	rows := mergeRows(runs)
 
 	path := fmt.Sprintf("%ssf-%020d-c", r.info.dir(), maxSeq)
-	if err := dfs.WriteFile(path, encodeCells(cells)); err != nil {
+	if err := dfs.WriteFile(path, encodeRows(rows)); err != nil {
 		return 0, fmt.Errorf("hbase: compact region %d: %w", r.info.ID, err)
 	}
 
 	r.mu.Lock()
 	// Only swap if the file set is unchanged (no concurrent flush).
-	same := len(r.files) == len(old)
-	if same {
-		for i := range old {
-			if r.files[i].path != old[i].path {
-				same = false
-				break
-			}
-		}
-	}
-	if !same {
+	if !slices.EqualFunc(r.files, old, func(a, b storeFile) bool { return a.path == b.path }) {
 		r.mu.Unlock()
 		_ = dfs.DeleteFile(path)
 		return 0, nil
 	}
-	r.files = []storeFile{{path: path, seq: maxSeq, cells: cells}}
+	r.files = []storeFile{{path: path, seq: maxSeq, rows: rows}}
 	r.mu.Unlock()
 
 	if err := r.writeMarker(dfs, maxSeq, []string{path}); err != nil {
@@ -276,24 +282,23 @@ func openRegion(info RegionInfo, dfs *hdfs.Cluster) (*region, int64, error) {
 		return r, 0, nil // brand-new region
 	}
 	data, err := dfs.ReadFile(markerPath)
-	if err != nil {
-		return nil, 0, fmt.Errorf("hbase: open region %d marker: %w", info.ID, err)
-	}
 	var m flushMarker
-	if err := json.Unmarshal(data, &m); err != nil {
+	if err == nil {
+		err = json.Unmarshal(data, &m)
+	}
+	if err != nil {
 		return nil, 0, fmt.Errorf("hbase: open region %d marker: %w", info.ID, err)
 	}
 	for _, path := range m.Files {
 		raw, err := dfs.ReadFile(path)
+		var rows []*memRow
+		if err == nil {
+			rows, err = decodeRows(raw) // the rows keep raw
+		}
 		if err != nil {
 			return nil, 0, fmt.Errorf("hbase: open region %d file %s: %w", info.ID, path, err)
 		}
-		cells, err := decodeCells(raw)
-		if err != nil {
-			return nil, 0, fmt.Errorf("hbase: open region %d file %s: %w", info.ID, path, err)
-		}
-		seq := seqFromPath(path)
-		r.files = append(r.files, storeFile{path: path, seq: seq, cells: cells})
+		r.files = append(r.files, storeFile{path: path, seq: seqFromPath(path), rows: rows})
 	}
 	sort.Slice(r.files, func(i, j int) bool { return r.files[i].seq < r.files[j].seq })
 	r.maxSeq = m.FlushedSeq

@@ -1,7 +1,9 @@
 package hbase
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"sync"
 )
 
@@ -10,13 +12,13 @@ import (
 //
 //	size u32 | region u32 | seq u64 | cells…
 //
-// little-endian, size counting the whole record. Each cell carries its
-// row key — a record may span rows —
+// little-endian, size counting the whole record. Each cell is its row
+// key — a record may span rows — before the memstore's packed entry:
 //
-//	flags u8 | row-len u16 | qual-len u16 | value-len u24 | row | qual | value
+//	row-len u16 | row | entry
 const (
 	walRecordHeader = 16
-	walCellHeader   = 8
+	walRowLen       = 2
 
 	// walChunkSize is the capacity a server's log grows by. A record
 	// never straddles chunks; one larger than this gets a chunk of its
@@ -33,7 +35,7 @@ type walRecord struct {
 func walRecordSize(cells []Cell) int {
 	n := walRecordHeader
 	for _, c := range cells {
-		n += walCellHeader + len(c.Row) + len(c.Qual) + len(c.Value)
+		n += walRowLen + len(c.Row) + entrySize(c)
 	}
 	return n
 }
@@ -46,36 +48,47 @@ func appendWALRecord(dst []byte, region int, seq int64, cells []Cell) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(region))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(seq))
 	for _, c := range cells {
-		rl, ql, vl := len(c.Row), len(c.Qual), len(c.Value)
-		dst = append(dst, cellFlags(c), byte(rl), byte(rl>>8), byte(ql), byte(ql>>8), byte(vl), byte(vl>>8), byte(vl>>16))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(c.Row)))
 		dst = append(dst, c.Row...)
-		dst = append(dst, c.Qual...)
-		dst = append(dst, c.Value...)
+		dst = appendEntry(dst, c)
 	}
 	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start))
 	return dst
 }
 
-// walRecordMeta reads the header of the record at the front of b.
-func walRecordMeta(b []byte) (size, region int, seq int64) {
-	return int(binary.LittleEndian.Uint32(b)),
-		int(binary.LittleEndian.Uint32(b[4:])),
-		int64(binary.LittleEndian.Uint64(b[8:]))
+// walRecordAt returns the record at the front of b with its region and
+// sequence. When b cannot hold the size it states, the error is
+// errCorrupt and rec all of b, of no region: a walk by len(rec) ends.
+func walRecordAt(b []byte) (rec []byte, region int, seq int64, err error) {
+	if len(b) < walRecordHeader {
+		return b, -1, 0, errCorrupt
+	}
+	size := int(binary.LittleEndian.Uint32(b))
+	if size < walRecordHeader || size > len(b) {
+		return b, -1, 0, errCorrupt
+	}
+	return b[:size], int(binary.LittleEndian.Uint32(b[4:])), int64(binary.LittleEndian.Uint64(b[8:])), nil
 }
 
-// decodeWALCells decodes the cells of one whole record. They share one
-// copy of the record's bytes, not the log's.
-func decodeWALCells(rec []byte) []Cell {
-	b := append([]byte(nil), rec[walRecordHeader:]...)
+// decodeWALCells decodes the cells of one whole record, none reaching
+// past it. They share one copy of the record's bytes, not the log's.
+func decodeWALCells(rec []byte) ([]Cell, error) {
+	b := bytes.Clone(rec[walRecordHeader:])
 	var cells []Cell
 	for len(b) > 0 {
-		r := walCellHeader + (int(b[1]) | int(b[2])<<8)
-		q := r + (int(b[3]) | int(b[4])<<8)
-		v := q + (int(b[5]) | int(b[6])<<8 | int(b[7])<<16)
-		cells = append(cells, Cell{Row: b[walCellHeader:r:r], Qual: b[r:q:q], Value: b[q:v:v], Tomb: b[0]&entryTomb != 0})
-		b = b[v:]
+		if len(b) < walRowLen {
+			return nil, errCorrupt
+		}
+		rl := walRowLen + int(binary.LittleEndian.Uint16(b))
+		n, ok := entryAt(b, rl)
+		if !ok {
+			return nil, errCorrupt
+		}
+		row := memRow{key: b[walRowLen:rl:rl], arena: b[rl : rl+n]}
+		cells = append(cells, row.cell(0))
+		b = b[rl+n:]
 	}
-	return cells
+	return cells, nil
 }
 
 // walLog is one server's log: records packed back to back into chunks,
@@ -127,31 +140,38 @@ func (w *walStore) Append(server string, region int, seq int64, cells []Cell) {
 }
 
 // EntriesFor returns the records server holds for region with sequence
-// greater than afterSeq, in append order.
-func (w *walStore) EntriesFor(server string, region int, afterSeq int64) []walRecord {
+// greater than afterSeq, in append order, or errCorrupt: a recovery must
+// not go on with part of a log.
+func (w *walStore) EntriesFor(server string, region int, afterSeq int64) ([]walRecord, error) {
 	l := w.log(server, false)
 	if l == nil {
-		return nil
+		return nil, nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []walRecord
 	for _, chunk := range l.chunks {
 		for len(chunk) > 0 {
-			size, reg, seq := walRecordMeta(chunk)
-			if reg == region && seq > afterSeq {
-				out = append(out, walRecord{Seq: seq, Cells: decodeWALCells(chunk[:size])})
+			rec, reg, seq, err := walRecordAt(chunk)
+			if err == nil && reg == region && seq > afterSeq {
+				var cells []Cell
+				cells, err = decodeWALCells(rec)
+				out = append(out, walRecord{Seq: seq, Cells: cells})
 			}
-			chunk = chunk[size:]
+			if err != nil {
+				return nil, fmt.Errorf("hbase: wal of %s, region %d: %w", server, region, err)
+			}
+			chunk = chunk[len(rec):]
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Truncate drops server's records for region with sequence ≤ uptoSeq
 // (called after a successful flush made them redundant). A chunk left
 // with no record is released whole; one that keeps some is rewritten to
-// just those, so the dropped bytes are freed either way.
+// just those, so the dropped bytes are freed either way. Bytes that
+// cannot be parsed stay, for EntriesFor to report.
 func (w *walStore) Truncate(server string, region int, uptoSeq int64) {
 	l := w.log(server, false)
 	if l == nil {
@@ -163,11 +183,11 @@ func (w *walStore) Truncate(server string, region int, uptoSeq int64) {
 	for _, chunk := range l.chunks {
 		dropped := 0
 		for rest := chunk; len(rest) > 0; {
-			size, reg, seq := walRecordMeta(rest)
+			rec, reg, seq, _ := walRecordAt(rest)
 			if reg == region && seq <= uptoSeq {
-				dropped += size
+				dropped += len(rec)
 			}
-			rest = rest[size:]
+			rest = rest[len(rec):]
 		}
 		switch {
 		case dropped == 0:
@@ -175,11 +195,11 @@ func (w *walStore) Truncate(server string, region int, uptoSeq int64) {
 		case dropped < len(chunk):
 			live := make([]byte, 0, len(chunk)-dropped)
 			for rest := chunk; len(rest) > 0; {
-				size, reg, seq := walRecordMeta(rest)
+				rec, reg, seq, _ := walRecordAt(rest)
 				if reg != region || seq > uptoSeq {
-					live = append(live, rest[:size]...)
+					live = append(live, rec...)
 				}
-				rest = rest[size:]
+				rest = rest[len(rec):]
 			}
 			kept = append(kept, live)
 		}

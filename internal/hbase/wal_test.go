@@ -2,6 +2,7 @@ package hbase
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -12,27 +13,37 @@ func TestWALStore(t *testing.T) {
 	w.Append("rs-1", 1, 1, []Cell{cell("a", "q", "1")})
 	w.Append("rs-1", 2, 2, []Cell{cell("b", "q", "2")})
 	w.Append("rs-1", 1, 3, []Cell{cell("c", "q", "3"), cell("d", "q", "4")})
-	if got := w.EntriesFor("rs-1", 1, 0); len(got) != 2 {
+	if got := entries(t, w, "rs-1", 1, 0); len(got) != 2 {
 		t.Fatalf("region 1 records = %d", len(got))
 	}
-	got := w.EntriesFor("rs-1", 1, 1)
+	got := entries(t, w, "rs-1", 1, 1)
 	if len(got) != 1 || got[0].Seq != 3 || render(got[0].Cells) != "c/q=3 d/q=4" {
 		t.Fatalf("afterSeq filter wrong: %v", got)
 	}
 	w.Truncate("rs-1", 1, 1)
-	if got := w.EntriesFor("rs-1", 1, 0); len(got) != 1 {
+	if got := entries(t, w, "rs-1", 1, 0); len(got) != 1 {
 		t.Fatalf("region 1 after truncate = %d records", len(got))
 	}
-	if got := w.EntriesFor("rs-1", 2, 0); len(got) != 1 || render(got[0].Cells) != "b/q=2" {
+	if got := entries(t, w, "rs-1", 2, 0); len(got) != 1 || render(got[0].Cells) != "b/q=2" {
 		t.Fatalf("region 2 after truncating region 1 = %v", got)
 	}
-	if got := w.EntriesFor("rs-2", 1, 0); got != nil {
+	if got := entries(t, w, "rs-2", 1, 0); got != nil {
 		t.Fatalf("unknown server holds %v", got)
 	}
 	w.Drop("rs-1")
-	if w.Bytes() != 0 || w.EntriesFor("rs-1", 2, 0) != nil {
+	if w.Bytes() != 0 || entries(t, w, "rs-1", 2, 0) != nil {
 		t.Fatal("Drop must clear the log")
 	}
+}
+
+// entries is EntriesFor on a log that must parse.
+func entries(t *testing.T, w *walStore, server string, region int, afterSeq int64) []walRecord {
+	t.Helper()
+	recs, err := w.EntriesFor(server, region, afterSeq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }
 
 // renderTombs is render with delete markers told apart.
@@ -83,7 +94,7 @@ func TestWALTruncateReleasesBytes(t *testing.T) {
 	}
 	survivors := func(stage string, region int, afterSeq int64, want []string) {
 		t.Helper()
-		got := w.EntriesFor("rs-1", region, 0)
+		got := entries(t, w, "rs-1", region, 0)
 		if len(got) != len(want) {
 			t.Fatalf("%s: region %d holds %d records, want %d", stage, region, len(got), len(want))
 		}
@@ -159,7 +170,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		w.Append("rs", i%3, int64(i+1), batch)
 	}
 	for region := 0; region < 3; region++ {
-		recs := w.EntriesFor("rs", region, 0)
+		recs := entries(t, w, "rs", region, 0)
 		for k, rec := range recs {
 			i := region + 3*k
 			if rec.Seq != int64(i+1) || len(rec.Cells) != len(batches[i]) {
@@ -179,7 +190,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	}
 	// Decoded cells are the caller's: scribbling on them leaves the log
 	// as it was.
-	recs := w.EntriesFor("rs", 1, 0)
+	recs := entries(t, w, "rs", 1, 0)
 	want := renderTombs(recs[0].Cells)
 	for _, c := range recs[0].Cells {
 		for _, f := range [][]byte{c.Row, c.Qual, c.Value} {
@@ -188,7 +199,42 @@ func TestWALRecordRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if got := renderTombs(w.EntriesFor("rs", 1, 0)[0].Cells); got != want {
+	if got := renderTombs(entries(t, w, "rs", 1, 0)[0].Cells); got != want {
 		t.Fatalf("the log changed under a decoded record: %q, was %q", got, want)
+	}
+}
+
+// TestReplayRefusesCorruptLog: a log whose last record was cut short —
+// the crash-replay path used to index past it and panic — fails
+// EntriesFor with errCorrupt, Truncate leaves it for the next look, and
+// the master's reassignment reports the error instead of opening the
+// region on part of its log.
+func TestReplayRefusesCorruptLog(t *testing.T) {
+	c := newTestCluster(t, Config{RegionServers: 2})
+	if err := c.CreateTable(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.NewClient(ClientConfig{}).Put([]Cell{cell("a", "q", "1"), cell("b", "q", "2")}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := c.ActiveMaster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ri := m.Regions()[0]
+	l := c.wal.log(ri.Server, false)
+	whole := l.chunks[0]
+	for _, cut := range []int{1, 4, walRecordHeader + 3, len(whole) - 3} {
+		l.chunks[0] = whole[:len(whole)-cut]
+		if recs, err := c.wal.EntriesFor(ri.Server, ri.ID, 0); !errors.Is(err, errCorrupt) {
+			t.Fatalf("log cut by %d bytes replays as %v, %v", cut, recs, err)
+		}
+		c.wal.Truncate(ri.Server, ri.ID, 1<<40)
+		if got := c.wal.Bytes(); got != len(whole)-cut {
+			t.Fatalf("truncating the log cut by %d bytes left %d of its %d", cut, got, len(whole)-cut)
+		}
+		if err := m.assignRegion(&ri, m.liveServers(), ri.Server); !errors.Is(err, errCorrupt) {
+			t.Fatalf("reassigning over the log cut by %d bytes = %v", cut, err)
+		}
 	}
 }

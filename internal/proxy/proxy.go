@@ -381,6 +381,9 @@ func (p *Proxy) Close() {
 	})
 }
 
+// Buffer returns the queue capacity in batches: what QueueDepth fills.
+func (p *Proxy) Buffer() int { return cap(p.queue) }
+
 // Backends returns the TSD addresses (for diagnostics).
 func (p *Proxy) Backends() []string {
 	return append([]string(nil), p.tsds...)

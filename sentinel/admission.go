@@ -30,11 +30,7 @@ func (n *Node) AdmissionSignals(lagLimit int64) []admission.Signal {
 		{Name: "storage_lag", Load: n.topic(TopicEnergy).Group(GroupStorage).Lag, Limit: lagLimit},
 	}
 	if n.Proxy != nil {
-		pbuf := n.tier.ProxyBuffer
-		if pbuf <= 0 {
-			pbuf = 1024 // ingest.Config.BufferBatches default
-		}
-		signals = append(signals, admission.Signal{Name: "proxy_queue", Load: n.Proxy.QueueDepth.Value, Limit: int64(pbuf)})
+		signals = append(signals, admission.Signal{Name: "proxy_queue", Load: n.Proxy.QueueDepth.Value, Limit: int64(n.Proxy.Buffer())})
 	}
 	return signals
 }

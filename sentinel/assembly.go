@@ -123,10 +123,8 @@ func (n *Node) startStorage() (err error) {
 		return fmt.Errorf("sentinel: %s: create table: %w", name, err)
 	}
 	n.Proxy, err = proxy.New(n.Cluster.Network(), n.TSDB.Addrs(), proxy.Config{
-		MaxInFlight:   t.ProxyMaxInFlight,
-		BufferBatches: t.ProxyBuffer,
-		MaxRetries:    t.ProxyMaxRetries,
-		Breakers:      n.Breakers,
+		MaxRetries: t.ProxyMaxRetries,
+		Breakers:   n.Breakers,
 	})
 	if err != nil {
 		return fmt.Errorf("sentinel: %s: boot proxy: %w", name, err)
@@ -178,6 +176,7 @@ func (n *Node) registerStoreMetrics(reg *telemetry.Registry) {
 	reg.RegisterGauge("proxy_queue_depth", &n.Proxy.QueueDepth)
 	reg.RegisterFunc("hbase_memstore_bytes", n.Cluster.MemstoreBytes)
 	reg.RegisterFunc("hbase_wal_bytes", n.Cluster.WALBytes)
+	reg.RegisterFunc("hbase_storefile_bytes", n.Cluster.StoreFileBytes)
 	reg.RegisterFunc("tsdb_points_written", n.TSDB.PointsWritten)
 	reg.RegisterFunc("tsdb_queries_served", n.TSDB.QueriesServed)
 	reg.RegisterCounter("blocks_sealed", &n.Blocks.BlocksSealed)
@@ -231,7 +230,6 @@ func (n *Node) newDetector(name string, unit int) (mllib.Detector, error) {
 	params := map[string]float64{
 		"level":     t.Level,
 		"procedure": float64(t.Procedure),
-		"minvotes":  float64(max(t.EnsembleMinVotes, 2)),
 	}
 	for k, v := range n.cfg.DetectorParams {
 		params[k] = v
@@ -240,7 +238,6 @@ func (n *Node) newDetector(name string, unit int) (mllib.Detector, error) {
 		Unit:    unit,
 		Sensors: t.SensorsPerUnit,
 		Seed:    t.Seed ^ uint64(unit)<<1,
-		Members: t.EnsembleMembers,
 		Params:  params,
 		LoadModel: func() (any, error) {
 			if n.Catalog == nil {
@@ -279,11 +276,11 @@ func (n *Node) DetectorStatus() v1.DetectorsResponse {
 	}
 	n.mu.Unlock()
 	resp := v1.DetectorsResponse{Primary: t.PrimaryDetector}
-	members := t.EnsembleMembers
-	if len(members) == 0 {
-		members = []string{"cusum", "zscore", "iforest"}
+	// What the registry would build, asked of one it builds.
+	if det, err := n.newDetector("ensemble", 0); err == nil {
+		e := det.(*mllib.Ensemble)
+		resp.Ensemble = v1.EnsembleConfig{Members: e.Members(), MinVotes: e.MinVotes()}
 	}
-	resp.Ensemble = v1.EnsembleConfig{Members: members, MinVotes: max(t.EnsembleMinVotes, 2)}
 	for _, name := range mllib.Registered() {
 		info := v1.DetectorInfo{Name: name, Mode: "off"}
 		switch {

@@ -28,7 +28,7 @@ var metricsByRole = map[Role]string{
 	RoleStore: `bus_published bus_polled bus_rebalances storage_lag
 		writer_delivered writer_failures writer_parks writer_parked
 		proxy_accepted proxy_delivered proxy_dropped proxy_retries proxy_queue_depth
-		hbase_memstore_bytes hbase_wal_bytes tsdb_points_written tsdb_queries_served
+		hbase_memstore_bytes hbase_wal_bytes hbase_storefile_bytes tsdb_points_written tsdb_queries_served
 		blocks_sealed samples_sealed bytes_sealed blocks_spilled spill_reads block_scans
 		rollup_serves blocks_expired rollups_expired blocks_hot_bytes
 		compactor_passes compactor_pass_errors`,
@@ -345,6 +345,11 @@ func TestMetricsUnified(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
+	}
+	// The proxy signal's limit is the proxy's own buffer, not a copy of
+	// its default.
+	if sig := n.AdmissionSignals(0); len(sig) != 2 || sig[1].Name != "proxy_queue" || sig[1].Limit != int64(n.Proxy.Buffer()) || sig[1].Limit <= 0 {
+		t.Fatalf("admission signals = %+v, proxy buffer %d", sig, n.Proxy.Buffer())
 	}
 	// The stored point is held by the hot tier, and its footprint shows.
 	for _, gauge := range []string{"hbase_memstore_bytes", "hbase_wal_bytes"} {

@@ -104,12 +104,6 @@ type Config struct {
 	Level     float64
 	Procedure fdr.Procedure
 
-	// EngineWorkers sizes the dataflow engine (default GOMAXPROCS).
-	EngineWorkers int
-	// EnergyFraction and MaxComponents tune the trained subspace.
-	EnergyFraction float64
-	MaxComponents  int
-
 	// PerNodeRate, when > 0, emulates the per-node service ceiling in
 	// samples/second (the Figure-2 hardware calibration).
 	PerNodeRate float64
@@ -118,9 +112,6 @@ type Config struct {
 	RSQueueCap      int
 	CrashOnOverflow int64
 
-	// ProxyMaxInFlight / ProxyBuffer tune the ingestion proxy.
-	ProxyMaxInFlight int
-	ProxyBuffer      int
 	// ProxyMaxRetries bounds delivery attempts per batch (0 takes the
 	// proxy default of 8; negative retries without bound until
 	// shutdown — the zero-loss setting the chaos soak runs with).
@@ -178,11 +169,6 @@ type Config struct {
 	// ShadowBuffer bounds the queue of batches waiting for the shadow
 	// runner before shedding begins (default 64).
 	ShadowBuffer int
-	// EnsembleMembers and EnsembleMinVotes configure the "ensemble"
-	// family when it is selected as primary or shadow (defaults: the
-	// registry's — cusum+zscore+iforest at 2 votes).
-	EnsembleMembers  []string
-	EnsembleMinVotes int
 }
 
 func (c Config) withDefaults() Config {
@@ -266,12 +252,9 @@ func New(cfg Config) (*System, error) {
 			DriftPerStep:   cfg.DriftPerStep,
 			ShiftSigma:     cfg.ShiftSigma,
 		}),
-		Engine: dataflow.NewEngine(cfg.EngineWorkers),
+		Engine: dataflow.NewEngine(0),
 	}
-	sys.Trainer = core.NewTrainer(sys.Engine, core.TrainerConfig{
-		EnergyFraction: cfg.EnergyFraction,
-		MaxComponents:  cfg.MaxComponents,
-	})
+	sys.Trainer = core.NewTrainer(sys.Engine, core.TrainerConfig{})
 	sys.feeder = newScorer(node.detectorEnv(), nil)
 	node.mu.Lock()
 	node.pools = append(node.pools, sys.feeder)

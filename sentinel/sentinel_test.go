@@ -191,6 +191,11 @@ func TestEndToEndIngestTrainDetectVisualize(t *testing.T) {
 	if err := json.Unmarshal(do(handler, "GET", "/api/v1/detectors", "", "").Body.Bytes(), &ds); err != nil {
 		t.Fatal(err)
 	}
+	// The ensemble's configuration is the registry's own, read from an
+	// instance it builds.
+	if got := ds.Ensemble; strings.Join(got.Members, "+") != "cusum+zscore+iforest" || got.MinVotes != 2 {
+		t.Fatalf("detectors report the ensemble as %+v", got)
+	}
 	for _, d := range ds.Detectors {
 		switch {
 		case d.Name == "mgd" && (d.Mode != "primary" || d.Flags != int64(len(flags))):
