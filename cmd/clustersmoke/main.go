@@ -13,6 +13,11 @@
 //   - the detection path: an injected level shift arrives on the SSE
 //     anomaly stream.
 //
+// It logs two control-plane latencies: the four-process boot ("cluster
+// up after …", first spawn to a ready gateway) and the time from the
+// SIGKILL to the promoted leader showing on /api/v1/cluster (session
+// expiry plus a membership refresh; no poll interval of its own).
+//
 // Exit status 0 on success; non-zero with diagnostics otherwise. Run
 // via `make cluster-smoke`.
 package main
@@ -104,6 +109,7 @@ func main() {
 		}
 	}()
 
+	bootStart := time.Now()
 	// Boot order: the gateway first (it hosts the coordination service
 	// everyone else's boot blocks on; it waits for the stores), then
 	// the broker, which must win the initial bus election before the
@@ -114,7 +120,7 @@ func main() {
 		"-warmup", strconv.Itoa(warmup))
 	broker := spawn("broker", "-name", "broker", "-role", "broker",
 		"-listen", rpc["broker"], "-http", brokerHTTP, "-zk-node", "dg")
-	if err := waitFor(ctx, "broker leads the bus election", func() bool {
+	if err := waitFor(ctx, "broker leads the bus election", fine, func() bool {
 		body, err := httpGet("http://" + brokerHTTP + "/api/v1/metrics")
 		return err == nil && strings.Contains(body, "cluster_partition_groups_led 1")
 	}); err != nil {
@@ -129,13 +135,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := waitFor(ctx, "gateway ready", func() bool {
+	if err := waitFor(ctx, "gateway ready", fine, func() bool {
 		r, err := c.Ready(ctx)
 		return err == nil && r.Ready
 	}); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("cluster up: gateway on %s", gatewayHTTP)
+	log.Printf("cluster up after %v: gateway on %s", time.Since(bootStart).Round(time.Millisecond), gatewayHTTP)
 
 	// Tail the anomaly stream before any flag can fire.
 	stream, err := c.StreamAnomalies(ctx)
@@ -155,14 +161,24 @@ func main() {
 	// acked set is exactly the full grid.
 	acked := 0
 	killAt := baseline / 3
+	promoted := make(chan time.Duration, 1)
 	for step := 0; step < baseline+spikes; step++ {
 		if step == killAt {
 			log.Printf("SIGKILL broker (pid %d) at step %d", broker.cmd.Process.Pid, step)
 			if err := broker.cmd.Process.Kill(); err != nil {
 				log.Fatalf("kill broker: %v", err)
 			}
+			killed := time.Now()
 			_ = broker.cmd.Wait()
 			delete(procs, "broker")
+			go func() {
+				if waitFor(ctx, "promoted leader on /api/v1/cluster", fine, func() bool {
+					cm, err := c.Cluster(ctx)
+					return err == nil && promotedLeader(cm)
+				}) == nil {
+					promoted <- time.Since(killed)
+				}
+			}()
 		}
 		val := func(u, s int) float64 { return float64(10*u + s) }
 		if step >= baseline {
@@ -178,7 +194,7 @@ func main() {
 
 	// Zero acked loss: the fanned-out read tier must return every
 	// acked sample exactly once (duplicates collapse by timestamp).
-	if err := waitFor(ctx, "all acked samples readable", func() bool {
+	if err := waitFor(ctx, "all acked samples readable", coarse, func() bool {
 		series, err := c.Query(ctx, client.QueryParams{
 			Metric: "energy", From: 0, To: int64(baseline + spikes - 1),
 		})
@@ -197,19 +213,11 @@ func main() {
 
 	// Failover surfaced on the cluster map: a surviving node leads the
 	// partition group and records a promotion.
-	if err := waitFor(ctx, "promoted leader on /api/v1/cluster", func() bool {
-		cm, err := c.Cluster(ctx)
-		if err != nil {
-			return false
-		}
-		for _, n := range cm.Nodes {
-			if n.Name != "broker" && len(n.PartitionGroupsLed) > 0 && n.Promotions > 0 {
-				return true
-			}
-		}
-		return false
-	}); err != nil {
-		log.Fatal(err)
+	select {
+	case d := <-promoted:
+		log.Printf("promoted leader visible on /api/v1/cluster %v after SIGKILL", d.Round(time.Millisecond))
+	case <-ctx.Done():
+		log.Fatal("timed out waiting for a promoted leader on /api/v1/cluster")
 	}
 
 	// The level shift must have reached the SSE stream.
@@ -254,7 +262,25 @@ func putStep(ctx context.Context, c *client.Client, step int64, val func(u, s in
 	return 0, lastErr
 }
 
-func waitFor(ctx context.Context, what string, ok func() bool) error {
+// promotedLeader reports whether a node other than the killed broker
+// leads the partition group and has recorded a promotion.
+func promotedLeader(cm *v1.ClusterResponse) bool {
+	for _, n := range cm.Nodes {
+		if n.Name != "broker" && len(n.PartitionGroupsLed) > 0 && n.Promotions > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Poll intervals of waitFor: fine for the waits whose duration is
+// logged, coarse for the read-back check.
+const (
+	fine   = 20 * time.Millisecond
+	coarse = 250 * time.Millisecond
+)
+
+func waitFor(ctx context.Context, what string, every time.Duration, ok func() bool) error {
 	for start := time.Now(); ; {
 		if ok() {
 			return nil
@@ -262,7 +288,7 @@ func waitFor(ctx context.Context, what string, ok func() bool) error {
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("timed out waiting for %s after %s", what, time.Since(start).Round(time.Second))
-		case <-time.After(250 * time.Millisecond):
+		case <-time.After(every):
 		}
 	}
 }

@@ -49,10 +49,14 @@
 //     registered follower replicas — all at once — before the ack,
 //     which is what lets a follower be promoted on leader death
 //     without losing an acked record. The service heartbeats an
-//     ephemeral membership record and evicts stale replicas. A
-//     consumer's fetch is a long-poll that waits off the service's rpc
-//     worker pool (rpc.Deferred), so idle consumers cost publishers
-//     nothing.
+//     ephemeral membership record and evicts stale replicas. The
+//     leader's replica set is cached until a zk children watch on the
+//     registry fires — a replica joined or its registration expired —
+//     not re-read on a timer. A consumer's fetch is a long-poll that
+//     waits off the service's rpc worker pool (rpc.Deferred), so idle
+//     consumers cost publishers nothing; a remote group's Sync parks
+//     the same way, one sync call on the coordinator's Group.Sync per
+//     half call budget instead of a lag read per retry delay.
 //   - remote.go implements RemoteBus/RemoteTopic/RemoteGroup: clients
 //     resolve the current partition-group leader through the
 //     coordination service, retry publishes across a leadership

@@ -284,16 +284,19 @@ func (g *RemoteGroup) Lag() int64 {
 	return res.Lag
 }
 
-// Sync implements GroupHandle by polling lag until it reaches zero.
+// Sync implements GroupHandle: one sync call parks on the
+// coordinator's Group.Sync for up to half a call budget, and is
+// re-issued until the group has no lag or ctx is done.
 func (g *RemoteGroup) Sync(ctx context.Context) error {
+	bus := g.topic.bus
+	op := &busOp{Topic: g.topic.name, Group: g.name, WaitMS: (bus.cfg.CallTimeout / 2).Milliseconds()}
 	for {
-		if g.Lag() == 0 {
-			return nil
+		res, err := bus.callRetry(ctx, 0, "sync", op)
+		if err != nil {
+			return err
 		}
-		select {
-		case <-time.After(g.topic.bus.cfg.RetryDelay):
-		case <-ctx.Done():
-			return ctx.Err()
+		if res.OK {
+			return nil
 		}
 	}
 }

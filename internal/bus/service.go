@@ -29,9 +29,17 @@ package bus
 // Followers detect gaps (a replicated offset ahead of their high-water
 // mark) and the leader backfills from its own log.
 //
+// The replica set a leader replicates to is read from the zk registry
+// and cached until a children watch on the registry fires — a replica
+// joining, or one whose ephemeral registration expired — so a quiet
+// registry costs one parked watch call, not a read per publish; a
+// failed replicate still forces a fresh read.
+//
 // Group coordination. All consumer-group traffic (join/fetch/commit/…)
 // goes to the partition-group-0 leader — the group coordinator — which
 // runs the ordinary Group/Consumer machinery over its local replica.
+// Waits are parked there, off the worker pool (rpc.Deferred): a fetch
+// until records arrive, a sync until the group has no lag.
 // Remote members are leased: a member that stops fetching past the TTL
 // is evicted, triggering the usual rebalance. Committed offsets are
 // mirrored to followers on every commit, so a promoted coordinator
@@ -181,9 +189,6 @@ type ServiceConfig struct {
 	MemberTTL time.Duration
 	// ReplicaTimeout bounds each replication rpc (default 2s).
 	ReplicaTimeout time.Duration
-	// RegistryRefresh bounds replica-registry staleness (default
-	// 200ms).
-	RegistryRefresh time.Duration
 }
 
 func (c *ServiceConfig) defaults() {
@@ -198,9 +203,6 @@ func (c *ServiceConfig) defaults() {
 	}
 	if c.ReplicaTimeout <= 0 {
 		c.ReplicaTimeout = 2 * time.Second
-	}
-	if c.RegistryRefresh <= 0 {
-		c.RegistryRefresh = 200 * time.Millisecond
 	}
 }
 
@@ -217,13 +219,17 @@ type Service struct {
 
 	mu       sync.Mutex
 	members  map[string]*remoteMember
-	replicas map[string]string // node → addr, cached from zk
-	repAt    time.Time
+	replicas map[string]string        // node → addr, cached from zk; nil when stale
+	repGen   uint64                   // bumped whenever the registry watch fires or re-arms
+	repArmed bool                     // a registry watch is armed: reads may be cached
 	repLocks map[string][]*sync.Mutex // per topic-partition replication order
 	closed   bool
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	// ctx ends with Close: it stops the background loops and releases
+	// parked waits.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 
 	// Promotions counts leadership acquisitions after startup —
 	// failovers this node absorbed.
@@ -253,8 +259,8 @@ func StartService(net *rpc.Network, zkc zk.Client, b *Broker, cfg ServiceConfig)
 		cfg:      cfg,
 		members:  make(map[string]*remoteMember),
 		repLocks: make(map[string][]*sync.Mutex),
-		stop:     make(chan struct{}),
 	}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if err := zk.EnsurePath(zkc, cfg.Root+"/replicas"); err != nil {
 		return nil, fmt.Errorf("bus: service %s: %w", cfg.Node, err)
 	}
@@ -276,8 +282,9 @@ func StartService(net *rpc.Network, zkc zk.Client, b *Broker, cfg ServiceConfig)
 		s.wg.Add(1)
 		go s.campaign(g)
 	}
-	s.wg.Add(1)
+	s.wg.Add(2)
 	go s.reapMembers()
+	go s.watchRegistry()
 	return s, nil
 }
 
@@ -291,7 +298,7 @@ func (s *Service) Close() {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	close(s.stop)
+	s.cancel()
 	s.net.Remove(s.cfg.Addr)
 	for _, e := range s.elections {
 		_ = e.Resign()
@@ -305,18 +312,12 @@ func (s *Service) Close() {
 // the process).
 func (s *Service) campaign(g int) {
 	defer s.wg.Done()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		<-s.stop
-		cancel()
-	}()
 	lead, err := s.elections[g].IsLeader()
 	if err == nil && lead {
 		close(s.leading[g])
 		return
 	}
-	if err := s.elections[g].AwaitLeadership(ctx); err != nil {
+	if err := s.elections[g].AwaitLeadership(s.ctx); err != nil {
 		return
 	}
 	s.Promotions.Inc()
@@ -357,7 +358,7 @@ func (s *Service) reapMembers() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-s.stop:
+		case <-s.ctx.Done():
 			return
 		case now := <-tick.C:
 			var doomed []*remoteMember
@@ -377,15 +378,45 @@ func (s *Service) reapMembers() {
 	}
 }
 
-// replicaSet returns node→addr for every *other* registered replica,
-// cached for RegistryRefresh.
+// watchRegistry keeps a children watch armed on the replica registry:
+// each time it fires — a replica joined, or one's ephemeral
+// registration expired — the cached replica set is dropped and the
+// next replicaSet reads the registry again. If the watch cannot be
+// re-armed, nothing is cached from then on.
+func (s *Service) watchRegistry() {
+	defer s.wg.Done()
+	for {
+		changed, err := s.zkc.WatchChildren(s.cfg.Root + "/replicas")
+		s.mu.Lock()
+		s.replicas, s.repArmed = nil, err == nil
+		s.repGen++
+		s.mu.Unlock()
+		if err != nil {
+			return
+		}
+		select {
+		case <-changed:
+		case <-s.ctx.Done():
+			return
+		}
+		s.mu.Lock()
+		s.replicas, s.repArmed = nil, false
+		s.repGen++
+		s.mu.Unlock()
+	}
+}
+
+// replicaSet returns node→addr for every *other* registered replica:
+// cached until the registry watch fires, read afresh when force is set.
+// A read is cached only if the watch was armed before it began and has
+// not fired since.
 func (s *Service) replicaSet(force bool) (map[string]string, error) {
 	s.mu.Lock()
-	if !force && s.replicas != nil && time.Since(s.repAt) < s.cfg.RegistryRefresh {
-		set := s.replicas
+	if set := s.replicas; set != nil && !force {
 		s.mu.Unlock()
 		return set, nil
 	}
+	gen, armed := s.repGen, s.repArmed
 	s.mu.Unlock()
 	kids, err := s.zkc.Children(s.cfg.Root + "/replicas")
 	if err != nil {
@@ -403,8 +434,9 @@ func (s *Service) replicaSet(force bool) (map[string]string, error) {
 		set[node] = string(data)
 	}
 	s.mu.Lock()
-	s.replicas = set
-	s.repAt = time.Now()
+	if armed && s.repGen == gen {
+		s.replicas = set
+	}
 	s.mu.Unlock()
 	return set, nil
 }
@@ -677,6 +709,20 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 	case "lag":
 		return &busResult{Lag: t.Group(op.Group).Lag()}, nil
 
+	case "sync":
+		g := t.Group(op.Group)
+		wait := time.Duration(op.WaitMS) * time.Millisecond
+		if wait <= 0 {
+			wait = time.Second
+		}
+		return rpc.Deferred(func(reply func(any, error)) {
+			s.wg.Add(1) // on the worker: Close removes the server before it waits
+			go func() {
+				defer s.wg.Done()
+				reply(s.sync(ctx, g, wait))
+			}()
+		}), nil
+
 	case "hasgroups":
 		return &busResult{OK: t.HasGroups()}, nil
 
@@ -690,20 +736,36 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 }
 
 // fetch is one member's long-poll: its next batch, or an empty one once
-// wait has passed.
+// wait has passed or the service is closing (a close must not wait out
+// a poll whose consumer may be gone).
 func (s *Service) fetch(ctx context.Context, g *Group, m *remoteMember, wait time.Duration) (any, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	fctx, cancel := context.WithTimeout(ctx, wait)
 	defer cancel()
+	defer context.AfterFunc(s.ctx, cancel)()
 	recs, err := m.c.Poll(fctx, make([]Record, 0, defaultPollRecords))
-	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+	if err != nil && fctx.Err() == nil {
 		if errors.Is(err, ErrNotMember) {
 			return nil, fmt.Errorf("%w: evicted", ErrUnknownMember)
 		}
 		return nil, err
 	}
 	return &busResult{Recs: recs, Assigned: m.c.Assigned(), Generation: g.Generation()}, nil
+}
+
+// sync parks until g has no lag — answered OK — or until wait has
+// passed or the service closed — answered not OK, and the client asks
+// again.
+func (s *Service) sync(ctx context.Context, g *Group, wait time.Duration) (any, error) {
+	sctx, cancel := context.WithTimeout(ctx, wait)
+	defer cancel()
+	defer context.AfterFunc(s.ctx, cancel)()
+	err := g.Sync(sctx)
+	if err != nil && sctx.Err() == nil {
+		return nil, err // the broker closed
+	}
+	return &busResult{OK: err == nil}, nil
 }
 
 // FollowerLag returns the worst total log shortfall (records) across

@@ -30,10 +30,9 @@ func startBusCluster(t *testing.T, n int) *busCluster {
 		b := New(Config{Partitions: 4, SegmentRecords: 8})
 		sess := c.zks.NewSession()
 		svc, err := StartService(c.net, sess, b, ServiceConfig{
-			Node:            fmt.Sprintf("n%d", i+1),
-			Addr:            fmt.Sprintf("bus/n%d", i+1),
-			MemberTTL:       2 * time.Second,
-			RegistryRefresh: 50 * time.Millisecond,
+			Node:      fmt.Sprintf("n%d", i+1),
+			Addr:      fmt.Sprintf("bus/n%d", i+1),
+			MemberTTL: 2 * time.Second,
 		})
 		if err != nil {
 			t.Fatalf("start service %d: %v", i, err)
@@ -319,5 +318,56 @@ func waitFor(t *testing.T, ctx context.Context, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		case <-time.After(20 * time.Millisecond):
 		}
+	}
+}
+
+// TestRemoteGroupSyncParks: a remote Sync waits on the coordinator's
+// own Group.Sync — one parked call, not a lag read per retry delay —
+// and returns as soon as the last record is committed.
+func TestRemoteGroupSyncParks(t *testing.T) {
+	c := startBusCluster(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	waitFor(t, ctx, "initial leadership", func() bool { return c.services[0].IsLeader(0) })
+	rb := c.remote(t, "client")
+	topic := rb.Topic("t")
+	group := topic.Group("g")
+	cons := group.Join()
+	defer cons.Leave()
+	for k := uint64(0); k < 8; k++ {
+		if _, err := topic.Publish(ctx, k, k); err != nil {
+			t.Fatalf("publish %d: %v", k, err)
+		}
+	}
+	var polled []Record
+	for len(polled) < 8 {
+		recs, err := cons.Poll(ctx, nil)
+		if err != nil {
+			t.Fatalf("poll: %v", err)
+		}
+		polled = append(polled, recs...)
+	}
+
+	synced := make(chan error, 1)
+	before := c.net.Calls.Value()
+	go func() { synced <- group.Sync(ctx) }()
+	select {
+	case err := <-synced:
+		t.Fatalf("Sync returned %v with 8 records uncommitted", err)
+	case <-time.After(300 * time.Millisecond):
+	}
+	if calls := c.net.Calls.Value() - before; calls > 2 {
+		t.Fatalf("a waiting Sync issued %d rpcs in 300ms", calls)
+	}
+	if err := cons.CommitPolled(polled); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	select {
+	case err := <-synced:
+		if err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Sync still waiting after the last commit")
 	}
 }

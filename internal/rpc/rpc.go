@@ -46,7 +46,8 @@
 // budget is the caller's remaining deadline in milliseconds (0 = none);
 // the error code is the Error() text of the sentinel registered with
 // RegisterWireError that the server-side error matched, so errors.Is
-// still holds on the caller's side.
+// still holds on the caller's side (context.DeadlineExceeded is one: a
+// budget that ran out on the server reads as the caller's own deadline).
 //
 // The payload is a tagged value: one tag byte, then the body that tag
 // defines (AppendValue / DecodeValue are the same encoding outside a

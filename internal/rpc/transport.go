@@ -39,9 +39,12 @@ import (
 var ErrPeerUnreachable = fmt.Errorf("%w: peer unreachable", ErrServerDown)
 
 func init() {
+	// context.DeadlineExceeded crosses too: a budget that ran out on the
+	// server reads on the caller's side exactly as its own deadline would,
+	// whichever of the two timers fires first.
 	RegisterWireError(ErrUnknownAddr, ErrQueueOverflow, ErrServerDown,
 		ErrServerStopped, ErrServerDraining, ErrNetworkClosed,
-		ErrWireType, ErrFrameTooLarge, ErrWireCorrupt)
+		ErrWireType, ErrFrameTooLarge, ErrWireCorrupt, context.DeadlineExceeded)
 }
 
 // wireErrors maps a sentinel's Error() text back to the sentinel, so

@@ -106,9 +106,9 @@ func (e *Election) WatchLeadership() (<-chan Event, error) {
 // leading-already fast path arms no watch, so repeated calls from a
 // sitting leader don't pile dead channels onto the server. A watch
 // armed before blocking stays registered if ctx is cancelled (or the
-// re-check wins) until the next membership change fires it — the
-// inherent cost of one-shot watches; it is one buffered channel per
-// abandoned wait, released at the next change under the root.
+// re-check wins) until the next membership change fires it or the
+// session closes — the inherent cost of one-shot watches: one buffered
+// channel per abandoned wait (on a RemoteClient, one parked call).
 func (e *Election) AwaitLeadership(ctx context.Context) error {
 	for {
 		lead, err := e.IsLeader()

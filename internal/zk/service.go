@@ -7,6 +7,21 @@ package zk
 // like a closed local session — its ephemerals vanish and elections
 // fail over. That is what turns a SIGKILLed node into a leadership
 // change for everyone else.
+//
+// Watches are pushed, not polled. RemoteClient.Watch reads the znode's
+// Stat once, then issues one conditional call — "watch" or
+// "watchchildren" — carrying that state (exists, Czxid, and Version or
+// Cversion). The service arms the session's own one-shot watch and
+// compares under the same lock: a znode that has moved on (even
+// deleted and re-created, or a child added and removed) answers at
+// once; otherwise the call parks as an rpc.Deferred, holding no worker,
+// until the watch fires, the session or the service closes, or the
+// call's budget (RemoteConfig.CallTimeout) runs out, and disarms on
+// every way out. On budget expiry the client re-issues the call with
+// the same expected state, so no event between the read and any park is
+// missed; a quiet watch costs one call per budget. A wake-up may be
+// spurious — a transport error fires the watch as EventNotWatching —
+// and every caller re-checks after waking, as with any zk watch.
 
 import (
 	"context"
@@ -27,8 +42,9 @@ type zkOp struct {
 	Session int64
 	Path    string
 	Data    []byte
-	Flag    bool // ephemeral for create/createseq
-	Version int  // compare-and-set for set
+	Flag    bool  // ephemeral for create/createseq; exists for watch*
+	Version int   // compare-and-set for set; Version/Cversion for watch*
+	Czxid   int64 // watch*: the expected incarnation
 }
 
 // zkResult is the single response DTO for every zk rpc method.
@@ -39,8 +55,11 @@ type zkResult struct {
 	Version  int
 	Eph      bool
 	Owner    int64
-	OK       bool
+	OK       bool // exists; watch*: the watch fired
 	Children []string
+	Czxid    int64
+	Cversion int
+	Event    int // watch*: the EventType that fired
 }
 
 // AppendWire implements rpc.WireEncoder: the fields in declaration
@@ -50,7 +69,8 @@ func (o *zkOp) AppendWire(b []byte) ([]byte, error) {
 	b = rpc.AppendString(b, o.Path)
 	b = rpc.AppendBytes(b, o.Data)
 	b = rpc.AppendBool(b, o.Flag)
-	return rpc.AppendInt(b, int64(o.Version)), nil
+	b = rpc.AppendInt(b, int64(o.Version))
+	return rpc.AppendInt(b, o.Czxid), nil
 }
 
 func decodeZKOp(r *rpc.WireReader) *zkOp {
@@ -60,6 +80,7 @@ func decodeZKOp(r *rpc.WireReader) *zkOp {
 		Data:    r.Bytes(),
 		Flag:    r.Bool(),
 		Version: int(r.Int()),
+		Czxid:   r.Int(),
 	}
 }
 
@@ -73,7 +94,10 @@ func (z *zkResult) AppendWire(b []byte) ([]byte, error) {
 	b = rpc.AppendBool(b, z.Eph)
 	b = rpc.AppendInt(b, z.Owner)
 	b = rpc.AppendBool(b, z.OK)
-	return rpc.AppendStrings(b, z.Children), nil
+	b = rpc.AppendStrings(b, z.Children)
+	b = rpc.AppendInt(b, z.Czxid)
+	b = rpc.AppendInt(b, int64(z.Cversion))
+	return rpc.AppendInt(b, int64(z.Event)), nil
 }
 
 func decodeZKResult(r *rpc.WireReader) *zkResult {
@@ -86,6 +110,9 @@ func decodeZKResult(r *rpc.WireReader) *zkResult {
 		Owner:    r.Int(),
 		OK:       r.Bool(),
 		Children: r.Strings(),
+		Czxid:    r.Int(),
+		Cversion: int(r.Int()),
+		Event:    int(r.Int()),
 	}
 }
 
@@ -105,6 +132,7 @@ type Service struct {
 	sessions map[int64]*liveSession
 	stopped  bool
 	stop     chan struct{}
+	parks    sync.WaitGroup // parked watch calls
 }
 
 // liveSession is one remote session plus its liveness clock.
@@ -136,7 +164,9 @@ func (s *Service) Register(n *rpc.Network, addr string, cfg rpc.ServerConfig) er
 	return err
 }
 
-// Close stops the reaper and expires every remote session.
+// Close stops the reaper, expires every remote session and answers
+// every parked watch call at once (the transport serving them waits for
+// in-flight calls when it closes).
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.stopped {
@@ -151,6 +181,7 @@ func (s *Service) Close() {
 	for _, ls := range sessions {
 		ls.sess.Close()
 	}
+	s.parks.Wait()
 }
 
 // reap expires sessions that missed their keepalives.
@@ -231,7 +262,8 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 		return &zkResult{Path: p}, err
 	case "get":
 		data, stat, err := sess.Get(op.Path)
-		return &zkResult{Data: data, Version: stat.Version, Eph: stat.Ephemeral, Owner: stat.Owner}, err
+		return &zkResult{Data: data, Version: stat.Version, Eph: stat.Ephemeral, Owner: stat.Owner,
+			Czxid: stat.Czxid, Cversion: stat.Cversion}, err
 	case "set":
 		return &zkResult{}, sess.Set(op.Path, op.Data, op.Version)
 	case "delete":
@@ -242,19 +274,61 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 	case "children":
 		kids, err := sess.Children(op.Path)
 		return &zkResult{Children: kids}, err
+	case "watch", "watchchildren":
+		return s.watch(ctx, sess, method == "watchchildren", op)
 	default:
 		return nil, fmt.Errorf("zk: unknown method %q", method)
 	}
 }
 
+// watch serves one conditional watch call: arm sess's watch on op.Path
+// unless the znode has already moved from the state op carries (then
+// answer at once), else park until the watch fires, the session or the
+// service closes, or ctx — the call's budget — ends. A park that ends
+// any way but firing disarms its watch before it answers.
+func (s *Service) watch(ctx context.Context, sess *Session, children bool, op *zkOp) (any, error) {
+	w, ev, err := sess.arm(op.Path, children, &nodeState{exists: op.Flag, czxid: op.Czxid, version: op.Version})
+	if err != nil {
+		return nil, err
+	}
+	if w == nil {
+		return &zkResult{OK: true, Event: int(ev.Type)}, nil
+	}
+	s.mu.Lock()
+	if s.stopped {
+		s.mu.Unlock()
+		s.srv.disarm(w)
+		return nil, ErrSessionClosed
+	}
+	s.parks.Add(1)
+	s.mu.Unlock()
+	return rpc.Deferred(func(reply func(any, error)) {
+		go func() {
+			defer s.parks.Done()
+			var res any
+			err := ErrSessionClosed
+			select {
+			case ev := <-w.ch:
+				reply(&zkResult{OK: true, Event: int(ev.Type)}, nil)
+				return
+			case <-ctx.Done():
+				res, err = &zkResult{}, nil // nothing changed: the client asks again
+			case <-sess.done:
+			case <-s.stop:
+			}
+			s.srv.disarm(w)
+			reply(res, err)
+		}()
+	}), nil
+}
+
 // RemoteConfig tunes a RemoteClient.
 type RemoteConfig struct {
-	// CallTimeout bounds each rpc (default 2s).
+	// CallTimeout bounds each rpc (default 2s), and so how long one
+	// parked watch call waits before the client re-issues it.
 	CallTimeout time.Duration
 	// KeepAlive is the ping interval (default DefaultSessionTTL/3).
 	KeepAlive time.Duration
-	// PollInterval paces watch emulation (default 100ms).
-	PollInterval time.Duration
 }
 
 func (c *RemoteConfig) defaults() {
@@ -264,24 +338,24 @@ func (c *RemoteConfig) defaults() {
 	if c.KeepAlive <= 0 {
 		c.KeepAlive = DefaultSessionTTL / 3
 	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 100 * time.Millisecond
-	}
 }
 
 // RemoteClient is a Client whose session lives behind a Service,
 // reached over the rpc fabric (in-process or routed across TCP). A
-// background keepalive holds the session open; watches are emulated by
-// polling, preserving zk's one-shot watch semantics.
+// background keepalive holds the session open; each watch is one parked
+// conditional call (see the file comment), preserving zk's one-shot
+// watch semantics.
 type RemoteClient struct {
 	net  *rpc.Network
 	addr string
 	cfg  RemoteConfig
 	id   int64
 
-	mu     sync.Mutex
-	closed bool
-	stop   chan struct{}
+	// ctx ends with Close, releasing the keepalive and every parked
+	// watch call at once.
+	ctx    context.Context
+	cancel context.CancelFunc
+	mu     sync.Mutex // orders wg.Add after a ctx check against Close
 	wg     sync.WaitGroup
 }
 
@@ -290,9 +364,11 @@ var _ Client = (*RemoteClient)(nil)
 // Connect opens a remote session against the Service at addr on net.
 func Connect(ctx context.Context, net *rpc.Network, addr string, cfg RemoteConfig) (*RemoteClient, error) {
 	cfg.defaults()
-	c := &RemoteClient{net: net, addr: addr, cfg: cfg, stop: make(chan struct{})}
+	c := &RemoteClient{net: net, addr: addr, cfg: cfg}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	res, err := c.call(ctx, "connect", nil)
 	if err != nil {
+		c.cancel()
 		return nil, fmt.Errorf("zk: connect %s: %w", addr, err)
 	}
 	c.id = res.Session
@@ -324,10 +400,7 @@ func (c *RemoteClient) call(ctx context.Context, method string, op *zkOp) (*zkRe
 }
 
 func (c *RemoteClient) op(method string, op *zkOp) (*zkResult, error) {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
-	if closed {
+	if c.ctx.Err() != nil {
 		return nil, ErrSessionClosed
 	}
 	op.Session = c.id
@@ -340,7 +413,7 @@ func (c *RemoteClient) keepalive() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-c.stop:
+		case <-c.ctx.Done():
 			return
 		case <-tick.C:
 			// Transient failures are fine as long as one ping lands
@@ -371,7 +444,8 @@ func (c *RemoteClient) Get(p string) ([]byte, Stat, error) {
 	if err != nil {
 		return nil, Stat{}, err
 	}
-	return res.Data, Stat{Version: res.Version, Ephemeral: res.Eph, Owner: res.Owner}, nil
+	return res.Data, Stat{Version: res.Version, Ephemeral: res.Eph, Owner: res.Owner,
+		Czxid: res.Czxid, Cversion: res.Cversion}, nil
 }
 
 // Set implements Client.
@@ -404,121 +478,77 @@ func (c *RemoteClient) Children(p string) ([]string, error) {
 	return res.Children, nil
 }
 
-// Watch implements Client by polling p's existence and version until
-// one change fires the one-shot event.
+// Watch implements Client: one conditional call parked on the service
+// until p is created, deleted or changed (see the file comment).
 func (c *RemoteClient) Watch(p string) (<-chan Event, error) {
-	existed, version, err := c.snapshot(p)
-	if err != nil {
-		return nil, err
-	}
-	ch := make(chan Event, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrSessionClosed
-	}
-	c.wg.Add(1)
-	c.mu.Unlock()
-	go c.pollWatch(p, ch, func() (Event, bool) {
-		now, v, err := c.snapshot(p)
-		switch {
-		case err != nil:
-			return Event{}, false
-		case existed && !now:
-			return Event{Type: EventDeleted, Path: p}, true
-		case !existed && now:
-			return Event{Type: EventCreated, Path: p}, true
-		case existed && v != version:
-			return Event{Type: EventDataChanged, Path: p}, true
-		}
-		return Event{}, false
-	})
-	return ch, nil
+	return c.watch("watch", p)
 }
 
-// WatchChildren implements Client by polling p's child set.
+// WatchChildren implements Client: one conditional call parked on the
+// service until p's child list changes.
 func (c *RemoteClient) WatchChildren(p string) (<-chan Event, error) {
-	before, err := c.Children(p)
-	if err != nil {
+	return c.watch("watchchildren", p)
+}
+
+// watch reads p's Stat — the state the watch is relative to — and keeps
+// one conditional call against it in flight until it answers.
+func (c *RemoteClient) watch(method, p string) (<-chan Event, error) {
+	op := &zkOp{Path: p}
+	_, st, err := c.Get(p)
+	switch {
+	case err == nil:
+		op.Flag, op.Czxid, op.Version = true, st.Czxid, st.Version
+		if method == "watchchildren" {
+			op.Version = st.Cversion
+		}
+	case method == "watchchildren" || !errors.Is(err, ErrNoNode):
 		return nil, err
 	}
+	op.Session = c.id
 	ch := make(chan Event, 1)
 	c.mu.Lock()
-	if c.closed {
+	if c.ctx.Err() != nil {
 		c.mu.Unlock()
 		return nil, ErrSessionClosed
 	}
 	c.wg.Add(1)
 	c.mu.Unlock()
-	go c.pollWatch(p, ch, func() (Event, bool) {
-		now, err := c.Children(p)
-		if err != nil {
-			if errors.Is(err, ErrNoNode) {
-				return Event{Type: EventDeleted, Path: p}, true
-			}
-			return Event{}, false
-		}
-		if !sameStrings(before, now) {
-			return Event{Type: EventChildrenChanged, Path: p}, true
-		}
-		return Event{}, false
-	})
+	go c.park(method, op, ch)
 	return ch, nil
 }
 
-// snapshot captures (exists, version) for data-watch comparison.
-func (c *RemoteClient) snapshot(p string) (bool, int, error) {
-	res, err := c.op("get", &zkOp{Path: p})
-	if err != nil {
-		if errors.Is(err, ErrNoNode) {
-			return false, 0, nil
-		}
-		return false, 0, err
-	}
-	return true, res.Version, nil
-}
-
-// pollWatch runs one emulated one-shot watch until check fires or the
-// client closes.
-func (c *RemoteClient) pollWatch(p string, ch chan Event, check func() (Event, bool)) {
+// park issues op until the service answers that the watch fired,
+// re-issuing it with the same expected state whenever a call's budget
+// runs out. Any other failure fires the watch as EventNotWatching; a
+// closed client's watches never fire.
+func (c *RemoteClient) park(method string, op *zkOp, ch chan<- Event) {
 	defer c.wg.Done()
-	tick := time.NewTicker(c.cfg.PollInterval)
-	defer tick.Stop()
 	for {
-		select {
-		case <-c.stop:
+		res, err := c.call(c.ctx, method, op)
+		switch {
+		case c.ctx.Err() != nil:
 			return
-		case <-tick.C:
-			if ev, fire := check(); fire {
-				ch <- ev
-				return
-			}
+		case err == nil && res.OK:
+			ch <- Event{Type: EventType(res.Event), Path: op.Path}
+			return
+		case err == nil, errors.Is(err, context.DeadlineExceeded):
+			// The budget ran out with nothing changed: ask again.
+		default:
+			ch <- Event{Type: EventNotWatching, Path: op.Path}
+			return
 		}
 	}
 }
 
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Close expires the remote session and stops the keepalive and all
-// emulated watches.
+// Close expires the remote session and stops the keepalive and every
+// parked watch.
 func (c *RemoteClient) Close() {
 	c.mu.Lock()
-	if c.closed {
+	if c.ctx.Err() != nil {
 		c.mu.Unlock()
 		return
 	}
-	c.closed = true
-	close(c.stop)
+	c.cancel()
 	c.mu.Unlock()
 	_, _ = c.call(context.Background(), "close", &zkOp{Session: c.id})
 	c.wg.Wait()

@@ -23,7 +23,7 @@ func startService(t *testing.T, ttl time.Duration) (*rpc.Network, *Server, *Serv
 }
 
 func remoteCfg() RemoteConfig {
-	return RemoteConfig{KeepAlive: 20 * time.Millisecond, PollInterval: 5 * time.Millisecond}
+	return RemoteConfig{KeepAlive: 20 * time.Millisecond}
 }
 
 func TestRemoteClientBasicOps(t *testing.T) {
@@ -142,7 +142,7 @@ func TestRemoteSessionExpiryFailsOverElection(t *testing.T) {
 	}
 
 	// Simulate a SIGKILL: stop the keepalive without a clean close.
-	close(c1.stop)
+	c1.cancel()
 	c1.wg.Wait()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -156,7 +156,7 @@ func TestRemoteSessionExpiryFailsOverElection(t *testing.T) {
 }
 
 // TestRemoteElectionOverClient exercises the election recipe fully
-// through the remote client, including the polling child watch inside
+// through the remote client, including the parked child watch inside
 // AwaitLeadership.
 func TestRemoteElectionOverClient(t *testing.T) {
 	net, _, _ := startService(t, time.Second)
@@ -191,5 +191,213 @@ func TestRemoteElectionOverClient(t *testing.T) {
 	}
 	if err := <-promoted; err != nil {
 		t.Fatalf("await: %v", err)
+	}
+}
+
+// TestRemoteWatchesMissNothing: a change that comes and goes before the
+// client looks again — a child added and removed, a version-0 znode
+// deleted and re-created — still fires the remote watch armed before
+// it. A watch that compared snapshots of child names or (exists,
+// version) would see nothing.
+func TestRemoteWatchesMissNothing(t *testing.T) {
+	net, srv, _ := startService(t, time.Second)
+	c, err := Connect(context.Background(), net, "zk", RemoteConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	local := srv.NewSession()
+	defer local.Close()
+	must(t, local.Create("/p", nil, false))
+	must(t, local.Create("/z", []byte("v0"), false))
+
+	cw, err := c.WatchChildren("/p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	must(t, local.Create("/p/kid", nil, false))
+	must(t, local.Delete("/p/kid"))
+	dw, err := c.Watch("/z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	must(t, local.Delete("/z"))
+	must(t, local.Create("/z", []byte("v0"), false))
+
+	for _, w := range []struct {
+		name string
+		ch   <-chan Event
+		want EventType
+	}{{"children add+remove", cw, EventChildrenChanged}, {"delete+recreate", dw, EventDeleted}} {
+		select {
+		case ev := <-w.ch:
+			if ev.Type != w.want {
+				t.Fatalf("%s: watch fired %v, want %v", w.name, ev.Type, w.want)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s: watch never fired", w.name)
+		}
+	}
+}
+
+// TestQuietRemoteWatchCostsOneCallPerBudget: a remote watch on a znode
+// nobody touches is one parked call per CallTimeout, not a read per
+// poll tick, and still fires when the znode finally changes.
+func TestQuietRemoteWatchCostsOneCallPerBudget(t *testing.T) {
+	net, srv, _ := startService(t, time.Minute)
+	const budget = 250 * time.Millisecond
+	c, err := Connect(context.Background(), net, "zk", RemoteConfig{CallTimeout: budget, KeepAlive: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	local := srv.NewSession()
+	defer local.Close()
+	must(t, local.Create("/quiet", nil, false))
+	ch, err := c.Watch("/quiet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := net.Calls.Value()
+	const window = 4 * budget
+	time.Sleep(window)
+	if calls := net.Calls.Value() - before; calls > int64(window/budget)+1 {
+		t.Fatalf("quiet watch issued %d rpcs in %v; want at most one per %v", calls, window, budget)
+	}
+	must(t, local.Set("/quiet", []byte("x"), -1))
+	select {
+	case ev := <-ch:
+		if ev.Type != EventDataChanged {
+			t.Fatalf("watch fired %v", ev.Type)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("watch never fired after the quiet spell")
+	}
+}
+
+// watchesOf counts the armed watches session owns.
+func watchesOf(s *Server, session int64) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, table := range []map[string][]*watch{s.dataWatch, s.childWatch} {
+		for _, ws := range table {
+			for _, w := range ws {
+				if w.owner == session {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// eventually waits up to a second for cond.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out: %s", what)
+		}
+	}
+}
+
+// TestWatchesAreSessionOwned: an armed watch lives no longer than the
+// session that armed it or the parked call that armed it. Parks that
+// run out of budget disarm; closing a session drops its watches and
+// answers its parks at once; closing the service answers every park
+// without waiting out a budget.
+func TestWatchesAreSessionOwned(t *testing.T) {
+	net, srv, svc := startService(t, time.Second)
+	c, err := Connect(context.Background(), net, "zk", remoteCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	local := srv.NewSession()
+	must(t, local.Create("/o", nil, false))
+	_, st, err := c.Get("/o")
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := &zkOp{Session: c.ID(), Path: "/o", Flag: true, Czxid: st.Czxid, Version: st.Version}
+
+	// 100 quiet parks, each running out of budget.
+	for i := 0; i < 100; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		v, err := net.Call(ctx, "zk", "watch", op)
+		cancel()
+		if res, _ := v.(*zkResult); err == nil && res.OK {
+			t.Fatalf("park %d fired on a quiet znode", i)
+		}
+	}
+	eventually(t, "expired parks disarm", func() bool { return watchesOf(srv, c.ID()) == 0 })
+
+	// A local session's watches go with it.
+	if _, err := local.Watch("/o"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := local.WatchChildren("/o"); err != nil {
+		t.Fatal(err)
+	}
+	local.Close()
+	if n := watchesOf(srv, local.ID()); n != 0 {
+		t.Fatalf("closed local session still holds %d watches", n)
+	}
+
+	// parkN parks n calls for session id with a long budget and returns
+	// their outcomes.
+	const budget = 5 * time.Second
+	parkN := func(n int, id int64) <-chan error {
+		errs := make(chan error, n)
+		park := *op
+		park.Session = id
+		for i := 0; i < n; i++ {
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), budget)
+				defer cancel()
+				_, err := net.Call(ctx, "zk", "watch", &park)
+				errs <- err
+			}()
+		}
+		eventually(t, "calls park", func() bool { return watchesOf(srv, id) == n })
+		return errs
+	}
+	collect := func(what string, errs <-chan error, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			select {
+			case err := <-errs:
+				if !errors.Is(err, ErrSessionClosed) {
+					t.Fatalf("%s: parked call answered %v, want ErrSessionClosed", what, err)
+				}
+			case <-time.After(budget / 5):
+				t.Fatalf("%s: parked call still waiting", what)
+			}
+		}
+	}
+
+	// Closing the session answers its parks and drops their watches.
+	doomed, err := Connect(context.Background(), net, "zk", remoteCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := parkN(10, doomed.ID())
+	doomed.Close()
+	collect("session close", errs, 10)
+	if n := watchesOf(srv, doomed.ID()); n != 0 {
+		t.Fatalf("closed remote session still holds %d watches", n)
+	}
+
+	// Closing the service answers every park well inside one budget.
+	errs = parkN(10, c.ID())
+	start := time.Now()
+	svc.Close()
+	if d := time.Since(start); d > budget/5 {
+		t.Fatalf("Service.Close took %v with 10 parked watches", d)
+	}
+	collect("service close", errs, 10)
+	if n := srv.Watches(); n != 0 {
+		t.Fatalf("%d watches armed after the service closed", n)
 	}
 }

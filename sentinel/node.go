@@ -474,16 +474,16 @@ func (n *Node) joinFabric() (err error) {
 }
 
 // connectZK dials the coordination service until it answers or ctx
-// expires — peers may still be booting.
+// expires — peers may still be booting, so a node that dials a moment
+// early retries after milliseconds, backing off to a quarter second.
 func connectZK(ctx context.Context, network *rpc.Network) (*zk.RemoteClient, error) {
-	for {
+	boff := resilience.Backoff{Base: 5 * time.Millisecond, Factor: 2, Max: 250 * time.Millisecond, Jitter: true}
+	for attempt := 0; ; attempt++ {
 		c, err := zk.Connect(ctx, network, zkAddr, zk.RemoteConfig{})
 		if err == nil {
 			return c, nil
 		}
-		select {
-		case <-time.After(250 * time.Millisecond):
-		case <-ctx.Done():
+		if resilience.Sleep(ctx, boff.Delay(attempt)) != nil {
 			return nil, err
 		}
 	}
@@ -605,20 +605,36 @@ func (n *Node) storeRoutes() ([][]string, error) {
 	return stores, err
 }
 
-// waitStores blocks until ExpectStores store nodes have registered.
+// waitStores blocks until ExpectStores store nodes have registered:
+// look, arm a children watch on the membership path, look again, wait
+// for the watch — so boot waits for the registrations themselves, not
+// for a poll interval. (A store registers with its TSD routes in the
+// record it creates, so a new child is all there is to wait for.)
 func (n *Node) waitStores() ([][]string, error) {
-	deadline := time.Now().Add(n.cfg.BootTimeout)
+	ctx, cancel := context.WithTimeout(n.ctx, n.cfg.BootTimeout)
+	defer cancel()
+	enough := func() ([][]string, bool) {
+		stores, err := n.storeRoutes()
+		return stores, err == nil && len(stores) >= n.cfg.ExpectStores
+	}
 	for {
-		if stores, err := n.storeRoutes(); err == nil && len(stores) >= n.cfg.ExpectStores {
+		if stores, ok := enough(); ok {
 			return stores, nil
 		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("sentinel: %s: timed out waiting for %d store node(s)", n.cfg.Name, n.cfg.ExpectStores)
+		changed, err := n.zkc.WatchChildren(clusterNodesPath)
+		if err != nil {
+			return nil, fmt.Errorf("sentinel: %s: watch membership: %w", n.cfg.Name, err)
+		}
+		if stores, ok := enough(); ok {
+			return stores, nil
 		}
 		select {
-		case <-time.After(200 * time.Millisecond):
-		case <-n.ctx.Done():
-			return nil, n.ctx.Err()
+		case <-changed:
+		case <-ctx.Done():
+			if n.ctx.Err() != nil {
+				return nil, n.ctx.Err()
+			}
+			return nil, fmt.Errorf("sentinel: %s: timed out waiting for %d store node(s)", n.cfg.Name, n.cfg.ExpectStores)
 		}
 	}
 }

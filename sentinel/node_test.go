@@ -3,11 +3,14 @@ package sentinel
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"log"
 	"net"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,37 +30,57 @@ var fourNodes = map[string][]Role{
 	"dg":      {RoleDetect, RoleGateway},
 }
 
-// startTestCluster boots the given topology (which must include the
+// startTestCluster boots the given topology (see bootTestCluster) and
+// closes it when the test ends.
+func startTestCluster(t *testing.T, roles map[string][]Role) map[string]*Node {
+	t.Helper()
+	nodes, err := bootTestCluster(roles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	})
+	return nodes
+}
+
+// bootTestCluster boots the given topology (which must include the
 // "dg" and "broker" nodes of fourNodes) over loopback TCP. Listeners
 // are pre-bound so the peer map is known before any node starts; nodes
 // boot concurrently because each blocks on the others (everyone needs
-// dg's coordination service, gateways wait for both stores).
-func startTestCluster(t *testing.T, roles map[string][]Role) map[string]*Node {
-	t.Helper()
+// dg's coordination service, gateways wait for both stores). On failure
+// it closes whatever did boot.
+func bootTestCluster(roles map[string][]Role) (nodes map[string]*Node, err error) {
 	peers := make(map[string]string)
 	listeners := make(map[string]net.Listener)
 	for name := range roles {
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			t.Fatal(err)
+			for _, l := range listeners {
+				l.Close()
+			}
+			return nil, err
 		}
 		listeners[name] = lis
 		peers[name] = lis.Addr().String()
 	}
 	var (
-		mu    sync.Mutex
-		wg    sync.WaitGroup
-		nodes = make(map[string]*Node)
-		errs  = make(map[string]error)
+		mu   sync.Mutex
+		wg   sync.WaitGroup
+		errs []error
 	)
-	t.Cleanup(func() {
+	nodes = make(map[string]*Node)
+	defer func() {
 		wg.Wait()
-		for _, n := range nodes {
-			if n != nil {
+		if err = errors.Join(errs...); err != nil {
+			for _, n := range nodes {
 				n.Close()
 			}
+			nodes = nil
 		}
-	})
+	}()
 	start := func(name string) {
 		n, err := StartNode(NodeConfig{
 			Name:            name,
@@ -76,8 +99,12 @@ func startTestCluster(t *testing.T, roles map[string][]Role) map[string]*Node {
 			BootTimeout:     60 * time.Second,
 		})
 		mu.Lock()
-		nodes[name], errs[name] = n, err
-		mu.Unlock()
+		defer mu.Unlock()
+		if err != nil {
+			errs = append(errs, fmt.Errorf("boot %s: %w", name, err))
+			return
+		}
+		nodes[name] = n
 	}
 	// The gateway boots concurrently: it hosts the coordination
 	// service (which every other node's boot blocks on) but itself
@@ -89,16 +116,18 @@ func startTestCluster(t *testing.T, roles map[string][]Role) map[string]*Node {
 	// kills a leader with store followers behind it.
 	start("broker")
 	mu.Lock()
-	broker, berr := nodes["broker"], errs["broker"]
+	broker := nodes["broker"]
 	mu.Unlock()
-	if berr != nil {
-		t.Fatalf("boot broker: %v", berr)
+	if broker == nil {
+		return nil, nil // errs holds why
 	}
-	for start := time.Now(); !broker.BusSvc.IsLeader(0); {
+	for start := time.Now(); !broker.BusSvc.IsLeader(0); time.Sleep(time.Millisecond) {
 		if time.Since(start) > 30*time.Second {
-			t.Fatal("broker never won the initial bus election")
+			mu.Lock()
+			errs = append(errs, errors.New("broker never won the initial bus election"))
+			mu.Unlock()
+			return nil, nil
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 	for name := range roles {
 		if name == "dg" || name == "broker" {
@@ -107,13 +136,7 @@ func startTestCluster(t *testing.T, roles map[string][]Role) map[string]*Node {
 		wg.Add(1)
 		go func(name string) { defer wg.Done(); start(name) }(name)
 	}
-	wg.Wait()
-	for name, err := range errs {
-		if err != nil {
-			t.Fatalf("boot %s: %v", name, err)
-		}
-	}
-	return nodes
+	return nodes, nil
 }
 
 // The fleet shape startTestCluster's nodes agree on.
@@ -338,6 +361,45 @@ func TestNodeAccessLog(t *testing.T) {
 		}
 		if got := strings.Count(std.String(), "access method=GET path=/healthz"); got != tc.lines {
 			t.Fatalf("AccessLog %v: process logger got %d access lines, want %d:\n%s", tc.logger != nil, got, tc.lines, std.String())
+		}
+	}
+}
+
+// TestBootCloseCyclesLeaveNothing boots and closes the four-node
+// assembly 40 times in a row — what a set-up loop timing a millisecond
+// boot does — and checks the cycles leave nothing behind: no watch
+// armed on the coordination server once a cycle is closed, goroutines
+// back near the baseline, and the loop done in seconds (a boot that
+// polls the membership path pays a poll interval every cycle).
+func TestBootCloseCyclesLeaveNothing(t *testing.T) {
+	const cycles = 40
+	runtime.GC()
+	base := runtime.NumGoroutine()
+	start := time.Now()
+	for i := 0; i < cycles; i++ {
+		nodes, err := bootTestCluster(fourNodes)
+		if err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		coord := nodes["dg"].zkSrv
+		// Teardown in the benchmark's order: the coordination host first.
+		for _, name := range []string{"dg", "store-2", "store-1", "broker"} {
+			nodes[name].Close()
+		}
+		if n := coord.Watches(); n != 0 {
+			t.Fatalf("cycle %d: %d watches still armed on the coordination server", i, n)
+		}
+	}
+	elapsed := time.Since(start)
+	t.Logf("%d boot/close cycles in %v", cycles, elapsed)
+	if elapsed > cycles*100*time.Millisecond {
+		t.Fatalf("%d boot/close cycles took %v", cycles, elapsed)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base+5; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after %d cycles, %d before:\n%s",
+				runtime.NumGoroutine(), cycles, base, buf[:runtime.Stack(buf, true)])
 		}
 	}
 }
