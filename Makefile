@@ -18,8 +18,10 @@ EVAL_BENCH = BenchmarkFDRCorrections|BenchmarkOnlineEvalThroughput
 # matches every detector family's warmed batch path;
 # BenchmarkRegionPutInOrder is the hot tier's in-order append;
 # BenchmarkWireUnitBatch the one encode and one decode a bus record
-# costs on the clustered bus (a 50- and a 200-point row).
-ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|BenchmarkBusPublish|BenchmarkQueryCacheHit|BenchmarkGatewayPutPath|BenchmarkGatewayPutRow|BenchmarkGroupByUnit|BenchmarkDetectorBatch|BenchmarkCompressedScan|BenchmarkRegionPutInOrder|BenchmarkWireUnitBatch
+# costs on the clustered bus (a 50- and a 200-point row);
+# BenchmarkEnergyPoint a producer's point (its series' shared tag map)
+# and BenchmarkCodecEncode that point's cell (its series' cached key).
+ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|BenchmarkBusPublish|BenchmarkQueryCacheHit|BenchmarkGatewayPutPath|BenchmarkGatewayPutRow|BenchmarkGroupByUnit|BenchmarkDetectorBatch|BenchmarkCompressedScan|BenchmarkRegionPutInOrder|BenchmarkWireUnitBatch|BenchmarkEnergyPoint|BenchmarkCodecEncode
 
 # GATE_BENCHTIME drives the bench-gate comparison runs: long enough for
 # stable ns/op medians, short enough for a PR loop.
@@ -222,13 +224,17 @@ conformance:
 # hold the hot tier's two decoders — a region's open and a dead server's
 # log replay, both over the one packed-entry parser — to the same: an
 # error, never a panic or a neighbour's bytes, and what decodes encodes
-# back to itself. Seeded from the packages' testdata/fuzz; a finding
-# lands there as a new regression seed. Gating in CI.
+# back to itself. FuzzBlockIter holds the sealed tier's block decoder to
+# the same — a corrupt block errors, never yields more samples than its
+# header counts — and any encoded block to exactly its samples. Seeded
+# from the packages' testdata/fuzz; a finding lands there as a new
+# regression seed. Gating in CI.
 fuzz-smoke:
 	$(GO) test ./internal/api -run '^$$' -fuzz FuzzPutDecode -fuzztime 15s
 	$(GO) test ./internal/rpc -run '^$$' -fuzz FuzzWireFrame -fuzztime 15s
 	$(GO) test ./internal/hbase -run '^$$' -fuzz FuzzStoreFile -fuzztime 15s
 	$(GO) test ./internal/hbase -run '^$$' -fuzz FuzzWALRecord -fuzztime 15s
+	$(GO) test ./internal/tsdb -run '^$$' -fuzz FuzzBlockIter -fuzztime 15s
 
 # serve runs the whole pipeline as one daemon: every role on one node
 # without peers (the same assembly the cluster splits by role), the

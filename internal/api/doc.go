@@ -125,13 +125,13 @@
 // FuzzPutDecode holds the two routes to "both reject, or both accept
 // identical points" on every body.
 //
-// Decoded points share what repeats: the bytes of a tags object key a
-// process-wide table of canonical tag maps (tsdb.InternTable: fixed
+// Decoded points share what repeats: the bytes of a tags object key the
+// process's one table of canonical tag maps (tsdb.TagSets: fixed
 // capacity, no eviction; a set it has no room for decodes into a map
-// of its own),
-// and metric names are interned the same way. Nothing downstream
-// writes a decoded point's tags — see tsdb.Point.Tags. Text/plain
-// bodies (telnet "put" lines) go through ingest.ParseLine.
+// of its own), and metric names are interned the same way
+// (tsdb.Metrics). Text/plain bodies (telnet "put" lines) go through
+// ingest.ParseLine, which interns into the same tables. Nothing
+// downstream writes a decoded point's tags — see tsdb.Point.Tags.
 //
 // Whatever the format, every decoded point passes tsdb.Point.Validate
 // before anything is published: a request either publishes all of its

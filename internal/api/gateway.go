@@ -376,9 +376,13 @@ func (g *Gateway) readPoints(r *http.Request) ([]tsdb.Point, error) {
 	return d.decodeJSON()
 }
 
+// parsePutLines decodes a text/plain body of telnet "put" lines. Like
+// the JSON scanner's, its points share the process's interned metric
+// names and tag maps (ingest.ParseLine), so nothing they keep aliases
+// the pooled body.
 func parsePutLines(body []byte) ([]tsdb.Point, error) {
 	var points []tsdb.Point
-	for _, line := range strings.Split(string(body), "\n") {
+	for line := range strings.Lines(string(body)) {
 		line = strings.TrimSpace(line)
 		if line == "" {
 			continue

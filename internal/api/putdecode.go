@@ -32,14 +32,15 @@ type putDecoder struct {
 	body  []byte
 	pairs []tagPair
 
-	// The intern tables decoded points draw on: the process-wide pair,
-	// except in tests that need a table of their own size.
-	sets    *tsdb.InternTable[map[string]string]
+	// The intern tables decoded points draw on: the process's own
+	// (tsdb.TagSets, tsdb.Metrics), except in tests that need a table of
+	// their own size.
+	sets    *tsdb.TagSetTable
 	metrics *tsdb.InternTable[string]
 }
 
 var putDecoders = sync.Pool{New: func() any {
-	return &putDecoder{sets: putTagSets, metrics: putMetrics}
+	return &putDecoder{sets: tsdb.TagSets, metrics: tsdb.Metrics}
 }}
 
 // release returns d to the pool, minus any scratch one outsized
@@ -135,14 +136,6 @@ func validatePoints(pts []tsdb.Point) ([]tsdb.Point, error) {
 	}
 	return pts, nil
 }
-
-// putTagSets and putMetrics are process-wide: every gateway in the
-// process decodes into the same canonical tag maps and metric names,
-// keyed by the raw JSON that spelled them (tsdb.InternTable).
-var (
-	putTagSets = tsdb.NewInternTable[map[string]string](tsdb.MaxInternedTagSets)
-	putMetrics = tsdb.NewInternTable[string](tsdb.MaxInternedMetrics)
-)
 
 // ---- scanner --------------------------------------------------------
 
@@ -459,8 +452,8 @@ func (s *putScanner) internMetric(raw []byte) string {
 
 // tags scans a flat {"k":"v", …} object from its '{' and returns the
 // tag set every occurrence of the same bytes shares (tsdb.Point.Tags:
-// shared, never written). A set the table has no room for decodes into
-// a map of its own.
+// shared, never written), keyed by the object's JSON spelling. A set
+// the table has no room for decodes into a map of its own.
 func (s *putScanner) tags() (map[string]string, error) {
 	start := s.i
 	s.i++

@@ -19,7 +19,7 @@ import (
 func testDecoder(body string, maxSets int64) *putDecoder {
 	return &putDecoder{
 		body:    []byte(body),
-		sets:    tsdb.NewInternTable[map[string]string](maxSets),
+		sets:    tsdb.NewTagSetTable(maxSets),
 		metrics: tsdb.NewInternTable[string](maxSets),
 	}
 }
@@ -150,7 +150,7 @@ func FuzzPutDecode(f *testing.F) {
 	for i := 0; i <= len(oneRow); i++ {
 		f.Add([]byte(oneRow[:i]))
 	}
-	sets := tsdb.NewInternTable[map[string]string](8)
+	sets := tsdb.NewTagSetTable(8)
 	metrics := tsdb.NewInternTable[string](4)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkAgainstReference(t, "fuzz", body, &putDecoder{sets: sets, metrics: metrics})
@@ -274,6 +274,38 @@ func TestDecodedTagsAreShared(t *testing.T) {
 	}
 }
 
+// TestPutLinesShareTags: text/plain puts intern like the JSON scanner —
+// two lines of one series, whatever their tag order, decode to one map,
+// the series' tsdb.EnergyTags map — and the telnet and JSON spellings
+// of a point decode to equal points.
+func TestPutLinesShareTags(t *testing.T) {
+	lines, err := parsePutLines([]byte("put energy 11 3.5 unit=31 sensor=2\nput energy 12 4 sensor=2 unit=31\nput energy 12 4 unit=31 sensor=3\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tagsPointer(lines[0]) != tagsPointer(lines[1]) {
+		t.Error("two lines of one series decoded into distinct maps")
+	}
+	if tagsPointer(lines[0]) != reflect.ValueOf(tsdb.EnergyTags(31, 2)).Pointer() {
+		t.Error("a line's tags are not the series' shared map")
+	}
+	if tagsPointer(lines[0]) == tagsPointer(lines[2]) {
+		t.Error("distinct tag sets share a map")
+	}
+	d := &putDecoder{
+		body:    []byte(`{"points":[{"metric":"energy","timestamp":11,"value":3.5,"tags":{"unit":"31","sensor":"2"}}]}`),
+		sets:    tsdb.TagSets,
+		metrics: tsdb.Metrics,
+	}
+	fromJSON, err := d.decodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromJSON[0], lines[0]) {
+		t.Fatalf("JSON %+v, telnet %+v", fromJSON[0], lines[0])
+	}
+}
+
 // TestPooledBodyNotAliased: the body buffer goes back to the pool when
 // the request ends, so no decoded point may reference it — for the
 // scanner, the encoding/json route and the line protocol alike.
@@ -334,7 +366,7 @@ func TestReadBodyHonoursMaxBody(t *testing.T) {
 // one canonical map, and the table never exceeds its limit.
 func TestInternTableConcurrent(t *testing.T) {
 	const workers, limit = 8, 32
-	sets := tsdb.NewInternTable[map[string]string](limit)
+	sets := tsdb.NewTagSetTable(limit)
 	metrics := tsdb.NewInternTable[string](limit)
 	bodies := make([]string, 8)
 	for u := range bodies {

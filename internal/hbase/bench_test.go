@@ -179,6 +179,37 @@ func BenchmarkRegionPutInOrder(b *testing.B) {
 	b.ReportMetric(float64(series*b.N)/b.Elapsed().Seconds(), "cells/s")
 }
 
+// BenchmarkRegionDeleteRow is a seal's delete of one series-hour: the
+// row's cells as one batch of in-order deletes, on a region with no
+// store file, so each clears its slot outright. The run is one merge
+// pass over the row's offsets; removed one slot at a time, each delete
+// shifted the rest of the row — quadratic in the row's length.
+func BenchmarkRegionDeleteRow(b *testing.B) {
+	for _, n := range []int{3600} {
+		b.Run(fmt.Sprintf("cells=%d", n), func(b *testing.B) {
+			row, val := seriesRow(0, 0), make([]byte, 8)
+			puts, dels := make([]Cell, n), make([]Cell, n)
+			for i := range puts {
+				puts[i] = Cell{Row: row, Qual: offsetQual(i), Value: val}
+				dels[i] = Cell{Row: row, Qual: puts[i].Qual, Tomb: true}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				r := newRegion(RegionInfo{ID: 1})
+				r.put(puts, 1)
+				b.StartTimer()
+				r.put(dels, 2)
+				if len(r.mem.rows) != 0 {
+					b.Fatalf("%d rows left after deleting every cell", len(r.mem.rows))
+				}
+			}
+			b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "cells/s")
+		})
+	}
+}
+
 // BenchmarkHotTierFootprint prices a cell in memory: one op puts an hour
 // of a 16-series fleet (57 600 in-order cells, one put RPC per second)
 // through a region server, and heap-B/cell is the live heap that added,

@@ -190,15 +190,33 @@ func (m *memstore) set(row *memRow, c Cell) {
 	m.reclaim(row)
 }
 
-// unset removes qual's slot from row, if it holds one.
-func (m *memstore) unset(row *memRow, qual []byte) {
-	at, found := row.seek(qual)
-	if !found {
-		return
+// unset removes from row the slots of dels, deletes of row's cells in
+// strictly ascending qualifier order, in one merge pass over its
+// offsets: a sealed row deleted front to back costs its length, not its
+// length squared.
+func (m *memstore) unset(row *memRow, dels []Cell) {
+	at, _ := row.seek(dels[0].Qual)
+	kept := at
+	for i := at; i < len(row.offs); i++ {
+		off := row.offs[i]
+		q := row.qual(off)
+		for len(dels) > 0 && bytes.Compare(dels[0].Qual, q) < 0 {
+			dels = dels[1:]
+		}
+		if len(dels) == 0 {
+			kept += copy(row.offs[kept:], row.offs[i:])
+			break
+		}
+		if bytes.Equal(dels[0].Qual, q) {
+			row.dead += row.entryLen(off)
+			dels = dels[1:]
+			continue
+		}
+		row.offs[kept] = off
+		kept++
 	}
-	row.dead += row.entryLen(row.offs[at])
-	row.offs = slices.Delete(row.offs, at, at+1)
-	m.size -= 4
+	m.size -= 4 * (len(row.offs) - kept)
+	row.offs = row.offs[:kept]
 }
 
 // reclaim repacks row once more than half of its arena is dead.

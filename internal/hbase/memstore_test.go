@@ -227,6 +227,10 @@ type modelSchedule struct {
 	put, flush, failFlush, compact int
 	tombOneIn                      int  // a put cell is a delete one time in this many
 	wantRepack                     bool // the run must repack a row under a held scan result
+	// oneRow puts each batch — up to 8 cells, every other one in
+	// qualifier order — on one row, so deletes of a row arrive in runs,
+	// between puts and re-puts of the same slots.
+	oneRow bool
 }
 
 var modelSchedules = []modelSchedule{
@@ -239,6 +243,9 @@ var modelSchedules = []modelSchedule{
 	// snapshots handed over as store files with delete markers in them,
 	// compaction's row builder and the file codec, all under the reopen.
 	{name: "handover/", put: 9, flush: 5, failFlush: 1, compact: 3, tombOneIn: 2},
+	// No store file ever, so every delete clears its slot in place: runs
+	// of in-order deletes of one row, mixed with puts to the same row.
+	{name: "onerow/", put: 18, flush: 0, failFlush: 1, compact: 0, tombOneIn: 2, oneRow: true},
 }
 
 // TestRegionMatchesModel runs seeded random schedules of put /
@@ -285,8 +292,24 @@ func runRegionModel(t *testing.T, sched modelSchedule, seed int64, steps int) {
 		switch op := rng.Intn(20); {
 		case op < sched.put: // put or delete a small batch
 			batch := make([]Cell, 1+rng.Intn(4))
+			var row string
+			var picks []int // oneRow's qualifiers, by index
+			if sched.oneRow {
+				batch, row, picks = make([]Cell, 1+rng.Intn(8)), rows[rng.Intn(len(rows))], make([]int, 0, 8)
+				for range batch {
+					picks = append(picks, rng.Intn(len(quals)))
+				}
+				if rng.Intn(2) == 0 {
+					sort.Ints(picks)
+				}
+			}
 			for i := range batch {
-				c := cell(rows[rng.Intn(len(rows))], quals[rng.Intn(len(quals))], fmt.Sprintf("v%d.%d", step, i))
+				var c Cell
+				if sched.oneRow {
+					c = cell(row, quals[picks[i]], fmt.Sprintf("v%d.%d", step, i))
+				} else {
+					c = cell(rows[rng.Intn(len(rows))], quals[rng.Intn(len(quals))], fmt.Sprintf("v%d.%d", step, i))
+				}
 				if rng.Intn(sched.tombOneIn) == 0 {
 					c.Tomb, c.Value = true, nil
 					delete(ref, [2]string{string(c.Row), string(c.Qual)})

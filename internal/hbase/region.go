@@ -1,6 +1,7 @@
 package hbase
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -71,21 +72,26 @@ func newRegion(info RegionInfo) *region {
 // A delete marker is kept only while something older could still hold
 // its slot — a store file or a flush snapshot; otherwise the delete
 // clears the slot outright, and a row whose last cell goes leaves the
-// memstore.
+// memstore. A run of deletes of one row in qualifier order — how a seal
+// deletes a row — is cleared in one pass.
 func (r *region) put(cells []Cell, seq int64) {
 	r.mu.Lock()
 	keepTombs := len(r.files) > 0 || r.snap != nil
 	var cleared []*memRow
-	for _, c := range cells {
+	for len(cells) > 0 {
+		c := cells[0]
 		if !c.Tomb || keepTombs {
 			r.mem.set(r.mem.row(c.Row, true), c)
+			cells = cells[1:]
 			continue
 		}
+		run := cells[:deleteRun(cells)]
+		cells = cells[len(run):]
 		row := r.mem.row(c.Row, false)
 		if row == nil {
 			continue // deleting from a row the memstore does not hold
 		}
-		r.mem.unset(row, c.Qual)
+		r.mem.unset(row, run)
 		if len(cleared) == 0 || cleared[len(cleared)-1] != row {
 			cleared = append(cleared, row)
 		}
@@ -95,6 +101,17 @@ func (r *region) put(cells []Cell, seq int64) {
 		r.maxSeq = seq
 	}
 	r.mu.Unlock()
+}
+
+// deleteRun returns how many leading cells of cells, the first a delete,
+// are deletes of its row in strictly ascending qualifier order.
+func deleteRun(cells []Cell) int {
+	n := 1
+	for n < len(cells) && cells[n].Tomb && bytes.Equal(cells[n].Row, cells[0].Row) &&
+		bytes.Compare(cells[n-1].Qual, cells[n].Qual) < 0 {
+		n++
+	}
+	return n
 }
 
 // memSize returns the bytes the live memstore holds.

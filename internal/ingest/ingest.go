@@ -248,7 +248,10 @@ func FormatLine(p *tsdb.Point) string {
 	return b.String()
 }
 
-// ParseLine parses one telnet-protocol line.
+// ParseLine parses one telnet-protocol line. The point's metric and tag
+// map are the process's shared ones (tsdb.InternTags): two lines of one
+// series decode to the same map, the one every other producer of the
+// series holds, and nothing the point keeps aliases line.
 func ParseLine(line string) (tsdb.Point, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 5 || fields[0] != "put" {
@@ -262,15 +265,16 @@ func ParseLine(line string) (tsdb.Point, error) {
 	if err != nil {
 		return tsdb.Point{}, fmt.Errorf("%w: bad value in %q", tsdb.ErrBadPoint, line)
 	}
-	tags := make(map[string]string, len(fields)-4)
+	var stack [8][2]string
+	pairs := stack[:0]
 	for _, f := range fields[4:] {
 		k, v, ok := strings.Cut(f, "=")
 		if !ok || k == "" || v == "" {
 			return tsdb.Point{}, fmt.Errorf("%w: bad tag %q", tsdb.ErrBadPoint, f)
 		}
-		tags[k] = v
+		pairs = append(pairs, [2]string{k, v})
 	}
-	p := tsdb.Point{Metric: fields[1], Timestamp: ts, Value: val, Tags: tags}
+	p := tsdb.Point{Metric: tsdb.InternMetric(fields[1]), Timestamp: ts, Value: val, Tags: tsdb.InternTags(pairs)}
 	if err := p.Validate(); err != nil {
 		return tsdb.Point{}, err
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/rpc"
 )
 
 // Canonical metric names from the paper: sensor data is stored in
@@ -17,15 +18,36 @@ const (
 	MetricAnomaly = "anomaly"
 )
 
-// EnergyTags builds the canonical tag set for a (unit, sensor) series.
+// EnergyTags returns the canonical tag set of a (unit, sensor) series:
+// the process's shared map for it (intern.go), the very map a wire or
+// telnet decode of the series yields. Like every Point.Tags map it is
+// read-only — copy it before changing it.
 func EnergyTags(unit, sensor int) map[string]string {
-	return map[string]string{
+	var buf [48]byte
+	key := appendDecimalTag(append(buf[:0], 2), "sensor", sensor)
+	key = appendDecimalTag(key, "unit", unit)
+	if set, ok := TagSets.Get(key); ok {
+		return set
+	}
+	return TagSets.Put(key, map[string]string{
 		"unit":   strconv.Itoa(unit),
 		"sensor": strconv.Itoa(sensor),
-	}
+	})
 }
 
-// EnergyPoint builds the canonical data point for a sample.
+// appendDecimalTag appends the wire spelling of the pair (k, n in
+// decimal): both length-prefixed, and n's at most 20 digits take a
+// one-byte length.
+func appendDecimalTag(b []byte, k string, n int) []byte {
+	b = append(rpc.AppendString(b, k), 0)
+	at := len(b)
+	b = strconv.AppendInt(b, int64(n), 10)
+	b[at-1] = byte(len(b) - at)
+	return b
+}
+
+// EnergyPoint builds the canonical data point for a sample; its Tags is
+// the series' shared map (EnergyTags), so a point costs no allocation.
 func EnergyPoint(unit, sensor int, ts int64, value float64) Point {
 	return Point{Metric: MetricEnergy, Tags: EnergyTags(unit, sensor), Timestamp: ts, Value: value}
 }

@@ -23,6 +23,9 @@ func benchDeployment(b *testing.B, salt int) *Deployment {
 	return d
 }
 
+// BenchmarkCodecEncode is one point to its cell on the write path: the
+// series' key comes from the codec's cache for its interned tag set, and
+// the cell is one allocation. Pinned in ALLOC_PINS.
 func BenchmarkCodecEncode(b *testing.B) {
 	d := benchDeployment(b, 8)
 	codec := NewCodec(d.UIDs, 8)
@@ -37,6 +40,21 @@ func BenchmarkCodecEncode(b *testing.B) {
 		if _, err := codec.Encode(&p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// energySink keeps BenchmarkEnergyPoint's result alive.
+var energySink Point
+
+// BenchmarkEnergyPoint is what every fleet feeder, loader and write-back
+// pays per point: a lookup of the series' shared tag map. Pinned at 0
+// allocs/op in ALLOC_PINS — a producer back on a map per point fails it.
+func BenchmarkEnergyPoint(b *testing.B) {
+	EnergyPoint(42, 867, 0, 0) // the series is known; the bench is the lookup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		energySink = EnergyPoint(42, 867, int64(i), 123.456)
 	}
 }
 

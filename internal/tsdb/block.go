@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -259,7 +260,7 @@ func (r *bitReader) readUvarint() uint64 {
 	var shift uint
 	for {
 		b := r.readBits(8)
-		if r.err || shift > 63 {
+		if r.err || shift > 63 || shift == 63 && b > 1 { // past 64 bits
 			r.err = true
 			return 0
 		}
@@ -285,9 +286,10 @@ type BlockIter struct {
 
 // Reset points the iterator at a sealed block.
 func (it *BlockIter) Reset(block []byte) {
-	uv, n := uvarint(block)
+	uv, n := binary.Uvarint(block)
 	if n <= 0 || uv > uint64(len(block)-n)*8 {
-		// A count no block this size could hold: corrupt header.
+		// No count, one past 64 bits, or one no block this size could
+		// hold: a corrupt header.
 		it.r.reset(nil)
 		it.r.err = true
 		it.remaining = 0
@@ -297,22 +299,6 @@ func (it *BlockIter) Reset(block []byte) {
 	}
 	it.started = false
 	it.lead, it.sig = 0, 0
-}
-
-func uvarint(buf []byte) (uint64, int) {
-	var v uint64
-	var shift uint
-	for i, b := range buf {
-		if shift > 63 {
-			return 0, -1
-		}
-		v |= uint64(b&0x7F) << shift
-		if b < 0x80 {
-			return v, i + 1
-		}
-		shift += 7
-	}
-	return 0, -1
 }
 
 // Next advances to the next sample; it returns false at the end of the

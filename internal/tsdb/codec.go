@@ -1,10 +1,12 @@
 package tsdb
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/hbase"
 )
@@ -24,6 +26,20 @@ type Codec struct {
 	uids *UIDTable
 	// SaltBuckets is the number of salt prefixes (0 disables salting).
 	SaltBuckets int
+	// series caches what a row key needs of each interned tag set
+	// (TagSets), keyed by the map's identity (mapID → *seriesTags): an
+	// interned map never changes and is never evicted, and the key keeps
+	// it reachable besides, so no other tag set can take its address.
+	series sync.Map
+}
+
+// seriesTags is what a row key needs of one tag set: its tag-UID pairs
+// as they follow the base time, and the metric UID of the first point
+// encoded with it — a series' points share both.
+type seriesTags struct {
+	metric string
+	mu     uint32
+	pairs  []byte
 }
 
 // NewCodec returns a codec over the UID table.
@@ -50,28 +66,9 @@ func (c *Codec) salt(seriesKey []byte) byte {
 	return byte(h % uint32(c.SaltBuckets))
 }
 
-// seriesKey builds the unsalted row key prefix for (metric, tags):
-// metric UID ∥ base time ∥ sorted (tagk,tagv) UID pairs.
-func (c *Codec) seriesKey(metricUID uint32, baseTime int64, tagPairs [][2]uint32) []byte {
-	key := make([]byte, 0, uidWidth+4+len(tagPairs)*2*uidWidth)
-	var u [uidWidth]byte
-	putUID(u[:], metricUID)
-	key = append(key, u[:]...)
-	var ts [4]byte
-	binary.BigEndian.PutUint32(ts[:], uint32(baseTime))
-	key = append(key, ts[:]...)
-	for _, p := range tagPairs {
-		putUID(u[:], p[0])
-		key = append(key, u[:]...)
-		putUID(u[:], p[1])
-		key = append(key, u[:]...)
-	}
-	return key
-}
-
-// tagPairs interns and sorts a tag set by tag-key UID (OpenTSDB's
-// canonical order).
-func (c *Codec) tagPairs(tags map[string]string) ([][2]uint32, error) {
+// tagPairs interns a tag set and encodes its (tagk, tagv) UID pairs
+// sorted by tag-key UID (OpenTSDB's canonical order).
+func (c *Codec) tagPairs(tags map[string]string) ([]byte, error) {
 	pairs := make([][2]uint32, 0, len(tags))
 	for k, v := range tags {
 		ku, err := c.uids.GetOrCreate(kindTagK, k)
@@ -84,34 +81,74 @@ func (c *Codec) tagPairs(tags map[string]string) ([][2]uint32, error) {
 		}
 		pairs = append(pairs, [2]uint32{ku, vu})
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i][0] < pairs[j][0] })
-	return pairs, nil
+	slices.SortFunc(pairs, func(a, b [2]uint32) int { return cmp.Compare(a[0], b[0]) })
+	out := make([]byte, 2*uidWidth*len(pairs))
+	for i, p := range pairs {
+		putUID(out[2*uidWidth*i:], p[0])
+		putUID(out[2*uidWidth*i+uidWidth:], p[1])
+	}
+	return out, nil
 }
 
-// Encode converts a point into its HBase cell.
-func (c *Codec) Encode(p *Point) (hbase.Cell, error) {
+// seriesOf returns the metric UID and encoded tag pairs of p's series,
+// after checking p is storable. An interned tag set is resolved once per
+// codec; any other map is resolved for every point, since its owner may
+// change it between points.
+func (c *Codec) seriesOf(p *Point) (mu uint32, pairs []byte, err error) {
+	if v, ok := c.series.Load(mapID(p.Tags)); ok {
+		st := v.(*seriesTags)
+		// The cached set passed Validate; the rest of p may not.
+		if p.Metric == "" || p.Timestamp < 0 {
+			return 0, nil, p.Validate()
+		}
+		if p.Metric == st.metric {
+			return st.mu, st.pairs, nil
+		}
+		mu, err = c.uids.GetOrCreate(kindMetric, p.Metric)
+		return mu, st.pairs, err
+	}
 	if err := p.Validate(); err != nil {
-		return hbase.Cell{}, err
+		return 0, nil, err
 	}
-	mu, err := c.uids.GetOrCreate(kindMetric, p.Metric)
+	if mu, err = c.uids.GetOrCreate(kindMetric, p.Metric); err != nil {
+		return 0, nil, err
+	}
+	if pairs, err = c.tagPairs(p.Tags); err != nil {
+		return 0, nil, err
+	}
+	if TagSets.holds(p.Tags) {
+		c.series.LoadOrStore(mapID(p.Tags), &seriesTags{metric: p.Metric, mu: mu, pairs: pairs})
+	}
+	return mu, pairs, nil
+}
+
+// Encode converts a point into its HBase cell: row key, qualifier and
+// value share one allocation. The row key is [salt ∥] metric UID ∥ base
+// time ∥ sorted tag-UID pairs.
+func (c *Codec) Encode(p *Point) (hbase.Cell, error) {
+	mu, pairs, err := c.seriesOf(p)
 	if err != nil {
 		return hbase.Cell{}, err
 	}
-	pairs, err := c.tagPairs(p.Tags)
-	if err != nil {
-		return hbase.Cell{}, err
-	}
-	base := p.Timestamp - p.Timestamp%rowBaseSeconds
-	key := c.seriesKey(mu, base, pairs)
+	salted := 0
 	if c.SaltBuckets > 0 {
-		key = append([]byte{c.salt(key)}, key...)
+		salted = 1
 	}
-	offset := uint16(p.Timestamp - base)
-	var qual [2]byte
-	binary.BigEndian.PutUint16(qual[:], offset)
-	var val [8]byte
-	binary.BigEndian.PutUint64(val[:], math.Float64bits(p.Value))
-	return hbase.Cell{Row: key, Qual: qual[:], Value: val[:]}, nil
+	keyLen := salted + uidWidth + 4 + len(pairs)
+	buf := make([]byte, keyLen+2+8)
+	key := buf[:keyLen:keyLen]
+	base := p.Timestamp - p.Timestamp%rowBaseSeconds
+	putUID(key[salted:], mu)
+	binary.BigEndian.PutUint32(key[salted+uidWidth:], uint32(base))
+	copy(key[salted+uidWidth+4:], pairs)
+	if salted > 0 {
+		key[0] = c.salt(key[1:])
+	}
+	qual := buf[keyLen : keyLen+2 : keyLen+2]
+	binary.BigEndian.PutUint16(qual, uint16(p.Timestamp-base))
+	val := buf[keyLen+2:]
+	binary.BigEndian.PutUint64(val, math.Float64bits(p.Value))
+	return hbase.Cell{Row: key, Qual: qual, Value: val}, nil
 }
 
 // rowMeta is what a data row key names: one series and the base time

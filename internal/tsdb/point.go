@@ -9,6 +9,12 @@
 //     tag UID pairs, with per-second offsets in 2-byte column
 //     qualifiers, optionally prefixed by a salt byte — the §III-B key
 //     finding that unlocked full RegionServer utilization;
+//   - one identity per series from every producer to the row key: tag
+//     sets are interned process-wide (intern.go, TagSets), so every
+//     producer of a series' points shares one read-only map —
+//     EnergyTags returns it too, and callers copy it before changing
+//     it — and a Codec derives the series' UID pairs once per interned
+//     map, not once per sample;
 //   - TSD daemons, one per storage node, each writing through its own
 //     HBase client;
 //   - queries with tag filters, time ranges, downsampling and
@@ -61,10 +67,14 @@ var (
 // and a value.
 type Point struct {
 	Metric string
-	// Tags is shared and immutable: the gateway decodes every point of
-	// a series into the same map, and published batches keep it for as
-	// long as the log retains them. Whoever holds a Point reads Tags
-	// and never assigns into it; to change a tag, build a new map.
+	// Tags is shared and immutable: every producer — the gateway's JSON
+	// and telnet decoders, the wire decode of a bus record or a TSD put,
+	// EnergyTags behind the fleet feeders, loaders and anomaly
+	// write-backs — hands out the one interned map of a series
+	// (TagSets), published batches keep it for as long as the log
+	// retains them, and a Codec caches the series' row key by its
+	// identity. Whoever holds a Point reads Tags and never assigns into
+	// it; to change a tag, copy the map (maps.Clone) or build a new one.
 	Tags      map[string]string
 	Timestamp int64
 	Value     float64

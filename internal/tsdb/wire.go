@@ -12,16 +12,6 @@ import (
 	"repro/internal/rpc"
 )
 
-// wireTagSets and wireMetrics intern what DecodePoints decodes, keyed by
-// the wire bytes of a tag set (AppendPoints writes tags in key order, so
-// one set has one spelling) and of a metric name: points decoded from
-// the wire share immutable tag maps across batches exactly as the
-// gateway's JSON-decoded points do (Point.Tags).
-var (
-	wireTagSets = NewInternTable[map[string]string](MaxInternedTagSets)
-	wireMetrics = NewInternTable[string](MaxInternedMetrics)
-)
-
 // pointWireMin is the fewest bytes a point takes on the wire: two
 // lengths, a one-byte timestamp and the value's eight.
 const pointWireMin = 11
@@ -69,8 +59,9 @@ func appendTagBlock(b []byte, tags map[string]string) []byte {
 }
 
 // DecodePoints reads what AppendPoints wrote. Metric names and tag sets
-// come from the intern tables: a set seen before costs a lookup, not a
-// map.
+// come from the process's intern tables (intern.go), keyed by their wire
+// bytes: a set seen before costs a lookup, not a map, and is the map
+// every other producer of the series holds.
 func DecodePoints(r *rpc.WireReader) []Point {
 	n := r.Count(pointWireMin)
 	if n == 0 {
@@ -81,9 +72,9 @@ func DecodePoints(r *rpc.WireReader) []Point {
 	for i := range pts {
 		p := &pts[i]
 		if raw := r.View(); string(raw) != metric {
-			m, ok := wireMetrics.Get(raw)
+			m, ok := Metrics.Get(raw)
 			if !ok {
-				m = wireMetrics.Put(raw, string(raw))
+				m = Metrics.Put(raw, string(raw))
 			}
 			metric = m
 		}
@@ -104,7 +95,7 @@ func decodeTagBlock(r *rpc.WireReader) map[string]string {
 	if len(raw) == 0 {
 		return nil
 	}
-	if set, ok := wireTagSets.Get(raw); ok {
+	if set, ok := TagSets.Get(raw); ok {
 		return set
 	}
 	br := rpc.NewWireReader(raw)
@@ -118,7 +109,7 @@ func decodeTagBlock(r *rpc.WireReader) map[string]string {
 		r.Fail(err)
 		return nil
 	}
-	return wireTagSets.Put(raw, set)
+	return TagSets.Put(raw, set)
 }
 
 // AppendWire implements rpc.WireEncoder.
