@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/rpc"
 )
 
 // Canonical metric names from the paper: sensor data is stored in
@@ -23,27 +22,15 @@ const (
 // telnet decode of the series yields. Like every Point.Tags map it is
 // read-only — copy it before changing it.
 func EnergyTags(unit, sensor int) map[string]string {
-	var buf [48]byte
-	key := appendDecimalTag(append(buf[:0], 2), "sensor", sensor)
-	key = appendDecimalTag(key, "unit", unit)
-	if set, ok := TagSets.Get(key); ok {
-		return set
+	// The pairs and their digit strings stay on the stack: the table
+	// copies whatever it keeps. Each string gets a buffer of its own, as
+	// the compiler may let a string that does not escape alias its bytes.
+	var sd, ud [20]byte
+	pairs := [2][2]string{
+		{"sensor", string(strconv.AppendInt(sd[:0], int64(sensor), 10))},
+		{"unit", string(strconv.AppendInt(ud[:0], int64(unit), 10))},
 	}
-	return TagSets.Put(key, map[string]string{
-		"unit":   strconv.Itoa(unit),
-		"sensor": strconv.Itoa(sensor),
-	})
-}
-
-// appendDecimalTag appends the wire spelling of the pair (k, n in
-// decimal): both length-prefixed, and n's at most 20 digits take a
-// one-byte length.
-func appendDecimalTag(b []byte, k string, n int) []byte {
-	b = append(rpc.AppendString(b, k), 0)
-	at := len(b)
-	b = strconv.AppendInt(b, int64(n), 10)
-	b[at-1] = byte(len(b) - at)
-	return b
+	return internSortedTags(pairs[:])
 }
 
 // EnergyPoint builds the canonical data point for a sample; its Tags is

@@ -29,14 +29,18 @@ type Codec struct {
 	// series caches what a row key needs of each interned tag set
 	// (TagSets), keyed by the map's identity (mapID → *seriesTags): an
 	// interned map never changes and is never evicted, and the key keeps
-	// it reachable besides, so no other tag set can take its address.
+	// it reachable besides, so no other tag set can take its address. An
+	// entry holds for one UID table generation: a Reload may give its ids
+	// to other names.
 	series sync.Map
 }
 
 // seriesTags is what a row key needs of one tag set: its tag-UID pairs
 // as they follow the base time, and the metric UID of the first point
-// encoded with it — a series' points share both.
+// encoded with it — a series' points share both — as the UID table's
+// generation gen resolved them.
 type seriesTags struct {
+	gen    uint64
 	metric string
 	mu     uint32
 	pairs  []byte
@@ -92,14 +96,17 @@ func (c *Codec) tagPairs(tags map[string]string) ([]byte, error) {
 
 // seriesOf returns the metric UID and encoded tag pairs of p's series,
 // after checking p is storable. An interned tag set is resolved once per
-// codec; any other map is resolved for every point, since its owner may
-// change it between points.
+// codec and UID table generation; any other map is resolved for every
+// point, since its owner may change it between points.
 func (c *Codec) seriesOf(p *Point) (mu uint32, pairs []byte, err error) {
-	if v, ok := c.series.Load(mapID(p.Tags)); ok {
+	// Read before resolving: a Reload racing the resolution leaves the
+	// entry stored below already stale.
+	gen := c.uids.generation()
+	if v, ok := c.series.Load(mapID(p.Tags)); ok && v.(*seriesTags).gen == gen {
 		st := v.(*seriesTags)
 		// The cached set passed Validate; the rest of p may not.
-		if p.Metric == "" || p.Timestamp < 0 {
-			return 0, nil, p.Validate()
+		if err := p.validateFields(); err != nil {
+			return 0, nil, err
 		}
 		if p.Metric == st.metric {
 			return st.mu, st.pairs, nil
@@ -117,7 +124,7 @@ func (c *Codec) seriesOf(p *Point) (mu uint32, pairs []byte, err error) {
 		return 0, nil, err
 	}
 	if TagSets.holds(p.Tags) {
-		c.series.LoadOrStore(mapID(p.Tags), &seriesTags{metric: p.Metric, mu: mu, pairs: pairs})
+		c.series.Store(mapID(p.Tags), &seriesTags{gen: gen, metric: p.Metric, mu: mu, pairs: pairs})
 	}
 	return mu, pairs, nil
 }

@@ -23,8 +23,9 @@ import (
 //   - JSON: the tags object as the put scanner read it, opening with '{';
 //   - wire: the tag block AppendPoints writes — a uvarint pair count,
 //     then each key and value length-prefixed, in key order — which
-//     EnergyTags and InternTags build from their pairs too, so a series
-//     fed, parsed from a telnet line or read off the wire is one map.
+//     InternTags and EnergyTags build from their pairs with the same
+//     appendTagKey, so a series fed, parsed from a telnet line or read
+//     off the wire is one map.
 //
 // A wire key opening with '{' counts 123 pairs, at least 247 bytes,
 // past internMaxKey: no key the table holds spells a set both ways, so
@@ -165,19 +166,34 @@ func InternTags(pairs [][2]string) map[string]string {
 		}
 		set = append(set, p)
 	}
+	return internSortedTags(set)
+}
+
+// internSortedTags is InternTags for pairs sorted by key, each key once.
+// Their strings do not escape, so a caller may build them on its stack
+// (EnergyTags does).
+func internSortedTags(pairs [][2]string) map[string]string {
 	var buf [internMaxKey]byte
-	key := rpc.AppendUint(buf[:0], uint64(len(set)))
-	for _, p := range set {
-		key = rpc.AppendString(rpc.AppendString(key, p[0]), p[1])
-	}
+	key := appendTagKey(buf[:0], pairs)
 	if m, ok := TagSets.Get(key); ok {
 		return m
 	}
-	m := make(map[string]string, len(set))
-	for _, p := range set {
+	m := make(map[string]string, len(pairs))
+	for _, p := range pairs {
 		m[strings.Clone(p[0])] = strings.Clone(p[1])
 	}
 	return TagSets.Put(key, m)
+}
+
+// appendTagKey appends the wire spelling of a tag set — the one place it
+// is written: a uvarint pair count, then each key and value
+// length-prefixed. pairs must be sorted by key, each key once.
+func appendTagKey(b []byte, pairs [][2]string) []byte {
+	b = rpc.AppendUint(b, uint64(len(pairs)))
+	for _, p := range pairs {
+		b = rpc.AppendString(rpc.AppendString(b, p[0]), p[1])
+	}
+	return b
 }
 
 // InternMetric returns the shared string for a metric name.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/hbase"
 	"repro/internal/rpc"
 )
 
@@ -131,6 +132,59 @@ func TestEncodeInternedEqualsFresh(t *testing.T) {
 				t.Fatalf("salt %d: %+v encoded (err %v)", salt, bad, err)
 			}
 		}
+	}
+}
+
+// TestEncodeAfterUIDReload: a UID table Reload forgets an id whose persist
+// failed and hands it to the next new name. A series the codec cached
+// under that id must not keep it: its interned point still encodes to the
+// bytes of its private-map twin, and the row reads back as its own series.
+func TestEncodeAfterUIDReload(t *testing.T) {
+	d := newDeployment(t, 2, 1, TSDConfig{})
+	codec := NewCodec(d.UIDs, 0)
+	known := EnergyPoint(1, 4, 7200, 1) // persists every name but unit 9101's
+	if _, err := codec.Encode(&known); err != nil {
+		t.Fatal(err)
+	}
+
+	// Persisting unit 9101's tag value fails — through a cluster with no
+	// table — after its id is already published in memory.
+	down, err := hbase.NewCluster(hbase.Config{RegionServers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(down.Stop)
+	live := d.UIDs.client
+	d.UIDs.client = down.NewClient(hbase.ClientConfig{MaxRetries: 1})
+	p := EnergyPoint(9101, 4, 7201, 2)
+	if _, err := codec.Encode(&p); err == nil {
+		t.Fatal("a uid persisted through a cluster with no table")
+	}
+	d.UIDs.client = live
+	stale, err := codec.Encode(&p) // the unpersisted id, now cached
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if err := d.UIDs.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.UIDs.GetOrCreate(kindTagV, "usurper"); err != nil {
+		t.Fatal(err)
+	}
+	fresh := p
+	fresh.Tags = maps.Clone(p.Tags)
+	a, errA := codec.Encode(&p)
+	b, errB := codec.Encode(&fresh)
+	if errA != nil || errB != nil || !bytes.Equal(a.Row, b.Row) {
+		t.Fatalf("after a reload: interned %x (%v), fresh %x (%v)", a.Row, errA, b.Row, errB)
+	}
+	if bytes.Equal(a.Row, stale.Row) {
+		t.Fatal("the forgotten id's new name now owns this series' row")
+	}
+	m, _, err := codec.decodeRow(a.Row)
+	if err != nil || !maps.Equal(m.tags, p.Tags) {
+		t.Fatalf("row reads back as %v (%v), want %v", m.tags, err, p.Tags)
 	}
 }
 

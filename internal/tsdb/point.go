@@ -82,11 +82,8 @@ type Point struct {
 
 // Validate checks the point is storable.
 func (p *Point) Validate() error {
-	if p.Metric == "" {
-		return fmt.Errorf("%w: empty metric", ErrBadPoint)
-	}
-	if p.Timestamp < 0 {
-		return fmt.Errorf("%w: negative timestamp", ErrBadPoint)
+	if err := p.validateFields(); err != nil {
+		return err
 	}
 	if len(p.Tags) == 0 {
 		return fmt.Errorf("%w: at least one tag required", ErrBadPoint)
@@ -95,6 +92,18 @@ func (p *Point) Validate() error {
 		if k == "" || v == "" {
 			return fmt.Errorf("%w: empty tag key or value", ErrBadPoint)
 		}
+	}
+	return nil
+}
+
+// validateFields is Validate short of the tag set: all a Codec still
+// checks of a point whose interned tag set has passed Validate before.
+func (p *Point) validateFields() error {
+	if p.Metric == "" {
+		return fmt.Errorf("%w: empty metric", ErrBadPoint)
+	}
+	if p.Timestamp < 0 {
+		return fmt.Errorf("%w: negative timestamp", ErrBadPoint)
 	}
 	return nil
 }

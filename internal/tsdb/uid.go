@@ -3,6 +3,7 @@ package tsdb
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/hbase"
 )
@@ -40,6 +41,10 @@ type UIDTable struct {
 	forward map[uidKind]map[string]uint32
 	reverse map[uidKind]map[uint32]string
 	next    map[uidKind]uint32
+	// gen counts Reloads. A Reload forgets every id whose persist failed
+	// and may hand it to another name, so an id resolved under one
+	// generation is only good while gen still reads the same.
+	gen atomic.Uint64
 }
 
 // NewUIDTable returns a UID table writing through cl.
@@ -138,8 +143,12 @@ func (u *UIDTable) Reload() error {
 			u.next[kind] = id + 1
 		}
 	}
+	u.gen.Add(1) // under mu: a reader of the new gen sees the new maps
 	return nil
 }
+
+// generation returns the number of Reloads so far (see gen).
+func (u *UIDTable) generation() uint64 { return u.gen.Load() }
 
 // putUID writes a 3-byte big-endian UID.
 func putUID(dst []byte, id uint32) {

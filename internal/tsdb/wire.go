@@ -8,6 +8,7 @@ package tsdb
 
 import (
 	"slices"
+	"strings"
 
 	"repro/internal/rpc"
 )
@@ -36,19 +37,16 @@ func appendTagBlock(b []byte, tags map[string]string) []byte {
 	if tags == nil {
 		return append(b, 0)
 	}
-	var stack [8]string
-	keys := stack[:0]
-	for k := range tags {
-		keys = append(keys, k)
+	var stack [8][2]string
+	pairs := stack[:0]
+	for k, v := range tags {
+		pairs = append(pairs, [2]string{k, v})
 	}
-	slices.Sort(keys)
+	slices.SortFunc(pairs, func(a, b [2]string) int { return strings.Compare(a[0], b[0]) })
 	// Room for a one-byte length: a block under 128 bytes, which is any
 	// the intern table will key, is written in place.
 	start := len(b)
-	b = rpc.AppendUint(append(b, 0), uint64(len(keys)))
-	for _, k := range keys {
-		b = rpc.AppendString(rpc.AppendString(b, k), tags[k])
-	}
+	b = appendTagKey(append(b, 0), pairs)
 	n := len(b) - start - 1
 	if n < 0x80 {
 		b[start] = byte(n)
