@@ -44,21 +44,29 @@ vet:
 # assembly guards the one-assembly rule: each tier constructor is
 # called from exactly one non-test file under sentinel/ and cmd/
 # (sentinel/assembly.go), so a second hand wiring of the pipeline
-# cannot quietly regrow. cmd/tsdbench, the storage-only Fig. 2
-# microbenchmark, is exempt. It guards the one-token-bucket rule the
-# same way: clock.TokenBucket is the only refill loop, so no non-test
-# file outside internal/clock may declare a `tokens` field. And the
+# cannot quietly regrow. The one storage-only wiring is the root
+# package's experiments.go, the rig behind Fig. 2 and the §III-B
+# ablations that cmd/tsdbench and the examples call: outside internal/
+# and benchmark/ (whose layer replays build one tier in isolation), a
+# non-test proxy.New call anywhere else fails. It guards the
+# one-token-bucket rule the same way: clock.TokenBucket is the only
+# refill loop, so no non-test file outside internal/clock may declare
+# a `tokens` field. And the
 # one-wire-codec rule: internal/rpc's frame codec is the only encoding
 # that crosses the cluster, so no non-test file outside internal/core
 # (whose model catalog serialises trained models) may import
 # encoding/gob.
 assembly:
 	@for call in 'api\.New(' 'tsdb\.NewCompactor(' 'ingest\.StartStorageWriters(' 'viz\.NewServer(' 'hbase\.NewCluster('; do \
-		files=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=tsdbench "$$call" sentinel cmd); \
+		files=$$(grep -rl --include='*.go' --exclude='*_test.go' "$$call" sentinel cmd); \
 		if [ $$(echo "$$files" | grep -c .) -gt 1 ]; then \
 			echo "assembly fork: $$call is called from more than one file:"; echo "$$files"; exit 1; \
 		fi; \
 	done
+	@files=$$(grep -rl --include='*.go' --exclude='*_test.go' 'proxy\.New(' . | grep -v -e '^\./internal/' -e '^\./benchmark/' -e '^\./sentinel/assembly\.go$$' -e '^\./experiments\.go$$'); \
+	if [ -n "$$files" ]; then \
+		echo "storage rig fork: proxy.New is called outside sentinel/assembly.go and experiments.go:"; echo "$$files"; exit 1; \
+	fi
 	@files=$$(grep -rlE --include='*.go' --exclude='*_test.go' '^[[:space:]]*tokens[[:space:]]+[A-Za-z*[]' . | grep -v '^\./internal/clock/'); \
 	if [ -n "$$files" ]; then \
 		echo "second token bucket: a tokens field outside internal/clock (use clock.TokenBucket):"; echo "$$files"; exit 1; \

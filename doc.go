@@ -5,9 +5,12 @@
 // The public API lives in repro/sentinel; the substrates (simulated
 // HBase/OpenTSDB/ZooKeeper/HDFS cluster, dataflow engine, FDR
 // detector, visualization web app) live under repro/internal. This
-// root package carries the repository-level benchmark harness
-// (bench_test.go) and the experiment shape tests (experiments_test.go)
-// that regenerate every figure in the paper's evaluation; see
-// README.md for the build/test/bench workflow, the package map, and
-// the benchmark-to-figure index.
+// root package carries the paper's Figure 2 and §III-B experiments
+// (experiments.go: one storage rig — region servers, TSDs, the
+// buffering proxy, the simulated fleet — and one function per
+// experiment, which cmd/tsdbench and examples/ingestscaling call), the
+// shape tests that assert them (experiments_test.go) and the
+// repository-level benchmarks (bench_test.go); see README.md for the
+// build/test/bench workflow, the package map, and the
+// benchmark-to-figure index.
 package repro

@@ -13,78 +13,30 @@ import (
 	"log"
 	"time"
 
+	"repro"
 	"repro/internal/bus"
-	"repro/internal/hbase"
 	"repro/internal/ingest"
-	"repro/internal/proxy"
 	"repro/internal/simdata"
-	"repro/internal/telemetry"
-	"repro/internal/tsdb"
 )
 
 func main() {
-	// Emulated per-node ceiling: the paper measured ~11–13k samples/s
-	// per commodity storage node; with speedup 1 the simulator enforces
-	// those rates in real time, so the sweep directly reads in paper
-	// scale.
-	const (
-		paperRate = 13300.0
-		speedup   = 1.0
-		window    = 800 * time.Millisecond
-	)
-	fleet := simdata.NewFleet(simdata.Config{Units: 20, SensorsPerUnit: 100, Seed: 42})
-
+	// The paper's per-node ceiling, enforced in real time, so the sweep
+	// reads directly in paper scale.
 	fmt.Println("Figure 2 (left) at laptop scale: throughput vs storage nodes")
 	fmt.Printf("%-8s %-24s %-20s\n", "nodes", "paper-scale samples/s", "hottest node share")
-	var xs, ys []float64
-	for _, nodes := range []int{2, 4, 6, 8} {
-		cluster, err := hbase.NewCluster(hbase.Config{
-			RegionServers:    nodes,
-			ServiceRatePerRS: paperRate * speedup,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		deploy, err := tsdb.NewDeployment(cluster, nodes, tsdb.TSDConfig{SaltBuckets: nodes})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := deploy.CreateTable(); err != nil {
-			log.Fatal(err)
-		}
-		px, err := proxy.New(cluster.Network(), deploy.Addrs(), proxy.Config{MaxInFlight: 2 * nodes})
-		if err != nil {
-			log.Fatal(err)
-		}
-		driver := ingest.NewDriver(fleet, px, ingest.DriverConfig{BatchSize: 500, Senders: 8})
-		start := time.Now()
-		var total int64
-		for step := int64(0); time.Since(start) < window; step++ {
-			stats, err := driver.Run(step, 1)
-			if err != nil {
-				log.Fatal(err)
-			}
-			total += stats.Samples
-		}
-		px.Flush()
-		rate := float64(total) / time.Since(start).Seconds() / speedup
-		maxShare := 0.0
-		for _, s := range cluster.WriteShares() {
-			if s > maxShare {
-				maxShare = s
-			}
-		}
-		px.Close()
-		cluster.Stop()
-		fmt.Printf("%-8d %-24.0f %-20.0f%%\n", nodes, rate, 100*maxShare)
-		xs = append(xs, float64(nodes))
-		ys = append(ys, rate)
+	runs, slope, r2, err := repro.Sweep(repro.RigConfig{
+		NodeRate: repro.PaperNodeRate, Salted: true, Units: 20, Sensors: 100, Window: 800 * time.Millisecond,
+	}, []int{2, 4, 6, 8})
+	if err != nil {
+		log.Fatal(err)
 	}
-	_, slope, r2 := telemetry.LinearFit(xs, ys)
+	for _, r := range runs {
+		fmt.Printf("%-8d %-24.0f %.0f%%\n", r.Nodes, r.Rate, 100*r.Hottest)
+	}
 	fmt.Printf("\nlinear fit: %.0f samples/s per added node (R²=%.4f)\n", slope, r2)
 	fmt.Println("paper: ~11k samples/s per added node, 399k at 30 nodes")
 
-	replayDemo(fleet)
+	replayDemo(simdata.NewFleet(simdata.Config{Units: 20, SensorsPerUnit: 100, Seed: 42}))
 }
 
 // replayDemo shows why the commit log sits between producers and

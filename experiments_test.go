@@ -1,22 +1,14 @@
 package repro
 
-// Experiment shape tests: fast, assertion-bearing versions of the
-// benchmark harness. Each test pins the qualitative claim the paper
+// Experiment shape tests: each pins the qualitative claim the paper
 // makes — who wins, by roughly what factor, where behaviour changes —
 // with thresholds loose enough to pass on any machine.
 
 import (
-	"context"
 	"fmt"
-	"sync/atomic"
+	"math"
 	"testing"
 	"time"
-
-	"repro/internal/hbase"
-	"repro/internal/ingest"
-	"repro/internal/proxy"
-	"repro/internal/simdata"
-	"repro/internal/tsdb"
 )
 
 // scaledRate keeps the shape tests fast: per-node ceiling of 40k
@@ -24,78 +16,74 @@ import (
 // a second.
 const scaledRate = 40000.0
 
-func bootRig(t *testing.T, nodes int, perNodeRate float64, saltBuckets int) (*hbase.Cluster, *tsdb.Deployment, *proxy.Proxy) {
-	t.Helper()
-	cluster, err := hbase.NewCluster(hbase.Config{
-		RegionServers:    nodes,
-		ServiceRatePerRS: perNodeRate,
-	})
-	if err != nil {
-		t.Fatal(err)
+// shapeTest skips wall-clock rate shapes under the race detector (its
+// ~10× slowdown flattens the token-bucket service rates) and -short.
+func shapeTest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("throughput-shape test: wall-clock rate assertions are meaningless under the race detector")
 	}
-	t.Cleanup(cluster.Stop)
-	deploy, err := tsdb.NewDeployment(cluster, nodes, tsdb.TSDConfig{SaltBuckets: saltBuckets})
-	if err != nil {
-		t.Fatal(err)
+	if testing.Short() {
+		t.Skip("wall-clock measurement")
 	}
-	if err := deploy.CreateTable(); err != nil {
-		t.Fatal(err)
-	}
-	px, err := proxy.New(cluster.Network(), deploy.Addrs(), proxy.Config{MaxInFlight: 2 * nodes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(px.Close)
-	return cluster, deploy, px
 }
 
-// measureDelivery pushes load for the window and returns delivered
-// samples/second.
-func measureDelivery(t *testing.T, px *proxy.Proxy, fleet *simdata.Fleet, window time.Duration) float64 {
-	t.Helper()
-	driver := ingest.NewDriver(fleet, px, ingest.DriverConfig{BatchSize: 500, Senders: 8})
-	start := time.Now()
-	for step := int64(0); time.Since(start) < window; step++ {
-		if _, err := driver.Run(step, 1); err != nil {
-			t.Fatal(err)
-		}
+// shapeRig is the shape tests' workload: 10 units × 100 sensors.
+func shapeRig(nodes int, window time.Duration) RigConfig {
+	return RigConfig{Nodes: nodes, NodeRate: scaledRate, Salted: true, Units: 10, Sensors: 100, Window: window}
+}
+
+// TestRigDeliversWhatWasSubmitted runs the shared rig where the shape
+// tests cannot: under -race and -short, with no rate ceiling. Once the
+// proxy drains, it has delivered exactly what the producers submitted,
+// dropped nothing, and the region servers' write shares sum to 1.
+func TestRigDeliversWhatWasSubmitted(t *testing.T) {
+	r, err := NewRig(RigConfig{Nodes: 2, Salted: true, Units: 4, Sensors: 10, Window: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	px.Flush()
-	return float64(px.Delivered.Value()) / time.Since(start).Seconds()
+	res, _ := r.run(r.cfg.Window)
+	r.Close()
+	if res.Submitted == 0 || res.Delivered == 0 {
+		t.Fatalf("nothing moved: %+v", res)
+	}
+	if got := r.Proxy.Delivered.Value(); got != res.Submitted {
+		t.Fatalf("proxy delivered %d, producers submitted %d", got, res.Submitted)
+	}
+	if d := r.Proxy.Dropped.Value(); d != 0 || res.Failed != 0 {
+		t.Fatalf("dropped %d points, %d batches refused", d, res.Failed)
+	}
+	sum := 0.0
+	for _, s := range r.Cluster.WriteShares() {
+		sum += s
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("write shares sum to %v, want 1", sum)
+	}
 }
 
 // TestExperimentE1LinearScaleUp pins Figure 2 (left): doubling the
 // node count roughly doubles delivered throughput when keys are
 // salted and the proxy is in place.
 func TestExperimentE1LinearScaleUp(t *testing.T) {
-	if raceEnabled {
-		t.Skip("throughput-shape test: wall-clock rate assertions are meaningless under the race detector")
-	}
-	if testing.Short() {
-		t.Skip("scaling measurement")
-	}
-	fleet := simdata.NewFleet(simdata.Config{Units: 10, SensorsPerUnit: 100, Seed: 42})
+	shapeTest(t)
 	// Wall-clock rate shapes wobble when the host is busy (parallel
 	// package tests, CI neighbours); one re-measure absorbs transient
 	// contention without loosening the linear-scaling claim.
 	var lastErr string
 	for attempt := 0; attempt < 2; attempt++ {
-		rates := map[int]float64{}
-		for _, nodes := range []int{2, 4} {
-			_, _, px := bootRig(t, nodes, scaledRate, nodes)
-			rates[nodes] = measureDelivery(t, px, fleet, 700*time.Millisecond)
+		runs, _, _, err := Sweep(shapeRig(0, 700*time.Millisecond), []int{2, 4})
+		if err != nil {
+			t.Fatal(err)
 		}
 		lastErr = ""
-		ratio := rates[4] / rates[2]
-		if ratio < 1.6 || ratio > 2.6 {
-			lastErr = fmt.Sprintf("4-node/2-node throughput ratio = %.2f (rates: %v), want ≈2 (linear scale-up)", ratio, rates)
+		if ratio := runs[1].Rate / runs[0].Rate; ratio < 1.6 || ratio > 2.6 {
+			lastErr = fmt.Sprintf("4-node/2-node throughput ratio = %.2f (runs: %+v), want ≈2 (linear scale-up)", ratio, runs)
 			continue
 		}
 		// Each configuration must run near its emulated aggregate ceiling.
-		for nodes, rate := range rates {
-			ceiling := scaledRate * float64(nodes)
-			if rate < 0.7*ceiling || rate > 1.3*ceiling {
-				lastErr = fmt.Sprintf("%d nodes delivered %.0f samples/s, want ≈%.0f", nodes, rate, ceiling)
+		for _, run := range runs {
+			if ceiling := scaledRate * float64(run.Nodes); run.Rate < 0.7*ceiling || run.Rate > 1.3*ceiling {
+				lastErr = fmt.Sprintf("%d nodes delivered %.0f samples/s, want ≈%.0f", run.Nodes, run.Rate, ceiling)
 				break
 			}
 		}
@@ -109,37 +97,11 @@ func TestExperimentE1LinearScaleUp(t *testing.T) {
 // TestExperimentE2StableRate pins Figure 2 (right): the cumulative
 // delivery curve is linear in time (R² ≈ 1).
 func TestExperimentE2StableRate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("throughput-shape test: wall-clock rate assertions are meaningless under the race detector")
+	shapeTest(t)
+	_, slope, r2, err := StableRate(shapeRig(3, 720*time.Millisecond), 60*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if testing.Short() {
-		t.Skip("rate series measurement")
-	}
-	fleet := simdata.NewFleet(simdata.Config{Units: 10, SensorsPerUnit: 100, Seed: 42})
-	_, _, px := bootRig(t, 3, scaledRate, 3)
-	stop := make(chan struct{})
-	go func() {
-		driver := ingest.NewDriver(fleet, px, ingest.DriverConfig{BatchSize: 500, Senders: 8})
-		for step := int64(0); ; step++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := driver.Run(step, 1); err != nil {
-				return
-			}
-		}
-	}()
-	defer close(stop)
-	var xs, ys []float64
-	start := time.Now()
-	for i := 0; i < 12; i++ {
-		time.Sleep(60 * time.Millisecond)
-		xs = append(xs, time.Since(start).Seconds())
-		ys = append(ys, float64(px.Delivered.Value()))
-	}
-	_, slope, r2 := linearFit(xs, ys)
 	if r2 < 0.99 {
 		t.Fatalf("cumulative curve R² = %.4f, want ≥ 0.99 (unstable rate)", r2)
 	}
@@ -153,41 +115,20 @@ func TestExperimentE2StableRate(t *testing.T) {
 // throughput is pinned near a single node's ceiling; salting spreads
 // load and multiplies throughput.
 func TestExperimentE3SaltingFixesHotspot(t *testing.T) {
-	if raceEnabled {
-		t.Skip("throughput-shape test: wall-clock rate assertions are meaningless under the race detector")
-	}
-	if testing.Short() {
-		t.Skip("scaling measurement")
-	}
+	shapeTest(t)
 	const nodes = 4
-	fleet := simdata.NewFleet(simdata.Config{Units: 10, SensorsPerUnit: 100, Seed: 42})
-
-	clusterU, _, pxU := bootRig(t, nodes, scaledRate, 0) // unsalted
-	unsalted := measureDelivery(t, pxU, fleet, 600*time.Millisecond)
-	maxShareU := 0.0
-	for _, s := range clusterU.WriteShares() {
-		if s > maxShareU {
-			maxShareU = s
-		}
+	p, err := Salting(shapeRig(nodes, 600*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	clusterS, _, pxS := bootRig(t, nodes, scaledRate, nodes) // salted
-	salted := measureDelivery(t, pxS, fleet, 600*time.Millisecond)
-	maxShareS := 0.0
-	for _, s := range clusterS.WriteShares() {
-		if s > maxShareS {
-			maxShareS = s
-		}
+	if p.Off.Hottest < 0.95 {
+		t.Fatalf("unsalted hottest-node share = %.2f, want ≈1 (hotspot)", p.Off.Hottest)
 	}
-
-	if maxShareU < 0.95 {
-		t.Fatalf("unsalted hottest-node share = %.2f, want ≈1 (hotspot)", maxShareU)
+	if p.On.Hottest > 2.5/float64(nodes) {
+		t.Fatalf("salted hottest-node share = %.2f, want ≈1/%d", p.On.Hottest, nodes)
 	}
-	if maxShareS > 2.5/float64(nodes) {
-		t.Fatalf("salted hottest-node share = %.2f, want ≈1/%d", maxShareS, nodes)
-	}
-	if salted < 2*unsalted {
-		t.Fatalf("salted %.0f vs unsalted %.0f samples/s: salting must give a dramatic increase", salted, unsalted)
+	if p.On.Rate < 2*p.Off.Rate {
+		t.Fatalf("salted %.0f vs unsalted %.0f samples/s: salting must give a dramatic increase", p.On.Rate, p.Off.Rate)
 	}
 }
 
@@ -195,86 +136,18 @@ func TestExperimentE3SaltingFixesHotspot(t *testing.T) {
 // unbounded producers crash RegionServers via RPC-queue overflow; the
 // buffering proxy prevents every crash.
 func TestExperimentE4ProxyPreventsCrashes(t *testing.T) {
-	if raceEnabled {
-		t.Skip("throughput-shape test: wall-clock rate assertions are meaningless under the race detector")
+	shapeTest(t)
+	// Slow nodes back the queues up fast; 48 units are 48 producers
+	// with work at once — the unbounded-concurrency condition.
+	p, err := Backpressure(RigConfig{Nodes: 3, NodeRate: 5000, Units: 48, Sensors: 100, Window: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if testing.Short() {
-		t.Skip("overload measurement")
-	}
-	const nodes = 3
-	run := func(buffered bool) (crashed int) {
-		cluster, err := hbase.NewCluster(hbase.Config{
-			RegionServers:    nodes,
-			ServiceRatePerRS: 5000, // slow nodes back the queues up fast
-			RSQueueCap:       8,
-			CrashOnOverflow:  32,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cluster.Stop()
-		deploy, err := tsdb.NewDeployment(cluster, nodes, tsdb.TSDConfig{
-			SaltBuckets: nodes, Workers: 64, QueueCap: 256, FailFast: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := deploy.CreateTable(); err != nil {
-			t.Fatal(err)
-		}
-		// 48 units so all 48 producer goroutines have work at once — the
-		// unbounded-concurrency condition that overloads the RPC queues.
-		fleet := simdata.NewFleet(simdata.Config{Units: 48, SensorsPerUnit: 100, Seed: 42})
-		if buffered {
-			px, err := proxy.New(cluster.Network(), deploy.Addrs(), proxy.Config{MaxInFlight: nodes})
-			if err != nil {
-				t.Fatal(err)
-			}
-			driver := ingest.NewDriver(fleet, px, ingest.DriverConfig{BatchSize: 500, Senders: 48})
-			deadline := time.Now().Add(900 * time.Millisecond)
-			for step := int64(0); time.Now().Before(deadline); step++ {
-				_, _ = driver.Run(step, 1)
-			}
-			px.Flush()
-			px.Close()
-		} else {
-			var rr atomic.Uint64
-			addrs := deploy.Addrs()
-			sink := ingest.SinkFunc(func(pts []tsdb.Point) error {
-				addr := addrs[int(rr.Add(1))%len(addrs)]
-				_, err := cluster.Network().Call(context.Background(), addr, "put", &tsdb.PutBatch{Points: pts})
-				return err
-			})
-			driver := ingest.NewDriver(fleet, sink, ingest.DriverConfig{BatchSize: 100, Senders: 48})
-			// Keep the pressure on until the failure mode manifests (or a
-			// generous deadline passes — the point is that it *does*).
-			deadline := time.Now().Add(8 * time.Second)
-			for step := int64(0); time.Now().Before(deadline); step++ {
-				_, _ = driver.Run(step, 1)
-				anyCrashed := false
-				for _, rs := range cluster.RegionServers() {
-					if rs.Crashed() {
-						anyCrashed = true
-						break
-					}
-				}
-				if anyCrashed {
-					break
-				}
-			}
-		}
-		for _, rs := range cluster.RegionServers() {
-			if rs.Crashed() {
-				crashed++
-			}
-		}
-		return crashed
-	}
-	if crashed := run(false); crashed == 0 {
+	if p.Off.Crashed == 0 {
 		t.Fatal("unbuffered overload crashed no RegionServers; the §III-B failure mode is not reproduced")
 	}
-	if crashed := run(true); crashed != 0 {
-		t.Fatalf("buffered pipeline crashed %d RegionServers; the proxy must prevent crashes", crashed)
+	if p.On.Crashed != 0 {
+		t.Fatalf("buffered pipeline crashed %d RegionServers; the proxy must prevent crashes", p.On.Crashed)
 	}
 }
 
@@ -282,41 +155,11 @@ func TestExperimentE4ProxyPreventsCrashes(t *testing.T) {
 // finding: row compaction multiplies RPC calls per sample, which is
 // why the paper disabled it.
 func TestExperimentRowCompactionRPCCost(t *testing.T) {
-	callsPerSample := func(enabled bool) float64 {
-		cluster, err := hbase.NewCluster(hbase.Config{RegionServers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cluster.Stop()
-		deploy, err := tsdb.NewDeployment(cluster, 1, tsdb.TSDConfig{SaltBuckets: 2, CompactionEnabled: enabled})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := deploy.CreateTable(); err != nil {
-			t.Fatal(err)
-		}
-		tsd := deploy.TSDs()[0]
-		fleet := simdata.NewFleet(simdata.Config{Units: 3, SensorsPerUnit: 20, Seed: 42})
-		var pts []tsdb.Point
-		for ts := int64(0); ts < 30; ts++ {
-			for u := 0; u < 3; u++ {
-				for s := 0; s < 20; s++ {
-					pts = append(pts, tsdb.EnergyPoint(u, s, ts, fleet.Value(u, s, ts)))
-				}
-			}
-		}
-		before := cluster.Network().Calls.Value()
-		if err := tsd.Put(pts); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tsd.CompactRows(1 << 40); err != nil {
-			t.Fatal(err)
-		}
-		return float64(cluster.Network().Calls.Value()-before) / float64(len(pts))
+	p, err := Compaction(RigConfig{Nodes: 2, Units: 3, Sensors: 20})
+	if err != nil {
+		t.Fatal(err)
 	}
-	off := callsPerSample(false)
-	on := callsPerSample(true)
-	if on < 2*off {
+	if off, on := p.Off.CallsPerSample(), p.On.CallsPerSample(); on < 2*off {
 		t.Fatalf("compaction RPC cost %.3f vs %.3f calls/sample: expected ≥2× amplification", on, off)
 	}
 }

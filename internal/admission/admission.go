@@ -59,19 +59,6 @@ type Config struct {
 	// lag over a lag budget).
 	Signals []Signal
 
-	// Shed thresholds per class: requests of a class are rejected
-	// while pressure ≥ its threshold. Defaults 1.0 / 0.75 / 0.5.
-	IngestThreshold      float64
-	InteractiveThreshold float64
-	BulkThreshold        float64
-
-	// GradientLimit maps the ingest-latency gradient (fast EWMA over
-	// slow EWMA) to pressure: a ratio of GradientLimit is pressure 1.0
-	// (default 3). MinLatency gates the gradient — below this fast
-	// EWMA the signal is noise and is ignored (default 5ms).
-	GradientLimit float64
-	MinLatency    time.Duration
-
 	// RecomputeEvery bounds how often pressure is refreshed from the
 	// signals; the refresh happens inline on Admit, so idle systems do
 	// no background work (default 100ms).
@@ -103,11 +90,8 @@ type Decision struct {
 // steady pressure, no budget) is two atomic loads and an atomic
 // increment — no locks, no allocation.
 type Controller struct {
-	cfg        Config
-	thresholds [numClasses]float64
-	gradLimit  float64
-	minLatMs   float64
-	recompute  int64 // ns
+	cfg       Config
+	recompute int64 // ns
 
 	pressure atomic.Uint64 // float64 bits
 	lastTick atomic.Int64  // unix nanos of last recompute
@@ -149,23 +133,20 @@ const (
 	slowAlpha = 0.02
 )
 
+// The latency gradient's shape: a fast EWMA gradientLimit times the slow
+// one is pressure 1.0, and below minLatencyMs the fast EWMA is noise and
+// the gradient is ignored.
+const (
+	gradientLimit = 3.0
+	minLatencyMs  = 5.0
+)
+
+// thresholds are the shed thresholds per class: requests of a class are
+// refused while pressure ≥ its threshold.
+var thresholds = [numClasses]float64{Exempt: math.Inf(1), Ingest: 1.0, Interactive: 0.75, Bulk: 0.5}
+
 // NewController builds a Controller; see Config for defaults.
 func NewController(cfg Config) *Controller {
-	if cfg.IngestThreshold <= 0 {
-		cfg.IngestThreshold = 1.0
-	}
-	if cfg.InteractiveThreshold <= 0 {
-		cfg.InteractiveThreshold = 0.75
-	}
-	if cfg.BulkThreshold <= 0 {
-		cfg.BulkThreshold = 0.5
-	}
-	if cfg.GradientLimit <= 1 {
-		cfg.GradientLimit = 3
-	}
-	if cfg.MinLatency <= 0 {
-		cfg.MinLatency = 5 * time.Millisecond
-	}
 	if cfg.RecomputeEvery <= 0 {
 		cfg.RecomputeEvery = 100 * time.Millisecond
 	}
@@ -175,18 +156,11 @@ func NewController(cfg Config) *Controller {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	c := &Controller{
+	return &Controller{
 		cfg:       cfg,
-		gradLimit: cfg.GradientLimit,
-		minLatMs:  float64(cfg.MinLatency) / float64(time.Millisecond),
 		recompute: int64(cfg.RecomputeEvery),
 		buckets:   make(map[string]*identityBucket),
 	}
-	c.thresholds[Exempt] = math.Inf(1)
-	c.thresholds[Ingest] = cfg.IngestThreshold
-	c.thresholds[Interactive] = cfg.InteractiveThreshold
-	c.thresholds[Bulk] = cfg.BulkThreshold
-	return c
 }
 
 // Admit decides whether a request of the given class, from the given
@@ -203,7 +177,7 @@ func (c *Controller) Admit(class Class, identity string) Decision {
 	if len(c.cfg.Signals) > 0 {
 		c.maybeRecompute()
 		p := c.Pressure()
-		if th := c.thresholds[class]; p >= th {
+		if th := thresholds[class]; p >= th {
 			c.Shed[class].Inc()
 			return Decision{
 				Status:     503,
@@ -260,8 +234,8 @@ func (c *Controller) Recompute() {
 	}
 	fast := math.Float64frombits(c.fastEWMA.Load())
 	slow := math.Float64frombits(c.slowEWMA.Load())
-	if fast >= c.minLatMs && slow > 0 {
-		if g := fast / slow / c.gradLimit; g > p {
+	if fast >= minLatencyMs && slow > 0 {
+		if g := fast / slow / gradientLimit; g > p {
 			p = g
 		}
 	}

@@ -135,7 +135,7 @@ func TestLatencyGradientRaisesPressure(t *testing.T) {
 func TestGradientIgnoresSubMillisecondNoise(t *testing.T) {
 	clk := newClock()
 	c := NewController(Config{Signals: idleSignal, Clock: clk})
-	// A 10× gradient entirely below MinLatency is noise, not load.
+	// A 10× gradient entirely below minLatencyMs is noise, not load.
 	for i := 0; i < 200; i++ {
 		c.ObserveLatency(Ingest, 100*time.Microsecond)
 	}
@@ -144,7 +144,7 @@ func TestGradientIgnoresSubMillisecondNoise(t *testing.T) {
 	}
 	c.Recompute()
 	if p := c.Pressure(); p != 0 {
-		t.Fatalf("pressure = %v, want 0 below MinLatency", p)
+		t.Fatalf("pressure = %v, want 0 below minLatencyMs", p)
 	}
 }
 

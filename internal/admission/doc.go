@@ -19,9 +19,8 @@
 //     storage consumer group's lag over the configured lag budget).
 //     Pressure 1.0 means the queue is at its budget.
 //   - latency gradient: a fast EWMA of ingest latency over a slow one.
-//     A ratio at Config.GradientLimit (default 3×) maps to pressure
-//     1.0 — latency rising fast means saturation even before queues
-//     show it.
+//     A ratio of 3× maps to pressure 1.0 — latency rising fast means
+//     saturation even before queues show it.
 //
 // A controller with no Signals never sheds: without a queue to
 // corroborate it, a latency gradient is not overload (a budget-only

@@ -108,9 +108,6 @@ type Config struct {
 	Window int64
 	// MaxBody bounds request bodies in bytes (default 64 MiB).
 	MaxBody int64
-	// PageLimit is the default (and maximum) fleet page size
-	// (default 100).
-	PageLimit int
 
 	// Admission, when non-nil, is the gateway's one cheap-reject stage:
 	// requests are classified (ingest / interactive / bulk / exempt) at
@@ -162,9 +159,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBody <= 0 {
 		c.MaxBody = 64 << 20
-	}
-	if c.PageLimit <= 0 {
-		c.PageLimit = 100
 	}
 	if c.MaxStreams <= 0 {
 		c.MaxStreams = 64
@@ -519,8 +513,11 @@ func (g *Gateway) requireBackend(w http.ResponseWriter) *viz.Backend {
 	return g.cfg.Backend
 }
 
+// pageLimit is the default (and maximum) fleet page size.
+const pageLimit = 100
+
 // handleFleet is GET /api/v1/fleet: cursor-paginated unit summaries
-// with fleet-wide aggregates. ?limit bounds the page (≤ PageLimit),
+// with fleet-wide aggregates. ?limit bounds the page (≤ pageLimit),
 // ?cursor resumes a listing. The cursor carries the first page's
 // window, so a walk is a consistent snapshot even against a moving
 // default "now" — and every follow-up page re-reads the same window,
@@ -542,7 +539,7 @@ func (g *Gateway) handleFleet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, mapError(err))
 		return
 	}
-	limit := g.cfg.PageLimit
+	limit := pageLimit
 	if v := r.URL.Query().Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {

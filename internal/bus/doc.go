@@ -43,8 +43,8 @@
 //     detector pools, SSE tails) consumes, so a stage cannot tell an
 //     in-process Topic from a remote one.
 //   - service.go + replica.go export a Broker as a bus service:
-//     Publish/Fetch/Commit/Rebalance rpc handlers, partition-group
-//     leadership elected through internal/zk (zk.Election), and
+//     Publish/Fetch/Commit/Rebalance rpc handlers, one leader for
+//     every partition elected through internal/zk (zk.Election), and
 //     synchronous replication of every accepted publish to the
 //     registered follower replicas — all at once — before the ack,
 //     which is what lets a follower be promoted on leader death
@@ -58,7 +58,7 @@
 //     the same way, one sync call on the coordinator's Group.Sync per
 //     half call budget instead of a lag read per retry delay.
 //   - remote.go implements RemoteBus/RemoteTopic/RemoteGroup: clients
-//     resolve the current partition-group leader through the
+//     resolve the current leader through the
 //     coordination service, retry publishes across a leadership
 //     handover, and rejoin consumer groups after a failover
 //     (committed offsets are mirrored onto followers alongside the

@@ -57,22 +57,22 @@ func (c *RemoteBusConfig) defaults() {
 	}
 }
 
-// RemoteBus resolves bus leaders and hands out remote handles.
+// RemoteBus resolves the bus leader and hands out remote handles.
 type RemoteBus struct {
 	net *rpc.Network
 	zkc zk.Client
 	cfg RemoteBusConfig
 
-	mu      sync.Mutex
-	leaders map[int]string // partition group → leader addr
-	nextID  int32
+	mu         sync.Mutex
+	leaderAddr string // cached; "" until resolved
+	nextID     int32
 }
 
 // NewRemoteBus builds a handle factory over net, resolving leadership
 // through zkc.
 func NewRemoteBus(net *rpc.Network, zkc zk.Client, cfg RemoteBusConfig) *RemoteBus {
 	cfg.defaults()
-	return &RemoteBus{net: net, zkc: zkc, cfg: cfg, leaders: make(map[int]string)}
+	return &RemoteBus{net: net, zkc: zkc, cfg: cfg}
 }
 
 // Topic returns a remote handle for the named topic.
@@ -80,37 +80,37 @@ func (b *RemoteBus) Topic(name string) *RemoteTopic {
 	return &RemoteTopic{bus: b, name: name}
 }
 
-// leader resolves the addr of partition group g's leader (cached).
-func (b *RemoteBus) leader(g int) (string, error) {
+// leader resolves the leader's addr (cached).
+func (b *RemoteBus) leader() (string, error) {
 	b.mu.Lock()
-	if addr, ok := b.leaders[g]; ok {
-		b.mu.Unlock()
+	addr := b.leaderAddr
+	b.mu.Unlock()
+	if addr != "" {
 		return addr, nil
 	}
-	b.mu.Unlock()
-	root := fmt.Sprintf("%s/pg-%d", b.cfg.Root, g)
+	root := electionPath(b.cfg.Root)
 	kids, err := b.zkc.Children(root)
 	if err != nil {
 		return "", err
 	}
 	if len(kids) == 0 {
-		return "", fmt.Errorf("%w: no candidates for pg-%d", ErrNotLeader, g)
+		return "", fmt.Errorf("%w: no candidates", ErrNotLeader)
 	}
 	data, _, err := b.zkc.Get(root + "/" + kids[0])
 	if err != nil {
 		return "", err
 	}
-	addr := string(data)
+	addr = string(data)
 	b.mu.Lock()
-	b.leaders[g] = addr
+	b.leaderAddr = addr
 	b.mu.Unlock()
 	return addr, nil
 }
 
-// invalidate drops the cached leader for partition group g.
-func (b *RemoteBus) invalidate(g int) {
+// invalidate drops the cached leader.
+func (b *RemoteBus) invalidate() {
 	b.mu.Lock()
-	delete(b.leaders, g)
+	b.leaderAddr = ""
 	b.mu.Unlock()
 }
 
@@ -130,9 +130,9 @@ func retryable(err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// call issues one rpc to partition group g's leader.
-func (b *RemoteBus) call(ctx context.Context, g int, method string, op *busOp) (*busResult, error) {
-	addr, err := b.leader(g)
+// call issues one rpc to the leader.
+func (b *RemoteBus) call(ctx context.Context, method string, op *busOp) (*busResult, error) {
+	addr, err := b.leader()
 	if err != nil {
 		return nil, err
 	}
@@ -151,16 +151,16 @@ func (b *RemoteBus) call(ctx context.Context, g int, method string, op *busOp) (
 
 // callRetry keeps calling through failovers until success, a
 // non-retryable error, or ctx is done.
-func (b *RemoteBus) callRetry(ctx context.Context, g int, method string, op *busOp) (*busResult, error) {
+func (b *RemoteBus) callRetry(ctx context.Context, method string, op *busOp) (*busResult, error) {
 	for {
-		res, err := b.call(ctx, g, method, op)
+		res, err := b.call(ctx, method, op)
 		if err == nil {
 			return res, nil
 		}
 		if !retryable(err) {
 			return nil, err
 		}
-		b.invalidate(g)
+		b.invalidate()
 		select {
 		case <-time.After(b.cfg.RetryDelay):
 		case <-ctx.Done():
@@ -169,7 +169,7 @@ func (b *RemoteBus) callRetry(ctx context.Context, g int, method string, op *bus
 	}
 }
 
-// RemoteTopic is a TopicHandle backed by the elected partition leaders.
+// RemoteTopic is a TopicHandle backed by the elected leader.
 type RemoteTopic struct {
 	bus  *RemoteBus
 	name string
@@ -203,16 +203,12 @@ func (t *RemoteTopic) Publish(ctx context.Context, key uint64, value any) (Recor
 	if err != nil {
 		return Record{}, fmt.Errorf("bus: publish to %s: %w", t.name, err)
 	}
-	g := t.PartitionFor(key) % t.bus.cfg.partitionGroups()
-	res, err := t.bus.callRetry(ctx, g, "publish", &busOp{Topic: t.name, Key: key, Value: val})
+	res, err := t.bus.callRetry(ctx, "publish", &busOp{Topic: t.name, Key: key, Value: val})
 	if err != nil {
 		return Record{}, err
 	}
 	return res.Rec, nil
 }
-
-// partitionGroups mirrors the service clamp.
-func (c *RemoteBusConfig) partitionGroups() int { return 1 }
 
 // HasGroups implements TopicHandle, cached briefly so per-batch gating
 // does not hammer the coordinator.
@@ -224,9 +220,9 @@ func (t *RemoteTopic) HasGroups() bool {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), t.bus.cfg.CallTimeout)
 	defer cancel()
-	res, err := t.bus.call(ctx, 0, "hasgroups", &busOp{Topic: t.name})
+	res, err := t.bus.call(ctx, "hasgroups", &busOp{Topic: t.name})
 	if err != nil {
-		t.bus.invalidate(0)
+		t.bus.invalidate()
 		return t.hg // stale answer beats a wrong default mid-failover
 	}
 	t.hg, t.hgAt = res.OK, time.Now()
@@ -238,7 +234,7 @@ func (t *RemoteTopic) Group(name string) GroupHandle {
 	return &RemoteGroup{topic: t, name: name}
 }
 
-// RemoteGroup is a GroupHandle coordinated by the pg-0 leader.
+// RemoteGroup is a GroupHandle coordinated by the leader.
 type RemoteGroup struct {
 	topic *RemoteTopic
 	name  string
@@ -261,7 +257,7 @@ func (g *RemoteGroup) Join() ConsumerHandle {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	_, _ = g.topic.bus.callRetry(ctx, 0, "join", &busOp{Topic: g.topic.name, Group: g.name, Member: c.member})
+	_, _ = g.topic.bus.callRetry(ctx, "join", &busOp{Topic: g.topic.name, Group: g.name, Member: c.member})
 	return c
 }
 
@@ -269,16 +265,16 @@ func (g *RemoteGroup) Join() ConsumerHandle {
 func (g *RemoteGroup) SeekToEnd() {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	_, _ = g.topic.bus.callRetry(ctx, 0, "seektoend", &busOp{Topic: g.topic.name, Group: g.name})
+	_, _ = g.topic.bus.callRetry(ctx, "seektoend", &busOp{Topic: g.topic.name, Group: g.name})
 }
 
 // Lag implements GroupHandle.
 func (g *RemoteGroup) Lag() int64 {
 	ctx, cancel := context.WithTimeout(context.Background(), g.topic.bus.cfg.CallTimeout)
 	defer cancel()
-	res, err := g.topic.bus.call(ctx, 0, "lag", &busOp{Topic: g.topic.name, Group: g.name})
+	res, err := g.topic.bus.call(ctx, "lag", &busOp{Topic: g.topic.name, Group: g.name})
 	if err != nil {
-		g.topic.bus.invalidate(0)
+		g.topic.bus.invalidate()
 		return -1 // unknown
 	}
 	return res.Lag
@@ -291,7 +287,7 @@ func (g *RemoteGroup) Sync(ctx context.Context) error {
 	bus := g.topic.bus
 	op := &busOp{Topic: g.topic.name, Group: g.name, WaitMS: (bus.cfg.CallTimeout / 2).Milliseconds()}
 	for {
-		res, err := bus.callRetry(ctx, 0, "sync", op)
+		res, err := bus.callRetry(ctx, "sync", op)
 		if err != nil {
 			return err
 		}
@@ -305,7 +301,7 @@ func (g *RemoteGroup) Sync(ctx context.Context) error {
 func (g *RemoteGroup) Close() {
 	ctx, cancel := context.WithTimeout(context.Background(), g.topic.bus.cfg.CallTimeout)
 	defer cancel()
-	_, _ = g.topic.bus.call(ctx, 0, "groupclose", &busOp{Topic: g.topic.name, Group: g.name})
+	_, _ = g.topic.bus.call(ctx, "groupclose", &busOp{Topic: g.topic.name, Group: g.name})
 }
 
 // RemoteConsumer is a ConsumerHandle leased from the coordinator. Like
@@ -358,7 +354,7 @@ func (c *RemoteConsumer) Poll(ctx context.Context, buf []Record) ([]Record, erro
 		}
 		op := c.op()
 		op.WaitMS = bus.cfg.FetchWait.Milliseconds()
-		res, err := bus.call(ctx, 0, "fetch", op)
+		res, err := bus.call(ctx, "fetch", op)
 		switch {
 		case err == nil:
 			c.mu.Lock()
@@ -369,12 +365,12 @@ func (c *RemoteConsumer) Poll(ctx context.Context, buf []Record) ([]Record, erro
 			}
 			continue // long-poll expired server-side; re-fetch
 		case errors.Is(err, ErrUnknownMember):
-			_, jerr := bus.callRetry(ctx, 0, "join", c.op())
+			_, jerr := bus.callRetry(ctx, "join", c.op())
 			if jerr != nil && !retryable(jerr) {
 				return buf, jerr
 			}
 		case retryable(err):
-			bus.invalidate(0)
+			bus.invalidate()
 			select {
 			case <-time.After(bus.cfg.RetryDelay):
 			case <-ctx.Done():
@@ -414,13 +410,13 @@ func (c *RemoteConsumer) Commit(part int, upTo int64) error {
 	defer cancel()
 	op := c.op()
 	op.Part, op.UpTo = part, upTo
-	_, err := bus.call(ctx, 0, "commit", op)
+	_, err := bus.call(ctx, "commit", op)
 	if err != nil {
 		if errors.Is(err, ErrUnknownMember) {
 			return fmt.Errorf("%w: member %s not known to coordinator", ErrNotAssigned, c.member)
 		}
 		if retryable(err) {
-			bus.invalidate(0)
+			bus.invalidate()
 			return fmt.Errorf("%w: partition %d commit lost to failover", ErrNotAssigned, part)
 		}
 	}
@@ -455,5 +451,5 @@ func (c *RemoteConsumer) Leave() {
 	bus := c.group.topic.bus
 	ctx, cancel := context.WithTimeout(context.Background(), bus.cfg.CallTimeout)
 	defer cancel()
-	_, _ = bus.call(ctx, 0, "leave", c.op())
+	_, _ = bus.call(ctx, "leave", c.op())
 }

@@ -2,9 +2,9 @@ package bus
 
 // service.go turns the in-process Broker into a clustered bus: every
 // broker-capable node runs a Service over a full local Broker replica,
-// leadership per partition-group is decided by a zk election, and the
-// pipeline's producers and consumers reach the leader through the rpc
-// fabric (remote.go).
+// one zk election decides the leader of every partition (partition
+// group 0, the only one), and the pipeline's producers and consumers
+// reach the leader through the rpc fabric (remote.go).
 //
 // Values are opaque here. A producer (RemoteTopic.Publish) encodes the
 // record value once, into self-contained tagged bytes
@@ -17,8 +17,7 @@ package bus
 // a Service therefore holds []byte values only; a record appended to it
 // some other way cannot be fetched remotely (rpc.ErrWireType).
 //
-// Replication protocol. Publish is served by the partition-group
-// leader: it appends locally (normal backpressure applies), then
+// Replication protocol. Publish is served by the leader: it appends locally (normal backpressure applies), then
 // synchronously replicates the record to every *registered* replica —
 // all of them at once, one round trip — before acking with the record's
 // partition, offset and key (not its value: the producer has that). So
@@ -36,7 +35,7 @@ package bus
 // failed replicate still forces a fresh read.
 //
 // Group coordination. All consumer-group traffic (join/fetch/commit/…)
-// goes to the partition-group-0 leader — the group coordinator — which
+// goes to the leader — also the group coordinator — which
 // runs the ordinary Group/Consumer machinery over its local replica.
 // Waits are parked there, off the worker pool (rpc.Deferred): a fetch
 // until records arrive, a sync until the group has no lag.
@@ -181,41 +180,36 @@ type ServiceConfig struct {
 	Addr string
 	// Root is the zk namespace (default "/sentinel/bus").
 	Root string
-	// PartitionGroups is the number of leader-elected partition groups
-	// (currently clamped to 1: one leader owns all partitions; the
-	// structure generalizes when partition ranges split across groups).
-	PartitionGroups int
 	// MemberTTL evicts remote consumers silent this long (default 3s).
 	MemberTTL time.Duration
-	// ReplicaTimeout bounds each replication rpc (default 2s).
-	ReplicaTimeout time.Duration
 }
 
 func (c *ServiceConfig) defaults() {
 	if c.Root == "" {
 		c.Root = "/sentinel/bus"
 	}
-	// Clamped: the replication and coordination paths assume one
-	// group until partition ranges are split across leaders.
-	c.PartitionGroups = 1
 	if c.MemberTTL <= 0 {
 		c.MemberTTL = 3 * time.Second
 	}
-	if c.ReplicaTimeout <= 0 {
-		c.ReplicaTimeout = 2 * time.Second
-	}
 }
 
-// Service exposes a Broker replica over rpc, participating in the
-// per-partition-group elections and the replica registry.
+// replicaTimeout bounds each replication rpc.
+const replicaTimeout = 2 * time.Second
+
+// electionPath is the one leader election under a zk root: partition
+// group 0, which owns every partition.
+func electionPath(root string) string { return root + "/pg-0" }
+
+// Service exposes a Broker replica over rpc, standing in the leader
+// election and the replica registry.
 type Service struct {
 	broker *Broker
 	net    *rpc.Network
 	zkc    zk.Client
 	cfg    ServiceConfig
 
-	elections []*zk.Election
-	leading   []chan struct{} // closed when this node leads group i
+	election *zk.Election
+	leading  chan struct{} // closed once this node leads
 
 	mu       sync.Mutex
 	members  map[string]*remoteMember
@@ -248,8 +242,7 @@ type remoteMember struct {
 }
 
 // StartService registers the node in the replica registry, joins the
-// partition-group elections and begins serving the bus rpc methods on
-// cfg.Addr.
+// leader election and begins serving the bus rpc methods on cfg.Addr.
 func StartService(net *rpc.Network, zkc zk.Client, b *Broker, cfg ServiceConfig) (*Service, error) {
 	cfg.defaults()
 	s := &Service{
@@ -259,6 +252,7 @@ func StartService(net *rpc.Network, zkc zk.Client, b *Broker, cfg ServiceConfig)
 		cfg:      cfg,
 		members:  make(map[string]*remoteMember),
 		repLocks: make(map[string][]*sync.Mutex),
+		leading:  make(chan struct{}),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if err := zk.EnsurePath(zkc, cfg.Root+"/replicas"); err != nil {
@@ -267,28 +261,22 @@ func StartService(net *rpc.Network, zkc zk.Client, b *Broker, cfg ServiceConfig)
 	if err := zkc.Create(cfg.Root+"/replicas/"+cfg.Node, []byte(cfg.Addr), true); err != nil {
 		return nil, fmt.Errorf("bus: register replica %s: %w", cfg.Node, err)
 	}
-	for g := 0; g < cfg.PartitionGroups; g++ {
-		e, err := zk.JoinElection(zkc, fmt.Sprintf("%s/pg-%d", cfg.Root, g), cfg.Addr)
-		if err != nil {
-			return nil, fmt.Errorf("bus: join election pg-%d: %w", g, err)
-		}
-		s.elections = append(s.elections, e)
-		s.leading = append(s.leading, make(chan struct{}))
+	e, err := zk.JoinElection(zkc, electionPath(cfg.Root), cfg.Addr)
+	if err != nil {
+		return nil, fmt.Errorf("bus: join election: %w", err)
 	}
+	s.election = e
 	if _, err := net.Register(cfg.Addr, s.Handle, rpc.ServerConfig{Workers: 8, QueueCap: 1024}); err != nil {
 		return nil, fmt.Errorf("bus: register %s: %w", cfg.Addr, err)
 	}
-	for g := range s.elections {
-		s.wg.Add(1)
-		go s.campaign(g)
-	}
-	s.wg.Add(2)
+	s.wg.Add(3)
+	go s.campaign()
 	go s.reapMembers()
 	go s.watchRegistry()
 	return s, nil
 }
 
-// Close resigns the elections, deregisters the replica and stops
+// Close resigns the election, deregisters the replica and stops
 // serving. The underlying broker is left to its owner.
 func (s *Service) Close() {
 	s.mu.Lock()
@@ -300,56 +288,49 @@ func (s *Service) Close() {
 	s.mu.Unlock()
 	s.cancel()
 	s.net.Remove(s.cfg.Addr)
-	for _, e := range s.elections {
-		_ = e.Resign()
-	}
+	_ = s.election.Resign()
 	_ = s.zkc.Delete(s.cfg.Root + "/replicas/" + s.cfg.Node)
 	s.wg.Wait()
 }
 
-// campaign blocks until this node leads partition group g, then marks
-// it. Leadership is sticky: it is lost only with the zk session (i.e.
-// the process).
-func (s *Service) campaign(g int) {
+// campaign blocks until this node leads, then marks it. Leadership is
+// sticky: it is lost only with the zk session (i.e. the process).
+func (s *Service) campaign() {
 	defer s.wg.Done()
-	lead, err := s.elections[g].IsLeader()
+	lead, err := s.election.IsLeader()
 	if err == nil && lead {
-		close(s.leading[g])
+		close(s.leading)
 		return
 	}
-	if err := s.elections[g].AwaitLeadership(s.ctx); err != nil {
+	if err := s.election.AwaitLeadership(s.ctx); err != nil {
 		return
 	}
 	s.Promotions.Inc()
-	close(s.leading[g])
+	close(s.leading)
 }
 
-// IsLeader reports whether this node currently leads partition group g.
-func (s *Service) IsLeader(g int) bool {
-	if g < 0 || g >= len(s.leading) {
-		return false
-	}
+// leader reports whether this node currently leads.
+func (s *Service) leader() bool {
 	select {
-	case <-s.leading[g]:
+	case <-s.leading:
 		return true
 	default:
 		return false
 	}
 }
 
-// PartitionsLed returns how many partition groups this node leads.
-func (s *Service) PartitionsLed() int {
-	n := 0
-	for g := range s.leading {
-		if s.IsLeader(g) {
-			n++
-		}
-	}
-	return n
-}
+// IsLeader reports whether this node currently leads partition group g;
+// there is one, group 0.
+func (s *Service) IsLeader(g int) bool { return g == 0 && s.leader() }
 
-// groupFor maps a partition to its partition group.
-func (s *Service) groupFor(part int) int { return part % s.cfg.PartitionGroups }
+// PartitionsLed returns how many partition groups this node leads: 1
+// or 0.
+func (s *Service) PartitionsLed() int {
+	if s.leader() {
+		return 1
+	}
+	return 0
+}
 
 // reapMembers evicts remote consumers whose lease expired.
 func (s *Service) reapMembers() {
@@ -478,7 +459,7 @@ func (s *Service) replicate(ctx context.Context, topic string, rec Record) error
 		err        error
 	}
 	op := &busOp{Topic: topic, Part: rec.Partition, Recs: []Record{rec}}
-	cctx, cancel := context.WithTimeout(ctx, s.cfg.ReplicaTimeout)
+	cctx, cancel := context.WithTimeout(ctx, replicaTimeout)
 	attempts := make([]attempt, 0, len(set))
 	for node, addr := range set {
 		attempts = append(attempts, attempt{node: node, addr: addr, fut: s.net.Go(cctx, addr, "replicate", op)})
@@ -545,7 +526,7 @@ func (s *Service) settleReplica(ctx context.Context, addr, topic string, rec Rec
 		if len(batch) == 0 {
 			return fmt.Errorf("%w: backfill found nothing at %d", ErrReplicaGap, res.Offset)
 		}
-		cctx, cancel := context.WithTimeout(ctx, s.cfg.ReplicaTimeout)
+		cctx, cancel := context.WithTimeout(ctx, replicaTimeout)
 		v, err = s.net.Call(cctx, addr, "replicate", &busOp{Topic: topic, Part: rec.Partition, Recs: batch})
 		cancel()
 	}
@@ -561,7 +542,7 @@ func (s *Service) mirrorCommit(ctx context.Context, topic, group string, part in
 		return
 	}
 	op := &busOp{Topic: topic, Group: group, Part: part, UpTo: upTo}
-	cctx, cancel := context.WithTimeout(ctx, s.cfg.ReplicaTimeout)
+	cctx, cancel := context.WithTimeout(ctx, replicaTimeout)
 	defer cancel()
 	futs := make([]*rpc.Future, 0, len(set))
 	for _, addr := range set {
@@ -594,9 +575,8 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 	t := s.broker.Topic(op.Topic)
 	switch method {
 	case "publish":
-		part := t.PartitionFor(op.Key)
-		if !s.IsLeader(s.groupFor(part)) {
-			return nil, fmt.Errorf("%w: %s partition %d", ErrNotLeader, s.cfg.Node, part)
+		if !s.leader() {
+			return nil, fmt.Errorf("%w: %s partition %d", ErrNotLeader, s.cfg.Node, t.PartitionFor(op.Key))
 		}
 		rec, err := t.Publish(ctx, op.Key, op.Value)
 		if err != nil {
@@ -635,8 +615,8 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 		return &busResult{Offset: total}, nil
 	}
 
-	// Everything below is group coordination: pg-0-leader only.
-	if !s.IsLeader(0) {
+	// Everything below is group coordination: leader only.
+	if !s.leader() {
 		return nil, fmt.Errorf("%w: %s is not the coordinator", ErrNotLeader, s.cfg.Node)
 	}
 	switch method {
@@ -772,7 +752,7 @@ func (s *Service) sync(ctx context.Context, g *Group, wait time.Duration) (any, 
 // the registered followers, by asking each for its high-water sums.
 // Metrics-scrape granularity; 0 when this node leads nothing.
 func (s *Service) FollowerLag(topics []string) int64 {
-	if s.PartitionsLed() == 0 {
+	if !s.leader() {
 		return 0
 	}
 	set, err := s.replicaSet(false)

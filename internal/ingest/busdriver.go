@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/bus"
-	"repro/internal/faultinject"
 	"repro/internal/resilience"
 	"repro/internal/rpc"
 	"repro/internal/simdata"
@@ -154,10 +153,13 @@ func (d *BusDriver) RunContext(ctx context.Context, from int64, steps int) (Stat
 // is at-least-once — a record is committed only after the sink accepts
 // it, and point writes are idempotent — except that batches the sink
 // definitively rejects are counted in Failures and committed anyway so
-// one poison batch cannot wedge the partition. Transient submission
-// faults (injected faults, deadlines) instead park the worker: the
-// batch is retried with jittered backoff and never committed until it
-// lands, so an outage delays delivery rather than losing samples.
+// one poison batch cannot wedge the partition. Transient faults on
+// either edge (resilience.Transient: an injected fault or drop on the
+// fetch or the submission, an overloaded or down storage daemon, a
+// deadline) instead park the worker (resilience.Park): the poll or the
+// batch is retried with jittered backoff, and nothing is committed
+// until the batch lands, so an outage delays delivery rather than
+// losing samples or workers.
 type StorageWriters struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -166,50 +168,11 @@ type StorageWriters struct {
 	// batches it rejected.
 	Delivered telemetry.Counter
 	Failures  telemetry.Counter
-	// Parks counts park episodes (transient submission faults that
-	// triggered retry-in-place); Parked is how many workers are parked
-	// right now.
+	// Parks counts park episodes (transient poll or submission faults
+	// that triggered retry-in-place); Parked is how many workers are
+	// parked right now.
 	Parks  telemetry.Counter
 	Parked telemetry.Gauge
-}
-
-// transientSubmit classifies submission errors worth retrying in
-// place: the path to storage is momentarily faulted but expected back.
-// Poison batches (shape errors) and shutdown are not transient.
-func transientSubmit(err error) bool {
-	return errors.Is(err, faultinject.ErrInjected) ||
-		errors.Is(err, faultinject.ErrDropped) ||
-		errors.Is(err, context.DeadlineExceeded)
-}
-
-// submitParked submits with park-and-resume: transient faults retry
-// with jittered backoff until the sink accepts, the error proves
-// non-transient, or ctx ends.
-func (w *StorageWriters) submitParked(ctx context.Context, sink Sink, points []tsdb.Point) error {
-	boff := resilience.Backoff{Base: 5 * time.Millisecond, Factor: 2, Max: 500 * time.Millisecond, Jitter: true}
-	parked := false
-	defer func() {
-		if parked {
-			w.Parked.Dec()
-		}
-	}()
-	for attempt := 0; ; attempt++ {
-		err := submit(ctx, sink, points)
-		if err == nil {
-			return nil
-		}
-		if !transientSubmit(err) || ctx.Err() != nil {
-			return err
-		}
-		if !parked {
-			parked = true
-			w.Parks.Inc()
-			w.Parked.Inc()
-		}
-		if resilience.Sleep(ctx, boff.Delay(attempt)) != nil {
-			return ctx.Err()
-		}
-	}
 }
 
 // StartStorageWriters launches workers consumers in group g, each
@@ -229,9 +192,13 @@ func StartStorageWriters(ctx context.Context, g bus.GroupHandle, sink Sink, work
 			defer c.Leave()
 			buf := make([]bus.Record, 0, 16)
 			for {
-				recs, err := c.Poll(ctx, buf)
+				var recs []bus.Record
+				err := resilience.Park(ctx, &w.Parks, &w.Parked, func() (err error) {
+					recs, err = c.Poll(ctx, buf)
+					return err
+				})
 				if err != nil {
-					return
+					return // shutdown: ctx done, the bus closed
 				}
 				for _, rec := range recs {
 					batch, ok := rec.Value.(*UnitBatch)
@@ -239,7 +206,9 @@ func StartStorageWriters(ctx context.Context, g bus.GroupHandle, sink Sink, work
 						w.Failures.Inc()
 						continue
 					}
-					if err := w.submitParked(ctx, sink, batch.Points); err != nil {
+					if err := resilience.Park(ctx, &w.Parks, &w.Parked, func() error {
+						return submit(ctx, sink, batch.Points)
+					}); err != nil {
 						if errors.Is(err, ctx.Err()) {
 							return
 						}

@@ -1,9 +1,9 @@
 // Package resilience provides the shared failure-handling primitives
 // used across the sentinel stack: capped exponential backoff with full
-// jitter, a context-aware sleep, and per-target circuit breakers with
-// half-open probing.
+// jitter, a context-aware sleep, one park-and-resume loop, and
+// per-target circuit breakers with half-open probing.
 //
-// The pieces compose but do not depend on each other:
+// The pieces compose:
 //
 //   - Backoff computes per-attempt delays. With Jitter set the delay is
 //     drawn uniformly from [d/2, d] so synchronized clients desynchronize
@@ -11,6 +11,10 @@
 //   - Sleep waits out a delay or the caller's context, whichever ends
 //     first. Every retry loop in the tree is Backoff.Delay + Sleep
 //     around its own attempt.
+//   - Transient is the one classifier of faults worth waiting out in
+//     place, and Park the one park-and-resume loop built on it: the
+//     storage writers' and detector workers' polls, the writers'
+//     submissions and the detectors' flag writes all park through it.
 //   - Breaker is a closed → open → half-open circuit breaker. After
 //     Cooldown an open breaker admits a bounded number of probe
 //     requests; probe successes close it, a probe failure re-opens it.

@@ -2,9 +2,14 @@ package resilience
 
 import (
 	"context"
+	"errors"
 	"math/rand/v2"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/faultinject"
+	"repro/internal/rpc"
+	"repro/internal/telemetry"
 )
 
 // Defaults applied by Backoff.Delay when fields are zero.
@@ -76,6 +81,47 @@ func NewRand(seed uint64) func() uint64 {
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		return z ^ (z >> 31)
+	}
+}
+
+// Transient reports whether err is worth waiting out in place: the
+// storage tier or the bus is momentarily down, overloaded or faulted
+// (an injected error or drop, a deadline) but expected back. Shape
+// errors and shutdown are not transient — retrying a malformed batch
+// forever would wedge its partition.
+func Transient(err error) bool {
+	return errors.Is(err, rpc.ErrServerDown) ||
+		errors.Is(err, rpc.ErrQueueOverflow) ||
+		errors.Is(err, faultinject.ErrInjected) ||
+		errors.Is(err, faultinject.ErrDropped) ||
+		errors.Is(err, context.DeadlineExceeded)
+}
+
+// Park runs op until it succeeds, fails with an error that is not
+// Transient, or ctx ends, waiting out transient failures with jittered
+// backoff (5 ms doubling to 500 ms). The first transient failure counts
+// a park episode on parks, and parked holds one more while the caller
+// waits. This is the park-and-resume every consumer loop uses: the
+// records it polled stay uncommitted while it is parked, so a crash
+// redelivers them.
+func Park(ctx context.Context, parks *telemetry.Counter, parked *telemetry.Gauge, op func() error) error {
+	boff := Backoff{Base: 5 * time.Millisecond, Factor: 2, Max: 500 * time.Millisecond, Jitter: true}
+	for attempt := 0; ; attempt++ {
+		err := op()
+		if err == nil || !Transient(err) || ctx.Err() != nil {
+			if attempt > 0 {
+				parked.Dec()
+			}
+			return err
+		}
+		if attempt == 0 {
+			parks.Inc()
+			parked.Inc()
+		}
+		if Sleep(ctx, boff.Delay(attempt)) != nil {
+			parked.Dec()
+			return ctx.Err()
+		}
 	}
 }
 

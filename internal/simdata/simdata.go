@@ -140,21 +140,21 @@ type Config struct {
 	// ShiftSigma is the sharp-shift magnitude in baseline standard
 	// deviations at loading 1. Defaults to 4.
 	ShiftSigma float64
-	// StuckSigma is the offset, in baseline standard deviations at
-	// loading 1, a FaultStuck sensor freezes at. Defaults to 3.
-	StuckSigma float64
-	// SpikeSigma is the FaultSpike transient magnitude in baseline
-	// standard deviations at loading 1. Defaults to 8.
-	SpikeSigma float64
-	// SpikePeriod is the number of steps between FaultSpike transients.
-	// Defaults to 30.
-	SpikePeriod int64
 	// Classes restricts which fault classes faulty units draw from.
 	// Nil keeps the paper's legacy behavior (an even drift/shift
 	// split); a single-class slice makes every faulty unit that class,
 	// which is how the backtest harness builds per-scenario fleets.
 	Classes []FaultClass
 }
+
+// The stuck and spike fault shapes, in baseline standard deviations at
+// loading 1: a FaultStuck sensor freezes stuckSigma off its mean; a
+// FaultSpike sensor jumps spikeSigma every spikePeriod steps.
+const (
+	stuckSigma  = 3
+	spikeSigma  = 8
+	spikePeriod = 30
+)
 
 // PaperConfig returns the evaluation configuration from §II-A: 100
 // units × 1000 sensors.
@@ -193,15 +193,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShiftSigma == 0 {
 		c.ShiftSigma = 4
-	}
-	if c.StuckSigma == 0 {
-		c.StuckSigma = 3
-	}
-	if c.SpikeSigma == 0 {
-		c.SpikeSigma = 8
-	}
-	if c.SpikePeriod <= 0 {
-		c.SpikePeriod = 30
 	}
 	return c
 }
@@ -350,10 +341,10 @@ func (f *Fleet) Value(unit, sensor int, t int64) float64 {
 	case FaultStuck:
 		// A stuck transducer reports a constant: the noise disappears
 		// and the reading freezes offset from the healthy mean.
-		v = mean + load*f.cfg.StuckSigma*sigma
+		v = mean + load*stuckSigma*sigma
 	case FaultSpike:
-		if (t-fault.Onset)%f.cfg.SpikePeriod == 0 {
-			v += load * f.cfg.SpikeSigma * sigma
+		if (t-fault.Onset)%spikePeriod == 0 {
+			v += load * spikeSigma * sigma
 		}
 	}
 	return v
@@ -369,7 +360,7 @@ func (f *Fleet) Faulty(unit, sensor int, t int64) bool {
 		return false
 	}
 	if fault.Class == FaultSpike {
-		return (t-fault.Onset)%f.cfg.SpikePeriod == 0
+		return (t-fault.Onset)%spikePeriod == 0
 	}
 	return true
 }

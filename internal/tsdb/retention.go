@@ -17,10 +17,9 @@ type CompactorConfig struct {
 	// tier (default one row span, i.e. a row seals as soon as its hour
 	// has fully closed).
 	SealAfter int64
-	// Retention is the default per-metric policy; PerMetric overrides
-	// it for named metrics. Zero policies keep everything.
+	// Retention is every metric's policy. A zero policy keeps
+	// everything.
 	Retention RetentionPolicy
-	PerMetric map[string]RetentionPolicy
 }
 
 func (c CompactorConfig) withDefaults() CompactorConfig {
@@ -132,7 +131,7 @@ func (c *Compactor) RunOnce(ctx context.Context) error {
 	if _, err := c.bs.SpillPass(); err != nil {
 		return err
 	}
-	c.bs.EnforceRetention(c.cfg.Retention, c.cfg.PerMetric)
+	c.bs.EnforceRetention(c.cfg.Retention, nil)
 	return nil
 }
 

@@ -330,18 +330,12 @@ type GatewayConfig struct {
 	Now func() int64
 	// MaxPoints bounds rendered series via LTTB (default 512).
 	MaxPoints int
-	// CacheEntries sizes the query tier's window cache (default 256).
-	CacheEntries int
 	// AccessLog overrides the gateway's access logger.
 	AccessLog *log.Logger
 	// HedgeDelay, when > 0, hedges straggler shard reads: a duplicate
 	// sub-query goes to the next TSD once the primary has been silent
 	// this long, first success wins.
 	HedgeDelay time.Duration
-	// NoServeStale disables degraded-mode reads. By default the query
-	// tier answers from stale cache (marked via X-Sentinel-Degraded
-	// and the DTO degraded field) when the storage tier cannot.
-	NoServeStale bool
 	// APIKeys lists client keys (X-API-Key) that are their own
 	// admission identity; every other request is its remote IP.
 	APIKeys []string
@@ -359,17 +353,22 @@ func (n *Node) QueryEngine(cfg query.Config) *query.Engine {
 	return query.NewFromDeployment(n.TSDB, cfg)
 }
 
+// gatewayCacheEntries sizes the query tier's window cache.
+const gatewayCacheEntries = 256
+
 // queryTier is the gateway's read path: a fanout over one engine per
 // store. Alone, that is the local deployment behind the
 // watermark-invalidated window cache; with peers, every store found at
 // boot, uncached — remote engines see no write watermarks, so a cached
-// window would never invalidate.
+// window would never invalidate. Degraded-mode reads are on: when the
+// storage tier cannot answer, the query tier serves its stale cache
+// (marked via X-Sentinel-Degraded and the DTO degraded field).
 func (n *Node) queryTier(gc GatewayConfig, reg *telemetry.Registry) *query.Fanout {
 	qc := query.Config{
-		MaxEntries: gc.CacheEntries,
+		MaxEntries: gatewayCacheEntries,
 		Breakers:   n.Breakers,
 		HedgeDelay: gc.HedgeDelay,
-		ServeStale: !gc.NoServeStale,
+		ServeStale: true,
 	}
 	var engines []*query.Engine
 	if !n.cfg.clustered() {
@@ -427,9 +426,6 @@ func (n *Node) Gateway(now int64, gc GatewayConfig) (http.Handler, *api.AnomalyT
 	}
 	if gc.MaxPoints <= 0 {
 		gc.MaxPoints = 512
-	}
-	if gc.CacheEntries == 0 {
-		gc.CacheEntries = 256
 	}
 	reg := telemetry.NewRegistry()
 	n.RegisterMetrics(reg)
@@ -533,7 +529,7 @@ func (n *Node) ReadyChecks() []api.ReadyCheck {
 			if parked := n.detectorStat(func(p *DetectorPool) int64 { return p.Parked.Value() })(); parked > 0 {
 				// Parked workers are riding out a storage fault with
 				// their records uncommitted — lagging, not lost.
-				return api.Degraded(fmt.Errorf("%d detector workers parked on storage faults", parked))
+				return api.Degraded(fmt.Errorf("%d detector workers parked on transient faults", parked))
 			}
 			return nil
 		}})

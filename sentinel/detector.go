@@ -2,19 +2,15 @@ package sentinel
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/bus"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/ingest"
 	"repro/internal/mllib"
 	"repro/internal/resilience"
-	"repro/internal/rpc"
 	"repro/internal/telemetry"
 )
 
@@ -79,25 +75,14 @@ type DetectorPool struct {
 	// never fails the batch — the flag is already durable in storage.
 	FlagsPublished    telemetry.Counter
 	FlagPublishErrors telemetry.Counter
-	// Parks counts park episodes (a worker pausing on a transient
-	// storage fault instead of dropping the flag); Parked is how many
-	// workers are parked right now. A parked worker retries its write
-	// with jittered backoff and resumes where it left off — the record
-	// is never committed while parked, so a crash redelivers it.
+	// Parks counts park episodes (a worker pausing on a transient fault
+	// — a fetch, or a flag write — instead of dying or dropping the
+	// flag); Parked is how many workers are parked right now. A parked
+	// worker retries with jittered backoff and resumes where it left off
+	// — the record is never committed while parked, so a crash
+	// redelivers it.
 	Parks  telemetry.Counter
 	Parked telemetry.Gauge
-}
-
-// transientStorage classifies errors worth parking on: the storage
-// tier is momentarily unhealthy (daemon down or overloaded, injected
-// fault, deadline) but expected back. Model/shape errors are not
-// transient — retrying a malformed batch forever would wedge the
-// partition.
-func transientStorage(err error) bool {
-	return errors.Is(err, rpc.ErrServerDown) ||
-		errors.Is(err, rpc.ErrQueueOverflow) ||
-		errors.Is(err, faultinject.ErrInjected) ||
-		errors.Is(err, context.DeadlineExceeded)
 }
 
 // DetectorEnv is everything a DetectorPool needs to run, behind seams,
@@ -393,24 +378,17 @@ func (p *DetectorPool) worker(ctx context.Context, c bus.ConsumerHandle) {
 	defer c.Leave()
 	var sc detectorScratch
 	buf := make([]bus.Record, 0, 16)
-	boff := resilience.Backoff{Base: 5 * time.Millisecond, Factor: 2, Max: 500 * time.Millisecond, Jitter: true}
-	pollFails := 0
 	for {
-		recs, err := c.Poll(ctx, buf)
-		if err != nil {
-			// A transient fetch fault (injected, deadline) parks the
-			// worker briefly instead of killing it; only shutdown
-			// signals (ctx done, bus closed) end the loop.
-			if transientStorage(err) && ctx.Err() == nil {
-				if resilience.Sleep(ctx, boff.Delay(pollFails)) != nil {
-					return
-				}
-				pollFails++
-				continue
-			}
+		// A transient fetch fault (injected error or drop, deadline)
+		// parks the worker instead of killing it; only shutdown (ctx
+		// done, bus closed) ends the loop.
+		var recs []bus.Record
+		if err := resilience.Park(ctx, &p.Parks, &p.Parked, func() (err error) {
+			recs, err = c.Poll(ctx, buf)
+			return err
+		}); err != nil {
 			return
 		}
-		pollFails = 0
 		for i := range recs {
 			if err := p.process(ctx, &recs[i], &sc); err != nil {
 				p.Errors.Inc()
@@ -421,38 +399,14 @@ func (p *DetectorPool) worker(ctx context.Context, c bus.ConsumerHandle) {
 	}
 }
 
-// writeFlag writes one anomaly, parking on transient storage faults:
-// jittered-backoff retries until the write lands, the fault turns out
-// to be permanent, or the worker is stopped. The enclosing record is
-// not committed while parked, so detection resumes exactly where the
+// writeFlag writes one anomaly, parking on transient storage faults
+// (resilience.Park) until the write lands, the fault turns out to be
+// permanent, or the worker is stopped. The enclosing record is not
+// committed while parked, so detection resumes exactly where the
 // outage interrupted it (point writes are idempotent, so a replay of
 // already-landed flags is harmless).
 func (p *DetectorPool) writeFlag(ctx context.Context, a core.Anomaly) error {
-	sink := p.env.Sink
-	boff := resilience.Backoff{Base: 5 * time.Millisecond, Factor: 2, Max: 500 * time.Millisecond, Jitter: true}
-	parked := false
-	defer func() {
-		if parked {
-			p.Parked.Dec()
-		}
-	}()
-	for attempt := 0; ; attempt++ {
-		err := sink.WriteAnomaly(a)
-		if err == nil {
-			return nil
-		}
-		if !transientStorage(err) || ctx.Err() != nil {
-			return err
-		}
-		if !parked {
-			parked = true
-			p.Parks.Inc()
-			p.Parked.Inc()
-		}
-		if resilience.Sleep(ctx, boff.Delay(attempt)) != nil {
-			return ctx.Err()
-		}
-	}
+	return resilience.Park(ctx, &p.Parks, &p.Parked, func() error { return p.env.Sink.WriteAnomaly(a) })
 }
 
 // process assembles one bus record into observation rows and scores

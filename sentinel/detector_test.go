@@ -117,6 +117,8 @@ func firstDiff(got, want []string) string {
 type scorerRig struct {
 	fleet *simdata.Fleet
 	cat   *core.ModelCatalog
+	// faults, when set, is installed on the private bus.
+	faults *faultinject.Injector
 }
 
 const (
@@ -162,6 +164,7 @@ func (r *scorerRig) start(t *testing.T, sink core.AnomalySink) *DetectorPool {
 	t.Helper()
 	b := bus.New(bus.Config{Partitions: 4, PartitionBuffer: -1})
 	t.Cleanup(b.Close)
+	b.SetFaults(r.faults)
 	topic := bus.LocalTopic{Topic: b.Topic(TopicEnergy)}
 	group := topic.Group(GroupDetectors)
 	if _, err := ingest.NewBusDriver(r.fleet, topic, ingest.DriverConfig{}).Run(rigFrom, rigSteps); err != nil {
@@ -300,6 +303,30 @@ func TestScorerSinkErrors(t *testing.T) {
 	if pool.Errors.Value() != 0 || landed.Load() == 0 || pool.AnomaliesWritten.Value() != landed.Load() || pool.Parked.Value() != 0 {
 		t.Fatalf("errors %d, landed %d, written %d, parked %d; want every flag landed after the park",
 			pool.Errors.Value(), landed.Load(), pool.AnomaliesWritten.Value(), pool.Parked.Value())
+	}
+}
+
+// TestScorerRidesOutDroppedFetches: a worker whose poll fails on a
+// dropped bus/fetch parks and resumes instead of ending, so once the
+// fault clears the pool scores every published sample.
+func TestScorerRidesOutDroppedFetches(t *testing.T) {
+	r := newScorerRig(t)
+	r.faults = faultinject.New(1)
+	r.faults.Set("fetch", faultinject.Rule{Op: "bus/fetch/" + TopicEnergy, DropRate: 1})
+	pool := r.start(t, core.AnomalySinkFunc(func(core.Anomaly) error { return nil }))
+	time.Sleep(50 * time.Millisecond)
+	r.faults.Clear("fetch")
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := pool.Sync(ctx); err != nil {
+		t.Fatalf("records left uncommitted after the fault cleared: %v", err)
+	}
+	if got := pool.SamplesEvaluated.Value(); got != rigUnits*rigSteps*rigSensors || pool.Errors.Value() != 0 {
+		t.Fatalf("evaluated %d samples with %d errors, want %d and none", got, pool.Errors.Value(), rigUnits*rigSteps*rigSensors)
+	}
+	if pool.Parks.Value() == 0 || pool.Parked.Value() != 0 {
+		t.Fatalf("parks %d, parked %d; want the workers parked on the fault and resumed", pool.Parks.Value(), pool.Parked.Value())
 	}
 }
 

@@ -5,8 +5,8 @@
 // membership map, and teardown.
 //
 //   - broker  — a bus replica: partition-log storage, candidate in the
-//     partition-group elections, coordinator for remote consumers
-//     while it leads.
+//     bus leader election, coordinator for remote consumers while it
+//     leads.
 //   - store   — an HBase cluster + TSD tier + ingestion proxy + sealed
 //     block tier, plus a bus replica (so publishes stay acked-durable
 //     when the broker dies and a store follower is promoted). Its
