@@ -234,17 +234,21 @@ conformance:
 # error, never a panic or a neighbour's bytes, and what decodes encodes
 # back to itself. FuzzBlockIter holds the sealed tier's block decoder to
 # the same — a corrupt block errors, never yields more samples than its
-# header counts — and any encoded block to exactly its samples. Seeded
-# from the packages' testdata/fuzz; a finding lands there as a new
-# regression seed. Gating in CI. FuzzBlockIter bounds minimization: left
-# at the default 60 s, shrinking its first new-coverage input takes the
-# rest of the 15 s (≈ 45k execs instead of ≈ 250k).
+# header counts — and any encoded block to exactly its samples.
+# FuzzParseLine holds the telnet line codec to "error, never panic", and
+# any line it accepts to format back to the identical point (value bits,
+# tags, the one interned tag map). Seeded from the packages'
+# testdata/fuzz; a finding lands there as a new regression seed.
+# Gating in CI. FuzzBlockIter bounds minimization: left at the default
+# 60 s, shrinking its first new-coverage input takes the rest of the
+# 15 s (≈ 45k execs instead of ≈ 250k).
 fuzz-smoke:
 	$(GO) test ./internal/api -run '^$$' -fuzz FuzzPutDecode -fuzztime 15s
 	$(GO) test ./internal/rpc -run '^$$' -fuzz FuzzWireFrame -fuzztime 15s
 	$(GO) test ./internal/hbase -run '^$$' -fuzz FuzzStoreFile -fuzztime 15s
 	$(GO) test ./internal/hbase -run '^$$' -fuzz FuzzWALRecord -fuzztime 15s
 	$(GO) test ./internal/tsdb -run '^$$' -fuzz FuzzBlockIter -fuzztime 15s -fuzzminimizetime 100x
+	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzParseLine -fuzztime 15s
 
 # serve runs the whole pipeline as one daemon: every role on one node
 # without peers (the same assembly the cluster splits by role), the

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataflow"
 	"repro/internal/fdr"
 	"repro/internal/hbase"
 	"repro/internal/simdata"
@@ -71,11 +70,8 @@ func BenchmarkFDRCorrections(b *testing.B) {
 // in sensor samples/second ("939,000 sensor samples per second" in the
 // paper; one matrix multiplication per iteration).
 func BenchmarkOnlineEvalThroughput(b *testing.B) {
-	eng := dataflow.NewEngine(0)
-	defer eng.Close()
 	fleet := simdata.NewFleet(simdata.Config{Units: 1, SensorsPerUnit: 1000, Seed: 9, FaultFraction: 0})
-	trainer := core.NewTrainer(eng, core.TrainerConfig{})
-	model, err := trainer.TrainUnit(0, fleet.UnitWindow(0, 0, 512))
+	model, err := core.TrainUnit(0, fleet.UnitWindow(0, 0, 512))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -102,16 +98,13 @@ func BenchmarkOnlineEvalThroughput(b *testing.B) {
 }
 
 // BenchmarkTrainingConcurrency is E7 — §IV-A: offline training of the
-// fleet one unit at a time (the paper's current system) versus
-// concurrently on the dataflow engine (the paper's ongoing work).
+// fleet one unit at a time (the paper's current system) versus up to
+// GOMAXPROCS units at once (the paper's ongoing work).
 func BenchmarkTrainingConcurrency(b *testing.B) {
-	eng := dataflow.NewEngine(0)
-	defer eng.Close()
 	fleet := simdata.NewFleet(simdata.Config{Units: 16, SensorsPerUnit: 120, Seed: 10, FaultOnset: 1 << 40})
 	src := core.WindowFunc(func(unit int) ([][]float64, error) {
 		return fleet.UnitWindow(unit, 0, 200), nil
 	})
-	trainer := core.NewTrainer(eng, core.TrainerConfig{})
 	ids := make([]int, fleet.Units())
 	for i := range ids {
 		ids[i] = i
@@ -123,7 +116,7 @@ func BenchmarkTrainingConcurrency(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := trainer.TrainFleet(ids, src, nil, concurrent); err != nil {
+				if _, err := core.TrainFleet(ids, src, nil, concurrent); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -32,10 +32,9 @@ func main() {
 	seed := flag.Uint64("seed", 42, "master seed for fleets and detector construction")
 	detectors := flag.String("detectors", "", "comma-separated families to score (default: all registered)")
 	gate := flag.String("gate", "", "minimum recall floor as scenario:recall, e.g. spike:0.30")
-	workers := flag.Int("workers", 4, "dataflow workers for model training")
 	flag.Parse()
 
-	cfg := backtest.Config{Seed: *seed, Workers: *workers}
+	cfg := backtest.Config{Seed: *seed}
 	if *detectors != "" {
 		for _, d := range strings.Split(*detectors, ",") {
 			if d = strings.TrimSpace(d); d != "" {

@@ -2,7 +2,7 @@
 //
 //	fdrbench -sweep       # false-alarm control across corrections & sensor counts
 //	fdrbench -throughput  # online evaluation rate (paper: 939k samples/s)
-//	fdrbench -train       # offline training: serial vs concurrent (ongoing-work E7)
+//	fdrbench -train       # offline training: one unit at a time vs GOMAXPROCS at once (ongoing-work E7)
 package main
 
 import (
@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataflow"
 	"repro/internal/fdr"
 	"repro/internal/simdata"
 	"repro/internal/stats"
@@ -92,11 +91,8 @@ func runSweep(trials int) {
 // §IV-A "939,000 sensor samples per second" figure. Evaluation is one
 // B×d · d×K matrix multiplication per batch plus element-wise work.
 func runThroughput(sensors int, seconds float64) {
-	eng := dataflow.NewEngine(0)
-	defer eng.Close()
 	fleet := simdata.NewFleet(simdata.Config{Units: 1, SensorsPerUnit: sensors, Seed: 9, FaultFraction: 0})
-	trainer := core.NewTrainer(eng, core.TrainerConfig{})
-	model, err := trainer.TrainUnit(0, fleet.UnitWindow(0, 0, 512))
+	model, err := core.TrainUnit(0, fleet.UnitWindow(0, 0, 512))
 	if err != nil {
 		log.Fatalf("fdrbench: %v", err)
 	}
@@ -124,16 +120,12 @@ func runThroughput(sensors int, seconds float64) {
 }
 
 // runTraining contrasts the paper's one-unit-at-a-time batch training
-// with the stated ongoing work: using the engine's concurrency to
-// train units in parallel.
+// with the stated ongoing work: training up to GOMAXPROCS units at once.
 func runTraining(units, sensors int) {
-	eng := dataflow.NewEngine(0)
-	defer eng.Close()
 	fleet := simdata.NewFleet(simdata.Config{Units: units, SensorsPerUnit: sensors, Seed: 10, FaultOnset: 1 << 40})
 	src := core.WindowFunc(func(unit int) ([][]float64, error) {
 		return fleet.UnitWindow(unit, 0, 256), nil
 	})
-	trainer := core.NewTrainer(eng, core.TrainerConfig{})
 	ids := make([]int, units)
 	for i := range ids {
 		ids[i] = i
@@ -141,7 +133,7 @@ func runTraining(units, sensors int) {
 	fmt.Printf("§IV-A offline training: %d units × %d sensors, covariance+SVD per unit\n", units, sensors)
 	for _, concurrent := range []bool{false, true} {
 		start := time.Now()
-		if _, err := trainer.TrainFleet(ids, src, nil, concurrent); err != nil {
+		if _, err := core.TrainFleet(ids, src, nil, concurrent); err != nil {
 			log.Fatalf("fdrbench: %v", err)
 		}
 		mode := "serial (paper's current system)"

@@ -3,8 +3,8 @@
 // al., 2017) as a self-contained Go system.
 //
 // The public API lives in repro/sentinel; the substrates (simulated
-// HBase/OpenTSDB/ZooKeeper/HDFS cluster, dataflow engine, FDR
-// detector, visualization web app) live under repro/internal. This
+// HBase/OpenTSDB/ZooKeeper/HDFS cluster, commit log, FDR detector,
+// visualization web app) live under repro/internal. This
 // root package carries the paper's Figure 2 and §III-B experiments
 // (experiments.go: one storage rig — region servers, TSDs, the
 // buffering proxy, the simulated fleet — and one function per

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataflow"
 	"repro/internal/fdr"
 	"repro/internal/hbase"
 	"repro/internal/ingest"
@@ -51,14 +50,11 @@ func TestCSVDatasetEndToEnd(t *testing.T) {
 		t.Fatalf("dataset shape %d sensors / %d units", ds.Sensors(), len(ds.Units()))
 	}
 
-	eng := dataflow.NewEngine(4)
-	defer eng.Close()
-	trainer := core.NewTrainer(eng, core.TrainerConfig{})
 	cat := &core.ModelCatalog{Store: core.NewMemStore()}
 	src := core.WindowFunc(func(unit int) ([][]float64, error) {
 		return ds.Window(unit, 0, 120) // healthy prefix
 	})
-	if _, err := trainer.TrainFleet(ds.Units(), src, cat, true); err != nil {
+	if _, err := core.TrainFleet(ds.Units(), src, cat, true); err != nil {
 		t.Fatal(err)
 	}
 

@@ -21,7 +21,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/dataflow"
 	"repro/internal/mllib"
 	"repro/internal/simdata"
 )
@@ -106,13 +105,6 @@ type Config struct {
 	// Seed feeds detector construction (tree building); the fleet seed
 	// lives in each scenario's Cfg.
 	Seed uint64
-	// Workers sizes the dataflow engine used for training. Defaults
-	// to 4.
-	Workers int
-	// EnsembleMembers / EnsembleMinVotes configure the "ensemble"
-	// family when it is scored; defaults are the registry's.
-	EnsembleMembers  []string
-	EnsembleMinVotes int
 }
 
 // Run scores the configured detectors on every scenario.
@@ -121,18 +113,11 @@ func Run(cfg Config, scenarios []Scenario) ([]Result, error) {
 	if len(dets) == 0 {
 		dets = mllib.Registered()
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 4
-	}
-	eng := dataflow.NewEngine(workers)
-	defer eng.Close()
-	trainer := core.NewTrainer(eng, core.TrainerConfig{})
 
 	var results []Result
 	for _, sc := range scenarios {
 		fleet := simdata.NewFleet(sc.Cfg)
-		models, err := trainModels(trainer, fleet, sc)
+		models, err := trainModels(fleet, sc)
 		if err != nil {
 			return nil, fmt.Errorf("backtest: scenario %s: %w", sc.Name, err)
 		}
@@ -154,11 +139,11 @@ func Run(cfg Config, scenarios []Scenario) ([]Result, error) {
 }
 
 // trainModels fits one MGD model per unit from the healthy prefix.
-func trainModels(tr *core.Trainer, fleet *simdata.Fleet, sc Scenario) ([]*core.Model, error) {
+func trainModels(fleet *simdata.Fleet, sc Scenario) ([]*core.Model, error) {
 	models := make([]*core.Model, fleet.Units())
 	for u := 0; u < fleet.Units(); u++ {
 		window := fleet.UnitWindow(u, 0, sc.TrainSteps)
-		m, err := tr.TrainUnit(u, window)
+		m, err := core.TrainUnit(u, window)
 		if err != nil {
 			return nil, fmt.Errorf("train unit %d: %w", u, err)
 		}
@@ -173,16 +158,12 @@ func buildUnitDetector(name string, cfg Config, fleet *simdata.Fleet, unit int, 
 		Unit:    unit,
 		Sensors: fleet.Sensors(),
 		Seed:    cfg.Seed ^ uint64(unit)<<1,
-		Members: cfg.EnsembleMembers,
 		LoadModel: func() (any, error) {
 			if model == nil {
 				return nil, fmt.Errorf("no trained model for unit %d", unit)
 			}
 			return model, nil
 		},
-	}
-	if cfg.EnsembleMinVotes > 0 {
-		ctx.Params = map[string]float64{"minvotes": float64(cfg.EnsembleMinVotes)}
 	}
 	return mllib.New(name, ctx)
 }

@@ -5,19 +5,15 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/dataflow"
 	"repro/internal/fdr"
 )
 
 func BenchmarkEvaluateBatch(b *testing.B) {
-	eng := dataflow.NewEngine(0)
-	defer eng.Close()
 	rng := rand.New(rand.NewSource(1))
 	for _, sensors := range []int{100, 1000} {
 		mean := constVec(sensors, 10)
 		sigma := constVec(sensors, 2)
-		tr := NewTrainer(eng, TrainerConfig{})
-		m, err := tr.TrainUnit(0, gaussianWindow(rng, 512, sensors, mean, sigma))
+		m, err := TrainUnit(0, gaussianWindow(rng, 512, sensors, mean, sigma))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -44,14 +40,11 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 // BenchmarkEvaluateBatchInto is the zero-allocation arena path: the
 // same workload as BenchmarkEvaluateBatch without the detach copies.
 func BenchmarkEvaluateBatchInto(b *testing.B) {
-	eng := dataflow.NewEngine(0)
-	defer eng.Close()
 	rng := rand.New(rand.NewSource(1))
 	for _, sensors := range []int{100, 1000} {
 		mean := constVec(sensors, 10)
 		sigma := constVec(sensors, 2)
-		tr := NewTrainer(eng, TrainerConfig{})
-		m, err := tr.TrainUnit(0, gaussianWindow(rng, 512, sensors, mean, sigma))
+		m, err := TrainUnit(0, gaussianWindow(rng, 512, sensors, mean, sigma))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -84,14 +77,11 @@ func BenchmarkEvaluateBatchInto(b *testing.B) {
 // mllib.Detector wrapping (adapter-owned arena, flags copied into the
 // caller's warmed Detections buffer).
 func BenchmarkDetectorBatchMGD(b *testing.B) {
-	eng := dataflow.NewEngine(0)
-	defer eng.Close()
 	rng := rand.New(rand.NewSource(1))
 	const sensors = 200
 	mean := constVec(sensors, 10)
 	sigma := constVec(sensors, 2)
-	tr := NewTrainer(eng, TrainerConfig{})
-	m, err := tr.TrainUnit(0, gaussianWindow(rng, 512, sensors, mean, sigma))
+	m, err := TrainUnit(0, gaussianWindow(rng, 512, sensors, mean, sigma))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -122,40 +112,16 @@ func BenchmarkDetectorBatchMGD(b *testing.B) {
 }
 
 func BenchmarkTrainUnit(b *testing.B) {
-	eng := dataflow.NewEngine(0)
-	defer eng.Close()
 	rng := rand.New(rand.NewSource(2))
 	for _, sensors := range []int{100, 500} {
 		window := gaussianWindow(rng, 512, sensors, constVec(sensors, 0), constVec(sensors, 1))
-		tr := NewTrainer(eng, TrainerConfig{})
 		b.Run(fmt.Sprintf("sensors=%d", sensors), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := tr.TrainUnit(0, window); err != nil {
+				if _, err := TrainUnit(0, window); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-}
-
-func BenchmarkStreamingObserve(b *testing.B) {
-	const sensors = 200
-	st, err := NewStreamingTrainer(0, sensors, TrainerConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	row := make([]float64, sensors)
-	for j := range row {
-		row[j] = rng.NormFloat64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := st.Observe(row); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(sensors)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 }

@@ -1,23 +1,20 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
-	"repro/internal/dataflow"
 	"repro/internal/fdr"
 	"repro/internal/linalg"
 	"repro/internal/simdata"
 )
-
-func newEngine(t *testing.T) *dataflow.Engine {
-	t.Helper()
-	e := dataflow.NewEngine(4)
-	t.Cleanup(e.Close)
-	return e
-}
 
 // gaussianWindow builds rows of independent N(mean_j, sigma_j²) noise.
 func gaussianWindow(rng *rand.Rand, rows, sensors int, mean, sigma []float64) [][]float64 {
@@ -41,7 +38,6 @@ func constVec(n int, v float64) []float64 {
 }
 
 func TestTrainUnitRecoversMoments(t *testing.T) {
-	eng := newEngine(t)
 	rng := rand.New(rand.NewSource(51))
 	const sensors, rows = 12, 3000
 	mean := make([]float64, sensors)
@@ -51,8 +47,7 @@ func TestTrainUnitRecoversMoments(t *testing.T) {
 		sigma[j] = 1 + float64(j%3)
 	}
 	window := gaussianWindow(rng, rows, sensors, mean, sigma)
-	tr := NewTrainer(eng, TrainerConfig{})
-	m, err := tr.TrainUnit(7, window)
+	m, err := TrainUnit(7, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,22 +68,75 @@ func TestTrainUnitRecoversMoments(t *testing.T) {
 }
 
 func TestTrainUnitErrors(t *testing.T) {
-	eng := newEngine(t)
-	tr := NewTrainer(eng, TrainerConfig{})
-	if _, err := tr.TrainUnit(0, nil); err == nil {
+	if _, err := TrainUnit(0, nil); err == nil {
 		t.Fatal("empty window must error")
 	}
-	if _, err := tr.TrainUnit(0, [][]float64{{1, 2}}); err == nil {
+	if _, err := TrainUnit(0, [][]float64{{1, 2}}); err == nil {
 		t.Fatal("single-row window must error")
 	}
 }
 
+// TestTrainUnitLargeOffset: channels whose spread is tiny next to their
+// level keep their σ, because the covariance is centred before it is
+// summed rather than recovered as XᵀX − n·μμᵀ.
+func TestTrainUnitLargeOffset(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	const sigma = 1e-3
+	window := gaussianWindow(rng, 2000, 3, []float64{1e5, 1e6, 1e7}, constVec(3, sigma))
+	m, err := TrainUnit(0, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, s := range m.Sigma {
+		if math.Abs(s-sigma) > 0.1*sigma {
+			t.Errorf("sensor %d sigma = %.3g, want %.3g within 10%%", j, s, sigma)
+		}
+	}
+}
+
+// TestTrainUnitIndependentOfProcs: a model is bit-identical whatever
+// GOMAXPROCS trained it.
+func TestTrainUnitIndependentOfProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	window := gaussianWindow(rand.New(rand.NewSource(58)), 256, 50, constVec(50, 3), constVec(50, 1))
+	var want []byte
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		m, err := TrainUnit(0, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("GOMAXPROCS=%d trained a different model than GOMAXPROCS=1", procs)
+		}
+	}
+}
+
+// TestTrainRaggedWindowErrors: a window whose rows differ in length is
+// an error from TrainUnit and from both TrainFleet modes, not a panic.
+func TestTrainRaggedWindowErrors(t *testing.T) {
+	ragged := [][]float64{{1, 2}, {3, 4}, {5}}
+	if _, err := TrainUnit(0, ragged); !errors.Is(err, linalg.ErrShape) {
+		t.Fatalf("TrainUnit on a ragged window: err = %v, want ErrShape", err)
+	}
+	src := WindowFunc(func(int) ([][]float64, error) { return ragged, nil })
+	for _, concurrent := range []bool{false, true} {
+		if _, err := TrainFleet([]int{0, 1, 2}, src, nil, concurrent); !errors.Is(err, linalg.ErrShape) {
+			t.Fatalf("TrainFleet(concurrent=%v) on a ragged window: err = %v, want ErrShape", concurrent, err)
+		}
+	}
+}
+
 func TestModelEncodeDecodeRoundTrip(t *testing.T) {
-	eng := newEngine(t)
 	rng := rand.New(rand.NewSource(52))
 	window := gaussianWindow(rng, 200, 5, constVec(5, 3), constVec(5, 1))
-	tr := NewTrainer(eng, TrainerConfig{})
-	m, err := tr.TrainUnit(3, window)
+	m, err := TrainUnit(3, window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,13 +209,11 @@ func TestStoresRoundTrip(t *testing.T) {
 }
 
 func TestCatalogSaveLoadUnits(t *testing.T) {
-	eng := newEngine(t)
 	rng := rand.New(rand.NewSource(53))
-	tr := NewTrainer(eng, TrainerConfig{})
 	cat := &ModelCatalog{Store: NewMemStore()}
 	for _, u := range []int{4, 2, 9} {
 		window := gaussianWindow(rng, 100, 3, constVec(3, 0), constVec(3, 1))
-		m, err := tr.TrainUnit(u, window)
+		m, err := TrainUnit(u, window)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,13 +238,11 @@ func TestCatalogSaveLoadUnits(t *testing.T) {
 }
 
 func TestEvaluatorFlagsInjectedShift(t *testing.T) {
-	eng := newEngine(t)
 	rng := rand.New(rand.NewSource(54))
 	const sensors = 50
 	mean := constVec(sensors, 10)
 	sigma := constVec(sensors, 2)
-	tr := NewTrainer(eng, TrainerConfig{})
-	m, err := tr.TrainUnit(0, gaussianWindow(rng, 2000, sensors, mean, sigma))
+	m, err := TrainUnit(0, gaussianWindow(rng, 2000, sensors, mean, sigma))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +292,9 @@ func TestEvaluatorFlagsInjectedShift(t *testing.T) {
 }
 
 func TestEvaluatorBatchMatchesSingle(t *testing.T) {
-	eng := newEngine(t)
 	rng := rand.New(rand.NewSource(55))
 	const sensors = 20
-	tr := NewTrainer(eng, TrainerConfig{})
-	m, err := tr.TrainUnit(0, gaussianWindow(rng, 500, sensors, constVec(sensors, 0), constVec(sensors, 1)))
+	m, err := TrainUnit(0, gaussianWindow(rng, 500, sensors, constVec(sensors, 0), constVec(sensors, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,10 +328,8 @@ func TestEvaluatorBatchMatchesSingle(t *testing.T) {
 }
 
 func TestEvaluatorInputValidation(t *testing.T) {
-	eng := newEngine(t)
 	rng := rand.New(rand.NewSource(56))
-	tr := NewTrainer(eng, TrainerConfig{})
-	m, err := tr.TrainUnit(0, gaussianWindow(rng, 100, 4, constVec(4, 0), constVec(4, 1)))
+	m, err := TrainUnit(0, gaussianWindow(rng, 100, 4, constVec(4, 0), constVec(4, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,17 +365,15 @@ func (fs *fleetSource) TrainingWindow(unit int) ([][]float64, error) {
 }
 
 func TestTrainFleetSerialAndConcurrentAgree(t *testing.T) {
-	eng := newEngine(t)
 	fleet := simdata.NewFleet(simdata.Config{Units: 6, SensorsPerUnit: 15, Seed: 99, FaultOnset: 500})
 	src := &fleetSource{fleet: fleet, rows: 300}
 	units := []int{0, 1, 2, 3, 4, 5}
-	tr := NewTrainer(eng, TrainerConfig{})
 
-	serial, err := tr.TrainFleet(units, src, nil, false)
+	serial, err := TrainFleet(units, src, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	concurrent, err := tr.TrainFleet(units, src, nil, true)
+	concurrent, err := TrainFleet(units, src, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,12 +394,10 @@ func TestTrainFleetSerialAndConcurrentAgree(t *testing.T) {
 }
 
 func TestTrainFleetSavesToCatalog(t *testing.T) {
-	eng := newEngine(t)
 	fleet := simdata.NewFleet(simdata.Config{Units: 3, SensorsPerUnit: 10, Seed: 100, FaultOnset: 500})
 	src := &fleetSource{fleet: fleet, rows: 200}
 	cat := &ModelCatalog{Store: NewMemStore()}
-	tr := NewTrainer(eng, TrainerConfig{})
-	if _, err := tr.TrainFleet([]int{0, 1, 2}, src, cat, true); err != nil {
+	if _, err := TrainFleet([]int{0, 1, 2}, src, cat, true); err != nil {
 		t.Fatal(err)
 	}
 	units, err := cat.Units()
@@ -371,15 +407,77 @@ func TestTrainFleetSavesToCatalog(t *testing.T) {
 }
 
 func TestTrainFleetPropagatesSourceError(t *testing.T) {
-	eng := newEngine(t)
-	tr := NewTrainer(eng, TrainerConfig{})
 	src := WindowFunc(func(unit int) ([][]float64, error) {
 		return nil, errors.New("boom")
 	})
-	if _, err := tr.TrainFleet([]int{1}, src, nil, false); err == nil {
+	if _, err := TrainFleet([]int{1}, src, nil, false); err == nil {
 		t.Fatal("serial training must propagate source errors")
 	}
-	if _, err := tr.TrainFleet([]int{1}, src, nil, true); err == nil {
+	if _, err := TrainFleet([]int{1}, src, nil, true); err == nil {
 		t.Fatal("concurrent training must propagate source errors")
+	}
+}
+
+// countingSource hands out fleet windows and counts how many are in
+// flight: fetched, and not yet saved through countingStore.
+type countingSource struct {
+	fleet          *simdata.Fleet
+	inFlight, peak atomic.Int64
+}
+
+func (s *countingSource) TrainingWindow(unit int) ([][]float64, error) {
+	n := s.inFlight.Add(1)
+	for p := s.peak.Load(); n > p && !s.peak.CompareAndSwap(p, n); p = s.peak.Load() {
+	}
+	time.Sleep(time.Millisecond) // hold the slot so units overlap
+	return s.fleet.UnitWindow(unit, 0, 40), nil
+}
+
+// countingStore counts saves per blob and retires the source's window
+// in flight on each.
+type countingStore struct {
+	*MemStore
+	src   *countingSource
+	mu    sync.Mutex
+	saves map[string]int
+}
+
+func (s *countingStore) Put(name string, data []byte) error {
+	s.mu.Lock()
+	s.saves[name]++
+	s.mu.Unlock()
+	s.src.inFlight.Add(-1)
+	return s.MemStore.Put(name, data)
+}
+
+// TestTrainFleetConcurrentBounds: concurrent TrainFleet never has more
+// than GOMAXPROCS windows in flight, saves each model exactly once, and
+// returns only when every unit's work is done.
+func TestTrainFleetConcurrentBounds(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const units = 64
+	src := &countingSource{fleet: simdata.NewFleet(simdata.Config{Units: units, SensorsPerUnit: 5, Seed: 101, FaultOnset: 500})}
+	store := &countingStore{MemStore: NewMemStore(), src: src, saves: map[string]int{}}
+	ids := make([]int, units)
+	for i := range ids {
+		ids[i] = i
+	}
+	models, err := TrainFleet(ids, src, &ModelCatalog{Store: store}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := src.inFlight.Load(); n != 0 {
+		t.Fatalf("TrainFleet returned with %d windows still in flight", n)
+	}
+	if p := src.peak.Load(); p > 4 || p < 2 {
+		t.Fatalf("peak windows in flight = %d, want 2..GOMAXPROCS (4)", p)
+	}
+	if len(models) != units || len(store.saves) != units {
+		t.Fatalf("%d models, %d saved, want %d", len(models), len(store.saves), units)
+	}
+	for name, n := range store.saves {
+		if n != 1 {
+			t.Fatalf("%s saved %d times", name, n)
+		}
 	}
 }

@@ -14,12 +14,10 @@ import (
 // injected shift, so the flag-building path is exercised.
 func trainedEvaluator(t *testing.T, proc fdr.Procedure, sensors int) (*Evaluator, [][]float64, []int64) {
 	t.Helper()
-	eng := newEngine(t)
 	rng := rand.New(rand.NewSource(77))
 	mean := constVec(sensors, 5)
 	sigma := constVec(sensors, 2)
-	tr := NewTrainer(eng, TrainerConfig{})
-	m, err := tr.TrainUnit(4, gaussianWindow(rng, 600, sensors, mean, sigma))
+	m, err := TrainUnit(4, gaussianWindow(rng, 600, sensors, mean, sigma))
 	if err != nil {
 		t.Fatal(err)
 	}

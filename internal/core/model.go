@@ -4,11 +4,12 @@
 //
 // The design follows §IV of the paper exactly:
 //
-//   - Offline training (Trainer) runs as a batch job on the dataflow
-//     engine. Per unit it computes the covariance matrix of the sensor
-//     streams, takes its SVD to obtain the mean/variance structure, and
-//     caches the resulting Model through a pluggable BlobStore (the
-//     paper caches to HDFS).
+//   - Offline training is two functions. TrainUnit computes one unit's
+//     covariance matrix of the sensor streams (linalg), takes its
+//     eigendecomposition to obtain the mean/variance structure and the
+//     leading components; TrainFleet runs it per unit, one at a time or
+//     up to GOMAXPROCS at once, and caches each Model through a
+//     pluggable BlobStore (the paper caches to HDFS).
 //   - Online evaluation (Evaluator) is one matrix multiplication per
 //     iteration: a batch of observations is centered and projected onto
 //     the dominant eigen-subspace, producing per-sensor z-statistics

@@ -1,130 +1,98 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 
-	"repro/internal/dataflow"
-	"repro/internal/mllib"
+	"repro/internal/linalg"
 )
 
-// TrainerConfig tunes offline model estimation.
-type TrainerConfig struct {
-	// Partitions controls how many partitions each unit's training
-	// window is split into on the dataflow engine (default: engine
-	// worker count).
-	Partitions int
-	// EnergyFraction selects the retained subspace dimension K: the
+// Model estimation constants.
+const (
+	// energyFraction selects the retained subspace dimension K: the
 	// smallest K whose eigenvalues capture this fraction of total
-	// variance. Default 0.9.
-	EnergyFraction float64
-	// MaxComponents caps K (default 10). The online cost per
-	// observation is one Sensors×K matrix multiplication, so K bounds
-	// evaluation latency.
-	MaxComponents int
-	// MinSigma floors per-sensor standard deviations to keep z-scores
-	// finite on (near-)constant channels. Default 1e-9.
-	MinSigma float64
-}
-
-func (c TrainerConfig) withDefaults(eng *dataflow.Engine) TrainerConfig {
-	if c.Partitions <= 0 {
-		c.Partitions = eng.Workers()
-	}
-	if c.EnergyFraction <= 0 || c.EnergyFraction > 1 {
-		c.EnergyFraction = 0.9
-	}
-	if c.MaxComponents <= 0 {
-		c.MaxComponents = 10
-	}
-	if c.MinSigma <= 0 {
-		c.MinSigma = 1e-9
-	}
-	return c
-}
-
-// Trainer estimates per-unit Models from healthy training windows by
-// running the §IV-A batch pipeline (distributed covariance → SVD) on a
-// dataflow engine.
-type Trainer struct {
-	eng *dataflow.Engine
-	cfg TrainerConfig
-}
-
-// NewTrainer returns a trainer bound to eng.
-func NewTrainer(eng *dataflow.Engine, cfg TrainerConfig) *Trainer {
-	return &Trainer{eng: eng, cfg: cfg.withDefaults(eng)}
-}
+	// variance.
+	energyFraction = 0.9
+	// maxComponents caps K. The online cost per observation is one
+	// Sensors×K matrix multiplication, so K bounds evaluation latency.
+	maxComponents = 10
+	// minSigma floors per-sensor standard deviations to keep z-scores
+	// finite on (near-)constant channels.
+	minSigma = 1e-9
+)
 
 // TrainUnit fits the model for one unit from a training window given as
-// rows (observations) × sensors. The window must contain at least two
-// rows and should predate any fault onset (the trainer has no way to
-// know; feeding it faulty data biases the benchmark, exactly as in the
-// real system).
-func (t *Trainer) TrainUnit(unit int, window [][]float64) (*Model, error) {
+// rows (observations) × sensors — the §IV-A estimation: the window's
+// covariance, its eigendecomposition, and the mean, variance and
+// leading components kept from them. The window must contain at least
+// two rows of equal length and should predate any fault onset (the
+// trainer has no way to know; feeding it faulty data biases the
+// benchmark, exactly as in the real system).
+func TrainUnit(unit int, window [][]float64) (*Model, error) {
 	if len(window) < 2 {
 		return nil, fmt.Errorf("core: unit %d training window has %d rows, need ≥2", unit, len(window))
 	}
-	sensors := len(window[0])
-	ds := dataflow.Parallelize(t.eng, window, t.cfg.Partitions)
-	rm, err := mllib.NewRowMatrix(ds, sensors)
+	x, err := linalg.FromRows(window)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: unit %d training window: %w", unit, err)
 	}
-	svd, err := rm.ComputeCovarianceSVD()
+	cov, mean, err := x.Covariance()
+	if err != nil {
+		return nil, fmt.Errorf("core: unit %d covariance: %w", unit, err)
+	}
+	eig, vecs, err := linalg.EigenSym(cov)
 	if err != nil {
 		return nil, fmt.Errorf("core: unit %d covariance SVD: %w", unit, err)
 	}
-	return t.modelFromSVD(unit, sensors, len(window), svd)
+	return modelFromSVD(unit, x.Rows, mean, eig, vecs)
 }
 
-// modelFromSVD converts the eigenstructure into a Model, picking K by
-// the energy criterion.
-func (t *Trainer) modelFromSVD(unit, sensors, rows int, svd *mllib.SVDModel) (*Model, error) {
+// modelFromSVD converts the covariance eigenstructure (eigenvalues
+// descending, eigenvectors as the columns of vecs) into a Model,
+// picking K by the energy criterion.
+func modelFromSVD(unit, rows int, mean, eig []float64, vecs *linalg.Matrix) (*Model, error) {
+	sensors := len(mean)
 	total := 0.0
-	for _, l := range svd.Eigenvalues {
-		total += l
+	for i, l := range eig {
+		if l < 0 {
+			eig[i] = 0 // covariance is PSD; clamp numeric noise
+		}
+		total += eig[i]
 	}
 	k := 1
 	if total > 0 {
 		cum := 0.0
-		for i, l := range svd.Eigenvalues {
+		for i, l := range eig {
 			cum += l
-			if cum/total >= t.cfg.EnergyFraction {
-				k = i + 1
+			k = i + 1
+			if cum/total >= energyFraction {
 				break
 			}
-			k = i + 1
 		}
 	}
-	if k > t.cfg.MaxComponents {
-		k = t.cfg.MaxComponents
-	}
-	if k > sensors {
-		k = sensors
-	}
+	k = min(k, maxComponents, sensors)
 	sigma := make([]float64, sensors)
 	// Per-sensor variance is recovered from the eigen-decomposition:
 	// diag(Σ) = Σ_j λ_j v_{ij}². (The paper phrases this as obtaining
 	// "the mean and variance" from the decomposition.)
 	for i := 0; i < sensors; i++ {
 		v := 0.0
-		for j := 0; j < svd.Components.Cols; j++ {
-			c := svd.Components.At(i, j)
-			v += svd.Eigenvalues[j] * c * c
+		for j := 0; j < vecs.Cols; j++ {
+			c := vecs.At(i, j)
+			v += eig[j] * c * c
 		}
-		if v < t.cfg.MinSigma*t.cfg.MinSigma {
-			v = t.cfg.MinSigma * t.cfg.MinSigma
-		}
-		sigma[i] = sqrt(v)
+		sigma[i] = sqrt(max(v, minSigma*minSigma))
 	}
 	m := &Model{
 		Unit:        unit,
 		Sensors:     sensors,
 		TrainedRows: rows,
-		Mean:        svd.Mean,
+		Mean:        mean,
 		Sigma:       sigma,
-		Eigenvalues: svd.Eigenvalues[:k:k],
-		Components:  topColumns(svd.Components, k),
+		Eigenvalues: eig[:k:k],
+		Components:  topColumns(vecs, k),
 		K:           k,
 	}
 	if err := m.Validate(); err != nil {
@@ -148,43 +116,53 @@ func (f WindowFunc) TrainingWindow(unit int) ([][]float64, error) { return f(uni
 
 // TrainFleet trains models for the given units. With concurrent=false
 // it processes one unit at a time, matching the paper's current system
-// ("can deal with one machine at a time"); with concurrent=true it
-// schedules the units as a dataflow job, the paper's stated ongoing
-// work ("utilize concurrency of Spark to scale up workload").
-// Trained models are saved through catalog when it is non-nil.
-func (t *Trainer) TrainFleet(units []int, src WindowSource, catalog *ModelCatalog, concurrent bool) (map[int]*Model, error) {
+// ("can deal with one machine at a time"), and stops at the first
+// failure; with concurrent=true it trains up to GOMAXPROCS units at
+// once, the paper's stated ongoing work ("utilize concurrency of Spark
+// to scale up workload"), waits for every unit and reports each one
+// that failed. Nothing is retried. Trained models are saved through
+// catalog when it is non-nil.
+func TrainFleet(units []int, src WindowSource, catalog *ModelCatalog, concurrent bool) (map[int]*Model, error) {
+	models := make([]*Model, len(units))
 	if !concurrent {
-		out := make(map[int]*Model, len(units))
-		for _, u := range units {
-			m, err := t.trainAndSave(u, src, catalog)
+		for i, u := range units {
+			m, err := trainAndSave(u, src, catalog)
 			if err != nil {
 				return nil, err
 			}
-			out[u] = m
+			models[i] = m
 		}
-		return out, nil
+	} else {
+		errs := make([]error, len(units))
+		slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+		var wg sync.WaitGroup
+		for i, u := range units {
+			slots <- struct{}{}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				models[i], errs[i] = trainAndSave(u, src, catalog)
+				<-slots
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			return nil, err
+		}
 	}
-	ds := dataflow.Parallelize(t.eng, units, len(units))
-	pairs := dataflow.Map(ds, func(u int) dataflow.Pair[int, *Model] {
-		m, err := t.trainAndSave(u, src, catalog)
-		if err != nil {
-			panic(err) // converted to a job error (with retry) by the engine
-		}
-		return dataflow.Pair[int, *Model]{Key: u, Value: m}
-	})
-	out, err := dataflow.CollectMap(pairs)
-	if err != nil {
-		return nil, fmt.Errorf("core: concurrent fleet training: %w", err)
+	out := make(map[int]*Model, len(units))
+	for i, u := range units {
+		out[u] = models[i]
 	}
 	return out, nil
 }
 
-func (t *Trainer) trainAndSave(unit int, src WindowSource, catalog *ModelCatalog) (*Model, error) {
+func trainAndSave(unit int, src WindowSource, catalog *ModelCatalog) (*Model, error) {
 	window, err := src.TrainingWindow(unit)
 	if err != nil {
 		return nil, fmt.Errorf("core: unit %d window: %w", unit, err)
 	}
-	m, err := t.TrainUnit(unit, window)
+	m, err := TrainUnit(unit, window)
 	if err != nil {
 		return nil, err
 	}

@@ -136,7 +136,7 @@ type SVDResult struct {
 
 // SVD computes a thin SVD of a (m×n) via the eigendecomposition of the
 // Gramian. For m ≥ n it diagonalizes AᵀA (n×n); otherwise AAᵀ. This is
-// exactly the route Spark MLlib's RowMatrix.computeSVD takes for the
+// the route Spark MLlib's distributed computeSVD takes for the
 // covariance-sized problems the paper trains on, and it is numerically
 // adequate because the detector only consumes the dominant subspace.
 func SVD(a *Matrix) (*SVDResult, error) {

@@ -414,49 +414,36 @@ func (m *Matrix) ColumnMeans() []float64 {
 	return mu
 }
 
+// covStripes is how many row stripes Covariance accumulates apart. It
+// is a constant, not the core count, so the summation order — and with
+// it every bit of the result — is the same on any machine.
+const covStripes = 4
+
 // Covariance returns the unbiased sample covariance matrix (Cols×Cols)
 // of the observations in m, one observation per row, along with the
 // column means. It needs at least two rows.
+//
+// It is the centred two-pass form: the means first, then Σ(x−μ)(x−μ)ᵀ,
+// which keeps full precision when a channel's spread is tiny next to
+// its level. Each of covStripes row stripes accumulates into its own
+// buffer (the stripes run in parallel) and the buffers are summed in
+// stripe order.
 func (m *Matrix) Covariance() (*Matrix, []float64, error) {
 	if m.Rows < 2 {
 		return nil, nil, fmt.Errorf("%w: covariance needs ≥2 rows, have %d", ErrShape, m.Rows)
 	}
 	mu := m.ColumnMeans()
 	d := m.Cols
-	cov := NewMatrix(d, d)
-	// Accumulate centered outer products in parallel over row stripes,
-	// each worker into a private accumulator, then reduce.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m.Rows {
-		workers = m.Rows
-	}
-	if d*d*m.Rows < 1<<15 {
-		workers = 1
-	}
-	accs := make([][]float64, workers)
-	var wg sync.WaitGroup
-	chunk := (m.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > m.Rows {
-			hi = m.Rows
-		}
-		if lo >= hi {
-			break
-		}
-		accs[w] = make([]float64, d*d)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			acc := accs[w]
-			cen := make([]float64, d)
-			for i := lo; i < hi; i++ {
-				row := m.Row(i)
-				for j := range cen {
-					cen[j] = row[j] - mu[j]
-				}
-				for j := 0; j < d; j++ {
-					cj := cen[j]
+	chunk := (m.Rows + covStripes - 1) / covStripes
+	stripes := (m.Rows + chunk - 1) / chunk
+	accs := make([]float64, stripes*d*d)
+	parallelRows(stripes, float64(m.Rows)*float64(d)*float64(d)/2, func(lo, hi int) {
+		cen := make([]float64, d)
+		for s := lo; s < hi; s++ {
+			acc := accs[s*d*d : (s+1)*d*d]
+			for i := s * chunk; i < min((s+1)*chunk, m.Rows); i++ {
+				SubVecInto(cen, m.Row(i), mu)
+				for j, cj := range cen {
 					if cj == 0 {
 						continue
 					}
@@ -467,18 +454,15 @@ func (m *Matrix) Covariance() (*Matrix, []float64, error) {
 					}
 				}
 			}
-		}(w, lo, hi)
+		}
+	})
+	cov := NewMatrix(d, d)
+	for s := 0; s < stripes; s++ {
+		for i, v := range accs[s*d*d : (s+1)*d*d] {
+			cov.Data[i] += v
+		}
 	}
-	wg.Wait()
 	inv := 1 / float64(m.Rows-1)
-	for _, acc := range accs {
-		if acc == nil {
-			continue
-		}
-		for i := range acc {
-			cov.Data[i] += acc[i]
-		}
-	}
 	for j := 0; j < d; j++ {
 		for l := j; l < d; l++ {
 			v := cov.Data[j*d+l] * inv

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -272,6 +273,32 @@ func TestCovarianceParallelPathMatchesSerial(t *testing.T) {
 	}
 	if diff := cov.MaxAbsDiff(ref); diff > 1e-9 {
 		t.Fatalf("parallel covariance differs from serial by %v", diff)
+	}
+}
+
+// TestCovarianceIndependentOfProcs: the row stripes are fixed, not one
+// per core, so the covariance of a window is bit-identical whatever
+// GOMAXPROCS the process runs with (a trained model must not depend on
+// the machine that trained it).
+func TestCovarianceIndependentOfProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	m := randMatrix(rand.New(rand.NewSource(5)), 256, 50)
+	var want *Matrix
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		cov, _, err := m.Covariance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = cov
+			continue
+		}
+		for i, v := range cov.Data {
+			if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("GOMAXPROCS=%d: element %d is %v, %v at GOMAXPROCS=1", procs, i, v, want.Data[i])
+			}
+		}
 	}
 }
 

@@ -1,23 +1,6 @@
-// Package mllib is the analytics library tier of the architecture: the
-// pieces of Spark MLlib the paper's pipeline leans on, grown in two
-// layers.
-//
-// # Distributed matrices (the offline trainer's substrate)
-//
-// RowMatrix provides distributed matrix computations on top of the
-// dataflow engine, mirroring the slice of MLlib the offline trainer
-// uses: a row-distributed matrix with column statistics,
-// Gramian/covariance computation and SVD.
-//
-// The computation pattern is MLlib's: each partition accumulates a
-// local Gramian (XᵀX) and column sums with a per-partition sequential
-// pass, the per-partition accumulators are combined tree-style by the
-// engine, and the small d×d result is decomposed locally with the
-// dense solver from internal/linalg. For the paper's workload (units
-// with up to 1000 sensors) this is exactly how Spark sizes it: the
-// row dimension is distributed, the covariance fits on one node.
-//
-// # The detector tier (the streaming evaluators)
+// Package mllib is the detector tier of the architecture: the pluggable
+// interface every anomaly-detection family implements, the registry
+// that builds them by name, and the streaming families themselves.
 //
 // Detector is the pluggable interface the bus-fed batch path scores
 // through: DetectBatchInto consumes a batch of observation rows and
@@ -36,9 +19,10 @@
 //     unit-level multivariate excursions (flags carry Sensor == -1).
 //   - "ensemble": row-level voting over member families with
 //     per-sensor score dedup.
-//   - "mgd": the paper's MGD+FDR evaluator, registered by
-//     internal/core (which builds models with the matrix layer above —
-//     the reason the interface lives here, below core, not beside it).
+//   - "mgd": the paper's MGD+FDR evaluator over a trained per-unit
+//     model, registered by internal/core (which imports this package
+//     for the interface — the reason it lives here, below core, not
+//     beside it).
 //
 // The sentinel detector pool runs one family as primary and any
 // number of others in shadow mode (scored, counted, never emitted);

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/core"
-	"repro/internal/dataflow"
 	"repro/internal/faultinject"
 	"repro/internal/fdr"
 	"repro/internal/ingest"
@@ -135,8 +134,6 @@ func newScorerRig(t *testing.T) *scorerRig {
 		}),
 		cat: &core.ModelCatalog{Store: core.NewMemStore()},
 	}
-	eng := dataflow.NewEngine(2)
-	defer eng.Close()
 	src := core.WindowFunc(func(unit int) ([][]float64, error) {
 		return r.fleet.UnitWindow(unit, 0, 350), nil // predates onset
 	})
@@ -144,7 +141,7 @@ func newScorerRig(t *testing.T) *scorerRig {
 	for u := range units {
 		units[u] = u
 	}
-	if _, err := core.NewTrainer(eng, core.TrainerConfig{}).TrainFleet(units, src, r.cat, true); err != nil {
+	if _, err := core.TrainFleet(units, src, r.cat, true); err != nil {
 		t.Fatal(err)
 	}
 	return r

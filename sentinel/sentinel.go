@@ -8,8 +8,9 @@
 //     dataset: units × sensors at 1 Hz with injected faults),
 //   - the storage tier — an HBase-like cluster under an OpenTSDB-like
 //     TSD tier, fronted by the buffering reverse proxy (§III),
-//   - the FDR anomaly detector — offline training on the dataflow
-//     engine, online evaluation writing flags back to storage (§IV),
+//   - the FDR anomaly detector — offline training (covariance and its
+//     eigendecomposition per unit), online evaluation writing flags
+//     back to storage (§IV),
 //   - and the web visualization (§V).
 //
 // There is one detection loop (detector.go). DetectorPool.score is the
@@ -46,7 +47,6 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/core"
-	"repro/internal/dataflow"
 	"repro/internal/faultinject"
 	"repro/internal/fdr"
 	"repro/internal/ingest"
@@ -219,13 +219,11 @@ func (c Config) withDefaults() Config {
 
 // System is a running deployment of the full architecture in one
 // process: the Node that carries every role and has no peers, plus the
-// simulated fleet, the dataflow engine and the offline trainer.
+// simulated fleet it trains on and ingests.
 type System struct {
 	*Node
 
-	Fleet   *simdata.Fleet
-	Engine  *dataflow.Engine
-	Trainer *core.Trainer
+	Fleet *simdata.Fleet
 
 	// feeder is the worker-less pool Detect feeds, registered with the
 	// node so its work shows on the node's metrics and detector report.
@@ -252,9 +250,7 @@ func New(cfg Config) (*System, error) {
 			DriftPerStep:   cfg.DriftPerStep,
 			ShiftSigma:     cfg.ShiftSigma,
 		}),
-		Engine: dataflow.NewEngine(0),
 	}
-	sys.Trainer = core.NewTrainer(sys.Engine, core.TrainerConfig{})
 	sys.feeder = newScorer(node.detectorEnv(), nil)
 	node.mu.Lock()
 	node.pools = append(node.pools, sys.feeder)
@@ -278,12 +274,6 @@ func (s *System) SetFaults(f *faultinject.Injector) {
 	s.Bus.SetFaults(f)
 	s.TSDB.SetFaults(f)
 	s.Proxy.SetFaults(f)
-}
-
-// Close releases every component: the node's tiers, then the engine.
-func (s *System) Close() {
-	s.Node.Close()
-	s.Engine.Close()
 }
 
 // Topic returns the ingestion commit-log topic (for replay tooling and
@@ -333,7 +323,7 @@ func (s *System) TrainFromTSDB(from int64, count int, concurrent bool) error {
 		TrainFrom:  from,
 		TrainCount: count,
 	}
-	_, err := s.Trainer.TrainFleet(s.Units(), src, s.Catalog, concurrent)
+	_, err := core.TrainFleet(s.Units(), src, s.Catalog, concurrent)
 	return err
 }
 
@@ -343,7 +333,7 @@ func (s *System) TrainFromFleet(from int64, count int, concurrent bool) error {
 	src := core.WindowFunc(func(unit int) ([][]float64, error) {
 		return s.Fleet.UnitWindow(unit, from, count), nil
 	})
-	_, err := s.Trainer.TrainFleet(s.Units(), src, s.Catalog, concurrent)
+	_, err := core.TrainFleet(s.Units(), src, s.Catalog, concurrent)
 	return err
 }
 
