@@ -213,7 +213,6 @@ func main() {
 			Seed:            42,
 			PerNodeRate:     *nodeRate,
 			PrimaryDetector: "cusum", // streaming family: no offline training
-			ProxyMaxRetries: -1,      // zero-loss mode: an ack is a promise
 			// Deep partition buffers with the shed limit far below
 			// them: admission must engage while publish is still
 			// non-blocking, or accepted-ingest latency absorbs the
@@ -452,7 +451,6 @@ func main() {
 			fail("storage group did not drain within %s: %v", *drainTO, err)
 		}
 		cancel()
-		sys.Proxy.Flush()
 	}
 	// Count every point in the writers' band through the query path,
 	// waiting out residual drain (and, right after overload, residual

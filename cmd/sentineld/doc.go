@@ -9,8 +9,8 @@
 //
 // Alone — no -peers — a node is the whole deployment. This is the
 // ingestion daemon: OpenTSDB-compatible writes land on the commit-log
-// bus, storage writers drain them through the buffering proxy into the
-// TSDs, reads go through the cached scatter-gather tier:
+// bus, storage writers drain them through the proxy into the TSDs,
+// reads go through the cached scatter-gather tier:
 //
 //	sentineld -name solo -role all -http :4242
 //
@@ -38,7 +38,7 @@
 // it; refusals count as admission_rate_limited on /api/v1/metrics.
 //
 // SIGINT/SIGTERM shut the node down gracefully within -drain: the
-// listener stops (ending SSE streams), the bus drains into storage,
-// the storage writers stop, the proxy drains into the TSDs, then the
-// tiers close and the membership record is deleted.
+// listener stops (ending SSE streams), the bus drains into the TSDs
+// (the storage writers commit a record only once the TSDs hold it),
+// then the tiers close and the membership record is deleted.
 package main

@@ -119,8 +119,7 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	// In dependency order: stop accepting requests, then let the node
-	// drain what it acked (bus into storage, proxy into the TSDs)
-	// before its tiers go.
+	// drain what it acked (the bus into the TSDs) before its tiers go.
 	log.Printf("%s shutting down (budget %s)", node.Name(), *drainFor)
 	ctx, cancel := context.WithTimeout(context.Background(), *drainFor)
 	defer cancel()

@@ -7,7 +7,7 @@
 // visualization web app) live under repro/internal. This
 // root package carries the paper's Figure 2 and §III-B experiments
 // (experiments.go: one storage rig — region servers, TSDs, the
-// buffering proxy, the simulated fleet — and one function per
+// proxy, the simulated fleet — and one function per
 // experiment, which cmd/tsdbench and examples/ingestscaling call), the
 // shape tests that assert them (experiments_test.go) and the
 // repository-level benchmarks (bench_test.go); see README.md for the

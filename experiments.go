@@ -23,12 +23,8 @@ const PaperNodeRate = 13300.0
 
 const (
 	rigBatch = 500 // points per submission
-	// rigBuffer is the proxy buffer in batches per producer: enough to
-	// keep the senders busy, little enough to drain in a fraction of a
-	// window once the producers stop.
-	rigBuffer = 2
 	// rigWarmup runs before a window opens: the region servers' token
-	// buckets start full and the proxy buffer empty.
+	// buckets start full.
 	rigWarmup = 100 * time.Millisecond
 	// The backpressure ablation's overload: region servers with short
 	// RPC queues that crash after rigCrashAt overflows, behind TSDs that
@@ -58,7 +54,7 @@ type RigConfig struct {
 }
 
 // Rig is one storage deployment: region servers, their TSDs, the
-// buffering proxy in front of them, and the simulated fleet.
+// proxy in front of them, and the simulated fleet.
 type Rig struct {
 	Cluster *hbase.Cluster
 	Deploy  *tsdb.Deployment
@@ -71,9 +67,9 @@ type Rig struct {
 // of the region servers at its end.
 type Result struct {
 	Nodes int
-	// Submitted is what the producers handed their sink, Failed the
-	// batches it refused; Delivered is what the TSDs acked inside the
-	// window, at Rate samples/s.
+	// Submitted is what the producers' sink stored for them, warm-up
+	// included, Failed the batches it refused; Delivered is what the
+	// TSDs acked inside the window, at Rate samples/s.
 	Submitted, Failed, Delivered int64
 	Rate                         float64
 	// Hottest is the largest region server's share of written cells,
@@ -94,7 +90,7 @@ type Pair struct{ Off, On Result }
 func NewRig(cfg RigConfig) (*Rig, error) {
 	hcfg := hbase.Config{RegionServers: cfg.Nodes, ServiceRatePerRS: cfg.NodeRate}
 	tcfg := tsdb.TSDConfig{CompactionEnabled: cfg.compaction}
-	pcfg := proxy.Config{MaxInFlight: 2 * cfg.Nodes, BufferBatches: rigBuffer * cfg.Units}
+	pcfg := proxy.Config{MaxInFlight: 2 * cfg.Nodes}
 	if cfg.Salted {
 		tcfg.SaltBuckets = cfg.Nodes
 	}
@@ -121,7 +117,7 @@ func NewRig(cfg RigConfig) (*Rig, error) {
 	return r, nil
 }
 
-// Close drains the proxy and stops the cluster.
+// Close stops the proxy and the cluster.
 func (r *Rig) Close() {
 	r.Proxy.Close()
 	r.Cluster.Stop()
@@ -149,8 +145,8 @@ func (r *Rig) sink() ingest.Sink {
 
 // run streams the fleet, one producer per unit, through the warm-up and
 // the window, noting what the TSDs have acked every `every` of the
-// window. The producers stop at the window's end; what the proxy still
-// holds then is not counted.
+// window. The producers stop at the window's end; a delivery still in
+// flight then is not counted.
 func (r *Rig) run(every time.Duration) (Result, []telemetry.RateSample) {
 	ctx, cancel := context.WithCancel(context.Background())
 	driver := ingest.NewDriver(r.Fleet, r.sink(), ingest.DriverConfig{BatchSize: rigBatch, Senders: r.cfg.Units})

@@ -33,9 +33,9 @@ func shapeRig(nodes int, window time.Duration) RigConfig {
 }
 
 // TestRigDeliversWhatWasSubmitted runs the shared rig where the shape
-// tests cannot: under -race and -short, with no rate ceiling. Once the
-// proxy drains, it has delivered exactly what the producers submitted,
-// dropped nothing, and the region servers' write shares sum to 1.
+// tests cannot: under -race and -short, with no rate ceiling. The proxy
+// has delivered exactly what its submissions returned as stored, dropped
+// nothing, and the region servers' write shares sum to 1.
 func TestRigDeliversWhatWasSubmitted(t *testing.T) {
 	r, err := NewRig(RigConfig{Nodes: 2, Salted: true, Units: 4, Sensors: 10, Window: 50 * time.Millisecond})
 	if err != nil {
@@ -134,7 +134,7 @@ func TestExperimentE3SaltingFixesHotspot(t *testing.T) {
 
 // TestExperimentE4ProxyPreventsCrashes pins the second §III-B finding:
 // unbounded producers crash RegionServers via RPC-queue overflow; the
-// buffering proxy prevents every crash.
+// proxy's cap on concurrent requests prevents every crash.
 func TestExperimentE4ProxyPreventsCrashes(t *testing.T) {
 	shapeTest(t)
 	// Slow nodes back the queues up fast; 48 units are 48 producers

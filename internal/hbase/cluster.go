@@ -117,9 +117,6 @@ func (c *Cluster) Network() *rpc.Network { return c.net }
 // DFS exposes the underlying HDFS cluster.
 func (c *Cluster) DFS() *hdfs.Cluster { return c.dfs }
 
-// ZK exposes the coordination service.
-func (c *Cluster) ZK() *zk.Server { return c.zks }
-
 // masterAddrs lists master RPC addresses, active first when known.
 func (c *Cluster) masterAddrs() []string {
 	c.mu.Lock()

@@ -82,10 +82,7 @@ func (d *BusDriver) RunContext(ctx context.Context, from int64, steps int) (Stat
 	if rowsPerRecord < 1 {
 		rowsPerRecord = 1
 	}
-	meter := telemetry.NewRateMeter(nil)
-	var failures telemetry.Counter
-	stopSampler := startSampler(meter, cfg.SampleEvery)
-
+	var samples, failures telemetry.Counter
 	start := time.Now()
 	var wg sync.WaitGroup
 	chunk := (units + senders - 1) / senders
@@ -127,45 +124,35 @@ func (d *BusDriver) RunContext(ctx context.Context, from int64, steps int) (Stat
 						}
 						continue
 					}
-					meter.Add(int64(len(batch.Points)))
+					samples.Add(int64(len(batch.Points)))
 				}
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
-	stopSampler()
-	elapsed := time.Since(start)
-	stats := Stats{
-		Samples:  meter.Count(),
-		Elapsed:  elapsed,
-		Failures: failures.Value(),
-		Series:   meter.Series(),
-	}
-	if elapsed > 0 {
-		stats.Rate = float64(stats.Samples) / elapsed.Seconds()
-	}
-	return stats, ctx.Err()
+	return newStats(samples.Value(), failures.Value(), time.Since(start)), ctx.Err()
 }
 
 // StorageWriters is a consumer-group worker pool that drains UnitBatch
-// records off a topic into a storage Sink (the buffering proxy in the
-// full architecture): the bus-to-OpenTSDB edge of Figure 1. Delivery
-// is at-least-once — a record is committed only after the sink accepts
-// it, and point writes are idempotent — except that batches the sink
+// records off a topic into a storage Sink (the proxy in the full
+// architecture): the bus-to-OpenTSDB edge of Figure 1. Delivery is
+// at-least-once — a record is committed only after the TSDs acked it,
+// and point writes are idempotent — except that batches the sink
 // definitively rejects are counted in Failures and committed anyway so
 // one poison batch cannot wedge the partition. Transient faults on
 // either edge (resilience.Transient: an injected fault or drop on the
-// fetch or the submission, an overloaded or down storage daemon, a
-// deadline) instead park the worker (resilience.Park): the poll or the
-// batch is retried with jittered backoff, and nothing is committed
-// until the batch lands, so an outage delays delivery rather than
-// losing samples or workers.
+// fetch or the submission, an overloaded or down storage daemon, every
+// storage circuit open, a deadline) instead park the worker
+// (resilience.Park): the poll or the batch is retried with jittered
+// backoff, and nothing is committed until the batch lands, so an
+// outage delays delivery rather than losing samples or workers. A
+// caught-up storage group therefore means the samples are queryable.
 type StorageWriters struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	// Delivered counts points accepted by the sink; Failures counts
-	// batches it rejected.
+	// Delivered counts points the sink stored; Failures counts batches
+	// it rejected.
 	Delivered telemetry.Counter
 	Failures  telemetry.Counter
 	// Parks counts park episodes (transient poll or submission faults
@@ -207,7 +194,7 @@ func StartStorageWriters(ctx context.Context, g bus.GroupHandle, sink Sink, work
 						continue
 					}
 					if err := resilience.Park(ctx, &w.Parks, &w.Parked, func() error {
-						return submit(ctx, sink, batch.Points)
+						return sink.SubmitContext(ctx, batch.Points)
 					}); err != nil {
 						if errors.Is(err, ctx.Err()) {
 							return
@@ -217,7 +204,7 @@ func StartStorageWriters(ctx context.Context, g bus.GroupHandle, sink Sink, work
 					}
 					w.Delivered.Add(int64(len(batch.Points)))
 				}
-				// Commit only after the sink accepted the whole poll:
+				// Commit only after the sink stored the whole poll:
 				// crash before this line redelivers, never loses.
 				_ = c.CommitPolled(recs)
 			}

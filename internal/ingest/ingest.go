@@ -2,11 +2,12 @@
 // speaks OpenTSDB's wire formats.
 //
 // Driver replays the simulated fleet (§II-A: 100 units × 1000 sensors
-// at 1 Hz) against any Sink — the buffering reverse proxy in the full
+// at 1 Hz) against any Sink — the reverse proxy in the full
 // architecture, or a TSD directly for the unbuffered ablation — with
-// configurable batch size and producer parallelism, measuring
-// throughput with per-interval rate samples. It is the workload
-// generator behind both panels of Figure 2.
+// configurable batch size and producer parallelism. It is the workload
+// generator behind Figure 2. BusDriver replays the same fleet onto the
+// commit log, and StorageWriters drain that log into a Sink: the log is
+// the one buffer in front of storage.
 //
 // The codec half implements the OpenTSDB telnet line protocol
 // ("put <metric> <ts> <value> k=v ...") and the JSON /api/put payload
@@ -28,32 +29,18 @@ import (
 	"repro/internal/tsdb"
 )
 
-// Sink consumes batches of points (implemented by the proxy and by
-// direct-TSD adapters).
+// Sink stores batches of points (implemented by the proxy and by
+// direct-TSD adapters). SubmitContext returns nil once the points are
+// stored, and gives up waiting when ctx ends.
 type Sink interface {
-	Submit(points []tsdb.Point) error
-}
-
-// ContextSink is implemented by sinks whose submission honours a
-// deadline (the buffering proxy). The driver prefers it when present
-// so a cancelled run does not sit blocked on a full buffer.
-type ContextSink interface {
 	SubmitContext(ctx context.Context, points []tsdb.Point) error
 }
 
-// submit routes through the context-aware path when the sink has one.
-func submit(ctx context.Context, s Sink, points []tsdb.Point) error {
-	if cs, ok := s.(ContextSink); ok {
-		return cs.SubmitContext(ctx, points)
-	}
-	return s.Submit(points)
-}
-
-// SinkFunc adapts a function to Sink.
+// SinkFunc adapts a function to Sink; the function is not handed ctx.
 type SinkFunc func(points []tsdb.Point) error
 
-// Submit implements Sink.
-func (f SinkFunc) Submit(points []tsdb.Point) error { return f(points) }
+// SubmitContext implements Sink.
+func (f SinkFunc) SubmitContext(_ context.Context, points []tsdb.Point) error { return f(points) }
 
 // DriverConfig tunes the workload generator.
 type DriverConfig struct {
@@ -62,9 +49,6 @@ type DriverConfig struct {
 	// Senders is the number of parallel producer goroutines (default 4);
 	// units are partitioned across them.
 	Senders int
-	// SampleEvery, when > 0, records a rate sample at this wall-clock
-	// interval for the stability series (Figure 2 right).
-	SampleEvery time.Duration
 }
 
 func (c DriverConfig) withDefaults() DriverConfig {
@@ -83,7 +67,6 @@ type Stats struct {
 	Elapsed  time.Duration
 	Rate     float64 // samples per second
 	Failures int64   // batches rejected by the sink
-	Series   []telemetry.RateSample
 }
 
 // Driver replays fleet data into a sink.
@@ -115,10 +98,7 @@ func (d *Driver) RunContext(ctx context.Context, from int64, steps int) (Stats, 
 	if senders > units {
 		senders = units
 	}
-	meter := telemetry.NewRateMeter(nil)
-	var failures telemetry.Counter
-	stopSampler := startSampler(meter, cfg.SampleEvery)
-
+	var samples, failures telemetry.Counter
 	start := time.Now()
 	var wg sync.WaitGroup
 	chunk := (units + senders - 1) / senders
@@ -139,16 +119,13 @@ func (d *Driver) RunContext(ctx context.Context, from int64, steps int) (Stats, 
 				if len(batch) == 0 {
 					return true
 				}
-				if err := submit(ctx, d.sink, batch); err != nil {
+				if err := d.sink.SubmitContext(ctx, batch); err != nil {
 					if errors.Is(err, ctx.Err()) {
 						return false // cancellation, not a delivery failure
 					}
 					failures.Inc()
-					if errors.Is(err, errStop) {
-						return false
-					}
 				} else {
-					meter.Add(int64(len(batch)))
+					samples.Add(int64(len(batch)))
 				}
 				batch = batch[:0]
 				return true
@@ -172,51 +149,16 @@ func (d *Driver) RunContext(ctx context.Context, from int64, steps int) (Stats, 
 		}(lo, hi)
 	}
 	wg.Wait()
-	stopSampler()
-	elapsed := time.Since(start)
-	stats := Stats{
-		Samples:  meter.Count(),
-		Elapsed:  elapsed,
-		Failures: failures.Value(),
-		Series:   meter.Series(),
-	}
-	if elapsed > 0 {
-		stats.Rate = float64(stats.Samples) / elapsed.Seconds()
-	}
-	return stats, ctx.Err()
+	return newStats(samples.Value(), failures.Value(), time.Since(start)), ctx.Err()
 }
 
-// errStop lets a sink abort the run early (tests use it).
-var errStop = errors.New("ingest: stop")
-
-// startSampler launches the optional background rate sampler for the
-// stability series (Figure 2 right) and returns a function that stops
-// it and records the final cut. With every <= 0 it is a no-op.
-func startSampler(meter *telemetry.RateMeter, every time.Duration) (stop func()) {
-	if every <= 0 {
-		return func() {}
+// newStats summarizes a run that stored samples in elapsed.
+func newStats(samples, failures int64, elapsed time.Duration) Stats {
+	stats := Stats{Samples: samples, Elapsed: elapsed, Failures: failures}
+	if elapsed > 0 {
+		stats.Rate = float64(samples) / elapsed.Seconds()
 	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				meter.Cut()
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
-		meter.Cut()
-	}
+	return stats
 }
 
 // FormatLine renders a point in the OpenTSDB telnet protocol:

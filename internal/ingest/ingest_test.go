@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/simdata"
 	"repro/internal/tsdb"
@@ -24,7 +23,7 @@ type collectingSink struct {
 	fail   error
 }
 
-func (s *collectingSink) Submit(pts []tsdb.Point) error {
+func (s *collectingSink) SubmitContext(_ context.Context, pts []tsdb.Point) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.fail != nil {
@@ -88,25 +87,6 @@ func TestDriverCountsFailures(t *testing.T) {
 	}
 	if stats.Samples != 0 {
 		t.Fatal("failed batches must not count as samples")
-	}
-}
-
-func TestDriverRateSeries(t *testing.T) {
-	slowSink := SinkFunc(func(pts []tsdb.Point) error {
-		time.Sleep(time.Millisecond)
-		return nil
-	})
-	d := NewDriver(smallFleet(), slowSink, DriverConfig{BatchSize: 20, Senders: 2, SampleEvery: 5 * time.Millisecond})
-	stats, err := d.Run(0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.Series) == 0 {
-		t.Fatal("rate series not collected")
-	}
-	last := stats.Series[len(stats.Series)-1]
-	if last.Cumulative != stats.Samples {
-		t.Fatalf("final cumulative %d != samples %d", last.Cumulative, stats.Samples)
 	}
 }
 

@@ -41,17 +41,6 @@ func (d *Detections) Reset() { d.Flags = d.Flags[:0] }
 // Add appends one flag.
 func (d *Detections) Add(f DetectorFlag) { d.Flags = append(d.Flags, f) }
 
-// RowFlagged reports whether any flag targets row (the row-level
-// verdict shadow comparison and ensemble voting operate on).
-func (d *Detections) RowFlagged(row int) bool {
-	for i := range d.Flags {
-		if d.Flags[i].Row == row {
-			return true
-		}
-	}
-	return false
-}
-
 // Detector is the pluggable detection interface over the bus-fed
 // batch path: one instance scores one unit's observation stream.
 //

@@ -122,21 +122,46 @@ func TestRetryFailsOverToHealthyBackend(t *testing.T) {
 	}
 }
 
+// TestDropsAfterRetryBudget: a batch every backend fails is not
+// dropped once the attempts run out. It comes back to the submitter
+// with an error resilience.Transient accepts, so the caller keeps it
+// and waits the outage out; only a refused batch counts as Dropped.
 func TestDropsAfterRetryBudget(t *testing.T) {
 	net, addrs, _, _ := fakeTSDs(t, 2, func(string) error { return errors.New("all down") })
-	p, err := New(net, addrs, Config{MaxInFlight: 1, MaxRetries: 2, RetryBackoff: time.Microsecond})
+	p, err := New(net, addrs, Config{MaxInFlight: 1, MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Submit(somePoints(7)); err != nil {
+	defer p.Close()
+	err = p.Submit(somePoints(7))
+	if !resilience.Transient(err) {
+		t.Fatalf("err = %v, want one resilience.Transient accepts", err)
+	}
+	if p.Dropped.Value() != 0 || p.Delivered.Value() != 0 || p.Retries.Value() != 2 {
+		t.Fatalf("dropped %d delivered %d retries %d, want 0 / 0 / 2", p.Dropped.Value(), p.Delivered.Value(), p.Retries.Value())
+	}
+}
+
+// TestAllBreakersOpenIsTransient: with every backend's circuit open the
+// proxy calls no backend and answers with an error resilience.Transient
+// accepts, so a storage writer parks instead of giving the batch up.
+func TestAllBreakersOpenIsTransient(t *testing.T) {
+	net, addrs, total, _ := fakeTSDs(t, 2, nil)
+	breakers := resilience.NewGroup(resilience.BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour})
+	for _, addr := range addrs {
+		breakers.For(addr).Failure()
+	}
+	p, err := New(net, addrs, Config{MaxRetries: 1, Breakers: breakers})
+	if err != nil {
 		t.Fatal(err)
 	}
-	p.Close()
-	if p.Dropped.Value() != 7 {
-		t.Fatalf("Dropped = %d, want 7", p.Dropped.Value())
+	defer p.Close()
+	err = p.Submit(somePoints(4))
+	if !resilience.Transient(err) || !errors.Is(err, resilience.ErrUnavailable) {
+		t.Fatalf("err = %v, want resilience.ErrUnavailable (transient)", err)
 	}
-	if p.Delivered.Value() != 0 {
-		t.Fatal("nothing should be delivered")
+	if total.Load() != 0 || p.Dropped.Value() != 0 {
+		t.Fatalf("backends saw %d points, dropped %d; want 0 / 0", total.Load(), p.Dropped.Value())
 	}
 }
 
@@ -176,26 +201,41 @@ func TestNoBackends(t *testing.T) {
 	}
 }
 
-func TestFlushWaitsForDelivery(t *testing.T) {
-	slow := make(chan struct{})
-	net := rpc.NewNetwork(0, nil)
-	defer net.Close()
-	var got atomic.Int64
-	_, err := net.Register("tsd/slow", func(_ context.Context, method string, payload any) (any, error) {
-		<-slow
-		got.Add(int64(len(payload.(*tsdb.PutBatch).Points)))
+// gatedTSD registers one backend that signals entered on every call
+// and answers once gate is closed.
+func gatedTSD(t *testing.T, addr string) (net *rpc.Network, entered chan struct{}, gate chan struct{}) {
+	t.Helper()
+	net = rpc.NewNetwork(0, nil)
+	t.Cleanup(net.Close)
+	entered, gate = make(chan struct{}, 16), make(chan struct{})
+	_, err := net.Register(addr, func(context.Context, string, any) (any, error) {
+		entered <- struct{}{}
+		<-gate
 		return nil, nil
 	}, rpc.ServerConfig{QueueCap: 16, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return net, entered, gate
+}
+
+// submitAsync runs Submit on its own goroutine; its result arrives on
+// the returned channel.
+func submitAsync(p *Proxy, n int) chan error {
+	res := make(chan error, 1)
+	go func() { res <- p.Submit(somePoints(n)) }()
+	return res
+}
+
+func TestFlushWaitsForDelivery(t *testing.T) {
+	net, entered, gate := gatedTSD(t, "tsd/slow")
 	p, err := New(net, []string{"tsd/slow"}, Config{MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Submit(somePoints(3)); err != nil {
-		t.Fatal(err)
-	}
+	defer p.Close()
+	submitted := submitAsync(p, 3)
+	<-entered // the delivery is in progress
 	flushed := make(chan struct{})
 	go func() {
 		p.Flush()
@@ -206,89 +246,64 @@ func TestFlushWaitsForDelivery(t *testing.T) {
 		t.Fatal("Flush returned before delivery")
 	case <-time.After(20 * time.Millisecond):
 	}
-	close(slow)
+	close(gate)
 	select {
 	case <-flushed:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Flush never returned")
 	}
-	if got.Load() != 3 {
-		t.Fatal("batch not delivered")
+	if err := <-submitted; err != nil || p.Delivered.Value() != 3 {
+		t.Fatalf("submit = %v, delivered %d; want nil, 3", err, p.Delivered.Value())
 	}
-	p.Close()
 }
 
+// TestBufferBackpressureBlocksProducer: with MaxInFlight 1 held by a
+// delivery the TSD has not answered, a second Submit waits for the slot.
 func TestBufferBackpressureBlocksProducer(t *testing.T) {
-	block := make(chan struct{})
-	net := rpc.NewNetwork(0, nil)
-	defer net.Close()
-	_, err := net.Register("tsd/stuck", func(context.Context, string, any) (any, error) {
-		<-block
-		return nil, nil
-	}, rpc.ServerConfig{QueueCap: 1, Workers: 1})
+	net, entered, gate := gatedTSD(t, "tsd/stuck")
+	p, err := New(net, []string{"tsd/stuck"}, Config{MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(net, []string{"tsd/stuck"}, Config{MaxInFlight: 1, BufferBatches: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First batch occupies the sender; second fills the buffer; third
-	// must block the producer.
-	if err := p.Submit(somePoints(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Submit(somePoints(1)); err != nil {
-		t.Fatal(err)
-	}
-	blocked := make(chan struct{})
-	go func() {
-		_ = p.Submit(somePoints(1))
-		close(blocked)
-	}()
+	defer p.Close()
+	first := submitAsync(p, 1)
+	<-entered
+	second := submitAsync(p, 1)
 	select {
-	case <-blocked:
-		t.Fatal("third submit should have blocked (no backpressure)")
+	case <-second:
+		t.Fatal("second submit should have blocked (no backpressure)")
 	case <-time.After(30 * time.Millisecond):
 	}
-	close(block)
-	select {
-	case <-blocked:
-	case <-time.After(2 * time.Second):
-		t.Fatal("producer never unblocked")
+	if d := p.QueueDepth.Value(); d != 2 {
+		t.Fatalf("QueueDepth = %d, want 2 (one delivering, one waiting)", d)
 	}
-	p.Close()
-	if got := p.Backends(); len(got) != 1 || got[0] != "tsd/stuck" {
-		t.Fatalf("Backends = %v", got)
+	close(gate)
+	for _, res := range []chan error{first, second} {
+		select {
+		case err := <-res:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("producer never unblocked")
+		}
+	}
+	if p.Delivered.Value() != 2 || p.QueueDepth.Value() != 0 {
+		t.Fatalf("delivered %d, queue depth %d; want 2, 0", p.Delivered.Value(), p.QueueDepth.Value())
 	}
 }
 
-// TestSubmitContextDeadlineOnFullBuffer: a producer blocked on a full
-// buffer is released by its deadline instead of hanging.
+// TestSubmitContextDeadlineOnFullBuffer: a producer waiting for a slot
+// is released by its deadline instead of hanging.
 func TestSubmitContextDeadlineOnFullBuffer(t *testing.T) {
-	net := rpc.NewNetwork(0, nil)
-	t.Cleanup(net.Close)
-	gate := make(chan struct{})
-	_, err := net.Register("tsd/gated", func(context.Context, string, any) (any, error) {
-		<-gate
-		return nil, nil
-	}, rpc.ServerConfig{QueueCap: 1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(net, []string{"tsd/gated"}, Config{MaxInFlight: 1, BufferBatches: 1})
+	net, entered, gate := gatedTSD(t, "tsd/gated")
+	p, err := New(net, []string{"tsd/gated"}, Config{MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { close(gate); p.Close() }()
-	// First submit ends up with the (wedged) sender; the second then
-	// fills the 1-slot buffer for good — the sender can never free it.
-	if err := p.Submit(somePoints(5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Submit(somePoints(5)); err != nil {
-		t.Fatal(err)
-	}
+	submitAsync(p, 5) // holds the only slot on the wedged TSD
+	<-entered
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if err := p.SubmitContext(ctx, somePoints(5)); !errors.Is(err, context.DeadlineExceeded) {
@@ -296,41 +311,36 @@ func TestSubmitContextDeadlineOnFullBuffer(t *testing.T) {
 	}
 }
 
-// TestCloseWakesBlockedProducer: Close must release producers stuck on
-// a full buffer with ErrClosed — the shutdown race the old proxy had.
+// TestCloseWakesBlockedProducer: Close must release producers waiting
+// for a slot with ErrClosed, and wait for the delivery in progress.
 func TestCloseWakesBlockedProducer(t *testing.T) {
-	net := rpc.NewNetwork(0, nil)
-	t.Cleanup(net.Close)
-	gate := make(chan struct{})
-	_, err := net.Register("tsd/gated", func(context.Context, string, any) (any, error) {
-		<-gate
-		return nil, nil
-	}, rpc.ServerConfig{QueueCap: 1, Workers: 1})
+	net, entered, gate := gatedTSD(t, "tsd/gated")
+	p, err := New(net, []string{"tsd/gated"}, Config{MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(net, []string{"tsd/gated"}, Config{MaxInFlight: 1, BufferBatches: 1})
-	if err != nil {
-		t.Fatal(err)
+	first := submitAsync(p, 5)
+	<-entered
+	blocked := make([]chan error, 4)
+	for i := range blocked {
+		blocked[i] = submitAsync(p, 5)
 	}
-	if err := p.Submit(somePoints(5)); err != nil {
-		t.Fatal(err)
+	for p.QueueDepth.Value() < 5 { // all four queue for the slot
+		time.Sleep(time.Millisecond)
 	}
-	blocked := make(chan error, 8)
-	for i := 0; i < 4; i++ {
-		go func() { blocked <- p.Submit(somePoints(5)) }()
-	}
-	time.Sleep(10 * time.Millisecond) // let them pile onto the buffer
 	go func() {
 		time.Sleep(10 * time.Millisecond)
-		close(gate) // unstick the TSD so Close can flush
+		close(gate) // unstick the TSD so Close can finish
 	}()
 	p.Close()
-	// All producers resolved: either delivered before the close landed
-	// or cleanly rejected — never deadlocked, never panicked.
-	for i := 0; i < 4; i++ {
+	if err := <-first; err != nil {
+		t.Fatalf("the delivery in progress at Close: %v", err)
+	}
+	// Every producer resolved: delivered before the close landed or
+	// cleanly rejected — never deadlocked, never panicked.
+	for _, res := range blocked {
 		select {
-		case err := <-blocked:
+		case err := <-res:
 			if err != nil && !errors.Is(err, ErrClosed) {
 				t.Fatalf("unexpected submit error: %v", err)
 			}
@@ -343,66 +353,46 @@ func TestCloseWakesBlockedProducer(t *testing.T) {
 	}
 }
 
-// TestDrainWaitsForDeliveries: Drain returns once the buffer empties,
-// and honours its context while deliveries are stuck.
-func TestDrainWaitsForDeliveries(t *testing.T) {
-	net, addrs, total, _ := fakeTSDs(t, 1, nil)
-	p, err := New(net, addrs, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	for i := 0; i < 8; i++ {
-		if err := p.Submit(somePoints(10)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if total.Load() != 80 {
-		t.Fatalf("delivered %d, want 80", total.Load())
-	}
-}
-
-// TestDeliveryTimeoutPropagates: a DeliveryTimeout shorter than the
-// TSD's service time abandons the attempt and eventually drops.
+// TestDeliveryTimeoutPropagates: the submitter's deadline reaches the
+// TSD handler, and a TSD slower than it ends the submission with the
+// deadline's error — nothing dropped.
 func TestDeliveryTimeoutPropagates(t *testing.T) {
 	net := rpc.NewNetwork(0, nil)
 	t.Cleanup(net.Close)
 	gate := make(chan struct{})
 	defer close(gate)
-	_, err := net.Register("tsd/stuck2", func(context.Context, string, any) (any, error) {
+	sawDeadline := make(chan bool, 1)
+	_, err := net.Register("tsd/stuck2", func(ctx context.Context, _ string, _ any) (any, error) {
+		_, ok := ctx.Deadline()
+		sawDeadline <- ok
 		<-gate
 		return nil, nil
 	}, rpc.ServerConfig{QueueCap: 64, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(net, []string{"tsd/stuck2"}, Config{
-		MaxInFlight: 1, MaxRetries: 1, DeliveryTimeout: 5 * time.Millisecond,
-	})
+	p, err := New(net, []string{"tsd/stuck2"}, Config{MaxInFlight: 1, MaxRetries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Submit(somePoints(3)); err != nil {
-		t.Fatal(err)
+	defer p.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	if err := p.SubmitContext(ctx, somePoints(3)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
-	deadline := time.After(5 * time.Second)
-	for p.Dropped.Value() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("delivery timeout never dropped the batch")
-		default:
-			time.Sleep(time.Millisecond)
-		}
+	if !<-sawDeadline {
+		t.Fatal("the TSD handler's context carried no deadline")
+	}
+	if p.Dropped.Value() != 0 || p.Delivered.Value() != 0 {
+		t.Fatalf("dropped %d delivered %d, want 0 / 0", p.Dropped.Value(), p.Delivered.Value())
 	}
 }
 
 // TestPermanentErrorIsNotRetried: a batch the TSDs refuse as malformed
-// is dropped at once — in the retry-forever setting too — without
-// wedging a sender, without a retry, and without opening the circuit
-// of a backend whose only fault was answering.
+// is dropped at once — in the retry-forever setting too — and handed
+// back as refused, without a retry and without opening the circuit of
+// a backend whose only fault was answering.
 func TestPermanentErrorIsNotRetried(t *testing.T) {
 	net := rpc.NewNetwork(0, nil)
 	t.Cleanup(net.Close)
@@ -432,20 +422,17 @@ func TestPermanentErrorIsNotRetried(t *testing.T) {
 
 	poison := somePoints(3)
 	poison[1].Tags = nil
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
 	for i := 0; i < 4; i++ { // enough to trip both breakers twice over, were they charged
-		if err := p.Submit(poison); err != nil {
-			t.Fatal(err)
+		if err := p.SubmitContext(ctx, poison); !errors.Is(err, tsdb.ErrBadPoint) {
+			t.Fatalf("poison submit = %v, want tsdb.ErrBadPoint (retries %d)", err, p.Retries.Value())
 		}
 	}
 	for i := 0; i < 6; i++ {
-		if err := p.Submit(somePoints(5)); err != nil {
+		if err := p.SubmitContext(ctx, somePoints(5)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := p.Drain(ctx); err != nil {
-		t.Fatalf("the poison batches never ended: %v (retries %d)", err, p.Retries.Value())
 	}
 	if p.Dropped.Value() != 12 || p.Delivered.Value() != 30 || delivered.Load() != 30 {
 		t.Fatalf("dropped %d delivered %d (backends saw %d), want 12 / 30 / 30", p.Dropped.Value(), p.Delivered.Value(), delivered.Load())

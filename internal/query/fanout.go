@@ -41,9 +41,6 @@ func NewFanout(engines ...*Engine) *Fanout {
 	return &Fanout{engines: engines}
 }
 
-// Engines returns the per-group engines (for metrics registration).
-func (f *Fanout) Engines() []*Engine { return f.engines }
-
 // QueryContext serves q from every store group in parallel and merges
 // the results. With a single group it is exactly that engine's
 // QueryContext.

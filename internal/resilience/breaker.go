@@ -64,7 +64,7 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // probe successes close the breaker, any probe failure re-opens it.
 type Breaker struct {
 	cfg BreakerConfig
-	g   *Group // optional transition counters
+	g   *Group // counts the transitions
 
 	mu        sync.Mutex
 	st        State
@@ -72,11 +72,6 @@ type Breaker struct {
 	successes int // probe successes while half-open
 	inflight  int // half-open probes in flight
 	openedAt  time.Time
-}
-
-// NewBreaker returns a closed breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults()}
 }
 
 // Allow reports whether a request may proceed, transitioning
@@ -96,9 +91,7 @@ func (b *Breaker) Allow() bool {
 		b.st = HalfOpen
 		b.successes = 0
 		b.inflight = 1
-		if b.g != nil {
-			b.g.HalfOpens.Inc()
-		}
+		b.g.HalfOpens.Inc()
 		return true
 	default: // HalfOpen
 		if b.inflight >= b.cfg.ProbeLimit {
@@ -126,9 +119,7 @@ func (b *Breaker) Success() {
 			b.failures = 0
 			b.successes = 0
 			b.inflight = 0
-			if b.g != nil {
-				b.g.Closes.Inc()
-			}
+			b.g.Closes.Inc()
 		}
 	}
 	// A late success against an open breaker changes nothing.
@@ -160,9 +151,7 @@ func (b *Breaker) trip() {
 	b.failures = 0
 	b.successes = 0
 	b.inflight = 0
-	if b.g != nil {
-		b.g.Opens.Inc()
-	}
+	b.g.Opens.Inc()
 }
 
 // State reports the current state without transitioning it.
@@ -222,19 +211,4 @@ func (g *Group) OpenCount() int {
 		}
 	}
 	return n
-}
-
-// Range calls fn for every breaker in the group.
-func (g *Group) Range(fn func(target string, b *Breaker)) {
-	g.mu.Lock()
-	targets := make([]string, 0, len(g.m))
-	breakers := make([]*Breaker, 0, len(g.m))
-	for t, b := range g.m {
-		targets = append(targets, t)
-		breakers = append(breakers, b)
-	}
-	g.mu.Unlock()
-	for i := range targets {
-		fn(targets[i], breakers[i])
-	}
 }

@@ -84,13 +84,19 @@ func NewRand(seed uint64) func() uint64 {
 	}
 }
 
+// ErrUnavailable is what a caller that tries several backends returns
+// when none would take the work right now — every circuit open, or its
+// attempts used up — though they are expected back.
+var ErrUnavailable = errors.New("resilience: backends unavailable")
+
 // Transient reports whether err is worth waiting out in place: the
 // storage tier or the bus is momentarily down, overloaded or faulted
 // (an injected error or drop, a deadline) but expected back. Shape
 // errors and shutdown are not transient — retrying a malformed batch
 // forever would wedge its partition.
 func Transient(err error) bool {
-	return errors.Is(err, rpc.ErrServerDown) ||
+	return errors.Is(err, ErrUnavailable) ||
+		errors.Is(err, rpc.ErrServerDown) ||
 		errors.Is(err, rpc.ErrQueueOverflow) ||
 		errors.Is(err, faultinject.ErrInjected) ||
 		errors.Is(err, faultinject.ErrDropped) ||

@@ -219,84 +219,13 @@ func (h *Histogram) Reset() {
 	h.mu.Unlock()
 }
 
-// RateMeter tracks an event count over wall-clock (or injected) time
-// and reports events/second. The experiment harnesses use it to produce
-// the per-second ingest series behind Figure 2 (right).
-type RateMeter struct {
-	mu      sync.Mutex
-	start   time.Time
-	now     func() time.Time
-	count   int64
-	samples []RateSample
-	lastCut time.Time
-	lastCnt int64
-}
-
 // RateSample is one point of a rate time series: the cumulative count
-// and instantaneous rate observed at Elapsed since meter start.
+// and the rate since the previous sample, observed at Elapsed since the
+// series began (the per-tick ingest series behind Figure 2, right).
 type RateSample struct {
 	Elapsed    time.Duration
 	Cumulative int64
 	Rate       float64 // events/sec since the previous sample
-}
-
-// NewRateMeter returns a meter that reads time from now, which defaults
-// to time.Now when nil (tests inject a manual clock).
-func NewRateMeter(now func() time.Time) *RateMeter {
-	if now == nil {
-		now = time.Now
-	}
-	t := now()
-	return &RateMeter{start: t, now: now, lastCut: t}
-}
-
-// Add records n events.
-func (m *RateMeter) Add(n int64) {
-	m.mu.Lock()
-	m.count += n
-	m.mu.Unlock()
-}
-
-// Cut appends a sample of the series at the current instant and returns it.
-func (m *RateMeter) Cut() RateSample {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := m.now()
-	dt := t.Sub(m.lastCut)
-	s := RateSample{Elapsed: t.Sub(m.start), Cumulative: m.count}
-	if dt > 0 {
-		s.Rate = float64(m.count-m.lastCnt) / dt.Seconds()
-	}
-	m.lastCut, m.lastCnt = t, m.count
-	m.samples = append(m.samples, s)
-	return s
-}
-
-// Count returns the cumulative event count.
-func (m *RateMeter) Count() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.count
-}
-
-// OverallRate returns events/second since the meter was created.
-func (m *RateMeter) OverallRate() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el := m.now().Sub(m.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(m.count) / el
-}
-
-// Series returns the samples collected by Cut, in order.
-func (m *RateMeter) Series() []RateSample {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]RateSample, len(m.samples))
-	copy(out, m.samples)
-	return out
 }
 
 // Registry is a named collection of instruments, used by servers to

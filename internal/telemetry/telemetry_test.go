@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -231,32 +230,6 @@ func TestHistogramQuantileProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRateMeterWithManualTime(t *testing.T) {
-	now := time.Unix(0, 0)
-	m := NewRateMeter(func() time.Time { return now })
-	m.Add(100)
-	now = now.Add(time.Second)
-	s := m.Cut()
-	if s.Cumulative != 100 {
-		t.Fatalf("Cumulative = %d, want 100", s.Cumulative)
-	}
-	if math.Abs(s.Rate-100) > 1e-9 {
-		t.Fatalf("Rate = %v, want 100", s.Rate)
-	}
-	m.Add(50)
-	now = now.Add(500 * time.Millisecond)
-	s = m.Cut()
-	if math.Abs(s.Rate-100) > 1e-9 {
-		t.Fatalf("interval Rate = %v, want 100", s.Rate)
-	}
-	if got := m.OverallRate(); math.Abs(got-100) > 1e-9 {
-		t.Fatalf("OverallRate = %v, want 100", got)
-	}
-	if got := len(m.Series()); got != 2 {
-		t.Fatalf("Series length = %d, want 2", got)
 	}
 }
 

@@ -31,8 +31,9 @@ type TSDConfig struct {
 	// FailFast makes the TSD's HBase client surface RegionServer queue
 	// overflows to the caller instead of absorbing them with retries —
 	// real OpenTSDB applies no backpressure toward HBase, which is the
-	// §III-B failure mode. The buffering proxy is then the only thing
-	// standing between producers and RegionServer crashes.
+	// §III-B failure mode. The proxy's cap on concurrent requests is
+	// then the only thing standing between producers and RegionServer
+	// crashes.
 	FailFast bool
 }
 

@@ -4,20 +4,15 @@ import (
 	"repro/internal/admission"
 )
 
-// AdmissionSignals returns the node's standard overload signals for
-// an admission controller (the second only where the store tier is
-// local):
-//
-//   - storage consumer lag — records published but not yet durably
-//     committed by the storage group, against lagLimit. Lag growing
-//     toward the bus's buffered capacity is the earliest sign the
-//     write path is saturating: once a partition's uncommitted window
-//     fills, publishes block and ingest latency explodes. lagLimit 0
-//     defaults to half the bus's total buffered capacity
-//     (Partitions × BusBuffer / 2), so shedding starts while publish
-//     is still non-blocking.
-//   - ingestion proxy queue depth against its buffer, catching a
-//     stalled downstream before the bus signal moves.
+// AdmissionSignals returns the node's standard overload signal for an
+// admission controller: storage consumer lag — records published but
+// not yet stored by the TSDs and committed by the storage group, against
+// lagLimit. The bus is the write path's one buffer, so lag growing
+// toward its buffered capacity is the sign the write path is
+// saturating: once a partition's uncommitted window fills, publishes
+// block and ingest latency explodes. lagLimit 0 defaults to half the
+// bus's total buffered capacity (Partitions × BusBuffer / 2), so
+// shedding starts while publish is still non-blocking.
 func (n *Node) AdmissionSignals(lagLimit int64) []admission.Signal {
 	if lagLimit <= 0 {
 		buf := n.tier.BusBuffer
@@ -26,13 +21,9 @@ func (n *Node) AdmissionSignals(lagLimit int64) []admission.Signal {
 		}
 		lagLimit = int64(n.tier.Partitions) * int64(buf) / 2
 	}
-	signals := []admission.Signal{
+	return []admission.Signal{
 		{Name: "storage_lag", Load: n.topic(TopicEnergy).Group(GroupStorage).Lag, Limit: lagLimit},
 	}
-	if n.Proxy != nil {
-		signals = append(signals, admission.Signal{Name: "proxy_queue", Load: n.Proxy.QueueDepth.Value, Limit: int64(n.Proxy.Buffer())})
-	}
-	return signals
 }
 
 // NewAdmissionController builds an adaptive overload controller wired

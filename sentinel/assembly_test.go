@@ -249,7 +249,8 @@ func startSolo(t *testing.T) *Node {
 	return n
 }
 
-// flush blocks until everything published has reached storage.
+// flush blocks until everything published has reached storage: the
+// storage group commits a record only once the TSDs hold it.
 func flush(t *testing.T, n *Node) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -257,7 +258,6 @@ func flush(t *testing.T, n *Node) {
 	if err := n.storage.Sync(ctx); err != nil {
 		t.Fatalf("storage group never drained: %v", err)
 	}
-	n.Proxy.Flush()
 }
 
 func stored(t *testing.T, n *Node, unit, sensor int) []tsdb.Sample {
@@ -346,10 +346,10 @@ func TestMetricsUnified(t *testing.T) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
 	}
-	// The proxy signal's limit is the proxy's own buffer, not a copy of
-	// its default.
-	if sig := n.AdmissionSignals(0); len(sig) != 2 || sig[1].Name != "proxy_queue" || sig[1].Limit != int64(n.Proxy.Buffer()) || sig[1].Limit <= 0 {
-		t.Fatalf("admission signals = %+v, proxy buffer %d", sig, n.Proxy.Buffer())
+	// The bus is the write path's one buffer, so storage lag is the one
+	// overload signal.
+	if sig := n.AdmissionSignals(0); len(sig) != 1 || sig[0].Name != "storage_lag" || sig[0].Limit <= 0 {
+		t.Fatalf("admission signals = %+v", sig)
 	}
 	// The stored point is held by the hot tier, and its footprint shows.
 	for _, gauge := range []string{"hbase_memstore_bytes", "hbase_wal_bytes"} {
@@ -405,8 +405,8 @@ func TestPublishRoutesMixedUnits(t *testing.T) {
 }
 
 // TestGracefulShutdown: Shutdown returns only once everything the
-// gateway acked is in storage — bus drained through the writers, proxy
-// drained into the TSDs — so a SIGTERM right behind a burst loses
+// gateway acked is in storage — the bus drained through the writers
+// and the proxy into the TSDs — so a SIGTERM right behind a burst loses
 // nothing.
 func TestGracefulShutdown(t *testing.T) {
 	n := startSolo(t)

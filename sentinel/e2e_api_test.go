@@ -73,7 +73,6 @@ func TestEndToEndThroughPublicAPI(t *testing.T) {
 	if err := sys.Topic().Group(GroupStorage).Sync(ctx); err != nil {
 		t.Fatalf("storage drain: %v", err)
 	}
-	sys.Proxy.Flush()
 
 	// --- Train (an operator-side batch job, not an API surface). ---
 	if err := sys.TrainFromTSDB(0, train, true); err != nil {
@@ -130,7 +129,6 @@ func TestEndToEndThroughPublicAPI(t *testing.T) {
 	if err := sys.Topic().Group(GroupStorage).Sync(ctx); err != nil {
 		t.Fatalf("storage drain: %v", err)
 	}
-	sys.Proxy.Flush()
 	if pool.AnomaliesWritten.Value() == 0 {
 		t.Fatal("detector flagged nothing; the stream has nothing to show")
 	}

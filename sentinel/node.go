@@ -212,9 +212,7 @@ func (c NodeConfig) withNodeDefaults() NodeConfig {
 }
 
 // tiers sizes the shared tiers from a node's configuration, in the
-// library's terms. Proxy retries are unbounded: a daemon's writers
-// never drop a committed record — redelivery and idempotent writes
-// handle the rest.
+// library's terms.
 func (c NodeConfig) tiers() Config {
 	return Config{
 		StorageNodes:    c.StorageNodes,
@@ -222,7 +220,6 @@ func (c NodeConfig) tiers() Config {
 		Units:           c.Units,
 		SensorsPerUnit:  c.SensorsPerUnit,
 		Seed:            c.Seed,
-		ProxyMaxRetries: -1,
 		Breaker:         c.Breaker,
 		Partitions:      c.Partitions,
 		StorageWriters:  c.StorageWriters,
@@ -658,31 +655,22 @@ func (n *Node) EndStreams() {
 }
 
 // Shutdown is the graceful Close, for after the caller has stopped its
-// HTTP listener: everything acked is delivered before the tiers go.
-// Alone, every consumer of the log is in this process, so the bus
-// drains (publishers now get ErrDraining) until the storage group has
-// handed the proxy every record; with peers the log is replicated and
-// what this node's writers had not committed is redelivered to the
-// surviving members. Then the writers stop and the proxy drains what
-// they handed it. Errors (ctx expiring mid-drain) do not stop the
-// teardown.
+// HTTP listener: everything acked is stored before the tiers go. Alone,
+// every consumer of the log is in this process, so the bus drains
+// (publishers now get ErrDraining) until the storage group has
+// committed every record — which it does only once the TSDs hold it;
+// with peers the log is replicated and what this node's writers had not
+// committed is redelivered to the surviving members. Then the node
+// closes. An error (ctx expiring mid-drain) does not stop the teardown.
 func (n *Node) Shutdown(ctx context.Context) error {
-	var errs []error
+	var err error
 	if n.Bus != nil && !n.cfg.clustered() {
-		if err := n.Bus.Drain(ctx); err != nil {
-			errs = append(errs, fmt.Errorf("sentinel: %s: bus drain: %w", n.cfg.Name, err))
-		}
-	}
-	if n.Writers != nil {
-		n.Writers.Stop()
-	}
-	if n.Proxy != nil {
-		if err := n.Proxy.Drain(ctx); err != nil {
-			errs = append(errs, fmt.Errorf("sentinel: %s: proxy drain: %w", n.cfg.Name, err))
+		if derr := n.Bus.Drain(ctx); derr != nil {
+			err = fmt.Errorf("sentinel: %s: bus drain: %w", n.cfg.Name, derr)
 		}
 	}
 	n.Close()
-	return errors.Join(errs...)
+	return err
 }
 
 // Close tears the node down: maintenance, consumers and servers first,

@@ -7,7 +7,8 @@
 //   - a simulated fleet of power-generating assets (§II-A's synthetic
 //     dataset: units × sensors at 1 Hz with injected faults),
 //   - the storage tier — an HBase-like cluster under an OpenTSDB-like
-//     TSD tier, fronted by the buffering reverse proxy (§III),
+//     TSD tier, fronted by the reverse proxy (§III) behind the commit
+//     log that buffers every write,
 //   - the FDR anomaly detector — offline training (covariance and its
 //     eigendecomposition per unit), online evaluation writing flags
 //     back to storage (§IV),
@@ -112,9 +113,11 @@ type Config struct {
 	RSQueueCap      int
 	CrashOnOverflow int64
 
-	// ProxyMaxRetries bounds delivery attempts per batch (0 takes the
-	// proxy default of 8; negative retries without bound until
-	// shutdown — the zero-loss setting the chaos soak runs with).
+	// ProxyMaxRetries bounds the proxy's delivery attempts per batch
+	// before it hands the batch back to its storage writer (0 takes the
+	// proxy default of 8; negative retries until shutdown). Either way
+	// an outage loses nothing: the writer parks on the batch, commits
+	// nothing, and resubmits until the TSDs take it.
 	ProxyMaxRetries int
 	// Breaker tunes the per-TSD circuit breakers shared by the
 	// ingestion proxy and the gateway's query engine (zero fields take
@@ -280,17 +283,11 @@ func (s *System) SetFaults(f *faultinject.Injector) {
 // custom consumers).
 func (s *System) Topic() *bus.Topic { return s.Bus.Topic(TopicEnergy) }
 
-// AnomalyTopic returns the flag-feed topic detector workers publish
-// onto (the SSE tail's source). Workers publish only while a tail's
-// consumer group is attached — a group-less topic is never trimmed, so
-// feeding it with nobody consuming would retain flags forever.
-func (s *System) AnomalyTopic() *bus.Topic { return s.Bus.Topic(TopicAnomalies) }
-
 // IngestRange streams fleet time steps [from, from+steps) onto the
-// commit log and waits until the storage consumer group has drained
-// them through the proxy into the TSD tier — the synchronous contract
-// the training and detection paths rely on. Detector pools consume the
-// same records asynchronously.
+// commit log and waits until the storage consumer group has committed
+// them — which it does only once the TSDs hold them — the synchronous
+// contract the training and detection paths rely on. Detector pools
+// consume the same records asynchronously.
 func (s *System) IngestRange(from int64, steps int) (ingest.Stats, error) {
 	driver := ingest.NewBusDriver(s.Fleet, s.topic(TopicEnergy), ingest.DriverConfig{})
 	stats, err := driver.Run(from, steps)
@@ -300,7 +297,6 @@ func (s *System) IngestRange(from int64, steps int) (ingest.Stats, error) {
 	if err := s.storage.Sync(context.Background()); err != nil {
 		return stats, fmt.Errorf("sentinel: drain storage group: %w", err)
 	}
-	s.Proxy.Flush()
 	return stats, nil
 }
 

@@ -353,6 +353,52 @@ func TestDetectParksOnTransientStorageFault(t *testing.T) {
 	}
 }
 
+// TestStorageOutageLosesNothing: with the default configuration, every
+// TSD refusing writes for longer than the proxy's attempts last loses
+// no sample. The proxy hands each batch back as transient, the storage
+// writers park on it with its record uncommitted, and IngestRange —
+// which waits for the storage group — returns once the TSDs hold all
+// of them.
+func TestStorageOutageLosesNothing(t *testing.T) {
+	sys := newSmallSystem(t)
+	handler, tail := sys.Gateway(0, GatewayConfig{AccessLog: log.New(io.Discard, "", 0)})
+	defer tail.Close()
+	inj := faultinject.New(1)
+	sys.SetFaults(inj)
+	inj.Set("outage", faultinject.Rule{Op: "tsdb/put/", ErrorRate: 1})
+	cleared := time.AfterFunc(1500*time.Millisecond, func() { inj.Clear("outage") })
+	defer cleared.Stop()
+
+	const steps = 40
+	if _, err := sys.IngestRange(0, steps); err != nil {
+		t.Fatal(err)
+	}
+	series, err := sys.TSDB.TSDs()[0].Query(tsdb.Query{Metric: tsdb.MetricEnergy, Start: 0, End: steps - 1})
+	if err != nil && !errors.Is(err, tsdb.ErrNoSuchMetric) { // nothing ever stored
+		t.Fatal(err)
+	}
+	stored := 0
+	for _, ser := range series {
+		u, _ := strconv.Atoi(ser.Tags["unit"])
+		s, _ := strconv.Atoi(ser.Tags["sensor"])
+		for _, smp := range ser.Samples {
+			if want := sys.Fleet.Value(u, s, smp.Timestamp); smp.Value != want {
+				t.Fatalf("unit %d sensor %d t=%d stored %v, published %v", u, s, smp.Timestamp, smp.Value, want)
+			}
+		}
+		stored += len(ser.Samples)
+	}
+	if want := 4 * 12 * steps; stored != want {
+		t.Fatalf("%d of %d published samples stored after the outage", stored, want)
+	}
+	if got := metricValue(t, handler, "proxy_dropped"); got != 0 {
+		t.Fatalf("proxy_dropped = %d, want 0", got)
+	}
+	if got := metricValue(t, handler, "writer_parks"); got == 0 {
+		t.Fatal("writer_parks = 0: the outage never reached the storage writers")
+	}
+}
+
 func TestUnitsAccessor(t *testing.T) {
 	sys := newSmallSystem(t)
 	units := sys.Units()
