@@ -8,8 +8,8 @@ BENCHTIME ?= 1s
 # is `go run ./benchmark --workload detect-paced`.
 EVAL_BENCH = BenchmarkFDRCorrections|BenchmarkOnlineEvalThroughput
 
-# The in-place benchmarks whose allocs/op are pinned in ALLOC_PINS and
-# gated by bench-allocs. BenchmarkBusPublish also matches
+# The in-place benchmarks whose allocs/op ceilings are pinned in PINS
+# and gated by bench-allocs. BenchmarkBusPublish also matches
 # BenchmarkBusPublishConsume; BenchmarkGatewayPutPath pins the /api/v1
 # ingest edge through the full middleware chain, BenchmarkGatewayPutRow
 # the same edge for a 50- and a 200-point row (one number: the decode
@@ -27,7 +27,7 @@ ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|Ben
 # stable ns/op medians, short enough for a PR loop.
 GATE_BENCHTIME ?= 300ms
 
-.PHONY: build lint vet fmt assembly test bench bench-json bench-query bench-allocs bench-gate bench-compare soak backtest chaos conformance fuzz-smoke serve cluster cluster-smoke load-smoke load check
+.PHONY: build lint vet fmt assembly test bench bench-json bench-query bench-allocs bench-gate bench-compare soak backtest harness harness-record conformance fuzz-smoke serve cluster check
 
 build:
 	$(GO) build ./...
@@ -115,9 +115,9 @@ bench-query:
 	$(GO) run ./cmd/benchgate -json BENCH_query.json < bench-query.out
 	@rm -f bench-query.out
 
-# bench-allocs gates the allocs/op pins: the in-place hot paths run
-# once (-benchtime=1x -benchmem) and benchgate -allocs fails the build
-# if any exceeds its ceiling in ALLOC_PINS. Timing-noise free, so it is
+# bench-allocs gates the allocs/op ceilings: the in-place hot paths run
+# once (-benchtime=1x -benchmem) and benchgate, given no baseline, fails
+# the build if any exceeds its ceiling in PINS. Timing-noise free, so it is
 # a gating CI step, unlike the bench-json smoke. -cpu 1 because the
 # pins are the code's own allocations: with more procs
 # linalg.parallelRows spawns row-stripe goroutines, and their count
@@ -126,11 +126,11 @@ bench-allocs:
 	@rm -f bench-allocs.out
 	$(GO) test -run '^$$' -bench '$(ALLOC_BENCH)' -benchtime 1x -benchmem -cpu 1 \
 		./internal/core/ ./internal/fdr/ ./internal/linalg/ ./internal/bus/ ./internal/query/ ./internal/api/ ./internal/ingest/ ./internal/mllib/ ./internal/tsdb/ ./internal/hbase/ > bench-allocs.out
-	$(GO) run ./cmd/benchgate -allocs ALLOC_PINS < bench-allocs.out
+	$(GO) run ./cmd/benchgate -pins PINS < bench-allocs.out
 	@rm -f bench-allocs.out
 
 # bench-gate is the regression ratchet: re-run the benchmarks whose
-# key metrics are pinned in BENCH_PINS and compare against the
+# key metrics are pinned in PINS and compare against the
 # committed BENCH_query.json / BENCH_evaluation.json baselines.
 # Per-metric tolerances absorb runner noise; a genuine 2x regression
 # fails the build. Refresh baselines with `make bench-json` after an
@@ -141,7 +141,7 @@ bench-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkCompressedScan|BenchmarkBlockCompress' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/tsdb/ >> bench-gate.out
 	$(GO) test -run '^$$' -bench 'BenchmarkRegionScanNarrow|BenchmarkHotTierFootprint' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/hbase/ >> bench-gate.out
 	$(GO) test -run '^$$' -bench 'BenchmarkOnlineEvalThroughput' -benchtime $(GATE_BENCHTIME) -benchmem . >> bench-gate.out
-	$(GO) run ./cmd/benchgate -pins BENCH_PINS -baseline BENCH_query.json -baseline BENCH_evaluation.json -skip BenchmarkLoad < bench-gate.out
+	$(GO) run ./cmd/benchgate -pins PINS -baseline BENCH_query.json -baseline BENCH_evaluation.json < bench-gate.out
 	@rm -f bench-gate.out
 
 # bench-compare applies the repo's own verdict rule (BENCHMARK.json's
@@ -169,28 +169,6 @@ bench-compare:
 	done && \
 	$(GO) run ./benchmark --compare bench-base.jsonl bench-head.jsonl
 
-# load-smoke is the gating overload-contract check: cmd/loadgen boots
-# an in-process System behind a real listener, calibrates capacity
-# closed-loop, then drives 2x capacity open-loop (coordinated-omission
-# safe) with mixed ingest / interactive / bulk / SSE-tailer traffic
-# against the admission controller. -assert enforces the contract —
-# accepted-ingest p99 bounded, zero acked-point loss, sheds present
-# and ordered bulk >= interactive >= ingest — and benchgate then
-# ratchets the fresh numbers against the committed BENCH_load.json
-# (only the BenchmarkLoad pins; the PR-loop bench-gate skips them).
-load-smoke:
-	@rm -f bench-load.out bench-load.json
-	$(GO) run ./cmd/loadgen -self -assert -calibrate 3s -duration 6s \
-		-out bench-load.json -bench bench-load.out
-	$(GO) run ./cmd/benchgate -pins BENCH_PINS -baseline BENCH_load.json -only BenchmarkLoad < bench-load.out
-	@rm -f bench-load.out bench-load.json
-
-# load is the full-length run that refreshes the committed
-# BENCH_load.json baseline (nightly, or after an intentional
-# capacity/latency change — commit the refreshed file).
-load:
-	$(GO) run ./cmd/loadgen -self -assert -calibrate 5s -duration 20s -out BENCH_load.json
-
 # soak runs the storage-tier compression soak at nightly length: a
 # multi-hour ingest → seal → spill → query cycle asserting
 # byte-identical readback through the whole tier, under the race
@@ -206,16 +184,39 @@ soak:
 backtest:
 	$(GO) run ./cmd/backtest -gate spike:0.30 -out BENCH_detectors.json
 
-# chaos runs the seeded fault-injection soak under the race detector:
-# a full System endures a TSD crash/restart, an RPC error burst, a
-# stalled proxy edge and a storage blackout, and must come out with
-# zero acked-sample loss, zero failed reader queries (degraded-marked
-# stale answers are legal), every breaker cycled back to closed and
-# recovery inside the budget. The verdict and counters land in
-# BENCH_chaos.json. Seeded and gating: ~30s, no timing assertions
-# beyond the generous recovery budget.
-chaos:
-	$(GO) run -race ./cmd/chaossoak -seed 42 -duration 20s -out BENCH_chaos.json
+# harness runs cmd/harness's three end-to-end proofs, gating, each a
+# table of named checks that must all pass:
+#   - chaos (seeded, under the race detector, ~15 s): a full System
+#     endures a TSD crash/restart, an RPC error burst, a stalled proxy
+#     edge and two storage blackouts, and must come out with zero
+#     acked-sample loss, zero failed reader queries (degraded-marked
+#     stale answers are legal) and every breaker cycled back to closed
+#     inside the recovery budget;
+#   - load (~10 s): calibrate an in-process System's capacity, drive 2x
+#     that open-loop with ingest / interactive / bulk / SSE-tailer
+#     traffic, and hold the overload contract — accepted-ingest p99
+#     under 250 ms and at least 0.25x capacity, sheds ordered
+#     bulk >= interactive >= ingest, zero acked-sample loss;
+#   - cluster: four sentineld processes, the broker SIGKILLed
+#     mid-ingest — every acked sample reads back, a store is promoted,
+#     an anomaly reaches the SSE stream.
+# The report goes to bin/harness.json; only harness-record refreshes the
+# committed BENCH_harness.json (after an intentional change to what a
+# scenario measures — commit the refreshed file). The record runs load
+# at full length (20 s drive after 5 s of calibration).
+harness:
+	$(GO) build -o bin/sentineld ./cmd/sentineld
+	@rm -f bin/harness.json
+	$(GO) run -race ./cmd/harness -scenario chaos -out bin/harness.json
+	$(GO) run ./cmd/harness -scenario load -out bin/harness.json
+	$(GO) run ./cmd/harness -scenario cluster -bin bin/sentineld -out bin/harness.json
+
+harness-record:
+	$(GO) build -o bin/sentineld ./cmd/sentineld
+	@rm -f BENCH_harness.json
+	$(GO) run -race ./cmd/harness -scenario chaos -out BENCH_harness.json
+	$(GO) run ./cmd/harness -scenario load -duration 20s -out BENCH_harness.json
+	$(GO) run ./cmd/harness -scenario cluster -bin bin/sentineld -out BENCH_harness.json
 
 # conformance runs the /api/v1 route-contract table: every route
 # answers and every error class maps onto the documented status +
@@ -275,14 +276,4 @@ cluster:
 	bin/sentineld -name store-2 -role store -listen 127.0.0.1:7403 -zk-node dg $(CLUSTER_ARGS) & \
 	wait
 
-# cluster-smoke is the gating multi-process failover check: it boots
-# the same four-role topology as separate OS processes, ingests
-# through the gateway with the SDK, SIGKILLs the broker mid-stream,
-# and asserts zero acked-sample loss, a promoted store leader on
-# /api/v1/cluster, and an anomaly on the SSE stream. See
-# cmd/clustersmoke.
-cluster-smoke:
-	$(GO) build -o bin/sentineld ./cmd/sentineld
-	$(GO) run ./cmd/clustersmoke -bin bin/sentineld
-
-check: lint build test bench bench-allocs bench-gate backtest chaos conformance fuzz-smoke cluster-smoke load-smoke
+check: lint build test bench bench-allocs bench-gate backtest harness conformance fuzz-smoke

@@ -4,36 +4,31 @@
 // matched nothing (so a renamed benchmark cannot silently un-gate
 // itself).
 //
-// Regression ratchet (default; `make bench-gate`, `make load-smoke`):
-// compare the fresh run with the committed BENCH_*.json baselines under
-// a pin file naming which (benchmark, metric) pairs are guarded with
-// what tolerance.
+// Gate: the pin file (-pins, PINS by default) holds two kinds of line,
+// '#' comments and blank lines aside:
 //
-//	go test -run '^$' -bench 'Query' -benchmem ./internal/query/ |
-//	  benchgate -pins BENCH_PINS -baseline BENCH_query.json
+//   - A ceiling, `benchmark-prefix allocs_per_op max N`, fails a
+//     benchmark that allocates more than N per op.
+//   - A ratchet, `benchmark-prefix metric tolerance`, fails a benchmark
+//     that regressed past tolerance against its committed BENCH_*.json
+//     baseline. The metric is `ns_per_op`, `bytes_per_op`,
+//     `allocs_per_op`, or any custom unit the benchmark reports
+//     (`samples/s`, `bytes/sample`, ...). Tolerance is a factor >= 1:
+//     lower-is-better metrics (ns/op, B/op, allocs/op, bytes/sample,
+//     heap-B/cell) fail when fresh > baseline*tolerance, rates when
+//     fresh < baseline/tolerance. Tolerances absorb shared-runner noise;
+//     a genuine 2x regression still fails. After an intentional perf
+//     change, refresh the baselines (`make bench-json`) in the same
+//     commit.
 //
-// Pin file format: one `benchmark-prefix metric tolerance` triple per
-// line, '#' comments and blank lines ignored. The longest matching
-// prefix wins per metric; a shorter pin whose every match is shadowed
-// by longer pins still counts as matched, not dangling. The metric is
-// `ns_per_op`, `bytes_per_op`, `allocs_per_op`, or any custom unit the
-// benchmark reports (`samples/s`, `bytes/sample`, ...). Tolerance is a
-// factor >= 1: lower-is-better metrics (ns/op, B/op, allocs/op,
-// bytes/sample, heap-B/cell) fail when fresh > baseline*tolerance;
-// higher-is-better metrics (rates) fail when fresh < baseline/tolerance.
-// Tolerances
-// absorb shared-runner noise; a genuine 2x regression still fails.
-// After an intentional perf change, refresh the baselines
-// (`make bench-json`) in the same commit.
+// With no -baseline benchgate checks the ceilings (`make bench-allocs`);
+// with one or more it checks the ratchets (`make bench-gate`). The
+// longest matching prefix wins per metric, so a family pin can be
+// overridden for one sub-benchmark, and a shorter pin whose every match
+// is shadowed by longer pins still counts as matched, not dangling.
 //
-// Allocation ceilings (-allocs; `make bench-allocs`): no baseline — the
-// pin file maps benchmark-name prefixes to the maximum allowed
-// allocs/op, one `prefix max-allocs` pair per line, and a benchmark
-// fails when it exceeds its ceiling. The longest matching prefix wins,
-// so a family pin (`BenchmarkApplyInto 0`) can be overridden for one
-// sub-benchmark; benchmarks with no matching prefix are ignored.
-//
-//	go test -run '^$' -bench 'Into' -benchtime=1x -benchmem ./... | benchgate -allocs ALLOC_PINS
+//	go test -run '^$' -bench 'Into' -benchtime=1x -benchmem ./... | benchgate
+//	go test -run '^$' -bench 'Query' -benchmem ./internal/query/ | benchgate -baseline BENCH_query.json
 //
 // Record (-json; `make bench-json`, `make bench-query`): convert the
 // run into the BENCH_*.json perf-trajectory format the ratchet reads
@@ -77,8 +72,7 @@ type benchDoc struct {
 
 // pin guards one metric of the benchmarks its prefix matches, holding
 // the fresh value within tolerance of the committed baseline — or, for
-// an absolute pin (-allocs), of its own ceiling, which then stands in
-// for the baseline.
+// a ceiling, of its own ceiling, which then stands in for the baseline.
 type pin struct {
 	prefix    string
 	metric    string
@@ -104,25 +98,17 @@ func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
 func main() {
-	pinsPath := flag.String("pins", "BENCH_PINS", "pin file (benchmark-prefix metric tolerance per line)")
-	allocsPath := flag.String("allocs", "", "gate allocs/op against the absolute ceilings in this pin file (benchmark-prefix max-allocs per line) instead of baselines")
+	pinsPath := flag.String("pins", "PINS", "pin file: ceilings (prefix allocs_per_op max N) and ratchets (prefix metric tolerance)")
 	jsonOut := flag.String("json", "", "record stdin as this BENCH_*.json file instead of gating")
-	var baselines, only, skip multiFlag
-	flag.Var(&baselines, "baseline", "committed BENCH_*.json baseline (repeatable)")
-	flag.Var(&only, "only", "enforce only pins whose prefix starts with this (repeatable)")
-	flag.Var(&skip, "skip", "ignore pins whose prefix starts with this (repeatable)")
+	var baselines multiFlag
+	flag.Var(&baselines, "baseline", "committed BENCH_*.json baseline to check the ratchets against (repeatable; none: check the ceilings)")
 	flag.Parse()
 
 	var err error
-	switch {
-	case *jsonOut != "":
+	if *jsonOut != "" {
 		err = record(os.Stdin, *jsonOut)
-	case *allocsPath != "":
-		err = gateStdin(*allocsPath, true, nil, only, skip)
-	case len(baselines) == 0:
-		err = errors.New("at least one -baseline required")
-	default:
-		err = gateStdin(*pinsPath, false, baselines, only, skip)
+	} else {
+		err = gateStdin(*pinsPath, baselines)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
@@ -130,15 +116,13 @@ func main() {
 	}
 }
 
-// gateStdin loads the pins (and, for the ratchet, the baselines), gates
-// stdin and turns the outcome into the exit error.
-func gateStdin(pinsPath string, absolute bool, baselines, only, skip []string) error {
-	pins, err := loadPins(pinsPath, absolute)
+// gateStdin loads the pins of the kind the baselines select — ratchets
+// with baselines, ceilings without — gates stdin and turns the outcome
+// into the exit error.
+func gateStdin(pinsPath string, baselines []string) error {
+	pins, err := loadPins(pinsPath, len(baselines) == 0)
 	if err != nil {
 		return err
-	}
-	if pins = filterPins(pins, only, skip); len(pins) == 0 {
-		return errors.New("no pins left after -only/-skip")
 	}
 	base, err := loadBaselines(baselines)
 	if err != nil {
@@ -210,32 +194,6 @@ func record(in io.Reader, path string) error {
 	}
 	fmt.Fprintf(os.Stderr, "benchgate: wrote %d benchmarks to %s\n", len(doc.Benchmarks), path)
 	return nil
-}
-
-// filterPins applies the -only/-skip prefix selectors, letting one
-// pin file serve runs that exercise different benchmark subsets (the
-// PR-loop bench-gate skips the load pins; load-smoke enforces only
-// them) without un-pinned pins failing as dangling.
-func filterPins(pins []*pin, only, skip []string) []*pin {
-	anyPrefix := func(s string, prefixes []string) bool {
-		for _, p := range prefixes {
-			if strings.HasPrefix(s, p) {
-				return true
-			}
-		}
-		return false
-	}
-	var kept []*pin
-	for _, p := range pins {
-		if len(only) > 0 && !anyPrefix(p.prefix, only) {
-			continue
-		}
-		if anyPrefix(p.prefix, skip) {
-			continue
-		}
-		kept = append(kept, p)
-	}
-	return kept
 }
 
 // gate checks the bench run on in against pins — relative pins against
@@ -335,10 +293,11 @@ func fmtNum(v float64) string {
 	return strconv.FormatFloat(v, 'g', 6, 64)
 }
 
-// loadPins reads a pin file: `prefix metric tolerance` triples, or with
-// absolute set `prefix max-allocs` pairs — each an allocs_per_op pin
-// held to that ceiling at tolerance 1.
-func loadPins(path string, absolute bool) ([]*pin, error) {
+// loadPins reads a pin file and returns its ceilings (`prefix
+// allocs_per_op max N`, each held to N at tolerance 1) or its ratchets
+// (`prefix metric tolerance`). Every line must parse as one or the
+// other, whichever kind is asked for.
+func loadPins(path string, ceilings bool) ([]*pin, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -352,25 +311,26 @@ func loadPins(path string, absolute bool) ([]*pin, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		if absolute {
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("%s: bad pin line %q (want: prefix max-allocs)", path, line)
-			}
-			max, err := strconv.ParseFloat(fields[1], 64)
+		switch {
+		case len(fields) == 4 && fields[1] == "allocs_per_op" && fields[2] == "max":
+			max, err := strconv.ParseFloat(fields[3], 64)
 			if err != nil {
 				return nil, fmt.Errorf("%s: bad max in %q", path, line)
 			}
-			pins = append(pins, &pin{prefix: fields[0], metric: "allocs_per_op", tolerance: 1, ceiling: &entry{AllocsPerOp: max}})
-			continue
+			if ceilings {
+				pins = append(pins, &pin{prefix: fields[0], metric: "allocs_per_op", tolerance: 1, ceiling: &entry{AllocsPerOp: max}})
+			}
+		case len(fields) == 3:
+			tol, err := strconv.ParseFloat(fields[2], 64)
+			if err != nil || tol < 1 {
+				return nil, fmt.Errorf("%s: bad tolerance in %q (must be a factor >= 1)", path, line)
+			}
+			if !ceilings {
+				pins = append(pins, &pin{prefix: fields[0], metric: fields[1], tolerance: tol})
+			}
+		default:
+			return nil, fmt.Errorf("%s: bad pin line %q (want: prefix allocs_per_op max N, or prefix metric tolerance)", path, line)
 		}
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("%s: bad pin line %q (want: prefix metric tolerance)", path, line)
-		}
-		tol, err := strconv.ParseFloat(fields[2], 64)
-		if err != nil || tol < 1 {
-			return nil, fmt.Errorf("%s: bad tolerance in %q (must be a factor >= 1)", path, line)
-		}
-		pins = append(pins, &pin{prefix: fields[0], metric: fields[1], tolerance: tol})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package main
 import (
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -13,13 +12,13 @@ func testPins(t *testing.T, lines ...string) []*pin {
 	return writePins(t, false, lines...)
 }
 
-func writePins(t *testing.T, absolute bool, lines ...string) []*pin {
+func writePins(t *testing.T, ceilings bool, lines ...string) []*pin {
 	t.Helper()
 	path := t.TempDir() + "/PINS"
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pins, err := loadPins(path, absolute)
+	pins, err := loadPins(path, ceilings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +35,9 @@ func runGate(t *testing.T, pins []*pin, base map[string]entry, input string) (ch
 }
 
 func TestGateWithinTolerance(t *testing.T) {
-	pins := testPins(t, "BenchmarkFoo ns_per_op 2")
+	// A ceiling in the same file is not a ratchet: were it read as one,
+	// BenchmarkBar would fail as a dangling pin.
+	pins := testPins(t, "BenchmarkFoo ns_per_op 2", "BenchmarkBar allocs_per_op max 0")
 	base := map[string]entry{"BenchmarkFoo": {NsPerOp: 100}}
 	checked, violations := runGate(t, pins, base, "BenchmarkFoo-8  1000  150 ns/op\n")
 	if checked != 1 || violations != 0 {
@@ -89,50 +90,7 @@ func TestGateShadowedPinIsNotDangling(t *testing.T) {
 	}
 }
 
-func TestFilterPinsOnlySkip(t *testing.T) {
-	pins := testPins(t,
-		"BenchmarkLoadIngest samples/s 3",
-		"BenchmarkLoadQuery ns_per_op 4",
-		"BenchmarkQueryCacheHit ns_per_op 4",
-	)
-	names := func(ps []*pin) string {
-		var out []string
-		for _, p := range ps {
-			out = append(out, p.prefix)
-		}
-		sort.Strings(out)
-		return strings.Join(out, ",")
-	}
-	if got := names(filterPins(pins, []string{"BenchmarkLoad"}, nil)); got != "BenchmarkLoadIngest,BenchmarkLoadQuery" {
-		t.Fatalf("-only BenchmarkLoad kept %q", got)
-	}
-	if got := names(filterPins(pins, nil, []string{"BenchmarkLoad"})); got != "BenchmarkQueryCacheHit" {
-		t.Fatalf("-skip BenchmarkLoad kept %q", got)
-	}
-	if got := names(filterPins(pins, nil, nil)); got != "BenchmarkLoadIngest,BenchmarkLoadQuery,BenchmarkQueryCacheHit" {
-		t.Fatalf("no filters kept %q", got)
-	}
-	if got := filterPins(pins, []string{"BenchmarkLoad"}, []string{"BenchmarkLoad"}); len(got) != 0 {
-		t.Fatalf("only+skip of the same prefix kept %d pins", len(got))
-	}
-}
-
-// A skipped pin that matches nothing on stdin must not fail as
-// dangling — that is the whole point of -skip for subset runs.
-func TestSkippedPinNotDangling(t *testing.T) {
-	pins := testPins(t,
-		"BenchmarkLoadIngest samples/s 3",
-		"BenchmarkFoo ns_per_op 2",
-	)
-	pins = filterPins(pins, nil, []string{"BenchmarkLoad"})
-	base := map[string]entry{"BenchmarkFoo": {NsPerOp: 100}}
-	checked, violations := runGate(t, pins, base, "BenchmarkFoo-8  1000  100 ns/op\n")
-	if checked != 1 || violations != 0 {
-		t.Fatalf("checked %d / violations %d, want 1 / 0", checked, violations)
-	}
-}
-
-// TestAllocCeilings covers the -allocs mode: absolute allocs/op
+// TestAllocCeilings covers the ceiling lines: absolute allocs/op
 // ceilings with no baseline, longest prefix winning, and the same
 // dangling-pin rule as the ratchet.
 func TestAllocCeilings(t *testing.T) {
@@ -145,11 +103,12 @@ func TestAllocCeilings(t *testing.T) {
 		input               string
 		checked, violations int
 	}{
-		{"within ceilings", []string{"BenchmarkMulInto 1", "BenchmarkApplyInto 2"}, run, 2, 0},
-		{"over ceiling fails", []string{"BenchmarkMulInto 1", "BenchmarkApplyInto 0"}, run, 2, 1},
-		{"longest prefix overrides the family pin", []string{"BenchmarkMulInto 1", "BenchmarkApplyInto 0", "BenchmarkApplyInto/BH 2"}, run, 2, 0},
-		{"dangling alloc pin fails", []string{"BenchmarkMulInto 1", "BenchmarkGone 0"}, run, 1, 1},
-		{"a run without -benchmem matches nothing", []string{"BenchmarkMulInto 1"}, "BenchmarkMulInto/64x100x10-4  1  900 ns/op\n", 0, 1},
+		{"within ceilings", []string{"BenchmarkMulInto allocs_per_op max 1", "BenchmarkApplyInto allocs_per_op max 2"}, run, 2, 0},
+		{"over ceiling fails", []string{"BenchmarkMulInto allocs_per_op max 1", "BenchmarkApplyInto allocs_per_op max 0"}, run, 2, 1},
+		{"longest prefix overrides the family pin", []string{"BenchmarkMulInto allocs_per_op max 1", "BenchmarkApplyInto allocs_per_op max 0", "BenchmarkApplyInto/BH allocs_per_op max 2"}, run, 2, 0},
+		{"dangling alloc pin fails", []string{"BenchmarkMulInto allocs_per_op max 1", "BenchmarkGone allocs_per_op max 0"}, run, 1, 1},
+		{"a ratchet is not a ceiling", []string{"BenchmarkMulInto allocs_per_op max 1", "BenchmarkGone ns_per_op 2"}, run, 1, 0},
+		{"a run without -benchmem matches nothing", []string{"BenchmarkMulInto allocs_per_op max 1"}, "BenchmarkMulInto/64x100x10-4  1  900 ns/op\n", 0, 1},
 	} {
 		checked, violations := runGate(t, writePins(t, true, tc.pins...), nil, tc.input)
 		if checked != tc.checked || violations != tc.violations {

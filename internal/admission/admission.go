@@ -296,8 +296,8 @@ func (c *Controller) makeRoom(now time.Time) {
 	}
 }
 
-// ShedTotal sums pressure sheds across all classes (the loadgen / soak
-// assertion counter).
+// ShedTotal sums pressure sheds across all classes (the gateway_sheds
+// counter of cmd/harness's load scenario).
 func (c *Controller) ShedTotal() int64 {
 	var n int64
 	for i := Class(0); i < numClasses; i++ {

@@ -16,7 +16,7 @@
 // Randomness is a seeded splitmix64 stream and rules are evaluated in
 // sorted name order, so a given seed yields a reproducible fault
 // sequence. Schedule sequences timed events (crash, restart, rule
-// toggles) for scenario runners like cmd/chaossoak.
+// toggles) for scenario runners like cmd/harness's chaos scenario.
 //
 // Instrumented components accept an Injector via SetFaults and consult
 // it with Decide (non-blocking decision, used by rpc's asynchronous

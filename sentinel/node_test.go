@@ -195,8 +195,8 @@ func waitEnergySamples(t *testing.T, c *client.Client, to int64, want int) []v1.
 }
 
 // TestClusterEndToEnd drives the existing e2e flow through a
-// four-process-shaped cluster (in-process here; cmd/clustersmoke runs
-// the same topology as real OS processes): SDK ingest through the
+// four-process-shaped cluster (in-process here; cmd/harness -scenario
+// cluster runs the same topology as real OS processes): SDK ingest through the
 // gateway onto the replicated bus, storage writers on both store
 // nodes, streaming detection on the detect node writing flags back
 // over rpc, scatter-gather reads merging both store groups, the SSE
