@@ -4,7 +4,8 @@ GO ?= go
 BENCHTIME ?= 1s
 # The evaluation benchmarks recorded in BENCH_evaluation.json:
 # E5 (FDR corrections), E6 (online eval throughput), plus the in-place
-# hot-path benches whose allocs/op are pinned. E9, the integrated loop,
+# hot-path benches whose allocs/op are pinned and the §IV-A model fit
+# (BenchmarkTrainUnit). E9, the integrated loop,
 # is `go run ./benchmark --workload detect-paced`.
 EVAL_BENCH = BenchmarkFDRCorrections|BenchmarkOnlineEvalThroughput
 
@@ -93,7 +94,7 @@ bench:
 bench-json: bench-query
 	@rm -f bench-eval.out
 	$(GO) test -run '^$$' -bench '$(EVAL_BENCH)' -benchtime $(BENCHTIME) -benchmem . > bench-eval.out
-	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateBatch|BenchmarkApplyInto' -benchtime $(BENCHTIME) -benchmem ./internal/core/ ./internal/fdr/ >> bench-eval.out
+	$(GO) test -run '^$$' -bench 'BenchmarkEvaluateBatch|BenchmarkApplyInto|BenchmarkTrainUnit' -benchtime $(BENCHTIME) -benchmem ./internal/core/ ./internal/fdr/ >> bench-eval.out
 	$(GO) test -run '^$$' -bench 'BenchmarkBusPublishConsume|BenchmarkDetectorPoolFanout' -benchtime $(BENCHTIME) -benchmem ./internal/bus/ ./sentinel/ >> bench-eval.out
 	$(GO) test -run '^$$' -bench 'BenchmarkGatewayPutPath|BenchmarkGatewayCachedQuery|BenchmarkIngestPutBaseline' -benchtime $(BENCHTIME) -benchmem ./internal/api/ >> bench-eval.out
 	$(GO) run ./cmd/benchgate -json BENCH_evaluation.json < bench-eval.out
@@ -141,6 +142,7 @@ bench-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkCompressedScan|BenchmarkBlockCompress' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/tsdb/ >> bench-gate.out
 	$(GO) test -run '^$$' -bench 'BenchmarkRegionScanNarrow|BenchmarkHotTierFootprint' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/hbase/ >> bench-gate.out
 	$(GO) test -run '^$$' -bench 'BenchmarkOnlineEvalThroughput' -benchtime $(GATE_BENCHTIME) -benchmem . >> bench-gate.out
+	$(GO) test -run '^$$' -bench 'BenchmarkTrainUnit/sensors=200$$' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/core/ >> bench-gate.out
 	$(GO) run ./cmd/benchgate -pins PINS -baseline BENCH_query.json -baseline BENCH_evaluation.json < bench-gate.out
 	@rm -f bench-gate.out
 

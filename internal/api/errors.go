@@ -91,8 +91,15 @@ func writeErrorStatus(w http.ResponseWriter, status int, msg string) {
 	writeError(w, &apiError{status: status, code: code, msg: msg})
 }
 
-// writeJSON renders v with the v1 content type.
+// writeJSON renders v with the v1 content type. v is marshalled before
+// anything is written, so a value JSON cannot carry (a NaN, say) is the
+// v1 500 envelope, not a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeErrorStatus(w, http.StatusInternalServerError, "encode response: "+err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", v1.ContentTypeJSON)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n')) // a failed write means the client has gone: no one to tell
 }

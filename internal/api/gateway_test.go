@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -217,6 +218,19 @@ func TestV1Conformance(t *testing.T) {
 	rec := get(t, broken, "/api/v1/fleet")
 	if rec.Code != 500 || envelope(t, rec).Code != v1.CodeInternal {
 		t.Errorf("storage failure = %d (%s), want 500 internal", rec.Code, rec.Body)
+	}
+	// 500: a result JSON cannot carry is the envelope, not a 200 with an
+	// empty body.
+	unencodable := New(Config{
+		Query: querierFunc(func(context.Context, tsdb.Query) ([]tsdb.Series, error) {
+			return []tsdb.Series{{Metric: tsdb.MetricEnergy, Tags: tsdb.EnergyTags(0, 0), Samples: []tsdb.Sample{{Timestamp: 1, Value: math.NaN()}}}}, nil
+		}),
+		Now:       func() int64 { return 59 },
+		AccessLog: testLogger(),
+	})
+	rec = get(t, unencodable, "/api/v1/query?unit=0&sensor=0&from=0&to=59")
+	if rec.Code != 500 || envelope(t, rec).Code != v1.CodeInternal {
+		t.Errorf("NaN sample in a query result = %d (%q), want 500 internal", rec.Code, rec.Body)
 	}
 	// 503: routes whose dependency is absent.
 	for _, path := range []string{"/api/v1/anomalies/stream", "/api/v1/detectors", "/api/v1/cluster", "/api/v1/metrics"} {

@@ -206,6 +206,8 @@ func TestPutRejectsUnstorablePoint(t *testing.T) {
 		"no tags":            "put energy 4 1 unit=1\nput energy 5 1\n",
 		"negative timestamp": "put energy -5 1 unit=1\n",
 		"empty tag value":    "put energy 5 1 unit=\n",
+		"NaN value":          "put energy 5 NaN unit=1\n",
+		"infinite value":     "put energy 5 -Inf unit=1\n",
 	} {
 		rec := postPut(gw, v1.ContentTypeLines, lines)
 		if rec.Code != 400 || !strings.Contains(rec.Body.String(), v1.CodeBadRequest) {

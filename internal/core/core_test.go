@@ -94,6 +94,35 @@ func TestTrainUnitLargeOffset(t *testing.T) {
 	}
 }
 
+// TestTrainUnitSigmaIsCovarianceDiagonal: σ_i is √cov_ii exactly,
+// floored at minSigma, so a constant channel gets the floor.
+func TestTrainUnitSigmaIsCovarianceDiagonal(t *testing.T) {
+	window := gaussianWindow(rand.New(rand.NewSource(59)), 256, 40, constVec(40, 3), constVec(40, 2))
+	for _, row := range window {
+		row[17] = 5
+	}
+	m, err := TrainUnit(0, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := linalg.FromRows(window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cov, _, err := x.Covariance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range m.Sigma {
+		if want := math.Sqrt(max(cov.At(i, i), minSigma*minSigma)); s != want {
+			t.Fatalf("sensor %d: σ = %v, want √max(cov_ii, minSigma²) = %v", i, s, want)
+		}
+	}
+	if m.Sigma[17] != minSigma {
+		t.Fatalf("constant sensor σ = %v, want the floor %v", m.Sigma[17], minSigma)
+	}
+}
+
 // TestTrainUnitIndependentOfProcs: a model is bit-identical whatever
 // GOMAXPROCS trained it.
 func TestTrainUnitIndependentOfProcs(t *testing.T) {

@@ -5,11 +5,12 @@
 // The design follows §IV of the paper exactly:
 //
 //   - Offline training is two functions. TrainUnit computes one unit's
-//     covariance matrix of the sensor streams (linalg), takes its
-//     eigendecomposition to obtain the mean/variance structure and the
-//     leading components; TrainFleet runs it per unit, one at a time or
-//     up to GOMAXPROCS at once, and caches each Model through a
-//     pluggable BlobStore (the paper caches to HDFS).
+//     mean and covariance matrix of the sensor streams (linalg), reads
+//     each sensor's variance off the covariance diagonal, and takes
+//     every eigenvalue and the leading eigenvectors of the covariance
+//     for the retained subspace; TrainFleet runs it per unit, one at a
+//     time or up to GOMAXPROCS at once, and caches each Model through
+//     a pluggable BlobStore (the paper caches to HDFS).
 //   - Online evaluation (Evaluator) is one matrix multiplication per
 //     iteration: a batch of observations is centered and projected onto
 //     the dominant eigen-subspace, producing per-sensor z-statistics

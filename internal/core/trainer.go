@@ -16,7 +16,8 @@ const (
 	// variance.
 	energyFraction = 0.9
 	// maxComponents caps K. The online cost per observation is one
-	// Sensors×K matrix multiplication, so K bounds evaluation latency.
+	// Sensors×K matrix multiplication, so K bounds evaluation latency;
+	// it is also how many eigenvectors the fit computes.
 	maxComponents = 10
 	// minSigma floors per-sensor standard deviations to keep z-scores
 	// finite on (near-)constant channels.
@@ -42,17 +43,24 @@ func TrainUnit(unit int, window [][]float64) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: unit %d covariance: %w", unit, err)
 	}
-	eig, vecs, err := linalg.EigenSym(cov)
+	eig, vecs, err := linalg.EigenSym(cov, maxComponents)
 	if err != nil {
-		return nil, fmt.Errorf("core: unit %d covariance SVD: %w", unit, err)
+		return nil, fmt.Errorf("core: unit %d covariance eigendecomposition: %w", unit, err)
 	}
-	return modelFromSVD(unit, x.Rows, mean, eig, vecs)
+	// Per-sensor variance is the covariance diagonal: the Σ_j λ_j v_ij²
+	// the paper obtains "the mean and variance" from, read off directly
+	// instead of summed over every eigenvector.
+	sigma := make([]float64, x.Cols)
+	for i := range sigma {
+		sigma[i] = sqrt(max(cov.At(i, i), minSigma*minSigma))
+	}
+	return modelFromEigen(unit, x.Rows, mean, sigma, eig, vecs)
 }
 
-// modelFromSVD converts the covariance eigenstructure (eigenvalues
-// descending, eigenvectors as the columns of vecs) into a Model,
-// picking K by the energy criterion.
-func modelFromSVD(unit, rows int, mean, eig []float64, vecs *linalg.Matrix) (*Model, error) {
+// modelFromEigen converts the covariance eigenstructure (every
+// eigenvalue, descending, and the leading eigenvectors as the columns
+// of vecs) into a Model, picking K by the energy criterion.
+func modelFromEigen(unit, rows int, mean, sigma, eig []float64, vecs *linalg.Matrix) (*Model, error) {
 	sensors := len(mean)
 	total := 0.0
 	for i, l := range eig {
@@ -73,18 +81,6 @@ func modelFromSVD(unit, rows int, mean, eig []float64, vecs *linalg.Matrix) (*Mo
 		}
 	}
 	k = min(k, maxComponents, sensors)
-	sigma := make([]float64, sensors)
-	// Per-sensor variance is recovered from the eigen-decomposition:
-	// diag(Σ) = Σ_j λ_j v_{ij}². (The paper phrases this as obtaining
-	// "the mean and variance" from the decomposition.)
-	for i := 0; i < sensors; i++ {
-		v := 0.0
-		for j := 0; j < vecs.Cols; j++ {
-			c := vecs.At(i, j)
-			v += eig[j] * c * c
-		}
-		sigma[i] = sqrt(max(v, minSigma*minSigma))
-	}
 	m := &Model{
 		Unit:        unit,
 		Sensors:     sensors,

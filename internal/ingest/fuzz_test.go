@@ -10,10 +10,12 @@ import (
 )
 
 // FuzzParseLine holds the telnet line codec to its contract on any
-// line: ParseLine returns a point or an error, never panics, and a point
-// it accepts formats (FormatLine) to a line that parses back to the
-// identical point — metric, timestamp, value bits and tags — carrying
-// the same interned tag map whenever the tag set is interned. Seeded
+// line: ParseLine returns a point or an error, never panics, a point it
+// accepts has a finite value (JSON, which every read answers in, has no
+// NaN or ±Inf), and that point formats (FormatLine) to a line that
+// parses back to the identical point — metric, timestamp, value bits
+// and tags — carrying the same interned tag map whenever the tag set is
+// interned. Seeded
 // from testdata/fuzz/FuzzParseLine — duplicate keys, '=' inside a value,
 // tabs and Unicode spaces, NaN/±Inf/hex/-0 values, a tag set too long
 // to intern, invalid UTF-8, malformed verbs, timestamps and tags.
@@ -24,6 +26,9 @@ func FuzzParseLine(f *testing.F) {
 		p, err := ParseLine(line)
 		if err != nil {
 			return
+		}
+		if math.IsNaN(p.Value) || math.IsInf(p.Value, 0) {
+			t.Fatalf("%q parsed to the non-finite value %v", line, p.Value)
 		}
 		formatted := FormatLine(&p)
 		again, err := ParseLine(formatted)

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -204,7 +205,7 @@ func ParseLine(line string) (tsdb.Point, error) {
 		return tsdb.Point{}, fmt.Errorf("%w: bad timestamp in %q", tsdb.ErrBadPoint, line)
 	}
 	val, err := strconv.ParseFloat(fields[3], 64)
-	if err != nil {
+	if err != nil || math.IsNaN(val) || math.IsInf(val, 0) {
 		return tsdb.Point{}, fmt.Errorf("%w: bad value in %q", tsdb.ErrBadPoint, line)
 	}
 	var stack [8][2]string

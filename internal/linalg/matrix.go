@@ -1,13 +1,14 @@
 // Package linalg implements the dense linear algebra the anomaly
 // detector needs: matrices with parallel blocked multiplication,
-// covariance estimation, symmetric eigendecomposition (cyclic Jacobi)
-// and singular value decomposition.
+// covariance estimation, and the symmetric eigendecomposition (every
+// eigenvalue, the leading eigenvectors) of a covariance.
 //
 // The paper's offline trainer computes, per unit, the covariance matrix
-// of the sensor streams and then an SVD of that covariance; the online
-// evaluator is "a single matrix multiplication per iteration". Both hot
-// paths live here. Matrices are row-major float64 with no external
-// dependencies.
+// of the sensor streams and then an SVD of that covariance (for a
+// symmetric positive semi-definite matrix, its eigendecomposition); the
+// online evaluator is "a single matrix multiplication per iteration".
+// Both hot paths live here. Matrices are row-major float64 with no
+// external dependencies.
 package linalg
 
 import (

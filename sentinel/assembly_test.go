@@ -304,6 +304,29 @@ func TestPutLinesV1(t *testing.T) {
 	stored(t, n, 6, 0)
 }
 
+// TestPutLinesNonFiniteRejected: a telnet put of NaN or ±Inf is a 400
+// and stores nothing, so the series' reads keep answering JSON (a
+// stored NaN once made both read routes answer 200 with an empty body).
+func TestPutLinesNonFiniteRejected(t *testing.T) {
+	n := startSolo(t)
+	for _, v := range []string{"NaN", "+Inf", "-Inf", "inf"} {
+		rec := do(n.Handler(), "POST", "/api/v1/points", "put energy 30 "+v+" unit=6 sensor=0\n", "text/plain")
+		if rec.Code != 400 || !strings.Contains(rec.Body.String(), `"code":"bad_request"`) {
+			t.Fatalf("put of %s = %d (%s), want 400 bad_request", v, rec.Code, rec.Body)
+		}
+	}
+	if rec := do(n.Handler(), "POST", "/api/v1/points", "put energy 31 2.25 unit=6 sensor=0\n", "text/plain"); rec.Code != 200 {
+		t.Fatalf("finite put = %d (%s)", rec.Code, rec.Body)
+	}
+	flush(t, n)
+	for _, path := range []string{"/api/v1/query?unit=6&sensor=0&from=0&to=100", "/api/v1/machines/6/sensors/0?from=0&to=100"} {
+		rec := do(n.Handler(), "GET", path, "", "")
+		if rec.Code != 200 || !json.Valid(rec.Body.Bytes()) || !strings.Contains(rec.Body.String(), "2.25") {
+			t.Fatalf("GET %s = %d (%q), want 200 with the one finite sample", path, rec.Code, rec.Body)
+		}
+	}
+}
+
 // TestQueryServedFromCacheNotTSD: a repeated identical query must be a
 // cache hit — zero additional TSD scans.
 func TestQueryServedFromCacheNotTSD(t *testing.T) {
