@@ -45,7 +45,9 @@ vet:
 # assembly guards the one-assembly rule: each tier constructor is
 # called from exactly one non-test file under sentinel/ and cmd/
 # (sentinel/assembly.go), so a second hand wiring of the pipeline
-# cannot quietly regrow. The one storage-only wiring is the root
+# cannot quietly regrow — nor a second read path: query.New, the one
+# engine over every store group, is built in one place for every
+# topology. The one storage-only wiring is the root
 # package's experiments.go, the rig behind Fig. 2 and the §III-B
 # ablations that cmd/tsdbench and the examples call: outside internal/
 # and benchmark/ (whose layer replays build one tier in isolation), a
@@ -58,7 +60,7 @@ vet:
 # (whose model catalog serialises trained models) may import
 # encoding/gob.
 assembly:
-	@for call in 'api\.New(' 'tsdb\.NewCompactor(' 'ingest\.StartStorageWriters(' 'viz\.NewServer(' 'hbase\.NewCluster('; do \
+	@for call in 'api\.New(' 'tsdb\.NewCompactor(' 'ingest\.StartStorageWriters(' 'viz\.NewServer(' 'hbase\.NewCluster(' 'query\.New('; do \
 		files=$$(grep -rl --include='*.go' --exclude='*_test.go' "$$call" sentinel cmd); \
 		if [ $$(echo "$$files" | grep -c .) -gt 1 ]; then \
 			echo "assembly fork: $$call is called from more than one file:"; echo "$$files"; exit 1; \

@@ -35,7 +35,7 @@ func benchTopic(b *testing.B) *bus.Topic {
 // BenchmarkGatewayPutPathAdmission is the ingest edge with the
 // overload controller in the chain: the admitted-path cost of the
 // admission stage must be invisible (two atomic loads, the latency
-// EWMA feed) — it shares BenchmarkGatewayPutPath's ALLOC_PINS prefix,
+// EWMA feed) — it shares BenchmarkGatewayPutPath's PINS prefix,
 // so a controller that starts allocating per request fails the gate.
 func BenchmarkGatewayPutPathAdmission(b *testing.B) {
 	gw := New(Config{
@@ -64,7 +64,7 @@ func BenchmarkGatewayPutPathAdmission(b *testing.B) {
 
 // BenchmarkGatewayPutPath measures the full v1 ingest edge: routing,
 // the complete standard middleware chain, body parse, per-unit
-// grouping and the bus publish. Its allocs/op is pinned in ALLOC_PINS
+// grouping and the bus publish. Its allocs/op is pinned in PINS
 // so a new middleware cannot silently tax ingestion — compare
 // BenchmarkIngestPutBaseline for the chain's overhead.
 func BenchmarkGatewayPutPath(b *testing.B) {
@@ -107,7 +107,7 @@ func rowBody(unit, sensors int, ts int64) []byte {
 
 // BenchmarkGatewayPutRow is BenchmarkGatewayPutPath for a whole row:
 // the decode must cost the same number of allocations at any row
-// width (ALLOC_PINS holds both widths to one number) — the points
+// width (PINS holds both widths to one number) — the points
 // slice, the unit batch and the chain, nothing per point.
 func BenchmarkGatewayPutRow(b *testing.B) {
 	for _, sensors := range []int{50, 200} {

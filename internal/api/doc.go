@@ -89,7 +89,7 @@
 // # Hot path
 //
 // POST /api/v1/points is the ingest edge and runs the full chain;
-// BenchmarkGatewayPutPath pins its allocs/op in ALLOC_PINS so a new
+// BenchmarkGatewayPutPath pins its allocs/op in PINS so a new
 // middleware cannot silently tax ingestion, and BenchmarkGatewayPutRow
 // holds a 50- and a 200-point row to the same number: the edge
 // allocates per request, not per point. The wrappers the chain

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -102,4 +103,20 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 	w.Header().Set("Content-Type", v1.ContentTypeJSON)
 	_, _ = w.Write(append(body, '\n')) // a failed write means the client has gone: no one to tell
+}
+
+// writeNDJSON renders lines as NDJSON, one value a line. Like writeJSON
+// it encodes every line before anything is written, so a line JSON
+// cannot carry is the v1 500 envelope, not a 200 stream cut short.
+func writeNDJSON[T any](w http.ResponseWriter, lines []T) {
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	for i := range lines {
+		if err := enc.Encode(lines[i]); err != nil { // Encode appends the newline
+			writeErrorStatus(w, http.StatusInternalServerError, "encode response: "+err.Error())
+			return
+		}
+	}
+	w.Header().Set("Content-Type", v1.ContentTypeNDJSON)
+	_, _ = body.WriteTo(w) // a failed write means the client has gone: no one to tell
 }

@@ -471,11 +471,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(v1.HeaderDegraded, "true")
 	}
 	if negotiateNDJSON(r) {
-		w.Header().Set("Content-Type", v1.ContentTypeNDJSON)
-		enc := json.NewEncoder(w)
-		for i := range out {
-			_ = enc.Encode(out[i]) // Encode appends the newline
-		}
+		writeNDJSON(w, out)
 		return
 	}
 	writeJSON(w, v1.QueryResponse{Series: out, Degraded: degraded})
@@ -690,12 +686,11 @@ func (g *Gateway) serveSensor(w http.ResponseWriter, r *http.Request, unit, sens
 	if negotiateNDJSON(r) {
 		// NDJSON for bulk transfer: one sample object per line, the
 		// anomaly flags as a trailing object line.
-		w.Header().Set("Content-Type", v1.ContentTypeNDJSON)
-		enc := json.NewEncoder(w)
-		for i := range out.Samples {
-			_ = enc.Encode(out.Samples[i])
+		lines := make([]any, 0, len(out.Samples)+1)
+		for _, smp := range out.Samples {
+			lines = append(lines, smp)
 		}
-		_ = enc.Encode(map[string]any{"anomalies": out.Anomalies})
+		writeNDJSON(w, append(lines, map[string]any{"anomalies": out.Anomalies}))
 		return
 	}
 	writeJSON(w, out)

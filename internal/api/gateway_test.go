@@ -221,16 +221,22 @@ func TestV1Conformance(t *testing.T) {
 	}
 	// 500: a result JSON cannot carry is the envelope, not a 200 with an
 	// empty body.
+	nan := querierFunc(func(_ context.Context, q tsdb.Query) ([]tsdb.Series, error) {
+		return []tsdb.Series{{Metric: q.Metric, Tags: tsdb.EnergyTags(0, 0), Samples: []tsdb.Sample{{Timestamp: 1, Value: math.NaN()}}}}, nil
+	})
 	unencodable := New(Config{
-		Query: querierFunc(func(context.Context, tsdb.Query) ([]tsdb.Series, error) {
-			return []tsdb.Series{{Metric: tsdb.MetricEnergy, Tags: tsdb.EnergyTags(0, 0), Samples: []tsdb.Sample{{Timestamp: 1, Value: math.NaN()}}}}, nil
-		}),
+		Query:     nan,
+		Backend:   &viz.Backend{Q: nan, Units: 1, Sensors: 1},
 		Now:       func() int64 { return 59 },
 		AccessLog: testLogger(),
 	})
-	rec = get(t, unencodable, "/api/v1/query?unit=0&sensor=0&from=0&to=59")
-	if rec.Code != 500 || envelope(t, rec).Code != v1.CodeInternal {
-		t.Errorf("NaN sample in a query result = %d (%q), want 500 internal", rec.Code, rec.Body)
+	for _, path := range []string{"/api/v1/query?unit=0&sensor=0&from=0&to=59", "/api/v1/machines/0/sensors/0?from=0&to=59"} {
+		for _, accept := range []string{v1.ContentTypeJSON, v1.ContentTypeNDJSON} {
+			rec = get(t, unencodable, path, "Accept", accept)
+			if rec.Code != 500 || envelope(t, rec).Code != v1.CodeInternal {
+				t.Errorf("NaN sample from %s (Accept %s) = %d (%q), want 500 internal", path, accept, rec.Code, rec.Body)
+			}
+		}
 	}
 	// 503: routes whose dependency is absent.
 	for _, path := range []string{"/api/v1/anomalies/stream", "/api/v1/detectors", "/api/v1/cluster", "/api/v1/metrics"} {

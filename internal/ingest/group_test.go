@@ -87,7 +87,7 @@ func TestGroupByUnitMixedAndUntagged(t *testing.T) {
 }
 
 // BenchmarkGroupByUnit/single-unit is the grouping the gateway does
-// per request for one unit's 200-sensor row; ALLOC_PINS holds it to
+// per request for one unit's 200-sensor row; PINS holds it to
 // the map and the batch.
 func BenchmarkGroupByUnit(b *testing.B) {
 	b.Run("single-unit", func(b *testing.B) {

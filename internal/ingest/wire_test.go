@@ -36,7 +36,7 @@ func TestUnitBatchWireRoundTrip(t *testing.T) {
 // BenchmarkWireUnitBatch is the one encode a producer and the one
 // decode a consumer pay per bus record on the clustered bus, for a 50-
 // and a 200-sensor row with the tag sets already interned. Pinned in
-// ALLOC_PINS: encoding into a buffer with room allocates nothing, and
+// PINS: encoding into a buffer with room allocates nothing, and
 // decoding allocates the batch and its points slice — per record, not
 // per point, so the pin is the same at both widths.
 func BenchmarkWireUnitBatch(b *testing.B) {

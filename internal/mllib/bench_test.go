@@ -5,7 +5,7 @@ import (
 )
 
 // The BenchmarkDetectorBatch* family pins the steady-state batch path
-// of every streaming detector at 0 allocs/op (ALLOC_PINS, enforced by
+// of every streaming detector at 0 allocs/op (PINS, enforced by
 // make bench-allocs): a warmed detector scoring healthy batches into a
 // warmed Detections buffer must not touch the heap. Warmup — baseline
 // calibration, the first forest build, vote-buffer growth — happens

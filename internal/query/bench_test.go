@@ -40,7 +40,7 @@ func benchEnv(b *testing.B, nTSD, units, sensors int, steps int64) *tsdb.Deploym
 
 // BenchmarkQueryCacheHit is the hot read path: an identical repeated
 // window served straight from the LRU. Its allocs/op is pinned at 0 in
-// ALLOC_PINS — a warmed cache serves without touching the heap.
+// PINS — a warmed cache serves without touching the heap.
 func BenchmarkQueryCacheHit(b *testing.B) {
 	d := benchEnv(b, 2, 1, 4, 600)
 	e := NewFromDeployment(d, Config{MaxEntries: 64})

@@ -8,9 +8,8 @@ import (
 	"repro/internal/tsdb"
 )
 
-// entry is one cached window: the merged (and LTTB-bounded) series for
-// the expanded window, tagged with the metric write version observed
-// before the fill. An entry whose version trails the current watermark
+// entry is one cached window: the merged (and LTTB-bounded) series,
+// tagged with the metric write version observed before the fill. An entry whose version trails the current watermark
 // is stale and treated as a miss.
 type entry struct {
 	key     string
@@ -70,7 +69,7 @@ type keyScratch struct {
 // metric\x00k=v\x00...\x00from|to|downsample|agg|maxpoints into the
 // scratch buffer and returns it. The slice is valid until the next
 // call.
-func (k *keyScratch) key(q *tsdb.Query, from, to int64) []byte {
+func (k *keyScratch) key(q *tsdb.Query) []byte {
 	b := k.buf[:0]
 	b = append(b, q.Metric...)
 	b = append(b, 0)
@@ -85,9 +84,9 @@ func (k *keyScratch) key(q *tsdb.Query, from, to int64) []byte {
 		b = append(b, q.Tags[tag]...)
 		b = append(b, 0)
 	}
-	b = strconv.AppendInt(b, from, 10)
+	b = strconv.AppendInt(b, q.Start, 10)
 	b = append(b, '|')
-	b = strconv.AppendInt(b, to, 10)
+	b = strconv.AppendInt(b, q.End, 10)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, q.DownsampleSeconds, 10)
 	b = append(b, '|')

@@ -1,26 +1,32 @@
 // Package query is the read/serving tier between the visualization
 // frontend and the TSD storage tier — the third tier of the paper's
 // architecture to get the scale treatment (evaluation and ingestion
-// came first). It keeps the §V control center interactive under heavy
-// traffic with three mechanisms:
+// came first). One Engine serves every topology: one store group in
+// process, or every store node of a cluster over rpc. It keeps the §V
+// control center interactive under heavy traffic with three
+// mechanisms:
 //
-//   - Scatter-gather. A query's time range is sharded into contiguous
-//     sub-windows, one per TSD daemon, and fanned out over the RPC
-//     fabric as pipelined futures under the caller's deadline. Shard
-//     failures fail over to the remaining daemons; what happens when
-//     every daemon rejects a shard is the partial-failure policy
-//     (fail the query, or serve what arrived and count it). Shard
-//     results merge into series sorted by identity with samples in
-//     timestamp order.
+//   - Scatter-gather. Within each store group a query's time range is
+//     sharded into contiguous sub-windows, one per TSD daemon, and fanned
+//     out over the RPC fabric as pipelined futures under the caller's
+//     deadline. Shard failures fail over to the store's other daemons;
+//     a shard every daemon rejects fails the query. Stores partition the
+//     fleet by series, so results merge by series identity (samples in
+//     timestamp order, deduplicated only for a series two stores hold),
+//     and a metric is unknown only when every store says so.
 //
 //   - A window cache. Results are cached in an LRU keyed on
-//     (metric, canonical tags, bucketed window, downsample spec,
-//     render bound). Concurrent identical queries collapse onto one
-//     in-flight fetch (singleflight), and entries are invalidated by
-//     the per-metric write watermark the TSD tier bumps on every put
-//     — a cached window is served only while nothing has been written
-//     to its metric since it was filled. The hit path performs zero
-//     heap allocations (pinned in ALLOC_PINS).
+//     (metric, canonical tags, window, downsample spec, render bound).
+//     Concurrent identical queries collapse onto one in-flight fetch
+//     (singleflight), and entries are invalidated by the per-metric
+//     write watermark the TSD tier bumps on every put, summed over the
+//     stores — read in process, or asked of a remote store's TSDs with
+//     one "watermark" rpc per store — so a cached window is served only
+//     while nothing has been written to its metric since it was filled.
+//     A store that cannot answer makes the read a miss; with ServeStale
+//     a failing fetch then answers the stale window, marked degraded.
+//     The in-process hit path performs zero heap allocations (pinned in
+//     PINS).
 //
 //   - Bounded rendering. Largest-triangle-three-buckets (LTTB)
 //     downsampling caps a series at Query.MaxPoints visually

@@ -1,9 +1,11 @@
 package query
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,40 +58,15 @@ func MarkDegraded(ctx context.Context) {
 	}
 }
 
-// PartialPolicy decides what happens when a shard still fails after
-// failing over across every TSD.
-type PartialPolicy int
-
-const (
-	// PartialFail fails the whole query on any unrecoverable shard —
-	// the default: never silently serve a hole in the data.
-	PartialFail PartialPolicy = iota
-	// PartialServe drops the dead shard, serves what arrived and
-	// counts the gap in Partials — availability over completeness,
-	// for dashboards that prefer a sparser chart to an error page.
-	PartialServe
-)
-
 // Config tunes an Engine.
 type Config struct {
 	// MaxEntries is the window-cache capacity in entries (default 512;
 	// negative disables caching and singleflight).
 	MaxEntries int
-	// WindowBucket, when > 0, snaps cache windows onto a grid of this
-	// many seconds: a query for [from, to] fills (and serves from) the
-	// bucket-aligned superset window, trimmed back to the request.
-	// Nearby windows — a dashboard auto-refreshing against a moving
-	// "now" — then share entries instead of each missing.
-	WindowBucket int64
-	// Partial is the shard failure policy (default PartialFail).
-	Partial PartialPolicy
-	// Timeout, when > 0, bounds each query when the caller's context
-	// carries no deadline of its own.
-	Timeout time.Duration
 	// HedgeDelay, when > 0, hedges straggler shards: a duplicate
-	// sub-query is issued to the next TSD once the primary has been
-	// silent this long, and the first success wins. Requires at least
-	// two backends.
+	// sub-query is issued to the store's next TSD once the primary has
+	// been silent this long, and the first success wins. Requires at
+	// least two TSDs in the store.
 	HedgeDelay time.Duration
 	// Breakers, when set, adds per-TSD circuit breakers: shard
 	// sub-queries skip backends whose circuit is open, and a shard
@@ -111,15 +88,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Store is one store group: the TSD daemons of one deployment, which
+// share its UID table and its write watermarks. Marks is that table
+// when the deployment runs in this process; nil asks the store's TSDs
+// for a metric's version over rpc ("watermark").
+type Store struct {
+	Addrs []string
+	Marks *tsdb.Watermarks
+}
+
 // Engine is the scatter-gather query tier: it fans each query's time
-// range out across the TSD daemons over the RPC fabric, merges the
-// sorted shard results, bounds them with LTTB and serves repeats from
-// the watermark-invalidated window cache. Safe for concurrent use.
+// range out across every store's TSD daemons over the RPC fabric,
+// merges the results by series, bounds them with LTTB and serves
+// repeats from the watermark-invalidated window cache. Safe for
+// concurrent use.
 type Engine struct {
-	net   *rpc.Network
-	addrs []string
-	marks *tsdb.Watermarks
-	cfg   Config
+	net    *rpc.Network
+	stores []Store
+	cfg    Config
 
 	// mu guards the cache, the singleflight table and the key scratch.
 	// It is held only for in-memory bookkeeping, never across a fetch.
@@ -135,10 +121,9 @@ type Engine struct {
 	CacheMisses telemetry.Counter
 	Collapsed   telemetry.Counter
 	// SubQueries counts shard RPCs issued; Failovers shard retries on
-	// another TSD; Partials shards dropped under PartialServe.
+	// another TSD of the same store.
 	SubQueries telemetry.Counter
 	Failovers  telemetry.Counter
-	Partials   telemetry.Counter
 	// Hedged counts duplicate straggler sub-queries issued; HedgeWins
 	// those answered by the hedge before the primary.
 	Hedged    telemetry.Counter
@@ -148,16 +133,15 @@ type Engine struct {
 	DegradedServes telemetry.Counter
 }
 
-// New builds an engine over the fabric-registered TSD addresses. marks
-// may be nil (caching then only invalidates by eviction).
-func New(net *rpc.Network, addrs []string, marks *tsdb.Watermarks, cfg Config) *Engine {
+// New builds an engine over the store groups, whose TSD addresses are
+// registered on (or routed by) net. A store without TSDs is skipped.
+func New(net *rpc.Network, stores []Store, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	e := &Engine{
-		net:    net,
-		addrs:  append([]string(nil), addrs...),
-		marks:  marks,
-		cfg:    cfg,
-		flight: make(map[string]*flight),
+	e := &Engine{net: net, cfg: cfg, flight: make(map[string]*flight)}
+	for _, s := range stores {
+		if len(s.Addrs) > 0 {
+			e.stores = append(e.stores, Store{Addrs: slices.Clone(s.Addrs), Marks: s.Marks})
+		}
 	}
 	if cfg.MaxEntries > 0 {
 		e.cache = newLRU(cfg.MaxEntries)
@@ -168,48 +152,32 @@ func New(net *rpc.Network, addrs []string, marks *tsdb.Watermarks, cfg Config) *
 // NewFromDeployment builds an engine spanning every TSD of d, wired to
 // its network and write watermarks.
 func NewFromDeployment(d *tsdb.Deployment, cfg Config) *Engine {
-	return New(d.Cluster.Network(), d.Addrs(), d.Watermarks(), cfg)
+	return New(d.Cluster.Network(), []Store{{Addrs: d.Addrs(), Marks: d.Watermarks()}}, cfg)
 }
-
-// Config returns the effective configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // QueryContext serves q: from cache when fresh, otherwise by
 // scatter-gathering the TSD tier (collapsing concurrent identical
 // fetches). Returned series are shared — treat them as read-only.
 func (e *Engine) QueryContext(ctx context.Context, q tsdb.Query) ([]tsdb.Series, error) {
 	e.Queries.Inc()
-	if len(e.addrs) == 0 {
+	if len(e.stores) == 0 {
 		return nil, ErrNoBackends
 	}
 	if q.End < q.Start {
 		return nil, nil
 	}
-	if e.cfg.Timeout > 0 {
-		if _, ok := ctx.Deadline(); !ok {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, e.cfg.Timeout)
-			defer cancel()
-		}
-	}
-	from, to := q.Start, q.End
-	if w := e.cfg.WindowBucket; w > 0 {
-		from = tsdb.BucketStart(from, w)
-		to = tsdb.BucketStart(to, w) + w - 1
-	}
 	if e.cache == nil {
-		series, err := e.fetch(ctx, q, q.Start, q.End)
-		return series, err
+		return e.fetch(ctx, q)
 	}
 
-	ver := e.marks.Version(q.Metric)
+	ver, known := e.version(ctx, q.Metric)
 	e.mu.Lock()
-	key := e.key.key(&q, from, to)
-	if ent, ok := e.cache.get(key); ok && ent.version == ver {
+	key := e.key.key(&q)
+	if ent, ok := e.cache.get(key); ok && known && ent.version == ver {
 		e.CacheHits.Inc()
 		series := ent.series
 		e.mu.Unlock()
-		return trim(series, q.Start, q.End, from, to), nil
+		return series, nil
 	}
 	e.CacheMisses.Inc()
 	skey := string(key)
@@ -218,14 +186,11 @@ func (e *Engine) QueryContext(ctx context.Context, q tsdb.Query) ([]tsdb.Series,
 		e.mu.Unlock()
 		select {
 		case <-fl.done:
-			if fl.err != nil {
-				return nil, fl.err
-			}
 			if fl.degraded {
 				e.DegradedServes.Inc()
 				MarkDegraded(ctx)
 			}
-			return trim(fl.series, q.Start, q.End, from, to), nil
+			return fl.series, fl.err
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
@@ -234,12 +199,12 @@ func (e *Engine) QueryContext(ctx context.Context, q tsdb.Query) ([]tsdb.Series,
 	e.flight[skey] = fl
 	e.mu.Unlock()
 
-	series, err := e.fetch(ctx, q, from, to)
+	series, err := e.fetch(ctx, q)
 	degraded := false
 	if err != nil && e.cfg.ServeStale && !errors.Is(err, tsdb.ErrNoSuchMetric) {
-		// The fresh path is down (open circuits, dead shards). A stale
-		// window — whatever version — beats an error page; serve it
-		// marked so the caller can tell.
+		// The fresh path is down (open circuits, dead shards, a dead
+		// store). A stale window — whatever version — beats an error
+		// page; serve it marked so the caller can tell.
 		e.mu.Lock()
 		if ent, ok := e.cache.get([]byte(skey)); ok {
 			series, err, degraded = ent.series, nil, true
@@ -253,89 +218,137 @@ func (e *Engine) QueryContext(ctx context.Context, q tsdb.Query) ([]tsdb.Series,
 	fl.series, fl.err, fl.degraded = series, err, degraded
 	e.mu.Lock()
 	delete(e.flight, skey)
-	if err == nil && !degraded {
+	if err == nil && !degraded && known {
 		// ver was read before the fetch: a write racing the scan makes
 		// the entry conservatively stale rather than wrongly fresh.
 		e.cache.add(&entry{key: skey, series: series, version: ver})
 	}
 	e.mu.Unlock()
 	close(fl.done)
-	if err != nil {
-		return nil, err
-	}
-	return trim(series, q.Start, q.End, from, to), nil
+	return series, err
 }
 
-// fetch scatter-gathers [from, to]: the window is sharded across the
-// TSD daemons, sub-queries are issued as pipelined futures, failures
-// fail over to the remaining daemons, and shard results merge into
-// ID-sorted series. A per-query MaxPoints bounds each merged series
-// via LTTB — a rendering bound; counting queries leave it 0.
-func (e *Engine) fetch(ctx context.Context, q tsdb.Query, from, to int64) ([]tsdb.Series, error) {
-	shards := shardWindow(from, to, len(e.addrs), q.DownsampleSeconds)
-	futs := make([]*rpc.Future, len(shards))
-	brs := make([]*resilience.Breaker, len(shards))
-	for i, sh := range shards {
-		addr, br := e.pickAddr(i)
-		if addr == "" {
-			// Every circuit open: fail the shard fast; failover below
-			// re-probes in case a breaker admits by then.
+// version is the metric's write version across every store: the sum of
+// each store's, read from its watermarks in process or asked of its
+// TSDs over rpc ("watermark") — remote stores in parallel, failing over
+// within a store. A store's version only grows, and a restarted store
+// starts above its predecessor (tsdb.NewWatermarks), so the sum moves
+// whenever any store takes a write. known is false when a store could
+// not answer.
+func (e *Engine) version(ctx context.Context, metric string) (v uint64, known bool) {
+	var futs []*rpc.Future
+	for _, s := range e.stores {
+		if s.Marks != nil {
+			v += s.Marks.Version(metric)
+		} else {
+			futs = append(futs, e.net.Go(ctx, s.Addrs[0], "watermark", metric))
+		}
+	}
+	known = true
+	for _, s := range e.stores {
+		if s.Marks != nil {
 			continue
 		}
-		sub := q
-		sub.Start, sub.End = sh[0], sh[1]
-		e.SubQueries.Inc()
-		futs[i] = e.net.Go(ctx, addr, "query", &tsdb.QueryRequest{Query: sub})
-		brs[i] = br
-	}
-	grouped := make(map[string]*tsdb.Series)
-	order := make([]string, 0, 8)
-	missing := 0
-	for i := range shards {
-		var res any
-		err := error(ErrCircuitOpen)
-		if futs[i] != nil {
-			res, err = e.await(ctx, futs[i], brs[i], q, shards[i], i)
-		}
-		if err != nil && !errors.Is(err, tsdb.ErrNoSuchMetric) {
-			// Every TSD shares the deployment's UID table, so an
-			// unknown metric is unknown everywhere — failing over on it
-			// would burn one RPC per shard on the routine "metric not
-			// yet written" path and misreport Failovers.
-			res, err = e.failover(ctx, q, shards[i], i, err)
+		res, err := futs[0].Wait(ctx)
+		futs = futs[1:]
+		for _, addr := range s.Addrs[1:] {
+			if err == nil {
+				break
+			}
+			res, err = e.net.Call(ctx, addr, "watermark", metric)
 		}
 		if err != nil {
-			if errors.Is(err, tsdb.ErrNoSuchMetric) {
-				missing++
-				continue
+			known = false
+			continue
+		}
+		v += res.(uint64)
+	}
+	return v, known
+}
+
+// shard is one sub-window of a fetch, bound to a store.
+type shard struct {
+	store, slot int // store index; rotation slot among its TSDs
+	win         [2]int64
+	fut         *rpc.Future
+	br          *resilience.Breaker
+}
+
+// merged is one series being assembled from shard results; mixed marks
+// one that arrived from more than one store.
+type merged struct {
+	tsdb.Series
+	store int
+	mixed bool
+}
+
+// fetch scatter-gathers q: each store's TSDs shard the window,
+// sub-queries are issued as pipelined futures, failures fail over to
+// the store's other TSDs, and shard results merge into ID-sorted
+// series. Stores partition the fleet by series, so a metric is unknown
+// only when every store says so, and any store failing fails the query
+// — a dead store is a hole across the fleet. A per-query MaxPoints
+// bounds each merged series via LTTB — a rendering bound; counting
+// queries leave it 0.
+func (e *Engine) fetch(ctx context.Context, q tsdb.Query) ([]tsdb.Series, error) {
+	var shards []shard
+	for si, s := range e.stores {
+		for slot, win := range shardWindow(q.Start, q.End, len(s.Addrs), q.DownsampleSeconds) {
+			sh := shard{store: si, slot: slot, win: win}
+			// With every circuit open there is no address: the shard
+			// fails fast, and failover below re-probes in case a breaker
+			// admits by then.
+			if addr, br := e.pickAddr(s.Addrs, slot); addr != "" {
+				e.SubQueries.Inc()
+				sh.fut, sh.br = e.net.Go(ctx, addr, "query", subQuery(q, win)), br
 			}
-			if e.cfg.Partial == PartialServe && ctx.Err() == nil {
-				e.Partials.Inc()
-				continue
-			}
+			shards = append(shards, sh)
+		}
+	}
+	grouped := make(map[string]*merged)
+	order := make([]string, 0, 8)
+	missing := 0
+	for k, sh := range shards {
+		var res any
+		err := error(ErrCircuitOpen)
+		if sh.fut != nil {
+			res, err = e.await(ctx, sh, q)
+		}
+		if err != nil && !errors.Is(err, tsdb.ErrNoSuchMetric) {
+			// A store's TSDs share its UID table, so an unknown metric is
+			// unknown on all of them — failing over on it would burn one
+			// RPC per shard on the routine "metric not yet written" path
+			// and misreport Failovers.
+			res, err = e.failover(ctx, sh, q, err)
+		}
+		if errors.Is(err, tsdb.ErrNoSuchMetric) {
+			missing++
+			continue
+		}
+		if err != nil {
 			// Failing the query abandons the shards not yet awaited;
 			// their futures were already issued with probe slots
 			// reserved, which must be released or their breakers wedge
 			// half-open forever.
-			for j := i + 1; j < len(shards); j++ {
-				if futs[j] != nil {
-					e.recordWhenDone(futs[j], brs[j])
+			for _, rest := range shards[k+1:] {
+				if rest.fut != nil {
+					e.recordWhenDone(rest.fut, rest.br)
 				}
 			}
-			return nil, fmt.Errorf("query: shard [%d,%d]: %w", shards[i][0], shards[i][1], err)
+			return nil, fmt.Errorf("query: shard [%d,%d]: %w", sh.win[0], sh.win[1], err)
 		}
 		for _, ser := range res.(*tsdb.QueryResponse).Series {
 			id := ser.ID()
-			got, ok := grouped[id]
+			m, ok := grouped[id]
 			if !ok {
-				s := ser
-				grouped[id] = &s
+				grouped[id] = &merged{Series: ser, store: sh.store}
 				order = append(order, id)
 				continue
 			}
-			// Shards are processed in ascending time order, so a plain
-			// append keeps samples sorted.
-			got.Samples = append(got.Samples, ser.Samples...)
+			// A store's shards come in ascending time order, so a plain
+			// append keeps one store's samples sorted.
+			m.mixed = m.mixed || m.store != sh.store
+			m.Samples = append(m.Samples, ser.Samples...)
 		}
 	}
 	if missing == len(shards) {
@@ -344,27 +357,41 @@ func (e *Engine) fetch(ctx context.Context, q tsdb.Query, from, to int64) ([]tsd
 	sort.Strings(order)
 	out := make([]tsdb.Series, 0, len(order))
 	for _, id := range order {
-		ser := grouped[id]
-		if q.MaxPoints > 0 {
-			ser.Samples = LTTB(ser.Samples, q.MaxPoints)
+		m := grouped[id]
+		if m.mixed {
+			// Two stores both hold the series — a batch replayed onto
+			// another store after a failover. Equal timestamps collapse
+			// to the first store's sample (idempotent writes make them
+			// identical in practice).
+			slices.SortStableFunc(m.Samples, func(a, b tsdb.Sample) int { return cmp.Compare(a.Timestamp, b.Timestamp) })
+			m.Samples = slices.CompactFunc(m.Samples, func(a, b tsdb.Sample) bool { return a.Timestamp == b.Timestamp })
 		}
-		out = append(out, *ser)
+		if q.MaxPoints > 0 {
+			m.Samples = LTTB(m.Samples, q.MaxPoints)
+		}
+		out = append(out, m.Series)
 	}
 	return out, nil
 }
 
-// pickAddr returns the first breaker-admitted backend at or after
-// rotation slot i, with its breaker (nil when breakers are off). The
-// empty address means every circuit is open right now. An admitted
+// subQuery is q narrowed to one shard's window, as the TSD rpc payload.
+func subQuery(q tsdb.Query, win [2]int64) *tsdb.QueryRequest {
+	q.Start, q.End = win[0], win[1]
+	return &tsdb.QueryRequest{Query: q}
+}
+
+// pickAddr returns the first breaker-admitted backend of addrs at or
+// after rotation slot i, with its breaker (nil when breakers are off).
+// The empty address means every circuit is open right now. An admitted
 // half-open breaker has a probe slot reserved; the caller must report
 // the call's outcome through record.
-func (e *Engine) pickAddr(i int) (string, *resilience.Breaker) {
-	n := len(e.addrs)
+func (e *Engine) pickAddr(addrs []string, i int) (string, *resilience.Breaker) {
+	n := len(addrs)
 	if e.cfg.Breakers == nil {
-		return e.addrs[i%n], nil
+		return addrs[i%n], nil
 	}
 	for k := 0; k < n; k++ {
-		addr := e.addrs[(i+k)%n]
+		addr := addrs[(i+k)%n]
 		if br := e.cfg.Breakers.For(addr); br.Allow() {
 			return addr, br
 		}
@@ -402,10 +429,11 @@ func (e *Engine) record(br *resilience.Breaker, err error) {
 }
 
 // await waits on a shard's primary future, hedging a duplicate
-// sub-query to the next backend when the primary stays silent past
-// HedgeDelay. First success wins; both outcomes feed the breakers.
-func (e *Engine) await(ctx context.Context, fut *rpc.Future, br *resilience.Breaker, q tsdb.Query, sh [2]int64, i int) (any, error) {
-	if e.cfg.HedgeDelay <= 0 || len(e.addrs) < 2 {
+// sub-query to the store's next backend when the primary stays silent
+// past HedgeDelay. First success wins; both outcomes feed the breakers.
+func (e *Engine) await(ctx context.Context, sh shard, q tsdb.Query) (any, error) {
+	fut, br, addrs := sh.fut, sh.br, e.stores[sh.store].Addrs
+	if e.cfg.HedgeDelay <= 0 || len(addrs) < 2 {
 		res, err := fut.Wait(ctx)
 		e.record(br, err)
 		return res, err
@@ -422,18 +450,16 @@ func (e *Engine) await(ctx context.Context, fut *rpc.Future, br *resilience.Brea
 		return nil, ctx.Err()
 	case <-t.C:
 	}
-	haddr, hbr := e.pickAddr(i + 1)
+	haddr, hbr := e.pickAddr(addrs, sh.slot+1)
 	if haddr == "" {
 		// Nowhere to hedge to; keep waiting on the straggler.
 		res, err := fut.Wait(ctx)
 		e.record(br, err)
 		return res, err
 	}
-	sub := q
-	sub.Start, sub.End = sh[0], sh[1]
 	e.Hedged.Inc()
 	e.SubQueries.Inc()
-	hfut := e.net.Go(ctx, haddr, "query", &tsdb.QueryRequest{Query: sub})
+	hfut := e.net.Go(ctx, haddr, "query", subQuery(q, sh.win))
 	var lastErr error
 	pd, hd := fut.Done(), hfut.Done()
 	for pd != nil || hd != nil {
@@ -474,17 +500,16 @@ func (e *Engine) await(ctx context.Context, fut *rpc.Future, br *resilience.Brea
 	return nil, lastErr
 }
 
-// failover retries one shard on every other TSD in turn, skipping open
-// circuits. It returns the last error when all of them reject the
-// shard.
-func (e *Engine) failover(ctx context.Context, q tsdb.Query, sh [2]int64, i int, err error) (any, error) {
-	sub := q
-	sub.Start, sub.End = sh[0], sh[1]
-	for off := 1; off < len(e.addrs); off++ {
+// failover retries one shard on every other TSD of its store in turn,
+// skipping open circuits. It returns the last error when all of them
+// reject the shard.
+func (e *Engine) failover(ctx context.Context, sh shard, q tsdb.Query, err error) (any, error) {
+	addrs := e.stores[sh.store].Addrs
+	for off := 1; off < len(addrs); off++ {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		addr := e.addrs[(i+off)%len(e.addrs)]
+		addr := addrs[(sh.slot+off)%len(addrs)]
 		var br *resilience.Breaker
 		if e.cfg.Breakers != nil {
 			br = e.cfg.Breakers.For(addr)
@@ -495,7 +520,7 @@ func (e *Engine) failover(ctx context.Context, q tsdb.Query, sh [2]int64, i int,
 		e.Failovers.Inc()
 		e.SubQueries.Inc()
 		var res any
-		res, err = e.net.Call(ctx, addr, "query", &tsdb.QueryRequest{Query: sub})
+		res, err = e.net.Call(ctx, addr, "query", subQuery(q, sh.win))
 		e.record(br, err)
 		if err == nil || errors.Is(err, tsdb.ErrNoSuchMetric) {
 			return res, err
@@ -534,27 +559,6 @@ func shardWindow(from, to int64, n int, width int64) [][2]int64 {
 	}
 	if lo <= to {
 		out = append(out, [2]int64{lo, to})
-	}
-	return out
-}
-
-// trim cuts series fetched for the expanded window [gotFrom, gotTo]
-// back to the requested [from, to]. The exact-match fast path returns
-// the shared slice untouched (the zero-allocation cache-hit path);
-// otherwise samples are re-sliced in place against the same backing
-// arrays.
-func trim(series []tsdb.Series, from, to, gotFrom, gotTo int64) []tsdb.Series {
-	if from <= gotFrom && to >= gotTo {
-		return series
-	}
-	out := make([]tsdb.Series, 0, len(series))
-	for _, ser := range series {
-		lo := sort.Search(len(ser.Samples), func(i int) bool { return ser.Samples[i].Timestamp >= from })
-		hi := sort.Search(len(ser.Samples), func(i int) bool { return ser.Samples[i].Timestamp > to })
-		if lo >= hi {
-			continue
-		}
-		out = append(out, tsdb.Series{Metric: ser.Metric, Tags: ser.Tags, Samples: ser.Samples[lo:hi]})
 	}
 	return out
 }

@@ -111,7 +111,7 @@ func TestScatterGatherFailsOverDeadTSD(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs := append(d.Addrs(), "tsd/dead")
-	e := New(net, addrs, d.Watermarks(), Config{MaxEntries: -1})
+	e := New(net, []Store{{Addrs: addrs, Marks: d.Watermarks()}}, Config{MaxEntries: -1})
 	q := tsdb.Query{Metric: tsdb.MetricEnergy, Start: 0, End: 99}
 	got := mustQuery(t, e, q)
 	if want := groundTruth(t, d, q); !reflect.DeepEqual(got, want) {
@@ -122,6 +122,8 @@ func TestScatterGatherFailsOverDeadTSD(t *testing.T) {
 	}
 }
 
+// TestPartialFailurePolicy: a shard every TSD rejects fails the whole
+// query — the engine never silently serves a hole in the data.
 func TestPartialFailurePolicy(t *testing.T) {
 	d := newEnv(t, 1, 1, 2, 100)
 	net := d.Cluster.Network()
@@ -144,30 +146,10 @@ func TestPartialFailurePolicy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	addrs := []string{"tsd/flaky-1", "tsd/flaky-2"}
+	e := New(net, []Store{{Addrs: []string{"tsd/flaky-1", "tsd/flaky-2"}, Marks: d.Watermarks()}}, Config{MaxEntries: -1})
 	q := tsdb.Query{Metric: tsdb.MetricEnergy, Tags: tsdb.EnergyTags(0, 0), Start: 0, End: 99}
-
-	strict := New(net, addrs, d.Watermarks(), Config{MaxEntries: -1})
-	if _, err := strict.QueryContext(context.Background(), q); err == nil {
-		t.Fatal("PartialFail must surface the dead shard")
-	}
-
-	lax := New(net, addrs, d.Watermarks(), Config{MaxEntries: -1, Partial: PartialServe})
-	series, err := lax.QueryContext(context.Background(), q)
-	if err != nil {
-		t.Fatalf("PartialServe errored: %v", err)
-	}
-	if len(series) != 1 {
-		t.Fatalf("series = %d, want 1", len(series))
-	}
-	for _, s := range series[0].Samples {
-		if s.Timestamp >= 50 {
-			t.Fatalf("sample %d leaked from the dead window", s.Timestamp)
-		}
-	}
-	if len(series[0].Samples) == 0 || lax.Partials.Value() == 0 {
-		t.Fatalf("partial serve: %d samples, %d partials — want live-half data and a counted gap",
-			len(series[0].Samples), lax.Partials.Value())
+	if _, err := e.QueryContext(context.Background(), q); err == nil {
+		t.Fatal("a dead shard must fail the query")
 	}
 }
 
@@ -238,26 +220,6 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-func TestWindowBucketingSharesEntriesAndTrims(t *testing.T) {
-	d := newEnv(t, 2, 1, 1, 60)
-	e := NewFromDeployment(d, Config{MaxEntries: 16, WindowBucket: 10})
-	qa := tsdb.Query{Metric: tsdb.MetricEnergy, Start: 3, End: 17}
-	qb := tsdb.Query{Metric: tsdb.MetricEnergy, Start: 2, End: 16}
-
-	got := mustQuery(t, e, qa)
-	if want := groundTruth(t, d, qa); !reflect.DeepEqual(got, want) {
-		t.Fatalf("bucketed window not trimmed to request:\ngot  %v\nwant %v", got, want)
-	}
-	// A nearby window in the same buckets is served from cache.
-	got = mustQuery(t, e, qb)
-	if want := groundTruth(t, d, qb); !reflect.DeepEqual(got, want) {
-		t.Fatalf("trimmed hit diverged:\ngot  %v\nwant %v", got, want)
-	}
-	if e.CacheHits.Value() != 1 {
-		t.Fatalf("hits = %d, want 1 (bucket sharing)", e.CacheHits.Value())
-	}
-}
-
 func TestSingleflightCollapsesConcurrentIdenticalQueries(t *testing.T) {
 	d := newEnv(t, 1, 1, 1, 30)
 	net := d.Cluster.Network()
@@ -274,7 +236,7 @@ func TestSingleflightCollapsesConcurrentIdenticalQueries(t *testing.T) {
 	if _, err := net.Register("tsd/gated", gated, rpc.ServerConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	e := New(net, []string{"tsd/gated"}, d.Watermarks(), Config{MaxEntries: 16})
+	e := New(net, []Store{{Addrs: []string{"tsd/gated"}, Marks: d.Watermarks()}}, Config{MaxEntries: 16})
 
 	const callers = 8
 	var wg sync.WaitGroup
@@ -360,7 +322,7 @@ func TestShardBoundaryAlignment(t *testing.T) {
 }
 
 func TestEngineNoBackends(t *testing.T) {
-	e := New(rpc.NewNetwork(0, nil), nil, nil, Config{})
+	e := New(rpc.NewNetwork(0, nil), nil, Config{})
 	if _, err := e.QueryContext(context.Background(), tsdb.Query{Metric: "m", End: 1}); !errors.Is(err, ErrNoBackends) {
 		t.Fatalf("err = %v, want ErrNoBackends", err)
 	}

@@ -25,7 +25,7 @@ func benchDeployment(b *testing.B, salt int) *Deployment {
 
 // BenchmarkCodecEncode is one point to its cell on the write path: the
 // series' key comes from the codec's cache for its interned tag set, and
-// the cell is one allocation. Pinned in ALLOC_PINS.
+// the cell is one allocation. Pinned in PINS.
 func BenchmarkCodecEncode(b *testing.B) {
 	d := benchDeployment(b, 8)
 	codec := NewCodec(d.UIDs, 8)
@@ -48,7 +48,7 @@ var energySink Point
 
 // BenchmarkEnergyPoint is what every fleet feeder, loader and write-back
 // pays per point: a lookup of the series' shared tag map. Pinned at 0
-// allocs/op in ALLOC_PINS — a producer back on a map per point fails it.
+// allocs/op in PINS — a producer back on a map per point fails it.
 func BenchmarkEnergyPoint(b *testing.B) {
 	EnergyPoint(42, 867, 0, 0) // the series is known; the bench is the lookup
 	b.ReportAllocs()
@@ -106,7 +106,7 @@ func BenchmarkTSDQuery(b *testing.B) {
 
 // BenchmarkCompressedScan decodes one sealed hour through the
 // zero-allocation iterator — the drill-down hot path. Pinned at
-// 0 allocs/op in ALLOC_PINS.
+// 0 allocs/op in PINS.
 func BenchmarkCompressedScan(b *testing.B) {
 	samples := make([]Sample, rowBaseSeconds)
 	v := 500.0

@@ -35,7 +35,7 @@ import (
 // gracefully toward ~9 bytes/sample, never above 10.
 //
 // Decoding is allocation-free: a BlockIter walks the byte string in
-// place, so a warmed scan costs 0 allocs/op (pinned in ALLOC_PINS via
+// place, so a warmed scan costs 0 allocs/op (pinned in PINS via
 // BenchmarkCompressedScan).
 
 // ErrBadBlock reports a corrupt or truncated sealed block.

@@ -289,6 +289,8 @@ func (t *TSD) handle(ctx context.Context, method string, payload any) (any, erro
 	case "compact":
 		n, err := t.CompactRowsContext(ctx, payload.(int64))
 		return n, err
+	case "watermark":
+		return t.marks.Version(payload.(string)), nil
 	default:
 		return nil, fmt.Errorf("tsdb: %s: unknown method %q", t.name, method)
 	}

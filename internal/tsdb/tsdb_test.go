@@ -535,30 +535,57 @@ func TestDedupeSamplesProperty(t *testing.T) {
 func TestWatermarksBumpOnPut(t *testing.T) {
 	d := newDeployment(t, 2, 2, TSDConfig{SaltBuckets: 2})
 	marks := d.Watermarks()
-	if v := marks.Version(MetricEnergy); v != 0 {
-		t.Fatalf("initial version = %d", v)
+	base := marks.Version(MetricEnergy)
+	if v := marks.Version(MetricAnomaly); v != base {
+		t.Fatalf("unwritten metrics start apart: %d vs %d", v, base)
 	}
 	if err := d.TSDs()[0].Put([]Point{EnergyPoint(0, 0, 1, 1)}); err != nil {
 		t.Fatal(err)
 	}
-	if v := marks.Version(MetricEnergy); v != 1 {
-		t.Fatalf("version after put = %d, want 1", v)
+	if v := marks.Version(MetricEnergy); v != base+1 {
+		t.Fatalf("version after put = %d, want %d", v, base+1)
 	}
 	// Any TSD of the deployment bumps the shared watermark; other
 	// metrics are untouched.
 	if err := d.TSDs()[1].Put([]Point{{Metric: MetricAnomaly, Tags: EnergyTags(0, 0), Timestamp: 2, Value: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if v := marks.Version(MetricEnergy); v != 1 {
+	if v := marks.Version(MetricEnergy); v != base+1 {
 		t.Fatalf("energy version moved to %d on anomaly write", v)
 	}
-	if v := marks.Version(MetricAnomaly); v != 1 {
-		t.Fatalf("anomaly version = %d, want 1", v)
+	if v := marks.Version(MetricAnomaly); v != base+1 {
+		t.Fatalf("anomaly version = %d, want %d", v, base+1)
+	}
+	// The TSD rpc answers the same version, for readers in another
+	// process.
+	res, err := d.Cluster.Network().Call(context.Background(), d.Addrs()[1], "watermark", MetricEnergy)
+	if err != nil || res.(uint64) != base+1 {
+		t.Fatalf("watermark rpc = %v, %v; want %d", res, err, base+1)
 	}
 	// Nil watermarks (a TSD outside a deployment) must be safe.
 	var nilMarks *Watermarks
 	nilMarks.Bump("x")
 	if nilMarks.Version("x") != 0 {
 		t.Fatal("nil watermark version")
+	}
+}
+
+// TestWatermarksOutliveARestart: a deployment booted after another —
+// a restarted store — never reports a version its predecessor
+// reported, so a reader that cached a window under the predecessor's
+// version cannot take it for current.
+func TestWatermarksOutliveARestart(t *testing.T) {
+	old := newDeployment(t, 2, 1, TSDConfig{})
+	for i := 0; i < 50; i++ {
+		if err := old.TSDs()[0].Put([]Point{EnergyPoint(0, 0, int64(i), 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := old.Watermarks().Version(MetricEnergy)
+	fresh := newDeployment(t, 2, 1, TSDConfig{})
+	for _, m := range []string{MetricEnergy, MetricAnomaly, "never-written"} {
+		if v := fresh.Watermarks().Version(m); v <= last {
+			t.Fatalf("fresh deployment reports %s version %d, at or below its predecessor's %d", m, v, last)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package tsdb
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
 // Watermarks tracks a monotone write version per metric. Every
 // successful PutContext on any TSD of a Deployment bumps the version of
@@ -11,18 +14,25 @@ import "sync"
 // sink, direct puts) ultimately lands in some TSD's PutContext, the
 // watermark observes them all.
 //
+// Versions start at the table's creation time in nanoseconds, so a
+// restarted deployment never reports a version its predecessor did (it
+// would take a write per nanosecond of uptime to catch up): a reader on
+// another process that cached a window under the old version sees the
+// new one as a change.
+//
 // The zero value is not usable; share one instance per Deployment via
 // NewWatermarks. All methods are safe for concurrent use and nil-safe
 // (a nil *Watermarks reports version 0 and ignores bumps), so a TSD
 // constructed without a deployment keeps working.
 type Watermarks struct {
-	mu sync.RWMutex
-	v  map[string]uint64
+	base uint64
+	mu   sync.RWMutex
+	v    map[string]uint64
 }
 
 // NewWatermarks returns an empty watermark table.
 func NewWatermarks() *Watermarks {
-	return &Watermarks{v: make(map[string]uint64)}
+	return &Watermarks{base: uint64(time.Now().UnixNano()), v: make(map[string]uint64)}
 }
 
 // Bump advances the metric's write version by one.
@@ -35,8 +45,8 @@ func (w *Watermarks) Bump(metric string) {
 	w.mu.Unlock()
 }
 
-// Version returns the metric's current write version (0 if never
-// written).
+// Version returns the metric's current write version: the table's
+// base plus the metric's bumps.
 func (w *Watermarks) Version(metric string) uint64 {
 	if w == nil {
 		return 0
@@ -44,5 +54,5 @@ func (w *Watermarks) Version(metric string) uint64 {
 	w.mu.RLock()
 	v := w.v[metric]
 	w.mu.RUnlock()
-	return v
+	return w.base + v
 }

@@ -116,6 +116,7 @@ func (n *Node) startStorage() (err error) {
 	if err != nil {
 		return fmt.Errorf("sentinel: %s: boot cluster: %w", name, err)
 	}
+	n.net = n.Cluster.Network()
 	if n.TSDB, err = tsdb.NewDeployment(n.Cluster, t.StorageNodes, tsdb.TSDConfig{SaltBuckets: t.SaltBuckets}); err != nil {
 		return fmt.Errorf("sentinel: %s: boot tsdb: %w", name, err)
 	}
@@ -205,8 +206,8 @@ func (n *Node) detectorEnv() DetectorEnv {
 		sink = &tsdb.Sink{TSD: n.TSDB.TSDs()[0]}
 	} else {
 		rs := &remoteSink{net: n.net, timeout: 2 * time.Second}
-		for _, tsds := range n.stores {
-			rs.addrs = append(rs.addrs, tsds...)
+		for _, s := range n.stores {
+			rs.addrs = append(rs.addrs, s.Addrs...)
 		}
 		sink = rs
 	}
@@ -332,10 +333,6 @@ type GatewayConfig struct {
 	MaxPoints int
 	// AccessLog overrides the gateway's access logger.
 	AccessLog *log.Logger
-	// HedgeDelay, when > 0, hedges straggler shard reads: a duplicate
-	// sub-query goes to the next TSD once the primary has been silent
-	// this long, first success wins.
-	HedgeDelay time.Duration
 	// APIKeys lists client keys (X-API-Key) that are their own
 	// admission identity; every other request is its remote IP.
 	APIKeys []string
@@ -346,59 +343,35 @@ type GatewayConfig struct {
 	Admission *admission.Controller
 }
 
-// QueryEngine builds a scatter-gather read tier spanning every TSD of
-// the local deployment, wired to its write watermarks for cache
-// invalidation.
+// QueryEngine builds a scatter-gather read tier over the node's store
+// groups (see Node.stores), invalidating cached windows on their write
+// watermarks.
 func (n *Node) QueryEngine(cfg query.Config) *query.Engine {
-	return query.NewFromDeployment(n.TSDB, cfg)
+	return query.New(n.net, n.stores, cfg)
 }
 
 // gatewayCacheEntries sizes the query tier's window cache.
 const gatewayCacheEntries = 256
 
-// queryTier is the gateway's read path: a fanout over one engine per
-// store. Alone, that is the local deployment behind the
-// watermark-invalidated window cache; with peers, every store found at
-// boot, uncached — remote engines see no write watermarks, so a cached
-// window would never invalidate. Degraded-mode reads are on: when the
-// storage tier cannot answer, the query tier serves its stale cache
-// (marked via X-Sentinel-Degraded and the DTO degraded field).
-func (n *Node) queryTier(gc GatewayConfig, reg *telemetry.Registry) *query.Fanout {
-	qc := query.Config{
+// queryTier is the gateway's read path, the same in every topology: one
+// engine over the node's store groups behind the watermark-invalidated
+// window cache, with degraded-mode reads on — when the storage tier
+// cannot answer, it serves its stale cache (marked via
+// X-Sentinel-Degraded and the DTO degraded field).
+func (n *Node) queryTier(reg *telemetry.Registry) *query.Engine {
+	e := n.QueryEngine(query.Config{
 		MaxEntries: gatewayCacheEntries,
 		Breakers:   n.Breakers,
-		HedgeDelay: gc.HedgeDelay,
 		ServeStale: true,
-	}
-	var engines []*query.Engine
-	if !n.cfg.clustered() {
-		engines = []*query.Engine{n.QueryEngine(qc)}
-	} else {
-		qc.MaxEntries = -1
-		for _, tsds := range n.stores {
-			engines = append(engines, query.New(n.net, tsds, nil, qc))
-		}
-	}
-	f := query.NewFanout(engines...)
-	reg.RegisterCounter("query_fanout_queries", &f.Queries)
-	reg.RegisterCounter("query_group_errors", &f.GroupErrors)
-	for name, get := range map[string]func(*query.Engine) *telemetry.Counter{
-		"query_cache_hits":      func(e *query.Engine) *telemetry.Counter { return &e.CacheHits },
-		"query_cache_misses":    func(e *query.Engine) *telemetry.Counter { return &e.CacheMisses },
-		"query_subqueries":      func(e *query.Engine) *telemetry.Counter { return &e.SubQueries },
-		"query_failovers":       func(e *query.Engine) *telemetry.Counter { return &e.Failovers },
-		"query_hedged":          func(e *query.Engine) *telemetry.Counter { return &e.Hedged },
-		"query_hedge_wins":      func(e *query.Engine) *telemetry.Counter { return &e.HedgeWins },
-		"query_degraded_serves": func(e *query.Engine) *telemetry.Counter { return &e.DegradedServes },
-	} {
-		reg.RegisterFunc(name, func() (sum int64) {
-			for _, e := range engines {
-				sum += get(e).Value()
-			}
-			return sum
-		})
-	}
-	return f
+	})
+	reg.RegisterCounter("query_cache_hits", &e.CacheHits)
+	reg.RegisterCounter("query_cache_misses", &e.CacheMisses)
+	reg.RegisterCounter("query_subqueries", &e.SubQueries)
+	reg.RegisterCounter("query_failovers", &e.Failovers)
+	reg.RegisterCounter("query_hedged", &e.Hedged)
+	reg.RegisterCounter("query_hedge_wins", &e.HedgeWins)
+	reg.RegisterCounter("query_degraded_serves", &e.DegradedServes)
+	return e
 }
 
 // NewAnomalyTail attaches a live tail to the flag feed under its own
@@ -442,7 +415,7 @@ func (n *Node) Gateway(now int64, gc GatewayConfig) (http.Handler, *api.AnomalyT
 		cfg.Detectors = n.DetectorStatus
 	}
 	if n.cfg.has(RoleGateway) {
-		q := n.queryTier(gc, reg)
+		q := n.queryTier(reg)
 		cfg.Backend = &viz.Backend{Q: q, Units: n.tier.Units, Sensors: n.tier.SensorsPerUnit, MaxPoints: gc.MaxPoints}
 		cfg.Publisher = &api.BusPublisher{Topic: n.topic(TopicEnergy)}
 		cfg.Query = q

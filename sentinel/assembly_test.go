@@ -33,8 +33,8 @@ var metricsByRole = map[Role]string{
 		rollup_serves blocks_expired rollups_expired blocks_hot_bytes
 		compactor_passes compactor_pass_errors`,
 	RoleDetect: `samples_evaluated anomalies_written detector_parks detector_parked`,
-	RoleGateway: `query_fanout_queries query_group_errors query_cache_hits query_cache_misses
-		query_subqueries query_failovers query_hedged query_hedge_wins query_degraded_serves`,
+	RoleGateway: `query_cache_hits query_cache_misses query_subqueries query_failovers
+		query_hedged query_hedge_wins query_degraded_serves`,
 }
 
 const (
@@ -190,8 +190,8 @@ func TestTwoGatewaysSeeEveryFlag(t *testing.T) {
 
 // TestClusterSeal: a cluster's store nodes own the sealed block tier.
 // A closed hour ingested through the gateway seals on each store's
-// compaction pass, and the gateway's fanout reads sealed+hot exactly
-// as it read the hot tier before.
+// compaction pass, and the gateway's query engine reads sealed+hot
+// exactly as it read the hot tier before.
 func TestClusterSeal(t *testing.T) {
 	nodes := startTestCluster(t, fourNodes)
 	ts := httptest.NewServer(nodes["dg"].Handler())

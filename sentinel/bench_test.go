@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"repro/internal/query"
+	"repro/internal/tsdb"
 )
 
 // BenchmarkDetectorPoolFanout measures the streaming detector tier in
@@ -62,6 +65,51 @@ func BenchmarkDetectorPoolFanout(b *testing.B) {
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(units*sensors*window)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
+		})
+	}
+}
+
+// BenchmarkClusterQuery prices a read through the query engine of a
+// four-node cluster's gateway, whose two stores it reaches over
+// loopback TCP. "hit" repeats a window the engine has cached: one
+// watermark rpc per store, no scan. "cold" bumps a store's watermark
+// before every read, forcing the scatter-gather across both stores.
+func BenchmarkClusterQuery(b *testing.B) {
+	nodes, err := bootTestCluster(fourNodes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		for _, n := range nodes {
+			n.Close()
+		}
+	}()
+	for i, name := range []string{"store-1", "store-2"} {
+		var pts []tsdb.Point
+		for u := 2 * i; u < 2*i+2; u++ {
+			for s := 0; s < clusterSensors; s++ {
+				for ts := int64(0); ts < 600; ts++ {
+					pts = append(pts, tsdb.EnergyPoint(u, s, ts, float64(ts%17)))
+				}
+			}
+		}
+		if err := nodes[name].TSDB.TSDs()[0].Put(pts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	e := nodes["dg"].QueryEngine(query.Config{})
+	q := tsdb.Query{Metric: tsdb.MetricEnergy, Start: 0, End: 599, MaxPoints: 200}
+	marks := nodes["store-1"].TSDB.Watermarks()
+	for _, cold := range []bool{false, true} {
+		b.Run(map[bool]string{false: "hit", true: "cold"}[cold], func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if cold {
+					marks.Bump(tsdb.MetricEnergy)
+				}
+				if series, err := e.QueryContext(context.Background(), q); err != nil || len(series) != clusterUnits*clusterSensors {
+					b.Fatalf("read: %d series, %v", len(series), err)
+				}
+			}
 		})
 	}
 }

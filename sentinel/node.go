@@ -21,15 +21,17 @@
 // What a node reaches in-process and what it reaches over rpc follows
 // from Peers alone. A node whose Peers names no other node is the whole
 // deployment: it opens no listener, runs no coordination service and no
-// bus replication, hands its tiers the local bus handles and the
-// in-process anomaly sink, and reads through the watermark-invalidated
-// query cache — sentinel.New is exactly that node. A node with peers
-// joins the fabric: RemoteBus handles resolving the elected leader, the
-// rpc anomaly sink, and a cache-less query fanout over every store
-// (remote engines see no write watermarks, so a cached window would
-// never invalidate). Membership of a cluster lives in ephemeral znodes
-// under /sentinel/cluster/nodes — each node refreshes its record about
-// once a second, and GET /api/v1/cluster on any node renders the map.
+// bus replication, and hands its tiers the local bus handles and the
+// in-process anomaly sink — sentinel.New is exactly that node. A node
+// with peers joins the fabric: RemoteBus handles resolving the elected
+// leader and the rpc anomaly sink. Either way the gateway reads through
+// one query engine over the node's store groups behind the
+// watermark-invalidated window cache: alone, the local deployment and
+// its watermarks; with peers, every store found at boot, whose TSDs
+// answer a metric's watermark over rpc. Membership of a cluster lives
+// in ephemeral znodes under /sentinel/cluster/nodes — each node
+// refreshes its record about once a second, and GET /api/v1/cluster on
+// any node renders the map.
 package sentinel
 
 import (
@@ -53,6 +55,7 @@ import (
 	"repro/internal/hbase"
 	"repro/internal/ingest"
 	"repro/internal/proxy"
+	"repro/internal/query"
 	"repro/internal/resilience"
 	"repro/internal/rpc"
 	"repro/internal/tsdb"
@@ -269,7 +272,10 @@ type Node struct {
 	tier Config
 	addr string
 
-	// The fabric, nil on a node without peers.
+	// net is the rpc network: a store node's HBase cluster's (its TSD
+	// daemons answer there), else a private one made on joining the
+	// fabric (ownNet); nil on a node with neither. The rest is the
+	// fabric, nil on a node without peers.
 	net       *rpc.Network
 	transport *rpc.Transport
 	ownNet    bool
@@ -278,9 +284,10 @@ type Node struct {
 	zkLocal   *zk.Session
 	zkRemote  *zk.RemoteClient
 	zkc       zk.Client
-	// stores holds each registered store node's TSD routes, as the
-	// detect and gateway tiers of a node with peers found them at boot.
-	stores [][]string
+	// stores are the store groups the detect and gateway tiers reach:
+	// alone, the local deployment with its watermarks; with peers, each
+	// registered store node's TSD routes as found at boot.
+	stores []query.Store
 
 	// Bus tier: Bus on broker and store roles (the replica set), BusSvc
 	// and rb on nodes with peers.
@@ -381,6 +388,9 @@ func startNode(cfg NodeConfig, tier Config) (n *Node, err error) {
 		n.startWriters()
 	}
 	if !cfg.clustered() {
+		if n.TSDB != nil {
+			n.stores = []query.Store{{Addrs: n.TSDB.Addrs(), Marks: n.TSDB.Watermarks()}}
+		}
 		return n, nil
 	}
 	// Register membership before the blocking wait below, so peers
@@ -391,8 +401,12 @@ func startNode(cfg NodeConfig, tier Config) (n *Node, err error) {
 	n.wg.Add(1)
 	go n.refreshLoop()
 	if cfg.has(RoleDetect) || cfg.has(RoleGateway) {
-		if n.stores, err = n.waitStores(); err != nil {
+		routes, err := n.waitStores()
+		if err != nil {
 			return nil, err
+		}
+		for _, tsds := range routes {
+			n.stores = append(n.stores, query.Store{Addrs: tsds})
 		}
 	}
 	return n, nil
@@ -403,9 +417,7 @@ func startNode(cfg NodeConfig, tier Config) (n *Node, err error) {
 // (hosted here or dialled).
 func (n *Node) joinFabric() (err error) {
 	cfg := n.cfg
-	if n.Cluster != nil {
-		n.net = n.Cluster.Network()
-	} else {
+	if n.net == nil {
 		n.net = rpc.NewNetwork(0, nil)
 		n.ownNet = true
 	}
@@ -728,8 +740,10 @@ func (n *Node) Close() {
 }
 
 // remoteSink writes anomaly flags into the store tier over rpc,
-// spreading units across the cluster's TSD daemons. Reads merge every
-// store group (query.Fanout), so any daemon is a correct destination.
+// spreading units across the cluster's TSD daemons, so a flag often
+// sits on one store only. The query engine reads every store and a
+// metric is unknown only where no store holds it, so any daemon is a
+// correct destination.
 type remoteSink struct {
 	net     *rpc.Network
 	addrs   []string

@@ -253,7 +253,7 @@ func TestClusterEndToEnd(t *testing.T) {
 
 	// The detect node must flag the shift: the flag arrives on the SSE
 	// stream (published to the anomaly feed) and in storage (written
-	// over rpc into the store tier, readable through the fanout).
+	// over rpc into the store tier, readable through the query engine).
 	select {
 	case ev := <-events:
 		if ev.Z == 0 {
