@@ -103,7 +103,8 @@ bench-json: bench-query
 	@rm -f bench-eval.out
 
 # bench-query records the read-tier trajectory in BENCH_query.json:
-# the cold scatter-gather path, the cached hot path (whose allocs/op
+# the cold scatter-gather path (a wide window, and a narrow one that
+# stays one shard), the cached hot path (whose allocs/op
 # is also pinned by bench-allocs), LTTB bounding, and the compressed
 # storage tier (zero-alloc block scan, compression ratio, rollup-served
 # wide windows), and the hot tier underneath both (a region scan that
@@ -140,7 +141,7 @@ bench-allocs:
 # intentional perf change.
 bench-gate:
 	@rm -f bench-gate.out
-	$(GO) test -run '^$$' -bench 'BenchmarkQueryCacheHit|BenchmarkQueryColdScatterGather' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/query/ > bench-gate.out
+	$(GO) test -run '^$$' -bench 'BenchmarkQueryCacheHit|BenchmarkQueryColdScatterGather|BenchmarkQueryColdNarrow' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/query/ > bench-gate.out
 	$(GO) test -run '^$$' -bench 'BenchmarkCompressedScan|BenchmarkBlockCompress' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/tsdb/ >> bench-gate.out
 	$(GO) test -run '^$$' -bench 'BenchmarkRegionScanNarrow|BenchmarkHotTierFootprint' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/hbase/ >> bench-gate.out
 	$(GO) test -run '^$$' -bench 'BenchmarkOnlineEvalThroughput' -benchtime $(GATE_BENCHTIME) -benchmem . >> bench-gate.out

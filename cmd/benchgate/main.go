@@ -15,11 +15,11 @@
 //     `allocs_per_op`, or any custom unit the benchmark reports
 //     (`samples/s`, `bytes/sample`, ...). Tolerance is a factor >= 1:
 //     lower-is-better metrics (ns/op, B/op, allocs/op, bytes/sample,
-//     heap-B/cell) fail when fresh > baseline*tolerance, rates when
-//     fresh < baseline/tolerance. Tolerances absorb shared-runner noise;
-//     a genuine 2x regression still fails. After an intentional perf
-//     change, refresh the baselines (`make bench-json`) in the same
-//     commit.
+//     heap-B/cell, subqueries/op) fail when fresh > baseline*tolerance,
+//     rates when fresh < baseline/tolerance. Tolerances absorb
+//     shared-runner noise; a genuine 2x regression still fails. After an
+//     intentional perf change, refresh the baselines (`make bench-json`)
+//     in the same commit.
 //
 // With no -baseline benchgate checks the ceilings (`make bench-allocs`);
 // with one or more it checks the ratchets (`make bench-gate`). The
@@ -90,6 +90,7 @@ var lowerBetter = map[string]bool{
 	"allocs_per_op": true,
 	"bytes/sample":  true,
 	"heap-B/cell":   true,
+	"subqueries/op": true,
 }
 
 type multiFlag []string

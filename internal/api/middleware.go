@@ -272,9 +272,10 @@ func remoteIP(r *http.Request) string {
 // client mint a fresh full bucket per request by rotating keys. keys
 // maps each configured key to its identity, "key:"-prefixed so a key
 // that happens to look like an IP cannot collide with a real IP's
-// bucket.
+// bucket. The header name is spelled in its canonical form: Header.Get
+// canonicalises any other spelling into a fresh string per request.
 func clientKey(r *http.Request, keys map[string]string) string {
-	if k := r.Header.Get("X-API-Key"); k != "" {
+	if k := r.Header.Get("X-Api-Key"); k != "" {
 		if id, ok := keys[k]; ok {
 			return id
 		}

@@ -7,9 +7,11 @@
 // mechanisms:
 //
 //   - Scatter-gather. Within each store group a query's time range is
-//     sharded into contiguous sub-windows, one per TSD daemon, and fanned
-//     out over the RPC fabric as pipelined futures under the caller's
-//     deadline. Shard failures fail over to the store's other daemons;
+//     cut on row-hour boundaries (tsdb.RowSeconds, the span of one HBase
+//     row) into min(TSDs, row-hours spanned) contiguous shards, one per
+//     TSD daemon, so no row-hour is scanned or decoded by two shards of
+//     one query, and fanned out over the RPC fabric as pipelined futures
+//     under the caller's deadline. Shard failures fail over to the store's other daemons;
 //     a shard every daemon rejects fails the query. Stores partition the
 //     fleet by series, so results merge by series identity (samples in
 //     timestamp order, deduplicated only for a series two stores hold),
@@ -18,11 +20,15 @@
 //   - A window cache. Results are cached in an LRU keyed on
 //     (metric, canonical tags, window, downsample spec, render bound).
 //     Concurrent identical queries collapse onto one in-flight fetch
-//     (singleflight), and entries are invalidated by the per-metric
-//     write watermark the TSD tier bumps on every put, summed over the
-//     stores — read in process, or asked of a remote store's TSDs with
-//     one "watermark" rpc per store — so a cached window is served only
-//     while nothing has been written to its metric since it was filled.
+//     (singleflight), and entries are invalidated by the write
+//     watermarks the TSD tier keeps per (metric, row-hour) and bumps on
+//     every put, summed over the stores — read in process, or asked of a
+//     remote store's TSDs with one "watermark" rpc per store, whose
+//     payload is the window as a *tsdb.QueryRequest — so a cached window
+//     is served only while nothing has been written into the row-hours
+//     it overlaps since it was filled (and no retention drop bumped the
+//     metric's epoch). A write into the live hour leaves windows over
+//     sealed hours cached.
 //     A store that cannot answer makes the read a miss; with ServeStale
 //     a failing fetch then answers the stale window, marked degraded.
 //     The in-process hit path performs zero heap allocations (pinned in

@@ -91,7 +91,7 @@ func (c Config) withDefaults() Config {
 // Store is one store group: the TSD daemons of one deployment, which
 // share its UID table and its write watermarks. Marks is that table
 // when the deployment runs in this process; nil asks the store's TSDs
-// for a metric's version over rpc ("watermark").
+// for a window's version over rpc ("watermark").
 type Store struct {
 	Addrs []string
 	Marks *tsdb.Watermarks
@@ -113,6 +113,11 @@ type Engine struct {
 	cache  *lru
 	flight map[string]*flight
 	key    keyScratch
+
+	// rot rotates each fetch's first shard over a store's TSDs: a window
+	// spanning fewer row-hours than the store has TSDs still spreads reads
+	// (and half-open breaker probes) across all of them.
+	rot atomic.Uint64
 
 	// Queries counts calls; CacheHits/CacheMisses the cache outcome;
 	// Collapsed queries that waited on another's in-flight fetch.
@@ -170,7 +175,7 @@ func (e *Engine) QueryContext(ctx context.Context, q tsdb.Query) ([]tsdb.Series,
 		return e.fetch(ctx, q)
 	}
 
-	ver, known := e.version(ctx, q.Metric)
+	ver, known := e.version(ctx, &q)
 	e.mu.Lock()
 	key := e.key.key(&q)
 	if ent, ok := e.cache.get(key); ok && known && ent.version == ver {
@@ -228,21 +233,27 @@ func (e *Engine) QueryContext(ctx context.Context, q tsdb.Query) ([]tsdb.Series,
 	return series, err
 }
 
-// version is the metric's write version across every store: the sum of
-// each store's, read from its watermarks in process or asked of its
-// TSDs over rpc ("watermark") — remote stores in parallel, failing over
-// within a store. A store's version only grows, and a restarted store
-// starts above its predecessor (tsdb.NewWatermarks), so the sum moves
-// whenever any store takes a write. known is false when a store could
-// not answer.
-func (e *Engine) version(ctx context.Context, metric string) (v uint64, known bool) {
+// version is the write version of q's window across every store: the
+// sum of each store's version of the row-hours the window overlaps, read
+// from its watermarks in process or asked of its TSDs over rpc
+// ("watermark", with the window as payload) — remote stores in
+// parallel, failing over within a store. A store's version only grows,
+// and a restarted store starts above its predecessor
+// (tsdb.NewWatermarks), so the sum moves whenever any store takes a
+// write the window could contain. known is false when a store could not
+// answer.
+func (e *Engine) version(ctx context.Context, q *tsdb.Query) (v uint64, known bool) {
 	var futs []*rpc.Future
+	var win *tsdb.QueryRequest
 	for _, s := range e.stores {
 		if s.Marks != nil {
-			v += s.Marks.Version(metric)
-		} else {
-			futs = append(futs, e.net.Go(ctx, s.Addrs[0], "watermark", metric))
+			v += s.Marks.Version(q.Metric, q.Start, q.End)
+			continue
 		}
+		if win == nil {
+			win = &tsdb.QueryRequest{Query: tsdb.Query{Metric: q.Metric, Start: q.Start, End: q.End}}
+		}
+		futs = append(futs, e.net.Go(ctx, s.Addrs[0], "watermark", win))
 	}
 	known = true
 	for _, s := range e.stores {
@@ -255,7 +266,7 @@ func (e *Engine) version(ctx context.Context, metric string) (v uint64, known bo
 			if err == nil {
 				break
 			}
-			res, err = e.net.Call(ctx, addr, "watermark", metric)
+			res, err = e.net.Call(ctx, addr, "watermark", win)
 		}
 		if err != nil {
 			known = false
@@ -292,8 +303,11 @@ type merged struct {
 // queries leave it 0.
 func (e *Engine) fetch(ctx context.Context, q tsdb.Query) ([]tsdb.Series, error) {
 	var shards []shard
+	rot := e.rot.Add(1) - 1
 	for si, s := range e.stores {
-		for slot, win := range shardWindow(q.Start, q.End, len(s.Addrs), q.DownsampleSeconds) {
+		first := int(rot % uint64(len(s.Addrs)))
+		for k, win := range shardWindow(q.Start, q.End, len(s.Addrs), q.DownsampleSeconds) {
+			slot := first + k
 			sh := shard{store: si, slot: slot, win: win}
 			// With every circuit open there is no address: the shard
 			// fails fast, and failover below re-probes in case a breaker
@@ -529,25 +543,25 @@ func (e *Engine) failover(ctx context.Context, sh shard, q tsdb.Query, err error
 	return nil, err
 }
 
-// shardWindow splits the inclusive window [from, to] into at most n
-// contiguous disjoint sub-windows. Boundaries are aligned to the
-// downsample width so no aggregation bucket spans two shards (which
-// would yield two partial aggregates for one bucket after the merge).
+// shardWindow splits the inclusive window [from, to] into
+// min(n, row-hours spanned) contiguous disjoint sub-windows, each a run
+// of whole row-hours (tsdb.RowSeconds), so no two shards of a query scan
+// the same hot row or decode the same sealed block, and a wide window
+// still spreads across n TSDs. A boundary inside a downsample bucket
+// (a width that does not divide the hour) moves down to the bucket's
+// start, so no aggregation bucket spans two shards (which would yield
+// two partial aggregates for one bucket after the merge).
 func shardWindow(from, to int64, n int, width int64) [][2]int64 {
 	if to < from {
 		return nil
 	}
-	if n < 1 {
-		n = 1
-	}
-	total := to - from + 1
-	if int64(n) > total {
-		n = int(total)
-	}
+	first := tsdb.BucketStart(from, tsdb.RowSeconds)
+	hours := (tsdb.BucketStart(to, tsdb.RowSeconds)-first)/tsdb.RowSeconds + 1
+	n = int(min(max(int64(n), 1), hours))
 	out := make([][2]int64, 0, n)
 	lo := from
-	for i := 1; i < n && lo <= to; i++ {
-		hi := from + total*int64(i)/int64(n) - 1
+	for i := 1; i < n; i++ {
+		hi := first + hours*int64(i)/int64(n)*tsdb.RowSeconds - 1
 		if width > 0 {
 			hi = tsdb.BucketStart(hi+1, width) - 1
 		}
@@ -557,8 +571,5 @@ func shardWindow(from, to int64, n int, width int64) [][2]int64 {
 		out = append(out, [2]int64{lo, hi})
 		lo = hi + 1
 	}
-	if lo <= to {
-		out = append(out, [2]int64{lo, to})
-	}
-	return out
+	return append(out, [2]int64{lo, to})
 }

@@ -29,10 +29,21 @@ func newEnv(t testing.TB, tsds, units, sensors int, steps int64) *tsdb.Deploymen
 	if err := d.CreateTable(); err != nil {
 		t.Fatal(err)
 	}
+	seed(t, d, units, sensors, 0, steps, 1)
+	return d
+}
+
+// hour is one row-hour: the unit a query's shards follow.
+const hour = tsdb.RowSeconds
+
+// seed writes units×sensors energy series at every step-th second of
+// [from, to).
+func seed(t testing.TB, d *tsdb.Deployment, units, sensors int, from, to, step int64) {
+	t.Helper()
 	var pts []tsdb.Point
 	for u := 0; u < units; u++ {
 		for s := 0; s < sensors; s++ {
-			for ts := int64(0); ts < steps; ts++ {
+			for ts := from; ts < to; ts += step {
 				pts = append(pts, tsdb.EnergyPoint(u, s, ts, float64(u*100+s)+float64(ts%13)))
 			}
 		}
@@ -40,7 +51,6 @@ func newEnv(t testing.TB, tsds, units, sensors int, steps int64) *tsdb.Deploymen
 	if err := d.TSDs()[0].Put(pts); err != nil {
 		t.Fatal(err)
 	}
-	return d
 }
 
 func mustQuery(t *testing.T, e *Engine, q tsdb.Query) []tsdb.Series {
@@ -64,15 +74,18 @@ func groundTruth(t *testing.T, d *tsdb.Deployment, q tsdb.Query) []tsdb.Series {
 
 func TestScatterGatherMatchesSingleTSD(t *testing.T) {
 	d := newEnv(t, 3, 2, 3, 120)
+	seed(t, d, 2, 3, 120, 4*hour, 11)
 	e := NewFromDeployment(d, Config{MaxEntries: -1})
 	for _, q := range []tsdb.Query{
 		{Metric: tsdb.MetricEnergy, Start: 0, End: 119},
 		{Metric: tsdb.MetricEnergy, Tags: map[string]string{"unit": "1"}, Start: 10, End: 97},
-		{Metric: tsdb.MetricEnergy, Tags: tsdb.EnergyTags(0, 2), Start: 0, End: 119},
-		// Downsample width that doesn't divide the shard boundaries:
-		// alignment must keep every bucket whole.
-		{Metric: tsdb.MetricEnergy, Start: 0, End: 119, DownsampleSeconds: 7},
-		{Metric: tsdb.MetricEnergy, Start: 3, End: 113, DownsampleSeconds: 13, Aggregate: tsdb.AggMax},
+		{Metric: tsdb.MetricEnergy, Tags: tsdb.EnergyTags(0, 2), Start: 0, End: 4*hour - 1},
+		{Metric: tsdb.MetricEnergy, Tags: map[string]string{"unit": "1"}, Start: 100, End: 3*hour + 500},
+		// Downsample widths that don't divide the row-hour: alignment
+		// must keep every bucket whole.
+		{Metric: tsdb.MetricEnergy, Start: 0, End: 4*hour - 1, DownsampleSeconds: 7},
+		{Metric: tsdb.MetricEnergy, Start: 3, End: 3*hour + 113, DownsampleSeconds: 13, Aggregate: tsdb.AggMax},
+		{Metric: tsdb.MetricEnergy, Start: 0, End: 4*hour - 1, DownsampleSeconds: 2 * hour, Aggregate: tsdb.AggCount},
 	} {
 		got := mustQuery(t, e, q)
 		want := groundTruth(t, d, q)
@@ -105,20 +118,43 @@ func failingHandler(context.Context, string, any) (any, error) {
 }
 
 func TestScatterGatherFailsOverDeadTSD(t *testing.T) {
+	// Three row-hours over three TSDs: the dead one is a shard's primary.
 	d := newEnv(t, 2, 2, 2, 100)
+	seed(t, d, 2, 2, 100, 3*hour, 60)
 	net := d.Cluster.Network()
 	if _, err := net.Register("tsd/dead", failingHandler, rpc.ServerConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	addrs := append(d.Addrs(), "tsd/dead")
 	e := New(net, []Store{{Addrs: addrs, Marks: d.Watermarks()}}, Config{MaxEntries: -1})
-	q := tsdb.Query{Metric: tsdb.MetricEnergy, Start: 0, End: 99}
+	q := tsdb.Query{Metric: tsdb.MetricEnergy, Start: 0, End: 3*hour - 1}
 	got := mustQuery(t, e, q)
 	if want := groundTruth(t, d, q); !reflect.DeepEqual(got, want) {
 		t.Fatalf("failover result diverged:\ngot  %v\nwant %v", got, want)
 	}
 	if e.Failovers.Value() == 0 {
 		t.Fatal("dead TSD never triggered a failover")
+	}
+}
+
+// TestNarrowReadsRotateOverTSDs: a window inside one row-hour is one
+// shard, and successive fetches start it on successive TSDs, so narrow
+// reads — and the half-open probes of their breakers — reach every TSD
+// of the store, not only the first.
+func TestNarrowReadsRotateOverTSDs(t *testing.T) {
+	d := newEnv(t, 3, 1, 1, 60)
+	e := NewFromDeployment(d, Config{MaxEntries: -1})
+	q := tsdb.Query{Metric: tsdb.MetricEnergy, Start: 0, End: 59}
+	for i := 0; i < 2*len(d.TSDs()); i++ {
+		mustQuery(t, e, q)
+	}
+	for _, tsd := range d.TSDs() {
+		if got := tsd.QueriesServed.Value(); got != 2 {
+			t.Fatalf("%s served %d of 6 one-shard reads, want 2", tsd.Name(), got)
+		}
+	}
+	if e.SubQueries.Value() != 6 {
+		t.Fatalf("sub-queries = %d for 6 one-hour reads, want 6", e.SubQueries.Value())
 	}
 }
 
@@ -201,6 +237,80 @@ func TestCacheHitMissAndWatermarkInvalidation(t *testing.T) {
 	}
 }
 
+// TestCacheFollowsRowHours is the invalidation contract at row-hour
+// grain: a write into one row-hour leaves the cached windows that end
+// before it hits, and re-resolves the ones it lands in — a late write
+// into a sealed hour included — while a retention drop re-resolves every
+// window of the metric.
+func TestCacheFollowsRowHours(t *testing.T) {
+	d := newEnv(t, 2, 1, 2, 0)
+	seed(t, d, 1, 2, 0, 2*hour, 10)
+	bs := d.AttachBlockStore(tsdb.BlockStoreConfig{})
+	if _, err := d.TSDs()[0].CompactRows(hour); err != nil { // seal hour 0
+		t.Fatal(err)
+	}
+	e := NewFromDeployment(d, Config{MaxEntries: 64})
+	sealed := tsdb.Query{Metric: tsdb.MetricEnergy, Tags: tsdb.EnergyTags(0, 1), Start: 0, End: hour - 1}
+	wide := tsdb.Query{Metric: tsdb.MetricEnergy, Start: 0, End: hour - 1, DownsampleSeconds: tsdb.RollupFine, Aggregate: tsdb.AggAvg}
+	live := tsdb.Query{Metric: tsdb.MetricEnergy, Tags: tsdb.EnergyTags(0, 1), Start: hour + 3000, End: 2*hour - 1}
+	warm := func() {
+		t.Helper()
+		for _, q := range []tsdb.Query{sealed, wide, live} {
+			mustQuery(t, e, q)
+		}
+	}
+	// hitsOn reads q and reports whether it was a cache hit that left the
+	// TSDs alone.
+	hitsOn := func(q tsdb.Query) (bool, []tsdb.Series) {
+		t.Helper()
+		hits, scans := e.CacheHits.Value(), d.QueriesServed()
+		series := mustQuery(t, e, q)
+		hit := e.CacheHits.Value() == hits+1
+		if hit != (d.QueriesServed() == scans) {
+			t.Fatalf("window %d–%d: a hit %v that scanned %d times", q.Start, q.End, hit, d.QueriesServed()-scans)
+		}
+		return hit, series
+	}
+	warm()
+
+	// A live write into hour 1 re-resolves only hour 1's window.
+	if err := d.TSDs()[1].Put([]tsdb.Point{tsdb.EnergyPoint(0, 1, 2*hour-5, 42)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []tsdb.Query{sealed, wide} {
+		if hit, _ := hitsOn(q); !hit {
+			t.Fatalf("a write into hour 1 invalidated the sealed window %d–%d (width %d)", q.Start, q.End, q.DownsampleSeconds)
+		}
+	}
+	if hit, series := hitsOn(live); hit || series[0].Samples[len(series[0].Samples)-1].Value != 42 {
+		t.Fatal("a write into hour 1 left hour 1's window cached")
+	}
+
+	// A late write into the sealed hour re-resolves its windows.
+	if err := d.TSDs()[0].Put([]tsdb.Point{tsdb.EnergyPoint(0, 1, 15, 99)}); err != nil {
+		t.Fatal(err)
+	}
+	hit, series := hitsOn(sealed)
+	if hit || series[0].Samples[2] != (tsdb.Sample{Timestamp: 15, Value: 99}) {
+		t.Fatalf("late write into the sealed hour: hit %v, samples %v", hit, series[0].Samples[:3])
+	}
+	if hit, _ := hitsOn(live); !hit {
+		t.Fatal("a late write into hour 0 invalidated hour 1's window")
+	}
+
+	// Retention dropping hour 0 re-resolves every window of the metric,
+	// hour 1's too.
+	warm()
+	if blocks, _ := bs.EnforceRetention(tsdb.RetentionPolicy{RawTTL: hour}, nil); blocks == 0 {
+		t.Fatal("retention dropped nothing")
+	}
+	for _, q := range []tsdb.Query{sealed, wide, live} {
+		if hit, _ := hitsOn(q); hit {
+			t.Fatalf("window %d–%d served from cache after a retention drop", q.Start, q.End)
+		}
+	}
+}
+
 func TestCacheEviction(t *testing.T) {
 	d := newEnv(t, 1, 1, 1, 90)
 	e := NewFromDeployment(d, Config{MaxEntries: 2})
@@ -274,50 +384,66 @@ func TestSingleflightCollapsesConcurrentIdenticalQueries(t *testing.T) {
 	}
 }
 
+// TestShardWindowCoversDisjointAligned: shards cover the window
+// exactly, in order, one per run of whole row-hours — min(TSDs,
+// row-hours spanned) of them — with every boundary on a row-hour start,
+// moved down to a downsample bucket start where the width does not
+// divide the hour.
 func TestShardWindowCoversDisjointAligned(t *testing.T) {
-	cases := []struct {
+	for _, c := range []struct {
+		name     string
 		from, to int64
 		n        int
 		width    int64
+		want     int
 	}{
-		{0, 99, 4, 0}, {0, 99, 4, 7}, {-35, 12, 3, 10}, {5, 5, 4, 0},
-		{0, 2, 8, 0}, {0, 999, 5, 13}, {-100, -1, 3, 7},
-	}
-	for _, c := range cases {
+		{"sub-hour window", 0, 299, 3, 0, 1},
+		{"sub-hour window mid-hour", hour + 1000, hour + 1299, 3, 0, 1},
+		{"single second", 5, 5, 4, 0, 1},
+		{"sub-hour across a row boundary", hour - 150, hour + 149, 3, 0, 2},
+		{"2 hours over 3 TSDs", 0, 2*hour - 1, 3, 0, 2},
+		{"3 hours over 3 TSDs", 0, 3*hour - 1, 3, 0, 3},
+		{"a day over 3 TSDs", 0, 24*hour - 1, 3, 0, 3},
+		{"a day over 5 TSDs, ragged ends", 17, 24*hour - 18, 5, 0, 5},
+		{"fine rollup width", 0, 3*hour - 1, 3, tsdb.RollupFine, 3},
+		{"coarse rollup width", 0, 6*hour - 1, 3, tsdb.RollupCoarse, 3},
+		{"width not dividing the hour", 0, 3*hour - 1, 3, 7, 3},
+		{"width not dividing the hour, ragged", 3, 5*hour + 113, 5, 13, 5},
+		{"width of two hours", 0, 4*hour - 1, 4, 2 * hour, 2},
+		{"width wider than the window's hours", 0, 3*hour - 1, 3, 24 * hour, 1},
+		{"negative hours", -2 * hour, -1, 3, 0, 2},
+		{"negative to positive", -100, 100, 3, 0, 2},
+		{"negative, width not dividing the hour", -3635, 2*hour + 64, 3, 10, 3},
+		{"n below one", 0, 5 * hour, 0, 0, 1},
+	} {
 		shards := shardWindow(c.from, c.to, c.n, c.width)
+		if len(shards) != c.want {
+			t.Fatalf("%s: %d shards %v, want %d", c.name, len(shards), shards, c.want)
+		}
 		lo := c.from
 		for i, sh := range shards {
-			if sh[0] != lo {
-				t.Fatalf("%+v: shard %d starts at %d, want %d", c, i, sh[0], lo)
+			if sh[0] != lo || sh[1] < sh[0] {
+				t.Fatalf("%s: shard %d = %v, want a non-empty one from %d", c.name, i, sh, lo)
 			}
-			if sh[1] < sh[0] {
-				t.Fatalf("%+v: shard %d inverted", c, i)
+			if i > 0 && c.width < hour {
+				// The row-hour the boundary was cut at lies less than one
+				// bucket above it.
+				w := max(c.width, 1)
+				if want := tsdb.BucketStart(tsdb.BucketStart(sh[0]+w-1, hour), w); sh[0] != want {
+					t.Fatalf("%s: shard %d starts at %d, want the row-hour boundary %d", c.name, i, sh[0], want)
+				}
+			}
+			if i > 0 && c.width > 0 && sh[0] != tsdb.BucketStart(sh[0], c.width) {
+				t.Fatalf("%s: shard %d starts mid-bucket at %d", c.name, i, sh[0])
 			}
 			lo = sh[1] + 1
 		}
 		if lo != c.to+1 {
-			t.Fatalf("%+v: shards end at %d, want %d", c, lo-1, c.to)
-		}
-		if len(shards) > c.n {
-			t.Fatalf("%+v: %d shards > n=%d", c, len(shards), c.n)
+			t.Fatalf("%s: shards end at %d, want %d", c.name, lo-1, c.to)
 		}
 	}
-}
-
-func TestShardBoundaryAlignment(t *testing.T) {
-	for _, c := range []struct {
-		from, to int64
-		n        int
-		width    int64
-	}{{0, 99, 4, 7}, {-35, 64, 3, 10}, {3, 113, 5, 13}} {
-		for i, sh := range shardWindow(c.from, c.to, c.n, c.width) {
-			if i == 0 {
-				continue
-			}
-			if sh[0] != tsdb.BucketStart(sh[0], c.width) {
-				t.Fatalf("%+v: shard %d starts mid-bucket at %d", c, i, sh[0])
-			}
-		}
+	if shardWindow(9, 2, 3, 0) != nil {
+		t.Fatal("an inverted window has shards")
 	}
 }
 
@@ -374,7 +500,6 @@ func TestScatterGatherOverSealedBlocks(t *testing.T) {
 	// is oblivious: answers match a direct single-TSD query, wide
 	// windows come from rollups, and retention drops invalidate the
 	// window cache through the watermark.
-	const hour = 3600
 	d := newEnv(t, 3, 2, 2, 3*hour)
 	bs := d.AttachBlockStore(tsdb.BlockStoreConfig{})
 	if _, err := d.TSDs()[0].CompactRows(2 * hour); err != nil {

@@ -78,13 +78,15 @@ func TestServeStaleOffStillFails(t *testing.T) {
 // TestBreakersTripFastFailAndRecover drives the full
 // closed → open → half-open → closed cycle through the engine.
 func TestBreakersTripFastFailAndRecover(t *testing.T) {
+	// Two row-hours over two TSDs: a query reaches both.
 	d := newEnv(t, 2, 1, 1, 40)
+	seed(t, d, 1, 1, 40, 2*hour, 60)
 	g := resilience.NewGroup(resilience.BreakerConfig{
 		FailureThreshold: 2,
 		Cooldown:         30 * time.Millisecond,
 	})
 	e := NewFromDeployment(d, Config{MaxEntries: -1, Breakers: g})
-	q := tsdb.Query{Metric: tsdb.MetricEnergy, Start: 0, End: 39}
+	q := tsdb.Query{Metric: tsdb.MetricEnergy, Start: 0, End: 2*hour - 1}
 
 	inj := faultinject.New(11)
 	d.Cluster.Network().SetFaults(inj)
@@ -170,13 +172,15 @@ func TestHedgedReadBeatsStraggler(t *testing.T) {
 // Before recordWhenDone covered fetch's fail-fast path, those breakers
 // wedged half-open with the probe slot leaked and could never close.
 func TestAbandonedShardProbesReleased(t *testing.T) {
+	// Three row-hours over three TSDs: one shard per TSD.
 	d := newEnv(t, 3, 1, 1, 60)
+	seed(t, d, 1, 1, 60, 3*hour, 60)
 	g := resilience.NewGroup(resilience.BreakerConfig{
 		FailureThreshold: 1,
 		Cooldown:         10 * time.Millisecond,
 	})
 	e := NewFromDeployment(d, Config{MaxEntries: -1, Breakers: g})
-	q := tsdb.Query{Metric: tsdb.MetricEnergy, Start: 0, End: 59}
+	q := tsdb.Query{Metric: tsdb.MetricEnergy, Start: 0, End: 3*hour - 1}
 	addrs := d.Addrs()
 
 	// Trip tsd-2 and tsd-3, then let the cooldown elapse so the next

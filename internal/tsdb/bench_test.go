@@ -108,7 +108,7 @@ func BenchmarkTSDQuery(b *testing.B) {
 // zero-allocation iterator — the drill-down hot path. Pinned at
 // 0 allocs/op in PINS.
 func BenchmarkCompressedScan(b *testing.B) {
-	samples := make([]Sample, rowBaseSeconds)
+	samples := make([]Sample, RowSeconds)
 	v := 500.0
 	r := rng(3)
 	for i := range samples {
@@ -139,7 +139,7 @@ func BenchmarkCompressedScan(b *testing.B) {
 // compression ratio the storage tier achieves — the bytes/sample
 // figure the bench gate ratchets.
 func BenchmarkBlockCompress(b *testing.B) {
-	samples := make([]Sample, rowBaseSeconds)
+	samples := make([]Sample, RowSeconds)
 	v := 500.0
 	r := rng(5)
 	for i := range samples {
@@ -162,21 +162,21 @@ func BenchmarkRollupQuery(b *testing.B) {
 	bs := d.AttachBlockStore(BlockStoreConfig{})
 	tsd := d.TSDs()[0]
 	const hours = 6
-	pts := make([]Point, 0, rowBaseSeconds)
+	pts := make([]Point, 0, RowSeconds)
 	for h := int64(0); h < hours; h++ {
 		pts = pts[:0]
-		for ts := h * rowBaseSeconds; ts < (h+1)*rowBaseSeconds; ts++ {
+		for ts := h * RowSeconds; ts < (h+1)*RowSeconds; ts++ {
 			pts = append(pts, EnergyPoint(1, 1, ts, QuantizeValue(500+float64(ts%600)/10, 4)))
 		}
 		if err := tsd.Put(pts); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if _, err := tsd.CompactRows(hours * rowBaseSeconds); err != nil {
+	if _, err := tsd.CompactRows(hours * RowSeconds); err != nil {
 		b.Fatal(err)
 	}
 	q := Query{Metric: MetricEnergy, Tags: EnergyTags(1, 1),
-		Start: 0, End: hours*rowBaseSeconds - 1, DownsampleSeconds: 600, Aggregate: AggAvg}
+		Start: 0, End: hours*RowSeconds - 1, DownsampleSeconds: 600, Aggregate: AggAvg}
 	scans := bs.BlockScans.Value()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -192,5 +192,5 @@ func BenchmarkRollupQuery(b *testing.B) {
 	if bs.BlockScans.Value() != scans {
 		b.Fatal("rollup bench decompressed blocks")
 	}
-	b.ReportMetric(float64(hours*rowBaseSeconds*b.N)/b.Elapsed().Seconds(), "samples-covered/s")
+	b.ReportMetric(float64(hours*RowSeconds*b.N)/b.Elapsed().Seconds(), "samples-covered/s")
 }

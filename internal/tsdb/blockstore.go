@@ -362,7 +362,7 @@ func RollupWidth(w int64) int64 {
 	if w >= RollupCoarse && w%RollupCoarse == 0 {
 		return RollupCoarse
 	}
-	if w >= RollupFine && w%RollupFine == 0 && rowBaseSeconds%w == 0 {
+	if w >= RollupFine && w%RollupFine == 0 && RowSeconds%w == 0 {
 		return RollupFine
 	}
 	return 0
@@ -578,7 +578,8 @@ type RetentionPolicy struct {
 // EnforceRetention applies per-metric policies (falling back to def)
 // against the current ingest frontier, dropping expired raw blocks
 // (and their spill files) and expired rollup buckets. Metrics that
-// lost data get their watermark bumped so cached windows invalidate.
+// lost data get their watermark epoch bumped, so every cached window
+// of them invalidates.
 // Returns blocks and rollup buckets dropped.
 func (s *BlockStore) EnforceRetention(def RetentionPolicy, perMetric map[string]RetentionPolicy) (blocksDropped, bucketsDropped int) {
 	if s == nil {

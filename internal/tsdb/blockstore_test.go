@@ -22,7 +22,7 @@ func putHours(t *testing.T, d *Deployment, unit, sensor, hours int) []Point {
 	t.Helper()
 	tsd := d.TSDs()[0]
 	var pts []Point
-	for ts := int64(0); ts < int64(hours)*rowBaseSeconds; ts++ {
+	for ts := int64(0); ts < int64(hours)*RowSeconds; ts++ {
 		v := QuantizeValue(500+float64(ts%600)/10, 4)
 		pts = append(pts, EnergyPoint(unit, sensor, ts, v))
 	}
@@ -44,21 +44,21 @@ func TestSealServesIdenticalSamples(t *testing.T) {
 	pts := putHours(t, d, 1, 1, 2)
 
 	// Seal the first hour; the second stays hot.
-	n, err := tsd.CompactRows(rowBaseSeconds)
+	n, err := tsd.CompactRows(RowSeconds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
 		t.Fatalf("sealed %d rows, want 1", n)
 	}
-	if bs.BlocksSealed.Value() != 1 || bs.SamplesSealed.Value() != rowBaseSeconds {
+	if bs.BlocksSealed.Value() != 1 || bs.SamplesSealed.Value() != RowSeconds {
 		t.Fatalf("sealed counters = %d blocks / %d samples",
 			bs.BlocksSealed.Value(), bs.SamplesSealed.Value())
 	}
 
 	// A raw query spanning sealed + hot tiers returns every sample,
 	// bit-identical, in order.
-	series, err := tsd.Query(Query{Metric: MetricEnergy, Tags: EnergyTags(1, 1), Start: 0, End: 2*rowBaseSeconds - 1})
+	series, err := tsd.Query(Query{Metric: MetricEnergy, Tags: EnergyTags(1, 1), Start: 0, End: 2*RowSeconds - 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +80,13 @@ func TestWideWindowServedFromRollups(t *testing.T) {
 	d, bs := sealedDeployment(t, BlockStoreConfig{})
 	tsd := d.TSDs()[0]
 	pts := putHours(t, d, 1, 1, 3)
-	if _, err := tsd.CompactRows(2 * rowBaseSeconds); err != nil {
+	if _, err := tsd.CompactRows(2 * RowSeconds); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, agg := range []AggFunc{AggAvg, AggSum, AggMin, AggMax, AggCount} {
 		q := Query{Metric: MetricEnergy, Tags: EnergyTags(1, 1),
-			Start: 0, End: 3*rowBaseSeconds - 1, DownsampleSeconds: 600, Aggregate: agg}
+			Start: 0, End: 3*RowSeconds - 1, DownsampleSeconds: 600, Aggregate: agg}
 		before := bs.BlockScans.Value()
 		series, err := tsd.Query(q)
 		if err != nil {
@@ -151,7 +151,7 @@ func TestSpillAndLazyReadback(t *testing.T) {
 	d, bs := sealedDeployment(t, BlockStoreConfig{HotBlockBytes: -1})
 	tsd := d.TSDs()[0]
 	pts := putHours(t, d, 1, 1, 1)
-	if _, err := tsd.CompactRows(rowBaseSeconds); err != nil {
+	if _, err := tsd.CompactRows(RowSeconds); err != nil {
 		t.Fatal(err)
 	}
 	spilled, err := bs.SpillPass()
@@ -167,7 +167,7 @@ func TestSpillAndLazyReadback(t *testing.T) {
 
 	// Querying the spilled range reads the payload back lazily and the
 	// result is still byte-identical.
-	series, err := tsd.Query(Query{Metric: MetricEnergy, Tags: EnergyTags(1, 1), Start: 0, End: rowBaseSeconds - 1})
+	series, err := tsd.Query(Query{Metric: MetricEnergy, Tags: EnergyTags(1, 1), Start: 0, End: RowSeconds - 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestSpillAndLazyReadback(t *testing.T) {
 	// the HDFS tier.
 	reads := bs.SpillReads.Value()
 	if _, err := tsd.Query(Query{Metric: MetricEnergy, Tags: EnergyTags(1, 1),
-		Start: 0, End: rowBaseSeconds - 1, DownsampleSeconds: 600, Aggregate: AggAvg}); err != nil {
+		Start: 0, End: RowSeconds - 1, DownsampleSeconds: 600, Aggregate: AggAvg}); err != nil {
 		t.Fatal(err)
 	}
 	if bs.SpillReads.Value() != reads {
@@ -200,7 +200,7 @@ func TestMergeResealNoDoubleCount(t *testing.T) {
 	d, bs := sealedDeployment(t, BlockStoreConfig{})
 	tsd := d.TSDs()[0]
 	putHours(t, d, 1, 1, 1)
-	if _, err := tsd.CompactRows(rowBaseSeconds); err != nil {
+	if _, err := tsd.CompactRows(RowSeconds); err != nil {
 		t.Fatal(err)
 	}
 
@@ -212,7 +212,7 @@ func TestMergeResealNoDoubleCount(t *testing.T) {
 	if err := tsd.Put(late); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tsd.CompactRows(rowBaseSeconds); err != nil {
+	if _, err := tsd.CompactRows(RowSeconds); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(bs.series[seriesID(MetricEnergy, EnergyTags(1, 1))].blocks); got != 1 {
@@ -221,19 +221,19 @@ func TestMergeResealNoDoubleCount(t *testing.T) {
 
 	// No double count: still exactly 3600 samples, and the bucket
 	// holding t=1800 reflects exactly one value for that second.
-	series, err := tsd.Query(Query{Metric: MetricEnergy, Tags: EnergyTags(1, 1), Start: 0, End: rowBaseSeconds - 1})
+	series, err := tsd.Query(Query{Metric: MetricEnergy, Tags: EnergyTags(1, 1), Start: 0, End: RowSeconds - 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series[0].Samples) != rowBaseSeconds {
-		t.Fatalf("after re-seal: %d samples, want %d", len(series[0].Samples), rowBaseSeconds)
+	if len(series[0].Samples) != RowSeconds {
+		t.Fatalf("after re-seal: %d samples, want %d", len(series[0].Samples), RowSeconds)
 	}
 	// The late rewrite deterministically wins over the sealed original.
 	if got := series[0].Samples[1800]; got.Timestamp != 1800 || got.Value != 999 {
 		t.Fatalf("sample at t=1800 = %+v, want the late write's 999", got)
 	}
 	counts, err := tsd.Query(Query{Metric: MetricEnergy, Tags: EnergyTags(1, 1),
-		Start: 0, End: rowBaseSeconds - 1, DownsampleSeconds: 600, Aggregate: AggCount})
+		Start: 0, End: RowSeconds - 1, DownsampleSeconds: 600, Aggregate: AggCount})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,19 +257,19 @@ func TestSealGapFillSameHourRollups(t *testing.T) {
 	if err := tsd.Put(pts); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := tsd.CompactRows(rowBaseSeconds); err != nil || n != 1 {
+	if n, err := tsd.CompactRows(RowSeconds); err != nil || n != 1 {
 		t.Fatalf("first seal: %d rows (%v)", n, err)
 	}
 	// The gap at the end of the hour fills late and seals in a second
 	// pass; [1800, 3599] never touches the first block's [0, 1799].
 	pts = pts[:0]
-	for ts := int64(1800); ts < rowBaseSeconds; ts++ {
+	for ts := int64(1800); ts < RowSeconds; ts++ {
 		pts = append(pts, EnergyPoint(1, 1, ts, float64(ts)))
 	}
 	if err := tsd.Put(pts); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := tsd.CompactRows(rowBaseSeconds); err != nil || n != 1 {
+	if n, err := tsd.CompactRows(RowSeconds); err != nil || n != 1 {
 		t.Fatalf("second seal: %d rows (%v)", n, err)
 	}
 	if got := len(bs.series[seriesID(MetricEnergy, EnergyTags(1, 1))].blocks); got != 1 {
@@ -281,14 +281,14 @@ func TestSealGapFillSameHourRollups(t *testing.T) {
 	for _, w := range []int64{RollupCoarse, 600} {
 		before := bs.BlockScans.Value()
 		counts, err := tsd.Query(Query{Metric: MetricEnergy, Tags: EnergyTags(1, 1),
-			Start: 0, End: rowBaseSeconds - 1, DownsampleSeconds: w, Aggregate: AggCount})
+			Start: 0, End: RowSeconds - 1, DownsampleSeconds: w, Aggregate: AggCount})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if bs.BlockScans.Value() != before {
 			t.Fatalf("width %d: gap-filled hour not served from rollups", w)
 		}
-		if want := rowBaseSeconds / int(w); len(counts[0].Samples) != want {
+		if want := RowSeconds / int(w); len(counts[0].Samples) != want {
 			t.Fatalf("width %d: %d buckets, want %d", w, len(counts[0].Samples), want)
 		}
 		for _, s := range counts[0].Samples {
@@ -300,11 +300,11 @@ func TestSealGapFillSameHourRollups(t *testing.T) {
 	}
 	// And the sums reflect every sample exactly once: sum(0..3599).
 	sums, err := tsd.Query(Query{Metric: MetricEnergy, Tags: EnergyTags(1, 1),
-		Start: 0, End: rowBaseSeconds - 1, DownsampleSeconds: RollupCoarse, Aggregate: AggSum})
+		Start: 0, End: RowSeconds - 1, DownsampleSeconds: RollupCoarse, Aggregate: AggSum})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := float64(rowBaseSeconds) * float64(rowBaseSeconds-1) / 2; sums[0].Samples[0].Value != want {
+	if want := float64(RowSeconds) * float64(RowSeconds-1) / 2; sums[0].Samples[0].Value != want {
 		t.Fatalf("hour sum = %v, want %v", sums[0].Samples[0].Value, want)
 	}
 }
@@ -316,7 +316,7 @@ func TestUnalignedDownsampleFallsBackToRaw(t *testing.T) {
 	d, bs := sealedDeployment(t, BlockStoreConfig{})
 	tsd := d.TSDs()[0]
 	pts := putHours(t, d, 1, 1, 1)
-	if _, err := tsd.CompactRows(rowBaseSeconds); err != nil {
+	if _, err := tsd.CompactRows(RowSeconds); err != nil {
 		t.Fatal(err)
 	}
 	q := Query{Metric: MetricEnergy, Tags: EnergyTags(1, 1),
@@ -375,12 +375,12 @@ func TestSpillOrphanCleanup(t *testing.T) {
 	d, bs := sealedDeployment(t, BlockStoreConfig{HotBlockBytes: -1})
 	tsd := d.TSDs()[0]
 	putHours(t, d, 1, 1, 1)
-	if _, err := tsd.CompactRows(rowBaseSeconds); err != nil {
+	if _, err := tsd.CompactRows(RowSeconds); err != nil {
 		t.Fatal(err)
 	}
-	bs.Observe(10 * rowBaseSeconds) // age the sealed hour far past the TTL
+	bs.Observe(10 * RowSeconds) // age the sealed hour far past the TTL
 	bs.testAfterSpillWrite = func() {
-		if n, _ := bs.EnforceRetention(RetentionPolicy{RawTTL: rowBaseSeconds}, nil); n != 1 {
+		if n, _ := bs.EnforceRetention(RetentionPolicy{RawTTL: RowSeconds}, nil); n != 1 {
 			t.Errorf("retention dropped %d blocks mid-spill, want 1", n)
 		}
 	}
@@ -400,19 +400,19 @@ func TestRetentionTiers(t *testing.T) {
 	d, bs := sealedDeployment(t, BlockStoreConfig{})
 	tsd := d.TSDs()[0]
 	putHours(t, d, 1, 1, 3)
-	if _, err := tsd.CompactRows(3 * rowBaseSeconds); err != nil {
+	if _, err := tsd.CompactRows(3 * RowSeconds); err != nil {
 		t.Fatal(err)
 	}
-	markBefore := d.Watermarks().Version(MetricEnergy)
+	markBefore := d.Watermarks().Version(MetricEnergy, 2*RowSeconds, 3*RowSeconds-1)
 
 	// A raw TTL just under 2h at a frontier of ~3h (the frontier is the
 	// last sample timestamp, 3h-1s) drops the first hour's raw block;
 	// its rollups survive.
-	blocks, buckets := bs.EnforceRetention(RetentionPolicy{RawTTL: 2*rowBaseSeconds - 60}, nil)
+	blocks, buckets := bs.EnforceRetention(RetentionPolicy{RawTTL: 2*RowSeconds - 60}, nil)
 	if blocks == 0 || buckets != 0 {
 		t.Fatalf("raw TTL dropped %d blocks / %d buckets, want >0 / 0", blocks, buckets)
 	}
-	if d.Watermarks().Version(MetricEnergy) == markBefore {
+	if d.Watermarks().Version(MetricEnergy, 2*RowSeconds, 3*RowSeconds-1) == markBefore {
 		t.Fatal("retention drop must bump the metric watermark")
 	}
 
@@ -426,7 +426,7 @@ func TestRetentionTiers(t *testing.T) {
 		t.Fatalf("drill-down into expired raw range returned %d series", len(series))
 	}
 	wide, err := tsd.Query(Query{Metric: MetricEnergy, Tags: EnergyTags(1, 1),
-		Start: 0, End: 3*rowBaseSeconds - 1, DownsampleSeconds: 3600, Aggregate: AggCount})
+		Start: 0, End: 3*RowSeconds - 1, DownsampleSeconds: 3600, Aggregate: AggCount})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,12 +435,12 @@ func TestRetentionTiers(t *testing.T) {
 	}
 
 	// RollupTTL then expires the first hour's buckets too.
-	_, buckets = bs.EnforceRetention(RetentionPolicy{RollupTTL: 2*rowBaseSeconds - 60}, nil)
+	_, buckets = bs.EnforceRetention(RetentionPolicy{RollupTTL: 2*RowSeconds - 60}, nil)
 	if buckets == 0 {
 		t.Fatal("rollup TTL dropped nothing")
 	}
 	wide, err = tsd.Query(Query{Metric: MetricEnergy, Tags: EnergyTags(1, 1),
-		Start: 0, End: 3*rowBaseSeconds - 1, DownsampleSeconds: 3600, Aggregate: AggCount})
+		Start: 0, End: 3*RowSeconds - 1, DownsampleSeconds: 3600, Aggregate: AggCount})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,11 +451,11 @@ func TestRetentionTiers(t *testing.T) {
 	// Per-metric override beats the default policy.
 	d2, bs2 := sealedDeployment(t, BlockStoreConfig{})
 	putHours(t, d2, 1, 1, 2)
-	if _, err := d2.TSDs()[0].CompactRows(2 * rowBaseSeconds); err != nil {
+	if _, err := d2.TSDs()[0].CompactRows(2 * RowSeconds); err != nil {
 		t.Fatal(err)
 	}
 	blocks, _ = bs2.EnforceRetention(
-		RetentionPolicy{RawTTL: rowBaseSeconds - 60},
+		RetentionPolicy{RawTTL: RowSeconds - 60},
 		map[string]RetentionPolicy{MetricEnergy: {}}, // keep everything
 	)
 	if blocks != 0 {
@@ -467,8 +467,8 @@ func TestCompactorLifecycle(t *testing.T) {
 	d := newDeployment(t, 2, 2, TSDConfig{SaltBuckets: 2})
 	c := StartCompactor(d, BlockStoreConfig{}, CompactorConfig{
 		Interval:  time.Millisecond,
-		SealAfter: rowBaseSeconds,
-		Retention: RetentionPolicy{RawTTL: 48 * rowBaseSeconds},
+		SealAfter: RowSeconds,
+		Retention: RetentionPolicy{RawTTL: 48 * RowSeconds},
 	})
 	defer c.Stop()
 	bs := d.BlockStore()
@@ -487,11 +487,11 @@ func TestCompactorLifecycle(t *testing.T) {
 	}
 	// Both TSDs serve the sealed data (the store is deployment-shared).
 	for i, tsd := range d.TSDs() {
-		series, err := tsd.Query(Query{Metric: MetricEnergy, Tags: EnergyTags(1, 1), Start: 0, End: 2*rowBaseSeconds - 1})
+		series, err := tsd.Query(Query{Metric: MetricEnergy, Tags: EnergyTags(1, 1), Start: 0, End: 2*RowSeconds - 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(series) != 1 || len(series[0].Samples) != 2*rowBaseSeconds {
+		if len(series) != 1 || len(series[0].Samples) != 2*RowSeconds {
 			t.Fatalf("tsd %d sees %d samples", i, len(series[0].Samples))
 		}
 	}
@@ -508,7 +508,7 @@ func TestFleetCompressionRatio(t *testing.T) {
 	fleet := simdata.NewFleet(simdata.PaperConfig(11))
 	_, bs := sealedDeployment(t, BlockStoreConfig{})
 	units, sensors := 4, 8
-	hour := make([]Sample, rowBaseSeconds)
+	hour := make([]Sample, RowSeconds)
 	for u := 0; u < units; u++ {
 		for sn := 0; sn < sensors; sn++ {
 			for ts := range hour {
@@ -524,7 +524,7 @@ func TestFleetCompressionRatio(t *testing.T) {
 	}
 	bps := float64(bs.BytesSealed.Value()) / float64(bs.SamplesSealed.Value())
 	t.Logf("fleet: %d series × %d samples → %.3f bytes/sample",
-		units*sensors, rowBaseSeconds, bps)
+		units*sensors, RowSeconds, bps)
 	if bps > 2.0 {
 		t.Fatalf("fleet compression = %.3f bytes/sample, want <= 2.0", bps)
 	}
@@ -563,7 +563,7 @@ func TestSealAcrossManySeries(t *testing.T) {
 	if err := tsd.Put(pts); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := tsd.CompactRows(rowBaseSeconds); err != nil || n != 3 {
+	if n, err := tsd.CompactRows(RowSeconds); err != nil || n != 3 {
 		t.Fatalf("sealed %d rows (%v), want 3", n, err)
 	}
 	if bs.BlocksSealed.Value() != 3 {
@@ -611,7 +611,7 @@ func TestCompressionSoak(t *testing.T) {
 	var pts []Point
 	for h := 0; h < hours; h++ {
 		pts = pts[:0]
-		for ts := int64(h) * rowBaseSeconds; ts < int64(h+1)*rowBaseSeconds; ts += 10 {
+		for ts := int64(h) * RowSeconds; ts < int64(h+1)*RowSeconds; ts += 10 {
 			for u := 0; u < units; u++ {
 				for sn := 0; sn < sensors; sn++ {
 					v := QuantizeValue(fleet.Value(u, sn, ts), 4)
@@ -626,7 +626,7 @@ func TestCompressionSoak(t *testing.T) {
 		}
 		// Seal everything older than the hour that just closed, then
 		// spill it all to the HDFS tier.
-		if _, err := tsd.CompactRows(int64(h+1) * rowBaseSeconds); err != nil {
+		if _, err := tsd.CompactRows(int64(h+1) * RowSeconds); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := bs.SpillPass(); err != nil {
@@ -639,7 +639,7 @@ func TestCompressionSoak(t *testing.T) {
 	for u := 0; u < units; u++ {
 		for sn := 0; sn < sensors; sn++ {
 			series, err := tsd.Query(Query{Metric: MetricEnergy, Tags: EnergyTags(u, sn),
-				Start: 0, End: int64(hours)*rowBaseSeconds - 1})
+				Start: 0, End: int64(hours)*RowSeconds - 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,9 +11,10 @@ import (
 	"repro/internal/hbase"
 )
 
-// rowBaseSeconds is the time span covered by one row (OpenTSDB uses
-// one hour; column qualifiers hold the offset within it).
-const rowBaseSeconds = 3600
+// RowSeconds is the time span covered by one row, a row-hour (OpenTSDB
+// uses one hour; column qualifiers hold the offset within it). Write
+// watermarks version row-hours, and the query tier shards on them.
+const RowSeconds = 3600
 
 // Codec translates points to HBase cells and back. It owns the
 // paper's key-design lever: with SaltBuckets == 0 keys begin with the
@@ -144,7 +145,7 @@ func (c *Codec) Encode(p *Point) (hbase.Cell, error) {
 	keyLen := salted + uidWidth + 4 + len(pairs)
 	buf := make([]byte, keyLen+2+8)
 	key := buf[:keyLen:keyLen]
-	base := p.Timestamp - p.Timestamp%rowBaseSeconds
+	base := p.Timestamp - p.Timestamp%RowSeconds
 	putUID(key[salted:], mu)
 	binary.BigEndian.PutUint32(key[salted+uidWidth:], uint32(base))
 	copy(key[salted+uidWidth+4:], pairs)
@@ -226,8 +227,8 @@ func decodeCell(dst []Sample, base int64, cell hbase.Cell) ([]Sample, error) {
 // rowRanges returns the scan ranges covering metric UID mu over
 // [start, end] — one range per salt bucket (or a single unsalted one).
 func (c *Codec) rowRanges(mu uint32, start, end int64) [][2][]byte {
-	baseStart := start - start%rowBaseSeconds
-	baseEnd := end - end%rowBaseSeconds
+	baseStart := start - start%RowSeconds
+	baseEnd := end - end%RowSeconds
 	var u [uidWidth]byte
 	putUID(u[:], mu)
 	mkRange := func(salt []byte) [2][]byte {
@@ -236,7 +237,7 @@ func (c *Codec) rowRanges(mu uint32, start, end int64) [][2][]byte {
 		binary.BigEndian.PutUint32(ts[:], uint32(baseStart))
 		lo = append(lo, ts[:]...)
 		hi := append(append([]byte{}, salt...), u[:]...)
-		binary.BigEndian.PutUint32(ts[:], uint32(baseEnd+rowBaseSeconds))
+		binary.BigEndian.PutUint32(ts[:], uint32(baseEnd+RowSeconds))
 		hi = append(hi, ts[:]...)
 		return [2][]byte{lo, hi}
 	}

@@ -27,7 +27,7 @@ func (c CompactorConfig) withDefaults() CompactorConfig {
 		c.Interval = 5 * time.Second
 	}
 	if c.SealAfter <= 0 {
-		c.SealAfter = rowBaseSeconds
+		c.SealAfter = RowSeconds
 	}
 	return c
 }

@@ -55,7 +55,7 @@ type TSD struct {
 	client *hbase.Client
 	codec  *Codec
 	cfg    TSDConfig
-	// marks is the deployment-shared per-metric write watermark; nil
+	// marks is the deployment-shared write watermark table; nil
 	// for a TSD outside a deployment.
 	marks *Watermarks
 	// faults, when set, injects on this daemon's storage operations
@@ -252,8 +252,7 @@ func (d *Deployment) QueriesServed() int64 {
 	return total
 }
 
-// Watermarks returns the deployment's shared per-metric write
-// watermark table.
+// Watermarks returns the deployment's shared write watermark table.
 func (d *Deployment) Watermarks() *Watermarks { return d.marks }
 
 // RPC payloads for the TSD tier.
@@ -290,7 +289,8 @@ func (t *TSD) handle(ctx context.Context, method string, payload any) (any, erro
 		n, err := t.CompactRowsContext(ctx, payload.(int64))
 		return n, err
 	case "watermark":
-		return t.marks.Version(payload.(string)), nil
+		q := &payload.(*QueryRequest).Query
+		return t.marks.Version(q.Metric, q.Start, q.End), nil
 	default:
 		return nil, fmt.Errorf("tsdb: %s: unknown method %q", t.name, method)
 	}
@@ -327,16 +327,12 @@ func (t *TSD) PutContext(ctx context.Context, points []Point) error {
 		return err
 	}
 	t.PointsWritten.Add(int64(len(points)))
-	// Advance the write watermark once per distinct metric in the batch
-	// (batches are near-always homogeneous, so this is one bump), and
-	// track the ingest frontier the sealing/retention clock runs on.
-	last := ""
+	// Advance the write watermark of each (metric, row-hour) the batch
+	// landed in, and track the ingest frontier the sealing/retention
+	// clock runs on.
+	t.marks.bumpPoints(points)
 	maxTS := int64(0)
 	for i := range points {
-		if points[i].Metric != last {
-			t.marks.Bump(points[i].Metric)
-			last = points[i].Metric
-		}
 		if points[i].Timestamp > maxTS {
 			maxTS = points[i].Timestamp
 		}

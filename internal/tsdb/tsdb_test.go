@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -284,7 +285,7 @@ func TestRowCompactionPreservesReads(t *testing.T) {
 	if err := tsd.Put(pts); err != nil {
 		t.Fatal(err)
 	}
-	n, err := tsd.CompactRows(rowBaseSeconds) // everything older than hour 1
+	n, err := tsd.CompactRows(RowSeconds) // everything older than hour 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +310,7 @@ func TestRowCompactionPreservesReads(t *testing.T) {
 	if err := tsd2.Put(pts); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := tsd2.CompactRows(rowBaseSeconds); err != nil || n != 0 {
+	if n, err := tsd2.CompactRows(RowSeconds); err != nil || n != 0 {
 		t.Fatalf("disabled compaction did %d rows, %v", n, err)
 	}
 }
@@ -324,7 +325,7 @@ func TestCompactionReducesStoredCells(t *testing.T) {
 	if err := tsd.Put(pts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tsd.CompactRows(rowBaseSeconds); err != nil {
+	if _, err := tsd.CompactRows(RowSeconds); err != nil {
 		t.Fatal(err)
 	}
 	// After compaction + HBase major compaction, the row is one wide
@@ -535,39 +536,93 @@ func TestDedupeSamplesProperty(t *testing.T) {
 func TestWatermarksBumpOnPut(t *testing.T) {
 	d := newDeployment(t, 2, 2, TSDConfig{SaltBuckets: 2})
 	marks := d.Watermarks()
-	base := marks.Version(MetricEnergy)
-	if v := marks.Version(MetricAnomaly); v != base {
+	hour0 := func(m string) uint64 { return marks.Version(m, 0, RowSeconds-1) }
+	base := hour0(MetricEnergy)
+	if v := hour0(MetricAnomaly); v != base {
 		t.Fatalf("unwritten metrics start apart: %d vs %d", v, base)
 	}
 	if err := d.TSDs()[0].Put([]Point{EnergyPoint(0, 0, 1, 1)}); err != nil {
 		t.Fatal(err)
 	}
-	if v := marks.Version(MetricEnergy); v != base+1 {
-		t.Fatalf("version after put = %d, want %d", v, base+1)
+	energy := hour0(MetricEnergy)
+	if energy <= base {
+		t.Fatalf("version after put = %d, want above %d", energy, base)
 	}
 	// Any TSD of the deployment bumps the shared watermark; other
 	// metrics are untouched.
 	if err := d.TSDs()[1].Put([]Point{{Metric: MetricAnomaly, Tags: EnergyTags(0, 0), Timestamp: 2, Value: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	if v := marks.Version(MetricEnergy); v != base+1 {
-		t.Fatalf("energy version moved to %d on anomaly write", v)
+	if v := hour0(MetricEnergy); v != energy {
+		t.Fatalf("energy version moved %d → %d on an anomaly write", energy, v)
 	}
-	if v := marks.Version(MetricAnomaly); v != base+1 {
-		t.Fatalf("anomaly version = %d, want %d", v, base+1)
+	if v := hour0(MetricAnomaly); v <= base {
+		t.Fatalf("anomaly version = %d, want above %d", v, base)
 	}
-	// The TSD rpc answers the same version, for readers in another
-	// process.
-	res, err := d.Cluster.Network().Call(context.Background(), d.Addrs()[1], "watermark", MetricEnergy)
-	if err != nil || res.(uint64) != base+1 {
-		t.Fatalf("watermark rpc = %v, %v; want %d", res, err, base+1)
+	// The TSD rpc answers the same version of the same window, for
+	// readers in another process.
+	win := &QueryRequest{Query: Query{Metric: MetricEnergy, Start: 0, End: RowSeconds - 1}}
+	res, err := d.Cluster.Network().Call(context.Background(), d.Addrs()[1], "watermark", win)
+	if err != nil || res.(uint64) != energy {
+		t.Fatalf("watermark rpc = %v, %v; want %d", res, err, energy)
 	}
 	// Nil watermarks (a TSD outside a deployment) must be safe.
 	var nilMarks *Watermarks
 	nilMarks.Bump("x")
-	if nilMarks.Version("x") != 0 {
+	nilMarks.bumpPoints([]Point{EnergyPoint(0, 0, 1, 1)})
+	if nilMarks.Version("x", 0, 1) != 0 {
 		t.Fatal("nil watermark version")
 	}
+}
+
+// TestWatermarksFollowRowHours: a write moves the version of exactly the
+// windows overlapping a row-hour it landed in, and Bump moves every
+// window of the metric.
+func TestWatermarksFollowRowHours(t *testing.T) {
+	w := NewWatermarks()
+	const h = RowSeconds
+	windows := map[string][2]int64{
+		"hour 0":        {0, h - 1},
+		"hour 0 tail":   {h - 300, h - 1},
+		"hour 1":        {h, 2*h - 1},
+		"hours 0-1":     {h - 300, h + 300},
+		"hour 2":        {2 * h, 3*h - 1},
+		"negative hour": {-h, -1},
+		"negative-0":    {-10, 10},
+	}
+	before := make(map[string]uint64)
+	snap := func() {
+		for name, win := range windows {
+			before[name] = w.Version(MetricEnergy, win[0], win[1])
+		}
+	}
+	expect := func(step string, moved ...string) {
+		t.Helper()
+		for name, win := range windows {
+			v := w.Version(MetricEnergy, win[0], win[1])
+			if want := slices.Contains(moved, name); (v != before[name]) != want {
+				t.Fatalf("%s: window %s moved %v, want %v", step, name, v != before[name], want)
+			}
+			if v < before[name] {
+				t.Fatalf("%s: window %s went back %d → %d", step, name, before[name], v)
+			}
+		}
+		snap()
+	}
+	snap()
+	w.bumpPoints([]Point{EnergyPoint(0, 0, h+5, 1), EnergyPoint(0, 1, h+5, 1)})
+	expect("live write into hour 1", "hour 1", "hours 0-1")
+	w.bumpPoints([]Point{EnergyPoint(0, 0, 10, 1)})
+	expect("late write into hour 0", "hour 0", "hour 0 tail", "hours 0-1", "negative-0")
+	// One batch across two row-hours, interleaved by series.
+	w.bumpPoints([]Point{EnergyPoint(0, 0, 2*h, 1), EnergyPoint(0, 0, h-1, 1), EnergyPoint(0, 1, 2*h, 1)})
+	expect("batch over hours 0 and 2", "hour 0", "hour 0 tail", "hours 0-1", "hour 2", "negative-0")
+	w.bumpPoints([]Point{{Metric: MetricAnomaly, Timestamp: 5}})
+	expect("another metric's write")
+	w.Bump(MetricEnergy)
+	expect("epoch", "hour 0", "hour 0 tail", "hour 1", "hours 0-1", "hour 2", "negative hour", "negative-0")
+	w.bumpPoints([]Point{EnergyPoint(0, 0, h, 1)})
+	expect("write after the epoch", "hour 1", "hours 0-1")
 }
 
 // TestWatermarksOutliveARestart: a deployment booted after another —
@@ -581,11 +636,14 @@ func TestWatermarksOutliveARestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	last := old.Watermarks().Version(MetricEnergy)
+	old.Watermarks().Bump(MetricEnergy)
+	last := old.Watermarks().Version(MetricEnergy, 0, RowSeconds-1)
 	fresh := newDeployment(t, 2, 1, TSDConfig{})
 	for _, m := range []string{MetricEnergy, MetricAnomaly, "never-written"} {
-		if v := fresh.Watermarks().Version(m); v <= last {
-			t.Fatalf("fresh deployment reports %s version %d, at or below its predecessor's %d", m, v, last)
+		for _, win := range [][2]int64{{0, RowSeconds - 1}, {RowSeconds, 2*RowSeconds - 1}, {-5, 5}} {
+			if v := fresh.Watermarks().Version(m, win[0], win[1]); v <= last {
+				t.Fatalf("fresh deployment reports %s %v version %d, at or below its predecessor's %d", m, win, v, last)
+			}
 		}
 	}
 }

@@ -328,7 +328,9 @@ func TestPutLinesNonFiniteRejected(t *testing.T) {
 }
 
 // TestQueryServedFromCacheNotTSD: a repeated identical query must be a
-// cache hit — zero additional TSD scans.
+// cache hit — zero additional TSD scans — and stays one after a drained
+// write into a later row-hour; a drained write into the window's own
+// row-hour makes the next read a fresh one.
 func TestQueryServedFromCacheNotTSD(t *testing.T) {
 	n := startSolo(t)
 	body := `[{"metric":"energy","timestamp":40,"value":2.5,"tags":{"unit":"1","sensor":"0"}},
@@ -351,6 +353,29 @@ func TestQueryServedFromCacheNotTSD(t *testing.T) {
 	}
 	if m := do(n.Handler(), "GET", "/api/v1/metrics", "", "").Body.String(); !strings.Contains(m, "query_cache_hits 1\n") {
 		t.Fatalf("repeated query did not hit the window cache:\n%s", m)
+	}
+
+	put := func(ts int64, v float64) {
+		t.Helper()
+		body := fmt.Sprintf(`[{"metric":"energy","timestamp":%d,"value":%v,"tags":{"unit":"1","sensor":"0"}}]`, ts, v)
+		if rec := do(n.Handler(), "POST", "/api/v1/points", body, "application/json"); rec.Code != 200 {
+			t.Fatalf("put status = %d", rec.Code)
+		}
+		flush(t, n)
+	}
+	put(tsdb.RowSeconds+40, 3.5) // the next row-hour: outside the window
+	if rec = do(n.Handler(), "GET", url, "", ""); rec.Code != 200 {
+		t.Fatalf("query after a later-hour write = %d", rec.Code)
+	}
+	if hits := metricValue(t, n.Handler(), "query_cache_hits"); hits != 2 || n.TSDB.QueriesServed() != scans {
+		t.Fatalf("after a write into a later row-hour: query_cache_hits %d (want 2), %d extra TSD scans (want 0)", hits, n.TSDB.QueriesServed()-scans)
+	}
+	put(50, 4.25) // the window's own row-hour
+	if rec = do(n.Handler(), "GET", url, "", ""); rec.Code != 200 || !strings.Contains(rec.Body.String(), `"v":4.25`) {
+		t.Fatalf("query after a write into the window = %d (%s), want the new sample", rec.Code, rec.Body)
+	}
+	if hits := metricValue(t, n.Handler(), "query_cache_hits"); hits != 2 || n.TSDB.QueriesServed() == scans {
+		t.Fatalf("a write into the window's row-hour left it cached: query_cache_hits %d", hits)
 	}
 }
 

@@ -52,8 +52,9 @@ func TestClusterReadsFlagOnOneStore(t *testing.T) {
 
 // TestClusterReadContract: a cluster gateway reads through the same
 // cached, degradable engine as a lone node. A repeated query is a
-// cache hit that scans no store; a write drained to storage shows in
-// the next query; with a store's TSDs all down the repeat answers the
+// cache hit that scans no store, and stays one after a write into a
+// later row-hour; a write drained into the window shows in the next
+// query; with a store's TSDs all down the repeat answers the
 // cached window, marked degraded.
 func TestClusterReadContract(t *testing.T) {
 	nodes := startTestCluster(t, fourNodes)
@@ -94,6 +95,24 @@ func TestClusterReadContract(t *testing.T) {
 	}
 	if !reflect.DeepEqual(again, first) || samples(first) != acked {
 		t.Fatalf("cached answer: %d samples (want %d), equal to the first: %v", samples(again), acked, reflect.DeepEqual(again, first))
+	}
+
+	// A drained write into a later row-hour leaves the window over the
+	// earlier one a hit: each store's watermark rpc versions the window's
+	// own row-hours.
+	putStep(t, c, tsdb.RowSeconds+5, val)
+	for _, s := range stores {
+		flush(t, s)
+	}
+	hits = metricValue(t, h, "query_cache_hits")
+	getJSON(t, h, path, &again)
+	if got := metricValue(t, h, "query_cache_hits"); got != hits+1 {
+		t.Fatalf("query_cache_hits %d → %d after a write into a later row-hour, want +1", hits, got)
+	}
+	for i, s := range stores {
+		if got := s.TSDB.QueriesServed(); got != scans[i] {
+			t.Fatalf("%s: tsdb_queries_served %d → %d after a write into a later row-hour", s.Name(), scans[i], got)
+		}
 	}
 
 	acked += putStep(t, c, 5, val)

@@ -28,7 +28,7 @@
 // one query engine over the node's store groups behind the
 // watermark-invalidated window cache: alone, the local deployment and
 // its watermarks; with peers, every store found at boot, whose TSDs
-// answer a metric's watermark over rpc. Membership of a cluster lives
+// answer a window's watermark over rpc. Membership of a cluster lives
 // in ephemeral znodes under /sentinel/cluster/nodes — each node
 // refreshes its record about once a second, and GET /api/v1/cluster on
 // any node renders the map.
