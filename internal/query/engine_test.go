@@ -447,6 +447,40 @@ func TestShardWindowCoversDisjointAligned(t *testing.T) {
 	}
 }
 
+// TestShardBoundaryAlignment: for a multi-hour window cut across TSDs,
+// no downsample bucket straddles two shards, whatever the width — so the
+// merge never sees two partial aggregates of one bucket.
+func TestShardBoundaryAlignment(t *testing.T) {
+	for _, width := range []int64{1, 7, 10, 13, 60, 300, 3599, tsdb.RollupFine, tsdb.RollupCoarse} {
+		from, to := int64(-1234), int64(5*hour+977)
+		shards := shardWindow(from, to, 4, width)
+		if len(shards) < 2 {
+			t.Fatalf("width %d: %d shards %v, want several to check", width, len(shards), shards)
+		}
+		for i, sh := range shards[1:] {
+			if sh[0] != tsdb.BucketStart(sh[0], width) {
+				t.Fatalf("width %d: shard %d starts mid-bucket at %d", width, i+1, sh[0])
+			}
+			if prev := shards[i]; prev[1]+1 != sh[0] {
+				t.Fatalf("width %d: shards %v and %v are not contiguous", width, prev, sh)
+			}
+		}
+		// Every bucket the window touches lies inside exactly one shard.
+		for b := tsdb.BucketStart(from, width); b <= to; b += width {
+			lo, hi := max(b, from), min(b+width-1, to)
+			in := 0
+			for _, sh := range shards {
+				if lo <= sh[1] && hi >= sh[0] {
+					in++
+				}
+			}
+			if in != 1 {
+				t.Fatalf("width %d: bucket at %d spans %d shards", width, b, in)
+			}
+		}
+	}
+}
+
 func TestEngineNoBackends(t *testing.T) {
 	e := New(rpc.NewNetwork(0, nil), nil, Config{})
 	if _, err := e.QueryContext(context.Background(), tsdb.Query{Metric: "m", End: 1}); !errors.Is(err, ErrNoBackends) {
