@@ -47,7 +47,7 @@ func BenchmarkFDRCorrections(b *testing.B) {
 		}
 		families[f] = pv
 	}
-	for _, proc := range []fdr.Procedure{fdr.Uncorrected, fdr.Bonferroni, fdr.Holm, fdr.BH, fdr.BY} {
+	for _, proc := range fdr.Procedures {
 		b.Run(proc.String(), func(b *testing.B) {
 			var met fdr.Metrics
 			b.ReportAllocs()

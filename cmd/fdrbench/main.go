@@ -59,7 +59,7 @@ func runSweep(trials int) {
 		for i := 0; i < m1; i++ {
 			truth[i] = true
 		}
-		for _, proc := range []fdr.Procedure{fdr.Uncorrected, fdr.Bonferroni, fdr.Holm, fdr.BH, fdr.BY} {
+		for _, proc := range fdr.Procedures {
 			var met fdr.Metrics
 			for trial := 0; trial < trials; trial++ {
 				pvals := make([]float64, m)

@@ -83,7 +83,7 @@ func runChaos(cfg config, rep *report) error {
 	pool := sys.StartDetectors(2)
 	defer pool.Stop()
 	// The primed window gives degraded serving a stale entry to fall back on.
-	eng := sys.QueryEngine(query.Config{Breakers: sys.Breakers, HedgeDelay: 15 * time.Millisecond, ServeStale: true})
+	eng := sys.QueryEngine(query.Config{Breakers: sys.Breakers, ServeStale: true})
 	warmQ := tsdb.Query{Metric: tsdb.MetricEnergy, Tags: map[string]string{"unit": "0"}, Start: 0, End: warmSteps - 1}
 	if _, err := eng.QueryContext(context.Background(), warmQ); err != nil {
 		return fmt.Errorf("prime query: %w", err)

@@ -9,11 +9,9 @@
 // simulator's ground truth.
 //
 // Scoring is at row granularity — "unit u is anomalous at step t" —
-// because that is the one verdict every family can express: sensor
-// attributing detectors (mgd, cusum, zscore) flag individual channels,
-// the isolation forest flags whole observation vectors, and the
-// ensemble mixes both. A row counts as truly faulty when any of its
-// sensors carries fault signal at that step.
+// because that is the one verdict every family can express, the
+// ensemble's vote included. A row counts as truly faulty when any of
+// its sensors carries fault signal at that step.
 package backtest
 
 import (
@@ -102,8 +100,8 @@ type Config struct {
 	// Detectors lists the families to score; empty means every
 	// registered family.
 	Detectors []string
-	// Seed feeds detector construction (tree building); the fleet seed
-	// lives in each scenario's Cfg.
+	// Seed feeds detector construction (mllib.Context.Seed); the fleet
+	// seed lives in each scenario's Cfg.
 	Seed uint64
 }
 

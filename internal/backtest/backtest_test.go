@@ -56,7 +56,7 @@ func TestRunScoresEveryRequestedFamily(t *testing.T) {
 }
 
 func TestRunIsDeterministic(t *testing.T) {
-	cfg := Config{Detectors: []string{"iforest"}, Seed: 9}
+	cfg := Config{Detectors: []string{"ensemble"}, Seed: 9}
 	a, err := Run(cfg, []Scenario{smallScenario(11)})
 	if err != nil {
 		t.Fatal(err)
@@ -67,6 +67,31 @@ func TestRunIsDeterministic(t *testing.T) {
 	}
 	if len(a) != 1 || len(b) != 1 || a[0] != b[0] {
 		t.Fatalf("same config, different scorecards:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestDefaultEnsembleScores: the default ensemble — the paper's model
+// beside the two streaming charts, two votes to flag — holds its
+// row-level F1, averaged over fleet seeds 1–5, on every fault class.
+func TestDefaultEnsembleScores(t *testing.T) {
+	floor := map[string]float64{"drift": 0.6, "stuck": 0.75, "correlated": 0.95, "spike": 0.6}
+	const seeds = 5
+	sum := map[string]float64{}
+	for seed := uint64(1); seed <= seeds; seed++ {
+		res, err := Run(Config{Detectors: []string{"ensemble"}, Seed: seed}, DefaultScenarios(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res {
+			if r.Precision+r.Recall > 0 {
+				sum[r.Scenario] += 2 * r.Precision * r.Recall / (r.Precision + r.Recall)
+			}
+		}
+	}
+	for sc, min := range floor {
+		if f1 := sum[sc] / seeds; f1 < min {
+			t.Errorf("%s: default ensemble mean F1 = %.3f over seeds 1–%d, want ≥ %.2f", sc, f1, seeds, min)
+		}
 	}
 }
 

@@ -18,8 +18,7 @@ type Anomaly struct {
 	PValue   float64
 	Adjusted float64
 	// Detector names the family that raised the flag; Score is its
-	// family-specific severity (|z|, the normalized CUSUM statistic,
-	// the isolation score).
+	// family-specific severity (|z|, the normalized CUSUM statistic).
 	Detector string
 	Score    float64
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fdr"
+	"repro/internal/mllib"
 )
 
 func BenchmarkEvaluateBatch(b *testing.B) {
@@ -99,6 +100,51 @@ func BenchmarkDetectorBatchMGD(b *testing.B) {
 		if err := d.DetectBatchInto(xs, ts, &det); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.DetectBatchInto(xs, ts, &det); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(batch*sensors)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
+}
+
+// BenchmarkDetectorBatchEnsemble pins the default ensemble — the
+// registry's mgd+cusum+zscore panel over a trained model — at the same
+// zero-allocation contract: warmed members, vote buffers and flag
+// buffer score a batch without touching the heap. It lives here, not
+// beside the ensemble in mllib, because mgd registers in this package.
+func BenchmarkDetectorBatchEnsemble(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const sensors, batch = 32, 64
+	mean := constVec(sensors, 10)
+	sigma := constVec(sensors, 2)
+	m, err := TrainUnit(0, gaussianWindow(rng, 512, sensors, mean, sigma))
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := mllib.New("ensemble", mllib.Context{
+		Sensors:   sensors,
+		LoadModel: func() (any, error) { return m, nil },
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := make([]int64, batch)
+	var det Detections
+	// Four healthy warm batches: the streaming members' calibration
+	// windows, the mgd arena and the vote buffers all settle.
+	for w := 0; w < 4; w++ {
+		if err := d.DetectBatchInto(gaussianWindow(rng, batch, sensors, mean, sigma), ts, &det); err != nil {
+			b.Fatal(err)
+		}
+	}
+	xs := gaussianWindow(rng, batch, sensors, mean, sigma)
+	if err := d.DetectBatchInto(xs, ts, &det); err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

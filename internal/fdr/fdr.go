@@ -1,8 +1,8 @@
 // Package fdr implements the multiple-hypothesis-testing corrections at
 // the heart of the paper: the Benjamini–Hochberg False Discovery Rate
 // step-up procedure (and the Benjamini–Yekutieli variant for dependent
-// tests), plus the family-wise baselines the paper contrasts it with —
-// no correction, Bonferroni, Holm and Šidák.
+// tests), plus the baselines the paper contrasts it with — no
+// correction and Bonferroni.
 //
 // Every procedure consumes a vector of p-values (one per hypothesis,
 // e.g. one per sensor) and a target level, and returns the set of
@@ -37,18 +37,18 @@ var ErrBadLevel = errors.New("fdr: level must be in (0,1)")
 // Procedure names a multiple-testing correction.
 type Procedure int
 
-// The supported procedures.
+// The supported procedures. The zero value is BH, the paper's choice,
+// so an unset Procedure means Benjamini–Hochberg and every other
+// procedure, Uncorrected included, is an explicit choice.
 const (
-	Uncorrected Procedure = iota // reject p ≤ α per test; no correction
-	Bonferroni                   // reject p ≤ α/m (FWER control)
-	Holm                         // step-down Bonferroni (FWER control)
-	Sidak                        // reject p ≤ 1-(1-α)^{1/m} (FWER, independent)
-	BH                           // Benjamini–Hochberg step-up (FDR control)
+	BH          Procedure = iota // Benjamini–Hochberg step-up (FDR control)
 	BY                           // Benjamini–Yekutieli (FDR under dependency)
+	Uncorrected                  // reject p ≤ α per test; no correction
+	Bonferroni                   // reject p ≤ α/m (FWER control)
 )
 
 // Procedures lists every supported procedure in presentation order.
-var Procedures = []Procedure{Uncorrected, Bonferroni, Holm, Sidak, BH, BY}
+var Procedures = []Procedure{Uncorrected, Bonferroni, BH, BY}
 
 // String implements fmt.Stringer.
 func (p Procedure) String() string {
@@ -57,10 +57,6 @@ func (p Procedure) String() string {
 		return "uncorrected"
 	case Bonferroni:
 		return "bonferroni"
-	case Holm:
-		return "holm"
-	case Sidak:
-		return "sidak"
 	case BH:
 		return "benjamini-hochberg"
 	case BY:
@@ -68,26 +64,6 @@ func (p Procedure) String() string {
 	default:
 		return fmt.Sprintf("Procedure(%d)", int(p))
 	}
-}
-
-// ParseProcedure maps a name (as produced by String, plus the short
-// aliases "bh" and "by") back to a Procedure.
-func ParseProcedure(s string) (Procedure, error) {
-	switch s {
-	case "uncorrected", "none":
-		return Uncorrected, nil
-	case "bonferroni":
-		return Bonferroni, nil
-	case "holm":
-		return Holm, nil
-	case "sidak":
-		return Sidak, nil
-	case "benjamini-hochberg", "bh", "fdr":
-		return BH, nil
-	case "benjamini-yekutieli", "by":
-		return BY, nil
-	}
-	return 0, fmt.Errorf("fdr: unknown procedure %q", s)
 }
 
 // Result is the outcome of applying a procedure to a family of
@@ -166,33 +142,22 @@ func ApplyInto(proc Procedure, pvals []float64, level float64, res *Result, scr 
 			res.Adjusted[i] = adj
 			res.Rejected[i] = adj <= level
 		}
-	case Sidak:
-		mf := float64(m)
-		for i, p := range pvals {
-			adj := 1 - math.Pow(1-cleanP(p), mf)
-			res.Adjusted[i] = adj
-			res.Rejected[i] = adj <= level
-		}
-	case Holm, BH, BY:
+	case BH, BY:
 		if scr == nil {
 			s := scratchPool.Get().(*Scratch)
 			defer scratchPool.Put(s)
 			scr = s
 		}
 		scr.sortClean(pvals)
-		switch proc {
-		case Holm:
-			applyHolm(scr, level, res)
-		case BH:
-			applyStepUp(scr, level, res, 1)
-		default:
+		c := 1.0
+		if proc == BY {
 			// BY inflates the threshold by the harmonic sum c(m) = Σ 1/i.
-			cm := 0.0
+			c = 0
 			for i := 1; i <= m; i++ {
-				cm += 1 / float64(i)
+				c += 1 / float64(i)
 			}
-			applyStepUp(scr, level, res, cm)
 		}
+		applyStepUp(scr, level, res, c)
 	default:
 		return fmt.Errorf("fdr: unknown procedure %v", proc)
 	}
@@ -250,35 +215,6 @@ func growFloats(f []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return f[:n]
-}
-
-// applyHolm implements the Holm step-down procedure: sort ascending,
-// reject while p(i) ≤ α/(m-i) (0-based), stop at the first failure.
-// Adjusted p-values are the standard monotone max-cummax form.
-func applyHolm(scr *Scratch, level float64, res *Result) {
-	m := len(scr.kvs)
-	adjSorted := scr.adj
-	running := 0.0
-	for rank, e := range scr.kvs {
-		adj := float64(m-rank) * e.p
-		if adj > 1 {
-			adj = 1
-		}
-		if adj < running {
-			adj = running // enforce monotonicity
-		}
-		running = adj
-		adjSorted[rank] = adj
-	}
-	stopped := false
-	for rank, e := range scr.kvs {
-		res.Adjusted[e.idx] = adjSorted[rank]
-		if !stopped && adjSorted[rank] <= level {
-			res.Rejected[e.idx] = true
-		} else {
-			stopped = true
-		}
-	}
 }
 
 // applyStepUp implements the BH/BY step-up rule: find the largest k with

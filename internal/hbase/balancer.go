@@ -21,6 +21,8 @@ func (m *Master) Rebalance() (int, error) {
 	if !m.IsActive() {
 		return 0, ErrNotActive
 	}
+	m.recMu.Lock()
+	defer m.recMu.Unlock()
 	live := m.liveServers()
 	if len(live) == 0 {
 		return 0, ErrNoServers

@@ -37,7 +37,11 @@ type Master struct {
 	nextID  int
 	cursor  int // round-robin assignment cursor
 
-	// recMu serialises reconcile passes (monitor vs RPC handler).
+	// recMu serialises assignment changes: reconcile passes (monitor vs
+	// RPC handler), table creation, splits and rebalancing. A reconcile
+	// pass judges liveness from one membership snapshot; a region moved
+	// onto a server that joined after that snapshot would otherwise read
+	// as orphaned and be reassigned away from its live owner.
 	recMu sync.Mutex
 
 	stopCh chan struct{}
@@ -295,6 +299,8 @@ func (m *Master) CreateTable(splitKeys [][]byte) error {
 	if !m.IsActive() {
 		return ErrNotActive
 	}
+	m.recMu.Lock()
+	defer m.recMu.Unlock()
 	sorted := make([][]byte, len(splitKeys))
 	copy(sorted, splitKeys)
 	sort.Slice(sorted, func(i, j int) bool { return string(sorted[i]) < string(sorted[j]) })
@@ -346,6 +352,8 @@ func (m *Master) Split(regionID int, splitKey []byte) error {
 	if !m.IsActive() {
 		return ErrNotActive
 	}
+	m.recMu.Lock()
+	defer m.recMu.Unlock()
 	m.mu.Lock()
 	parent, ok := m.regions[regionID]
 	if !ok {

@@ -8,8 +8,8 @@ import (
 // of every streaming detector at 0 allocs/op (PINS, enforced by
 // make bench-allocs): a warmed detector scoring healthy batches into a
 // warmed Detections buffer must not touch the heap. Warmup — baseline
-// calibration, the first forest build, vote-buffer growth — happens
-// before the timer starts.
+// calibration, buffer growth — happens before the timer starts. The
+// default ensemble holds mgd, so its benchmark lives in internal/core.
 
 const (
 	benchSensors = 32
@@ -32,7 +32,7 @@ func benchBatchRows(offset int) ([][]float64, []int64) {
 }
 
 // benchDetector warms d on three healthy batches (enough for every
-// family's calibration window and the first forest build), then times
+// family's calibration window), then times
 // the steady state on a fixed batch.
 func benchDetector(b *testing.B, d Detector) {
 	b.Helper()
@@ -68,37 +68,6 @@ func BenchmarkDetectorBatchCUSUM(b *testing.B) {
 
 func BenchmarkDetectorBatchZScore(b *testing.B) {
 	d, err := NewRegimeZScore(benchSensors, 0, 0, 0, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchDetector(b, d)
-}
-
-func BenchmarkDetectorBatchIForest(b *testing.B) {
-	// rebuildEvery is effectively infinite so the timed loop measures
-	// the score-and-admit path, not periodic reconstruction (which
-	// allocates a fresh forest by design).
-	d, err := NewIsolationForest(benchSensors, 0, 0, 0, 1<<30, 0, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchDetector(b, d)
-}
-
-func BenchmarkDetectorBatchEnsemble(b *testing.B) {
-	cus, err := NewCUSUM(benchSensors, 0, 0, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	zs, err := NewRegimeZScore(benchSensors, 0, 0, 0, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	iso, err := NewIsolationForest(benchSensors, 0, 0, 0, 1<<30, 0, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := NewEnsemble([]Detector{cus, zs, iso}, 2, benchSensors)
 	if err != nil {
 		b.Fatal(err)
 	}

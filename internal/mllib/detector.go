@@ -10,14 +10,13 @@ import (
 type DetectorFlag struct {
 	// Row is the observation row within the batch.
 	Row int
-	// Sensor is the flagged channel, or -1 for a unit-level flag (the
-	// detector scores whole observation vectors, like the isolation
-	// forest, rather than individual sensors).
+	// Sensor is the flagged channel, or -1 for a unit-level flag (a
+	// detector that scores whole observation vectors rather than
+	// individual sensors).
 	Sensor int
 	// Score is the detector-specific severity, larger = more anomalous
-	// (|z| for the z-based families, the normalized CUSUM statistic,
-	// the isolation score). Scores are comparable within one family,
-	// not across families.
+	// (|z| for the z-based families, the normalized CUSUM statistic).
+	// Scores are comparable within one family, not across families.
 	Score float64
 	// PValue and Adjusted carry the raw and corrected p-values for
 	// p-value-based families (the MGD evaluator); families without a
@@ -47,11 +46,10 @@ func (d *Detections) Add(f DetectorFlag) { d.Flags = append(d.Flags, f) }
 // The contract mirrors core.Evaluator.EvaluateBatchInto: the caller
 // owns the result buffer, internal scratch is retained by the
 // instance, and a warmed detector processes a batch without heap
-// allocations. Streaming families (CUSUM, regime z-score, the online
-// isolation forest) carry their state inside the instance, so an
-// instance must only ever see one unit's rows, in time order, from
-// one goroutine at a time — exactly what the unit-keyed commit-log
-// partitions guarantee.
+// allocations. Streaming families (CUSUM, regime z-score) carry their
+// state inside the instance, so an instance must only ever see one
+// unit's rows, in time order, from one goroutine at a time — exactly
+// what the unit-keyed commit-log partitions guarantee.
 type Detector interface {
 	// Name is the registry name of the detector family.
 	Name() string
@@ -66,9 +64,9 @@ type Context struct {
 	// Unit and Sensors identify the stream the detector will score.
 	Unit    int
 	Sensors int
-	// Seed drives every pseudo-random draw (tree construction in the
-	// isolation forest); detectors must be deterministic given (Seed,
-	// input stream).
+	// Seed is reserved for families that draw pseudo-random numbers,
+	// which must be deterministic given (Seed, input stream). No
+	// built-in family draws any.
 	Seed uint64
 	// Params carries family-specific tuning knobs; missing keys take
 	// the family's documented defaults (see Param).
@@ -100,9 +98,9 @@ var registry = struct {
 
 // Register adds a detector family to the registry under name,
 // replacing any previous registration. The built-in families register
-// themselves: cusum, zscore and iforest here, ensemble as their
-// combiner, and mgd from internal/core (which owns the trained-model
-// evaluator this package must not depend on).
+// themselves: cusum and zscore here, ensemble as the combiner, and mgd
+// from internal/core (which owns the trained-model evaluator this
+// package must not depend on).
 func Register(name string, f Factory) {
 	registry.Lock()
 	defer registry.Unlock()

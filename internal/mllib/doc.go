@@ -15,10 +15,9 @@
 //     small sustained shifts and drifts.
 //   - "zscore": per-regime z-scores with an online load-regime
 //     assignment — regime-conditional outliers.
-//   - "iforest": a streaming isolation forest over a sliding window —
-//     unit-level multivariate excursions (flags carry Sensor == -1).
 //   - "ensemble": row-level voting over member families with
-//     per-sensor score dedup.
+//     per-sensor score dedup; by default the paper's model beside the
+//     two streaming charts (mgd+cusum+zscore, two votes to flag).
 //   - "mgd": the paper's MGD+FDR evaluator over a trained per-unit
 //     model, registered by internal/core (which imports this package
 //     for the interface — the reason it lives here, below core, not

@@ -10,15 +10,13 @@ import (
 // it, and the ensemble emits flags for a row only when at least
 // minVotes members voted. The emitted flags are the union of the
 // voting members' flags on that row, deduplicated per sensor keeping
-// the highest score — so a sensor-attributing member (cusum, zscore,
-// mgd) fills in the channel detail even when the tipping vote came
-// from a unit-level member (iforest).
+// the highest score.
 //
 // Voting at row granularity is what makes heterogeneous families
-// combinable: a CUSUM sensor flag, an MGD FDR rejection and an
-// isolation-forest row flag all reduce to "this observation is
-// anomalous", which is also the granularity the shadow-mode
-// agreement counters and the backtest harness score at.
+// combinable: a CUSUM sensor flag, a regime z-score outlier and an MGD
+// FDR rejection all reduce to "this observation is anomalous", which
+// is also the granularity the shadow-mode agreement counters and the
+// backtest harness score at.
 type Ensemble struct {
 	members  []Detector
 	minVotes int
@@ -40,15 +38,9 @@ func NewEnsemble(members []Detector, minVotes int, sensors int) (*Ensemble, erro
 	if len(members) == 0 {
 		return nil, fmt.Errorf("mllib: ensemble needs at least one member")
 	}
-	if minVotes < 1 {
-		minVotes = 1
-	}
-	if minVotes > len(members) {
-		minVotes = len(members)
-	}
 	return &Ensemble{
 		members:  members,
-		minVotes: minVotes,
+		minVotes: clampVotes(minVotes, len(members)),
 		dets:     make([]Detections, len(members)),
 		curs:     make([]int, len(members)),
 		mark:     make([]int, sensors+1),
@@ -131,12 +123,29 @@ func (e *Ensemble) DetectBatchInto(xs [][]float64, ts []int64, out *Detections) 
 	return nil
 }
 
+// clampVotes bounds a voting threshold to [1, members].
+func clampVotes(minVotes, members int) int {
+	return max(1, min(minVotes, members))
+}
+
+// EnsembleConfig returns the member families and the voting threshold
+// the "ensemble" factory builds from c: c.Members, or by default
+// mgd+cusum+zscore — the paper's model beside the two streaming
+// charts — and the "minvotes" param (default 2), clamped to
+// [1, len(members)]. The factory and the /api/v1/detectors status both
+// read it, so reporting the configuration builds no member (mgd would
+// need a trained model).
+func EnsembleConfig(c Context) (members []string, minVotes int) {
+	members = c.Members
+	if len(members) == 0 {
+		members = []string{"mgd", "cusum", "zscore"}
+	}
+	return members, clampVotes(int(c.Param("minvotes", 2)), len(members))
+}
+
 func init() {
 	Register("ensemble", func(c Context) (Detector, error) {
-		names := c.Members
-		if len(names) == 0 {
-			names = []string{"cusum", "zscore", "iforest"}
-		}
+		names, minVotes := EnsembleConfig(c)
 		members := make([]Detector, 0, len(names))
 		mc := c
 		mc.Members = nil // a member named "ensemble" must not recurse forever
@@ -150,7 +159,7 @@ func init() {
 			}
 			members = append(members, m)
 		}
-		return NewEnsemble(members, int(c.Param("minvotes", 2)), c.Sensors)
+		return NewEnsemble(members, minVotes, c.Sensors)
 	})
 }
 

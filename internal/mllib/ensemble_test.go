@@ -1,6 +1,9 @@
 package mllib
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // stubDetector replays a fixed flag script, keyed by call-relative
 // row index — the ensemble tests need exact control over who votes.
@@ -111,33 +114,24 @@ func TestEnsembleMinVotesClamped(t *testing.T) {
 }
 
 func TestEnsembleFactory(t *testing.T) {
-	// The registry path builds the default streaming panel.
-	d, err := New("ensemble", Context{Sensors: 6, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	// The default panel is the paper's model beside the two streaming
+	// charts. mgd registers in core, so this package reads the
+	// configuration without building it.
+	members, minVotes := EnsembleConfig(Context{})
+	if got := strings.Join(members, "+"); got != "mgd+cusum+zscore" || minVotes != 2 {
+		t.Fatalf("default ensemble = %s minVotes=%d, want mgd+cusum+zscore minVotes=2", got, minVotes)
 	}
-	e := d.(*Ensemble)
-	want := []string{"cusum", "zscore", "iforest"}
-	got := e.Members()
-	if len(got) != len(want) {
-		t.Fatalf("default members = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("default members = %v, want %v", got, want)
-		}
-	}
-	if e.MinVotes() != 2 {
-		t.Fatalf("default minVotes = %d", e.MinVotes())
+	if _, minVotes := EnsembleConfig(Context{Params: map[string]float64{"minvotes": 9}}); minVotes != 3 {
+		t.Fatalf("minvotes 9 over three members = %d, want 3", minVotes)
 	}
 
 	// Explicit members and a self-referential member.
-	d, err = New("ensemble", Context{Sensors: 6, Seed: 3, Members: []string{"cusum", "zscore"},
+	d, err := New("ensemble", Context{Sensors: 6, Members: []string{"cusum", "zscore"},
 		Params: map[string]float64{"minvotes": 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := d.(*Ensemble); e.MinVotes() != 1 || len(e.Members()) != 2 {
+	if e := d.(*Ensemble); e.MinVotes() != 1 || strings.Join(e.Members(), "+") != "cusum+zscore" {
 		t.Fatalf("configured ensemble = %v minVotes=%d", e.Members(), e.MinVotes())
 	}
 	if _, err := New("ensemble", Context{Sensors: 6, Members: []string{"ensemble"}}); err == nil {

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/resilience"
 	"repro/internal/rpc"
@@ -63,11 +62,6 @@ type Config struct {
 	// MaxEntries is the window-cache capacity in entries (default 512;
 	// negative disables caching and singleflight).
 	MaxEntries int
-	// HedgeDelay, when > 0, hedges straggler shards: a duplicate
-	// sub-query is issued to the store's next TSD once the primary has
-	// been silent this long, and the first success wins. Requires at
-	// least two TSDs in the store.
-	HedgeDelay time.Duration
 	// Breakers, when set, adds per-TSD circuit breakers: shard
 	// sub-queries skip backends whose circuit is open, and a shard
 	// with no admissible backend fails fast with ErrCircuitOpen
@@ -129,10 +123,6 @@ type Engine struct {
 	// another TSD of the same store.
 	SubQueries telemetry.Counter
 	Failovers  telemetry.Counter
-	// Hedged counts duplicate straggler sub-queries issued; HedgeWins
-	// those answered by the hedge before the primary.
-	Hedged    telemetry.Counter
-	HedgeWins telemetry.Counter
 	// DegradedServes counts queries answered from stale cache under
 	// ServeStale while the fresh path was failing.
 	DegradedServes telemetry.Counter
@@ -326,7 +316,8 @@ func (e *Engine) fetch(ctx context.Context, q tsdb.Query) ([]tsdb.Series, error)
 		var res any
 		err := error(ErrCircuitOpen)
 		if sh.fut != nil {
-			res, err = e.await(ctx, sh, q)
+			res, err = sh.fut.Wait(ctx)
+			e.record(sh.br, err)
 		}
 		if err != nil && !errors.Is(err, tsdb.ErrNoSuchMetric) {
 			// A store's TSDs share its UID table, so an unknown metric is
@@ -440,78 +431,6 @@ func (e *Engine) record(br *resilience.Breaker, err error) {
 		return
 	}
 	br.Failure()
-}
-
-// await waits on a shard's primary future, hedging a duplicate
-// sub-query to the store's next backend when the primary stays silent
-// past HedgeDelay. First success wins; both outcomes feed the breakers.
-func (e *Engine) await(ctx context.Context, sh shard, q tsdb.Query) (any, error) {
-	fut, br, addrs := sh.fut, sh.br, e.stores[sh.store].Addrs
-	if e.cfg.HedgeDelay <= 0 || len(addrs) < 2 {
-		res, err := fut.Wait(ctx)
-		e.record(br, err)
-		return res, err
-	}
-	t := time.NewTimer(e.cfg.HedgeDelay)
-	defer t.Stop()
-	select {
-	case <-fut.Done():
-		res, err := fut.Result()
-		e.record(br, err)
-		return res, err
-	case <-ctx.Done():
-		e.record(br, ctx.Err())
-		return nil, ctx.Err()
-	case <-t.C:
-	}
-	haddr, hbr := e.pickAddr(addrs, sh.slot+1)
-	if haddr == "" {
-		// Nowhere to hedge to; keep waiting on the straggler.
-		res, err := fut.Wait(ctx)
-		e.record(br, err)
-		return res, err
-	}
-	e.Hedged.Inc()
-	e.SubQueries.Inc()
-	hfut := e.net.Go(ctx, haddr, "query", subQuery(q, sh.win))
-	var lastErr error
-	pd, hd := fut.Done(), hfut.Done()
-	for pd != nil || hd != nil {
-		select {
-		case <-pd:
-			res, err := fut.Result()
-			e.record(br, err)
-			if err == nil {
-				if hd != nil {
-					e.recordWhenDone(hfut, hbr)
-				}
-				return res, nil
-			}
-			lastErr = err
-			pd = nil
-		case <-hd:
-			res, err := hfut.Result()
-			e.record(hbr, err)
-			if err == nil {
-				e.HedgeWins.Inc()
-				if pd != nil {
-					e.recordWhenDone(fut, br)
-				}
-				return res, nil
-			}
-			lastErr = err
-			hd = nil
-		case <-ctx.Done():
-			if pd != nil {
-				e.record(br, ctx.Err())
-			}
-			if hd != nil {
-				e.record(hbr, ctx.Err())
-			}
-			return nil, ctx.Err()
-		}
-	}
-	return nil, lastErr
 }
 
 // failover retries one shard on every other TSD of its store in turn,

@@ -137,35 +137,6 @@ func TestBreakersTripFastFailAndRecover(t *testing.T) {
 	}
 }
 
-// TestHedgedReadBeatsStraggler: one slow TSD; the hedge to the healthy
-// one answers well before the straggler's injected latency.
-func TestHedgedReadBeatsStraggler(t *testing.T) {
-	d := newEnv(t, 2, 1, 1, 60)
-	e := NewFromDeployment(d, Config{MaxEntries: -1, HedgeDelay: 10 * time.Millisecond})
-	q := tsdb.Query{Metric: tsdb.MetricEnergy, Start: 0, End: 59}
-
-	inj := faultinject.New(5)
-	d.Cluster.Network().SetFaults(inj)
-	// tsd-1 (the primary for shard 0) becomes a straggler.
-	inj.Set("slow", faultinject.Rule{Op: "rpc/tsd/tsd-1/", Latency: 500 * time.Millisecond})
-
-	start := time.Now()
-	got := mustQuery(t, e, q)
-	elapsed := time.Since(start)
-	if want := groundTruth(t, d, q); !reflect.DeepEqual(got, want) {
-		t.Fatal("hedged result diverged from ground truth")
-	}
-	if e.Hedged.Value() == 0 {
-		t.Fatal("no hedge issued against a straggler")
-	}
-	if e.HedgeWins.Value() == 0 {
-		t.Fatal("hedge never won against a 500ms straggler")
-	}
-	if elapsed >= 400*time.Millisecond {
-		t.Fatalf("query took %v: hedging did not dodge the straggler", elapsed)
-	}
-}
-
 // TestAbandonedShardProbesReleased: when an early shard fails the whole
 // query, the futures already issued for later shards — which may hold
 // half-open probe reservations — must still report their outcomes.

@@ -1,21 +1,15 @@
 // Package stats implements the probability distributions and hypothesis
-// tests needed by the anomaly detector: the standard normal, Student's t,
-// chi-squared and gamma distributions, one- and two-sided z/t tests, and
-// small helpers (mean, variance, covariance) shared across the repo.
+// tests the anomaly detector needs: the standard normal and chi-squared
+// distributions, one- and two-sided z tests, and the closed-form
+// family-wise error rate of §IV.
 //
 // Everything is implemented from scratch on math primitives; accuracy
-// targets are ~1e-10 for the normal CDF/quantile and ~1e-8 for the
-// incomplete gamma family, which is far tighter than the experiment
-// harnesses require.
+// targets are ~1e-12 for the normal CDF and ~1e-8 for the incomplete
+// gamma chain behind the chi-squared distribution, far tighter than the
+// experiment harnesses require.
 package stats
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrBadParam reports an out-of-domain distribution parameter.
-var ErrBadParam = errors.New("stats: parameter out of domain")
+import "math"
 
 // NormalCDF returns P(Z ≤ x) for the standard normal distribution.
 func NormalCDF(x float64) float64 {
@@ -42,54 +36,6 @@ func NormalSFInto(dst, xs []float64) {
 	}
 }
 
-// NormalPDF returns the standard normal density at x.
-func NormalPDF(x float64) float64 {
-	return math.Exp(-0.5*x*x) / math.Sqrt(2*math.Pi)
-}
-
-// NormalQuantile returns the x with NormalCDF(x) = p, the inverse CDF of
-// the standard normal. It uses the Acklam rational approximation refined
-// by one Halley step, giving ~1e-15 relative accuracy over (0,1).
-func NormalQuantile(p float64) float64 {
-	if math.IsNaN(p) || p <= 0 || p >= 1 {
-		switch {
-		case p == 0:
-			return math.Inf(-1)
-		case p == 1:
-			return math.Inf(1)
-		default:
-			return math.NaN()
-		}
-	}
-	// Coefficients of Acklam's approximation.
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02, 1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02, 6.680131188771972e+01, -1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00, -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00, 3.754408661907416e+00}
-	const plow, phigh = 0.02425, 1 - 0.02425
-	var x float64
-	switch {
-	case p < plow:
-		q := math.Sqrt(-2 * math.Log(p))
-		x = (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= phigh:
-		q := p - 0.5
-		r := q * q
-		x = (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		x = -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
-	// One Halley refinement step.
-	e := NormalCDF(x) - p
-	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
-	x = x - u/(1+x*u/2)
-	return x
-}
-
 // lnGamma returns ln Γ(x) for x > 0 (Lanczos approximation, g=7, n=9).
 func lnGamma(x float64) float64 {
 	if x <= 0 {
@@ -112,9 +58,6 @@ func lnGamma(x float64) float64 {
 	}
 	return 0.5*math.Log(2*math.Pi) + (x+0.5)*math.Log(t) - t + math.Log(a)
 }
-
-// LnGamma exposes the log-gamma function; Γ(n) = (n-1)! for integer n.
-func LnGamma(x float64) float64 { return lnGamma(x) }
 
 // regIncGammaLower returns the regularized lower incomplete gamma
 // P(a, x) = γ(a,x)/Γ(a), by series for x < a+1 and continued fraction
@@ -170,17 +113,6 @@ func regIncGammaLower(a, x float64) float64 {
 	return 1 - q
 }
 
-// GammaCDF returns P(X ≤ x) for X ~ Gamma(shape k, scale θ).
-func GammaCDF(x, shape, scale float64) (float64, error) {
-	if shape <= 0 || scale <= 0 {
-		return 0, ErrBadParam
-	}
-	if x <= 0 {
-		return 0, nil
-	}
-	return regIncGammaLower(shape, x/scale), nil
-}
-
 // ChiSquaredCDF returns P(X ≤ x) for X ~ χ²(k). The online detector
 // uses it to convert Hotelling T² / SPE statistics into p-values.
 func ChiSquaredCDF(x float64, k float64) float64 {
@@ -194,108 +126,3 @@ func ChiSquaredCDF(x float64, k float64) float64 {
 func ChiSquaredSF(x float64, k float64) float64 {
 	return 1 - ChiSquaredCDF(x, k)
 }
-
-// ChiSquaredQuantile returns the x with ChiSquaredCDF(x) = p, found by
-// bisection on the monotone CDF (the detector only calls this once per
-// model fit, so speed is irrelevant next to robustness).
-func ChiSquaredQuantile(p float64, k float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	lo, hi := 0.0, k+10
-	for ChiSquaredCDF(hi, k) < p {
-		hi *= 2
-		if hi > 1e12 {
-			break
-		}
-	}
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if ChiSquaredCDF(mid, k) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		if hi-lo < 1e-12*(1+hi) {
-			break
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// regIncBeta returns the regularized incomplete beta I_x(a, b) via the
-// standard continued-fraction expansion (Lentz's method).
-func regIncBeta(x, a, b float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if x >= 1 {
-		return 1
-	}
-	lbeta := lnGamma(a) + lnGamma(b) - lnGamma(a+b)
-	front := math.Exp(a*math.Log(x)+b*math.Log(1-x)-lbeta) / a
-	// Use the symmetry relation for faster convergence.
-	if x > (a+1)/(a+b+2) {
-		return 1 - regIncBeta(1-x, b, a)
-	}
-	const tiny = 1e-300
-	c := 1.0
-	d := 1 - (a+b)*x/(a+1)
-	if math.Abs(d) < tiny {
-		d = tiny
-	}
-	d = 1 / d
-	h := d
-	for m := 1; m <= 300; m++ {
-		fm := float64(m)
-		// Even step.
-		num := fm * (b - fm) * x / ((a + 2*fm - 1) * (a + 2*fm))
-		d = 1 + num*d
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = 1 + num/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		h *= d * c
-		// Odd step.
-		num = -(a + fm) * (a + b + fm) * x / ((a + 2*fm) * (a + 2*fm + 1))
-		d = 1 + num*d
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = 1 + num/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < 1e-14 {
-			break
-		}
-	}
-	return front * h
-}
-
-// StudentTCDF returns P(T ≤ t) for T ~ Student's t with ν degrees of
-// freedom.
-func StudentTCDF(t float64, nu float64) float64 {
-	if nu <= 0 {
-		return math.NaN()
-	}
-	x := nu / (nu + t*t)
-	p := 0.5 * regIncBeta(x, nu/2, 0.5)
-	if t > 0 {
-		return 1 - p
-	}
-	return p
-}
-
-// StudentTSF returns P(T > t).
-func StudentTSF(t float64, nu float64) float64 { return 1 - StudentTCDF(t, nu) }

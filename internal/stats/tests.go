@@ -29,51 +29,6 @@ func (t Tail) String() string {
 	}
 }
 
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance of xs (0 when n < 2).
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(n-1)
-}
-
-// StdDev returns the unbiased sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Covariance returns the unbiased sample covariance of xs and ys, which
-// must have equal length ≥ 2 (0 otherwise).
-func Covariance(xs, ys []float64) float64 {
-	n := len(xs)
-	if n != len(ys) || n < 2 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	s := 0.0
-	for i := range xs {
-		s += (xs[i] - mx) * (ys[i] - my)
-	}
-	return s / float64(n-1)
-}
-
 // TestResult is the outcome of a hypothesis test: the test statistic
 // and its p-value under the null.
 type TestResult struct {
@@ -111,49 +66,6 @@ func pFromZ(z float64, tail Tail) float64 {
 	}
 }
 
-// TTestOneSample tests H0: μ = mu0 with unknown variance, using the
-// Student's t distribution with n-1 degrees of freedom.
-func TTestOneSample(xs []float64, mu0 float64, tail Tail) TestResult {
-	n := len(xs)
-	if n < 2 {
-		return TestResult{Statistic: math.NaN(), PValue: math.NaN()}
-	}
-	m, sd := Mean(xs), StdDev(xs)
-	if sd == 0 {
-		// Degenerate sample: statistic is ±∞ when the mean differs.
-		if m == mu0 {
-			return TestResult{Statistic: 0, PValue: 1}
-		}
-		return TestResult{Statistic: math.Inf(sign(m - mu0)), PValue: 0}
-	}
-	t := (m - mu0) / (sd / math.Sqrt(float64(n)))
-	nu := float64(n - 1)
-	var p float64
-	switch tail {
-	case Greater:
-		p = StudentTSF(t, nu)
-	case Less:
-		p = StudentTCDF(t, nu)
-	default:
-		p = 2 * StudentTSF(math.Abs(t), nu)
-	}
-	return TestResult{Statistic: t, PValue: p}
-}
-
-func sign(x float64) int {
-	if x < 0 {
-		return -1
-	}
-	return 1
-}
-
-// ChiSquaredTest converts a chi-squared distributed statistic with k
-// degrees of freedom into an upper-tail p-value. The detector's T² and
-// SPE statistics take this path.
-func ChiSquaredTest(statistic, k float64) TestResult {
-	return TestResult{Statistic: statistic, PValue: ChiSquaredSF(statistic, k)}
-}
-
 // FWER returns the family-wise error rate 1-(1-α)^m of m independent
 // tests each at level α — the closed-form blow-up from §IV of the
 // paper (α=0.05, m=10 ⇒ 40%).
@@ -162,13 +74,4 @@ func FWER(alpha float64, m int) float64 {
 		return 0
 	}
 	return 1 - math.Pow(1-alpha, float64(m))
-}
-
-// SidakAlpha returns the per-test level that makes the family-wise rate
-// of m independent tests equal alpha: 1-(1-α)^(1/m).
-func SidakAlpha(alpha float64, m int) float64 {
-	if m <= 0 {
-		return alpha
-	}
-	return 1 - math.Pow(1-alpha, 1/float64(m))
 }

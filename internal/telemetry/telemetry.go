@@ -373,29 +373,6 @@ func (r *Registry) Expose(w io.Writer) {
 	}
 }
 
-// Dump renders all instruments as "name value" lines sorted by name,
-// for debugging and the viz status endpoints.
-func (r *Registry) Dump() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	lines := make([]string, 0, len(r.ctrs)+len(r.gauges)+len(r.hists))
-	for n, c := range r.ctrs {
-		lines = append(lines, fmt.Sprintf("counter %s %d", n, c.Value()))
-	}
-	for n, g := range r.gauges {
-		lines = append(lines, fmt.Sprintf("gauge %s %d", n, g.Value()))
-	}
-	for n, h := range r.hists {
-		lines = append(lines, fmt.Sprintf("hist %s count=%d mean=%.3f p99=%.3f", n, h.Count(), h.Mean(), h.Quantile(0.99)))
-	}
-	sort.Strings(lines)
-	out := ""
-	for _, l := range lines {
-		out += l + "\n"
-	}
-	return out
-}
-
 // LinearFit fits y = a + b·x by least squares and returns the intercept,
 // slope and coefficient of determination R². The experiment harness uses
 // it to assert Figure 2's linear scale-up and stable-rate claims.

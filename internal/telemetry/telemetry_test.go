@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -247,9 +248,10 @@ func TestRegistryReusesInstruments(t *testing.T) {
 	if r.Histogram("lat") != r.Histogram("lat") {
 		t.Fatal("Histogram must be cached by name")
 	}
-	dump := r.Dump()
-	if dump == "" {
-		t.Fatal("Dump must render instruments")
+	var out strings.Builder
+	r.Expose(&out)
+	if got, want := out.String(), "depth 0\nlat_count 0\nlat_mean 0.000\nlat_p99 0.000\nwrites 1\n"; got != want {
+		t.Fatalf("Expose = %q, want %q", got, want)
 	}
 }
 

@@ -228,18 +228,11 @@ func (n *Node) detectorEnv() DetectorEnv {
 // fail at evaluation on a node without one.
 func (n *Node) newDetector(name string, unit int) (mllib.Detector, error) {
 	t := n.tier
-	params := map[string]float64{
-		"level":     t.Level,
-		"procedure": float64(t.Procedure),
-	}
-	for k, v := range n.cfg.DetectorParams {
-		params[k] = v
-	}
 	return mllib.New(name, mllib.Context{
 		Unit:    unit,
 		Sensors: t.SensorsPerUnit,
 		Seed:    t.Seed ^ uint64(unit)<<1,
-		Params:  params,
+		Params:  n.detectorParams(),
 		LoadModel: func() (any, error) {
 			if n.Catalog == nil {
 				return nil, errors.New("sentinel: no model catalog on a node without the store role")
@@ -247,6 +240,20 @@ func (n *Node) newDetector(name string, unit int) (mllib.Detector, error) {
 			return n.Catalog.Load(unit)
 		},
 	})
+}
+
+// detectorParams are the family knobs every detector on this node is
+// built with: the tier's FDR level and procedure, overridden by
+// NodeConfig.DetectorParams.
+func (n *Node) detectorParams() map[string]float64 {
+	params := map[string]float64{
+		"level":     n.tier.Level,
+		"procedure": float64(n.tier.Procedure),
+	}
+	for k, v := range n.cfg.DetectorParams {
+		params[k] = v
+	}
+	return params
 }
 
 // DetectorStatus reports every registered detector family with its
@@ -276,11 +283,12 @@ func (n *Node) DetectorStatus() v1.DetectorsResponse {
 		}
 	}
 	n.mu.Unlock()
-	resp := v1.DetectorsResponse{Primary: t.PrimaryDetector}
-	// What the registry would build, asked of one it builds.
-	if det, err := n.newDetector("ensemble", 0); err == nil {
-		e := det.(*mllib.Ensemble)
-		resp.Ensemble = v1.EnsembleConfig{Members: e.Members(), MinVotes: e.MinVotes()}
+	// What the factory would build, read without building it: the
+	// default ensemble's mgd member needs a trained model.
+	members, minVotes := mllib.EnsembleConfig(mllib.Context{Params: n.detectorParams()})
+	resp := v1.DetectorsResponse{
+		Primary:  t.PrimaryDetector,
+		Ensemble: v1.EnsembleConfig{Members: members, MinVotes: minVotes},
 	}
 	for _, name := range mllib.Registered() {
 		info := v1.DetectorInfo{Name: name, Mode: "off"}
@@ -368,8 +376,6 @@ func (n *Node) queryTier(reg *telemetry.Registry) *query.Engine {
 	reg.RegisterCounter("query_cache_misses", &e.CacheMisses)
 	reg.RegisterCounter("query_subqueries", &e.SubQueries)
 	reg.RegisterCounter("query_failovers", &e.Failovers)
-	reg.RegisterCounter("query_hedged", &e.Hedged)
-	reg.RegisterCounter("query_hedge_wins", &e.HedgeWins)
 	reg.RegisterCounter("query_degraded_serves", &e.DegradedServes)
 	return e
 }

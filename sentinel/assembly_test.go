@@ -34,7 +34,7 @@ var metricsByRole = map[Role]string{
 		compactor_passes compactor_pass_errors`,
 	RoleDetect: `samples_evaluated anomalies_written detector_parks detector_parked`,
 	RoleGateway: `query_cache_hits query_cache_misses query_subqueries query_failovers
-		query_hedged query_hedge_wins query_degraded_serves`,
+		query_degraded_serves`,
 }
 
 const (
@@ -76,7 +76,8 @@ func metricNames(t *testing.T, h http.Handler) []string {
 // every role alone, and the nodes of a four-node cluster all come out
 // of one assembly, so for the roles a node carries they expose the
 // same metric names, the same readiness checks, and the detector
-// report wherever detect and gateway are co-located.
+// report — the default ensemble included, with or without a model —
+// wherever detect and gateway are co-located.
 func TestAssemblyParity(t *testing.T) {
 	sys, err := New(Config{StorageNodes: 2, Units: 2, SensorsPerUnit: 2})
 	if err != nil {
@@ -143,8 +144,23 @@ func TestAssemblyParity(t *testing.T) {
 		if has[RoleDetect] {
 			wantCode = 200
 		}
-		if rec := do(s.h, "GET", "/api/v1/detectors", "", ""); rec.Code != wantCode {
+		rec = do(s.h, "GET", "/api/v1/detectors", "", "")
+		if rec.Code != wantCode {
 			t.Errorf("%s: GET /api/v1/detectors = %d, want %d (%s)", s.name, rec.Code, wantCode, rec.Body)
+		}
+		if wantCode != 200 {
+			continue
+		}
+		// No surface here has a trained model, and a detect node
+		// without the store role has no catalog at all: the report
+		// still names the default ensemble, because it reads the
+		// configuration instead of building the mgd member.
+		var ds v1.DetectorsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &ds); err != nil {
+			t.Fatalf("%s: decode /api/v1/detectors: %v", s.name, err)
+		}
+		if got := ds.Ensemble; strings.Join(got.Members, "+") != "mgd+cusum+zscore" || got.MinVotes != 2 {
+			t.Errorf("%s: detectors report the ensemble as %+v, want mgd+cusum+zscore minVotes 2", s.name, got)
 		}
 	}
 }

@@ -183,9 +183,9 @@ func TestDetectorsTyped(t *testing.T) {
 			Detectors: []v1.DetectorInfo{
 				{Name: "mgd", Mode: "primary", Flags: 12},
 				{Name: "cusum", Mode: "shadow", Flags: 9, Agreements: 8, Disagreements: 1},
-				{Name: "iforest", Mode: "off"},
+				{Name: "zscore", Mode: "off"},
 			},
-			Ensemble: v1.EnsembleConfig{Members: []string{"cusum", "zscore", "iforest"}, MinVotes: 2},
+			Ensemble: v1.EnsembleConfig{Members: []string{"mgd", "cusum", "zscore"}, MinVotes: 2},
 		})
 	}))
 	defer srv.Close()

@@ -28,8 +28,8 @@ import (
 // (Config.PrimaryDetector; default "mgd", the trained MGD+FDR
 // evaluator). Each worker owns its unit's detector instances and a
 // private row-assembly scratch, preserving the zero-allocation steady
-// state per worker — streaming families (cusum, zscore, iforest)
-// carry per-unit state, and unit-keyed partitions guarantee a unit's
+// state per worker — streaming families (cusum, zscore) carry
+// per-unit state, and unit-keyed partitions guarantee a unit's
 // batches reach one worker at a time, in order. On a rebalance a
 // reassigned unit's streaming state restarts from its warmup on the
 // new owner; the model-based family is stateless across batches and

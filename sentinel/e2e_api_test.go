@@ -167,7 +167,7 @@ func TestEndToEndThroughPublicAPI(t *testing.T) {
 			shadowBatches = d.Agreements + d.Disagreements
 		}
 	}
-	if modes["mgd"] != "primary" || modes["cusum"] != "shadow" || modes["iforest"] != "off" {
+	if modes["mgd"] != "primary" || modes["cusum"] != "shadow" || modes["zscore"] != "off" {
 		t.Fatalf("detector modes = %v", modes)
 	}
 	// The primary flagged rows; the shadow compared them (agreement or

@@ -101,7 +101,7 @@ type Config struct {
 	ShiftSigma   float64
 
 	// Level is the FDR target for flagging (default 0.05); Procedure
-	// the correction (default Benjamini–Hochberg).
+	// the correction (the zero value is Benjamini–Hochberg).
 	Level     float64
 	Procedure fdr.Procedure
 
@@ -195,9 +195,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Level <= 0 || c.Level >= 1 {
 		c.Level = 0.05
-	}
-	if c.Procedure == fdr.Uncorrected {
-		c.Procedure = fdr.BH
 	}
 	if c.Partitions <= 0 {
 		c.Partitions = c.StorageNodes

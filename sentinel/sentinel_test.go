@@ -108,6 +108,34 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// TestUncorrectedProcedureRunsUncorrected: §IV's uncorrected baseline
+// runs through System. Config{Procedure: fdr.Uncorrected} is not
+// rewritten to BH, so every flag's adjusted p-value is its raw one.
+func TestUncorrectedProcedureRunsUncorrected(t *testing.T) {
+	sys := newSmallSystem(t, func(c *Config) { c.Procedure = fdr.Uncorrected })
+	if got := sys.Config().Procedure; got != fdr.Uncorrected {
+		t.Fatalf("configured procedure = %v, want %v", got, fdr.Uncorrected)
+	}
+	if _, err := sys.IngestRange(0, 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.TrainFromTSDB(0, 50, false); err != nil {
+		t.Fatal(err)
+	}
+	flags, err := sys.Detect(80, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(flags) == 0 {
+		t.Fatal("no flags on a faulted fleet")
+	}
+	for _, a := range flags {
+		if a.Adjusted != a.PValue || a.PValue > 0.05 {
+			t.Fatalf("flag %+v: want adjusted = raw p ≤ 0.05 under no correction", a)
+		}
+	}
+}
+
 func TestEndToEndIngestTrainDetectVisualize(t *testing.T) {
 	sys := newSmallSystem(t, func(c *Config) { c.ShadowDetectors = []string{"cusum"} })
 
@@ -191,9 +219,9 @@ func TestEndToEndIngestTrainDetectVisualize(t *testing.T) {
 	if err := json.Unmarshal(do(handler, "GET", "/api/v1/detectors", "", "").Body.Bytes(), &ds); err != nil {
 		t.Fatal(err)
 	}
-	// The ensemble's configuration is the registry's own, read from an
-	// instance it builds.
-	if got := ds.Ensemble; strings.Join(got.Members, "+") != "cusum+zscore+iforest" || got.MinVotes != 2 {
+	// The ensemble's configuration is the factory's own
+	// (mllib.EnsembleConfig).
+	if got := ds.Ensemble; strings.Join(got.Members, "+") != "mgd+cusum+zscore" || got.MinVotes != 2 {
 		t.Fatalf("detectors report the ensemble as %+v", got)
 	}
 	for _, d := range ds.Detectors {
@@ -461,10 +489,11 @@ func TestStorageTierThroughSystem(t *testing.T) {
 	// The new counters are on the metrics surface.
 	reg := telemetry.NewRegistry()
 	sys.RegisterMetrics(reg)
-	dump := reg.Dump()
+	var exposed strings.Builder
+	reg.Expose(&exposed)
 	for _, name := range []string{"blocks_sealed", "blocks_spilled", "spill_reads", "rollup_serves", "compactor_passes"} {
-		if !strings.Contains(dump, name) {
-			t.Fatalf("metric %q missing from /metrics:\n%s", name, dump)
+		if !strings.Contains("\n"+exposed.String(), "\n"+name+" ") {
+			t.Fatalf("metric %q missing from /metrics:\n%s", name, exposed.String())
 		}
 	}
 }
