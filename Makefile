@@ -21,8 +21,10 @@ EVAL_BENCH = BenchmarkFDRCorrections|BenchmarkOnlineEvalThroughput
 # BenchmarkWireUnitBatch the one encode and one decode a bus record
 # costs on the clustered bus (a 50- and a 200-point row);
 # BenchmarkEnergyPoint a producer's point (its series' shared tag map)
-# and BenchmarkCodecEncode that point's cell (its series' cached key).
-ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|BenchmarkBusPublish|BenchmarkQueryCacheHit|BenchmarkGatewayPutPath|BenchmarkGatewayPutRow|BenchmarkGroupByUnit|BenchmarkDetectorBatch|BenchmarkCompressedScan|BenchmarkRegionPutInOrder|BenchmarkWireUnitBatch|BenchmarkEnergyPoint|BenchmarkCodecEncode
+# and BenchmarkCodecEncode that point's cell (its series' cached key);
+# BenchmarkGatewayCachedQuery a repeated /api/v1/query served as the
+# window's cached bytes through the full middleware chain.
+ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|BenchmarkBusPublish|BenchmarkQueryCacheHit|BenchmarkGatewayPutPath|BenchmarkGatewayPutRow|BenchmarkGroupByUnit|BenchmarkDetectorBatch|BenchmarkCompressedScan|BenchmarkRegionPutInOrder|BenchmarkWireUnitBatch|BenchmarkEnergyPoint|BenchmarkCodecEncode|BenchmarkGatewayCachedQuery
 
 # GATE_BENCHTIME drives the bench-gate comparison runs: long enough for
 # stable ns/op medians, short enough for a PR loop.
@@ -146,6 +148,7 @@ bench-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkRegionScanNarrow|BenchmarkHotTierFootprint' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/hbase/ >> bench-gate.out
 	$(GO) test -run '^$$' -bench 'BenchmarkOnlineEvalThroughput' -benchtime $(GATE_BENCHTIME) -benchmem . >> bench-gate.out
 	$(GO) test -run '^$$' -bench 'BenchmarkTrainUnit/sensors=200$$' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/core/ >> bench-gate.out
+	$(GO) test -run '^$$' -bench 'BenchmarkGatewayCachedQuery' -benchtime $(GATE_BENCHTIME) -benchmem ./internal/api/ >> bench-gate.out
 	$(GO) run ./cmd/benchgate -pins PINS -baseline BENCH_query.json -baseline BENCH_evaluation.json < bench-gate.out
 	@rm -f bench-gate.out
 
@@ -243,13 +246,17 @@ conformance:
 # header counts — and any encoded block to exactly its samples.
 # FuzzParseLine holds the telnet line codec to "error, never panic", and
 # any line it accepts to format back to the identical point (value bits,
-# tags, the one interned tag map). Seeded from the packages'
+# tags, the one interned tag map). FuzzReadEncode is differential like
+# FuzzPutDecode: the read encoder against encoding/json on the v1 DTOs,
+# over arbitrary metric and tag strings, timestamps and float bit
+# patterns — both error, or both produce the same bytes. Seeded from the packages'
 # testdata/fuzz; a finding lands there as a new regression seed.
 # Gating in CI. FuzzBlockIter bounds minimization: left at the default
 # 60 s, shrinking its first new-coverage input takes the rest of the
 # 15 s (≈ 45k execs instead of ≈ 250k).
 fuzz-smoke:
 	$(GO) test ./internal/api -run '^$$' -fuzz FuzzPutDecode -fuzztime 15s
+	$(GO) test ./internal/api -run '^$$' -fuzz FuzzReadEncode -fuzztime 15s
 	$(GO) test ./internal/rpc -run '^$$' -fuzz FuzzWireFrame -fuzztime 15s
 	$(GO) test ./internal/hbase -run '^$$' -fuzz FuzzStoreFile -fuzztime 15s
 	$(GO) test ./internal/hbase -run '^$$' -fuzz FuzzWALRecord -fuzztime 15s

@@ -98,6 +98,44 @@
 // Config.MaxBody (413 past it), returned to the pool when the handler
 // ends. Every decoder therefore copies the strings its points keep.
 //
+// # Read encoder
+//
+// The read routes — GET /api/v1/query (JSON and NDJSON), the machine
+// view, the drill-down (JSON and NDJSON), the severity ranking and the
+// SSE anomaly events — write their bodies with an append encoder
+// (encode.go) straight from tsdb.Sample and tsdb.Series and the viz
+// views: no reflection, and no copy into the v1 DTOs first. Its
+// contract is the bytes encoding/json writes for the v1 DTO the same
+// data fills, which takes:
+//
+//   - floats spelled the shortest way, 'f' inside [1e-6, 1e21) and 'e'
+//     outside it, a one-digit negative exponent written e-7, not e-07;
+//     -0 stays -0;
+//   - strings with the HTML-safe escapes (\u003c, \u003e, \u0026), the
+//     short escapes (\" \\ \b \f \n \r \t), \u00XX for the other control
+//     bytes, \u2028 and \u2029 escaped, and \ufffd for each byte of
+//     invalid UTF-8;
+//   - tag maps with their keys in byte order, a nil map as null;
+//   - sample, series, sensor and ranking lists as [] when empty, never
+//     null, since the DTO copies were always made slices;
+//   - fields in DTO order, with AnomalyEvent's detector and score left
+//     out when zero (omitempty).
+//
+// A NaN or an infinity fails the encode with encoding/json's own error,
+// and the route answers the v1 500 envelope ("encode response: json:
+// unsupported value: NaN"), never a 200 cut short. FuzzReadEncode and
+// TestReadEncodeRandomWindows hold the encoder to encoding/json.
+//
+// A /api/v1/query body is encoded once per window version. The engine
+// keeps the bytes in the window's cache entry, one slot per format (the
+// "series" array for JSON, the lines for NDJSON), filled by the first
+// reader and dropped with the entry (query.Engine.QueryEncoded). The
+// handler writes {"series": before the cached array and } after it,
+// with ,"degraded":true in between when the read was served stale: the
+// mark is per response, so it never enters the shared bytes. An SSE
+// event is encoded once, by the AnomalyTail, and every stream writes
+// the same bytes.
+//
 // # Put body grammar
 //
 // A JSON put body is decoded in one pass by a scanner (putdecode.go)

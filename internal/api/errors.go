@@ -1,7 +1,6 @@
 package api
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -92,31 +91,37 @@ func writeErrorStatus(w http.ResponseWriter, status int, msg string) {
 	writeError(w, &apiError{status: status, code: code, msg: msg})
 }
 
+// encodeError is the v1 500 envelope of a response body that could not
+// be encoded: a value JSON cannot carry, such as a NaN sample.
+func encodeError(err error) *apiError {
+	return &apiError{status: http.StatusInternalServerError, code: v1.CodeInternal, msg: "encode response: " + err.Error()}
+}
+
 // writeJSON renders v with the v1 content type. v is marshalled before
 // anything is written, so a value JSON cannot carry (a NaN, say) is the
 // v1 500 envelope, not a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {
-		writeErrorStatus(w, http.StatusInternalServerError, "encode response: "+err.Error())
+		writeError(w, encodeError(err))
 		return
 	}
-	w.Header().Set("Content-Type", v1.ContentTypeJSON)
-	_, _ = w.Write(append(body, '\n')) // a failed write means the client has gone: no one to tell
+	writeBody(w, v1.ContentTypeJSON, append(body, '\n'))
 }
 
-// writeNDJSON renders lines as NDJSON, one value a line. Like writeJSON
-// it encodes every line before anything is written, so a line JSON
-// cannot carry is the v1 500 envelope, not a 200 stream cut short.
-func writeNDJSON[T any](w http.ResponseWriter, lines []T) {
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
-	for i := range lines {
-		if err := enc.Encode(lines[i]); err != nil { // Encode appends the newline
-			writeErrorStatus(w, http.StatusInternalServerError, "encode response: "+err.Error())
-			return
-		}
+// writeEncoded writes a body the read encoder produced whole, or its
+// error's envelope: like writeJSON's, the body is complete before
+// anything is written.
+func writeEncoded(w http.ResponseWriter, contentType string, body []byte, err error) {
+	if err != nil {
+		writeError(w, mapError(err))
+		return
 	}
-	w.Header().Set("Content-Type", v1.ContentTypeNDJSON)
-	_, _ = body.WriteTo(w) // a failed write means the client has gone: no one to tell
+	writeBody(w, contentType, body)
+}
+
+// writeBody writes an encoded body with its content type.
+func writeBody(w http.ResponseWriter, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	_, _ = w.Write(body) // a failed write means the client has gone: no one to tell
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -33,9 +34,11 @@ type Publisher interface {
 	PublishPoints(ctx context.Context, points []tsdb.Point) (int, error)
 }
 
-// Querier serves raw series reads; *query.Engine in production.
+// Querier serves raw series reads as enc's bytes; *query.Engine in
+// production, which encodes each cached window once per format and
+// keeps the bytes with the window (query.Engine.QueryEncoded).
 type Querier interface {
-	QueryContext(ctx context.Context, q tsdb.Query) ([]tsdb.Series, error)
+	QueryEncoded(ctx context.Context, q tsdb.Query, f query.Format, enc query.Encoder) ([]byte, error)
 }
 
 // ReadyCheck is one dependency probe behind GET /readyz.
@@ -297,11 +300,12 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mux.ServeHTTP(w, r)
 }
 
-// window resolves [from, to] from ?from/?to with gateway defaults,
-// rejecting inverted windows.
-func (g *Gateway) window(r *http.Request) (int64, int64, error) {
+// window resolves [from, to] from the request's from/to parameters
+// with gateway defaults, rejecting inverted windows. Handlers parse the
+// query string once (r.URL.Query allocates a map per call) and pass it.
+func (g *Gateway) window(q url.Values) (int64, int64, error) {
 	to := g.cfg.Now()
-	if v := r.URL.Query().Get("to"); v != "" {
+	if v := q.Get("to"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
 			return 0, 0, errBadRequest("bad to %q", v)
@@ -309,7 +313,7 @@ func (g *Gateway) window(r *http.Request) (int64, int64, error) {
 		to = n
 	}
 	from := to - g.cfg.Window
-	if v := r.URL.Query().Get("from"); v != "" {
+	if v := q.Get("from"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
 			return 0, 0, errBadRequest("bad from %q", v)
@@ -422,18 +426,20 @@ func (p *BusPublisher) PublishPoints(ctx context.Context, points []tsdb.Point) (
 // handleQuery is GET /api/v1/query: raw series over the cached
 // scatter-gather tier. Parameters: metric (default energy), unit,
 // sensor, from/to (window defaults apply), maxpoints (LTTB bound).
-// Accept: application/x-ndjson streams one series per line.
+// Accept: application/x-ndjson streams one series per line. The body
+// is the engine's cached bytes for the window, encoded by its first
+// reader; only the degraded mark is per response.
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if g.cfg.Query == nil {
 		writeError(w, &apiError{status: http.StatusServiceUnavailable, code: v1.CodeUnavailable, msg: "no query backend"})
 		return
 	}
-	from, to, err := g.window(r)
+	q := r.URL.Query()
+	from, to, err := g.window(q)
 	if err != nil {
 		writeError(w, mapError(err))
 		return
 	}
-	q := r.URL.Query()
 	metric := q.Get("metric")
 	if metric == "" {
 		metric = tsdb.MetricEnergy
@@ -454,28 +460,47 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		maxPoints = n
 	}
+	ndjson := negotiateNDJSON(r)
+	format, enc := query.JSON, query.Encoder(encodeSeriesArray)
+	if ndjson {
+		format, enc = query.NDJSON, encodeSeriesLines
+	}
 	ctx, marker := query.WithDegradedMarker(r.Context())
-	series, err := g.cfg.Query.QueryContext(ctx, tsdb.Query{
+	body, err := g.cfg.Query.QueryEncoded(ctx, tsdb.Query{
 		Metric: metric, Tags: tags, Start: from, End: to, MaxPoints: maxPoints,
-	})
-	if err != nil && !isNoMetric(err) {
+	}, format, enc)
+	if isNoMetric(err) {
+		body, err = enc(nil)
+	}
+	if err != nil {
 		writeError(w, mapError(err))
 		return
-	}
-	out := make([]v1.Series, len(series))
-	for i := range series {
-		out[i] = toSeries(&series[i])
 	}
 	degraded := marker.Degraded()
 	if degraded {
 		w.Header().Set(v1.HeaderDegraded, "true")
 	}
-	if negotiateNDJSON(r) {
-		writeNDJSON(w, out)
+	if ndjson {
+		writeBody(w, v1.ContentTypeNDJSON, body)
 		return
 	}
-	writeJSON(w, v1.QueryResponse{Series: out, Degraded: degraded})
+	// v1.QueryResponse around the cached "series" array: degraded is per
+	// response, so it is written after the shared bytes, never into them.
+	end := queryResponseEnd
+	if degraded {
+		end = queryResponseEndDegraded
+	}
+	w.Header().Set("Content-Type", v1.ContentTypeJSON)
+	_, _ = w.Write(queryResponseStart)
+	_, _ = w.Write(body)
+	_, _ = w.Write(end)
 }
+
+var (
+	queryResponseStart       = []byte(`{"series":`)
+	queryResponseEnd         = []byte("}\n")
+	queryResponseEndDegraded = []byte(`,"degraded":true}` + "\n")
+)
 
 // isNoMetric treats "metric not yet written" as an empty result, the
 // same contract the viz backend applies.
@@ -486,18 +511,6 @@ func isNoMetric(err error) bool { return errors.Is(err, tsdb.ErrNoSuchMetric) }
 // request, everything else serves JSON.
 func negotiateNDJSON(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), v1.ContentTypeNDJSON)
-}
-
-func toSamples(ss []tsdb.Sample) []v1.Sample {
-	out := make([]v1.Sample, len(ss))
-	for i, s := range ss {
-		out[i] = v1.Sample{Timestamp: s.Timestamp, Value: s.Value}
-	}
-	return out
-}
-
-func toSeries(s *tsdb.Series) v1.Series {
-	return v1.Series{Metric: s.Metric, Tags: s.Tags, Samples: toSamples(s.Samples)}
 }
 
 // requireBackend guards the view routes.
@@ -523,7 +536,8 @@ func (g *Gateway) handleFleet(w http.ResponseWriter, r *http.Request) {
 	if b == nil {
 		return
 	}
-	offset, cfrom, cto, cursored, err := decodeCursor(r.URL.Query().Get("cursor"))
+	q := r.URL.Query()
+	offset, cfrom, cto, cursored, err := decodeCursor(q.Get("cursor"))
 	if err != nil {
 		writeError(w, mapError(err))
 		return
@@ -531,12 +545,12 @@ func (g *Gateway) handleFleet(w http.ResponseWriter, r *http.Request) {
 	var from, to int64
 	if cursored {
 		from, to = cfrom, cto
-	} else if from, to, err = g.window(r); err != nil {
+	} else if from, to, err = g.window(q); err != nil {
 		writeError(w, mapError(err))
 		return
 	}
 	limit := pageLimit
-	if v := r.URL.Query().Get("limit"); v != "" {
+	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
 			writeError(w, errBadRequest("bad limit %q", v))
@@ -620,7 +634,7 @@ func (g *Gateway) handleMachine(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errBadRequest("bad unit %q", r.PathValue("unit")))
 		return
 	}
-	from, to, err := g.window(r)
+	from, to, err := g.window(r.URL.Query())
 	if err != nil {
 		writeError(w, mapError(err))
 		return
@@ -630,14 +644,8 @@ func (g *Gateway) handleMachine(w http.ResponseWriter, r *http.Request) {
 		writeError(w, mapError(err))
 		return
 	}
-	out := v1.MachineView{Unit: mv.Unit, Status: string(mv.Status), Anomalies: mv.Anomalies}
-	out.Sensors = make([]v1.SensorSeries, len(mv.Sensors))
-	for i, sv := range mv.Sensors {
-		out.Sensors[i] = v1.SensorSeries{
-			Sensor: sv.Sensor, Samples: toSamples(sv.Samples), Anomalies: toSamples(sv.Anomalies), Latest: sv.Latest,
-		}
-	}
-	writeJSON(w, out)
+	body, err := encodeMachineView(mv)
+	writeEncoded(w, v1.ContentTypeJSON, body, err)
 }
 
 // handleSensorPath is GET /api/v1/machines/{unit}/sensors/{sensor}.
@@ -648,7 +656,7 @@ func (g *Gateway) handleSensorPath(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errBadRequest("bad unit/sensor path"))
 		return
 	}
-	g.serveSensor(w, r, unit, sensor)
+	g.serveSensor(w, r, r.URL.Query(), unit, sensor)
 }
 
 // handleSeries is GET /api/v1/series?unit=&sensor= (the query-param
@@ -661,15 +669,15 @@ func (g *Gateway) handleSeries(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errBadRequest("unit and sensor required"))
 		return
 	}
-	g.serveSensor(w, r, unit, sensor)
+	g.serveSensor(w, r, q, unit, sensor)
 }
 
-func (g *Gateway) serveSensor(w http.ResponseWriter, r *http.Request, unit, sensor int) {
+func (g *Gateway) serveSensor(w http.ResponseWriter, r *http.Request, q url.Values, unit, sensor int) {
 	b := g.requireBackend(w)
 	if b == nil {
 		return
 	}
-	from, to, err := g.window(r)
+	from, to, err := g.window(q)
 	if err != nil {
 		writeError(w, mapError(err))
 		return
@@ -679,21 +687,15 @@ func (g *Gateway) serveSensor(w http.ResponseWriter, r *http.Request, unit, sens
 		writeError(w, mapError(err))
 		return
 	}
-	out := v1.SeriesDetail{
-		Unit: det.Unit, Sensor: det.Sensor,
-		Samples: toSamples(det.Samples), Anomalies: toSamples(det.Anomalies),
-	}
 	if negotiateNDJSON(r) {
 		// NDJSON for bulk transfer: one sample object per line, the
 		// anomaly flags as a trailing object line.
-		lines := make([]any, 0, len(out.Samples)+1)
-		for _, smp := range out.Samples {
-			lines = append(lines, smp)
-		}
-		writeNDJSON(w, append(lines, map[string]any{"anomalies": out.Anomalies}))
+		body, err := encodeSensorLines(det)
+		writeEncoded(w, v1.ContentTypeNDJSON, body, err)
 		return
 	}
-	writeJSON(w, out)
+	body, err := encodeSeriesDetail(det)
+	writeEncoded(w, v1.ContentTypeJSON, body, err)
 }
 
 func (g *Gateway) handleTop(w http.ResponseWriter, r *http.Request) {
@@ -701,13 +703,14 @@ func (g *Gateway) handleTop(w http.ResponseWriter, r *http.Request) {
 	if b == nil {
 		return
 	}
-	from, to, err := g.window(r)
+	q := r.URL.Query()
+	from, to, err := g.window(q)
 	if err != nil {
 		writeError(w, mapError(err))
 		return
 	}
 	limit := 10
-	if v := r.URL.Query().Get("limit"); v != "" {
+	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
 			writeError(w, errBadRequest("bad limit %q", v))
@@ -720,11 +723,8 @@ func (g *Gateway) handleTop(w http.ResponseWriter, r *http.Request) {
 		writeError(w, mapError(err))
 		return
 	}
-	out := make([]v1.TopAnomaly, len(top))
-	for i, a := range top {
-		out[i] = v1.TopAnomaly{Unit: a.Unit, Sensor: a.Sensor, Timestamp: a.Timestamp, Severity: a.Severity}
-	}
-	writeJSON(w, v1.TopResponse{Anomalies: out})
+	body, err := encodeTop(top)
+	writeEncoded(w, v1.ContentTypeJSON, body, err)
 }
 
 // ---- ops ------------------------------------------------------------

@@ -16,6 +16,7 @@ import (
 	"repro/internal/admission"
 	v1 "repro/internal/api/v1"
 	"repro/internal/hbase"
+	"repro/internal/query"
 	"repro/internal/telemetry"
 	"repro/internal/tsdb"
 	"repro/internal/viz"
@@ -23,11 +24,20 @@ import (
 
 func testLogger() *log.Logger { return log.New(io.Discard, "", 0) }
 
-// querierFunc adapts a function to Querier.
+// querierFunc adapts a function to Querier, encoding on every read, and
+// to viz.Querier.
 type querierFunc func(ctx context.Context, q tsdb.Query) ([]tsdb.Series, error)
 
 func (f querierFunc) QueryContext(ctx context.Context, q tsdb.Query) ([]tsdb.Series, error) {
 	return f(ctx, q)
+}
+
+func (f querierFunc) QueryEncoded(ctx context.Context, q tsdb.Query, _ query.Format, enc query.Encoder) ([]byte, error) {
+	series, err := f(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	return enc(series)
 }
 
 // publisherFunc adapts a function to Publisher.
@@ -82,7 +92,7 @@ func testGateway(t *testing.T, mutate func(*Config)) *Gateway {
 	backend, d := testBackend(t)
 	cfg := Config{
 		Backend:   backend,
-		Query:     d.TSDs()[0],
+		Query:     query.NewFromDeployment(d, query.Config{}),
 		Registry:  telemetry.NewRegistry(),
 		Now:       func() int64 { return 59 },
 		AccessLog: testLogger(),

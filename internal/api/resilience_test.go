@@ -17,9 +17,9 @@ import (
 // when ServeStale answers from a past-watermark cache entry.
 type staleQuerier struct{}
 
-func (staleQuerier) QueryContext(ctx context.Context, q tsdb.Query) ([]tsdb.Series, error) {
+func (staleQuerier) QueryEncoded(ctx context.Context, q tsdb.Query, _ query.Format, enc query.Encoder) ([]byte, error) {
 	query.MarkDegraded(ctx)
-	return []tsdb.Series{{Metric: q.Metric, Samples: []tsdb.Sample{{Timestamp: 1, Value: 2}}}}, nil
+	return enc([]tsdb.Series{{Metric: q.Metric, Samples: []tsdb.Sample{{Timestamp: 1, Value: 2}}}})
 }
 
 // TestQueryDegradedSurfaced: a degraded-marked read answers 200 with

@@ -2,7 +2,6 @@ package api
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -29,6 +28,10 @@ import (
 // buffer — Dropped counts them — which is the right trade for a
 // monitoring feed: the flags remain durable in the TSDB; the stream is
 // a best-effort live view.
+//
+// Each flag is encoded once, as the tail drains it, and every
+// subscriber gets the same bytes: a stream writes them, it does not
+// encode.
 type AnomalyTail struct {
 	group  bus.GroupHandle
 	cancel context.CancelFunc
@@ -36,14 +39,23 @@ type AnomalyTail struct {
 	once   sync.Once
 
 	mu     sync.Mutex
-	subs   map[int]chan v1.AnomalyEvent
+	subs   map[int]chan TailEvent
 	nextID int
 	closed bool
 
-	// Events counts flags fanned out; Dropped counts events lost to
-	// full subscriber buffers.
+	// Events counts flags fanned out; Dropped counts events lost: one
+	// per full subscriber buffer, and one per flag that cannot be
+	// encoded (a NaN score, say), which reaches no subscriber.
 	Events  telemetry.Counter
 	Dropped telemetry.Counter
+}
+
+// TailEvent is one flag as the tail fans it out: the event, and Data,
+// its JSON — the SSE data line — encoded once for every subscriber.
+// Data is shared: read-only.
+type TailEvent struct {
+	v1.AnomalyEvent
+	Data []byte
 }
 
 // subscriberBuffer is each stream's event buffer: enough to ride out a
@@ -61,7 +73,7 @@ func NewAnomalyTail(topic bus.TopicHandle, group string) *AnomalyTail {
 	t := &AnomalyTail{
 		group:  g,
 		cancel: cancel,
-		subs:   make(map[int]chan v1.AnomalyEvent),
+		subs:   make(map[int]chan TailEvent),
 	}
 	c := g.Join()
 	t.wg.Add(1)
@@ -96,7 +108,13 @@ func (t *AnomalyTail) run(ctx context.Context, c bus.ConsumerHandle) {
 	}
 }
 
-func (t *AnomalyTail) broadcast(ev v1.AnomalyEvent) {
+func (t *AnomalyTail) broadcast(event v1.AnomalyEvent) {
+	data, err := encodeAnomalyEvent(&event)
+	if err != nil {
+		t.Dropped.Inc()
+		return
+	}
+	ev := TailEvent{AnomalyEvent: event, Data: data}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.Events.Inc()
@@ -111,10 +129,10 @@ func (t *AnomalyTail) broadcast(ev v1.AnomalyEvent) {
 
 // Subscribe registers a stream. The returned channel closes when the
 // tail closes; call cancel when the stream ends.
-func (t *AnomalyTail) Subscribe() (<-chan v1.AnomalyEvent, func()) {
+func (t *AnomalyTail) Subscribe() (<-chan TailEvent, func()) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ch := make(chan v1.AnomalyEvent, subscriberBuffer)
+	ch := make(chan TailEvent, subscriberBuffer)
 	if t.closed {
 		close(ch)
 		return ch, func() {}
@@ -198,6 +216,7 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	heartbeat := time.NewTicker(g.cfg.StreamHeartbeat)
 	defer heartbeat.Stop()
 	var seq int64
+	var frame []byte
 	for {
 		select {
 		case ev, ok := <-events:
@@ -205,12 +224,12 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 				return // tail closed: server shutting down
 			}
 			seq++
-			data, err := json.Marshal(ev)
-			if err != nil {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "event: %s\nid: %s\ndata: %s\n\n",
-				v1.EventAnomaly, strconv.FormatInt(seq, 10), data); err != nil {
+			frame = append(frame[:0], "event: "+v1.EventAnomaly+"\nid: "...)
+			frame = strconv.AppendInt(frame, seq, 10)
+			frame = append(frame, "\ndata: "...)
+			frame = append(frame, ev.Data...)
+			frame = append(frame, "\n\n"...)
+			if _, err := w.Write(frame); err != nil {
 				return
 			}
 			flusher.Flush()

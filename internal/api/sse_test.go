@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -47,7 +48,7 @@ func TestAnomalyTailFanout(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		publishFlag(t, topic, i, 7, int64(100+i), 4.5)
 	}
-	for name, ch := range map[string]<-chan v1.AnomalyEvent{"a": a, "b": b} {
+	for name, ch := range map[string]<-chan TailEvent{"a": a, "b": b} {
 		for i := 0; i < 3; i++ {
 			select {
 			case ev := <-ch:
@@ -223,5 +224,86 @@ func TestSSEStreamCap(t *testing.T) {
 	var env v1.ErrorEnvelope
 	if err := json.NewDecoder(second.Body).Decode(&env); err != nil || env.Error == nil || env.Error.Code != v1.CodeOverloaded {
 		t.Fatalf("envelope = %+v (%v)", env, err)
+	}
+}
+
+// TestTailEncodesEachEventOnce: with 8 direct subscribers and 8 live
+// SSE streams on one tail, N flags cost N encodes — every subscriber
+// gets the same bytes, and every stream writes them — and the bytes are
+// encoding/json's. A flag JSON cannot carry reaches no one and counts
+// as dropped.
+func TestTailEncodesEachEventOnce(t *testing.T) {
+	const subscribers, events = 8, 5
+	topic, tail, srv := sseEnv(t, nil)
+	direct := make([]<-chan TailEvent, subscribers)
+	for i := range direct {
+		ch, cancel := tail.Subscribe()
+		defer cancel()
+		direct[i] = ch
+	}
+	streams := make([]*bufio.Scanner, subscribers)
+	for i := range streams {
+		resp, err := srv.Client().Get(srv.URL + "/api/v1/anomalies/stream")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		streams[i] = bufio.NewScanner(resp.Body)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for tail.Subscribers() < 2*subscribers {
+		if time.Now().After(deadline) {
+			t.Fatal("streams never subscribed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	publishFlag(t, topic, 1, 1, 99, math.NaN())
+	for i := 0; i < events; i++ {
+		publishFlag(t, topic, 1, i, int64(100+i), 4.5+float64(i))
+	}
+
+	encodes := map[*byte]bool{}
+	want := make([][]byte, events)
+	for s, ch := range direct {
+		for i := 0; i < events; i++ {
+			var ev TailEvent
+			select {
+			case ev = <-ch:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("subscriber %d starved at event %d", s, i)
+			}
+			if ev.Timestamp != int64(100+i) {
+				t.Fatalf("subscriber %d event %d = %+v", s, i, ev.AnomalyEvent)
+			}
+			encodes[&ev.Data[0]] = true
+			if s == 0 {
+				j, err := json.Marshal(ev.AnomalyEvent)
+				if err != nil || string(ev.Data) != string(j) {
+					t.Fatalf("event data %s, encoding/json %s (%v)", ev.Data, j, err)
+				}
+				want[i] = ev.Data
+			}
+		}
+	}
+	if len(encodes) != events {
+		t.Fatalf("%d events reached %d subscribers as %d encodings, want %d", events, subscribers, len(encodes), events)
+	}
+	if tail.Dropped.Value() != 1 {
+		t.Fatalf("Dropped = %d after one unencodable flag, want 1", tail.Dropped.Value())
+	}
+
+	for s, sc := range streams {
+		for i := 0; i < events; {
+			if !sc.Scan() {
+				t.Fatalf("stream %d ended at event %d: %v", s, i, sc.Err())
+			}
+			if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+				if data != string(want[i]) {
+					t.Fatalf("stream %d event %d data %s, want %s", s, i, data, want[i])
+				}
+				i++
+			}
+		}
 	}
 }

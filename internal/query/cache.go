@@ -4,17 +4,46 @@ import (
 	"container/list"
 	"slices"
 	"strconv"
+	"sync"
 
+	"repro/internal/telemetry"
 	"repro/internal/tsdb"
 )
 
 // entry is one cached window: the merged (and LTTB-bounded) series,
 // tagged with the metric write version observed before the fill. An entry whose version trails the current watermark
 // is stale and treated as a miss.
+//
+// encoded holds the window's bytes, one slot per Format, each filled by
+// the first reader that asks for it. The slots share the entry's key
+// and version and go with it: a write into the window replaces the
+// entry, and eviction drops it.
 type entry struct {
 	key     string
 	series  []tsdb.Series
 	version uint64
+	encoded [numFormats]encodedSlot
+}
+
+// encodedSlot is one Format's bytes of an entry's series. once makes
+// concurrent first readers wait for one encode instead of each running
+// their own; an encode error is kept like bytes are, since the same
+// series fail the same way every time.
+type encodedSlot struct {
+	once sync.Once
+	body []byte
+	err  error
+}
+
+// encode returns the entry's bytes in format f, running enc on the
+// first call only (counted in encodes).
+func (e *entry) encode(f Format, enc Encoder, encodes *telemetry.Counter) ([]byte, error) {
+	s := &e.encoded[f]
+	s.once.Do(func() {
+		encodes.Inc()
+		s.body, s.err = enc(e.series)
+	})
+	return s.body, s.err
 }
 
 // lru is a plain intrusive LRU over cache entries. It is not
@@ -99,10 +128,12 @@ func (k *keyScratch) key(q *tsdb.Query) []byte {
 
 // flight is one in-progress fetch that concurrent identical queries
 // wait on instead of re-scanning storage (singleflight). degraded marks
-// a stale-cache serve so followers inherit the degraded flag too.
+// a stale-cache serve so followers inherit the degraded flag too, and
+// ent hands them the entry's encoded slots.
 type flight struct {
 	done     chan struct{}
 	series   []tsdb.Series
+	ent      *entry // the entry the result is cached as, or served from
 	err      error
 	degraded bool
 }

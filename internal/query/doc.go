@@ -32,7 +32,10 @@
 //     A store that cannot answer makes the read a miss; with ServeStale
 //     a failing fetch then answers the stale window, marked degraded.
 //     The in-process hit path performs zero heap allocations (pinned in
-//     PINS).
+//     PINS). An entry also keeps its window's encoded bytes, one slot
+//     per Format, filled by the first QueryEncoded reader with the
+//     caller's Encoder and dropped with the entry, so a window is
+//     encoded once per version however often it is read.
 //
 //   - Bounded rendering. Largest-triangle-three-buckets (LTTB)
 //     downsampling caps a series at Query.MaxPoints visually
@@ -43,6 +46,6 @@
 //     count or rank samples (fleet anomaly totals, top-N severity)
 //     leave MaxPoints 0 and stay exact.
 //
-// Returned series are shared with the cache and other callers: treat
-// them as read-only.
+// Returned series and bytes are shared with the cache and other
+// callers: treat them as read-only.
 package query

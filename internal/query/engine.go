@@ -126,6 +126,9 @@ type Engine struct {
 	// DegradedServes counts queries answered from stale cache under
 	// ServeStale while the fresh path was failing.
 	DegradedServes telemetry.Counter
+	// Encodes counts the Encoder calls QueryEncoded made: one per cached
+	// window and format, plus one per uncached read.
+	Encodes telemetry.Counter
 }
 
 // New builds an engine over the store groups, whose TSD addresses are
@@ -154,15 +157,60 @@ func NewFromDeployment(d *tsdb.Deployment, cfg Config) *Engine {
 // scatter-gathering the TSD tier (collapsing concurrent identical
 // fetches). Returned series are shared — treat them as read-only.
 func (e *Engine) QueryContext(ctx context.Context, q tsdb.Query) ([]tsdb.Series, error) {
+	series, _, err := e.serve(ctx, q)
+	return series, err
+}
+
+// Format names one encoded form of a window's series. A cached window
+// keeps one slot of bytes per Format.
+type Format uint8
+
+const (
+	// JSON is the series as one JSON array.
+	JSON Format = iota
+	// NDJSON is the series one JSON object a line.
+	NDJSON
+	numFormats
+)
+
+// Encoder renders a window's series in one Format. Its bytes are kept
+// beside the cached window and served to every later reader of the same
+// version, so it must depend on nothing but the series, and the bytes
+// it returns must not be written afterwards.
+type Encoder func([]tsdb.Series) ([]byte, error)
+
+// QueryEncoded serves q as enc's bytes in format f. A window the cache
+// holds is encoded once per format, by its first reader, and the bytes
+// live and die with the window's entry: a write into the window and an
+// eviction drop them with it, and a degraded serve from a stale entry
+// returns that entry's bytes. A window the cache does not hold is
+// encoded per call. Every call of enc counts in Encodes; the bytes are
+// shared — treat them as read-only.
+func (e *Engine) QueryEncoded(ctx context.Context, q tsdb.Query, f Format, enc Encoder) ([]byte, error) {
+	series, ent, err := e.serve(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	if ent == nil {
+		e.Encodes.Inc()
+		return enc(series)
+	}
+	return ent.encode(f, enc, &e.Encodes)
+}
+
+// serve is QueryContext, plus the cache entry the series are (or, for
+// a fill, now are) held as; nil when the cache does not hold them.
+func (e *Engine) serve(ctx context.Context, q tsdb.Query) ([]tsdb.Series, *entry, error) {
 	e.Queries.Inc()
 	if len(e.stores) == 0 {
-		return nil, ErrNoBackends
+		return nil, nil, ErrNoBackends
 	}
 	if q.End < q.Start {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if e.cache == nil {
-		return e.fetch(ctx, q)
+		series, err := e.fetch(ctx, q)
+		return series, nil, err
 	}
 
 	ver, known := e.version(ctx, &q)
@@ -170,9 +218,8 @@ func (e *Engine) QueryContext(ctx context.Context, q tsdb.Query) ([]tsdb.Series,
 	key := e.key.key(&q)
 	if ent, ok := e.cache.get(key); ok && known && ent.version == ver {
 		e.CacheHits.Inc()
-		series := ent.series
 		e.mu.Unlock()
-		return series, nil
+		return ent.series, ent, nil
 	}
 	e.CacheMisses.Inc()
 	skey := string(key)
@@ -185,9 +232,9 @@ func (e *Engine) QueryContext(ctx context.Context, q tsdb.Query) ([]tsdb.Series,
 				e.DegradedServes.Inc()
 				MarkDegraded(ctx)
 			}
-			return fl.series, fl.err
+			return fl.series, fl.ent, fl.err
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
 	}
 	fl := &flight{done: make(chan struct{})}
@@ -195,14 +242,15 @@ func (e *Engine) QueryContext(ctx context.Context, q tsdb.Query) ([]tsdb.Series,
 	e.mu.Unlock()
 
 	series, err := e.fetch(ctx, q)
+	var ent *entry
 	degraded := false
 	if err != nil && e.cfg.ServeStale && !errors.Is(err, tsdb.ErrNoSuchMetric) {
 		// The fresh path is down (open circuits, dead shards, a dead
 		// store). A stale window — whatever version — beats an error
 		// page; serve it marked so the caller can tell.
 		e.mu.Lock()
-		if ent, ok := e.cache.get([]byte(skey)); ok {
-			series, err, degraded = ent.series, nil, true
+		if stale, ok := e.cache.get([]byte(skey)); ok {
+			ent, series, err, degraded = stale, stale.series, nil, true
 		}
 		e.mu.Unlock()
 		if degraded {
@@ -210,17 +258,18 @@ func (e *Engine) QueryContext(ctx context.Context, q tsdb.Query) ([]tsdb.Series,
 			MarkDegraded(ctx)
 		}
 	}
-	fl.series, fl.err, fl.degraded = series, err, degraded
 	e.mu.Lock()
 	delete(e.flight, skey)
 	if err == nil && !degraded && known {
 		// ver was read before the fetch: a write racing the scan makes
 		// the entry conservatively stale rather than wrongly fresh.
-		e.cache.add(&entry{key: skey, series: series, version: ver})
+		ent = &entry{key: skey, series: series, version: ver}
+		e.cache.add(ent)
 	}
 	e.mu.Unlock()
+	fl.series, fl.ent, fl.err, fl.degraded = series, ent, err, degraded
 	close(fl.done)
-	return series, err
+	return series, ent, err
 }
 
 // version is the write version of q's window across every store: the
