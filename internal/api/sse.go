@@ -31,7 +31,7 @@ import (
 //
 // Each flag is encoded once, as the tail drains it, and every
 // subscriber gets the same bytes: a stream writes them, it does not
-// encode.
+// encode. A flag no stream subscribes to is not encoded at all.
 type AnomalyTail struct {
 	group  bus.GroupHandle
 	cancel context.CancelFunc
@@ -39,23 +39,15 @@ type AnomalyTail struct {
 	once   sync.Once
 
 	mu     sync.Mutex
-	subs   map[int]chan TailEvent
+	subs   map[int]chan []byte
 	nextID int
 	closed bool
 
-	// Events counts flags fanned out; Dropped counts events lost: one
-	// per full subscriber buffer, and one per flag that cannot be
-	// encoded (a NaN score, say), which reaches no subscriber.
+	// Events counts flags drained; Dropped counts events lost: one per
+	// full subscriber buffer, and one per flag that cannot be encoded
+	// (a NaN score, say), which reaches no subscriber.
 	Events  telemetry.Counter
 	Dropped telemetry.Counter
-}
-
-// TailEvent is one flag as the tail fans it out: the event, and Data,
-// its JSON — the SSE data line — encoded once for every subscriber.
-// Data is shared: read-only.
-type TailEvent struct {
-	v1.AnomalyEvent
-	Data []byte
 }
 
 // subscriberBuffer is each stream's event buffer: enough to ride out a
@@ -73,7 +65,7 @@ func NewAnomalyTail(topic bus.TopicHandle, group string) *AnomalyTail {
 	t := &AnomalyTail{
 		group:  g,
 		cancel: cancel,
-		subs:   make(map[int]chan TailEvent),
+		subs:   make(map[int]chan []byte),
 	}
 	c := g.Join()
 	t.wg.Add(1)
@@ -109,30 +101,34 @@ func (t *AnomalyTail) run(ctx context.Context, c bus.ConsumerHandle) {
 }
 
 func (t *AnomalyTail) broadcast(event v1.AnomalyEvent) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.Events.Inc()
+	if len(t.subs) == 0 {
+		return // no stream reads it: no encode
+	}
 	data, err := encodeAnomalyEvent(&event)
 	if err != nil {
 		t.Dropped.Inc()
 		return
 	}
-	ev := TailEvent{AnomalyEvent: event, Data: data}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.Events.Inc()
 	for _, ch := range t.subs {
 		select {
-		case ch <- ev:
+		case ch <- data:
 		default:
 			t.Dropped.Inc()
 		}
 	}
 }
 
-// Subscribe registers a stream. The returned channel closes when the
-// tail closes; call cancel when the stream ends.
-func (t *AnomalyTail) Subscribe() (<-chan TailEvent, func()) {
+// Subscribe registers a stream. Each element is one flag's JSON, the
+// SSE data line, shared by every subscriber: read-only. The returned
+// channel closes when the tail closes; call cancel when the stream
+// ends.
+func (t *AnomalyTail) Subscribe() (<-chan []byte, func()) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ch := make(chan TailEvent, subscriberBuffer)
+	ch := make(chan []byte, subscriberBuffer)
 	if t.closed {
 		close(ch)
 		return ch, func() {}
@@ -219,7 +215,7 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	var frame []byte
 	for {
 		select {
-		case ev, ok := <-events:
+		case data, ok := <-events:
 			if !ok {
 				return // tail closed: server shutting down
 			}
@@ -227,7 +223,7 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 			frame = append(frame[:0], "event: "+v1.EventAnomaly+"\nid: "...)
 			frame = strconv.AppendInt(frame, seq, 10)
 			frame = append(frame, "\ndata: "...)
-			frame = append(frame, ev.Data...)
+			frame = append(frame, data...)
 			frame = append(frame, "\n\n"...)
 			if _, err := w.Write(frame); err != nil {
 				return

@@ -24,6 +24,17 @@ func flagTopic(t *testing.T) (*bus.Broker, *bus.Topic) {
 	return broker, broker.Topic("anomalies")
 }
 
+// tailEvent decodes one tail element, the SSE data line, back into
+// its event.
+func tailEvent(t *testing.T, data []byte) v1.AnomalyEvent {
+	t.Helper()
+	var ev v1.AnomalyEvent
+	if err := json.Unmarshal(data, &ev); err != nil {
+		t.Fatalf("tail data %s: %v", data, err)
+	}
+	return ev
+}
+
 func publishFlag(t *testing.T, topic *bus.Topic, unit, sensor int, ts int64, z float64) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -48,11 +59,11 @@ func TestAnomalyTailFanout(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		publishFlag(t, topic, i, 7, int64(100+i), 4.5)
 	}
-	for name, ch := range map[string]<-chan TailEvent{"a": a, "b": b} {
+	for name, ch := range map[string]<-chan []byte{"a": a, "b": b} {
 		for i := 0; i < 3; i++ {
 			select {
-			case ev := <-ch:
-				if ev.Sensor != 7 || ev.Z != 4.5 {
+			case data := <-ch:
+				if ev := tailEvent(t, data); ev.Sensor != 7 || ev.Z != 4.5 {
 					t.Fatalf("%s event %d = %+v", name, i, ev)
 				}
 			case <-time.After(5 * time.Second):
@@ -73,8 +84,8 @@ func TestAnomalyTailFanout(t *testing.T) {
 	cancelA()
 	publishFlag(t, topic, 9, 1, 200, 3.0)
 	select {
-	case ev := <-b:
-		if ev.Unit != 9 {
+	case data := <-b:
+		if ev := tailEvent(t, data); ev.Unit != 9 {
 			t.Fatalf("b got %+v", ev)
 		}
 	case <-time.After(5 * time.Second):
@@ -99,12 +110,31 @@ func TestAnomalyTailSkipsHistory(t *testing.T) {
 	defer cancel()
 	publishFlag(t, topic, 2, 2, 100, 4.0)
 	select {
-	case ev := <-ch:
-		if ev.Unit != 2 {
+	case data := <-ch:
+		if ev := tailEvent(t, data); ev.Unit != 2 {
 			t.Fatalf("replayed history: %+v", ev)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("live event never arrived")
+	}
+}
+
+// TestAnomalyTailIdleEncodesNothing: a flag no stream subscribes to is
+// counted but not encoded — an unencodable one is not even dropped.
+func TestAnomalyTailIdleEncodesNothing(t *testing.T) {
+	_, topic := flagTopic(t)
+	tail := NewAnomalyTail(bus.LocalTopic{Topic: topic}, "stream")
+	defer tail.Close()
+	publishFlag(t, topic, 1, 1, 100, math.NaN())
+	deadline := time.Now().Add(5 * time.Second)
+	for tail.Events.Value() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("flag never drained")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if tail.Dropped.Value() != 0 {
+		t.Fatalf("Dropped = %d with no subscriber: the flag was encoded", tail.Dropped.Value())
 	}
 }
 
@@ -235,7 +265,7 @@ func TestSSEStreamCap(t *testing.T) {
 func TestTailEncodesEachEventOnce(t *testing.T) {
 	const subscribers, events = 8, 5
 	topic, tail, srv := sseEnv(t, nil)
-	direct := make([]<-chan TailEvent, subscribers)
+	direct := make([]<-chan []byte, subscribers)
 	for i := range direct {
 		ch, cancel := tail.Subscribe()
 		defer cancel()
@@ -267,22 +297,23 @@ func TestTailEncodesEachEventOnce(t *testing.T) {
 	want := make([][]byte, events)
 	for s, ch := range direct {
 		for i := 0; i < events; i++ {
-			var ev TailEvent
+			var data []byte
 			select {
-			case ev = <-ch:
+			case data = <-ch:
 			case <-time.After(5 * time.Second):
 				t.Fatalf("subscriber %d starved at event %d", s, i)
 			}
+			ev := tailEvent(t, data)
 			if ev.Timestamp != int64(100+i) {
-				t.Fatalf("subscriber %d event %d = %+v", s, i, ev.AnomalyEvent)
+				t.Fatalf("subscriber %d event %d = %+v", s, i, ev)
 			}
-			encodes[&ev.Data[0]] = true
+			encodes[&data[0]] = true
 			if s == 0 {
-				j, err := json.Marshal(ev.AnomalyEvent)
-				if err != nil || string(ev.Data) != string(j) {
-					t.Fatalf("event data %s, encoding/json %s (%v)", ev.Data, j, err)
+				j, err := json.Marshal(ev)
+				if err != nil || string(data) != string(j) {
+					t.Fatalf("event data %s, encoding/json %s (%v)", data, j, err)
 				}
-				want[i] = ev.Data
+				want[i] = data
 			}
 		}
 	}
