@@ -108,15 +108,17 @@ bench-json: bench-query
 # the cold scatter-gather path (a wide window, and a narrow one that
 # stays one shard), the cached hot path (whose allocs/op
 # is also pinned by bench-allocs), LTTB bounding, and the compressed
-# storage tier (zero-alloc block scan, compression ratio, rollup-served
-# wide windows), and the hot tier underneath both (a region scan that
+# storage tier (zero-alloc block scan, a window's tail through the seek
+# marks, compression ratio, rollup-served wide windows), a TSD query of
+# a unit and of one series (the tag filter riding the scan), and the hot
+# tier underneath both (a region scan that
 # costs its range, not its region; the in-order put; the heap a cell
 # costs hot — WAL and memstore — and flushed — store-file rows and their
 # HDFS bytes; what reopening a flushed region allocates).
 bench-query:
 	@rm -f bench-query.out
 	$(GO) test -run '^$$' -bench 'BenchmarkQuery' -benchtime $(BENCHTIME) -benchmem ./internal/query/ > bench-query.out
-	$(GO) test -run '^$$' -bench 'BenchmarkCompressedScan|BenchmarkBlockCompress|BenchmarkRollupQuery' -benchtime $(BENCHTIME) -benchmem ./internal/tsdb/ >> bench-query.out
+	$(GO) test -run '^$$' -bench 'BenchmarkCompressedScan|BenchmarkCompressedScanTail|BenchmarkBlockCompress|BenchmarkRollupQuery|BenchmarkTSDQuery' -benchtime $(BENCHTIME) -benchmem ./internal/tsdb/ >> bench-query.out
 	$(GO) test -run '^$$' -bench 'BenchmarkRegionScanNarrow|BenchmarkRegionPutInOrder|BenchmarkHotTierFootprint|BenchmarkMemstoreFlushReopen' -benchtime $(BENCHTIME) -benchmem ./internal/hbase/ >> bench-query.out
 	$(GO) run ./cmd/benchgate -json BENCH_query.json < bench-query.out
 	@rm -f bench-query.out
@@ -243,7 +245,9 @@ conformance:
 # error, never a panic or a neighbour's bytes, and what decodes encodes
 # back to itself. FuzzBlockIter holds the sealed tier's block decoder to
 # the same — a corrupt block errors, never yields more samples than its
-# header counts — and any encoded block to exactly its samples.
+# header counts — and any encoded block to exactly its samples, and,
+# decoded from each of its seek marks, to exactly the samples from the
+# mark's index on.
 # FuzzParseLine holds the telnet line codec to "error, never panic", and
 # any line it accepts to format back to the identical point (value bits,
 # tags, the one interned tag map). FuzzReadEncode is differential like

@@ -133,7 +133,7 @@ func BenchmarkRegionScanNarrow(b *testing.B) {
 	b.ResetTimer()
 	returned := 0
 	for i := 0; i < b.N; i++ {
-		returned += len(r.scan(start, end, 0))
+		returned += len(r.scan(start, end, 0, nil))
 	}
 	if returned != perRow*b.N {
 		b.Fatalf("scan returned %d cells per op, want %d", returned/b.N, perRow)

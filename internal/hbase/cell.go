@@ -20,7 +20,9 @@
 //   - Scans that cost their range: every source — store files, a flush
 //     snapshot in flight, the live memstore — is sought to the start row
 //     by binary search and merged newest-wins to the end row or the
-//     limit. A delete marker lives only while a store file or a flush
+//     limit. A scan's row filter (RowFilter, a query's tag filter on the
+//     key) drops the rows it does not match from each source before the
+//     merge. A delete marker lives only while a store file or a flush
 //     snapshot could still hold an older version of its slot.
 //   - A byte WAL (wal.go): per server, fixed-size chunks holding one
 //     record per put RPC — each cell as its row key and the same packed
@@ -155,6 +157,47 @@ func inRange(key, start, end []byte) bool {
 	}
 	if len(end) > 0 && bytes.Compare(key, end) >= 0 {
 		return false
+	}
+	return true
+}
+
+// RowFilter selects rows by key inside a scan, the way OpenTSDB pushes
+// a query's tag filter into its HBase scan as a row filter. From Offset
+// on, a row key is a run of Width-byte entries in ascending byte order
+// (a TSDB key's tag-UID pairs); Want is entries in the same order, and
+// a row passes when its run holds every one of them. The filter is
+// data, so it travels in a ScanRequest like the range does. A nil
+// *RowFilter keeps every row.
+type RowFilter struct {
+	Offset int
+	Width  int
+	Want   []byte
+}
+
+// Match reports whether the row keyed key passes the filter: one merge
+// walk over the two sorted runs.
+func (f *RowFilter) Match(key []byte) bool {
+	if f == nil || len(f.Want) == 0 {
+		return true
+	}
+	if f.Width <= 0 || f.Offset > len(key) {
+		return false
+	}
+	have := key[f.Offset:]
+	for want := f.Want; len(want) >= f.Width; want = want[f.Width:] {
+		for {
+			if len(have) < f.Width {
+				return false
+			}
+			order := bytes.Compare(have[:f.Width], want[:f.Width])
+			have = have[f.Width:]
+			if order == 0 {
+				break
+			}
+			if order > 0 {
+				return false
+			}
+		}
 	}
 	return true
 }

@@ -216,16 +216,20 @@ func (cl *Client) poke(ctx context.Context) {
 	}
 }
 
-// Scan reads [start, end) with no deadline (see ScanContext).
+// Scan reads every row of [start, end) with no deadline (see
+// ScanContext).
 func (cl *Client) Scan(start, end []byte, limit int) ([]Cell, error) {
-	return cl.ScanContext(context.Background(), start, end, limit)
+	return cl.ScanContext(context.Background(), start, end, limit, nil)
 }
 
 // ScanContext returns all cells in [start, end) across regions, sorted
-// by (Row, Qual). limit <= 0 means unlimited; with a limit, the scan
-// walks regions in order and stops once enough cells are gathered.
-// Unlimited scans are pipelined across the overlapping regions.
-func (cl *Client) ScanContext(ctx context.Context, start, end []byte, limit int) ([]Cell, error) {
+// by (Row, Qual), of the rows keep matches (nil keeps every row): each
+// region server drops the other rows before it merges, so they cost the
+// scan nothing past their keys. limit <= 0 means unlimited; with a
+// limit, the scan walks regions in order and stops once enough kept
+// cells are gathered. Unlimited scans are pipelined across the
+// overlapping regions.
+func (cl *Client) ScanContext(ctx context.Context, start, end []byte, limit int, keep *RowFilter) ([]Cell, error) {
 	var lastErr error
 	for attempt := 0; attempt <= cl.cfg.MaxRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -258,9 +262,9 @@ func (cl *Client) ScanContext(ctx context.Context, start, end []byte, limit int)
 		var out []Cell
 		var scanErr error
 		if limit > 0 {
-			out, scanErr = cl.scanSerial(ctx, overlapping, start, end, limit)
+			out, scanErr = cl.scanSerial(ctx, overlapping, start, end, limit, keep)
 		} else {
-			out, scanErr = cl.scanPipelined(ctx, overlapping, start, end)
+			out, scanErr = cl.scanPipelined(ctx, overlapping, start, end, keep)
 		}
 		if scanErr != nil {
 			if errors.Is(scanErr, context.Canceled) || errors.Is(scanErr, context.DeadlineExceeded) {
@@ -281,10 +285,10 @@ func (cl *Client) ScanContext(ctx context.Context, start, end []byte, limit int)
 
 // scanSerial walks regions one at a time so a satisfied limit skips
 // the remaining regions entirely.
-func (cl *Client) scanSerial(ctx context.Context, regions []RegionInfo, start, end []byte, limit int) ([]Cell, error) {
+func (cl *Client) scanSerial(ctx context.Context, regions []RegionInfo, start, end []byte, limit int, keep *RowFilter) ([]Cell, error) {
 	var out []Cell
 	for _, ri := range regions {
-		resp, err := cl.clu.net.Call(ctx, rsAddr(ri.Server), "scan", &ScanRequest{Region: ri.ID, Start: start, End: end, Limit: limit})
+		resp, err := cl.clu.net.Call(ctx, rsAddr(ri.Server), "scan", &ScanRequest{Region: ri.ID, Start: start, End: end, Limit: limit, Filter: keep})
 		if err != nil {
 			return nil, err
 		}
@@ -298,10 +302,10 @@ func (cl *Client) scanSerial(ctx context.Context, regions []RegionInfo, start, e
 
 // scanPipelined issues every region scan concurrently and concatenates
 // the results in region order.
-func (cl *Client) scanPipelined(ctx context.Context, regions []RegionInfo, start, end []byte) ([]Cell, error) {
+func (cl *Client) scanPipelined(ctx context.Context, regions []RegionInfo, start, end []byte, keep *RowFilter) ([]Cell, error) {
 	futs := make([]*rpc.Future, len(regions))
 	for i, ri := range regions {
-		futs[i] = cl.clu.net.Go(ctx, rsAddr(ri.Server), "scan", &ScanRequest{Region: ri.ID, Start: start, End: end})
+		futs[i] = cl.clu.net.Go(ctx, rsAddr(ri.Server), "scan", &ScanRequest{Region: ri.ID, Start: start, End: end, Filter: keep})
 	}
 	var out []Cell
 	var firstErr error

@@ -46,7 +46,7 @@ func TestTombstoneShadowsFlushedData(t *testing.T) {
 	tomb := cell("k", "q", "")
 	tomb.Tomb = true
 	r.put([]Cell{tomb}, 2)
-	if got := r.scan(nil, nil, 0); len(got) != 0 {
+	if got := r.scan(nil, nil, 0, nil); len(got) != 0 {
 		t.Fatalf("tombstone did not shadow flushed cell: %v", got)
 	}
 	// Flush the tombstone too, then compact: the marker is reclaimed.
@@ -56,7 +56,7 @@ func TestTombstoneShadowsFlushedData(t *testing.T) {
 	if _, err := r.compact(dfs); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.scan(nil, nil, 0); len(got) != 0 {
+	if got := r.scan(nil, nil, 0, nil); len(got) != 0 {
 		t.Fatalf("post-compaction scan = %v, want empty", got)
 	}
 	if len(r.files) != 1 || fileCells(r) != 0 {

@@ -73,7 +73,7 @@ func FuzzStoreFile(f *testing.F) {
 		}
 		r := newRegion(RegionInfo{ID: 1})
 		r.files = []storeFile{{rows: rows}}
-		if got := r.scan(nil, nil, 0); len(got) > len(cells) || leaked(data, got) {
+		if got := r.scan(nil, nil, 0, nil); len(got) > len(cells) || leaked(data, got) {
 			t.Fatalf("scan = %q, file holds %q", render(got), render(cells))
 		}
 	})

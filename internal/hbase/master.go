@@ -410,7 +410,7 @@ func (m *Master) Split(regionID int, splitKey []byte) error {
 // store file.
 func (m *Master) seedRegion(ri *RegionInfo, parent *region) error {
 	r := newRegion(*ri)
-	r.put(parent.scan(ri.Start, ri.End, 0), 1)
+	r.put(parent.scan(ri.Start, ri.End, 0, nil), 1)
 	_, err := r.flush(m.clu.dfs) // nothing to flush writes nothing
 	return err
 }

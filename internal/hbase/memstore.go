@@ -259,8 +259,9 @@ func (m *memstore) absorb(newer *memstore) {
 }
 
 // runOf returns a cursor over those of rows (sorted by key) that lie in
-// [start, end); an empty start or end is unbounded.
-func runOf(rows []*memRow, start, end []byte) run {
+// [start, end) and that keep matches; an empty start or end is
+// unbounded, a nil keep keeps every row.
+func runOf(rows []*memRow, start, end []byte, keep *RowFilter) run {
 	seek := func(k []byte) int {
 		return sort.Search(len(rows), func(i int) bool { return bytes.Compare(rows[i].key, k) >= 0 })
 	}
@@ -270,27 +271,33 @@ func runOf(rows []*memRow, start, end []byte) run {
 	if len(start) > 0 {
 		rows = rows[seek(start):]
 	}
-	return run{rows: rows}
+	return run{rows: rows, keep: keep}
 }
 
 // run is a cursor over one sorted source of a merge — the rows of a
 // store file, a flush snapshot or the live memstore: row is the current
-// row, offs what is left of it and rows what follows it.
+// row, offs what is left of it and rows what follows it. Rows keep does
+// not match are stepped past whole, before the merge sees a cell of
+// them: every version of a slot shares its row key, so dropping a row
+// from each source is dropping it from the merged view.
 type run struct {
 	rows []*memRow
 	row  *memRow
 	offs []uint32
+	keep *RowFilter
 }
 
 // more reports whether the cursor is on a cell, moving on to the next
-// row when it has finished one.
+// kept row when it has finished one.
 func (u *run) more() bool {
 	for len(u.offs) == 0 {
 		if len(u.rows) == 0 {
 			return false
 		}
 		u.row, u.rows = u.rows[0], u.rows[1:]
-		u.offs = u.row.offs
+		if u.keep.Match(u.row.key) {
+			u.offs = u.row.offs
+		}
 	}
 	return true
 }
@@ -310,11 +317,13 @@ func (u *run) read(dst *Cell) { u.row.decode(u.offs[0], dst) }
 // next steps past the cell at the cursor.
 func (u *run) next() { u.offs = u.offs[1:] }
 
-// remaining counts the cells from the cursor to the end.
+// remaining counts the cells of kept rows from the cursor to the end.
 func (u *run) remaining() int {
 	n := len(u.offs)
 	for _, row := range u.rows {
-		n += len(row.offs)
+		if u.keep.Match(row.key) {
+			n += len(row.offs)
+		}
 	}
 	return n
 }

@@ -87,7 +87,7 @@ func TestFlushKeepsConcurrentWrites(t *testing.T) {
 			}
 		}
 	}
-	check("after flushes", r.scan(nil, nil, 0))
+	check("after flushes", r.scan(nil, nil, 0, nil))
 	if r.snap != nil {
 		t.Fatal("flush snapshot still registered with no flush in flight")
 	}
@@ -98,7 +98,7 @@ func TestFlushKeepsConcurrentWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("reopened", r2.scan(nil, nil, 0))
+	check("reopened", r2.scan(nil, nil, 0, nil))
 }
 
 // TestFailedFlushFoldsSnapshotBack walks a flush whose HDFS write
@@ -117,11 +117,11 @@ func TestFailedFlushFoldsSnapshotBack(t *testing.T) {
 	tomb.Tomb = true
 	r.put([]Cell{cell("a", "1", "later"), tomb, cell("c", "1", "later")}, 2)
 	want := "a/1=later b/1=snap c/1=later"
-	if got := render(r.scan(nil, nil, 0)); got != want {
+	if got := render(r.scan(nil, nil, 0, nil)); got != want {
 		t.Fatalf("scan during flush = %q, want %q", got, want)
 	}
 	r.restore(snap)
-	if got := render(r.scan(nil, nil, 0)); got != want || r.snap != nil {
+	if got := render(r.scan(nil, nil, 0, nil)); got != want || r.snap != nil {
 		t.Fatalf("scan after abandoned flush = %q (snapshot still set: %v), want %q", got, r.snap != nil, want)
 	}
 	setDataNodes(t, dfs, false)
@@ -129,7 +129,7 @@ func TestFailedFlushFoldsSnapshotBack(t *testing.T) {
 		t.Fatalf("flush with no datanodes = %v", err)
 	}
 	setDataNodes(t, dfs, true)
-	if got := render(r.scan(nil, nil, 0)); got != want {
+	if got := render(r.scan(nil, nil, 0, nil)); got != want {
 		t.Fatalf("scan after failed flush = %q, want %q", got, want)
 	}
 	if seq, err := r.flush(dfs); err != nil || seq != 2 {
@@ -139,7 +139,7 @@ func TestFailedFlushFoldsSnapshotBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := render(r2.scan(nil, nil, 0)); got != want {
+	if got := render(r2.scan(nil, nil, 0, nil)); got != want {
 		t.Fatalf("reopened = %q, want %q", got, want)
 	}
 }
@@ -377,7 +377,7 @@ func runRegionModel(t *testing.T, sched modelSchedule, seed int64, steps int) {
 			if rng.Intn(3) == 0 {
 				limit = 1 + rng.Intn(6)
 			}
-			cells := r.scan([]byte(start), []byte(end), limit)
+			cells := r.scan([]byte(start), []byte(end), limit, nil)
 			got := render(cells)
 			if want := render(modelScan(ref, start, end, limit)); got != want {
 				fail(step, "scan(%q, %q, %d)\n got %q\nwant %q", start, end, limit, got, want)

@@ -133,13 +133,15 @@ func (r *region) fileSize() (n int) {
 	return n
 }
 
-// scan returns the merged view of [start, end): memstore shadows the
-// flush snapshot, which shadows store files, newer files shadow older
-// ones. Every source is sorted, so the scan seeks each to start and
-// walks to end (or limit): its cost is the cells in range, not the
-// cells in the region. Cells are sorted by (Row, Qual) and alias
-// immutable store bytes. limit <= 0 means unlimited.
-func (r *region) scan(start, end []byte, limit int) []Cell {
+// scan returns the merged view of [start, end), restricted to the rows
+// keep matches (nil keeps every row): memstore shadows the flush
+// snapshot, which shadows store files, newer files shadow older ones.
+// Every source is sorted, so the scan seeks each to start and walks to
+// end (or limit), stepping past the rows keep drops: its cost is the
+// kept cells in range, not the cells in the region. Cells are sorted by
+// (Row, Qual) and alias immutable store bytes. limit <= 0 means
+// unlimited; only kept cells count toward it.
+func (r *region) scan(start, end []byte, limit int, keep *RowFilter) []Cell {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	// The usual region has a store file or two: its cursors fit on the
@@ -147,12 +149,12 @@ func (r *region) scan(start, end []byte, limit int) []Cell {
 	var few [4]run
 	runs := few[:0]
 	for _, sf := range r.files {
-		runs = append(runs, runOf(sf.rows, start, end))
+		runs = append(runs, runOf(sf.rows, start, end, keep))
 	}
 	if r.snap != nil {
-		runs = append(runs, runOf(r.snap.rows, start, end))
+		runs = append(runs, runOf(r.snap.rows, start, end, keep))
 	}
-	runs = append(runs, runOf(r.mem.rows, start, end))
+	runs = append(runs, runOf(r.mem.rows, start, end, keep))
 	out, walked := mergeRuns(runs, limit)
 	r.walked.Add(int64(walked))
 	return out

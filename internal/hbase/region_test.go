@@ -153,7 +153,7 @@ func TestRegionPutScanShadowing(t *testing.T) {
 	r := newRegion(RegionInfo{ID: 1})
 	r.put([]Cell{cell("r1", "q1", "old")}, 1)
 	r.put([]Cell{cell("r1", "q1", "new"), cell("r2", "q1", "x")}, 2)
-	got := r.scan(nil, nil, 0)
+	got := r.scan(nil, nil, 0, nil)
 	if len(got) != 2 {
 		t.Fatalf("scan = %d cells, want 2", len(got))
 	}
@@ -161,12 +161,12 @@ func TestRegionPutScanShadowing(t *testing.T) {
 		t.Fatal("memstore must keep the newest version")
 	}
 	// Range scan.
-	got = r.scan([]byte("r2"), nil, 0)
+	got = r.scan([]byte("r2"), nil, 0, nil)
 	if len(got) != 1 || string(got[0].Row) != "r2" {
 		t.Fatalf("range scan wrong: %v", got)
 	}
 	// Limit.
-	got = r.scan(nil, nil, 1)
+	got = r.scan(nil, nil, 1, nil)
 	if len(got) != 1 {
 		t.Fatal("limit ignored")
 	}
@@ -187,7 +187,7 @@ func TestRegionFlushAndReopen(t *testing.T) {
 		t.Fatal("flush must clear the memstore")
 	}
 	// Scan still sees flushed data.
-	if got := r.scan(nil, nil, 0); len(got) != 2 {
+	if got := r.scan(nil, nil, 0, nil); len(got) != 2 {
 		t.Fatalf("scan after flush = %d cells", len(got))
 	}
 	// Reopen from HDFS (what a failover assignment does).
@@ -198,7 +198,7 @@ func TestRegionFlushAndReopen(t *testing.T) {
 	if flushedSeq != 5 {
 		t.Fatalf("reopened flushedSeq = %d", flushedSeq)
 	}
-	got := r2.scan(nil, nil, 0)
+	got := r2.scan(nil, nil, 0, nil)
 	if len(got) != 2 || string(got[0].Value) != "v1" {
 		t.Fatalf("reopened scan = %v", got)
 	}
@@ -224,7 +224,7 @@ func TestRegionMultipleFlushesNewestWins(t *testing.T) {
 	if _, err := r.flush(dfs); err != nil {
 		t.Fatal(err)
 	}
-	got := r.scan(nil, nil, 0)
+	got := r.scan(nil, nil, 0, nil)
 	if len(got) != 1 || string(got[0].Value) != "v2" {
 		t.Fatalf("scan = %v, want newest", got)
 	}
@@ -233,7 +233,7 @@ func TestRegionMultipleFlushesNewestWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = r2.scan(nil, nil, 0)
+	got = r2.scan(nil, nil, 0, nil)
 	if len(got) != 1 || string(got[0].Value) != "v2" {
 		t.Fatalf("reopened scan = %v", got)
 	}
@@ -258,12 +258,12 @@ func TestRegionCompaction(t *testing.T) {
 	if n != 4 || len(r.files) != 1 {
 		t.Fatalf("compacted %d files into %d", n, len(r.files))
 	}
-	got := r.scan([]byte("k"), []byte("k\x00"), 0) // just row "k"
+	got := r.scan([]byte("k"), []byte("k\x00"), 0, nil) // just row "k"
 	if len(got) != 1 || string(got[0].Value) != "v3" {
 		t.Fatalf("post-compaction scan = %v", got)
 	}
 	// All rows intact.
-	if got := r.scan(nil, nil, 0); len(got) != 5 {
+	if got := r.scan(nil, nil, 0, nil); len(got) != 5 {
 		t.Fatalf("post-compaction total = %d, want 5", len(got))
 	}
 	// Old files removed from HDFS (1 data file + marker remain).
@@ -280,7 +280,7 @@ func TestRegionCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r2.scan(nil, nil, 0); len(got) != 5 {
+	if got := r2.scan(nil, nil, 0, nil); len(got) != 5 {
 		t.Fatalf("reopen after compaction = %d cells", len(got))
 	}
 }

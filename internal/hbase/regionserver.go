@@ -27,11 +27,13 @@ type (
 		Region int
 		Cells  []Cell
 	}
-	// ScanRequest reads a key range from one region.
+	// ScanRequest reads a key range from one region, keeping only the
+	// rows Filter matches when it is set.
 	ScanRequest struct {
 		Region     int
 		Start, End []byte
 		Limit      int
+		Filter     *RowFilter
 	}
 	// ScanResponse carries the matching cells.
 	ScanResponse struct {
@@ -228,7 +230,7 @@ func (rs *RegionServer) handleScan(req *ScanRequest) (*ScanResponse, error) {
 		return nil, err
 	}
 	rs.Scans.Inc()
-	return &ScanResponse{Cells: r.scan(req.Start, req.End, req.Limit)}, nil
+	return &ScanResponse{Cells: r.scan(req.Start, req.End, req.Limit, req.Filter)}, nil
 }
 
 func (rs *RegionServer) handleOpen(req *OpenRequest) error {

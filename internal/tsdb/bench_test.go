@@ -78,6 +78,10 @@ func BenchmarkTSDPut(b *testing.B) {
 	b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "samples/s")
 }
 
+// BenchmarkTSDQuery reads 300 s of the hot tier of a metric holding 20
+// series of one unit: /unit all of them, /series one. The tag filter
+// rides the scan, so /series costs its one series' rows, not the
+// metric's.
 func BenchmarkTSDQuery(b *testing.B) {
 	d := benchDeployment(b, 3)
 	tsd := d.TSDs()[0]
@@ -90,18 +94,29 @@ func BenchmarkTSDQuery(b *testing.B) {
 	if err := tsd.Put(pts); err != nil {
 		b.Fatal(err)
 	}
-	q := Query{Metric: MetricEnergy, Tags: map[string]string{"unit": "1"}, Start: 0, End: 299}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		series, err := tsd.Query(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(series) != 20 {
-			b.Fatalf("series = %d", len(series))
-		}
+	for _, c := range []struct {
+		name   string
+		tags   map[string]string
+		series int
+	}{
+		{"unit", map[string]string{"unit": "1"}, 20},
+		{"series", EnergyTags(1, 7), 1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			q := Query{Metric: MetricEnergy, Tags: c.tags, Start: 0, End: 299}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				series, err := tsd.Query(q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(series) != c.series {
+					b.Fatalf("series = %d, want %d", len(series), c.series)
+				}
+			}
+			b.ReportMetric(float64(300*c.series*b.N)/b.Elapsed().Seconds(), "samples-read/s")
+		})
 	}
-	b.ReportMetric(float64(len(pts)*b.N)/b.Elapsed().Seconds(), "samples-read/s")
 }
 
 // BenchmarkCompressedScan decodes one sealed hour through the
@@ -133,6 +148,34 @@ func BenchmarkCompressedScan(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(samples)*b.N)/b.Elapsed().Seconds(), "samples/s")
+}
+
+// BenchmarkCompressedScanTail reads the last 300 s of one sealed hour
+// the way a drill-down reads a sealed block: seek to the last mark
+// before the window, decode to its end. The BenchmarkCompressedScan
+// prefix pins it at 0 allocs/op in PINS; samples/s counts the samples
+// the window returns.
+func BenchmarkCompressedScanTail(b *testing.B) {
+	const window = 300
+	samples := make([]Sample, RowSeconds)
+	v := 500.0
+	r := rng(3)
+	for i := range samples {
+		v += r.norm()
+		samples[i] = Sample{Timestamp: int64(i), Value: QuantizeValue(v, 4)}
+	}
+	data, marks := encodeBlockMarked(samples)
+	dst := make([]Sample, 0, window)
+	var err error
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst, err = decodeWindow(dst[:0], data, marks, RowSeconds-window, RowSeconds-1)
+		if err != nil || len(dst) != window {
+			b.Fatalf("decoded %d samples, err %v", len(dst), err)
+		}
+	}
+	b.ReportMetric(float64(window*b.N)/b.Elapsed().Seconds(), "samples/s")
 }
 
 // BenchmarkBlockCompress seals one sensor-shaped hour and reports the

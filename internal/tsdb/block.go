@@ -1,11 +1,13 @@
 package tsdb
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // The sealed-block codec: Gorilla-style (Pelkonen et al., VLDB 2015)
@@ -37,6 +39,16 @@ import (
 // Decoding is allocation-free: a BlockIter walks the byte string in
 // place, so a warmed scan costs 0 allocs/op (pinned in PINS via
 // BenchmarkCompressedScan).
+//
+// Seek marks live beside the block, not in it: while it encodes,
+// BlockBuilder records the decoder's state before every
+// blockMarkEvery-th sample (its index and bit offset, the previous
+// timestamp, delta and value bits, and the open XOR window), and the
+// sealed tier keeps those marks in memory next to the payload. A
+// BlockIter seeks to a mark and decodes on from there, so a read of a
+// short window of a sorted block decodes at most blockMarkEvery samples
+// before the window and none after it. The block bytes, and the spill
+// files written from them, are the same with or without marks.
 
 // ErrBadBlock reports a corrupt or truncated sealed block.
 var ErrBadBlock = errors.New("tsdb: bad sealed block")
@@ -88,6 +100,21 @@ func (w *bitWriter) writeUvarint(v uint64) {
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
+// blockMarkEvery is how many samples apart a block's seek marks sit.
+const blockMarkEvery = 128
+
+// blockMark is the decoder's state before sample idx of a block: where
+// that sample's bits begin in the stream after the count header, and
+// the timestamp, delta, value bits and XOR window the sample before it
+// left behind.
+type blockMark struct {
+	idx       int32
+	bit       uint32
+	ts, delta int64
+	val       uint64
+	lead, sig uint8
+}
+
 // BlockBuilder encodes one series' samples into a sealed block.
 // Samples are encoded in append order; the seal path sorts and
 // deduplicates first, but the codec itself round-trips any order.
@@ -100,14 +127,16 @@ type BlockBuilder struct {
 	// prevLead/prevSig frame the current XOR window; sig == 0 means no
 	// window is open yet.
 	prevLead, prevSig uint
+	marks             []blockMark
 }
 
-// Reset clears the builder for reuse, keeping the buffer.
+// Reset clears the builder for reuse, keeping the buffers.
 func (b *BlockBuilder) Reset() {
 	b.w.buf = b.w.buf[:0]
 	b.w.free = 0
 	b.count = 0
 	b.prevLead, b.prevSig = 0, 0
+	b.marks = b.marks[:0]
 }
 
 // Count returns the number of samples appended so far.
@@ -122,6 +151,13 @@ func (b *BlockBuilder) Append(ts int64, v float64) {
 		b.prevTS, b.prevDelta, b.prevVal = ts, 0, bitsV
 		b.count++
 		return
+	}
+	if b.count%blockMarkEvery == 0 && len(b.w.buf) < 1<<28 { // the bit offset fits a uint32
+		b.marks = append(b.marks, blockMark{
+			idx: int32(b.count), bit: uint32(8*len(b.w.buf)) - uint32(b.w.free),
+			ts: b.prevTS, delta: b.prevDelta, val: b.prevVal,
+			lead: uint8(b.prevLead), sig: uint8(b.prevSig),
+		})
 	}
 	delta := ts - b.prevTS
 	dod := delta - b.prevDelta
@@ -184,11 +220,21 @@ func (b *BlockBuilder) Finish() []byte {
 
 // EncodeBlock seals samples into one compressed block.
 func EncodeBlock(samples []Sample) []byte {
+	data, _ := encodeBlockMarked(samples)
+	return data
+}
+
+// encodeBlockMarked seals samples into one compressed block and returns
+// the block's seek marks with it.
+func encodeBlockMarked(samples []Sample) ([]byte, []blockMark) {
 	var b BlockBuilder
+	if len(samples) > 1 {
+		b.marks = make([]blockMark, 0, (len(samples)-1)/blockMarkEvery)
+	}
 	for _, s := range samples {
 		b.Append(s.Timestamp, s.Value)
 	}
-	return b.Finish()
+	return b.Finish(), b.marks
 }
 
 func putUvarint(buf []byte, v uint64) int {
@@ -350,6 +396,22 @@ func (it *BlockIter) Next() bool {
 	return !it.r.err
 }
 
+// seek moves an iterator that Reset just armed on the block m was
+// recorded for to the state m holds: the next Next yields sample m.idx.
+// A mark that does not fit the block leaves the iterator in error.
+func (it *BlockIter) seek(m blockMark) {
+	pos := int(m.bit / 8)
+	if it.r.err || it.started || m.idx < 1 || int(m.idx) > it.remaining || pos > len(it.r.buf) {
+		it.r.err = true
+		return
+	}
+	it.r.pos, it.r.off = pos, uint(m.bit%8)
+	it.remaining -= int(m.idx)
+	it.ts, it.delta, it.val = m.ts, m.delta, m.val
+	it.lead, it.sig = uint(m.lead), uint(m.sig)
+	it.started = true
+}
+
 // At returns the current sample. Valid only after a true Next.
 func (it *BlockIter) At() (ts int64, v float64) {
 	return it.ts, math.Float64frombits(it.val)
@@ -376,6 +438,30 @@ func DecodeBlock(dst []Sample, block []byte) ([]Sample, error) {
 		return dst, fmt.Errorf("%w: %d bytes", err, len(block))
 	}
 	return dst, nil
+}
+
+// decodeWindow appends to dst the samples of a block sorted by
+// timestamp that fall in [start, end], given the block's seek marks: it
+// seeks to the last mark whose preceding sample is older than start and
+// stops at the first sample past end. Like a BlockIter it allocates
+// nothing beyond dst's growth.
+func decodeWindow(dst []Sample, block []byte, marks []blockMark, start, end int64) ([]Sample, error) {
+	var it BlockIter
+	it.Reset(block)
+	if i, _ := slices.BinarySearchFunc(marks, start, func(m blockMark, ts int64) int { return cmp.Compare(m.ts, ts) }); i > 0 {
+		it.seek(marks[i-1])
+	}
+	for it.Next() {
+		ts, v := it.At()
+		if ts < start {
+			continue
+		}
+		if ts > end {
+			break
+		}
+		dst = append(dst, Sample{Timestamp: ts, Value: v})
+	}
+	return dst, it.Err()
 }
 
 // QuantizeValue rounds v to the nearest multiple of 1/2^fracBits — the

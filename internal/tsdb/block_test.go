@@ -1,6 +1,9 @@
 package tsdb
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 )
@@ -153,5 +156,196 @@ func TestQuantizeValue(t *testing.T) {
 	}
 	if !math.IsInf(QuantizeValue(math.Inf(-1), 4), -1) {
 		t.Fatal("-Inf must pass through quantization")
+	}
+}
+
+// sortedSamples draws n samples with strictly increasing timestamps
+// whose steps reach every delta-of-delta class — the 1 Hz zero, the
+// 7-, 9- and 12-bit classes and the 64-bit escape — and whose values mix
+// a quantized walk, repeats, level jumps, ±Inf and NaNs with payloads.
+func sortedSamples(r *rng, n int) []Sample {
+	out := make([]Sample, 0, n)
+	ts := int64(r.next()%1e6) - 5e5
+	v := 100 * r.norm()
+	for i := 0; i < n; i++ {
+		switch r.next() % 12 {
+		case 0:
+			v = math.Float64frombits(0x7FF8000000000000 | r.next()&0xFFFFFFFFFFFF) // NaN payload
+		case 1:
+			v = math.Inf(1 - 2*int(r.next()%2))
+		case 2:
+			v = 1e6 * (r.float() - 0.5)
+		case 3: // a repeat: the '0' value code
+		default:
+			v = QuantizeValue(500+100*r.norm(), 4)
+		}
+		out = append(out, Sample{Timestamp: ts, Value: v})
+		switch r.next() % 10 {
+		case 0:
+			ts += int64(r.next()%60) + 2
+		case 1:
+			ts += int64(r.next()%250) + 60
+		case 2:
+			ts += int64(r.next()%2000) + 250
+		case 3:
+			ts += int64(r.next()%1e7) + 3000
+		default:
+			ts++
+		}
+	}
+	return out
+}
+
+// TestBlockSeekWindowMatchesFullDecode holds the sealed tier's window
+// read — seek to the last mark before the window, stop past its end —
+// to a full decode filtered to the window, bit for bit, over seeded
+// random sorted blocks and windows: inside, across and outside the
+// block, and edges on mark boundaries.
+func TestBlockSeekWindowMatchesFullDecode(t *testing.T) {
+	r := rng(38)
+	for trial := 0; trial < 300; trial++ {
+		n := int(r.next() % 1500)
+		samples := sortedSamples(&r, n)
+		data, marks := encodeBlockMarked(samples)
+		if want := max(n-1, 0) / blockMarkEvery; len(marks) != want {
+			t.Fatalf("trial %d: %d samples gave %d marks, want %d", trial, n, len(marks), want)
+		}
+		full, err := DecodeBlock(nil, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			if got, err := decodeWindow(nil, data, marks, -1e9, 1e9); err != nil || len(got) != 0 {
+				t.Fatalf("empty block: window read %d samples, err %v", len(got), err)
+			}
+			continue
+		}
+		lo, hi := samples[0].Timestamp, samples[n-1].Timestamp
+		pick := func() int64 {
+			switch r.next() % 4 {
+			case 0: // a mark's own sample or the one before it
+				if len(marks) > 0 {
+					m := marks[r.next()%uint64(len(marks))]
+					return samples[int(m.idx)-int(r.next()%2)].Timestamp
+				}
+			case 1: // any sample's timestamp
+				return samples[r.next()%uint64(n)].Timestamp
+			}
+			return lo - 10 + int64(r.next()%uint64(hi-lo+21))
+		}
+		for w := 0; w < 20; w++ {
+			start, end := pick(), pick()
+			if start > end {
+				start, end = end, start
+			}
+			got, err := decodeWindow(nil, data, marks, start, end)
+			if err != nil {
+				t.Fatalf("trial %d window [%d, %d]: %v", trial, start, end, err)
+			}
+			var want []Sample
+			for _, s := range full {
+				if s.Timestamp >= start && s.Timestamp <= end {
+					want = append(want, s)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("trial %d window [%d, %d]: %d samples, want %d", trial, start, end, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Timestamp != want[i].Timestamp || math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
+					t.Fatalf("trial %d window [%d, %d] sample %d: %+v, want %+v", trial, start, end, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestBlockMarksLeaveBytesAlone: recording marks changes nothing in the
+// block format — seeded blocks hash to the bytes the codec wrote before
+// it kept marks, so sealed payloads and spill files stay readable both
+// ways — and the marks sit every blockMarkEvery samples, each holding
+// the timestamp of the sample before it.
+func TestBlockMarksLeaveBytesAlone(t *testing.T) {
+	const want = "c10426e876ebb74ae273c3e3ad640471f1cb21ee794a79536c360de6b655b5e5"
+	r := rng(11)
+	h := sha256.New()
+	for trial := 0; trial < 20; trial++ {
+		samples := sortedSamples(&r, int(r.next()%1000)+1)
+		data, marks := encodeBlockMarked(samples)
+		h.Write(data)
+		if len(marks) != (len(samples)-1)/blockMarkEvery {
+			t.Fatalf("trial %d: %d marks for %d samples", trial, len(marks), len(samples))
+		}
+		for i, m := range marks {
+			if int(m.idx) != (i+1)*blockMarkEvery || m.ts != samples[m.idx-1].Timestamp {
+				t.Fatalf("trial %d mark %d = %+v", trial, i, m)
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("block bytes hash %s, want %s: the sealed format changed", got, want)
+	}
+}
+
+// TestBlockSeekRejectsForeignMark: a mark that cannot belong to the
+// block — past its sample count or its bytes — leaves the iterator in
+// error instead of decoding garbage.
+func TestBlockSeekRejectsForeignMark(t *testing.T) {
+	r := rng(5)
+	data, marks := encodeBlockMarked(sortedSamples(&r, 300))
+	short := EncodeBlock(sortedSamples(&r, 100))
+	for _, m := range []blockMark{marks[1], {idx: 0}, {idx: 1, bit: 1 << 30}} {
+		var it BlockIter
+		it.Reset(short)
+		it.seek(m)
+		if it.Next() || it.Err() == nil {
+			t.Fatalf("seek to %+v on a 100-sample block did not fail", m)
+		}
+	}
+	var it BlockIter
+	it.Reset(data)
+	it.seek(marks[0])
+	n := 0
+	for it.Next() {
+		n++
+	}
+	if it.Err() != nil || n != 300-blockMarkEvery {
+		t.Fatalf("from the first mark: %d samples, err %v", n, it.Err())
+	}
+}
+
+// TestBlockWindowReadsOnlyItsBytes: a window read touches the block's
+// bytes from the last mark before the window to the window's end and no
+// others. With every byte before that mark clobbered and the block cut
+// at the mark after the window, it still returns the window exactly; a
+// read from the block's start, or one that does not stop at the
+// window's end, would decode garbage or run off the cut.
+func TestBlockWindowReadsOnlyItsBytes(t *testing.T) {
+	r := rng(9)
+	samples := make([]Sample, RowSeconds)
+	v := 500.0
+	for i := range samples {
+		v += r.norm()
+		samples[i] = Sample{Timestamp: int64(i), Value: QuantizeValue(v, 4)}
+	}
+	data, marks := encodeBlockMarked(samples)
+	const start, end = 2000, 2100
+	from, to := marks[start/blockMarkEvery-1], marks[end/blockMarkEvery] // idx 1920 and 2176
+	n := len(binary.AppendUvarint(nil, uint64(len(samples))))            // the count header
+	block := append([]byte(nil), data[:n+int(to.bit/8)+1]...)
+	for i := n; i < n+int(from.bit/8); i++ {
+		block[i] = 0xFF
+	}
+	got, err := decodeWindow(nil, block, marks, start, end)
+	if err != nil || len(got) != end-start+1 {
+		t.Fatalf("window read of the clobbered block: %d samples, err %v", len(got), err)
+	}
+	for i, s := range got {
+		if w := samples[start+i]; s != w {
+			t.Fatalf("sample %d = %+v, want %+v", i, s, w)
+		}
+	}
+	if full, err := DecodeBlock(nil, block); err == nil && len(full) == len(samples) {
+		t.Fatal("the clobbered block still decodes from its start: the test proves nothing")
 	}
 }

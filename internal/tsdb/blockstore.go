@@ -58,16 +58,19 @@ func (b *RollupBucket) merge(o RollupBucket) {
 	}
 }
 
-// sealedBlock is one compressed, immutable run of a series. Data is
-// resident until the spill pass writes it to the HDFS tier and drops
-// the payload; a query that still needs the raw samples then reads the
-// file back lazily.
+// sealedBlock is one compressed, immutable run of a series, sorted by
+// timestamp. Data is resident until the spill pass writes it to the
+// HDFS tier and drops the payload; a query that still needs the raw
+// samples then reads the file back lazily. The seek marks stay in
+// memory either way, so a read of a spilled block seeks the bytes it
+// reads back just as it seeks resident ones.
 type sealedBlock struct {
 	start, end int64 // inclusive sample timestamp range
 	count      int
 	size       int    // compressed bytes (kept after spill, for accounting)
 	data       []byte // nil once spilled
 	path       string // HDFS path when spilled
+	marks      []blockMark
 }
 
 // seriesBlocks is one series' sealed state: blocks sorted by start plus
@@ -278,8 +281,8 @@ func (s *BlockStore) Seal(metric string, tags map[string]string, samples []Sampl
 		start, end = samples[0].Timestamp, samples[len(samples)-1].Timestamp
 	}
 
-	data := EncodeBlock(samples)
-	blk := &sealedBlock{start: start, end: end, count: len(samples), size: len(data), data: data}
+	data, marks := encodeBlockMarked(samples)
+	blk := &sealedBlock{start: start, end: end, count: len(samples), size: len(data), data: data, marks: marks}
 	sb.blocks = append(sb.blocks, nil)
 	copy(sb.blocks[lo+1:], sb.blocks[lo:])
 	sb.blocks[lo] = blk
@@ -443,10 +446,11 @@ func (s *BlockStore) rollupSamplesLocked(sb *seriesBlocks, rw int64, q Query) []
 
 // rawSamplesLocked decompresses sb's blocks overlapping the window into
 // the grouped map (the drill-down path), reading spilled payloads back
-// from HDFS as needed.
+// from HDFS as needed. A block is sorted (Seal sorts), so each decode
+// seeks to the last mark before q.Start and stops at the first sample
+// past q.End: a window costs its own samples, not its block's.
 func (s *BlockStore) rawSamplesLocked(ctx context.Context, sb *seriesBlocks, q Query, grouped map[string]*Series, key string) error {
 	lo := sort.Search(len(sb.blocks), func(i int) bool { return sb.blocks[i].end >= q.Start })
-	var it BlockIter
 	for _, blk := range sb.blocks[lo:] {
 		if blk.start > q.End {
 			break
@@ -464,15 +468,7 @@ func (s *BlockStore) rawSamplesLocked(ctx context.Context, sb *seriesBlocks, q Q
 			ser = &Series{Metric: sb.metric, Tags: sb.tags}
 			grouped[key] = ser
 		}
-		it.Reset(data)
-		for it.Next() {
-			ts, v := it.At()
-			if ts < q.Start || ts > q.End {
-				continue
-			}
-			ser.Samples = append(ser.Samples, Sample{Timestamp: ts, Value: v})
-		}
-		if err := it.Err(); err != nil {
+		if ser.Samples, err = decodeWindow(ser.Samples, data, blk.marks, q.Start, q.End); err != nil {
 			return err
 		}
 	}

@@ -196,6 +196,65 @@ func TestSpillAndLazyReadback(t *testing.T) {
 	}
 }
 
+// TestSpilledBlockKeepsItsMarks: the spill pass writes the block's
+// bytes unchanged and drops only the resident payload — the seek marks
+// stay beside the block, and a tail read of the spilled hour seeks the
+// bytes it reads back and returns exactly the window.
+func TestSpilledBlockKeepsItsMarks(t *testing.T) {
+	d, bs := sealedDeployment(t, BlockStoreConfig{HotBlockBytes: -1})
+	tsd := d.TSDs()[0]
+	pts := putHours(t, d, 1, 1, 1)
+	if _, err := tsd.CompactRows(RowSeconds); err != nil {
+		t.Fatal(err)
+	}
+	blk := bs.series[seriesID(MetricEnergy, EnergyTags(1, 1))].blocks[0]
+	resident, marks := blk.data, append([]blockMark(nil), blk.marks...)
+	if len(marks) != (RowSeconds-1)/blockMarkEvery {
+		t.Fatalf("a sealed hour carries %d marks, want %d", len(marks), (RowSeconds-1)/blockMarkEvery)
+	}
+	samples := make([]Sample, len(pts))
+	for i, p := range pts {
+		samples[i] = Sample{Timestamp: p.Timestamp, Value: p.Value}
+	}
+	if string(resident) != string(EncodeBlock(samples)) {
+		t.Fatal("the sealed payload differs from the block encoding of its samples")
+	}
+	if n, err := bs.SpillPass(); err != nil || n != 1 {
+		t.Fatalf("spilled %d blocks, err %v", n, err)
+	}
+	if blk.data != nil || len(blk.marks) != len(marks) {
+		t.Fatalf("after the spill: resident payload %v, %d marks (want nil, %d)", blk.data != nil, len(blk.marks), len(marks))
+	}
+	for i := range marks {
+		if blk.marks[i] != marks[i] {
+			t.Fatalf("mark %d changed across the spill: %+v, was %+v", i, blk.marks[i], marks[i])
+		}
+	}
+	file, err := d.Cluster.DFS().ReadFile(blk.path)
+	if err != nil || string(file) != string(resident) {
+		t.Fatalf("spill file differs from the resident payload (err %v)", err)
+	}
+
+	const from = RowSeconds - 300
+	scans, reads := bs.BlockScans.Value(), bs.SpillReads.Value()
+	series, err := tsd.Query(Query{Metric: MetricEnergy, Tags: EnergyTags(1, 1), Start: from, End: RowSeconds - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) != 1 || len(series[0].Samples) != 300 {
+		t.Fatalf("tail read of the spilled hour = %d series", len(series))
+	}
+	for i, s := range series[0].Samples {
+		if p := pts[from+i]; s.Timestamp != p.Timestamp || s.Value != p.Value {
+			t.Fatalf("sample %d = %+v, want (%d, %v)", i, s, p.Timestamp, p.Value)
+		}
+	}
+	if bs.BlockScans.Value()-scans != 1 || bs.SpillReads.Value()-reads != 1 {
+		t.Fatalf("tail read: %d block scans, %d spill reads; want 1 and 1",
+			bs.BlockScans.Value()-scans, bs.SpillReads.Value()-reads)
+	}
+}
+
 func TestMergeResealNoDoubleCount(t *testing.T) {
 	d, bs := sealedDeployment(t, BlockStoreConfig{})
 	tsd := d.TSDs()[0]

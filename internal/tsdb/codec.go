@@ -86,13 +86,49 @@ func (c *Codec) tagPairs(tags map[string]string) ([]byte, error) {
 		}
 		pairs = append(pairs, [2]uint32{ku, vu})
 	}
+	return encodePairs(pairs), nil
+}
+
+// encodePairs sorts (tagk, tagv) UID pairs by tag-key UID and packs
+// them as a row key carries them.
+func encodePairs(pairs [][2]uint32) []byte {
 	slices.SortFunc(pairs, func(a, b [2]uint32) int { return cmp.Compare(a[0], b[0]) })
 	out := make([]byte, 2*uidWidth*len(pairs))
 	for i, p := range pairs {
 		putUID(out[2*uidWidth*i:], p[0])
 		putUID(out[2*uidWidth*i+uidWidth:], p[1])
 	}
-	return out, nil
+	return out
+}
+
+// rowFilter returns the scan filter that keeps the data rows whose tag
+// pairs include every tag of tags with a non-empty value: a tag filter
+// applied to row keys, before a row is merged or decoded. It is nil when
+// no tag has a value, and ok is false when a tag key or value was never
+// interned, so that no row can match. The filter only drops rows that
+// tagsMatch would drop too; an empty value (a series without that key)
+// is left to tagsMatch.
+func (c *Codec) rowFilter(tags map[string]string) (keep *hbase.RowFilter, ok bool) {
+	var pairs [][2]uint32
+	for k, v := range tags {
+		if v == "" {
+			continue
+		}
+		ku, okK := c.uids.Lookup(kindTagK, k)
+		vu, okV := c.uids.Lookup(kindTagV, v)
+		if !okK || !okV {
+			return nil, false
+		}
+		pairs = append(pairs, [2]uint32{ku, vu})
+	}
+	if len(pairs) == 0 {
+		return nil, true
+	}
+	offset := uidWidth + 4
+	if c.SaltBuckets > 0 {
+		offset++
+	}
+	return &hbase.RowFilter{Offset: offset, Width: 2 * uidWidth, Want: encodePairs(pairs)}, true
 }
 
 // seriesOf returns the metric UID and encoded tag pairs of p's series,

@@ -42,7 +42,10 @@
 //     -0 and ±Inf roundtrip exactly).
 //
 // BlockIter decodes a block with zero heap allocations
-// (BenchmarkCompressedScan, pinned at 0 allocs/op). Each sealed block
+// (BenchmarkCompressedScan, pinned at 0 allocs/op), and a window read
+// seeks to one of the block's marks — decoder states kept in memory
+// beside the payload every 128 samples — and stops past the window's
+// end, so it decodes its window, not its hour. Each sealed block
 // carries exact 1m/1h rollups (count/sum/min/max per bucket) that
 // stay in memory so wide dashboard windows never decompress raw data;
 // cold blocks spill to the hdfs tier past a byte budget and read back

@@ -2,9 +2,11 @@ package tsdb
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -347,8 +349,8 @@ func (t *TSD) Query(q Query) ([]Series, error) {
 }
 
 // QueryContext scans the row ranges for the metric (across all salt
-// buckets), decodes, filters by tags, groups into series and
-// optionally downsamples.
+// buckets) with the query's tags as a row filter, decodes the rows it
+// keeps, groups them into series and optionally downsamples.
 func (t *TSD) QueryContext(ctx context.Context, q Query) ([]Series, error) {
 	t.QueriesServed.Inc()
 	if f := t.faults.Load(); f.Active() > 0 {
@@ -380,13 +382,21 @@ func (t *TSD) QueryContext(ctx context.Context, q Query) ([]Series, error) {
 	if err := bs.collect(ctx, q, grouped, pre); err != nil {
 		return nil, err
 	}
-	for _, rng := range t.codec.rowRanges(mu, q.Start, q.End) {
-		cells, err := t.client.ScanContext(ctx, rng[0], rng[1], 0)
+	// The tags ride the scan as a row filter, so the region servers
+	// merge and return only the rows of matching series. A tag no series
+	// carries leaves nothing to scan.
+	keep, ok := t.codec.rowFilter(q.Tags)
+	var ranges [][2][]byte
+	if ok {
+		ranges = t.codec.rowRanges(mu, q.Start, q.End)
+	}
+	for _, rng := range ranges {
+		cells, err := t.client.ScanContext(ctx, rng[0], rng[1], 0, keep)
 		if err != nil {
 			return nil, err
 		}
 		// Scan output is sorted, so a row's cells arrive together: the
-		// key is decoded, tag-filtered and grouped once per row.
+		// key is decoded, tag-checked and grouped once per row.
 		var samples []Sample
 		for len(cells) > 0 {
 			rowCells := cells[:rowLen(cells)]
@@ -419,10 +429,14 @@ func (t *TSD) QueryContext(ctx context.Context, q Query) ([]Series, error) {
 			}
 		}
 	}
-	out := make([]Series, 0, len(grouped))
+	ids := make([]string, 0, len(grouped))
 	var returned int64
 	for id, ser := range grouped {
-		sort.Slice(ser.Samples, func(i, j int) bool { return ser.Samples[i].Timestamp < ser.Samples[j].Timestamp })
+		// The sealed blocks and a series' hot rows usually arrive in time
+		// order already; salted hours of one series may not.
+		if !slices.IsSortedFunc(ser.Samples, bySampleTime) {
+			slices.SortFunc(ser.Samples, bySampleTime)
+		}
 		ser.Samples = dedupeSamples(ser.Samples)
 		if q.DownsampleSeconds > 0 {
 			ser.Samples = downsample(ser.Samples, q.DownsampleSeconds, q.Aggregate)
@@ -434,12 +448,21 @@ func (t *TSD) QueryContext(ctx context.Context, q Query) ([]Series, error) {
 			continue
 		}
 		returned += int64(len(ser.Samples))
-		out = append(out, *ser)
+		ids = append(ids, id)
 	}
 	t.SamplesReturned.Add(returned)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
+	// grouped is keyed by series ID, so sorting its keys orders the
+	// output by ID without rendering one per comparison.
+	slices.Sort(ids)
+	out := make([]Series, len(ids))
+	for i, id := range ids {
+		out[i] = *grouped[id]
+	}
 	return out, nil
 }
+
+// bySampleTime orders samples by timestamp.
+func bySampleTime(a, b Sample) int { return cmp.Compare(a.Timestamp, b.Timestamp) }
 
 // mergePreAggregated merges a series' hot downsampled buckets with the
 // sealed tier's pre-aggregated ones (both sorted by timestamp). Seal
@@ -557,7 +580,7 @@ func (t *TSD) CompactRowsContext(ctx context.Context, beforeBase int64) (int, er
 		return 0, nil
 	}
 	// Scan everything below the meta prefix (data rows only).
-	cells, err := t.client.ScanContext(ctx, nil, []byte{metaPrefix}, 0)
+	cells, err := t.client.ScanContext(ctx, nil, []byte{metaPrefix}, 0, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -605,7 +628,7 @@ func (t *TSD) CompactRowsContext(ctx context.Context, beforeBase int64) (int, er
 // block is durably in the store, so a crash between the two steps
 // leaves duplicate data (deduped at read time), never a hole.
 func (t *TSD) sealRows(ctx context.Context, bs *BlockStore, beforeBase int64) (int, error) {
-	cells, err := t.client.ScanContext(ctx, nil, []byte{metaPrefix}, 0)
+	cells, err := t.client.ScanContext(ctx, nil, []byte{metaPrefix}, 0, nil)
 	if err != nil {
 		return 0, err
 	}
