@@ -30,7 +30,7 @@ ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|Ben
 # stable ns/op medians, short enough for a PR loop.
 GATE_BENCHTIME ?= 300ms
 
-.PHONY: build lint vet fmt assembly test bench bench-json bench-query bench-allocs bench-gate bench-compare soak backtest harness harness-record conformance fuzz-smoke serve cluster check
+.PHONY: build lint vet fmt assembly test paper bench bench-json bench-query bench-allocs bench-gate bench-compare soak backtest harness harness-record conformance fuzz-smoke serve cluster check
 
 build:
 	$(GO) build ./...
@@ -50,8 +50,9 @@ vet:
 # cannot quietly regrow — nor a second read path: query.New, the one
 # engine over every store group, is built in one place for every
 # topology. The one storage-only wiring is the root
-# package's experiments.go, the rig behind Fig. 2 and the §III-B
-# ablations that cmd/tsdbench and the examples call: outside internal/
+# package's experiments.go, the rig behind the claims table's Fig. 2 and
+# §III-B rows, which TestPaperClaims, cmd/tsdbench and
+# examples/ingestscaling run: outside internal/
 # and benchmark/ (whose layer replays build one tier in isolation), a
 # non-test proxy.New call anywhere else fails. It guards the
 # one-token-bucket rule the same way: clock.TokenBucket is the only
@@ -85,6 +86,13 @@ lint: fmt vet assembly
 
 test:
 	$(GO) test -race ./...
+
+# paper runs every row of the claims table (experiments.go) at full size,
+# prints each paper number next to ours and rewrites BENCH_paper.json
+# (≈ 30 s). `go test -run TestPaperClaims .` runs the same rows at CI
+# size.
+paper:
+	$(GO) run ./cmd/tsdbench
 
 # Benchmark smoke: compile and run every benchmark once, no timing
 # fidelity expected — catches bit-rot, not regressions.

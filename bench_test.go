@@ -1,59 +1,35 @@
 package repro
 
-// The repository benchmarks for the paper's §IV–V evaluation (see
-// README.md for the experiment index; Figure 2 and the §III-B
-// ablations are experiments.go, run by cmd/tsdbench).
+// The repository benchmarks: the §IV workloads of the claims table's
+// E5b and E6 rows (experiments.go), timed, and the Figure 3 page and
+// pipelined-put costs.
 //
 //	go test -bench=. -benchmem
-//
-// Absolute numbers depend on the host; the shapes — BH power vs
-// Bonferroni, evaluation throughput in the hundreds of thousands of
-// samples per second — are the reproduction targets.
 
 import (
-	"math/rand"
 	"net/http/httptest"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fdr"
 	"repro/internal/hbase"
 	"repro/internal/simdata"
-	"repro/internal/stats"
 	"repro/internal/tsdb"
 	"repro/internal/viz"
 )
 
-// BenchmarkFDRCorrections is E5 — §IV: cost and operating
-// characteristics of each multiple-testing correction on a
-// 1000-sensor family (20% faulty at 4σ).
+// BenchmarkFDRCorrections times each multiple-testing correction on
+// E5b's workload (1,000-sensor families, 20% faulty at 4σ) and reports
+// its operating characteristics.
 func BenchmarkFDRCorrections(b *testing.B) {
-	const m, m1 = 1000, 200
-	truth := make([]bool, m)
-	for i := 0; i < m1; i++ {
-		truth[i] = true
-	}
-	rng := rand.New(rand.NewSource(5))
-	families := make([][]float64, 64)
-	for f := range families {
-		pv := make([]float64, m)
-		for i := range pv {
-			mu := 0.0
-			if truth[i] {
-				mu = 4
-			}
-			pv[i] = stats.ZTestPoint(rng.NormFloat64()+mu, 0, 1, stats.TwoSided).PValue
-		}
-		families[f] = pv
-	}
+	families, truth := fdrFamilies(64)
 	for _, proc := range fdr.Procedures {
 		b.Run(proc.String(), func(b *testing.B) {
 			var met fdr.Metrics
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := fdr.Apply(proc, families[i%len(families)], 0.05)
+				res, err := fdr.Apply(proc, families[i%len(families)], claimLevel)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -66,24 +42,13 @@ func BenchmarkFDRCorrections(b *testing.B) {
 	}
 }
 
-// BenchmarkOnlineEvalThroughput is E6 — §IV-A: online evaluation rate
-// in sensor samples/second ("939,000 sensor samples per second" in the
-// paper; one matrix multiplication per iteration).
+// BenchmarkOnlineEvalThroughput times E6's workload: one batch through
+// the online evaluator, one matrix multiplication per iteration, in
+// sensor samples/second.
 func BenchmarkOnlineEvalThroughput(b *testing.B) {
-	fleet := simdata.NewFleet(simdata.Config{Units: 1, SensorsPerUnit: 1000, Seed: 9, FaultFraction: 0})
-	model, err := core.TrainUnit(0, fleet.UnitWindow(0, 0, 512))
+	ev, xs, ts, err := evalLoad()
 	if err != nil {
 		b.Fatal(err)
-	}
-	ev, err := core.NewEvaluator(model, core.EvaluatorConfig{Procedure: fdr.BH})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const batch = 64
-	xs := fleet.UnitWindow(0, 1000, batch)
-	ts := make([]int64, batch)
-	for i := range ts {
-		ts[i] = int64(1000 + i)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -93,35 +58,7 @@ func BenchmarkOnlineEvalThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	samples := float64(b.N) * batch * 1000
-	b.ReportMetric(samples/time.Since(start).Seconds(), "samples/s")
-}
-
-// BenchmarkTrainingConcurrency is E7 — §IV-A: offline training of the
-// fleet one unit at a time (the paper's current system) versus up to
-// GOMAXPROCS units at once (the paper's ongoing work).
-func BenchmarkTrainingConcurrency(b *testing.B) {
-	fleet := simdata.NewFleet(simdata.Config{Units: 16, SensorsPerUnit: 120, Seed: 10, FaultOnset: 1 << 40})
-	src := core.WindowFunc(func(unit int) ([][]float64, error) {
-		return fleet.UnitWindow(unit, 0, 200), nil
-	})
-	ids := make([]int, fleet.Units())
-	for i := range ids {
-		ids[i] = i
-	}
-	for _, concurrent := range []bool{false, true} {
-		name := "serial"
-		if concurrent {
-			name = "concurrent"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.TrainFleet(ids, src, nil, concurrent); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	b.ReportMetric(float64(b.N*len(xs)*len(xs[0]))/time.Since(start).Seconds(), "samples/s")
 }
 
 // BenchmarkVizMachinePage is E8 — Figure 3: rendering the machine page

@@ -1,5 +1,5 @@
-// Ingestscaling: a laptop-scale reproduction of Figure 2 (left) — the
-// ingestion throughput sweep over cluster sizes — followed by a demo
+// Ingestscaling: Figure 2 (left), the ingestion throughput sweep over
+// cluster sizes, as the claims table's E1 row runs it, followed by a demo
 // of the commit-log tier that feeds it: a consumer crashes mid-stream
 // without committing, and the replacement replays from the last
 // committed offset with nothing lost.
@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"time"
 
 	"repro"
 	"repro/internal/bus"
@@ -20,21 +19,15 @@ import (
 )
 
 func main() {
-	// The paper's per-node ceiling, enforced in real time, so the sweep
-	// reads directly in paper scale.
-	fmt.Println("Figure 2 (left) at laptop scale: throughput vs storage nodes")
-	fmt.Printf("%-8s %-24s %-20s\n", "nodes", "paper-scale samples/s", "hottest node share")
-	runs, slope, r2, err := repro.Sweep(repro.RigConfig{
-		NodeRate: repro.PaperNodeRate, Salted: true, Units: 20, Sensors: 100, Window: 800 * time.Millisecond,
-	}, []int{2, 4, 6, 8})
-	if err != nil {
-		log.Fatal(err)
+	// E1 of the claims table at full size: the rig's nodes emulate the
+	// paper's per-node ceiling at a tenth of its speed, and the rates
+	// read in paper scale.
+	fmt.Println("Figure 2 (left): throughput vs storage nodes")
+	for _, c := range repro.Claims {
+		if c.ID == "E1" {
+			fmt.Println(c.Report(c.Measure(repro.Full)))
+		}
 	}
-	for _, r := range runs {
-		fmt.Printf("%-8d %-24.0f %.0f%%\n", r.Nodes, r.Rate, 100*r.Hottest)
-	}
-	fmt.Printf("\nlinear fit: %.0f samples/s per added node (R²=%.4f)\n", slope, r2)
-	fmt.Println("paper: ~11k samples/s per added node, 399k at 30 nodes")
 
 	replayDemo(simdata.NewFleet(simdata.Config{Units: 20, SensorsPerUnit: 100, Seed: 42}))
 }

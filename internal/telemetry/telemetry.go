@@ -17,7 +17,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing 64-bit counter.
@@ -217,15 +216,6 @@ func (h *Histogram) Reset() {
 	h.head = 0
 	h.sorted = false
 	h.mu.Unlock()
-}
-
-// RateSample is one point of a rate time series: the cumulative count
-// and the rate since the previous sample, observed at Elapsed since the
-// series began (the per-tick ingest series behind Figure 2, right).
-type RateSample struct {
-	Elapsed    time.Duration
-	Cumulative int64
-	Rate       float64 // events/sec since the previous sample
 }
 
 // Registry is a named collection of instruments, used by servers to
