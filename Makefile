@@ -23,8 +23,10 @@ EVAL_BENCH = BenchmarkFDRCorrections|BenchmarkOnlineEvalThroughput
 # BenchmarkEnergyPoint a producer's point (its series' shared tag map)
 # and BenchmarkCodecEncode that point's cell (its series' cached key);
 # BenchmarkGatewayCachedQuery a repeated /api/v1/query served as the
-# window's cached bytes through the full middleware chain.
-ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|BenchmarkBusPublish|BenchmarkQueryCacheHit|BenchmarkGatewayPutPath|BenchmarkGatewayPutRow|BenchmarkGroupByUnit|BenchmarkDetectorBatch|BenchmarkCompressedScan|BenchmarkRegionPutInOrder|BenchmarkWireUnitBatch|BenchmarkEnergyPoint|BenchmarkCodecEncode|BenchmarkGatewayCachedQuery
+# window's cached bytes through the full middleware chain;
+# BenchmarkHistogramObserve one latency observation, serial and
+# parallel.
+ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|BenchmarkBusPublish|BenchmarkQueryCacheHit|BenchmarkGatewayPutPath|BenchmarkGatewayPutRow|BenchmarkGroupByUnit|BenchmarkDetectorBatch|BenchmarkCompressedScan|BenchmarkRegionPutInOrder|BenchmarkWireUnitBatch|BenchmarkEnergyPoint|BenchmarkCodecEncode|BenchmarkGatewayCachedQuery|BenchmarkHistogramObserve
 
 # GATE_BENCHTIME drives the bench-gate comparison runs: long enough for
 # stable ns/op medians, short enough for a PR loop.
@@ -141,7 +143,7 @@ bench-query:
 bench-allocs:
 	@rm -f bench-allocs.out
 	$(GO) test -run '^$$' -bench '$(ALLOC_BENCH)' -benchtime 1x -benchmem -cpu 1 \
-		./internal/core/ ./internal/fdr/ ./internal/linalg/ ./internal/bus/ ./internal/query/ ./internal/api/ ./internal/ingest/ ./internal/mllib/ ./internal/tsdb/ ./internal/hbase/ > bench-allocs.out
+		./internal/core/ ./internal/fdr/ ./internal/linalg/ ./internal/bus/ ./internal/query/ ./internal/api/ ./internal/ingest/ ./internal/mllib/ ./internal/tsdb/ ./internal/hbase/ ./internal/telemetry/ > bench-allocs.out
 	$(GO) run ./cmd/benchgate -pins PINS < bench-allocs.out
 	@rm -f bench-allocs.out
 

@@ -120,7 +120,7 @@ func runLoad(cfg config, rep *report) error {
 
 	// An unbounded rate makes every request due at once: a closed loop.
 	calib := min(cfg.duration/2, 5*time.Second)
-	cal := newClassStats()
+	cal := new(classStats)
 	calCtx, cancel := context.WithTimeout(context.Background(), calib)
 	defer cancel()
 	openLoop(calCtx, math.Inf(1), ingestWriters, cal, write)
@@ -132,7 +132,7 @@ func runLoad(cfg config, rep *report) error {
 	}
 
 	offered := capacity * overload
-	ingest, interactive, bulk := newClassStats(), newClassStats(), newClassStats()
+	ingest, interactive, bulk := new(classStats), new(classStats), new(classStats)
 	runCtx, cancel := context.WithTimeout(context.Background(), cfg.duration)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -223,14 +223,8 @@ func openLoop(ctx context.Context, rate float64, workers int, cs *classStats, fi
 
 // classStats is one traffic class's outcome.
 type classStats struct {
-	hist                     *telemetry.Histogram // latency ns of successes
+	hist                     telemetry.Histogram // latency ns of successes
 	attempts, ok, shed, errs atomic.Int64
-}
-
-func newClassStats() *classStats {
-	h := &telemetry.Histogram{}
-	h.SetWindow(1 << 18) // a long run's quantiles cover its steady trailing window
-	return &classStats{hist: h}
 }
 
 func (c *classStats) shedFrac() float64 {

@@ -124,7 +124,7 @@ func TestWriteSectionKeepsOtherScenarios(t *testing.T) {
 func TestOpenLoopChargesTheStall(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	cs := newClassStats()
+	cs := new(classStats)
 	var calls atomic.Int64
 	openLoop(ctx, 1000, 1, cs, func(context.Context) error {
 		if calls.Add(1) == 1 {

@@ -80,11 +80,11 @@
 // would let any client mint a fresh full bucket per request by
 // rotating keys.
 //
-// The per-route latency histograms AccessLog feeds are windowed
-// (telemetry.Histogram.SetWindow): count and sum are cumulative, but
-// only the most recent observations are retained, so a long-running
-// daemon's memory and /metrics scrape cost stay bounded regardless of
-// request volume.
+// The per-route latency histograms AccessLog feeds are fixed arrays of
+// log-linear bucket counts (telemetry.Histogram): count, mean and p99
+// all cover every request since process start, the p99 within 3.1 %,
+// and a long-running daemon's memory and /metrics scrape cost stay
+// bounded regardless of request volume.
 //
 // # Hot path
 //

@@ -505,7 +505,7 @@ func TestMiddlewareOrdering(t *testing.T) {
 
 	// Per-route latency histograms appear in the registry.
 	rec = get(t, gw, "/api/v1/metrics")
-	if !strings.Contains(rec.Body.String(), `http_ms{route="GET /api/v1/fleet"}_count`) {
+	if !strings.Contains(rec.Body.String(), `http_ms_count{route="GET /api/v1/fleet"} `) {
 		t.Fatalf("metrics missing per-route histogram:\n%s", rec.Body)
 	}
 }

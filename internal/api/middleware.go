@@ -100,18 +100,10 @@ func (sw *statusWriter) Flush() {
 	}
 }
 
-// routeLatencyWindow bounds each per-route latency histogram to the
-// most recent observations: the daemons mounting the gateway run
-// indefinitely, so retaining every request's latency would grow
-// without bound and make each /metrics scrape sort the full history
-// under the histogram mutex. Count and sum stay cumulative; quantiles
-// cover the trailing window.
-const routeLatencyWindow = 2048
-
 // AccessLog emits one structured line per request to logger (nil
-// silences it) and records per-route latency histograms (bounded to
-// routeLatencyWindow recent samples) plus request and error counters
-// in reg (nil disables). Route labels come from ServeMux patterns
+// silences it) and records per-route latency histograms (ms, since
+// process start) plus request and error counters in reg (nil
+// disables). Route labels come from ServeMux patterns
 // (r.Pattern), so /api/v1/machines/3 and /…/7 share one histogram.
 // The logged client is the remote IP — X-API-Key is a credential and
 // stays out of log lines.
@@ -153,7 +145,7 @@ func AccessLog(logger *log.Logger, reg *telemetry.Registry) Middleware {
 					}
 					h, ok := hists.Load(route)
 					if !ok {
-						h, _ = hists.LoadOrStore(route, reg.WindowHistogram(`http_ms{route="`+route+`"}`, routeLatencyWindow))
+						h, _ = hists.LoadOrStore(route, reg.Histogram(`http_ms{route="`+route+`"}`))
 					}
 					h.(*telemetry.Histogram).Observe(float64(dur.Nanoseconds()) / 1e6)
 				}

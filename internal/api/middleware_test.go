@@ -8,16 +8,16 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestAccessLogHistogramBounded: the per-route latency histogram must
-// not retain every observation — the daemons mounting the gateway run
-// indefinitely, so unbounded growth (and full-history sorts under the
-// histogram mutex on every /metrics scrape) would be a leak.
+// TestAccessLogHistogramBounded: the daemons mounting the gateway run
+// indefinitely, so the per-route latency histogram must be bounded by
+// construction — recording never allocates — while its count covers
+// every request since process start.
 func TestAccessLogHistogramBounded(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	}), AccessLog(nil, reg))
-	total := routeLatencyWindow + 500
+	const total = 2500
 	for i := 0; i < total; i++ {
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/x", nil))
 	}
@@ -25,8 +25,8 @@ func TestAccessLogHistogramBounded(t *testing.T) {
 	if got := hist.Count(); got != total {
 		t.Fatalf("Count() = %d, want cumulative %d", got, total)
 	}
-	if got := len(hist.Snapshot()); got > routeLatencyWindow {
-		t.Fatalf("histogram retains %d observations, want ≤ %d", got, routeLatencyWindow)
+	if allocs := testing.AllocsPerRun(1000, func() { hist.Observe(1.5) }); allocs != 0 {
+		t.Fatalf("Observe allocates %v per call, want 0", allocs)
 	}
 }
 

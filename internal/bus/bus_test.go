@@ -244,6 +244,45 @@ func TestRebalanceMidConsumeNoLoss(t *testing.T) {
 	}
 }
 
+// TestStaleFetchSkipsTrimmedPartition: a consumer that refreshed its
+// assignment just before a rebalance can fetch a partition it no longer
+// owns after the new owner's commits trimmed the log under its old
+// position. The fetch must skip that partition (the next refresh takes
+// the new assignment), not fail the Poll: a consumer loop ends on a
+// Poll error, and the partitions it still owns then go unconsumed —
+// the Group.Sync hang TestRebalanceMidConsumeNoLoss hit under load.
+func TestStaleFetchSkipsTrimmedPartition(t *testing.T) {
+	b := New(Config{Partitions: 2, SegmentRecords: 4})
+	defer b.Close()
+	topic := b.Topic("energy")
+	g := topic.Group("workers")
+	c1 := g.Join()
+	if err := c1.refresh(); err != nil { // c1 holds both partitions from offset 0
+		t.Fatal(err)
+	}
+	c2 := g.Join() // and partition 1 moves to c2
+	for i := 0; i < 40; i++ {
+		if _, err := topic.Publish(bg(), uint64(i), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for g.Committed(1) < topic.HighWater(1) {
+		recs, err := c2.Poll(bg(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c2.CommitPolled(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := topic.ReadAt(1, 0, nil); !errors.Is(err, ErrOffsetTrimmed) {
+		t.Fatalf("partition 1 not trimmed below offset 0 (%v): the test lost its premise", err)
+	}
+	if _, err := c1.fetch(make([]Record, 0, 64)); err != nil {
+		t.Fatalf("fetch on the stale assignment = %v, want the moved partition skipped", err)
+	}
+}
+
 // TestFetchRotationServesAllPartitions is the regression for the
 // round-robin cursor bug: under sustained publishing to the other
 // partitions, a middle partition's records must still be delivered

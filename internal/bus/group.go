@@ -2,6 +2,7 @@ package bus
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -317,6 +318,12 @@ func (c *Consumer) fetch(buf []Record) ([]Record, error) {
 		start := len(buf)
 		var err error
 		buf, err = t.partitions[part].read(c.positions[part], buf, t.broker.cfg.SegmentRecords)
+		if errors.Is(err, ErrOffsetTrimmed) && c.gen != c.group.Generation() {
+			// A rebalance moved part away and its new owner's commits
+			// trimmed the log under this stale position: skip it; the
+			// next refresh takes the new assignment.
+			continue
+		}
 		if err != nil {
 			return buf, fmt.Errorf("bus: consumer %d group %q: %w", c.id, c.group.name, err)
 		}

@@ -4,17 +4,17 @@
 // dependencies.
 //
 // All instruments are safe for concurrent use. Counters and gauges are
-// implemented with atomics; histograms shard their buckets behind a
-// mutex but are cheap enough for the hot paths in this codebase (the
-// ingestion benchmarks record one histogram sample per batch, not per
-// sensor sample).
+// implemented with atomics; a histogram is a fixed array of log-linear
+// bucket counts behind one mutex, so it never grows and never sorts.
 package telemetry
 
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -63,73 +63,76 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 // Value returns the gauge's current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
+// The histogram's buckets: 16 linear sub-buckets per power of two over
+// [2^minExp, 2^maxExp), which holds both callers' units — request
+// latency in ms and harness latency in ns. Bucket 0 holds everything
+// below the range (0 included); values at or above 2^maxExp land in the
+// top bucket.
+const (
+	subBuckets = 16
+	minExp     = -10
+	maxExp     = 40
+	numBuckets = 1 + (maxExp-minExp)*subBuckets
+)
+
 // Histogram accumulates float64 observations and reports count, sum,
-// mean, min, max and arbitrary quantiles. By default it keeps every
-// observation in memory (the experiment harnesses record at most a few
-// hundred thousand samples per run and need exact quantiles). Long-
-// running servers must bound it with SetWindow: count and sum stay
-// cumulative, but quantiles are computed over a ring of the most recent
-// observations, so memory and per-scrape sort cost stay O(window)
-// regardless of how many requests the process has served.
+// mean, min, max and quantiles. Count, sum, mean, min and max are
+// exact; observations are otherwise kept only as counts in fixed
+// log-linear buckets, so memory and the cost of a quantile are bounded
+// by construction however many observations the process records. A
+// quantile is within 1/32 (3.1 %) of the exact nearest-rank value for
+// observations in [2^-10, 2^40). The zero value is ready to use.
 type Histogram struct {
-	mu      sync.Mutex
-	vals    []float64 // retained observations, always in arrival order
-	sorted  bool      // scratch currently mirrors vals, sorted
-	sum     float64
-	count   int64
-	window  int       // > 0: vals is a ring of the most recent window observations
-	head    int       // next ring slot to overwrite (window > 0 only)
-	scratch []float64 // sort buffer so quantiles never disturb arrival order
+	mu       sync.Mutex
+	count    int64
+	sum      float64
+	min, max float64
+	buckets  [numBuckets]int64
 }
 
-// SetWindow bounds the histogram to the most recent n observations
-// (n <= 0 restores the unbounded default). Safe to call repeatedly
-// with the same n — Registry callers re-resolve instruments by name.
-func (h *Histogram) SetWindow(n int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	// The trim below rearranges vals, so any cached sort is stale.
-	h.sorted = false
-	if n <= 0 {
-		h.window, h.head = 0, 0
+// bucketOf returns the index of the bucket holding v.
+func bucketOf(v float64) int {
+	frac, exp := math.Frexp(v) // v = frac·2^exp, frac ∈ [0.5, 1)
+	switch {
+	case v < math.Ldexp(1, minExp):
+		return 0
+	case exp > maxExp:
+		return numBuckets - 1
+	}
+	return 1 + (exp-1-minExp)*subBuckets + int(frac*2*subBuckets) - subBuckets
+}
+
+// bucketMid returns the midpoint of bucket i (0 for the underflow
+// bucket). Every value in bucket i ≥ 1 is within 1/32 of it.
+func bucketMid(i int) float64 {
+	if i == 0 {
+		return 0
+	}
+	i--
+	return math.Ldexp(1+(float64(i%subBuckets)+0.5)/subBuckets, minExp+i/subBuckets)
+}
+
+// Observe records a single observation. NaN and ±Inf are ignored: one
+// would poison the sum and the mean for the life of the process.
+func (h *Histogram) Observe(v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
-	if h.window > 0 && h.head > 0 {
-		// Unroll a wrapped ring to chronological order so the trim
-		// below keeps the most recent observations, not whatever
-		// happened to sit at the highest slice positions.
-		unrolled := make([]float64, 0, len(h.vals))
-		unrolled = append(unrolled, h.vals[h.head:]...)
-		unrolled = append(unrolled, h.vals[:h.head]...)
-		h.vals = unrolled
-	}
-	h.head = 0
-	if len(h.vals) > n {
-		h.vals = append(h.vals[:0], h.vals[len(h.vals)-n:]...)
-	}
-	h.window = n
-}
-
-// Observe records a single observation.
-func (h *Histogram) Observe(v float64) {
+	i := bucketOf(v)
 	h.mu.Lock()
+	if h.count == 0 || v < h.min {
+		h.min = v
+	}
+	if h.count == 0 || v > h.max {
+		h.max = v
+	}
 	h.count++
 	h.sum += v
-	if h.window > 0 && len(h.vals) >= h.window {
-		h.vals[h.head] = v
-		h.head++
-		if h.head >= h.window {
-			h.head = 0
-		}
-	} else {
-		h.vals = append(h.vals, v)
-	}
-	h.sorted = false
+	h.buckets[i]++
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations ever recorded (cumulative,
-// even when a window bounds the retained samples).
+// Count returns the number of observations recorded.
 func (h *Histogram) Count() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -143,8 +146,8 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Mean returns the arithmetic mean of all observations ever recorded,
-// or zero when the histogram is empty.
+// Mean returns the arithmetic mean of all observations, or zero when
+// the histogram is empty.
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -154,41 +157,28 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// sortedVals returns the retained observations in ascending order,
-// sorting a scratch copy so vals keeps its arrival order — SetWindow's
-// "most recent n" contract depends on it in both modes. Repeated
-// quantile reads between observations reuse the sorted scratch.
-// Called with mu held.
-func (h *Histogram) sortedVals() []float64 {
-	if !h.sorted {
-		h.scratch = append(h.scratch[:0], h.vals...)
-		sort.Float64s(h.scratch)
-		h.sorted = true
-	}
-	return h.scratch
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) using the nearest-rank
-// method over the retained observations (all of them, or the most
-// recent window), or zero when the histogram is empty.
+// Quantile returns the q-quantile (0 ≤ q ≤ 1), or zero when the
+// histogram is empty. q ≤ 0 and q ≥ 1 return the exact Min and Max;
+// any other q takes the nearest rank over the bucket counts and returns
+// that bucket's midpoint clamped to [Min, Max].
 func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.vals) == 0 {
+	switch {
+	case h.count == 0:
 		return 0
+	case q <= 0:
+		return h.min
+	case q >= 1:
+		return h.max
 	}
-	vals := h.sortedVals()
-	if q <= 0 {
-		return vals[0]
+	rank := max(int64(math.Ceil(q*float64(h.count))), 1)
+	i, seen := 0, h.buckets[0]
+	for seen < rank {
+		i++
+		seen += h.buckets[i]
 	}
-	if q >= 1 {
-		return vals[len(vals)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(vals)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return vals[idx]
+	return min(max(bucketMid(i), h.min), h.max)
 }
 
 // Min returns the smallest observation, or zero when empty.
@@ -196,27 +186,6 @@ func (h *Histogram) Min() float64 { return h.Quantile(0) }
 
 // Max returns the largest observation, or zero when empty.
 func (h *Histogram) Max() float64 { return h.Quantile(1) }
-
-// Snapshot returns a sorted copy of the retained observations.
-func (h *Histogram) Snapshot() []float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]float64, len(h.vals))
-	copy(out, h.vals)
-	sort.Float64s(out)
-	return out
-}
-
-// Reset discards all observations (the window setting survives).
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	h.vals = h.vals[:0]
-	h.sum = 0
-	h.count = 0
-	h.head = 0
-	h.sorted = false
-	h.mu.Unlock()
-}
 
 // Registry is a named collection of instruments, used by servers to
 // expose their internals to tests and the visualization layer. Besides
@@ -280,17 +249,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// WindowHistogram returns the histogram registered under name, created
-// on first use and bounded to the most recent window observations —
-// the form servers use for per-route latency, where the process lives
-// indefinitely and an unbounded histogram would grow with request
-// count.
-func (r *Registry) WindowHistogram(name string, window int) *Histogram {
-	h := r.Histogram(name)
-	h.SetWindow(window)
-	return h
-}
-
 // RegisterCounter adopts an externally owned counter under name (the
 // proxy's Accepted, the broker's Published, …), replacing any previous
 // registration.
@@ -317,29 +275,16 @@ func (r *Registry) RegisterFunc(name string, f func() int64) {
 
 // Expose writes the exposition format served on /metrics: one
 // "name value" line per counter, gauge and func, plus
-// "name_count/_mean/_p99" lines per histogram, sorted by name. It is
-// the single metrics writer every server shares.
+// "name_count/_mean/_p99" lines per histogram (the suffix goes before
+// a label set: http_ms_count{route="…"}), sorted by name. It is the
+// single metrics writer every server shares.
 func (r *Registry) Expose(w io.Writer) {
 	// Snapshot under the lock, read values after releasing it: funcs
 	// and instruments may themselves take locks (consumer-group lag)
 	// and must not do so under r.mu.
 	r.mu.Lock()
-	ctrs := make(map[string]*Counter, len(r.ctrs))
-	for n, c := range r.ctrs {
-		ctrs[n] = c
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for n, g := range r.gauges {
-		gauges[n] = g
-	}
-	funcs := make(map[string]func() int64, len(r.funcs))
-	for n, f := range r.funcs {
-		funcs[n] = f
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for n, h := range r.hists {
-		hists[n] = h
-	}
+	ctrs, gauges := maps.Clone(r.ctrs), maps.Clone(r.gauges)
+	funcs, hists := maps.Clone(r.funcs), maps.Clone(r.hists)
 	r.mu.Unlock()
 	lines := make([]string, 0, len(ctrs)+len(gauges)+len(funcs)+3*len(hists))
 	for n, c := range ctrs {
@@ -352,12 +297,16 @@ func (r *Registry) Expose(w io.Writer) {
 		lines = append(lines, fmt.Sprintf("%s %d", n, f()))
 	}
 	for n, h := range hists {
+		base, labels := n, ""
+		if i := strings.IndexByte(n, '{'); i >= 0 {
+			base, labels = n[:i], n[i:]
+		}
 		lines = append(lines,
-			fmt.Sprintf("%s_count %d", n, h.Count()),
-			fmt.Sprintf("%s_mean %.3f", n, h.Mean()),
-			fmt.Sprintf("%s_p99 %.3f", n, h.Quantile(0.99)))
+			fmt.Sprintf("%s_count%s %d", base, labels, h.Count()),
+			fmt.Sprintf("%s_mean%s %.3f", base, labels, h.Mean()),
+			fmt.Sprintf("%s_p99%s %.3f", base, labels, h.Quantile(0.99)))
 	}
-	sort.Strings(lines)
+	slices.Sort(lines)
 	for _, l := range lines {
 		fmt.Fprintln(w, l)
 	}

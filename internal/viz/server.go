@@ -45,21 +45,28 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// window resolves [from, to] from query parameters with defaults. An
-// inverted window (from after to) is rejected with ErrBadRequest
-// instead of running the full query pipeline on an empty range.
+// window resolves [from, to] from query parameters with defaults. A
+// parameter that is not an integer, or an inverted window (from after
+// to), is rejected with ErrBadRequest — as /api/v1 does — instead of
+// silently serving the default window or running the full query
+// pipeline on an empty range.
 func (s *Server) window(r *http.Request) (int64, int64, error) {
+	q := r.URL.Query()
 	to := s.Now()
-	if v := r.URL.Query().Get("to"); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			to = n
+	if v := q.Get("to"); v != "" {
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return 0, 0, fmt.Errorf("%w: bad to %q", ErrBadRequest, v)
 		}
+		to = n
 	}
 	from := to - s.Window
-	if v := r.URL.Query().Get("from"); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			from = n
+	if v := q.Get("from"); v != "" {
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return 0, 0, fmt.Errorf("%w: bad from %q", ErrBadRequest, v)
 		}
+		from = n
 	}
 	if from < 0 {
 		from = 0

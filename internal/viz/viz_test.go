@@ -370,6 +370,18 @@ func TestInvertedWindowRejected(t *testing.T) {
 	}
 }
 
+// TestMalformedWindowRejected: a from/to that is not an integer is a
+// 400, as on /api/v1 — not a page silently rendered over the default
+// window.
+func TestMalformedWindowRejected(t *testing.T) {
+	_, server := testEnv(t)
+	for _, path := range []string{"/?to=abc", "/?from=1.5", "/machine/1?from=x", "/machine/1/sensor/2?to=9z"} {
+		if code, body := get(t, server, path); code != 400 {
+			t.Errorf("GET %s = %d (%q), want 400", path, code, body)
+		}
+	}
+}
+
 func TestErrorStatusMapping(t *testing.T) {
 	_, server := testEnv(t)
 	// Unknown unit/sensor are the client's fault: 404, not 500.
