@@ -25,8 +25,9 @@ EVAL_BENCH = BenchmarkFDRCorrections|BenchmarkOnlineEvalThroughput
 # BenchmarkGatewayCachedQuery a repeated /api/v1/query served as the
 # window's cached bytes through the full middleware chain;
 # BenchmarkHistogramObserve one latency observation, serial and
-# parallel.
-ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|BenchmarkBusPublish|BenchmarkQueryCacheHit|BenchmarkGatewayPutPath|BenchmarkGatewayPutRow|BenchmarkGroupByUnit|BenchmarkDetectorBatch|BenchmarkCompressedScan|BenchmarkRegionPutInOrder|BenchmarkWireUnitBatch|BenchmarkEnergyPoint|BenchmarkCodecEncode|BenchmarkGatewayCachedQuery|BenchmarkHistogramObserve
+# parallel; BenchmarkTransportConsumeCycle a remote consumer's round
+# trips per record (its rpcs/op ceiling, not its allocations).
+ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|BenchmarkBusPublish|BenchmarkQueryCacheHit|BenchmarkGatewayPutPath|BenchmarkGatewayPutRow|BenchmarkGroupByUnit|BenchmarkDetectorBatch|BenchmarkCompressedScan|BenchmarkRegionPutInOrder|BenchmarkWireUnitBatch|BenchmarkEnergyPoint|BenchmarkCodecEncode|BenchmarkGatewayCachedQuery|BenchmarkHistogramObserve|BenchmarkTransportConsumeCycle
 
 # GATE_BENCHTIME drives the bench-gate comparison runs: long enough for
 # stable ns/op medians, short enough for a PR loop.
@@ -133,9 +134,10 @@ bench-query:
 	$(GO) run ./cmd/benchgate -json BENCH_query.json < bench-query.out
 	@rm -f bench-query.out
 
-# bench-allocs gates the allocs/op ceilings: the in-place hot paths run
-# once (-benchtime=1x -benchmem) and benchgate, given no baseline, fails
-# the build if any exceeds its ceiling in PINS. Timing-noise free, so it is
+# bench-allocs gates the ceilings: the in-place hot paths run once
+# (-benchtime=1x -benchmem) and benchgate, given no baseline, fails the
+# build if any exceeds its ceiling in PINS (allocs/op, and rpcs/op for
+# the remote consume cycle). Timing-noise free, so it is
 # a gating CI step, unlike the bench-json smoke. -cpu 1 because the
 # pins are the code's own allocations: with more procs
 # linalg.parallelRows spawns row-stripe goroutines, and their count

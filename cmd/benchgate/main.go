@@ -7,8 +7,10 @@
 // Gate: the pin file (-pins, PINS by default) holds two kinds of line,
 // '#' comments and blank lines aside:
 //
-//   - A ceiling, `benchmark-prefix allocs_per_op max N`, fails a
-//     benchmark that allocates more than N per op.
+//   - A ceiling, `benchmark-prefix metric max N`, fails a benchmark
+//     whose metric exceeds N: `allocs_per_op` (more than N allocations
+//     per op), or any custom unit the benchmark reports (`rpcs/op`,
+//     ...). The metric must be in the run.
 //   - A ratchet, `benchmark-prefix metric tolerance`, fails a benchmark
 //     that regressed past tolerance against its committed BENCH_*.json
 //     baseline. The metric is `ns_per_op`, `bytes_per_op`,
@@ -72,13 +74,27 @@ type benchDoc struct {
 
 // pin guards one metric of the benchmarks its prefix matches, holding
 // the fresh value within tolerance of the committed baseline — or, for
-// a ceiling, of its own ceiling, which then stands in for the baseline.
+// a ceiling, at or under its own ceiling, which then stands in for the
+// baseline.
 type pin struct {
 	prefix    string
 	metric    string
 	tolerance float64
 	ceiling   *entry
 	hits      int
+}
+
+// ceilingEntry is the baseline a `metric max n` ceiling stands for.
+func ceilingEntry(metric string, n float64) *entry {
+	switch metric {
+	case "ns_per_op":
+		return &entry{NsPerOp: n}
+	case "bytes_per_op":
+		return &entry{BytesPerOp: n}
+	case "allocs_per_op":
+		return &entry{AllocsPerOp: n}
+	}
+	return &entry{Metrics: map[string]float64{metric: n}}
 }
 
 // lowerBetter lists the metrics where a bigger fresh number is a
@@ -99,7 +115,7 @@ func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
 func main() {
-	pinsPath := flag.String("pins", "PINS", "pin file: ceilings (prefix allocs_per_op max N) and ratchets (prefix metric tolerance)")
+	pinsPath := flag.String("pins", "PINS", "pin file: ceilings (prefix metric max N) and ratchets (prefix metric tolerance)")
 	jsonOut := flag.String("json", "", "record stdin as this BENCH_*.json file instead of gating")
 	var baselines multiFlag
 	flag.Var(&baselines, "baseline", "committed BENCH_*.json baseline to check the ratchets against (repeatable; none: check the ceilings)")
@@ -216,7 +232,8 @@ func gate(pins []*pin, base map[string]entry, in io.Reader, out, errOut io.Write
 			}
 			b, ok := base[r.Name]
 			if p.ceiling != nil {
-				b, ok = *p.ceiling, r.HasAllocs
+				// A -benchmem metric is absent, not zero, without the flag.
+				b, ok = *p.ceiling, r.HasAllocs || (p.metric != "allocs_per_op" && p.metric != "bytes_per_op")
 			}
 			if !ok {
 				continue // no committed baseline yet, or a run without -benchmem
@@ -238,7 +255,11 @@ func gate(pins []*pin, base map[string]entry, in io.Reader, out, errOut io.Write
 			}
 			p.hits++
 			checked++
-			if bad, limit := regressed(cur, ref, p.metric, p.tolerance); bad {
+			bad, limit := regressed(cur, ref, p.metric, p.tolerance)
+			if p.ceiling != nil {
+				bad, limit = cur > ref, ref
+			}
+			if bad {
 				violations++
 				fmt.Fprintf(errOut, "benchgate: FAIL %s %s: %s vs baseline %s (limit %s, tolerance %gx, pin %s)\n",
 					r.Name, p.metric, fmtNum(cur), fmtNum(ref), fmtNum(limit), p.tolerance, p.prefix)
@@ -294,10 +315,10 @@ func fmtNum(v float64) string {
 	return strconv.FormatFloat(v, 'g', 6, 64)
 }
 
-// loadPins reads a pin file and returns its ceilings (`prefix
-// allocs_per_op max N`, each held to N at tolerance 1) or its ratchets
-// (`prefix metric tolerance`). Every line must parse as one or the
-// other, whichever kind is asked for.
+// loadPins reads a pin file and returns its ceilings (`prefix metric
+// max N`, each held to at most N) or its ratchets (`prefix metric
+// tolerance`). Every line must parse as one or the other, whichever
+// kind is asked for.
 func loadPins(path string, ceilings bool) ([]*pin, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -313,13 +334,13 @@ func loadPins(path string, ceilings bool) ([]*pin, error) {
 		}
 		fields := strings.Fields(line)
 		switch {
-		case len(fields) == 4 && fields[1] == "allocs_per_op" && fields[2] == "max":
+		case len(fields) == 4 && fields[2] == "max":
 			max, err := strconv.ParseFloat(fields[3], 64)
 			if err != nil {
 				return nil, fmt.Errorf("%s: bad max in %q", path, line)
 			}
 			if ceilings {
-				pins = append(pins, &pin{prefix: fields[0], metric: "allocs_per_op", tolerance: 1, ceiling: &entry{AllocsPerOp: max}})
+				pins = append(pins, &pin{prefix: fields[0], metric: fields[1], tolerance: 1, ceiling: ceilingEntry(fields[1], max)})
 			}
 		case len(fields) == 3:
 			tol, err := strconv.ParseFloat(fields[2], 64)
@@ -330,7 +351,7 @@ func loadPins(path string, ceilings bool) ([]*pin, error) {
 				pins = append(pins, &pin{prefix: fields[0], metric: fields[1], tolerance: tol})
 			}
 		default:
-			return nil, fmt.Errorf("%s: bad pin line %q (want: prefix allocs_per_op max N, or prefix metric tolerance)", path, line)
+			return nil, fmt.Errorf("%s: bad pin line %q (want: prefix metric max N, or prefix metric tolerance)", path, line)
 		}
 	}
 	if err := sc.Err(); err != nil {

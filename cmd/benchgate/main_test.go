@@ -117,6 +117,33 @@ func TestAllocCeilings(t *testing.T) {
 	}
 }
 
+// TestCustomMetricCeiling: a ceiling on a unit the benchmark reports
+// itself — a count per op, where more is worse whatever the unit — and
+// a run that does not report it fails (missing, and so dangling)
+// rather than passing unchecked.
+func TestCustomMetricCeiling(t *testing.T) {
+	pins := writePins(t, true, "BenchmarkCycle rpcs/op max 2", "BenchmarkMulInto allocs_per_op max 1")
+	const mul = "BenchmarkMulInto-4  1  900 ns/op  0 B/op  1 allocs/op\n"
+	for _, tc := range []struct {
+		name                string
+		input               string
+		checked, violations int
+	}{
+		{"at the ceiling", "BenchmarkCycle-4  1  90000 ns/op  2.000 rpcs/op  900 B/op  30 allocs/op\n" + mul, 2, 0},
+		{"over the ceiling", "BenchmarkCycle-4  1  90000 ns/op  3.000 rpcs/op  900 B/op  30 allocs/op\n" + mul, 2, 1},
+		{"under the ceiling is no regression", "BenchmarkCycle-4  1  90000 ns/op  1.000 rpcs/op\n" + mul, 2, 0},
+		{"metric not reported", "BenchmarkCycle-4  1  90000 ns/op  900 B/op  30 allocs/op\n" + mul, 1, 2},
+	} {
+		checked, violations := runGate(t, pins, nil, tc.input)
+		if checked != tc.checked || violations != tc.violations {
+			t.Errorf("%s: checked %d / violations %d, want %d / %d", tc.name, checked, violations, tc.checked, tc.violations)
+		}
+		for _, p := range pins {
+			p.hits = 0
+		}
+	}
+}
+
 // TestRecordRoundTrips covers the -json mode: what record writes is
 // what the ratchet's own loader reads back, so a run gates clean
 // against its own record and a later 3x slowdown does not.

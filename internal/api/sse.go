@@ -16,10 +16,11 @@ import (
 )
 
 // AnomalyTail turns detector-pool flag writes into a live feed for the
-// SSE endpoint. The detector pool publishes every flag it writes onto
-// a dedicated commit-log topic; the tail owns one consumer group on
-// it, drains records as they land and fans them out to subscribed
-// streams.
+// SSE endpoint. The detector pool publishes each scored batch's flags
+// as one record (core.AnomalyBatch) onto a dedicated commit-log topic;
+// the tail owns one consumer group on it, drains records as they land
+// — committing each poll with its next fetch — and fans every flag out
+// to subscribed streams as its own event.
 //
 // One group, many subscribers: per-client consumer groups would let a
 // stalled browser exert commit-log backpressure on the detector tier.
@@ -80,43 +81,47 @@ func (t *AnomalyTail) run(ctx context.Context, c bus.ConsumerHandle) {
 	defer t.wg.Done()
 	defer c.Leave()
 	buf := make([]bus.Record, 0, 16)
+	var recs []bus.Record
 	for {
-		recs, err := c.Poll(ctx, buf)
-		if err != nil {
+		// The drained poll's commit rides the next fetch. Nothing
+		// retries a failed Next here, so done may share buf.
+		var err error
+		if recs, err = c.Next(ctx, recs, buf); err != nil {
 			return
 		}
 		for i := range recs {
-			a, ok := recs[i].Value.(core.Anomaly)
-			if !ok {
-				continue
+			if flags, ok := recs[i].Value.(core.AnomalyBatch); ok {
+				t.broadcast(flags)
 			}
-			t.broadcast(v1.AnomalyEvent{
-				Unit: a.Unit, Sensor: a.Sensor, Timestamp: a.Timestamp,
-				Value: a.Value, Z: a.Z, PValue: a.PValue, Adjusted: a.Adjusted,
-				Detector: a.Detector, Score: a.Score,
-			})
 		}
-		_ = c.CommitPolled(recs)
 	}
 }
 
-func (t *AnomalyTail) broadcast(event v1.AnomalyEvent) {
+// broadcast fans a scored batch out as one event per flag, in order.
+func (t *AnomalyTail) broadcast(flags core.AnomalyBatch) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.Events.Inc()
-	if len(t.subs) == 0 {
-		return // no stream reads it: no encode
-	}
-	data, err := encodeAnomalyEvent(&event)
-	if err != nil {
-		t.Dropped.Inc()
-		return
-	}
-	for _, ch := range t.subs {
-		select {
-		case ch <- data:
-		default:
+	for i := range flags {
+		a := &flags[i]
+		t.Events.Inc()
+		if len(t.subs) == 0 {
+			continue // no stream reads it: no encode
+		}
+		data, err := encodeAnomalyEvent(&v1.AnomalyEvent{
+			Unit: a.Unit, Sensor: a.Sensor, Timestamp: a.Timestamp,
+			Value: a.Value, Z: a.Z, PValue: a.PValue, Adjusted: a.Adjusted,
+			Detector: a.Detector, Score: a.Score,
+		})
+		if err != nil {
 			t.Dropped.Inc()
+			continue
+		}
+		for _, ch := range t.subs {
+			select {
+			case ch <- data:
+			default:
+				t.Dropped.Inc()
+			}
 		}
 	}
 }
@@ -171,6 +176,15 @@ func (t *AnomalyTail) Close() {
 	})
 }
 
+// appendEvent appends one SSE anomaly event, id seq, carrying data.
+func appendEvent(frame []byte, seq int64, data []byte) []byte {
+	frame = append(frame, "event: "+v1.EventAnomaly+"\nid: "...)
+	frame = strconv.AppendInt(frame, seq, 10)
+	frame = append(frame, "\ndata: "...)
+	frame = append(frame, data...)
+	return append(frame, "\n\n"...)
+}
+
 // handleStream is GET /api/v1/anomalies/stream: a server-sent-event
 // tail of detector flags. Each event is
 //
@@ -179,8 +193,10 @@ func (t *AnomalyTail) Close() {
 //	data: {"unit":…,"sensor":…,"timestamp":…,"z":…}
 //
 // with a comment heartbeat every StreamHeartbeat so intermediaries
-// keep the connection alive. The stream ends when the client
-// disconnects or the tail closes (server shutdown).
+// keep the connection alive. Events already queued when the stream
+// wakes go out in one write and one flush, ids consecutive. The
+// stream ends when the client disconnects or the tail closes (server
+// shutdown).
 func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	tail := g.cfg.Tail
 	if tail == nil {
@@ -216,19 +232,28 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case data, ok := <-events:
+			// Every event already queued goes out in one write and one
+			// flush.
+			frame = frame[:0]
+		queued:
+			for ok {
+				seq++
+				frame = appendEvent(frame, seq, data)
+				select {
+				case data, ok = <-events:
+				default:
+					break queued
+				}
+			}
+			if len(frame) > 0 {
+				if _, err := w.Write(frame); err != nil {
+					return
+				}
+				flusher.Flush()
+			}
 			if !ok {
 				return // tail closed: server shutting down
 			}
-			seq++
-			frame = append(frame[:0], "event: "+v1.EventAnomaly+"\nid: "...)
-			frame = strconv.AppendInt(frame, seq, 10)
-			frame = append(frame, "\ndata: "...)
-			frame = append(frame, data...)
-			frame = append(frame, "\n\n"...)
-			if _, err := w.Write(frame); err != nil {
-				return
-			}
-			flusher.Flush()
 		case <-heartbeat.C:
 			if _, err := fmt.Fprint(w, ": ping\n\n"); err != nil {
 				return

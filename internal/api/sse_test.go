@@ -2,13 +2,17 @@ package api
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -40,7 +44,7 @@ func publishFlag(t *testing.T, topic *bus.Topic, unit, sensor int, ts int64, z f
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	a := core.Anomaly{Unit: unit, Sensor: sensor, Timestamp: ts, Value: z, Z: z, PValue: 0.001}
-	if _, err := topic.Publish(ctx, uint64(unit), a); err != nil {
+	if _, err := topic.Publish(ctx, uint64(unit), core.AnomalyBatch{a}); err != nil {
 		t.Fatalf("publish flag: %v", err)
 	}
 }
@@ -336,5 +340,97 @@ func TestTailEncodesEachEventOnce(t *testing.T) {
 				i++
 			}
 		}
+	}
+}
+
+// gatedWriter records a stream's writes and flushes; every write waits
+// for gate, so a test can queue events while the handler is held on its
+// first line.
+type gatedWriter struct {
+	*httptest.ResponseRecorder
+	gate chan struct{}
+
+	mu      sync.Mutex
+	writes  [][]byte
+	flushes int
+}
+
+func (w *gatedWriter) Write(p []byte) (int, error) {
+	<-w.gate
+	w.mu.Lock()
+	w.writes = append(w.writes, bytes.Clone(p))
+	w.mu.Unlock()
+	return len(p), nil
+}
+
+func (w *gatedWriter) Flush() {
+	w.mu.Lock()
+	w.flushes++
+	w.mu.Unlock()
+}
+
+func (w *gatedWriter) snapshot() (writes [][]byte, flushes int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return slices.Clone(w.writes), w.flushes
+}
+
+// TestStreamWritesQueuedEventsOnce: eight events waiting on a stream's
+// subscription go out as one write and one flush, ids 1–8, byte for
+// byte what eight single-event writes would have sent.
+func TestStreamWritesQueuedEventsOnce(t *testing.T) {
+	const events = 8
+	_, topic := flagTopic(t)
+	tail := NewAnomalyTail(bus.LocalTopic{Topic: topic}, "stream")
+	defer tail.Close()
+	gw := New(Config{Tail: tail, Now: func() int64 { return 100 }, AccessLog: testLogger(), StreamHeartbeat: time.Hour})
+	w := &gatedWriter{ResponseRecorder: httptest.NewRecorder(), gate: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodGet, "/api/v1/anomalies/stream", nil).WithContext(ctx)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		gw.ServeHTTP(w, req)
+	}()
+	defer func() { cancel(); <-served }()
+	for deadline := time.Now().Add(5 * time.Second); tail.Subscribers() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("stream never subscribed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The handler is held on its ": connected" line; queue every event.
+	for i := 0; i < events; i++ {
+		publishFlag(t, topic, 1, i, int64(100+i), 4.5+float64(i))
+	}
+	for deadline := time.Now().Add(5 * time.Second); tail.Events.Value() < events; {
+		if time.Now().After(deadline) {
+			t.Fatal("the tail never drained the flags")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(w.gate)
+	var writes [][]byte
+	var flushes int
+	for deadline := time.Now().Add(5 * time.Second); len(writes) < 2; writes, flushes = w.snapshot() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d writes, want the connect line and the events", len(writes))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var want []byte
+	for i := 0; i < events; i++ {
+		a := core.Anomaly{Unit: 1, Sensor: i, Timestamp: int64(100 + i), Value: 4.5 + float64(i), Z: 4.5 + float64(i), PValue: 0.001}
+		data, err := encodeAnomalyEvent(&v1.AnomalyEvent{Unit: a.Unit, Sensor: a.Sensor, Timestamp: a.Timestamp, Value: a.Value, Z: a.Z, PValue: a.PValue})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = fmt.Appendf(want, "event: %s\nid: %d\ndata: %s\n\n", v1.EventAnomaly, i+1, data)
+	}
+	if len(writes) != 2 || flushes != 2 {
+		t.Fatalf("%d writes and %d flushes, want 2 and 2: the connect line, then every queued event at once", len(writes), flushes)
+	}
+	if !bytes.Equal(writes[1], want) {
+		t.Fatalf("events body:\n%s\nwant:\n%s", writes[1], want)
 	}
 }

@@ -138,8 +138,9 @@ type Broker struct {
 	// publisher, poller and drainer.
 	stopped   chan struct{}
 	closeOnce sync.Once
-	// pulse broadcasts "something changed" (append, commit, membership)
-	// to blocked publishers, pollers and drainers.
+	// pulse wakes Drain: every topic's wake also wakes it, so a drainer
+	// re-checks lag on a change to any topic. Publishers, pollers and
+	// syncers park on their own topic's pulse instead.
 	pulse pulse
 	// faults, when set, injects on publish ("bus/publish/<topic>") and
 	// consumer fetch ("bus/fetch/<topic>"). Nil when chaos is off.
@@ -191,6 +192,17 @@ func (b *Broker) Topic(name string) *Topic {
 	return t
 }
 
+// wakeAll wakes every topic's waiters and the drainers: a broker state
+// change (draining, stopped) concerns them all.
+func (b *Broker) wakeAll() {
+	b.mu.Lock()
+	for _, t := range b.topics {
+		t.pulse.wake()
+	}
+	b.mu.Unlock()
+	b.pulse.wake()
+}
+
 // Drain moves the broker to draining — publishers get ErrDraining —
 // and blocks until every consumer group on every topic has committed
 // through its partitions' high-water marks, or ctx is done, or the
@@ -202,7 +214,7 @@ func (b *Broker) Drain(ctx context.Context) error {
 		return ErrClosed
 	}
 	// Draining rejects publishers that may be blocked on backpressure.
-	b.pulse.wake()
+	b.wakeAll()
 	for {
 		if b.caughtUp() {
 			return nil
@@ -250,7 +262,7 @@ func (b *Broker) Close() {
 	b.closeOnce.Do(func() {
 		b.state.Store(stateStopped)
 		close(b.stopped)
-		b.pulse.wake()
+		b.wakeAll()
 	})
 }
 

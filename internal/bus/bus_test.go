@@ -560,3 +560,40 @@ func TestGroupCloseReleasesBackpressure(t *testing.T) {
 		t.Fatalf("publish after group close: %v", err)
 	}
 }
+
+// TestPulseWakesOnlyItsTopic: publishes and commits on one topic leave
+// a waiter parked on another topic asleep; a broker-wide wake would
+// have rung it on the first publish.
+func TestPulseWakesOnlyItsTopic(t *testing.T) {
+	b := New(Config{Partitions: 2, PartitionBuffer: -1})
+	defer b.Close()
+	ctx := context.Background()
+	a, other := b.Topic("a"), b.Topic("b")
+	c := a.Group("g").Join()
+	ch := other.pulse.arm()
+	defer other.pulse.disarm()
+	var recs []Record
+	for i := 0; i < 1000; i++ {
+		if _, err := a.Publish(ctx, uint64(i), i); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if recs, err = c.Next(ctx, recs, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-ch:
+		t.Fatal("topic b's waiters woke on topic a's traffic")
+	default:
+	}
+	// The topic's own traffic does wake it.
+	if _, err := other.Publish(ctx, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ch:
+	default:
+		t.Fatal("a publish on topic b left its waiters asleep")
+	}
+}

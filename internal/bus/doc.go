@@ -17,7 +17,9 @@
 //     (with a generation bump) when members join or leave. A rebalance
 //     resets every member to its group's committed offsets, so records
 //     polled but not yet committed are redelivered — delivery is
-//     at-least-once, never lossy.
+//     at-least-once, never lossy. A consumer loop is one call per
+//     batch: Next commits the batch it processed and polls the next
+//     (CommitPolled is the separate, synchronous commit).
 //   - Publish applies bounded-buffer backpressure: once a partition's
 //     uncommitted window (high-water mark minus the slowest group's
 //     committed offset) reaches the configured buffer, producers block
@@ -26,6 +28,11 @@
 //   - Segments wholly below every group's committed offset are
 //     trimmed, bounding memory to the uncommitted window plus one
 //     segment per partition.
+//
+// Every topic has its own wakeup: an append, commit, trim or membership
+// change wakes the publishers, pollers and syncers parked on that topic
+// only, never those of another; Drain, which waits on every topic, is
+// woken by all of them.
 //
 // Shutdown follows the repo's drain discipline (running → draining →
 // stopped): Drain turns new publishes away with ErrDraining while
@@ -62,7 +69,12 @@
 //     coordination service, retry publishes across a leadership
 //     handover, and rejoin consumer groups after a failover
 //     (committed offsets are mirrored onto followers alongside the
-//     log, so group progress survives promotion).
+//     log, so group progress survives promotion). A remote consumer's
+//     commit rides its next fetch (RemoteConsumer.Next): the
+//     coordinator applies it, mirrors it to every live follower, and
+//     only then parks the long-poll, so no later record is handed out
+//     while a follower could still lack the commit. CommitPolled is
+//     the synchronous form, a commit call per partition run.
 //
 // Record values are opaque on the clustered bus: encode once, decode
 // per consumer. RemoteTopic.Publish encodes the value a single time
@@ -71,10 +83,11 @@
 // verbatim, so follower logs are byte-identical to the leader's; and
 // RemoteConsumer.Poll decodes each record once, handing the consumer
 // the same Go value an in-process topic would (*ingest.UnitBatch,
-// core.Anomaly). The bytes are immutable once published. A publish is
-// acknowledged with the record's partition, offset and key — not its
-// value, which the producer already holds. The in-process Broker is
-// untouched by any of this: a node without peers never encodes.
+// core.AnomalyBatch). The bytes are immutable once published. A
+// publish is acknowledged with the record's partition, offset and key
+// — not its value, which the producer already holds. The in-process
+// Broker is untouched by any of this: a node without peers never
+// encodes.
 //
 // The sentinel cluster runtime (package sentinel, cmd/sentineld) wires
 // these together into broker/store/detect/gateway node roles.

@@ -84,7 +84,7 @@ func (g *Group) SeekToEnd() {
 	for i := range t.partitions {
 		t.maybeTrim(i)
 	}
-	t.broker.pulse.wake()
+	t.wake()
 }
 
 // Lag sums high-water minus committed across partitions: the records
@@ -102,26 +102,26 @@ func (g *Group) Lag() int64 {
 // Sync blocks until the group has zero lag (every published record
 // committed), ctx is done, or the broker closes.
 func (g *Group) Sync(ctx context.Context) error {
-	b := g.topic.broker
+	t := g.topic
 	for {
 		if g.Lag() == 0 {
 			return nil
 		}
-		ch := b.pulse.arm()
+		ch := t.pulse.arm()
 		if g.Lag() == 0 {
-			b.pulse.disarm()
+			t.pulse.disarm()
 			return nil
 		}
 		select {
 		case <-ch:
 		case <-ctx.Done():
-			b.pulse.disarm()
+			t.pulse.disarm()
 			return ctx.Err()
-		case <-b.stopped:
-			b.pulse.disarm()
+		case <-t.broker.stopped:
+			t.pulse.disarm()
 			return ErrClosed
 		}
-		b.pulse.disarm()
+		t.pulse.disarm()
 	}
 }
 
@@ -144,7 +144,7 @@ func (g *Group) Close() {
 	for i := range t.partitions {
 		t.maybeTrim(i)
 	}
-	t.broker.pulse.wake()
+	t.wake()
 }
 
 // Join adds a member and rebalances. The returned Consumer is owned by
@@ -157,7 +157,7 @@ func (g *Group) Join() *Consumer {
 	g.members[id] = c
 	g.rebalanceLocked()
 	g.mu.Unlock()
-	g.topic.broker.pulse.wake()
+	g.topic.wake()
 	return c
 }
 
@@ -255,9 +255,10 @@ func (c *Consumer) Poll(ctx context.Context, buf []Record) ([]Record, error) {
 		buf = make([]Record, 0, defaultPollRecords)
 	}
 	buf = buf[:0]
-	b := c.group.topic.broker
+	t := c.group.topic
+	b := t.broker
 	if f := b.faults.Load(); f.Active() > 0 {
-		if err := f.Do(ctx, "bus/fetch/"+c.group.topic.name); err != nil {
+		if err := f.Do(ctx, "bus/fetch/"+t.name); err != nil {
 			return buf, err
 		}
 	}
@@ -280,26 +281,26 @@ func (c *Consumer) Poll(ctx context.Context, buf []Record) ([]Record, error) {
 		if err != nil || len(buf) > 0 {
 			return buf, err
 		}
-		ch := b.pulse.arm()
+		ch := t.pulse.arm()
 		if err = c.refresh(); err != nil {
-			b.pulse.disarm()
+			t.pulse.disarm()
 			return buf, err
 		}
 		buf, err = c.fetch(buf)
 		if err != nil || len(buf) > 0 {
-			b.pulse.disarm()
+			t.pulse.disarm()
 			return buf, err
 		}
 		select {
 		case <-ch:
 		case <-ctx.Done():
-			b.pulse.disarm()
+			t.pulse.disarm()
 			return buf, ctx.Err()
 		case <-b.stopped:
-			b.pulse.disarm()
+			t.pulse.disarm()
 			return buf, ErrClosed
 		}
-		b.pulse.disarm()
+		t.pulse.disarm()
 	}
 }
 
@@ -361,23 +362,37 @@ func (c *Consumer) Commit(part int, upTo int64) error {
 	}
 	g.mu.Unlock()
 	g.topic.maybeTrim(part)
-	g.topic.broker.pulse.wake()
+	g.topic.wake()
 	return nil
 }
 
 // CommitPolled commits every record the last Poll returned on its
-// partition: the common at-least-once loop is Poll → process →
-// CommitPolled.
+// partition: the synchronous form of the at-least-once loop Poll →
+// process → CommitPolled. It stops at the first fenced mark.
 func (c *Consumer) CommitPolled(recs []Record) error {
-	// Records arrive grouped by partition (fetch drains one partition
-	// before moving on), so committing the last offset seen per run is
-	// enough.
+	return eachRun(recs, c.Commit)
+}
+
+// Next commits done — the last poll's records, once processed — and
+// polls the next batch: the at-least-once loop as one call. A mark
+// fenced by a rebalance is dropped; its records go to the partition's
+// new owner.
+func (c *Consumer) Next(ctx context.Context, done, buf []Record) ([]Record, error) {
+	_ = c.CommitPolled(done)
+	return c.Poll(ctx, buf)
+}
+
+// eachRun calls commit with (partition, last offset + 1) for each run
+// of same-partition records, stopping at the first error. Records
+// arrive grouped by partition (fetch drains one partition before moving
+// on), so committing the last offset seen per run is enough.
+func eachRun(recs []Record, commit func(part int, upTo int64) error) error {
 	for i := 0; i < len(recs); {
 		j := i
 		for j+1 < len(recs) && recs[j+1].Partition == recs[i].Partition {
 			j++
 		}
-		if err := c.Commit(recs[i].Partition, recs[j].Offset+1); err != nil {
+		if err := commit(recs[i].Partition, recs[j].Offset+1); err != nil {
 			return err
 		}
 		i = j + 1
@@ -395,5 +410,5 @@ func (c *Consumer) Leave() {
 		g.rebalanceLocked()
 	}
 	g.mu.Unlock()
-	g.topic.broker.pulse.wake()
+	g.topic.wake()
 }

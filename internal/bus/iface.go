@@ -52,8 +52,15 @@ type ConsumerHandle interface {
 	Poll(ctx context.Context, buf []Record) ([]Record, error)
 	// Commit acknowledges records below upTo on the partition.
 	Commit(part int, upTo int64) error
-	// CommitPolled commits every record the last Poll returned.
+	// CommitPolled commits every record the last Poll returned, and
+	// returns once the commit is acknowledged.
 	CommitPolled(recs []Record) error
+	// Next commits done — the records the last call returned, once
+	// processed — and then polls, appending into buf. A mark fenced by
+	// a rebalance is dropped and its records are redelivered to the new
+	// owner. Commits only advance, so a retry after an error may resend
+	// the same done; buf must then not share done's backing array.
+	Next(ctx context.Context, done, buf []Record) ([]Record, error)
 	// Leave removes the member and rebalances.
 	Leave()
 }

@@ -343,6 +343,21 @@ func (c *RemoteConsumer) op() *busOp {
 // rejoining transparently when a promoted coordinator does not know
 // the member (redelivery resumes from the mirrored committed offsets).
 func (c *RemoteConsumer) Poll(ctx context.Context, buf []Record) ([]Record, error) {
+	return c.fetch(ctx, nil, buf)
+}
+
+// Next implements ConsumerHandle in one round trip: the commit rides
+// the fetch as one mark per partition run of done, and the coordinator
+// applies and mirrors it before the long-poll parks.
+func (c *RemoteConsumer) Next(ctx context.Context, done, buf []Record) ([]Record, error) {
+	return c.fetch(ctx, appendMarks(nil, done), buf)
+}
+
+// fetch long-polls the coordinator, carrying marks until a fetch is
+// answered. A rejoin drops them: they came from a membership the
+// coordinator no longer knows, so they are fenced like a commit of a
+// dead generation and the records are redelivered.
+func (c *RemoteConsumer) fetch(ctx context.Context, marks []commitMark, buf []Record) ([]Record, error) {
 	bus := c.group.topic.bus
 	buf = buf[:0]
 	for {
@@ -354,9 +369,11 @@ func (c *RemoteConsumer) Poll(ctx context.Context, buf []Record) ([]Record, erro
 		}
 		op := c.op()
 		op.WaitMS = bus.cfg.FetchWait.Milliseconds()
+		op.Marks = marks
 		res, err := bus.call(ctx, "fetch", op)
 		switch {
 		case err == nil:
+			marks = nil
 			c.mu.Lock()
 			c.assigned = append(c.assigned[:0], res.Assigned...)
 			c.mu.Unlock()
@@ -365,6 +382,7 @@ func (c *RemoteConsumer) Poll(ctx context.Context, buf []Record) ([]Record, erro
 			}
 			continue // long-poll expired server-side; re-fetch
 		case errors.Is(err, ErrUnknownMember):
+			marks = nil
 			_, jerr := bus.callRetry(ctx, "join", c.op())
 			if jerr != nil && !retryable(jerr) {
 				return buf, jerr
@@ -423,19 +441,10 @@ func (c *RemoteConsumer) Commit(part int, upTo int64) error {
 	return err
 }
 
-// CommitPolled implements ConsumerHandle.
+// CommitPolled implements ConsumerHandle: one commit call per
+// partition run, each acknowledged before the next.
 func (c *RemoteConsumer) CommitPolled(recs []Record) error {
-	for i := 0; i < len(recs); {
-		j := i
-		for j+1 < len(recs) && recs[j+1].Partition == recs[i].Partition {
-			j++
-		}
-		if err := c.Commit(recs[i].Partition, recs[j].Offset+1); err != nil {
-			return err
-		}
-		i = j + 1
-	}
-	return nil
+	return eachRun(recs, c.Commit)
 }
 
 // Leave implements ConsumerHandle. Idempotent; safe from another

@@ -30,7 +30,7 @@ func (t *Topic) ReplicaAppend(part int, offset int64, key uint64, value any) (in
 		return hwm, fmt.Errorf("%w: offset %d > high-water %d on partition %d of %q",
 			ErrReplicaGap, offset, hwm, part, t.name)
 	}
-	t.broker.pulse.wake()
+	t.wake()
 	return hwm, nil
 }
 
@@ -72,5 +72,5 @@ func (g *Group) ForceCommit(part int, upTo int64) {
 		}
 	}
 	g.topic.maybeTrim(part)
-	g.topic.broker.pulse.wake()
+	g.topic.wake()
 }

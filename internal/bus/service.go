@@ -40,12 +40,23 @@ package bus
 // Waits are parked there, off the worker pool (rpc.Deferred): a fetch
 // until records arrive, a sync until the group has no lag.
 // Remote members are leased: a member that stops fetching past the TTL
-// is evicted, triggering the usual rebalance. Committed offsets are
-// mirrored to followers on every commit, so a promoted coordinator
-// resumes groups where the dead one left them; members of the old
-// coordinator are unknown to the new one and simply rejoin, resuming
-// from the mirrored offsets (the at-least-once contract — uncommitted
-// records are redelivered).
+// is evicted, triggering the usual rebalance.
+//
+// Commit protocol. A remote consumer's commit rides its next fetch
+// (RemoteConsumer.Next): the fetch carries one mark (partition, upTo)
+// per partition run of the batch it finished. The coordinator applies
+// the marks through the member's Consumer.Commit, mirrors the ones
+// that landed to every follower in one commitsync call each, and only
+// then parks the long-poll — so a commit is on every live follower
+// before any later record is handed out. A mark fenced by a rebalance
+// is dropped and its records go to the partition's new owner; commits
+// only advance, so a retried fetch that resends its marks is harmless.
+// The separate commit method is CommitPolled's synchronous form, one
+// call per partition run. A promoted coordinator therefore resumes
+// groups where the dead one left them; members of the old coordinator
+// are unknown to the new one and simply rejoin — dropping the marks
+// they carried — resuming from the mirrored offsets (the at-least-once
+// contract — uncommitted records are redelivered).
 //
 // Known limitation: records the dead leader appended but never acked
 // may exist on a subset of replicas (the acked prefix is on all of
@@ -86,6 +97,24 @@ type busOp struct {
 	Value  []byte // publish: the record value as rpc.EncodeValue wrote it
 	WaitMS int64
 	Recs   []Record
+	// Marks are the commits a fetch carries (RemoteConsumer.Next) and
+	// a commitsync mirrors: one per partition run of the records done.
+	Marks []commitMark
+}
+
+// commitMark commits one partition: every record below UpTo is done.
+type commitMark struct {
+	Part int
+	UpTo int64
+}
+
+// appendMarks appends one mark per partition run of recs.
+func appendMarks(marks []commitMark, recs []Record) []commitMark {
+	_ = eachRun(recs, func(part int, upTo int64) error {
+		marks = append(marks, commitMark{Part: part, UpTo: upTo})
+		return nil
+	})
+	return marks
 }
 
 // busResult is the single response DTO for every bus rpc method.
@@ -110,11 +139,20 @@ func (o *busOp) AppendWire(b []byte) ([]byte, error) {
 	b = rpc.AppendUint(b, o.Key)
 	b = rpc.AppendBytes(b, o.Value)
 	b = rpc.AppendInt(b, o.WaitMS)
-	return appendRecords(b, o.Recs)
+	b, err := appendRecords(b, o.Recs)
+	if err != nil {
+		return b, err
+	}
+	b = rpc.AppendUint(b, uint64(len(o.Marks)))
+	for _, m := range o.Marks {
+		b = rpc.AppendInt(b, int64(m.Part))
+		b = rpc.AppendInt(b, m.UpTo)
+	}
+	return b, nil
 }
 
 func decodeBusOp(r *rpc.WireReader) *busOp {
-	return &busOp{
+	o := &busOp{
 		Topic:  r.Str(),
 		Group:  r.Str(),
 		Member: r.Str(),
@@ -125,6 +163,13 @@ func decodeBusOp(r *rpc.WireReader) *busOp {
 		WaitMS: r.Int(),
 		Recs:   decodeRecords(r),
 	}
+	if n := r.Count(2); n > 0 {
+		o.Marks = make([]commitMark, n)
+		for i := range o.Marks {
+			o.Marks[i] = commitMark{Part: int(r.Int()), UpTo: r.Int()}
+		}
+	}
+	return o
 }
 
 // AppendWire implements rpc.WireEncoder: the fields in declaration
@@ -532,16 +577,19 @@ func (s *Service) settleReplica(ctx context.Context, addr, topic string, rec Rec
 	}
 }
 
-// mirrorCommit pushes a committed offset to the other replicas, all at
-// once, so a promoted coordinator resumes from it. Best-effort: an
-// unreachable follower merely re-delivers (at-least-once) if it is
-// later promoted.
-func (s *Service) mirrorCommit(ctx context.Context, topic, group string, part int, upTo int64) {
+// mirrorCommit pushes committed offsets to the other replicas, all at
+// once, one call per replica, so a promoted coordinator resumes from
+// them. Best-effort: an unreachable follower merely re-delivers
+// (at-least-once) if it is later promoted.
+func (s *Service) mirrorCommit(ctx context.Context, topic, group string, marks []commitMark) {
+	if len(marks) == 0 {
+		return
+	}
 	set, err := s.replicaSet(false)
 	if err != nil {
 		return
 	}
-	op := &busOp{Topic: topic, Group: group, Part: part, UpTo: upTo}
+	op := &busOp{Topic: topic, Group: group, Marks: marks}
 	cctx, cancel := context.WithTimeout(ctx, replicaTimeout)
 	defer cancel()
 	futs := make([]*rpc.Future, 0, len(set))
@@ -551,6 +599,24 @@ func (s *Service) mirrorCommit(ctx context.Context, topic, group string, part in
 	for _, fut := range futs {
 		_, _ = fut.Wait(cctx)
 	}
+}
+
+// commit applies a fetch's marks through the member's consumer and
+// returns those that landed. A mark fenced by a rebalance is dropped:
+// its records are redelivered to the partition's new owner.
+func (m *remoteMember) commit(marks []commitMark) []commitMark {
+	if len(marks) == 0 {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	landed := make([]commitMark, 0, len(marks))
+	for _, mk := range marks {
+		if m.c.Commit(mk.Part, mk.UpTo) == nil {
+			landed = append(landed, mk)
+		}
+	}
+	return landed
 }
 
 // member resolves a leased consumer, refreshing its lease.
@@ -604,7 +670,10 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 		return &busResult{OK: true, Offset: hwm}, nil
 
 	case "commitsync":
-		t.Group(op.Group).ForceCommit(op.Part, op.UpTo)
+		g := t.Group(op.Group)
+		for _, m := range op.Marks {
+			g.ForceCommit(m.Part, m.UpTo)
+		}
 		return &busResult{OK: true}, nil
 
 	case "hwm":
@@ -639,6 +708,10 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 		if err != nil {
 			return nil, err
 		}
+		// The commit the fetch carries lands, and is mirrored, before
+		// the long-poll parks: no later record is handed out while a
+		// follower could still lack it.
+		s.mirrorCommit(ctx, op.Topic, op.Group, m.commit(op.Marks))
 		wait := time.Duration(op.WaitMS) * time.Millisecond
 		if wait <= 0 || wait > time.Second {
 			wait = 250 * time.Millisecond
@@ -664,7 +737,7 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 		if err != nil {
 			return nil, err
 		}
-		s.mirrorCommit(ctx, op.Topic, op.Group, op.Part, op.UpTo)
+		s.mirrorCommit(ctx, op.Topic, op.Group, []commitMark{{Part: op.Part, UpTo: op.UpTo}})
 		return &busResult{OK: true}, nil
 
 	case "leave":
@@ -681,9 +754,11 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 	case "seektoend":
 		g := t.Group(op.Group)
 		g.SeekToEnd()
-		for p := 0; p < t.Partitions(); p++ {
-			s.mirrorCommit(ctx, op.Topic, op.Group, p, g.Committed(p))
+		marks := make([]commitMark, t.Partitions())
+		for p := range marks {
+			marks[p] = commitMark{Part: p, UpTo: g.Committed(p)}
 		}
+		s.mirrorCommit(ctx, op.Topic, op.Group, marks)
 		return &busResult{OK: true}, nil
 
 	case "lag":

@@ -13,6 +13,10 @@ type Topic struct {
 	broker     *Broker
 	name       string
 	partitions []*partition
+	// pulse broadcasts "something changed on this topic" (append,
+	// commit, trim, membership, detach) to its blocked publishers,
+	// pollers and syncers; a change to another topic does not wake them.
+	pulse pulse
 
 	mu     sync.RWMutex
 	groups map[string]*Group
@@ -20,6 +24,12 @@ type Topic struct {
 
 // Name returns the topic name.
 func (t *Topic) Name() string { return t.name }
+
+// wake releases this topic's waiters and any drainer.
+func (t *Topic) wake() {
+	t.pulse.wake()
+	t.broker.pulse.wake()
+}
 
 // Partitions returns the partition count.
 func (t *Topic) Partitions() int { return len(t.partitions) }
@@ -54,11 +64,11 @@ func (t *Topic) Publish(ctx context.Context, key uint64, value any) (Record, err
 		// bound is never overshot.
 		rec, err := p.tryAppend(b, key, value, t.appendLimit(p))
 		if err == errPartitionFull {
-			ch := b.pulse.arm()
+			ch := t.pulse.arm()
 			if rec, err = p.tryAppend(b, key, value, t.appendLimit(p)); err == errPartitionFull {
 				select {
 				case <-ch:
-					b.pulse.disarm()
+					t.pulse.disarm()
 					continue
 				case <-ctx.Done():
 					err = ctx.Err()
@@ -66,13 +76,13 @@ func (t *Topic) Publish(ctx context.Context, key uint64, value any) (Record, err
 					err = ErrClosed
 				}
 			}
-			b.pulse.disarm()
+			t.pulse.disarm()
 		}
 		if err != nil {
 			return Record{}, err
 		}
 		b.Published.Inc()
-		b.pulse.wake()
+		t.wake()
 		return rec, nil
 	}
 }

@@ -54,6 +54,9 @@ func TestBusWireRoundTrip(t *testing.T) {
 			Part: g.Int(), UpTo: g.Int64(), Key: g.Uint64(),
 			Value: g.Bytes(2048), WaitMS: g.Int64(), Recs: genRecords(g),
 		}
+		for n := g.IntN(5); n > 0; n-- {
+			op.Marks = append(op.Marks, commitMark{Part: g.Int(), UpTo: g.Int64()})
+		}
 		res := &busResult{
 			Rec: genRecord(g), Recs: genRecords(g),
 			Generation: g.Int64(), Offset: g.Int64(), Lag: g.Int64(), OK: g.IntN(2) == 0,
@@ -141,6 +144,79 @@ func TestIdleConsumersDoNotStarvePublish(t *testing.T) {
 	if worst >= 50*time.Millisecond {
 		t.Fatalf("a publish took %v behind 12 idle long-polls, want < 50ms", worst)
 	}
+}
+
+// TestNextCommitRidesTheFetch: a consumer looping on Next over TCP
+// costs one fetch per batch and no commit call — K records published
+// one at a time cost exactly K publishes and K fetches — and the last
+// batch's commit, carried by one more fetch, leaves the group with
+// nothing uncommitted.
+func TestNextCommitRidesTheFetch(t *testing.T) {
+	const k = 20
+	rb := serveBusTCP(t)
+	ctx := context.Background()
+	topic := rb.Topic("next")
+	group := topic.Group("g")
+	c := group.Join()
+	before := rb.net.Calls.Value()
+	var done []Record
+	bufs := [2][]Record{make([]Record, 0, 4), make([]Record, 0, 4)}
+	for i := 0; i < k; i++ {
+		if _, err := topic.Publish(ctx, uint64(i), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := c.Next(ctx, done, bufs[i%2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 1 || recs[0].Value != int64(i) {
+			t.Fatalf("Next %d = %+v, want record %d alone", i, recs, i)
+		}
+		bufs[i%2], done = recs, recs
+	}
+	if got := rb.net.Calls.Value() - before; got != 2*k {
+		t.Fatalf("%d records cost %d calls, want %d publishes + %d fetches", k, got, k, k)
+	}
+	// The last commit rides the next fetch, which then parks: cut it
+	// short, the commit has landed before the park.
+	cctx, cancel := context.WithTimeout(ctx, 200*time.Millisecond)
+	defer cancel()
+	if _, err := c.Next(cctx, done, bufs[k%2]); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("parked Next = %v, want the deadline", err)
+	}
+	sctx, scancel := context.WithTimeout(ctx, 5*time.Second)
+	defer scancel()
+	if err := group.Sync(sctx); err != nil {
+		t.Fatalf("the group kept uncommitted records: %v (lag %d)", err, group.Lag())
+	}
+}
+
+// BenchmarkTransportConsumeCycle is one record's round trips through a
+// remote consumer over loopback TCP: a publish, then a Next that
+// commits the previous record and fetches this one. rpcs/op counts the
+// client's calls: 2, against 3 for Poll followed by CommitPolled.
+func BenchmarkTransportConsumeCycle(b *testing.B) {
+	rb := serveBusTCP(b)
+	ctx := context.Background()
+	topic := rb.Topic("cycle")
+	c := topic.Group("g").Join()
+	var done []Record
+	bufs := [2][]Record{make([]Record, 0, 4), make([]Record, 0, 4)}
+	before := rb.net.Calls.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := topic.Publish(ctx, 7, int64(i)); err != nil {
+			b.Fatal(err)
+		}
+		recs, err := c.Next(ctx, done, bufs[i%2])
+		if err != nil {
+			b.Fatal(err)
+		}
+		bufs[i%2], done = recs, recs
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(rb.net.Calls.Value()-before)/float64(b.N), "rpcs/op")
 }
 
 // BenchmarkTransportPublishHop is one publish of a 50-point row through

@@ -23,8 +23,8 @@ type Anomaly struct {
 	Score    float64
 }
 
-// AppendWire implements rpc.WireEncoder: the fields in declaration
-// order, floats as raw bits.
+// AppendWire appends the flag's fields in declaration order, floats as
+// raw bits: one element of an AnomalyBatch on the wire.
 func (a Anomaly) AppendWire(b []byte) ([]byte, error) {
 	b = rpc.AppendInt(b, int64(a.Unit))
 	b = rpc.AppendInt(b, int64(a.Sensor))
@@ -37,8 +37,11 @@ func (a Anomaly) AppendWire(b []byte) ([]byte, error) {
 	return rpc.AppendFloat(b, a.Score), nil
 }
 
-// DecodeAnomaly is Anomaly's registered wire decoder.
-func DecodeAnomaly(r *rpc.WireReader) Anomaly {
+// anomalyWireMin is the fewest bytes a flag takes on the wire: three
+// one-byte varints, five floats and an empty detector name.
+const anomalyWireMin = 3 + 5*8 + 1
+
+func decodeAnomaly(r *rpc.WireReader) Anomaly {
 	return Anomaly{
 		Unit:      int(r.Int()),
 		Sensor:    int(r.Int()),
@@ -52,14 +55,50 @@ func DecodeAnomaly(r *rpc.WireReader) Anomaly {
 	}
 }
 
-// AnomalySink receives flagged anomalies; implemented by the TSDB
-// write-back adapter and by test fakes.
-type AnomalySink interface {
-	WriteAnomaly(a Anomaly) error
+// AnomalyBatch is one scored batch's flags, in the detector's order:
+// the flag feed's record value, published once per batch.
+type AnomalyBatch []Anomaly
+
+// AppendWire implements rpc.WireEncoder: the count, then each flag.
+func (b AnomalyBatch) AppendWire(dst []byte) ([]byte, error) {
+	dst = rpc.AppendUint(dst, uint64(len(b)))
+	for i := range b {
+		dst, _ = b[i].AppendWire(dst)
+	}
+	return dst, nil
 }
 
-// AnomalySinkFunc adapts a function to AnomalySink.
+// DecodeAnomalyBatch is AnomalyBatch's registered wire decoder.
+func DecodeAnomalyBatch(r *rpc.WireReader) AnomalyBatch {
+	n := r.Count(anomalyWireMin)
+	if n == 0 {
+		return nil
+	}
+	b := make(AnomalyBatch, n)
+	for i := range b {
+		b[i] = decodeAnomaly(r)
+	}
+	return b
+}
+
+// AnomalySink receives a scored batch's flags, all at once; implemented
+// by the TSDB write-back adapter and by test fakes. A write either
+// lands every flag or fails, and the caller retries the whole batch:
+// point writes are idempotent.
+type AnomalySink interface {
+	WriteAnomalies(flags []Anomaly) error
+}
+
+// AnomalySinkFunc adapts a function of one flag to AnomalySink.
 type AnomalySinkFunc func(a Anomaly) error
 
-// WriteAnomaly implements AnomalySink.
-func (f AnomalySinkFunc) WriteAnomaly(a Anomaly) error { return f(a) }
+// WriteAnomalies implements AnomalySink: f on each flag, stopping at
+// the first error.
+func (f AnomalySinkFunc) WriteAnomalies(flags []Anomaly) error {
+	for _, a := range flags {
+		if err := f(a); err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -177,15 +177,24 @@ func StartStorageWriters(ctx context.Context, g bus.GroupHandle, sink Sink, work
 		go func() {
 			defer w.wg.Done()
 			defer c.Leave()
-			buf := make([]bus.Record, 0, 16)
-			for {
+			// Two buffers, alternating: a retried Next resends done, so
+			// the poll must not write over it.
+			bufs := [2][]bus.Record{make([]bus.Record, 0, 16), make([]bus.Record, 0, 16)}
+			var done []bus.Record
+			for k := 0; ; k ^= 1 {
+				// The last poll is committed by the next fetch, only
+				// after the sink stored the whole poll: a crash before
+				// then redelivers, never loses.
 				var recs []bus.Record
 				err := resilience.Park(ctx, &w.Parks, &w.Parked, func() (err error) {
-					recs, err = c.Poll(ctx, buf)
+					recs, err = c.Next(ctx, done, bufs[k])
 					return err
 				})
 				if err != nil {
-					return // shutdown: ctx done, the bus closed
+					// Shutdown (ctx done, the bus closed): commit what
+					// was stored, as the next fetch would have.
+					_ = c.CommitPolled(done)
+					return
 				}
 				for _, rec := range recs {
 					batch, ok := rec.Value.(*UnitBatch)
@@ -197,16 +206,14 @@ func StartStorageWriters(ctx context.Context, g bus.GroupHandle, sink Sink, work
 						return sink.SubmitContext(ctx, batch.Points)
 					}); err != nil {
 						if errors.Is(err, ctx.Err()) {
-							return
+							return // this poll was not stored whole: redelivered
 						}
 						w.Failures.Inc()
 						continue
 					}
 					w.Delivered.Add(int64(len(batch.Points)))
 				}
-				// Commit only after the sink stored the whole poll:
-				// crash before this line redelivers, never loses.
-				_ = c.CommitPolled(recs)
+				bufs[k], done = recs, recs
 			}
 		}()
 	}

@@ -56,7 +56,7 @@
 //	 0 nil        3 string    6 []string             9 float64
 //	 1 int        4 bool      7 map[string]string
 //	 2 int64      5 []byte    8 uint64
-//	16 *bus.busOp        19 *zk.zkOp            22 core.Anomaly
+//	16 *bus.busOp        19 *zk.zkOp            22 core.AnomalyBatch
 //	17 *bus.busResult    20 *zk.zkResult        23 *tsdb.PutBatch
 //	18 bus.Record        21 *ingest.UnitBatch   24 *tsdb.QueryRequest
 //	                                            25 *tsdb.QueryResponse
@@ -180,28 +180,33 @@ type Future struct {
 	done chan struct{}
 	once sync.Once
 	res  result
+	// hook, when set at creation, runs once with the outcome on the
+	// goroutine that resolves the future: a server worker, a Deferred's
+	// reply, or the caller's own on an early failure.
+	hook func(v any, err error)
 }
 
-func newFuture() *Future {
-	return &Future{done: make(chan struct{})}
+func newFuture(hook func(v any, err error)) *Future {
+	return &Future{done: make(chan struct{}), hook: hook}
 }
 
-// resolved returns a future already carrying err (enqueue-time
-// failures).
-func resolved(err error) *Future {
-	f := newFuture()
+// fail resolves f with err (an enqueue-time failure) and returns it.
+func (f *Future) fail(err error) *Future {
 	f.resolve(nil, err)
 	return f
 }
 
-// resolve completes the future and reports whether this call was the
-// one that did.
+// resolve completes the future, runs its hook, and reports whether this
+// call was the one that did.
 func (f *Future) resolve(v any, err error) (first bool) {
 	f.once.Do(func() {
 		f.res = result{value: v, err: err}
 		close(f.done)
 		first = true
 	})
+	if first && f.hook != nil {
+		f.hook(v, err)
+	}
 	return first
 }
 
@@ -576,26 +581,28 @@ func (n *Network) Call(ctx context.Context, addr, method string, payload any) (a
 // server down, closed network, expired context) resolve the future
 // immediately; it never blocks on the destination.
 func (n *Network) Go(ctx context.Context, addr, method string, payload any) *Future {
-	return n.dispatch(ctx, addr, method, payload, true)
+	return n.dispatch(ctx, addr, method, payload, true, nil)
 }
 
 // dispatch is Go; forward says whether an address with no local server
 // may leave along a route. A request that arrived over the wire may
 // not (Transport.serveConn): the sender's route already chose this
 // process, and forwarding it again — a node routes its own name to its
-// own listener — would loop until the deadline.
-func (n *Network) dispatch(ctx context.Context, addr, method string, payload any, forward bool) *Future {
+// own listener — would loop until the deadline. hook, when non-nil,
+// is the returned future's completion hook (see Future).
+func (n *Network) dispatch(ctx context.Context, addr, method string, payload any, forward bool, hook func(any, error)) *Future {
 	n.Calls.Inc()
+	fut := newFuture(hook)
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return resolved(err)
+		return fut.fail(err)
 	}
 	n.mu.RLock()
 	if n.closed {
 		n.mu.RUnlock()
-		return resolved(ErrNetworkClosed)
+		return fut.fail(ErrNetworkClosed)
 	}
 	s, ok := n.servers[addr]
 	lat := n.latency
@@ -606,16 +613,16 @@ func (n *Network) dispatch(ctx context.Context, addr, method string, payload any
 		if fwdAddr, endpoint, rok := n.lookupRoute(addr); rok {
 			if f := n.faults.Load(); f.Active() > 0 {
 				if d := f.Decide("rpc/" + addr + "/" + method); !d.Zero() && d.Err != nil {
-					return resolved(d.Err)
+					return fut.fail(d.Err)
 				}
 			}
-			return n.goRemote(ctx, addr, fwdAddr, endpoint, method, payload)
+			return n.goRemote(ctx, fut, addr, fwdAddr, endpoint, method, payload)
 		}
 	}
 	if !ok {
-		return resolved(fmt.Errorf("%w: %s", ErrUnknownAddr, addr))
+		return fut.fail(fmt.Errorf("%w: %s", ErrUnknownAddr, addr))
 	}
-	c := &call{ctx: ctx, method: method, payload: payload, fut: newFuture()}
+	c := &call{ctx: ctx, method: method, payload: payload, fut: fut}
 	if f := n.faults.Load(); f.Active() > 0 {
 		if d := f.Decide("rpc/" + addr + "/" + method); !d.Zero() {
 			return n.faultedGo(ctx, f, d, s, c, lat)
@@ -633,9 +640,9 @@ func (n *Network) dispatch(ctx context.Context, addr, method string, payload any
 		return c.fut
 	}
 	if err := s.enqueue(c); err != nil {
-		return resolved(err)
+		return fut.fail(err)
 	}
-	return c.fut
+	return fut
 }
 
 // faultedGo carries out an injected fault decision on an outgoing call

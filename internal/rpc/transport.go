@@ -20,6 +20,17 @@ package rpc
 // AddRoute("zk", ep) forwards "zk" verbatim. Locally registered
 // servers always win over routes, and routes apply to local callers
 // only: a request received over TCP is never forwarded again.
+//
+// Serving model: one goroutine per connection reads and decodes
+// frames and dispatches each request as n.Go would, with a completion
+// hook on the call's future; no goroutine waits on a request in
+// flight. Whoever resolves the call — the server's pool worker, a
+// Deferred's reply, or the dispatch itself on an early failure — runs
+// the hook, which frames the reply. A request carrying a budget is
+// also answered when the budget runs out first (context.AfterFunc),
+// with context.DeadlineExceeded, exactly as a wait on that deadline
+// would have been; whichever comes first replies, once. Close waits
+// for every in-flight reply.
 
 import (
 	"bufio"
@@ -29,6 +40,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -155,20 +167,21 @@ func (n *Network) lookupRoute(addr string) (fwdAddr, endpoint string, ok bool) {
 	return fwdAddr, n.routes[best].endpoint, true
 }
 
-// goRemote issues a routed call through the peer connection pool.
-func (n *Network) goRemote(ctx context.Context, addr, fwdAddr, endpoint, method string, payload any) *Future {
+// goRemote issues a routed call through the peer connection pool; fut
+// carries its outcome.
+func (n *Network) goRemote(ctx context.Context, fut *Future, addr, fwdAddr, endpoint, method string, payload any) *Future {
 	p, err := n.peer(endpoint)
 	if err != nil {
-		return resolved(fmt.Errorf("%w: %s via %s: %v", ErrPeerUnreachable, addr, endpoint, err))
+		return fut.fail(fmt.Errorf("%w: %s via %s: %v", ErrPeerUnreachable, addr, endpoint, err))
 	}
 	var budget int64
 	if dl, ok := ctx.Deadline(); ok {
 		budget = time.Until(dl).Milliseconds()
 		if budget <= 0 {
-			return resolved(context.DeadlineExceeded)
+			return fut.fail(context.DeadlineExceeded)
 		}
 	}
-	return p.send(fwdAddr, method, budget, payload)
+	return p.send(fut, fwdAddr, method, budget, payload)
 }
 
 // peer returns (dialing on demand) the pooled connection to endpoint.
@@ -298,8 +311,7 @@ func (p *peerConn) dead() bool {
 }
 
 // send frames one request and registers its future.
-func (p *peerConn) send(addr, method string, budgetMS int64, payload any) *Future {
-	fut := newFuture()
+func (p *peerConn) send(fut *Future, addr, method string, budgetMS int64, payload any) *Future {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -458,19 +470,54 @@ func (t *Transport) serveConn(conn net.Conn) {
 			continue
 		}
 		calls.Add(1)
-		go func() {
-			defer calls.Done()
-			ctx := context.Background()
-			var cancel context.CancelFunc = func() {}
-			if req.budgetMS > 0 {
-				ctx, cancel = context.WithTimeout(ctx, time.Duration(req.budgetMS)*time.Millisecond)
-			}
-			// Local servers only: a frame is served here or not at all.
-			v, err := t.net.dispatch(ctx, req.addr, req.method, req.payload, false).Wait(ctx)
-			cancel()
-			fw.reply(req.id, v, err)
-		}()
+		in := &inbound{fw: fw, id: req.id, calls: &calls}
+		ctx := context.Background()
+		if req.budgetMS > 0 {
+			ctx, in.cancel = context.WithTimeout(ctx, time.Duration(req.budgetMS)*time.Millisecond)
+			in.stop = context.AfterFunc(ctx, in.expire)
+		}
+		// Local servers only: a frame is served here or not at all.
+		t.net.dispatch(ctx, req.addr, req.method, req.payload, false, in.resolved)
 	}
+}
+
+// inbound is one request received on a connection. It holds no
+// goroutine while the call is in flight: the call's future runs
+// resolved on whatever goroutine resolves it, and a budgeted call's
+// deadline runs expire. The first of the two frames the reply.
+type inbound struct {
+	fw       *frameWriter
+	id       uint64
+	calls    *sync.WaitGroup
+	answered atomic.Bool
+	// cancel and stop release a budgeted call's timer and its deadline
+	// hook; nil without a budget.
+	cancel context.CancelFunc
+	stop   func() bool
+}
+
+// resolved is the call's completion hook.
+func (in *inbound) resolved(v any, err error) {
+	if in.stop != nil {
+		in.stop()
+		in.cancel()
+	}
+	in.answer(v, err)
+}
+
+// expire answers a budgeted call whose deadline came first, as Wait on
+// that deadline would have; the call may still complete server-side.
+func (in *inbound) expire() {
+	in.cancel()
+	in.answer(nil, context.DeadlineExceeded)
+}
+
+func (in *inbound) answer(v any, err error) {
+	if !in.answered.CompareAndSwap(false, true) {
+		return
+	}
+	in.fw.reply(in.id, v, err)
+	in.calls.Done()
 }
 
 // reply frames one call's outcome. A result that cannot be encoded

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -241,5 +242,92 @@ func TestTransportDoesNotReforward(t *testing.T) {
 	n.AddRoute("self/", tr.Addr().String())
 	if v, err := n.Call(ctx, "self/bus/self2", "fetch", nil); err != nil || v != "ok" {
 		t.Fatalf("prefixed self-route: %v, %v", v, err)
+	}
+}
+
+// TestInboundCallsHoldNoGoroutine: 200 requests in flight on a server
+// with one busy worker cost the serving side no goroutine each — the
+// reply is written by whoever resolves the call — and the caller holds
+// none either (Go, not Call). Every call is still answered.
+func TestInboundCallsHoldNoGoroutine(t *testing.T) {
+	const calls = 200
+	release := make(chan struct{})
+	n := NewNetwork(0, nil)
+	srv, err := n.Register("slow", func(_ context.Context, _ string, payload any) (any, error) {
+		if payload == "block" {
+			<-release
+		}
+		return payload, nil
+	}, ServerConfig{Workers: 1, QueueCap: 2 * calls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := ServeTCP(n, lis)
+	defer func() { tr.Close(); n.Close() }()
+	client := NewNetwork(0, nil)
+	defer client.Close()
+	client.AddRoute("slow", lis.Addr().String())
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	// Dial first, so the connection's own goroutines are in the base.
+	if _, err := client.Call(ctx, "slow", "m", "warm"); err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	futs := make([]*Future, calls)
+	for i := range futs {
+		futs[i] = client.Go(ctx, "slow", "m", "block")
+	}
+	for deadline := time.Now().Add(10 * time.Second); srv.Depth.Value() < calls-1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d calls queued", srv.Depth.Value(), calls-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	grown := runtime.NumGoroutine() - base
+	close(release)
+	for i, f := range futs {
+		if v, err := f.Wait(ctx); err != nil || v != "block" {
+			t.Fatalf("call %d = %v, %v", i, v, err)
+		}
+	}
+	if grown >= 50 {
+		t.Fatalf("%d calls in flight grew the goroutine count by %d, want < 50", calls, grown)
+	}
+}
+
+// TestInboundDeadlineAnswersOnce: a budgeted call whose handler outlives
+// the budget is answered with the deadline by the serving side itself —
+// the caller waits on no deadline of its own — and the handler's late
+// result is not sent after it.
+func TestInboundDeadlineAnswersOnce(t *testing.T) {
+	release := make(chan struct{})
+	handled := make(chan struct{})
+	_, tr := startServerNet(t, "deaf", func(_ context.Context, _ string, payload any) (any, error) {
+		if payload == "again" {
+			return payload, nil
+		}
+		<-release // ignores its ctx
+		close(handled)
+		return "late", nil
+	})
+	client := NewNetwork(0, nil)
+	defer client.Close()
+	client.AddRoute("deaf", tr.Addr().String())
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	fut := client.Go(ctx, "deaf", "m", nil)
+	cancel() // the caller's own wait could end here: Result waits for the server
+	if _, err := fut.Result(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the server-side deadline", err)
+	}
+	close(release)
+	<-handled
+	// The connection carries on: the late result did not desynchronise it.
+	if v, err := client.Call(context.Background(), "deaf", "m", "again"); err != nil || v != "again" {
+		t.Fatalf("call after a deadline reply = %v, %v", v, err)
 	}
 }

@@ -121,24 +121,40 @@ func (s *Source) TrainingWindow(unit int) ([][]float64, error) {
 // Sink adapts a TSD into core.AnomalySink: each flag becomes a point
 // under the "anomaly" metric whose value is Anomaly.Z — the raising
 // family's severity score (|z| for mgd), which the visualization
-// renders as severity.
+// renders as severity — and a batch's flags are one put.
 type Sink struct {
 	TSD *TSD
 	// Timeout, when > 0, bounds each write-back with a deadline.
 	Timeout time.Duration
 }
 
-// WriteAnomaly implements core.AnomalySink.
-func (s *Sink) WriteAnomaly(a core.Anomaly) error {
-	p := Point{
-		Metric:    MetricAnomaly,
-		Tags:      EnergyTags(a.Unit, a.Sensor),
-		Timestamp: a.Timestamp,
-		Value:     a.Z,
+// WriteAnomalies implements core.AnomalySink: one put for the batch.
+func (s *Sink) WriteAnomalies(flags []core.Anomaly) error {
+	if len(flags) == 0 {
+		return nil
 	}
 	ctx, cancel := deadlineCtx(s.Timeout)
 	defer cancel()
-	return s.TSD.PutContext(ctx, []Point{p})
+	return s.TSD.PutContext(ctx, AnomalyPoints(flags))
+}
+
+// WriteAnomaly writes one flag: the one-element batch.
+func (s *Sink) WriteAnomaly(a core.Anomaly) error {
+	return s.WriteAnomalies([]core.Anomaly{a})
+}
+
+// AnomalyPoints returns the points flags are stored as, one per flag.
+func AnomalyPoints(flags []core.Anomaly) []Point {
+	pts := make([]Point, len(flags))
+	for i, a := range flags {
+		pts[i] = Point{
+			Metric:    MetricAnomaly,
+			Tags:      EnergyTags(a.Unit, a.Sensor),
+			Timestamp: a.Timestamp,
+			Value:     a.Z,
+		}
+	}
+	return pts
 }
 
 // Compile-time interface checks against the detector's seams.

@@ -3,6 +3,7 @@ package sentinel
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -44,7 +45,12 @@ import (
 //
 // One detection loop: workers assemble bus records into observation
 // rows (process), System.Detect reads stored rows, and both hand them
-// to score — the only code that turns rows into stored flags.
+// to score — the only code that turns rows into stored flags. A scored
+// batch's flags travel together: one sink call writes them back (a
+// transient failure parks and retries the whole batch; point writes
+// are idempotent), and, while a tail is attached, one flag-feed record
+// (core.AnomalyBatch) publishes them. A worker commits the records it
+// processed with its next fetch (bus.ConsumerHandle.Next).
 type DetectorPool struct {
 	env    DetectorEnv
 	group  bus.GroupHandle
@@ -346,6 +352,7 @@ type detectorScratch struct {
 	ts       []int64
 	seen     []bool
 	rowFlags []bool
+	flags    []core.Anomaly // the batch's flags, written and published together
 	// keep makes score retain every flag it stores in stored — Detect's
 	// return value; pool workers leave it off.
 	keep   bool
@@ -369,44 +376,51 @@ func (p *DetectorPool) detector(sc *detectorScratch, unit int) (mllib.Detector, 
 	return d, nil
 }
 
-// worker is one consumer-group member's loop: poll, evaluate, write
-// flags, commit. Commit happens only after the whole poll is
-// processed, so a worker lost mid-batch redelivers (at-least-once) to
-// the surviving members.
+// worker is one consumer-group member's loop: evaluate, write flags,
+// then commit the poll with the next fetch (ConsumerHandle.Next).
+// Commit happens only after the whole poll is processed, so a worker
+// lost mid-batch redelivers (at-least-once) to the surviving members.
 func (p *DetectorPool) worker(ctx context.Context, c bus.ConsumerHandle) {
 	defer p.wg.Done()
 	defer c.Leave()
 	var sc detectorScratch
-	buf := make([]bus.Record, 0, 16)
-	for {
+	// Two buffers, alternating: a retried Next resends done, so the
+	// poll must not write over it.
+	bufs := [2][]bus.Record{make([]bus.Record, 0, 16), make([]bus.Record, 0, 16)}
+	var done []bus.Record
+	for i := 0; ; i ^= 1 {
 		// A transient fetch fault (injected error or drop, deadline)
 		// parks the worker instead of killing it; only shutdown (ctx
 		// done, bus closed) ends the loop.
 		var recs []bus.Record
 		if err := resilience.Park(ctx, &p.Parks, &p.Parked, func() (err error) {
-			recs, err = c.Poll(ctx, buf)
+			recs, err = c.Next(ctx, done, bufs[i])
 			return err
 		}); err != nil {
+			// Stopping: commit what was processed, as the next fetch
+			// would have.
+			_ = c.CommitPolled(done)
 			return
 		}
-		for i := range recs {
-			if err := p.process(ctx, &recs[i], &sc); err != nil {
+		for j := range recs {
+			if err := p.process(ctx, &recs[j], &sc); err != nil {
 				p.Errors.Inc()
 			}
 			p.Batches.Inc()
 		}
-		_ = c.CommitPolled(recs)
+		bufs[i], done = recs, recs
 	}
 }
 
-// writeFlag writes one anomaly, parking on transient storage faults
-// (resilience.Park) until the write lands, the fault turns out to be
-// permanent, or the worker is stopped. The enclosing record is not
+// writeFlags writes a scored batch's flags in one sink call, parking on
+// transient storage faults (resilience.Park) until the write lands, the
+// fault turns out to be permanent, or the worker is stopped. A parked
+// write retries the whole batch, and the enclosing record is not
 // committed while parked, so detection resumes exactly where the
 // outage interrupted it (point writes are idempotent, so a replay of
 // already-landed flags is harmless).
-func (p *DetectorPool) writeFlag(ctx context.Context, a core.Anomaly) error {
-	return resilience.Park(ctx, &p.Parks, &p.Parked, func() error { return p.env.Sink.WriteAnomaly(a) })
+func (p *DetectorPool) writeFlags(ctx context.Context, flags []core.Anomaly) error {
+	return resilience.Park(ctx, &p.Parks, &p.Parked, func() error { return p.env.Sink.WriteAnomalies(flags) })
 }
 
 // process assembles one bus record into observation rows and scores
@@ -423,9 +437,10 @@ func (p *DetectorPool) process(ctx context.Context, rec *bus.Record, sc *detecto
 }
 
 // score is the scorer: one unit's observation rows through the primary
-// detector, each flag written back (parking on a transient storage
-// fault), published on the flag feed and counted, and the batch with
-// the primary's row verdicts offered to the shadow runner.
+// detector; the batch's flags written back in one sink call (parking
+// on a transient storage fault), published on the flag feed as one
+// record and counted; and the batch with the primary's row verdicts
+// offered to the shadow runner.
 func (p *DetectorPool) score(ctx context.Context, unit int, rows [][]float64, ts []int64, sc *detectorScratch) error {
 	d, err := p.detector(sc, unit)
 	if err != nil {
@@ -442,6 +457,7 @@ func (p *DetectorPool) score(ctx context.Context, unit int, rows [][]float64, ts
 	sc.rowFlags = sc.rowFlags[:n]
 	clear(sc.rowFlags)
 	primary := p.env.Primary
+	flags := sc.flags[:0]
 	for _, f := range sc.det.Flags {
 		sc.rowFlags[f.Row] = true
 		a := core.Anomaly{
@@ -457,25 +473,31 @@ func (p *DetectorPool) score(ctx context.Context, unit int, rows [][]float64, ts
 		if f.Sensor >= 0 {
 			a.Value = rows[f.Row][f.Sensor]
 		}
-		if err := p.writeFlag(ctx, a); err != nil {
-			return fmt.Errorf("sentinel: write anomaly: %w", err)
+		flags = append(flags, a)
+	}
+	sc.flags = flags
+	if len(flags) > 0 {
+		if err := p.writeFlags(ctx, flags); err != nil {
+			return fmt.Errorf("sentinel: write anomalies: %w", err)
 		}
-		p.AnomaliesWritten.Inc()
+		k := int64(len(flags))
+		p.AnomaliesWritten.Add(k)
 		if sc.keep {
-			sc.stored = append(sc.stored, a)
+			sc.stored = append(sc.stored, flags...)
 		}
-		// Feed the live stream — only while a tail (consumer
-		// group) is attached: a group-less topic is never trimmed,
-		// so publishing into one would retain every flag forever.
-		// The check races benignly with tail attach/detach (the
-		// stream is live; a flag written during the race is simply
-		// not streamed). Failures are counted, not fatal — the
-		// flag is already durable in the TSDB.
+		// Feed the live stream — only while a tail (consumer group) is
+		// attached: a group-less topic is never trimmed, so publishing
+		// into one would retain every flag forever. The check races
+		// benignly with tail attach/detach (the stream is live; a flag
+		// written during the race is simply not streamed). Failures are
+		// counted, not fatal — the flags are already durable in the
+		// TSDB. The record is a copy: an in-process feed hands the
+		// value itself to the tail, and the scratch is reused.
 		if p.env.Flags != nil && p.env.Flags.HasGroups() {
-			if _, err := p.env.Flags.Publish(ctx, uint64(a.Unit), a); err != nil {
-				p.FlagPublishErrors.Inc()
+			if _, err := p.env.Flags.Publish(ctx, uint64(unit), slices.Clone(core.AnomalyBatch(flags))); err != nil {
+				p.FlagPublishErrors.Add(k)
 			} else {
-				p.FlagsPublished.Inc()
+				p.FlagsPublished.Add(k)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package sentinel
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"slices"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/faultinject"
@@ -516,3 +518,74 @@ func TestDetectorPoolResize(t *testing.T) {
 		t.Fatalf("Resize after Stop left Workers() = %d, want 0", got)
 	}
 }
+
+// TestScoredBatchTravelsAsOneRecord: a scored batch's k flags cost one
+// sink call carrying all k, one flag-feed record, and still reach a
+// stream as k events in the detector's order.
+func TestScoredBatchTravelsAsOneRecord(t *testing.T) {
+	r := newScorerRig(t)
+	var calls [][]core.Anomaly
+	sink := sinkFunc(func(flags []core.Anomaly) error {
+		calls = append(calls, slices.Clone(flags))
+		return nil
+	})
+	b := bus.New(bus.Config{Partitions: 4})
+	t.Cleanup(b.Close)
+	feed := b.Topic(TopicAnomalies)
+	tail := api.NewAnomalyTail(bus.LocalTopic{Topic: feed}, "stream")
+	t.Cleanup(tail.Close)
+	events, cancel := tail.Subscribe()
+	defer cancel()
+	pool := newScorer(DetectorEnv{
+		Sensors: rigSensors, Primary: "mgd", NewDetector: r.mgd,
+		Sink: sink, Flags: bus.LocalTopic{Topic: feed},
+	}, nil)
+	t.Cleanup(pool.Stop)
+
+	faulty := 0
+	for r.fleet.UnitFault(faulty).Class == simdata.FaultNone {
+		faulty++
+	}
+	rows, ts := r.window(faulty)
+	var sc detectorScratch
+	if err := pool.score(context.Background(), faulty, rows, ts, &sc); err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 1 || len(calls[0]) < 2 {
+		t.Fatalf("sink calls %d (first carrying %d flags), want one call with every flag of the batch", len(calls), len(calls[0]))
+	}
+	k := len(calls[0])
+	records := int64(0)
+	for p := 0; p < feed.Partitions(); p++ {
+		records += feed.HighWater(p)
+	}
+	if records != 1 {
+		t.Fatalf("%d flags published as %d feed records, want 1", k, records)
+	}
+	if pool.AnomaliesWritten.Value() != int64(k) || pool.FlagsPublished.Value() != int64(k) {
+		t.Fatalf("written %d, published %d, want %d each: the counters count flags",
+			pool.AnomaliesWritten.Value(), pool.FlagsPublished.Value(), k)
+	}
+	for i, want := range calls[0] {
+		select {
+		case data := <-events:
+			var ev struct {
+				Unit, Sensor int
+				Timestamp    int64
+			}
+			if err := json.Unmarshal(data, &ev); err != nil {
+				t.Fatal(err)
+			}
+			if ev.Unit != want.Unit || ev.Sensor != want.Sensor || ev.Timestamp != want.Timestamp {
+				t.Fatalf("event %d = %+v, want flag %+v", i, ev, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("stream starved at event %d of %d", i, k)
+		}
+	}
+}
+
+// sinkFunc adapts a function of the whole batch to core.AnomalySink.
+type sinkFunc func([]core.Anomaly) error
+
+func (f sinkFunc) WriteAnomalies(flags []core.Anomaly) error { return f(flags) }

@@ -252,13 +252,13 @@ var wireOnce sync.Once
 
 // RegisterWireTypes registers the application payloads the cluster
 // ships over the rpc transport — bus record values (unit batches,
-// anomaly flags) and the TSD request/response DTOs — plus the wire
+// scored batches' flags) and the TSD request/response DTOs — plus the wire
 // identities of the storage-tier sentinel errors. StartNode calls it;
 // exported for drivers that speak to a cluster without running a node.
 func RegisterWireTypes() {
 	wireOnce.Do(func() {
 		rpc.RegisterWireType(rpc.TagUnitBatch, ingest.DecodeUnitBatch)
-		rpc.RegisterWireType(rpc.TagAnomaly, core.DecodeAnomaly)
+		rpc.RegisterWireType(rpc.TagAnomaly, core.DecodeAnomalyBatch)
 		rpc.RegisterWireType(rpc.TagPutBatch, tsdb.DecodePutBatch)
 		rpc.RegisterWireType(rpc.TagQueryRequest, tsdb.DecodeQueryRequest)
 		rpc.RegisterWireType(rpc.TagQueryResponse, tsdb.DecodeQueryResponse)
@@ -750,18 +750,25 @@ type remoteSink struct {
 	timeout time.Duration
 }
 
-func (s *remoteSink) WriteAnomaly(a core.Anomaly) error {
+// WriteAnomalies sends one put per run of flags bound for the same
+// daemon: one for a scored batch, whose flags share a unit.
+func (s *remoteSink) WriteAnomalies(flags []core.Anomaly) error {
 	if len(s.addrs) == 0 {
 		return errors.New("sentinel: no store TSDs")
 	}
-	addr := s.addrs[a.Unit%len(s.addrs)]
-	ctx, cancel := context.WithTimeout(context.Background(), s.timeout)
-	defer cancel()
-	_, err := s.net.Call(ctx, addr, "put", &tsdb.PutBatch{Points: []tsdb.Point{{
-		Metric:    tsdb.MetricAnomaly,
-		Tags:      tsdb.EnergyTags(a.Unit, a.Sensor),
-		Timestamp: a.Timestamp,
-		Value:     a.Z,
-	}}})
-	return err
+	addr := func(a core.Anomaly) string { return s.addrs[a.Unit%len(s.addrs)] }
+	for i := 0; i < len(flags); {
+		j := i + 1
+		for j < len(flags) && addr(flags[j]) == addr(flags[i]) {
+			j++
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), s.timeout)
+		_, err := s.net.Call(ctx, addr(flags[i]), "put", &tsdb.PutBatch{Points: tsdb.AnomalyPoints(flags[i:j])})
+		cancel()
+		if err != nil {
+			return err
+		}
+		i = j
+	}
+	return nil
 }
