@@ -64,7 +64,11 @@ vet:
 # one-wire-codec rule: internal/rpc's frame codec is the only encoding
 # that crosses the cluster, so no non-test file outside internal/core
 # (whose model catalog serialises trained models) may import
-# encoding/gob.
+# encoding/gob. And the one-consumer-loop rule: bus.Consume is the only
+# poll/commit loop, so no non-test file outside internal/bus calls a
+# consumer's Next, Poll or CommitPolled — except benchmark/'s layer
+# replay and examples/ingestscaling's crash-and-replay demo, which
+# drive a local consumer by hand.
 assembly:
 	@for call in 'api\.New(' 'tsdb\.NewCompactor(' 'ingest\.StartStorageWriters(' 'viz\.NewServer(' 'hbase\.NewCluster(' 'query\.New('; do \
 		files=$$(grep -rl --include='*.go' --exclude='*_test.go' "$$call" sentinel cmd); \
@@ -83,6 +87,10 @@ assembly:
 	@files=$$(grep -rl --include='*.go' --exclude='*_test.go' '"encoding/gob"' . | grep -v '^\./internal/core/'); \
 	if [ -n "$$files" ]; then \
 		echo "second wire codec: encoding/gob imported outside internal/core (use internal/rpc's wire codec):"; echo "$$files"; exit 1; \
+	fi
+	@files=$$(grep -rlE --include='*.go' --exclude='*_test.go' '\.(Next|Poll)\([^)]|\.CommitPolled\(' . | grep -v -e '^\./internal/bus/' -e '^\./benchmark/' -e '^\./examples/ingestscaling/'); \
+	if [ -n "$$files" ]; then \
+		echo "second consumer loop: a consumer's Next, Poll or CommitPolled called outside internal/bus (use bus.Consume):"; echo "$$files"; exit 1; \
 	fi
 
 lint: fmt vet assembly

@@ -301,30 +301,12 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // window resolves [from, to] from the request's from/to parameters
-// with gateway defaults, rejecting inverted windows. Handlers parse the
-// query string once (r.URL.Query allocates a map per call) and pass it.
+// with gateway defaults (viz.Window). Handlers parse the query string
+// once (r.URL.Query allocates a map per call) and pass it.
 func (g *Gateway) window(q url.Values) (int64, int64, error) {
-	to := g.cfg.Now()
-	if v := q.Get("to"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return 0, 0, errBadRequest("bad to %q", v)
-		}
-		to = n
-	}
-	from := to - g.cfg.Window
-	if v := q.Get("from"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return 0, 0, errBadRequest("bad from %q", v)
-		}
-		from = n
-	}
-	if from < 0 {
-		from = 0
-	}
-	if from > to {
-		return 0, 0, errBadRequest("inverted window [%d, %d]", from, to)
+	from, to, err := viz.Window(q, g.cfg.Now(), g.cfg.Window)
+	if err != nil {
+		return 0, 0, errBadRequest("%v", err)
 	}
 	return from, to, nil
 }

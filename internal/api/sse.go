@@ -49,6 +49,11 @@ type AnomalyTail struct {
 	// (a NaN score, say), which reaches no subscriber.
 	Events  telemetry.Counter
 	Dropped telemetry.Counter
+
+	// parks counts the drain loop's park episodes; parked is 1 while it
+	// waits out a fetch fault.
+	parks  telemetry.Counter
+	parked telemetry.Gauge
 }
 
 // subscriberBuffer is each stream's event buffer: enough to ride out a
@@ -77,24 +82,19 @@ func NewAnomalyTail(topic bus.TopicHandle, group string) *AnomalyTail {
 // Group exposes the tail's consumer group (lag diagnostics).
 func (t *AnomalyTail) Group() bus.GroupHandle { return t.group }
 
+// run drains the tail's consumer through bus.Consume: a transient
+// fetch fault parks the tail until the bus answers again, and only
+// Close ends it.
 func (t *AnomalyTail) run(ctx context.Context, c bus.ConsumerHandle) {
 	defer t.wg.Done()
-	defer c.Leave()
-	buf := make([]bus.Record, 0, 16)
-	var recs []bus.Record
-	for {
-		// The drained poll's commit rides the next fetch. Nothing
-		// retries a failed Next here, so done may share buf.
-		var err error
-		if recs, err = c.Next(ctx, recs, buf); err != nil {
-			return
-		}
+	bus.Consume(ctx, c, &t.parks, &t.parked, func(recs []bus.Record) error {
 		for i := range recs {
 			if flags, ok := recs[i].Value.(core.AnomalyBatch); ok {
 				t.broadcast(flags)
 			}
 		}
-	}
+		return nil
+	})
 }
 
 // broadcast fans a scored batch out as one event per flag, in order.

@@ -19,6 +19,7 @@ import (
 	v1 "repro/internal/api/v1"
 	"repro/internal/bus"
 	"repro/internal/core"
+	"repro/internal/faultinject"
 )
 
 func flagTopic(t *testing.T) (*bus.Broker, *bus.Topic) {
@@ -120,6 +121,44 @@ func TestAnomalyTailSkipsHistory(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("live event never arrived")
+	}
+}
+
+// TestAnomalyTailParksOnFetchFault: a fetch fault parks the tail
+// instead of ending it — once the fault clears, the next flag reaches
+// the stream.
+func TestAnomalyTailParksOnFetchFault(t *testing.T) {
+	broker, topic := flagTopic(t)
+	inj := faultinject.New(1)
+	broker.SetFaults(inj)
+	tail := NewAnomalyTail(bus.LocalTopic{Topic: topic}, "stream")
+	defer tail.Close()
+	ch, cancel := tail.Subscribe()
+	defer cancel()
+
+	inj.Set("fetch", faultinject.Rule{Op: "bus/fetch/", ErrorRate: 1})
+	publishFlag(t, topic, 1, 1, 100, 4.0)
+	deadline := time.Now().Add(5 * time.Second)
+	for inj.Errors.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the tail never fetched under the fault")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(300 * time.Millisecond) // faults keep coming while the rule holds
+	inj.Clear("fetch")
+
+	publishFlag(t, topic, 2, 2, 200, 5.0)
+	timeout := time.After(5 * time.Second)
+	for {
+		select {
+		case data := <-ch:
+			if ev := tailEvent(t, data); ev.Unit == 2 {
+				return
+			}
+		case <-timeout:
+			t.Fatalf("no flag reached the stream after the fault cleared (%d fetch faults)", inj.Errors.Value())
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ var (
 	// ErrOffsetOutOfRange marks a read past a partition's high-water
 	// mark.
 	ErrOffsetOutOfRange = errors.New("bus: offset past high-water mark")
-	// ErrNotMember is returned by Poll/Commit after Leave.
+	// ErrNotMember is returned by a consumer's calls after Leave.
 	ErrNotMember = errors.New("bus: consumer has left the group")
 	// ErrNotAssigned fences a commit against a partition the consumer
 	// does not own in the current generation (a zombie commit after a

@@ -18,8 +18,11 @@
 //     resets every member to its group's committed offsets, so records
 //     polled but not yet committed are redelivered — delivery is
 //     at-least-once, never lossy. A consumer loop is one call per
-//     batch: Next commits the batch it processed and polls the next
-//     (CommitPolled is the separate, synchronous commit).
+//     batch: Next commits the batch it processed and polls the next.
+//     Consume (consume.go) is that loop, the only one the pipeline
+//     runs: it parks on transient fetch faults (resilience.Park),
+//     commits the last handled batch when it stops (CommitPolled) and
+//     leaves the group.
 //   - Publish applies bounded-buffer backpressure: once a partition's
 //     uncommitted window (high-water mark minus the slowest group's
 //     committed offset) reaches the configured buffer, producers block
@@ -74,14 +77,14 @@
 //     coordinator applies it, mirrors it to every live follower, and
 //     only then parks the long-poll, so no later record is handed out
 //     while a follower could still lack the commit. CommitPolled is
-//     the synchronous form, a commit call per partition run.
+//     the synchronous form: one commit call carrying the same marks.
 //
 // Record values are opaque on the clustered bus: encode once, decode
 // per consumer. RemoteTopic.Publish encodes the value a single time
 // into self-contained tagged bytes (rpc.EncodeValue); the leader's log,
 // replication, backfill and fetch store and forward those bytes
 // verbatim, so follower logs are byte-identical to the leader's; and
-// RemoteConsumer.Poll decodes each record once, handing the consumer
+// RemoteConsumer.Next decodes each record once, handing the consumer
 // the same Go value an in-process topic would (*ingest.UnitBatch,
 // core.AnomalyBatch). The bytes are immutable once published. A
 // publish is acknowledged with the record's partition, offset and key

@@ -40,27 +40,26 @@ type GroupHandle interface {
 	Close()
 }
 
-// ConsumerHandle abstracts one group member. Implementations follow
-// *Consumer's contract: not safe for concurrent use, except that Leave
-// may be called from another goroutine.
+// ConsumerHandle abstracts one group member: what Consume, the one
+// consumer loop, calls. Implementations follow *Consumer's contract:
+// not safe for concurrent use, except that Leave may be called from
+// another goroutine.
 type ConsumerHandle interface {
 	// ID returns the member id (unique within the group and process).
 	ID() int
-	// Assigned returns the partitions owned as of the last Poll.
+	// Assigned returns the partitions owned as of the last Next.
 	Assigned() []int
-	// Poll returns the next batch from the assigned partitions.
-	Poll(ctx context.Context, buf []Record) ([]Record, error)
-	// Commit acknowledges records below upTo on the partition.
-	Commit(part int, upTo int64) error
-	// CommitPolled commits every record the last Poll returned, and
-	// returns once the commit is acknowledged.
-	CommitPolled(recs []Record) error
 	// Next commits done — the records the last call returned, once
-	// processed — and then polls, appending into buf. A mark fenced by
-	// a rebalance is dropped and its records are redelivered to the new
-	// owner. Commits only advance, so a retry after an error may resend
-	// the same done; buf must then not share done's backing array.
+	// processed — and then polls, appending into buf; Next(ctx, nil,
+	// buf) is a bare poll. A mark fenced by a rebalance is dropped and
+	// its records are redelivered to the new owner. Commits only
+	// advance, so a retry after an error may resend the same done; buf
+	// must then not share done's backing array.
 	Next(ctx context.Context, done, buf []Record) ([]Record, error)
+	// CommitPolled commits recs — records Next returned — and returns
+	// once the commit is acknowledged: nil only if every partition's
+	// mark landed, ErrNotAssigned when one was fenced.
+	CommitPolled(recs []Record) error
 	// Leave removes the member and rebalances.
 	Leave()
 }

@@ -311,7 +311,7 @@ type RemoteConsumer struct {
 	id     int
 	member string
 
-	mu       sync.Mutex // guards left + assigned (Leave may race Poll)
+	mu       sync.Mutex // guards left + assigned (Leave may race Next)
 	left     bool
 	assigned []int
 }
@@ -339,60 +339,40 @@ func (c *RemoteConsumer) op() *busOp {
 	return &busOp{Topic: c.group.topic.name, Group: c.group.name, Member: c.member}
 }
 
-// Poll implements ConsumerHandle: it long-polls the coordinator,
-// rejoining transparently when a promoted coordinator does not know
-// the member (redelivery resumes from the mirrored committed offsets).
-func (c *RemoteConsumer) Poll(ctx context.Context, buf []Record) ([]Record, error) {
-	return c.fetch(ctx, nil, buf)
-}
-
 // Next implements ConsumerHandle in one round trip: the commit rides
 // the fetch as one mark per partition run of done, and the coordinator
-// applies and mirrors it before the long-poll parks.
+// applies and mirrors it before the long-poll parks. The fetch rides
+// through failover, and a promoted coordinator that does not know the
+// member is rejoined transparently (redelivery resumes from the
+// mirrored committed offsets). A rejoin drops the marks: they came
+// from a membership the coordinator no longer knows, so they are
+// fenced like a commit of a dead generation and the records are
+// redelivered.
 func (c *RemoteConsumer) Next(ctx context.Context, done, buf []Record) ([]Record, error) {
-	return c.fetch(ctx, appendMarks(nil, done), buf)
-}
-
-// fetch long-polls the coordinator, carrying marks until a fetch is
-// answered. A rejoin drops them: they came from a membership the
-// coordinator no longer knows, so they are fenced like a commit of a
-// dead generation and the records are redelivered.
-func (c *RemoteConsumer) fetch(ctx context.Context, marks []commitMark, buf []Record) ([]Record, error) {
 	bus := c.group.topic.bus
+	op := c.op()
+	op.WaitMS = bus.cfg.FetchWait.Milliseconds()
+	op.Marks = appendMarks(nil, done)
 	buf = buf[:0]
 	for {
 		if c.gone() {
 			return buf, ErrNotMember
 		}
-		if err := ctx.Err(); err != nil {
-			return buf, err
-		}
-		op := c.op()
-		op.WaitMS = bus.cfg.FetchWait.Milliseconds()
-		op.Marks = marks
-		res, err := bus.call(ctx, "fetch", op)
+		res, err := bus.callRetry(ctx, "fetch", op)
 		switch {
 		case err == nil:
-			marks = nil
+			op.Marks = nil
 			c.mu.Lock()
 			c.assigned = append(c.assigned[:0], res.Assigned...)
 			c.mu.Unlock()
 			if len(res.Recs) > 0 {
 				return decodeValues(append(buf, res.Recs...))
 			}
-			continue // long-poll expired server-side; re-fetch
+			// The long-poll expired server-side: re-fetch.
 		case errors.Is(err, ErrUnknownMember):
-			marks = nil
-			_, jerr := bus.callRetry(ctx, "join", c.op())
-			if jerr != nil && !retryable(jerr) {
-				return buf, jerr
-			}
-		case retryable(err):
-			bus.invalidate()
-			select {
-			case <-time.After(bus.cfg.RetryDelay):
-			case <-ctx.Done():
-				return buf, ctx.Err()
+			op.Marks = nil
+			if _, err := bus.callRetry(ctx, "join", c.op()); err != nil && !retryable(err) {
+				return buf, err
 			}
 		default:
 			return buf, err
@@ -414,12 +394,15 @@ func decodeValues(recs []Record) ([]Record, error) {
 	return recs, nil
 }
 
-// Commit implements ConsumerHandle. Commits are fenced exactly like
-// local ones: a partition that moved in a rebalance fails with
-// ErrNotAssigned, and a member the coordinator no longer knows (lease
-// expiry or failover) fails the same way — its poll was from a dead
-// generation.
-func (c *RemoteConsumer) Commit(part int, upTo int64) error {
+// CommitPolled implements ConsumerHandle: one commit call carries a
+// mark per partition run of recs, and the coordinator applies and
+// mirrors them as it does a fetch's. It fails with ErrNotAssigned when
+// a mark was fenced, a coordinator that no longer knows the member
+// (lease expiry or failover) fencing them all.
+func (c *RemoteConsumer) CommitPolled(recs []Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
 	if c.gone() {
 		return ErrNotMember
 	}
@@ -427,24 +410,14 @@ func (c *RemoteConsumer) Commit(part int, upTo int64) error {
 	ctx, cancel := context.WithTimeout(context.Background(), bus.cfg.CallTimeout)
 	defer cancel()
 	op := c.op()
-	op.Part, op.UpTo = part, upTo
-	_, err := bus.call(ctx, "commit", op)
-	if err != nil {
-		if errors.Is(err, ErrUnknownMember) {
-			return fmt.Errorf("%w: member %s not known to coordinator", ErrNotAssigned, c.member)
-		}
+	op.Marks = appendMarks(nil, recs)
+	if _, err := bus.call(ctx, "commit", op); err != nil {
 		if retryable(err) {
 			bus.invalidate()
-			return fmt.Errorf("%w: partition %d commit lost to failover", ErrNotAssigned, part)
 		}
+		return err
 	}
-	return err
-}
-
-// CommitPolled implements ConsumerHandle: one commit call per
-// partition run, each acknowledged before the next.
-func (c *RemoteConsumer) CommitPolled(recs []Record) error {
-	return eachRun(recs, c.Commit)
+	return nil
 }
 
 // Leave implements ConsumerHandle. Idempotent; safe from another

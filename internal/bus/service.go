@@ -11,7 +11,7 @@ package bus
 // (rpc.EncodeValue); the leader's log, replicate, backfill and fetch
 // store and forward those bytes verbatim — a copy per hop, never a
 // decode — so followers are byte-identical to the leader, and each
-// consumer (RemoteConsumer.Poll) decodes once. The bytes are immutable
+// consumer (RemoteConsumer.Next) decodes once. The bytes are immutable
 // from the moment they are published: every replica log, and on an
 // in-process fabric every reader, holds the same slice. A Broker under
 // a Service therefore holds []byte values only; a record appended to it
@@ -51,12 +51,14 @@ package bus
 // before any later record is handed out. A mark fenced by a rebalance
 // is dropped and its records go to the partition's new owner; commits
 // only advance, so a retried fetch that resends its marks is harmless.
-// The separate commit method is CommitPolled's synchronous form, one
-// call per partition run. A promoted coordinator therefore resumes
-// groups where the dead one left them; members of the old coordinator
-// are unknown to the new one and simply rejoin — dropping the marks
-// they carried — resuming from the mirrored offsets (the at-least-once
-// contract — uncommitted records are redelivered).
+// The commit method (RemoteConsumer.CommitPolled, the commit a stopping
+// consumer loop makes) carries all its marks in one call, applied and
+// mirrored the same way; it fails with ErrNotAssigned if any mark was
+// fenced. A promoted coordinator therefore resumes groups where the
+// dead one left them; members of the old coordinator are unknown to
+// the new one and simply rejoin — dropping the marks they carried —
+// resuming from the mirrored offsets (the at-least-once contract —
+// uncommitted records are redelivered).
 //
 // Known limitation: records the dead leader appended but never acked
 // may exist on a subset of replicas (the acked prefix is on all of
@@ -92,13 +94,13 @@ type busOp struct {
 	Group  string
 	Member string
 	Part   int
-	UpTo   int64
 	Key    uint64
 	Value  []byte // publish: the record value as rpc.EncodeValue wrote it
 	WaitMS int64
 	Recs   []Record
-	// Marks are the commits a fetch carries (RemoteConsumer.Next) and
-	// a commitsync mirrors: one per partition run of the records done.
+	// Marks are the commits a fetch or a commit carries
+	// (RemoteConsumer.Next, RemoteConsumer.CommitPolled) and a
+	// commitsync mirrors: one per partition run of the records done.
 	Marks []commitMark
 }
 
@@ -135,7 +137,6 @@ func (o *busOp) AppendWire(b []byte) ([]byte, error) {
 	b = rpc.AppendString(b, o.Group)
 	b = rpc.AppendString(b, o.Member)
 	b = rpc.AppendInt(b, int64(o.Part))
-	b = rpc.AppendInt(b, o.UpTo)
 	b = rpc.AppendUint(b, o.Key)
 	b = rpc.AppendBytes(b, o.Value)
 	b = rpc.AppendInt(b, o.WaitMS)
@@ -157,7 +158,6 @@ func decodeBusOp(r *rpc.WireReader) *busOp {
 		Group:  r.Str(),
 		Member: r.Str(),
 		Part:   int(r.Int()),
-		UpTo:   r.Int(),
 		Key:    r.Uint(),
 		Value:  r.Bytes(),
 		WaitMS: r.Int(),
@@ -729,15 +729,15 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 	case "commit":
 		m, err := s.member(op.Topic, op.Group, op.Member)
 		if err != nil {
-			return nil, err
+			// Its poll was from a membership this coordinator does not
+			// know: every mark is fenced.
+			return nil, fmt.Errorf("%w: %v", ErrNotAssigned, err)
 		}
-		m.mu.Lock()
-		err = m.c.Commit(op.Part, op.UpTo)
-		m.mu.Unlock()
-		if err != nil {
-			return nil, err
+		landed := m.commit(op.Marks)
+		s.mirrorCommit(ctx, op.Topic, op.Group, landed)
+		if fenced := len(op.Marks) - len(landed); fenced > 0 {
+			return nil, fmt.Errorf("%w: %d of %d marks fenced for %s", ErrNotAssigned, fenced, len(op.Marks), op.Member)
 		}
-		s.mirrorCommit(ctx, op.Topic, op.Group, []commitMark{{Part: op.Part, UpTo: op.UpTo}})
 		return &busResult{OK: true}, nil
 
 	case "leave":

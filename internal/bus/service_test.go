@@ -184,7 +184,7 @@ func (cl *collector) covered(pubs map[recKey]bool) (missing int) {
 func worker(ctx context.Context, c ConsumerHandle, cl *collector) {
 	var buf []Record
 	for {
-		recs, err := c.Poll(ctx, buf)
+		recs, err := c.Next(ctx, nil, buf)
 		if err != nil {
 			if errors.Is(err, ErrNotMember) || ctx.Err() != nil {
 				return
@@ -341,7 +341,7 @@ func TestRemoteGroupSyncParks(t *testing.T) {
 	}
 	var polled []Record
 	for len(polled) < 8 {
-		recs, err := cons.Poll(ctx, nil)
+		recs, err := cons.Next(ctx, nil, nil)
 		if err != nil {
 			t.Fatalf("poll: %v", err)
 		}

@@ -51,7 +51,7 @@ func TestBusWireRoundTrip(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		op := &busOp{
 			Topic: g.Str(12), Group: g.Str(12), Member: g.Str(12),
-			Part: g.Int(), UpTo: g.Int64(), Key: g.Uint64(),
+			Part: g.Int(), Key: g.Uint64(),
 			Value: g.Bytes(2048), WaitMS: g.Int64(), Recs: genRecords(g),
 		}
 		for n := g.IntN(5); n > 0; n-- {
@@ -119,7 +119,7 @@ func TestIdleConsumersDoNotStarvePublish(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		c := idle.Join()
 		go func() {
-			_, err := c.Poll(ctx, nil)
+			_, err := c.Next(ctx, nil, nil)
 			polled <- err
 		}()
 	}
@@ -191,10 +191,56 @@ func TestNextCommitRidesTheFetch(t *testing.T) {
 	}
 }
 
+// TestRemoteCommitPolledIsOneCall: a remote CommitPolled sends one
+// commit call however many partition runs it covers, and fails with
+// ErrNotAssigned once a rebalance fenced one of its marks.
+func TestRemoteCommitPolledIsOneCall(t *testing.T) {
+	rb := serveBusTCP(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	topic := rb.Topic("commit")
+	group := topic.Group("g")
+	c := group.Join()
+	defer c.Leave()
+	for k := uint64(0); k < 8; k++ {
+		if _, err := topic.Publish(ctx, k, int64(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var polled []Record
+	for len(polled) < 8 {
+		recs, err := c.Next(ctx, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		polled = append(polled, recs...)
+	}
+	parts := map[int]bool{}
+	for _, r := range polled {
+		parts[r.Partition] = true
+	}
+	before := rb.net.Calls.Value()
+	if err := c.CommitPolled(polled); err != nil {
+		t.Fatalf("commit: %v", err)
+	}
+	if calls := rb.net.Calls.Value() - before; calls != 1 {
+		t.Fatalf("committing %d partitions cost %d calls, want 1", len(parts), calls)
+	}
+	if lag := group.Lag(); lag != 0 {
+		t.Fatalf("lag %d after the commit", lag)
+	}
+	other := group.Join() // takes half the partitions
+	defer other.Leave()
+	if err := c.CommitPolled(polled); !errors.Is(err, ErrNotAssigned) {
+		t.Fatalf("commit across a rebalance = %v, want ErrNotAssigned", err)
+	}
+}
+
 // BenchmarkTransportConsumeCycle is one record's round trips through a
 // remote consumer over loopback TCP: a publish, then a Next that
 // commits the previous record and fetches this one. rpcs/op counts the
-// client's calls: 2, against 3 for Poll followed by CommitPolled.
+// client's calls: 2, against 3 for a bare poll (Next with no done)
+// followed by a CommitPolled.
 func BenchmarkTransportConsumeCycle(b *testing.B) {
 	rb := serveBusTCP(b)
 	ctx := context.Background()

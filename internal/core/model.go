@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -115,8 +114,8 @@ func DecodeModel(data []byte) (*Model, error) {
 
 // BlobStore is the persistence seam for trained models: the trainer
 // writes through it and the evaluator loads through it. internal/hdfs
-// provides the distributed implementation the paper uses; DirStore and
-// MemStore serve tests and single-node deployments.
+// provides the distributed implementation the paper uses; MemStore
+// serves tests.
 type BlobStore interface {
 	// Put stores data under name, replacing any previous content.
 	Put(name string, data []byte) error
@@ -173,50 +172,6 @@ func (s *MemStore) List(prefix string) ([]string, error) {
 	sort.Strings(names)
 	return names, nil
 }
-
-// DirStore is a BlobStore over a local directory.
-type DirStore struct{ dir string }
-
-// NewDirStore creates (if needed) and wraps dir.
-func NewDirStore(dir string) (*DirStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("core: create store dir: %w", err)
-	}
-	return &DirStore{dir: dir}, nil
-}
-
-// Put implements BlobStore.
-func (s *DirStore) Put(name string, data []byte) error {
-	return os.WriteFile(filepath.Join(s.dir, encodeName(name)), data, 0o644)
-}
-
-// Get implements BlobStore.
-func (s *DirStore) Get(name string) ([]byte, error) {
-	return os.ReadFile(filepath.Join(s.dir, encodeName(name)))
-}
-
-// List implements BlobStore.
-func (s *DirStore) List(prefix string) ([]string, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		n := decodeName(e.Name())
-		if strings.HasPrefix(n, prefix) {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// encodeName flattens slash-separated blob names onto a single
-// directory level.
-func encodeName(name string) string { return strings.ReplaceAll(name, "/", "__") }
-
-func decodeName(file string) string { return strings.ReplaceAll(file, "__", "/") }
 
 // ModelCatalog stores and loads Models through a BlobStore using the
 // canonical "models/unit-<id>" naming scheme.

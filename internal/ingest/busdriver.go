@@ -176,26 +176,10 @@ func StartStorageWriters(ctx context.Context, g bus.GroupHandle, sink Sink, work
 		w.wg.Add(1)
 		go func() {
 			defer w.wg.Done()
-			defer c.Leave()
-			// Two buffers, alternating: a retried Next resends done, so
-			// the poll must not write over it.
-			bufs := [2][]bus.Record{make([]bus.Record, 0, 16), make([]bus.Record, 0, 16)}
-			var done []bus.Record
-			for k := 0; ; k ^= 1 {
-				// The last poll is committed by the next fetch, only
-				// after the sink stored the whole poll: a crash before
-				// then redelivers, never loses.
-				var recs []bus.Record
-				err := resilience.Park(ctx, &w.Parks, &w.Parked, func() (err error) {
-					recs, err = c.Next(ctx, done, bufs[k])
-					return err
-				})
-				if err != nil {
-					// Shutdown (ctx done, the bus closed): commit what
-					// was stored, as the next fetch would have.
-					_ = c.CommitPolled(done)
-					return
-				}
+			// A poll is committed by the next fetch only after the sink
+			// stored all of it: a crash before then redelivers, never
+			// loses.
+			bus.Consume(ctx, c, &w.Parks, &w.Parked, func(recs []bus.Record) error {
 				for _, rec := range recs {
 					batch, ok := rec.Value.(*UnitBatch)
 					if !ok {
@@ -206,15 +190,15 @@ func StartStorageWriters(ctx context.Context, g bus.GroupHandle, sink Sink, work
 						return sink.SubmitContext(ctx, batch.Points)
 					}); err != nil {
 						if errors.Is(err, ctx.Err()) {
-							return // this poll was not stored whole: redelivered
+							return err // this poll was not stored whole: redelivered
 						}
 						w.Failures.Inc()
 						continue
 					}
 					w.Delivered.Add(int64(len(batch.Points)))
 				}
-				bufs[k], done = recs, recs
-			}
+				return nil
+			})
 		}()
 	}
 	return w

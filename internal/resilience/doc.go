@@ -13,8 +13,9 @@
 //     around its own attempt.
 //   - Transient is the one classifier of faults worth waiting out in
 //     place, and Park the one park-and-resume loop built on it: the
-//     storage writers' and detector workers' polls, the writers'
-//     submissions and the detectors' flag writes all park through it.
+//     polls of bus.Consume, the one consumer loop (storage writers,
+//     detector workers, the SSE tail), the writers' submissions and
+//     the detectors' flag writes all park through it.
 //   - Breaker is a closed → open → half-open circuit breaker. After
 //     Cooldown an open breaker admits a bounded number of probe
 //     requests; probe successes close it, a probe failure re-opens it.

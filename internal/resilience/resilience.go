@@ -107,9 +107,9 @@ func Transient(err error) bool {
 // Transient, or ctx ends, waiting out transient failures with jittered
 // backoff (5 ms doubling to 500 ms). The first transient failure counts
 // a park episode on parks, and parked holds one more while the caller
-// waits. This is the park-and-resume every consumer loop uses: the
-// records it polled stay uncommitted while it is parked, so a crash
-// redelivers them.
+// waits. This is the park-and-resume the consumer loop (bus.Consume)
+// uses: the records it polled stay uncommitted while it is parked, so
+// a crash redelivers them.
 func Park(ctx context.Context, parks *telemetry.Counter, parked *telemetry.Gauge, op func() error) error {
 	boff := Backoff{Base: 5 * time.Millisecond, Factor: 2, Max: 500 * time.Millisecond, Jitter: true}
 	for attempt := 0; ; attempt++ {

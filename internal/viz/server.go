@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"html/template"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 )
@@ -45,34 +46,40 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// window resolves [from, to] from query parameters with defaults. A
-// parameter that is not an integer, or an inverted window (from after
-// to), is rejected with ErrBadRequest — as /api/v1 does — instead of
-// silently serving the default window or running the full query
-// pipeline on an empty range.
+// window resolves the request's window (Window). A parameter that is
+// not an integer, or an inverted window (from after to), is rejected
+// with ErrBadRequest — as /api/v1 does — instead of silently serving
+// the default window or running the full query pipeline on an empty
+// range.
 func (s *Server) window(r *http.Request) (int64, int64, error) {
-	q := r.URL.Query()
-	to := s.Now()
+	from, to, err := Window(r.URL.Query(), s.Now(), s.Window)
+	if err != nil {
+		return 0, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return from, to, nil
+}
+
+// Window is the one window rule of the HTML pages and /api/v1: [from,
+// to] from q's from/to parameters, to defaulting to now and from to
+// span before to, from clamped at 0. Every error it returns is the
+// client's — a parameter that is not an integer, or an inverted
+// window — and each surface renders it as its own 400.
+func Window(q url.Values, now, span int64) (from, to int64, err error) {
+	to = now
 	if v := q.Get("to"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return 0, 0, fmt.Errorf("%w: bad to %q", ErrBadRequest, v)
+		if to, err = strconv.ParseInt(v, 10, 64); err != nil {
+			return 0, 0, fmt.Errorf("bad to %q", v)
 		}
-		to = n
 	}
-	from := to - s.Window
+	from = to - span
 	if v := q.Get("from"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return 0, 0, fmt.Errorf("%w: bad from %q", ErrBadRequest, v)
+		if from, err = strconv.ParseInt(v, 10, 64); err != nil {
+			return 0, 0, fmt.Errorf("bad from %q", v)
 		}
-		from = n
 	}
-	if from < 0 {
-		from = 0
-	}
+	from = max(from, 0)
 	if from > to {
-		return 0, 0, fmt.Errorf("%w: inverted window [%d, %d]", ErrBadRequest, from, to)
+		return 0, 0, fmt.Errorf("inverted window [%d, %d]", from, to)
 	}
 	return from, to, nil
 }

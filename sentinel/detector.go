@@ -50,7 +50,7 @@ import (
 // transient failure parks and retries the whole batch; point writes
 // are idempotent), and, while a tail is attached, one flag-feed record
 // (core.AnomalyBatch) publishes them. A worker commits the records it
-// processed with its next fetch (bus.ConsumerHandle.Next).
+// processed with its next fetch (bus.Consume).
 type DetectorPool struct {
 	env    DetectorEnv
 	group  bus.GroupHandle
@@ -376,40 +376,22 @@ func (p *DetectorPool) detector(sc *detectorScratch, unit int) (mllib.Detector, 
 	return d, nil
 }
 
-// worker is one consumer-group member's loop: evaluate, write flags,
-// then commit the poll with the next fetch (ConsumerHandle.Next).
-// Commit happens only after the whole poll is processed, so a worker
-// lost mid-batch redelivers (at-least-once) to the surviving members.
+// worker is one consumer-group member's loop (bus.Consume): evaluate,
+// write flags, and the poll is committed with the next fetch — only
+// after the whole poll is processed, so a worker lost mid-batch
+// redelivers (at-least-once) to the surviving members.
 func (p *DetectorPool) worker(ctx context.Context, c bus.ConsumerHandle) {
 	defer p.wg.Done()
-	defer c.Leave()
 	var sc detectorScratch
-	// Two buffers, alternating: a retried Next resends done, so the
-	// poll must not write over it.
-	bufs := [2][]bus.Record{make([]bus.Record, 0, 16), make([]bus.Record, 0, 16)}
-	var done []bus.Record
-	for i := 0; ; i ^= 1 {
-		// A transient fetch fault (injected error or drop, deadline)
-		// parks the worker instead of killing it; only shutdown (ctx
-		// done, bus closed) ends the loop.
-		var recs []bus.Record
-		if err := resilience.Park(ctx, &p.Parks, &p.Parked, func() (err error) {
-			recs, err = c.Next(ctx, done, bufs[i])
-			return err
-		}); err != nil {
-			// Stopping: commit what was processed, as the next fetch
-			// would have.
-			_ = c.CommitPolled(done)
-			return
-		}
+	bus.Consume(ctx, c, &p.Parks, &p.Parked, func(recs []bus.Record) error {
 		for j := range recs {
 			if err := p.process(ctx, &recs[j], &sc); err != nil {
 				p.Errors.Inc()
 			}
 			p.Batches.Inc()
 		}
-		bufs[i], done = recs, recs
-	}
+		return nil
+	})
 }
 
 // writeFlags writes a scored batch's flags in one sink call, parking on
