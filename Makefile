@@ -27,13 +27,22 @@ EVAL_BENCH = BenchmarkFDRCorrections|BenchmarkOnlineEvalThroughput
 # BenchmarkHistogramObserve one latency observation, serial and
 # parallel; BenchmarkTransportConsumeCycle a remote consumer's round
 # trips per record (its rpcs/op ceiling, not its allocations).
+ALLOC_PKGS = ./internal/core/ ./internal/fdr/ ./internal/linalg/ ./internal/bus/ ./internal/query/ ./internal/api/ ./internal/ingest/ ./internal/mllib/ ./internal/tsdb/ ./internal/hbase/ ./internal/telemetry/
 ALLOC_BENCH = BenchmarkEvaluateBatchInto|BenchmarkApplyInto|BenchmarkMulInto|BenchmarkBusPublish|BenchmarkQueryCacheHit|BenchmarkGatewayPutPath|BenchmarkGatewayPutRow|BenchmarkGroupByUnit|BenchmarkDetectorBatch|BenchmarkCompressedScan|BenchmarkRegionPutInOrder|BenchmarkWireUnitBatch|BenchmarkEnergyPoint|BenchmarkCodecEncode|BenchmarkGatewayCachedQuery|BenchmarkHistogramObserve|BenchmarkTransportConsumeCycle
+
+# ALLOC_BENCHTIME is how long each pinned benchmark runs: a fixed count
+# of iterations, so an allocation the runtime makes once during the
+# timed loop is divided by it instead of counting in full (at 1x one
+# stray allocation read 2 allocs/op against a 0 pin). Go's allocs/op is
+# an integer division, so it hides an allocation rarer than 1 in 100
+# calls; the pins and their names are in PINS.
+ALLOC_BENCHTIME = 100x
 
 # GATE_BENCHTIME drives the bench-gate comparison runs: long enough for
 # stable ns/op medians, short enough for a PR loop.
 GATE_BENCHTIME ?= 300ms
 
-.PHONY: build lint vet fmt assembly test paper bench bench-json bench-query bench-allocs bench-gate bench-compare soak backtest harness harness-record conformance fuzz-smoke serve cluster check
+.PHONY: build lint vet fmt assembly test paper bench bench-json bench-query bench-allocs bench-gate bench-compare flake-census soak backtest harness harness-record conformance fuzz-smoke serve cluster check
 
 build:
 	$(GO) build ./...
@@ -142,18 +151,18 @@ bench-query:
 	$(GO) run ./cmd/benchgate -json BENCH_query.json < bench-query.out
 	@rm -f bench-query.out
 
-# bench-allocs gates the ceilings: the in-place hot paths run once
-# (-benchtime=1x -benchmem) and benchgate, given no baseline, fails the
-# build if any exceeds its ceiling in PINS (allocs/op, and rpcs/op for
-# the remote consume cycle). Timing-noise free, so it is
-# a gating CI step, unlike the bench-json smoke. -cpu 1 because the
-# pins are the code's own allocations: with more procs
+# bench-allocs gates the ceilings: the in-place hot paths run 100
+# iterations each (-benchtime $(ALLOC_BENCHTIME) -benchmem) and
+# benchgate, given no baseline, fails the build if any exceeds its
+# ceiling in PINS (allocs/op, and rpcs/op for the remote consume cycle,
+# which stays exact: 2 calls per iteration read 2.000). Timing-noise
+# free, so it is a gating CI step, unlike the bench-json smoke. -cpu 1
+# because the pins are the code's own allocations: with more procs
 # linalg.parallelRows spawns row-stripe goroutines, and their count
 # (7–9 allocs/op on two cores) follows GOMAXPROCS, not the code.
 bench-allocs:
 	@rm -f bench-allocs.out
-	$(GO) test -run '^$$' -bench '$(ALLOC_BENCH)' -benchtime 1x -benchmem -cpu 1 \
-		./internal/core/ ./internal/fdr/ ./internal/linalg/ ./internal/bus/ ./internal/query/ ./internal/api/ ./internal/ingest/ ./internal/mllib/ ./internal/tsdb/ ./internal/hbase/ ./internal/telemetry/ > bench-allocs.out
+	$(GO) test -run '^$$' -bench '$(ALLOC_BENCH)' -benchtime $(ALLOC_BENCHTIME) -benchmem -cpu 1 $(ALLOC_PKGS) > bench-allocs.out
 	$(GO) run ./cmd/benchgate -pins PINS < bench-allocs.out
 	@rm -f bench-allocs.out
 
@@ -198,6 +207,35 @@ bench-compare:
 		done; \
 	done && \
 	$(GO) run ./benchmark --compare bench-base.jsonl bench-head.jsonl
+
+# flake-census measures how often each gate passes on one tree:
+# FLAKE_RUNS times it runs the tier-1 command (go build ./... && go test
+# ./..., as -json and -count=1 so no run is a cached replay) with
+# `go vet ./...` running beside it, and
+# bench-allocs' pinned benchmarks through benchgate. Each vet starts
+# from an empty build cache of its own, so every run is loaded, not
+# only the first; its wall time is kept as that run's load.
+# cmd/flakecensus then prints one pass rate per test and per pin, least
+# reliable first, how often each skipped test was skipped, and the vet
+# times, and fails if any rate is under 100%. FLAKE_DIR keeps the -json
+# stream of every failing test run and the verdict of every failing pin
+# run; the passing runs' files are removed.
+FLAKE_RUNS ?= 20
+FLAKE_DIR ?= bin/flake-census
+flake-census:
+	@rm -rf $(FLAKE_DIR) && mkdir -p $(FLAKE_DIR)
+	@for i in $$(seq 1 $(FLAKE_RUNS)); do \
+		echo "flake-census: run $$i/$(FLAKE_RUNS)"; \
+		{ start=$$(date +%s%N); \
+			GOCACHE=$(abspath $(FLAKE_DIR))/vetcache $(GO) vet ./... > /dev/null 2>&1; \
+			echo $$(( ($$(date +%s%N) - start) / 1000000 )) > $(FLAKE_DIR)/vet-$$i.ms; } & \
+		{ $(GO) build ./... && $(GO) test -count=1 -json ./...; } > $(FLAKE_DIR)/test-$$i.json 2>&1; \
+		wait; \
+		rm -rf $(FLAKE_DIR)/vetcache; \
+		$(GO) test -run '^$$' -bench '$(ALLOC_BENCH)' -benchtime $(ALLOC_BENCHTIME) -benchmem -cpu 1 $(ALLOC_PKGS) 2>&1 | \
+			$(GO) run ./cmd/benchgate -pins PINS > $(FLAKE_DIR)/pins-$$i.out 2>&1; \
+	done
+	$(GO) run ./cmd/flakecensus $(FLAKE_DIR)
 
 # soak runs the storage-tier compression soak at nightly length: a
 # multi-hour ingest → seal → spill → query cycle asserting

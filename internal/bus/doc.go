@@ -71,13 +71,14 @@
 //     resolve the current leader through the
 //     coordination service, retry publishes across a leadership
 //     handover, and rejoin consumer groups after a failover
-//     (committed offsets are mirrored onto followers alongside the
-//     log, so group progress survives promotion). A remote consumer's
-//     commit rides its next fetch (RemoteConsumer.Next): the
-//     coordinator applies it, mirrors it to every live follower, and
-//     only then parks the long-poll, so no later record is handed out
-//     while a follower could still lack the commit. CommitPolled is
-//     the synchronous form: one commit call carrying the same marks.
+//     (committed offsets ride replicate with the log, so group
+//     progress survives promotion). A remote consumer's commit rides
+//     its next fetch (RemoteConsumer.Next): the coordinator applies it
+//     before it parks the long-poll, and followers get it with the
+//     partition's next replicated record, so a promoted follower
+//     redelivers at most the lag at that record. CommitPolled is the
+//     synchronous form: one commit call carrying the same marks, on
+//     every live follower before it returns.
 //
 // Record values are opaque on the clustered bus: encode once, decode
 // per consumer. RemoteTopic.Publish encodes the value a single time

@@ -341,10 +341,12 @@ func (c *RemoteConsumer) op() *busOp {
 
 // Next implements ConsumerHandle in one round trip: the commit rides
 // the fetch as one mark per partition run of done, and the coordinator
-// applies and mirrors it before the long-poll parks. The fetch rides
-// through failover, and a promoted coordinator that does not know the
-// member is rejoined transparently (redelivery resumes from the
-// mirrored committed offsets). A rejoin drops the marks: they came
+// applies it before the long-poll parks; followers get it with each
+// partition's next replicated record. The fetch rides through failover,
+// and a promoted coordinator that does not know the member is rejoined
+// transparently (redelivery resumes from the replicated committed
+// offsets, behind by at most the lag at each partition's last
+// replicated record). A rejoin drops the marks: they came
 // from a membership the coordinator no longer knows, so they are
 // fenced like a commit of a dead generation and the records are
 // redelivered.
@@ -395,8 +397,9 @@ func decodeValues(recs []Record) ([]Record, error) {
 }
 
 // CommitPolled implements ConsumerHandle: one commit call carries a
-// mark per partition run of recs, and the coordinator applies and
-// mirrors them as it does a fetch's. It fails with ErrNotAssigned when
+// mark per partition run of recs; the coordinator applies them as it
+// does a fetch's and replicates them to every follower before it
+// answers. It fails with ErrNotAssigned when
 // a mark was fenced, a coordinator that no longer knows the member
 // (lease expiry or failover) fencing them all.
 func (c *RemoteConsumer) CommitPolled(recs []Record) error {

@@ -1,8 +1,8 @@
 package bus
 
-// replica.go holds the primitives the bus service layer (service.go)
-// uses to keep follower brokers byte-identical to the partition
-// leader: exact-offset log appends and unfenced commit mirroring.
+// replica.go holds the primitives a follower applies a replicate with
+// (service.go): exact-offset log appends, then the unfenced commits the
+// same message carries, which also drive the follower's trimming.
 // Neither is meant for application code — producers publish, consumers
 // commit; replication copies the results.
 

@@ -43,22 +43,31 @@ package bus
 // is evicted, triggering the usual rebalance.
 //
 // Commit protocol. A remote consumer's commit rides its next fetch
-// (RemoteConsumer.Next): the fetch carries one mark (partition, upTo)
-// per partition run of the batch it finished. The coordinator applies
-// the marks through the member's Consumer.Commit, mirrors the ones
-// that landed to every follower in one commitsync call each, and only
-// then parks the long-poll — so a commit is on every live follower
-// before any later record is handed out. A mark fenced by a rebalance
-// is dropped and its records go to the partition's new owner; commits
-// only advance, so a retried fetch that resends its marks is harmless.
-// The commit method (RemoteConsumer.CommitPolled, the commit a stopping
-// consumer loop makes) carries all its marks in one call, applied and
-// mirrored the same way; it fails with ErrNotAssigned if any mark was
-// fenced. A promoted coordinator therefore resumes groups where the
-// dead one left them; members of the old coordinator are unknown to
-// the new one and simply rejoin — dropping the marks they carried —
-// resuming from the mirrored offsets (the at-least-once contract —
-// uncommitted records are redelivered).
+// (RemoteConsumer.Next) as one mark per partition run of the batch it
+// finished; the coordinator applies the marks through the member's
+// Consumer.Commit before the long-poll parks. Followers learn commits
+// from replicate: each record replicated on partition p carries every
+// attached group's committed offset on p, read under p's replication
+// lock after the local append, and the follower applies them
+// (Group.ForceCommit, monotone) after the records, so its retention
+// keeps pace with its log. A commit carried by a fetch thus reaches
+// followers on that partition's next replicated record, and a promoted
+// follower redelivers, per group and partition, at most the group's
+// lag there when the partition's last record was replicated: at most
+// PartitionBuffer. A record's marks name every group attached at the
+// leader, so the follower closes any group they leave out: a group
+// closed on the leader stops pinning the followers' retention with the
+// topic's next record. (A replicate that crossed a newer one on another
+// partition may close a group attached moments before; the next record
+// on any partition attaches it again.) The commit method
+// (RemoteConsumer.CommitPolled) and seektoend are on every live
+// follower before they answer — a replicate with marks and no records,
+// which closes nothing. A mark fenced by a rebalance is dropped
+// (commit answers ErrNotAssigned) and its records go to the partition's
+// new owner; commits only advance, so resent marks are harmless. A
+// promoted coordinator resumes groups from the replicated offsets; the
+// old coordinator's members rejoin, dropping the marks they carried.
+// Delivery stays at-least-once, and nothing acked is lost.
 //
 // Known limitation: records the dead leader appended but never acked
 // may exist on a subset of replicas (the acked prefix is on all of
@@ -70,6 +79,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -98,16 +108,21 @@ type busOp struct {
 	Value  []byte // publish: the record value as rpc.EncodeValue wrote it
 	WaitMS int64
 	Recs   []Record
-	// Marks are the commits a fetch or a commit carries
-	// (RemoteConsumer.Next, RemoteConsumer.CommitPolled) and a
-	// commitsync mirrors: one per partition run of the records done.
+	// Marks are commits. A fetch or a commit carries one per partition
+	// run of the records done (RemoteConsumer.Next,
+	// RemoteConsumer.CommitPolled); a replicate carries the groups'
+	// committed offsets for the follower to apply — with records, one
+	// for every group attached at the leader.
 	Marks []commitMark
 }
 
-// commitMark commits one partition: every record below UpTo is done.
+// commitMark commits one partition for a group: every record below
+// UpTo is done. A consumer's marks leave Group empty: its membership
+// names the group.
 type commitMark struct {
-	Part int
-	UpTo int64
+	Group string
+	Part  int
+	UpTo  int64
 }
 
 // appendMarks appends one mark per partition run of recs.
@@ -146,6 +161,7 @@ func (o *busOp) AppendWire(b []byte) ([]byte, error) {
 	}
 	b = rpc.AppendUint(b, uint64(len(o.Marks)))
 	for _, m := range o.Marks {
+		b = rpc.AppendString(b, m.Group)
 		b = rpc.AppendInt(b, int64(m.Part))
 		b = rpc.AppendInt(b, m.UpTo)
 	}
@@ -163,10 +179,10 @@ func decodeBusOp(r *rpc.WireReader) *busOp {
 		WaitMS: r.Int(),
 		Recs:   decodeRecords(r),
 	}
-	if n := r.Count(2); n > 0 {
+	if n := r.Count(3); n > 0 {
 		o.Marks = make([]commitMark, n)
 		for i := range o.Marks {
-			o.Marks[i] = commitMark{Part: int(r.Int()), UpTo: r.Int()}
+			o.Marks[i] = commitMark{Group: r.Str(), Part: int(r.Int()), UpTo: r.Int()}
 		}
 	}
 	return o
@@ -258,10 +274,9 @@ type Service struct {
 
 	mu       sync.Mutex
 	members  map[string]*remoteMember
-	replicas map[string]string        // node → addr, cached from zk; nil when stale
-	repGen   uint64                   // bumped whenever the registry watch fires or re-arms
-	repArmed bool                     // a registry watch is armed: reads may be cached
-	repLocks map[string][]*sync.Mutex // per topic-partition replication order
+	replicas map[string]string // node → addr, cached from zk; nil when stale
+	repGen   uint64            // bumped whenever the registry watch fires or re-arms
+	repArmed bool              // a registry watch is armed: reads may be cached
 	closed   bool
 
 	// ctx ends with Close: it stops the background loops and releases
@@ -291,13 +306,12 @@ type remoteMember struct {
 func StartService(net *rpc.Network, zkc zk.Client, b *Broker, cfg ServiceConfig) (*Service, error) {
 	cfg.defaults()
 	s := &Service{
-		broker:   b,
-		net:      net,
-		zkc:      zkc,
-		cfg:      cfg,
-		members:  make(map[string]*remoteMember),
-		repLocks: make(map[string][]*sync.Mutex),
-		leading:  make(chan struct{}),
+		broker:  b,
+		net:     net,
+		zkc:     zkc,
+		cfg:     cfg,
+		members: make(map[string]*remoteMember),
+		leading: make(chan struct{}),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if err := zk.EnsurePath(zkc, cfg.Root+"/replicas"); err != nil {
@@ -467,34 +481,16 @@ func (s *Service) replicaSet(force bool) (map[string]string, error) {
 	return set, nil
 }
 
-// repLock returns the per-partition replication mutex for topic so
-// records replicate to followers in offset order.
-func (s *Service) repLock(topic string, part int) *sync.Mutex {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	locks, ok := s.repLocks[topic]
-	if !ok {
-		locks = make([]*sync.Mutex, s.broker.cfg.Partitions)
-		for i := range locks {
-			locks[i] = &sync.Mutex{}
-		}
-		s.repLocks[topic] = locks
-	}
-	return locks[part]
-}
-
-// replicate copies rec to every registered replica, backfilling gaps,
-// and fails if a registered replica cannot be reached (the producer
-// retries — an ack means the record is on every live replica).
-func (s *Service) replicate(ctx context.Context, topic string, rec Record) error {
-	lock := s.repLock(topic, rec.Partition)
-	lock.Lock()
-	defer lock.Unlock()
+// replicate sends op — one partition's records, marks, or both — to
+// every registered replica, backfilling gaps, and fails if a
+// registered replica cannot be reached (the producer retries — an ack
+// means the record is on every live replica).
+func (s *Service) replicate(ctx context.Context, op *busOp) error {
 	set, err := s.replicaSet(false)
 	if err != nil {
 		return fmt.Errorf("bus: replica registry: %w", err)
 	}
-	// One round trip, not one per follower: the record goes to every
+	// One round trip, not one per follower: the op goes to every
 	// follower at once, and every answer is collected before a follower
 	// that reported a gap gets its backfill exchange.
 	type attempt struct {
@@ -503,7 +499,6 @@ func (s *Service) replicate(ctx context.Context, topic string, rec Record) error
 		v          any
 		err        error
 	}
-	op := &busOp{Topic: topic, Part: rec.Partition, Recs: []Record{rec}}
 	cctx, cancel := context.WithTimeout(ctx, replicaTimeout)
 	attempts := make([]attempt, 0, len(set))
 	for node, addr := range set {
@@ -515,7 +510,7 @@ func (s *Service) replicate(ctx context.Context, topic string, rec Record) error
 	cancel()
 	var failed error
 	for _, a := range attempts {
-		if err := s.settleReplica(ctx, a.addr, topic, rec, a.v, a.err); err != nil {
+		if err := s.settleReplica(ctx, a.addr, op, a.v, a.err); err != nil {
 			// Re-check the registry: a replica that died (and lost its
 			// ephemeral registration) is skipped, anything else fails
 			// the publish.
@@ -526,20 +521,19 @@ func (s *Service) replicate(ctx context.Context, topic string, rec Record) error
 				}
 			}
 			if failed == nil {
-				failed = fmt.Errorf("bus: replicate %s/%d@%d to %s: %w",
-					topic, rec.Partition, rec.Offset, a.node, err)
+				failed = fmt.Errorf("bus: replicate %s/%d to %s: %w", op.Topic, op.Part, a.node, err)
 			}
 			continue
 		}
-		s.Replicated.Inc()
+		s.Replicated.Add(int64(len(op.Recs)))
 	}
 	return failed
 }
 
 // settleReplica takes one replica's answer (v, err) to the replicate
-// call that shipped rec and, while the follower reports a gap, ships it
-// the backfill it asks for.
-func (s *Service) settleReplica(ctx context.Context, addr, topic string, rec Record, v any, err error) error {
+// call that shipped op and, while the follower reports a gap, ships it
+// the backfill it asks for, with op's marks.
+func (s *Service) settleReplica(ctx context.Context, addr string, op *busOp, v any, err error) error {
 	for attempt := 0; ; attempt++ {
 		if err != nil {
 			return err
@@ -554,56 +548,27 @@ func (s *Service) settleReplica(ctx context.Context, addr, topic string, rec Rec
 		if attempt == 3 {
 			return fmt.Errorf("%w: follower %s still gapped after backfill", ErrReplicaGap, addr)
 		}
-		// Gap: the follower is at res.Offset; backfill from our log.
-		var batch []Record
-		t := s.broker.Topic(topic)
-		for off := res.Offset; off <= rec.Offset; {
-			chunk, err := t.ReadAt(rec.Partition, off, make([]Record, 0, defaultPollRecords))
-			if err != nil {
-				return fmt.Errorf("bus: backfill read @%d: %w", off, err)
-			}
-			if len(chunk) == 0 {
-				break
-			}
-			batch = append(batch, chunk...)
-			off = chunk[len(chunk)-1].Offset + 1
+		// Gap: the follower is at res.Offset; backfill from our log up
+		// to the last record op shipped.
+		n := max(op.Recs[len(op.Recs)-1].Offset+1-res.Offset, 1)
+		batch, err := s.broker.Topic(op.Topic).ReadAt(op.Part, res.Offset, make([]Record, 0, n))
+		if err != nil {
+			return fmt.Errorf("bus: backfill read @%d: %w", res.Offset, err)
 		}
 		if len(batch) == 0 {
 			return fmt.Errorf("%w: backfill found nothing at %d", ErrReplicaGap, res.Offset)
 		}
 		cctx, cancel := context.WithTimeout(ctx, replicaTimeout)
-		v, err = s.net.Call(cctx, addr, "replicate", &busOp{Topic: topic, Part: rec.Partition, Recs: batch})
+		v, err = s.net.Call(cctx, addr, "replicate", &busOp{Topic: op.Topic, Part: op.Part, Recs: batch, Marks: op.Marks})
 		cancel()
 	}
 }
 
-// mirrorCommit pushes committed offsets to the other replicas, all at
-// once, one call per replica, so a promoted coordinator resumes from
-// them. Best-effort: an unreachable follower merely re-delivers
-// (at-least-once) if it is later promoted.
-func (s *Service) mirrorCommit(ctx context.Context, topic, group string, marks []commitMark) {
-	if len(marks) == 0 {
-		return
-	}
-	set, err := s.replicaSet(false)
-	if err != nil {
-		return
-	}
-	op := &busOp{Topic: topic, Group: group, Marks: marks}
-	cctx, cancel := context.WithTimeout(ctx, replicaTimeout)
-	defer cancel()
-	futs := make([]*rpc.Future, 0, len(set))
-	for _, addr := range set {
-		futs = append(futs, s.net.Go(cctx, addr, "commitsync", op))
-	}
-	for _, fut := range futs {
-		_, _ = fut.Wait(cctx)
-	}
-}
-
 // commit applies a fetch's marks through the member's consumer and
-// returns those that landed. A mark fenced by a rebalance is dropped:
-// its records are redelivered to the partition's new owner.
+// returns those that landed, named for its group; marks is the
+// caller's (on an in-process network, the client's) and is not
+// written. A mark fenced by a rebalance is dropped: its records are
+// redelivered to the partition's new owner.
 func (m *remoteMember) commit(marks []commitMark) []commitMark {
 	if len(marks) == 0 {
 		return nil
@@ -613,6 +578,7 @@ func (m *remoteMember) commit(marks []commitMark) []commitMark {
 	landed := make([]commitMark, 0, len(marks))
 	for _, mk := range marks {
 		if m.c.Commit(mk.Part, mk.UpTo) == nil {
+			mk.Group = m.c.group.name
 			landed = append(landed, mk)
 		}
 	}
@@ -648,7 +614,19 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 		if err != nil {
 			return nil, err
 		}
-		if err := s.replicate(ctx, op.Topic, rec); err != nil {
+		// Under the partition's replication lock, so records reach
+		// followers in offset order, with every group's offset read
+		// after the append.
+		rp := t.partitions[rec.Partition]
+		rp.rep.Lock()
+		gs := t.groupList()
+		rop := &busOp{Topic: op.Topic, Part: rec.Partition, Recs: []Record{rec}, Marks: make([]commitMark, len(gs))}
+		for i, g := range gs {
+			rop.Marks[i] = commitMark{Group: g.name, Part: rec.Partition, UpTo: g.Committed(rec.Partition)}
+		}
+		err = s.replicate(ctx, rop)
+		rp.rep.Unlock()
+		if err != nil {
 			// The local append is not acked; the producer retries and
 			// downstream idempotency absorbs the duplicate.
 			return nil, err
@@ -667,14 +645,19 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 			}
 			hwm = h
 		}
-		return &busResult{OK: true, Offset: hwm}, nil
-
-	case "commitsync":
-		g := t.Group(op.Group)
 		for _, m := range op.Marks {
-			g.ForceCommit(m.Part, m.UpTo)
+			t.Group(m.Group).ForceCommit(m.Part, m.UpTo)
 		}
-		return &busResult{OK: true}, nil
+		if len(op.Recs) > 0 {
+			// The marks name every group attached at the leader: any
+			// other was closed there.
+			for _, g := range t.groupList() {
+				if !slices.ContainsFunc(op.Marks, func(m commitMark) bool { return m.Group == g.name }) {
+					g.Close()
+				}
+			}
+		}
+		return &busResult{OK: true, Offset: hwm}, nil
 
 	case "hwm":
 		var total int64
@@ -708,10 +691,9 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 		if err != nil {
 			return nil, err
 		}
-		// The commit the fetch carries lands, and is mirrored, before
-		// the long-poll parks: no later record is handed out while a
-		// follower could still lack it.
-		s.mirrorCommit(ctx, op.Topic, op.Group, m.commit(op.Marks))
+		// The commit the fetch carries lands before the long-poll parks;
+		// followers get it with the partition's next replicated record.
+		m.commit(op.Marks)
 		wait := time.Duration(op.WaitMS) * time.Millisecond
 		if wait <= 0 || wait > time.Second {
 			wait = 250 * time.Millisecond
@@ -734,7 +716,9 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 			return nil, fmt.Errorf("%w: %v", ErrNotAssigned, err)
 		}
 		landed := m.commit(op.Marks)
-		s.mirrorCommit(ctx, op.Topic, op.Group, landed)
+		if len(landed) > 0 {
+			_ = s.replicate(ctx, &busOp{Topic: op.Topic, Marks: landed})
+		}
 		if fenced := len(op.Marks) - len(landed); fenced > 0 {
 			return nil, fmt.Errorf("%w: %d of %d marks fenced for %s", ErrNotAssigned, fenced, len(op.Marks), op.Member)
 		}
@@ -756,9 +740,9 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 		g.SeekToEnd()
 		marks := make([]commitMark, t.Partitions())
 		for p := range marks {
-			marks[p] = commitMark{Part: p, UpTo: g.Committed(p)}
+			marks[p] = commitMark{Group: op.Group, Part: p, UpTo: g.Committed(p)}
 		}
-		s.mirrorCommit(ctx, op.Topic, op.Group, marks)
+		_ = s.replicate(ctx, &busOp{Topic: op.Topic, Marks: marks})
 		return &busResult{OK: true}, nil
 
 	case "lag":

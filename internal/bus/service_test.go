@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -369,5 +370,192 @@ func TestRemoteGroupSyncParks(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("Sync still waiting after the last commit")
+	}
+}
+
+// countServed puts a counter in front of node i's bus handler and
+// returns a read of the calls it has served since, by method.
+func (c *busCluster) countServed(t *testing.T, i int) func() map[string]int {
+	t.Helper()
+	var mu sync.Mutex
+	served := make(map[string]int)
+	svc := c.services[i]
+	count := func(ctx context.Context, method string, payload any) (any, error) {
+		mu.Lock()
+		served[method]++
+		mu.Unlock()
+		return svc.Handle(ctx, method, payload)
+	}
+	if _, err := c.net.Register(svc.cfg.Addr, count, rpc.ServerConfig{Workers: 8, QueueCap: 1024}); err != nil {
+		t.Fatal(err)
+	}
+	return func() map[string]int {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(served)
+	}
+}
+
+// consumeCycles publishes k records one at a time from key first on,
+// each fetched by cons with the previous batch's commit riding the
+// fetch, and returns the last batch fetched (its commit not yet sent).
+// After each publish it calls published with the record.
+func consumeCycles(t *testing.T, ctx context.Context, topic TopicHandle, cons ConsumerHandle, first uint64, k int, done []Record, published func(Record)) []Record {
+	t.Helper()
+	for key := first; key < first+uint64(k); key++ {
+		rec, err := topic.Publish(ctx, key, int64(key))
+		if err != nil {
+			t.Fatalf("publish %d: %v", key, err)
+		}
+		if published != nil {
+			published(rec)
+		}
+		recs, err := cons.Next(ctx, done, nil)
+		if err != nil {
+			t.Fatalf("next after %d: %v", key, err)
+		}
+		if len(recs) != 1 || recs[0].Offset != rec.Offset || recs[0].Partition != rec.Partition {
+			t.Fatalf("next after %d = %+v, want record %d/%d alone", key, recs, rec.Partition, rec.Offset)
+		}
+		done = recs
+	}
+	return done
+}
+
+// TestFetchCommitsRideReplicate: K publish+Next cycles reach the
+// follower as exactly K calls, all replicate — a commit carried by a
+// fetch costs the follower no call of its own — and the follower's
+// retention still follows the leader's: its low-water marks trail by
+// at most one segment.
+func TestFetchCommitsRideReplicate(t *testing.T) {
+	const k = 100
+	c := startBusCluster(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	waitFor(t, ctx, "initial leadership", func() bool { return c.services[0].IsLeader(0) })
+	topic := c.remote(t, "client").Topic("t")
+	cons := topic.Group("g").Join()
+	defer cons.Leave()
+	served := c.countServed(t, 1)
+	consumeCycles(t, ctx, topic, cons, 0, k, nil, nil)
+	if got := served(); got["replicate"] != k || len(got) != 1 {
+		t.Fatalf("%d cycles reached the follower as %v, want %d replicate calls only", k, got, k)
+	}
+	lead, fol := c.brokers[0].Topic("t"), c.brokers[1].Topic("t")
+	seg := int64(c.brokers[1].cfg.SegmentRecords)
+	for p := 0; p < 4; p++ {
+		ll, fl := lead.LowWater(p), fol.LowWater(p)
+		if ll == 0 || fl < ll-seg {
+			t.Fatalf("partition %d: leader low-water %d, follower %d: want the leader trimmed and the follower within %d", p, ll, fl, seg)
+		}
+	}
+}
+
+// TestFollowerClosesClosedGroup: a group closed on the leader is closed
+// on the followers too, so its last offsets stop pinning their
+// retention while other groups keep consuming.
+func TestFollowerClosesClosedGroup(t *testing.T) {
+	c := startBusCluster(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	waitFor(t, ctx, "initial leadership", func() bool { return c.services[0].IsLeader(0) })
+	topic := c.remote(t, "client").Topic("t")
+	tail := topic.Group("tail")
+	tail.SeekToEnd() // attached on both replicas, committed at 0
+	tail.Close()
+	cons := topic.Group("work").Join()
+	defer cons.Leave()
+	consumeCycles(t, ctx, topic, cons, 0, 100, nil, nil)
+	fol := c.brokers[1].Topic("t")
+	for p := 0; p < 4; p++ {
+		if low := fol.LowWater(p); low == 0 {
+			t.Fatalf("partition %d: follower low-water 0 — the closed group still pins it (hwm %d)", p, fol.HighWater(p))
+		}
+	}
+}
+
+// TestPromotedFollowerRedeliversWithinBound kills the leader while a
+// consumer commits only through its fetches, and measures what the
+// promoted follower redelivers: per partition, at most the group's lag
+// when the partition's last record was replicated (the commit
+// protocol's bound, ≤ PartitionBuffer) — whether or not a record was
+// published after the last commit — and every record published is
+// delivered.
+func TestPromotedFollowerRedeliversWithinBound(t *testing.T) {
+	for _, after := range []int{0, 1} {
+		t.Run(fmt.Sprintf("publishes-after-last-commit=%d", after), func(t *testing.T) {
+			c := startBusCluster(t, 2)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			waitFor(t, ctx, "initial leadership", func() bool { return c.services[0].IsLeader(0) })
+			topic := c.remote(t, "client").Topic("t")
+			cons := topic.Group("g").Join()
+			defer cons.Leave()
+			lead := c.brokers[0].Topic("t")
+			// lagAtLast[p] is the group's lag on p when p's last record
+			// was replicated: read from the leader right after the
+			// publish acked, nothing committing meanwhile.
+			var lagAtLast [4]int64
+			seen := make(map[recKey]bool)
+			done := consumeCycles(t, ctx, topic, cons, 0, 40, nil, func(rec Record) {
+				lagAtLast[rec.Partition] = rec.Offset + 1 - lead.Group("g").Committed(rec.Partition)
+				seen[recKey{rec.Partition, rec.Offset}] = true // fetched by the cycle
+			})
+			// The last commit rides one more fetch, which then parks.
+			cctx, ccancel := context.WithTimeout(ctx, 150*time.Millisecond)
+			if _, err := cons.Next(cctx, done, nil); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("parked Next = %v, want the deadline", err)
+			}
+			ccancel()
+			for key := uint64(40); key < 40+uint64(after); key++ {
+				rec, err := topic.Publish(ctx, key, int64(key))
+				if err != nil {
+					t.Fatal(err)
+				}
+				lagAtLast[rec.Partition] = rec.Offset + 1 - lead.Group("g").Committed(rec.Partition)
+			}
+			var committed, hwm [4]int64
+			for p := range committed {
+				committed[p], hwm[p] = lead.Group("g").Committed(p), lead.HighWater(p)
+			}
+
+			c.crash(0)
+			waitFor(t, ctx, "promotion", func() bool { return c.services[1].IsLeader(0) })
+			// Consume on the promoted coordinator until the group has
+			// committed everything there.
+			var redelivered [4]int64
+			promoted := c.brokers[1].Topic("t").Group("g")
+			done = nil
+			for promoted.Lag() > 0 {
+				nctx, ncancel := context.WithTimeout(ctx, 200*time.Millisecond)
+				recs, err := cons.Next(nctx, done, nil)
+				ncancel()
+				if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("next after promotion: %v", err)
+				}
+				for _, r := range recs {
+					if r.Offset < committed[r.Partition] {
+						redelivered[r.Partition]++
+					}
+					seen[recKey{r.Partition, r.Offset}] = true
+				}
+				if len(recs) > 0 {
+					done = recs
+				}
+			}
+			buffer := int64(c.brokers[1].cfg.PartitionBuffer)
+			for p := range redelivered {
+				if redelivered[p] > lagAtLast[p] || lagAtLast[p] > buffer {
+					t.Fatalf("partition %d: redelivered %d, lag at its last replicated record %d, buffer %d",
+						p, redelivered[p], lagAtLast[p], buffer)
+				}
+				for off := int64(0); off < hwm[p]; off++ {
+					if !seen[recKey{p, off}] {
+						t.Fatalf("record %d/%d never delivered", p, off)
+					}
+				}
+			}
+			t.Logf("redelivered per partition %v, bound %v", redelivered, lagAtLast)
+		})
 	}
 }

@@ -174,6 +174,7 @@ func (t *Topic) groupList() []*Group {
 // segment size and offset→segment lookup is O(1).
 type partition struct {
 	id   int
+	rep  sync.Mutex // a bus Service's replication order (service.go)
 	mu   sync.Mutex
 	segs []*segment
 	low  int64 // oldest retained offset

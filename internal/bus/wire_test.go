@@ -55,7 +55,7 @@ func TestBusWireRoundTrip(t *testing.T) {
 			Value: g.Bytes(2048), WaitMS: g.Int64(), Recs: genRecords(g),
 		}
 		for n := g.IntN(5); n > 0; n-- {
-			op.Marks = append(op.Marks, commitMark{Part: g.Int(), UpTo: g.Int64()})
+			op.Marks = append(op.Marks, commitMark{Group: g.Str(12), Part: g.Int(), UpTo: g.Int64()})
 		}
 		res := &busResult{
 			Rec: genRecord(g), Recs: genRecords(g),

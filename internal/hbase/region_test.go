@@ -368,7 +368,10 @@ func TestReopenAllocsFollowRows(t *testing.T) {
 			}
 		})
 	}
-	if narrow, wide := reopen(1), reopen(100); wide > narrow {
-		t.Fatalf("reopen allocated %.0f times for 50 rows of 100 cells, %.0f for 50 rows of one", wide, narrow)
+	// Half an allocation per row of room: the race detector's jitter of
+	// one passes, one allocation per cell (≥ 4,950 more) does not.
+	const margin = 25
+	if narrow, wide := reopen(1), reopen(100); wide > narrow+margin {
+		t.Fatalf("reopen allocated %.0f times for 50 rows of 100 cells, %.0f for 50 rows of one (margin %d)", wide, narrow, margin)
 	}
 }
