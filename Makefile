@@ -77,7 +77,10 @@ vet:
 # poll/commit loop, so no non-test file outside internal/bus calls a
 # consumer's Next, Poll or CommitPolled — except benchmark/'s layer
 # replay and examples/ingestscaling's crash-and-replay demo, which
-# drive a local consumer by hand.
+# drive a local consumer by hand. And the one-bus-record rule: the bus
+# election is the only zk record of the bus's replicas and leader, and
+# its layout lives in internal/bus, so no non-test file outside it
+# names a "/sentinel/bus path (others ask bus.Leader).
 assembly:
 	@for call in 'api\.New(' 'tsdb\.NewCompactor(' 'ingest\.StartStorageWriters(' 'viz\.NewServer(' 'hbase\.NewCluster(' 'query\.New('; do \
 		files=$$(grep -rl --include='*.go' --exclude='*_test.go' "$$call" sentinel cmd); \
@@ -100,6 +103,10 @@ assembly:
 	@files=$$(grep -rlE --include='*.go' --exclude='*_test.go' '\.(Next|Poll)\([^)]|\.CommitPolled\(' . | grep -v -e '^\./internal/bus/' -e '^\./benchmark/' -e '^\./examples/ingestscaling/'); \
 	if [ -n "$$files" ]; then \
 		echo "second consumer loop: a consumer's Next, Poll or CommitPolled called outside internal/bus (use bus.Consume):"; echo "$$files"; exit 1; \
+	fi
+	@files=$$(grep -rl --include='*.go' --exclude='*_test.go' '"/sentinel/bus' . | grep -v '^\./internal/bus/'); \
+	if [ -n "$$files" ]; then \
+		echo "second bus record: a /sentinel/bus zk path outside internal/bus (use bus.Leader):"; echo "$$files"; exit 1; \
 	fi
 
 lint: fmt vet assembly
@@ -266,8 +273,9 @@ backtest:
 #     under 250 ms and at least 0.25x capacity, sheds ordered
 #     bulk >= interactive >= ingest, zero acked-sample loss;
 #   - cluster: four sentineld processes, the broker SIGKILLed
-#     mid-ingest — every acked sample reads back, a store is promoted,
-#     an anomaly reaches the SSE stream.
+#     mid-ingest and restarted under its own name at once — every acked
+#     sample reads back, a store is promoted, the restarted broker is on
+#     the cluster map, an anomaly reaches the SSE stream.
 # The report goes to bin/harness.json; only harness-record refreshes the
 # committed BENCH_harness.json (after an intentional change to what a
 # scenario measures — commit the refreshed file). The record runs load

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -16,9 +17,10 @@ import (
 	"repro/sentinel/client"
 )
 
-// The cluster scenario's broker dies a third of the way into ingest.
-// Publishes replicate to every bus replica before the ack, so a
-// promoted store must serve the whole acked prefix.
+// The cluster scenario's broker dies a third of the way into ingest and
+// is restarted under its own name at once, while its predecessor's zk
+// session still lives. Publishes replicate to every bus replica before
+// the ack, so a promoted store must serve the whole acked prefix.
 const (
 	clusterUnits, clusterSensors = 4, 3
 	baseline, spikes             = 40, 6 // steps before and after the level shift
@@ -30,6 +32,7 @@ var clusterChecks = []string{
 	"every step acked",
 	"all acked samples read back",
 	"promoted leader visible",
+	"restarted broker on the map",
 	"anomaly on SSE",
 }
 
@@ -119,6 +122,7 @@ func runCluster(cfg config, rep *report) error {
 		return float64(10*unit + sensor)
 	})
 	promoted := make(chan time.Duration, 1)
+	var killed time.Time
 	start := time.Now()
 	var putErr error
 	for range (baseline + spikes) * clusterUnits {
@@ -128,9 +132,12 @@ func runCluster(cfg config, rep *report) error {
 			if err := procs["broker"].Process.Kill(); err != nil {
 				return fmt.Errorf("kill broker: %w", err)
 			}
-			killed := time.Now()
+			killed = time.Now()
 			_ = procs["broker"].Wait()
 			delete(procs, "broker")
+			if err := spawn("broker", "broker", "-http", brokerHTTP, "-zk-node", "dg"); err != nil {
+				return fmt.Errorf("restart broker: %w", err)
+			}
 			go func() {
 				if waitFor(ctx, "a promoted leader", 20*time.Millisecond, func() bool {
 					cm, err := c.Cluster(ctx)
@@ -168,6 +175,19 @@ func runCluster(cfg config, rep *report) error {
 	case <-ctx.Done():
 		rep.check("promoted leader visible", false, "none by the deadline")
 	}
+	// By now the killed broker's session has expired (its candidate led
+	// until then). The restarted one serves and is on the map: its
+	// membership record is its own session's.
+	restartCtx, cancelRestart := context.WithTimeout(ctx, 10*time.Second)
+	defer cancelRestart()
+	err = waitFor(restartCtx, "the restarted broker on the map", 20*time.Millisecond, func() bool {
+		if _, err := broker.Metrics(restartCtx); err != nil {
+			return false
+		}
+		cm, err := c.Cluster(restartCtx)
+		return err == nil && slices.ContainsFunc(cm.Nodes, func(n v1.ClusterNode) bool { return n.Name == "broker" })
+	})
+	rep.check("restarted broker on the map", err == nil, "%s from SIGKILL", took(killed, err))
 	evCtx, cancel := context.WithTimeout(ctx, time.Minute)
 	defer cancel()
 	select {
@@ -179,14 +199,11 @@ func runCluster(cfg config, rep *report) error {
 	return nil
 }
 
-// promotedLeader: a node other than the killed broker leads with a promotion.
+// promotedLeader: a node other than the killed broker leads.
 func promotedLeader(cm *v1.ClusterResponse) bool {
-	for _, n := range cm.Nodes {
-		if n.Name != "broker" && len(n.PartitionGroupsLed) > 0 && n.Promotions > 0 {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(cm.Nodes, func(n v1.ClusterNode) bool {
+		return n.Name != "broker" && len(n.PartitionGroupsLed) > 0
+	})
 }
 
 func freeAddrs(n int) ([]string, error) {

@@ -65,6 +65,7 @@ func TestScenarioChecks(t *testing.T) {
 			"every step acked",
 			"all acked samples read back",
 			"promoted leader visible",
+			"restarted broker on the map",
 			"anomaly on SSE",
 		},
 	}

@@ -100,9 +100,10 @@ type Config struct {
 	// answers 503 unavailable.
 	Detectors func() v1.DetectorsResponse
 	// Cluster snapshots the node membership map for GET
-	// /api/v1/cluster (roles, partition leadership, replication
-	// health). Nil answers 503 unavailable.
-	Cluster func() v1.ClusterResponse
+	// /api/v1/cluster (roles, TSD routes, bus partition leadership).
+	// Nil, or an error (the coordination service unreadable), answers
+	// 503 unavailable.
+	Cluster func() (v1.ClusterResponse, error)
 
 	// Now supplies "current" fleet time for window defaults (default:
 	// wall clock seconds).
@@ -723,13 +724,18 @@ func (g *Gateway) handleDetectors(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCluster reports the cluster membership map: every live node
-// with its roles, bus partition leadership and replication health.
+// with its roles, TSD routes and bus partition leadership.
 func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 	if g.cfg.Cluster == nil {
 		writeError(w, &apiError{status: http.StatusServiceUnavailable, code: v1.CodeUnavailable, msg: "no cluster membership"})
 		return
 	}
-	writeJSON(w, g.cfg.Cluster())
+	cm, err := g.cfg.Cluster()
+	if err != nil {
+		writeError(w, &apiError{status: http.StatusServiceUnavailable, code: v1.CodeUnavailable, msg: "cluster membership: " + err.Error()})
+		return
+	}
+	writeJSON(w, cm)
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -4,6 +4,7 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"log"
 	"math"
@@ -142,11 +143,11 @@ func TestV1Conformance(t *testing.T) {
 				Ensemble: v1.EnsembleConfig{Members: []string{"cusum", "zscore"}, MinVotes: 2},
 			}
 		}
-		c.Cluster = func() v1.ClusterResponse {
+		c.Cluster = func() (v1.ClusterResponse, error) {
 			return v1.ClusterResponse{Nodes: []v1.ClusterNode{
 				{Name: "broker-1", Roles: []string{"broker"}, Addr: "127.0.0.1:7401", PartitionGroupsLed: []int{0}},
 				{Name: "gw-1", Roles: []string{"gateway"}, Addr: "127.0.0.1:7404"},
-			}}
+			}}, nil
 		}
 	})
 	okCases := []struct {
@@ -248,11 +249,25 @@ func TestV1Conformance(t *testing.T) {
 			}
 		}
 	}
-	// 503: routes whose dependency is absent.
-	for _, path := range []string{"/api/v1/anomalies/stream", "/api/v1/detectors", "/api/v1/cluster", "/api/v1/metrics"} {
-		rec := get(t, broken, path)
+	// 503: routes whose dependency is absent, or cannot answer (a
+	// membership map whose coordination service is unreadable).
+	unreadable := New(Config{
+		Cluster:   func() (v1.ClusterResponse, error) { return v1.ClusterResponse{}, errors.New("zk: session closed") },
+		AccessLog: testLogger(),
+	})
+	for _, tc := range []struct {
+		gw   http.Handler
+		path string
+	}{
+		{broken, "/api/v1/anomalies/stream"},
+		{broken, "/api/v1/detectors"},
+		{broken, "/api/v1/cluster"},
+		{broken, "/api/v1/metrics"},
+		{unreadable, "/api/v1/cluster"},
+	} {
+		rec := get(t, tc.gw, tc.path)
 		if rec.Code != 503 || envelope(t, rec).Code != v1.CodeUnavailable {
-			t.Errorf("GET %s without dependency = %d, want 503 unavailable", path, rec.Code)
+			t.Errorf("GET %s without dependency = %d, want 503 unavailable", tc.path, rec.Code)
 		}
 	}
 	recPut := httptest.NewRecorder()

@@ -261,9 +261,10 @@ type DetectorsResponse struct {
 }
 
 // ClusterNode describes one live node of the cluster on GET
-// /api/v1/cluster: its roles, rpc endpoint, the bus partition groups
-// it currently leads, and its replication health. A single-process
-// deployment reports one node holding every role.
+// /api/v1/cluster: its roles, rpc endpoint, TSD routes and the bus
+// partition groups it leads. A single-process deployment reports one
+// node holding every role. Per-process counters (promotions, follower
+// lag) are on each node's /api/v1/metrics, not here.
 type ClusterNode struct {
 	Name  string   `json:"name"`
 	Roles []string `json:"roles"`
@@ -274,14 +275,9 @@ type ClusterNode struct {
 	// cluster-visible routes (prefixed with the node name).
 	TSDs []string `json:"tsds,omitempty"`
 	// PartitionGroupsLed lists the bus partition groups this node's
-	// bus service currently leads (elected via the coordination
-	// service); Promotions counts leaderships it acquired by failover
-	// rather than first election.
+	// bus service leads: those whose election names its bus address
+	// when the map is served.
 	PartitionGroupsLed []int `json:"partitionGroupsLed,omitempty"`
-	Promotions         int64 `json:"promotions,omitempty"`
-	// FollowerLag is the worst record shortfall across this leader's
-	// followers (0 when fully replicated or not a leader).
-	FollowerLag int64 `json:"followerLag,omitempty"`
 }
 
 // ClusterResponse is the body of GET /api/v1/cluster: the membership

@@ -56,13 +56,14 @@
 //     Publish/Fetch/Commit/Rebalance rpc handlers, one leader for
 //     every partition elected through internal/zk (zk.Election), and
 //     synchronous replication of every accepted publish to the
-//     registered follower replicas — all at once — before the ack,
-//     which is what lets a follower be promoted on leader death
-//     without losing an acked record. The service heartbeats an
-//     ephemeral membership record and evicts stale replicas. The
-//     leader's replica set is cached until a zk children watch on the
-//     registry fires — a replica joined or its registration expired —
-//     not re-read on a timer. A consumer's fetch is a long-poll that
+//     follower replicas — all at once — before the ack, which is what
+//     lets a follower be promoted on leader death without losing an
+//     acked record. The election is the bus's one zk record: its
+//     ephemeral candidates, each naming its service's address, are
+//     the replica set, and its lowest candidate leads (Leader reads
+//     it). The leader's replica set is cached until a zk children watch
+//     on the election fires — a candidate joined or expired — not
+//     re-read on a timer. A consumer's fetch is a long-poll that
 //     waits off the service's rpc worker pool (rpc.Deferred), so idle
 //     consumers cost publishers nothing; a remote group's Sync parks
 //     the same way, one sync call on the coordinator's Group.Sync per

@@ -25,9 +25,6 @@ import (
 type RemoteBusConfig struct {
 	// Node names this process in member ids ("detect", "gateway", …).
 	Node string
-	// Root is the zk namespace (default "/sentinel/bus"); must match
-	// the services'.
-	Root string
 	// Partitions is the cluster-wide topic partition count; it must
 	// match the brokers' Config.Partitions.
 	Partitions int
@@ -40,9 +37,6 @@ type RemoteBusConfig struct {
 }
 
 func (c *RemoteBusConfig) defaults() {
-	if c.Root == "" {
-		c.Root = "/sentinel/bus"
-	}
 	if c.Partitions <= 0 {
 		c.Partitions = 4
 	}
@@ -88,19 +82,10 @@ func (b *RemoteBus) leader() (string, error) {
 	if addr != "" {
 		return addr, nil
 	}
-	root := electionPath(b.cfg.Root)
-	kids, err := b.zkc.Children(root)
+	addr, err := Leader(b.zkc)
 	if err != nil {
 		return "", err
 	}
-	if len(kids) == 0 {
-		return "", fmt.Errorf("%w: no candidates", ErrNotLeader)
-	}
-	data, _, err := b.zkc.Get(root + "/" + kids[0])
-	if err != nil {
-		return "", err
-	}
-	addr = string(data)
 	b.mu.Lock()
 	b.leaderAddr = addr
 	b.mu.Unlock()

@@ -18,21 +18,25 @@ package bus
 // some other way cannot be fetched remotely (rpc.ErrWireType).
 //
 // Replication protocol. Publish is served by the leader: it appends locally (normal backpressure applies), then
-// synchronously replicates the record to every *registered* replica —
-// all of them at once, one round trip — before acking with the record's
-// partition, offset and key (not its value: the producer has that). So
-// an acked record exists on all live replicas and survives the leader's
-// death. A replica that has vanished from the zk
-// registry (its ephemeral node expired) is skipped; one that is
-// registered but failing fails the publish, and the producer retries.
-// Followers detect gaps (a replicated offset ahead of their high-water
-// mark) and the leader backfills from its own log.
+// synchronously replicates the record to every other candidate of the
+// leader election — all of them at once, one round trip — before
+// acking with the record's partition, offset and key (not its value:
+// the producer has that). So an acked record exists on all live
+// replicas and survives the leader's death. A replica that has left
+// the election (its ephemeral candidate expired) is skipped; one that
+// is still a candidate but failing fails the publish, and the producer
+// retries. Followers detect gaps (a replicated offset ahead of their
+// high-water mark) and the leader backfills from its own log.
 //
-// The replica set a leader replicates to is read from the zk registry
-// and cached until a children watch on the registry fires — a replica
-// joining, or one whose ephemeral registration expired — so a quiet
-// registry costs one parked watch call, not a read per publish; a
-// failed replicate still forces a fresh read.
+// The election is the one zk record of the bus: its lowest candidate
+// leads, and every candidate's payload — its service's rpc address —
+// names a replica. The replica set a leader replicates to is the
+// candidates' addresses other than its own, cached until a children
+// watch on the election fires — a replica joining, or one whose
+// candidate expired — so a quiet election costs one parked watch call,
+// not a read per publish; a failed replicate still forces a fresh
+// read. Keyed by address, a service restarted under its own name while
+// its predecessor's session lives is one replica with two candidates.
 //
 // Group coordination. All consumer-group traffic (join/fetch/commit/…)
 // goes to the leader — also the group coordinator — which
@@ -239,16 +243,11 @@ type ServiceConfig struct {
 	// Addr is the rpc address this service answers on and publishes as
 	// its election payload (convention: "bus/<node>").
 	Addr string
-	// Root is the zk namespace (default "/sentinel/bus").
-	Root string
 	// MemberTTL evicts remote consumers silent this long (default 3s).
 	MemberTTL time.Duration
 }
 
 func (c *ServiceConfig) defaults() {
-	if c.Root == "" {
-		c.Root = "/sentinel/bus"
-	}
 	if c.MemberTTL <= 0 {
 		c.MemberTTL = 3 * time.Second
 	}
@@ -257,12 +256,16 @@ func (c *ServiceConfig) defaults() {
 // replicaTimeout bounds each replication rpc.
 const replicaTimeout = 2 * time.Second
 
-// electionPath is the one leader election under a zk root: partition
-// group 0, which owns every partition.
-func electionPath(root string) string { return root + "/pg-0" }
+// electionPath is the bus's one leader election: partition group 0,
+// which owns every partition. Its candidates are the replica set.
+const electionPath = "/sentinel/bus/pg-0"
+
+// Leader returns the rpc address of the elected bus leader as zk has
+// it now (zk.ErrNoNode while no service stands).
+func Leader(zkc zk.Client) (string, error) { return zk.Leader(zkc, electionPath) }
 
 // Service exposes a Broker replica over rpc, standing in the leader
-// election and the replica registry.
+// election, whose candidates are the replica set.
 type Service struct {
 	broker *Broker
 	net    *rpc.Network
@@ -274,9 +277,9 @@ type Service struct {
 
 	mu       sync.Mutex
 	members  map[string]*remoteMember
-	replicas map[string]string // node → addr, cached from zk; nil when stale
-	repGen   uint64            // bumped whenever the registry watch fires or re-arms
-	repArmed bool              // a registry watch is armed: reads may be cached
+	replicas map[string]struct{} // the other candidates' addrs, cached from zk; nil when stale
+	repGen   uint64              // bumped whenever the election watch fires or re-arms
+	repArmed bool                // an election watch is armed: reads may be cached
 	closed   bool
 
 	// ctx ends with Close: it stops the background loops and releases
@@ -301,8 +304,8 @@ type remoteMember struct {
 	lastSeen time.Time
 }
 
-// StartService registers the node in the replica registry, joins the
-// leader election and begins serving the bus rpc methods on cfg.Addr.
+// StartService joins the leader election — which makes the service a
+// replica — and begins serving the bus rpc methods on cfg.Addr.
 func StartService(net *rpc.Network, zkc zk.Client, b *Broker, cfg ServiceConfig) (*Service, error) {
 	cfg.defaults()
 	s := &Service{
@@ -314,13 +317,7 @@ func StartService(net *rpc.Network, zkc zk.Client, b *Broker, cfg ServiceConfig)
 		leading: make(chan struct{}),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	if err := zk.EnsurePath(zkc, cfg.Root+"/replicas"); err != nil {
-		return nil, fmt.Errorf("bus: service %s: %w", cfg.Node, err)
-	}
-	if err := zkc.Create(cfg.Root+"/replicas/"+cfg.Node, []byte(cfg.Addr), true); err != nil {
-		return nil, fmt.Errorf("bus: register replica %s: %w", cfg.Node, err)
-	}
-	e, err := zk.JoinElection(zkc, electionPath(cfg.Root), cfg.Addr)
+	e, err := zk.JoinElection(zkc, electionPath, cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("bus: join election: %w", err)
 	}
@@ -331,11 +328,11 @@ func StartService(net *rpc.Network, zkc zk.Client, b *Broker, cfg ServiceConfig)
 	s.wg.Add(3)
 	go s.campaign()
 	go s.reapMembers()
-	go s.watchRegistry()
+	go s.watchReplicas()
 	return s, nil
 }
 
-// Close resigns the election, deregisters the replica and stops
+// Close resigns the election — leaving the replica set — and stops
 // serving. The underlying broker is left to its owner.
 func (s *Service) Close() {
 	s.mu.Lock()
@@ -348,7 +345,6 @@ func (s *Service) Close() {
 	s.cancel()
 	s.net.Remove(s.cfg.Addr)
 	_ = s.election.Resign()
-	_ = s.zkc.Delete(s.cfg.Root + "/replicas/" + s.cfg.Node)
 	s.wg.Wait()
 }
 
@@ -418,15 +414,15 @@ func (s *Service) reapMembers() {
 	}
 }
 
-// watchRegistry keeps a children watch armed on the replica registry:
-// each time it fires — a replica joined, or one's ephemeral
-// registration expired — the cached replica set is dropped and the
-// next replicaSet reads the registry again. If the watch cannot be
-// re-armed, nothing is cached from then on.
-func (s *Service) watchRegistry() {
+// watchReplicas keeps a children watch armed on the election: each
+// time it fires — a candidate joined, or one's ephemeral node expired
+// — the cached replica set is dropped and the next replicaSet reads the
+// election again. If the watch cannot be re-armed, nothing is cached
+// from then on.
+func (s *Service) watchReplicas() {
 	defer s.wg.Done()
 	for {
-		changed, err := s.zkc.WatchChildren(s.cfg.Root + "/replicas")
+		changed, err := s.zkc.WatchChildren(electionPath)
 		s.mu.Lock()
 		s.replicas, s.repArmed = nil, err == nil
 		s.repGen++
@@ -446,11 +442,11 @@ func (s *Service) watchRegistry() {
 	}
 }
 
-// replicaSet returns node→addr for every *other* registered replica:
-// cached until the registry watch fires, read afresh when force is set.
-// A read is cached only if the watch was armed before it began and has
-// not fired since.
-func (s *Service) replicaSet(force bool) (map[string]string, error) {
+// replicaSet returns the addresses of the election's candidates other
+// than this service's: cached until the election watch fires, read
+// afresh when force is set. A read is cached only if the watch was
+// armed before it began and has not fired since.
+func (s *Service) replicaSet(force bool) (map[string]struct{}, error) {
 	s.mu.Lock()
 	if set := s.replicas; set != nil && !force {
 		s.mu.Unlock()
@@ -458,20 +454,19 @@ func (s *Service) replicaSet(force bool) (map[string]string, error) {
 	}
 	gen, armed := s.repGen, s.repArmed
 	s.mu.Unlock()
-	kids, err := s.zkc.Children(s.cfg.Root + "/replicas")
+	kids, err := s.zkc.Children(electionPath)
 	if err != nil {
 		return nil, err
 	}
-	set := make(map[string]string, len(kids))
-	for _, node := range kids {
-		if node == s.cfg.Node {
-			continue
-		}
-		data, _, err := s.zkc.Get(s.cfg.Root + "/replicas/" + node)
+	set := make(map[string]struct{}, len(kids))
+	for _, kid := range kids {
+		data, _, err := s.zkc.Get(electionPath + "/" + kid)
 		if err != nil {
 			continue // vanished between list and read
 		}
-		set[node] = string(data)
+		if addr := string(data); addr != s.cfg.Addr {
+			set[addr] = struct{}{}
+		}
 	}
 	s.mu.Lock()
 	if armed && s.repGen == gen {
@@ -482,27 +477,27 @@ func (s *Service) replicaSet(force bool) (map[string]string, error) {
 }
 
 // replicate sends op — one partition's records, marks, or both — to
-// every registered replica, backfilling gaps, and fails if a
-// registered replica cannot be reached (the producer retries — an ack
-// means the record is on every live replica).
+// every other candidate, backfilling gaps, and fails if a candidate
+// cannot be reached (the producer retries — an ack means the record is
+// on every live replica).
 func (s *Service) replicate(ctx context.Context, op *busOp) error {
 	set, err := s.replicaSet(false)
 	if err != nil {
-		return fmt.Errorf("bus: replica registry: %w", err)
+		return fmt.Errorf("bus: replica set: %w", err)
 	}
 	// One round trip, not one per follower: the op goes to every
 	// follower at once, and every answer is collected before a follower
 	// that reported a gap gets its backfill exchange.
 	type attempt struct {
-		node, addr string
-		fut        *rpc.Future
-		v          any
-		err        error
+		addr string
+		fut  *rpc.Future
+		v    any
+		err  error
 	}
 	cctx, cancel := context.WithTimeout(ctx, replicaTimeout)
 	attempts := make([]attempt, 0, len(set))
-	for node, addr := range set {
-		attempts = append(attempts, attempt{node: node, addr: addr, fut: s.net.Go(cctx, addr, "replicate", op)})
+	for addr := range set {
+		attempts = append(attempts, attempt{addr: addr, fut: s.net.Go(cctx, addr, "replicate", op)})
 	}
 	for i := range attempts {
 		attempts[i].v, attempts[i].err = attempts[i].fut.Wait(cctx)
@@ -511,17 +506,17 @@ func (s *Service) replicate(ctx context.Context, op *busOp) error {
 	var failed error
 	for _, a := range attempts {
 		if err := s.settleReplica(ctx, a.addr, op, a.v, a.err); err != nil {
-			// Re-check the registry: a replica that died (and lost its
-			// ephemeral registration) is skipped, anything else fails
-			// the publish.
+			// Re-check the election: a replica that died (and lost its
+			// ephemeral candidate) is skipped, anything else fails the
+			// publish.
 			fresh, rerr := s.replicaSet(true)
 			if rerr == nil {
-				if _, still := fresh[a.node]; !still {
+				if _, still := fresh[a.addr]; !still {
 					continue
 				}
 			}
 			if failed == nil {
-				failed = fmt.Errorf("bus: replicate %s/%d to %s: %w", op.Topic, op.Part, a.node, err)
+				failed = fmt.Errorf("bus: replicate %s/%d to %s: %w", op.Topic, op.Part, a.addr, err)
 			}
 			continue
 		}
@@ -808,7 +803,7 @@ func (s *Service) sync(ctx context.Context, g *Group, wait time.Duration) (any, 
 }
 
 // FollowerLag returns the worst total log shortfall (records) across
-// the registered followers, by asking each for its high-water sums.
+// the followers, by asking each for its high-water sums.
 // Metrics-scrape granularity; 0 when this node leads nothing.
 func (s *Service) FollowerLag(topics []string) int64 {
 	if !s.leader() {
@@ -825,7 +820,7 @@ func (s *Service) FollowerLag(topics []string) int64 {
 		for p := 0; p < t.Partitions(); p++ {
 			local += t.HighWater(p)
 		}
-		for _, addr := range set {
+		for addr := range set {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 			v, err := s.net.Call(ctx, addr, "hwm", &busOp{Topic: topic})
 			cancel()

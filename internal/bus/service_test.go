@@ -559,3 +559,63 @@ func TestPromotedFollowerRedeliversWithinBound(t *testing.T) {
 		})
 	}
 }
+
+// TestServiceRestartsUnderItsOwnName: a replica whose process died
+// with its zk session still open comes back under the same node name
+// and address. It boots (a second election candidate cannot collide
+// with the first), is replicated to once its predecessor's session is
+// gone, and can lead. The election is the only zk record of the
+// replicas: no registry beside it is created.
+func TestServiceRestartsUnderItsOwnName(t *testing.T) {
+	c := startBusCluster(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	waitFor(t, ctx, "initial leadership", func() bool { return c.services[0].IsLeader(0) })
+	topic := c.remote(t, "client").Topic("t")
+	publish := func(from, to uint64) {
+		t.Helper()
+		for k := from; k < to; k++ {
+			if _, err := topic.Publish(ctx, k, k); err != nil {
+				t.Fatalf("publish %d: %v", k, err)
+			}
+		}
+	}
+	publish(0, 10)
+
+	// n2 dies: its rpc server is gone, its session and candidate are not.
+	old, oldBroker, oldSess := c.services[1], c.brokers[1], c.sessions[1]
+	c.net.Remove(old.cfg.Addr)
+	t.Cleanup(func() { old.Close(); oldBroker.Close() })
+	b := New(Config{Partitions: 4, SegmentRecords: 8})
+	sess := c.zks.NewSession()
+	svc, err := StartService(c.net, sess, b, ServiceConfig{Node: "n2", Addr: "bus/n2", MemberTTL: 2 * time.Second})
+	if err != nil {
+		t.Fatalf("restart under its own name: %v", err)
+	}
+	c.services[1], c.brokers[1], c.sessions[1] = svc, b, sess
+
+	// The predecessor's session expires; the restarted replica stays in
+	// the replica set and is backfilled with the whole log.
+	oldSess.Close()
+	publish(10, 30)
+	lead := c.brokers[0].Topic("t")
+	for p := 0; p < 4; p++ {
+		if lh, fh := lead.HighWater(p), b.Topic("t").HighWater(p); lh != fh {
+			t.Fatalf("partition %d: leader hwm %d, restarted replica hwm %d", p, lh, fh)
+		}
+	}
+
+	c.crash(0)
+	waitFor(t, ctx, "the restarted replica to lead", func() bool { return svc.IsLeader(0) })
+	publish(30, 40)
+	var total int64
+	for p := 0; p < 4; p++ {
+		total += b.Topic("t").HighWater(p)
+	}
+	if total != 40 {
+		t.Fatalf("restarted leader's log holds %d records, want 40", total)
+	}
+	if ok, err := sess.Exists("/sentinel/bus/replicas"); err != nil || ok {
+		t.Fatalf("replica registry exists = %v (%v)", ok, err)
+	}
+}

@@ -19,7 +19,6 @@ type Election struct {
 	session Client
 	root    string
 	me      string // the candidate znode this session created
-	id      string // human-readable candidate identity
 }
 
 // EnsurePath creates p and any missing ancestors as persistent znodes,
@@ -41,8 +40,9 @@ func EnsurePath(s Client, p string) error {
 	return nil
 }
 
-// JoinElection registers the candidate id under root (created when
-// missing) and returns the election handle.
+// JoinElection registers the candidate id — the payload Leader returns
+// while it leads — under root (created when missing) and returns the
+// election handle.
 func JoinElection(s Client, root, id string) (*Election, error) {
 	root = normalize(root)
 	if err := EnsurePath(s, root); err != nil {
@@ -52,7 +52,7 @@ func JoinElection(s Client, root, id string) (*Election, error) {
 	if err != nil {
 		return nil, fmt.Errorf("zk: join election: %w", err)
 	}
-	return &Election{session: s, root: root, me: me, id: id}, nil
+	return &Election{session: s, root: root, me: me}, nil
 }
 
 // candidates returns the sorted candidate znode names.
@@ -77,16 +77,19 @@ func (e *Election) IsLeader() (bool, error) {
 	return path.Base(e.me) == kids[0], nil
 }
 
-// Leader returns the identity payload of the current leader.
-func (e *Election) Leader() (string, error) {
-	kids, err := e.candidates()
+// Leader returns the identity payload of the current leader of the
+// election under root: the lowest candidate's. An election with no
+// candidate answers ErrNoNode.
+func Leader(s Client, root string) (string, error) {
+	root = normalize(root)
+	kids, err := s.Children(root)
 	if err != nil {
 		return "", err
 	}
 	if len(kids) == 0 {
-		return "", ErrNoNode
+		return "", fmt.Errorf("%w: no candidates under %s", ErrNoNode, root)
 	}
-	data, _, err := e.session.Get(e.root + "/" + kids[0])
+	data, _, err := s.Get(root + "/" + kids[0])
 	if err != nil {
 		return "", err
 	}

@@ -150,7 +150,7 @@ func TestRemoteSessionExpiryFailsOverElection(t *testing.T) {
 	if err := e2.AwaitLeadership(ctx); err != nil {
 		t.Fatalf("follower never promoted: %v", err)
 	}
-	if leader, err := e2.Leader(); err != nil || leader != "local-2" {
+	if leader, err := Leader(local, "/election"); err != nil || leader != "local-2" {
 		t.Fatalf("leader=%q err=%v", leader, err)
 	}
 }

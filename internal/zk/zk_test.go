@@ -234,7 +234,7 @@ func TestElectionFailover(t *testing.T) {
 	if lead, _ := e2.IsLeader(); lead {
 		t.Fatal("second candidate must not lead")
 	}
-	if name, _ := e2.Leader(); name != "master-1" {
+	if name, _ := Leader(backup, "/election/hmaster"); name != "master-1" {
 		t.Fatalf("leader = %q", name)
 	}
 
@@ -251,7 +251,7 @@ func TestElectionFailover(t *testing.T) {
 	if lead, _ := e2.IsLeader(); !lead {
 		t.Fatal("backup must take over")
 	}
-	if name, _ := e2.Leader(); name != "master-2" {
+	if name, _ := Leader(backup, "/election/hmaster"); name != "master-2" {
 		t.Fatalf("leader after failover = %q", name)
 	}
 }

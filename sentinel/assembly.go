@@ -39,7 +39,7 @@ import (
 // a slow detector never stalls storage writes. Brokers and stores hold
 // partition logs; with peers they also stand in the leader elections,
 // so killing the broker promotes a store and acked records survive
-// (publishes replicate to every registered replica before acking).
+// (publishes replicate to every other election candidate before acking).
 func (n *Node) startBus() (err error) {
 	cfg := n.cfg
 	if cfg.has(RoleBroker) || cfg.has(RoleStore) {
@@ -49,7 +49,7 @@ func (n *Node) startBus() (err error) {
 		return nil
 	}
 	if n.Bus != nil {
-		n.BusSvc, err = bus.StartService(n.net, n.zkc, n.Bus, bus.ServiceConfig{Node: cfg.Name, Addr: "bus/" + cfg.Name})
+		n.BusSvc, err = bus.StartService(n.net, n.zkc, n.Bus, bus.ServiceConfig{Node: cfg.Name, Addr: busAddr(cfg.Name)})
 		if err != nil {
 			return fmt.Errorf("sentinel: %s: start bus service: %w", cfg.Name, err)
 		}
@@ -108,8 +108,6 @@ func (n *Node) startStorage() (err error) {
 	t, name := n.tier, n.cfg.Name
 	n.Cluster, err = hbase.NewCluster(hbase.Config{
 		RegionServers:    t.StorageNodes,
-		RSQueueCap:       t.RSQueueCap,
-		CrashOnOverflow:  t.CrashOnOverflow,
 		ServiceRatePerRS: t.PerNodeRate,
 		Clock:            clock.Real{},
 	})
@@ -468,10 +466,7 @@ func (n *Node) ReadyChecks() []api.ReadyCheck {
 		if !n.cfg.clustered() {
 			return nil
 		}
-		kids, err := n.zkc.Children("/sentinel/bus/pg-0")
-		if err == nil && len(kids) == 0 {
-			err = errors.New("no bus leader candidates")
-		}
+		_, err := bus.Leader(n.zkc)
 		return err
 	}}, api.ReadyCheck{Name: "storage", Check: func() error {
 		stores, err := n.storeRoutes()

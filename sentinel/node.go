@@ -29,9 +29,10 @@
 // watermark-invalidated window cache: alone, the local deployment and
 // its watermarks; with peers, every store found at boot, whose TSDs
 // answer a window's watermark over rpc. Membership of a cluster lives
-// in ephemeral znodes under /sentinel/cluster/nodes — each node
-// refreshes its record about once a second, and GET /api/v1/cluster on
-// any node renders the map.
+// in ephemeral znodes under /sentinel/cluster/nodes — each node writes
+// its record once, at boot, with what never changes (name, roles,
+// address, TSD routes) — and GET /api/v1/cluster on any node renders
+// the map, marking the leader the bus election names when it is asked.
 package sentinel
 
 import (
@@ -139,10 +140,8 @@ type NodeConfig struct {
 	Units          int
 	SensorsPerUnit int
 	// StorageNodes is the region-server / TSD count of a store node's
-	// local tier (default 2); SaltBuckets the row-key salting width
-	// (default StorageNodes, -1 disables).
+	// local tier (default 2); rows are salted that many ways.
 	StorageNodes int
-	SaltBuckets  int
 	// StorageWriters sizes a store node's consumer group draining the
 	// bus into its proxy (default 2); DetectorWorkers a detect node's
 	// pool (default 2).
@@ -166,14 +165,13 @@ type NodeConfig struct {
 	// Seed drives detector pseudo-randomness (default 42).
 	Seed uint64
 
-	// The store tier's lifecycle and the shared circuit breakers, as the
-	// Config fields of the same names; they apply to every store node.
+	// The store tier's lifecycle, as the Config fields of the same
+	// names; they apply to every store node.
 	SealAfter     int64
 	CompactEvery  time.Duration
 	RawTTL        int64
 	RollupTTL     int64
 	HotBlockBytes int64
-	Breaker       resilience.BreakerConfig
 
 	// GatewayConfig tunes the node's HTTP surface exactly as it tunes
 	// System.Gateway; Now defaults to wall-clock seconds.
@@ -219,11 +217,9 @@ func (c NodeConfig) withNodeDefaults() NodeConfig {
 func (c NodeConfig) tiers() Config {
 	return Config{
 		StorageNodes:    c.StorageNodes,
-		SaltBuckets:     c.SaltBuckets,
 		Units:           c.Units,
 		SensorsPerUnit:  c.SensorsPerUnit,
 		Seed:            c.Seed,
-		Breaker:         c.Breaker,
 		Partitions:      c.Partitions,
 		StorageWriters:  c.StorageWriters,
 		DetectorWorkers: c.DetectorWorkers,
@@ -326,7 +322,6 @@ type Node struct {
 
 	ctx       context.Context
 	cancel    context.CancelFunc
-	wg        sync.WaitGroup
 	closeOnce sync.Once
 }
 
@@ -398,8 +393,6 @@ func startNode(cfg NodeConfig, tier Config) (n *Node, err error) {
 	if err = n.register(); err != nil {
 		return nil, fmt.Errorf("sentinel: %s: register membership: %w", cfg.Name, err)
 	}
-	n.wg.Add(1)
-	go n.refreshLoop()
 	if cfg.has(RoleDetect) || cfg.has(RoleGateway) {
 		routes, err := n.waitStores()
 		if err != nil {
@@ -437,11 +430,11 @@ func (n *Node) joinFabric() (err error) {
 	// names resolve uniformly on combined-role nodes; exact local
 	// registrations always win over routes.
 	for name, ep := range cfg.Peers {
-		n.net.AddRoute("bus/"+name, ep)
+		n.net.AddRoute(busAddr(name), ep)
 		n.net.AddRoute(name+"/", ep)
 	}
 	if _, ok := cfg.Peers[cfg.Name]; !ok {
-		n.net.AddRoute("bus/"+cfg.Name, n.addr)
+		n.net.AddRoute(busAddr(cfg.Name), n.addr)
 		n.net.AddRoute(cfg.Name+"/", n.addr)
 	}
 
@@ -511,8 +504,13 @@ func (n *Node) Addr() string { return n.addr }
 // cluster map, health and readiness).
 func (n *Node) Handler() http.Handler { return n.handler }
 
+// busAddr is the rpc address a node's bus service answers on and
+// stands in the bus election under.
+func busAddr(node string) string { return "bus/" + node }
+
 // record builds this node's membership payload: the znode stores, as
-// JSON, the very entry /api/v1/cluster serves.
+// JSON, the entry /api/v1/cluster serves — all of it but leadership,
+// which the bus election holds.
 func (n *Node) record() v1.ClusterNode {
 	r := v1.ClusterNode{Name: n.cfg.Name, Addr: n.addr}
 	for _, role := range n.cfg.Roles {
@@ -523,56 +521,23 @@ func (n *Node) record() v1.ClusterNode {
 			r.TSDs = append(r.TSDs, n.cfg.Name+"/"+a)
 		}
 	}
-	if n.BusSvc != nil {
-		if n.BusSvc.IsLeader(0) {
-			r.PartitionGroupsLed = []int{0}
-		}
-		r.Promotions = n.BusSvc.Promotions.Value()
-		r.FollowerLag = n.BusSvc.FollowerLag([]string{TopicEnergy, TopicAnomalies})
-	}
 	return r
 }
 
-// register creates (or takes over) the node's ephemeral membership
-// znode.
+// register writes the node's ephemeral membership znode, once. A
+// previous incarnation's record whose session has not expired yet is
+// deleted first, so the record belongs to this session and that
+// session's expiry, which removes only its own znodes, cannot take it.
 func (n *Node) register() error {
 	data, err := json.Marshal(n.record())
 	if err != nil {
 		return err
 	}
 	path := clusterNodesPath + "/" + n.cfg.Name
-	err = n.zkc.Create(path, data, true)
-	if errors.Is(err, zk.ErrNodeExists) {
-		// A previous incarnation's record whose session has not
-		// expired yet: overwrite; our refresh loop keeps it fresh and
-		// our session's expiry will reap it.
-		return n.zkc.Set(path, data, -1)
+	if err := n.zkc.Delete(path); err != nil && !errors.Is(err, zk.ErrNoNode) {
+		return err
 	}
-	return err
-}
-
-// refreshLoop re-publishes the membership record about once a second
-// so peers see leadership, promotion and lag changes; it re-creates
-// the znode if a session hiccup reaped it.
-func (n *Node) refreshLoop() {
-	defer n.wg.Done()
-	t := time.NewTicker(time.Second)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.ctx.Done():
-			return
-		case <-t.C:
-		}
-		data, err := json.Marshal(n.record())
-		if err != nil {
-			continue
-		}
-		path := clusterNodesPath + "/" + n.cfg.Name
-		if err := n.zkc.Set(path, data, -1); errors.Is(err, zk.ErrNoNode) {
-			_ = n.zkc.Create(path, data, true)
-		}
-	}
+	return n.zkc.Create(path, data, true)
 }
 
 // clusterRecords reads every live membership record, sorted by name; a
@@ -649,11 +614,27 @@ func (n *Node) waitStores() ([][]string, error) {
 }
 
 // ClusterStatus renders the membership map — the GET /api/v1/cluster
-// payload. Any node can serve it; the records themselves are pushed by
-// their owners.
-func (n *Node) ClusterStatus() v1.ClusterResponse {
-	recs, _ := n.clusterRecords()
-	return v1.ClusterResponse{Nodes: recs}
+// payload. Any node can serve it: the records are written by their
+// owners, and the bus leader is the node whose bus address the election
+// names as the request is served. An error is a coordination service
+// this node cannot read.
+func (n *Node) ClusterStatus() (v1.ClusterResponse, error) {
+	recs, err := n.clusterRecords()
+	if err != nil {
+		return v1.ClusterResponse{}, err
+	}
+	if n.zkc != nil {
+		leader, err := bus.Leader(n.zkc)
+		if err != nil && !errors.Is(err, zk.ErrNoNode) {
+			return v1.ClusterResponse{}, err
+		}
+		for i := range recs {
+			if busAddr(recs[i].Name) == leader {
+				recs[i].PartitionGroupsLed = []int{0}
+			}
+		}
+	}
+	return v1.ClusterResponse{Nodes: recs}, nil
 }
 
 // EndStreams closes the anomaly tail StartNode attached, ending every
@@ -691,7 +672,6 @@ func (n *Node) Shutdown(ctx context.Context) error {
 func (n *Node) Close() {
 	n.closeOnce.Do(func() {
 		n.cancel()
-		n.wg.Wait()
 		if n.zkc != nil {
 			_ = n.zkc.Delete(clusterNodesPath + "/" + n.cfg.Name)
 		}

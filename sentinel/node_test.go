@@ -3,14 +3,17 @@ package sentinel
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net"
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -275,55 +278,128 @@ func TestClusterEndToEnd(t *testing.T) {
 		time.Sleep(200 * time.Millisecond)
 	}
 
-	// The membership map shows all four nodes, the store TSD routes,
-	// and exactly one bus partition-group leader. Records refresh at
-	// 1 Hz, so the map is eventually consistent — poll.
-	mapDeadline := time.Now().Add(30 * time.Second)
-	for {
-		cm, err := c.Cluster(ctx)
-		leaders, tsds := 0, 0
-		if err == nil {
-			for _, n := range cm.Nodes {
-				leaders += len(n.PartitionGroupsLed)
-				tsds += len(n.TSDs)
-			}
-			// Two stores × two TSDs.
-			if len(cm.Nodes) == 4 && leaders == 1 && tsds == 4 {
-				break
+	// The membership map shows all four nodes, the store TSD routes
+	// (two stores × two TSDs), and the broker as the one bus
+	// partition-group leader: records are written at boot and
+	// leadership is read from the election, so the first read is
+	// complete.
+	leaders := func(cm *v1.ClusterResponse) (names []string) {
+		for _, n := range cm.Nodes {
+			if len(n.PartitionGroupsLed) > 0 {
+				names = append(names, n.Name)
 			}
 		}
-		if time.Now().After(mapDeadline) {
-			t.Fatalf("cluster map never converged (err %v): %+v", err, cm)
-		}
-		time.Sleep(300 * time.Millisecond)
+		return names
+	}
+	cm, err := c.Cluster(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsds := 0
+	for _, n := range cm.Nodes {
+		tsds += len(n.TSDs)
+	}
+	if len(cm.Nodes) != 4 || tsds != 4 || !slices.Equal(leaders(cm), []string{"broker"}) {
+		t.Fatalf("cluster map %+v: want 4 nodes, 4 TSDs, the broker leading", cm)
 	}
 
 	// Kill the broker. A store replica must be promoted (it holds every
 	// acked record — publishes replicate synchronously before acking)
-	// and ingest, storage and reads must keep working.
+	// and ingest, storage and reads must keep working. The map names the
+	// new leader as soon as the broker's candidacy is gone.
 	nodes["broker"].Close()
+	if cm, err = c.Cluster(ctx); err != nil {
+		t.Fatal(err)
+	}
+	led := leaders(cm)
+	if len(led) != 1 || !strings.HasPrefix(led[0], "store-") {
+		t.Fatalf("map after the broker closed: leaders %q, want one store", led)
+	}
 	after := 0
 	for step := int64(warm + spikes); step < warm+spikes+10; step++ {
 		after += put(step, func(u, s int) float64 { return float64(10*u + s) })
 	}
 	waitSamples(warm+spikes+9, acked+after)
-	promoted := false
-	promDeadline := time.Now().Add(30 * time.Second)
-	for !promoted {
-		cm, err := c.Cluster(ctx)
-		if err == nil {
-			for _, n := range cm.Nodes {
-				if n.Name != "broker" && len(n.PartitionGroupsLed) > 0 && n.Promotions > 0 {
-					promoted = true
-				}
+	if n := nodes[led[0]].BusSvc.Promotions.Value(); n != 1 {
+		t.Fatalf("%s leads after %d promotions, want 1", led[0], n)
+	}
+}
+
+// TestMembershipRecordsWrittenOnce: a node writes its membership
+// record at boot and never again — no ticker rewrites it — so with no
+// change of bus leader every record's version stands still.
+func TestMembershipRecordsWrittenOnce(t *testing.T) {
+	nodes := startTestCluster(t, fourNodes)
+	zkc := nodes["dg"].zkc
+	versions := func() map[string]int {
+		out := make(map[string]int)
+		for name := range nodes {
+			_, st, err := zkc.Get(clusterNodesPath + "/" + name)
+			if err != nil {
+				t.Fatalf("%s's record: %v", name, err)
 			}
+			out[name] = st.Version
 		}
-		if !promoted {
-			if time.Now().After(promDeadline) {
-				t.Fatalf("no promoted store leader in map %+v", cm)
-			}
-			time.Sleep(300 * time.Millisecond)
-		}
+		return out
+	}
+	before := versions()
+	time.Sleep(3200 * time.Millisecond)
+	if !nodes["broker"].BusSvc.IsLeader(0) {
+		t.Fatal("the broker lost the bus election")
+	}
+	if after := versions(); !maps.Equal(before, after) {
+		t.Fatalf("membership record versions moved with no change of leader: %v → %v", before, after)
+	}
+}
+
+// TestTakenOverRecordOutlivesPredecessor: a node that boots under the
+// name of a predecessor whose zk session still lives takes the
+// membership record over, and stays listed with its TSD routes once the
+// predecessor's session closes.
+func TestTakenOverRecordOutlivesPredecessor(t *testing.T) {
+	nodes := startTestCluster(t, fourNodes)
+	dg := nodes["dg"]
+	pred := dg.zkSrv.NewSession()
+	defer pred.Close()
+	if err := pred.Create(clusterNodesPath+"/store-3", []byte(`{"name":"store-3","roles":["store"]}`), true); err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := map[string]string{"store-3": lis.Addr().String()}
+	for name, n := range nodes {
+		peers[name] = n.Addr()
+	}
+	n, err := StartNode(NodeConfig{Name: "store-3", Roles: []Role{RoleStore}, Listener: lis, Peers: peers, ZKNode: "dg",
+		Partitions: 4, Units: clusterUnits, SensorsPerUnit: clusterSensors})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	pred.Close()
+	cm, err := dg.ClusterStatus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(cm.Nodes, func(r v1.ClusterNode) bool { return r.Name == "store-3" })
+	if i < 0 || len(cm.Nodes[i].TSDs) != 2 {
+		t.Fatalf("store-3 after its predecessor's session closed: %+v", cm.Nodes)
+	}
+}
+
+// TestClusterMapUnreadableIs503: a node that cannot read the
+// coordination service says so — 503 unavailable — instead of serving
+// an empty map.
+func TestClusterMapUnreadableIs503(t *testing.T) {
+	nodes := startTestCluster(t, fourNodes)
+	store := nodes["store-1"]
+	store.zkRemote.Close()
+	rec := do(store.Handler(), "GET", "/api/v1/cluster", "", "")
+	var env v1.ErrorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); rec.Code != 503 || err != nil || env.Error == nil || env.Error.Code != v1.CodeUnavailable {
+		t.Fatalf("GET /api/v1/cluster with the zk client closed = %d %s, want 503 unavailable", rec.Code, rec.Body)
 	}
 }
 

@@ -94,9 +94,8 @@ type Config struct {
 	// 0.3 and 600; see simdata.Config).
 	FaultFraction float64
 	FaultOnset    int64
-	// FaultSensors, DriftPerStep and ShiftSigma shape the injected
-	// faults (zero values take simdata's defaults).
-	FaultSensors int
+	// DriftPerStep and ShiftSigma shape the injected faults (zero
+	// values take simdata's defaults).
 	DriftPerStep float64
 	ShiftSigma   float64
 
@@ -108,11 +107,6 @@ type Config struct {
 	// PerNodeRate, when > 0, emulates the per-node service ceiling in
 	// samples/second (the Figure-2 hardware calibration).
 	PerNodeRate float64
-	// RSQueueCap / CrashOnOverflow pass through to the region servers
-	// for the backpressure experiments.
-	RSQueueCap      int
-	CrashOnOverflow int64
-
 	// ProxyMaxRetries bounds the proxy's delivery attempts per batch
 	// before it hands the batch back to its storage writer (0 takes the
 	// proxy default of 8; negative retries until shutdown). Either way
@@ -246,7 +240,6 @@ func New(cfg Config) (*System, error) {
 			Seed:           cfg.Seed,
 			FaultFraction:  cfg.FaultFraction,
 			FaultOnset:     cfg.FaultOnset,
-			FaultSensors:   cfg.FaultSensors,
 			DriftPerStep:   cfg.DriftPerStep,
 			ShiftSigma:     cfg.ShiftSigma,
 		}),
