@@ -80,7 +80,12 @@ vet:
 # drive a local consumer by hand. And the one-bus-record rule: the bus
 # election is the only zk record of the bus's replicas and leader, and
 # its layout lives in internal/bus, so no non-test file outside it
-# names a "/sentinel/bus path (others ask bus.Leader).
+# names a "/sentinel/bus path (others ask bus.Leader). And the
+# one-file-table rule: internal/hdfs's map from path to bytes is the
+# only in-memory byte store (store files, spilled blocks and the model
+# cache all live there, and making it durable is a change to that one
+# table), so no non-test file outside internal/hdfs may declare a
+# map[string][]byte.
 assembly:
 	@for call in 'api\.New(' 'tsdb\.NewCompactor(' 'ingest\.StartStorageWriters(' 'viz\.NewServer(' 'hbase\.NewCluster(' 'query\.New('; do \
 		files=$$(grep -rl --include='*.go' --exclude='*_test.go' "$$call" sentinel cmd); \
@@ -107,6 +112,10 @@ assembly:
 	@files=$$(grep -rl --include='*.go' --exclude='*_test.go' '"/sentinel/bus' . | grep -v '^\./internal/bus/'); \
 	if [ -n "$$files" ]; then \
 		echo "second bus record: a /sentinel/bus zk path outside internal/bus (use bus.Leader):"; echo "$$files"; exit 1; \
+	fi
+	@files=$$(grep -rlF --include='*.go' --exclude='*_test.go' 'map[string][]byte' . | grep -v '^\./internal/hdfs/'); \
+	if [ -n "$$files" ]; then \
+		echo "second file table: a map[string][]byte outside internal/hdfs (use hdfs.Cluster or hdfs.Store):"; echo "$$files"; exit 1; \
 	fi
 
 lint: fmt vet assembly

@@ -172,14 +172,15 @@ func runLoad(cfg config, rep *report) error {
 	acked := rows.ackedSamples()
 	from, to := rows.span()
 	var queryable int64
+	var answered bool
 	rep.timed("verification queries answered", drainTimeout, func(ctx context.Context) error {
-		_ = waitFor(ctx, "every acked sample", 500*time.Millisecond, func() bool {
-			queryable, _, err = readBand(context.Background(), loadUnits, from, to, viaSDK(cl))
-			return err == nil && queryable >= acked
+		queryable, answered, err = verifyAcked(ctx, acked, func() (int64, error) {
+			n, _, err := readBand(context.Background(), loadUnits, from, to, viaSDK(cl))
+			return n, err
 		})
 		return err
 	})
-	rep.check("zero acked loss", queryable >= acked, "%d of %d acked samples queryable", queryable, acked)
+	lossCheck(rep, queryable, acked, answered, err)
 
 	maps.Copy(rep.Counters, map[string]any{
 		"ingest_p50_ms":  ingest.hist.Quantile(0.50) / 1e6,
@@ -189,6 +190,33 @@ func runLoad(cfg config, rep *report) error {
 		"tailer_events":  tailEvents.Load(),
 	})
 	return nil
+}
+
+// verifyAcked reads every 500 ms until a read answers with at least
+// acked samples or ctx ends. It returns the count of the last read
+// answered — a refused read, shed by a gateway still recovering from
+// the overload, does not zero it — whether any was, and the last
+// read's error.
+func verifyAcked(ctx context.Context, acked int64, read func() (int64, error)) (queryable int64, answered bool, err error) {
+	_ = waitFor(ctx, "every acked sample", 500*time.Millisecond, func() bool {
+		var n int64
+		if n, err = read(); err == nil {
+			queryable, answered = n, true
+		}
+		return err == nil && n >= acked
+	})
+	return queryable, answered, err
+}
+
+// lossCheck is "zero acked loss": every acked sample read back. With
+// no read answered there is nothing to count, and the check fails as
+// not verified, naming why.
+func lossCheck(rep *report, queryable, acked int64, answered bool, err error) {
+	if !answered {
+		rep.check("zero acked loss", false, "not verified: %v", err)
+		return
+	}
+	rep.check("zero acked loss", queryable >= acked, "%d of %d acked samples queryable", queryable, acked)
 }
 
 // openLoop fires from workers goroutines at rate per second until ctx

@@ -103,6 +103,38 @@ func TestOneFailedCheckFailsTheScenario(t *testing.T) {
 	rep.check("fourth", true, "")
 }
 
+// TestAckedLossCountsAnsweredReads: a read refused after one was
+// answered keeps the answered count, and with no read answered "zero
+// acked loss" fails as not verified, not as a loss of every sample.
+func TestAckedLossCountsAnsweredReads(t *testing.T) {
+	shed := errors.New("gateway overloaded")
+	ctx, cancel := context.WithTimeout(context.Background(), 1200*time.Millisecond)
+	defer cancel()
+	reads := 0
+	n, answered, err := verifyAcked(ctx, 10, func() (int64, error) {
+		if reads++; reads == 1 {
+			return 9, nil
+		}
+		return 0, shed
+	})
+	if n != 9 || !answered || !errors.Is(err, shed) || reads < 2 {
+		t.Fatalf("after an answer then a refusal: %d queryable, answered %t, err %v, %d reads", n, answered, err, reads)
+	}
+	rep := newReport([]string{"zero acked loss"}, config{})
+	lossCheck(rep, n, 10, answered, err)
+	if c := rep.Checks[0]; c.Pass || c.Observed != "9 of 10 acked samples queryable" {
+		t.Fatalf("short answered read: %+v", c)
+	}
+	lossCheck(rep, 10, 10, true, nil)
+	if c := rep.Checks[0]; !c.Pass {
+		t.Fatalf("every acked sample read back: %+v", c)
+	}
+	lossCheck(rep, 0, 10, false, shed)
+	if c := rep.Checks[0]; c.Pass || c.Observed != "not verified: gateway overloaded" {
+		t.Fatalf("no read answered: %+v", c)
+	}
+}
+
 // Each scenario writes its own section; the others stay as they were.
 func TestWriteSectionKeepsOtherScenarios(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "report.json")

@@ -249,22 +249,31 @@ var Claims = []Claim{{
 	Holds: func(p float64, v []float64) bool { return v[0] <= p && v[1] > v[2] },
 }, {
 	ID: "E6", Section: "§IV-A", Paper: 939000, Unit: "samples/s", WallClock: true,
-	Says: "online evaluation runs at 939,000 sensor samples per second",
-	Rule: "ours ≥ paper", Measures: []string{"samples/s"},
+	Says:     "online evaluation runs at 939,000 sensor samples per second",
+	Rule:     "samples per CPU-second ≥ paper; with ≥ 0.9 of a core spare, samples per wall second ≥ paper too",
+	Measures: []string{"samples per CPU-second", "samples per wall second", "cores spare"},
+	// The evaluator runs on one goroutine: judged on the CPU its window
+	// was granted, a window that shared its core with other work still
+	// shows the evaluator's speed, and the wall rate is judged too
+	// whenever a whole core was there to take.
 	Run: func(s Size) ([]float64, error) {
 		ev, xs, ts, err := evalLoad()
 		if err != nil {
 			return nil, err
 		}
-		window, n, start := bySize(s, 500*time.Millisecond, 3*time.Second), 0, time.Now()
+		const probe = 20 * time.Millisecond
+		before := spareCores(probe)
+		window, n, start, cpu0 := bySize(s, 500*time.Millisecond, 3*time.Second), 0, time.Now(), cpuTime()
 		for ; time.Since(start) < window; n++ {
 			if _, err := ev.EvaluateBatch(xs, ts); err != nil {
 				return nil, err
 			}
 		}
-		return []float64{float64(n*len(xs)*len(xs[0])) / time.Since(start).Seconds()}, nil
+		wall, cpu := time.Since(start).Seconds(), (cpuTime() - cpu0).Seconds()
+		samples := float64(n * len(xs) * len(xs[0]))
+		return []float64{samples / cpu, samples / wall, min(before, spareCores(probe))}, nil
 	},
-	Holds: func(p float64, v []float64) bool { return v[0] >= p },
+	Holds: func(p float64, v []float64) bool { return v[0] >= p && (v[2] < 0.9 || v[1] >= p) },
 }, {
 	ID: "E7", Section: "§IV-A", Paper: 1, Unit: "× speed-up over one unit at a time", WallClock: true,
 	Says: "offline training fits one unit at a time; training units concurrently is the paper's ongoing work",

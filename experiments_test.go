@@ -94,3 +94,25 @@ func TestClaimsTable(t *testing.T) {
 		}
 	}
 }
+
+// TestE6JudgedOnGrantedCPU: E6 holds on the samples its window scored
+// per CPU-second, and on the wall-clock rate too whenever the host had
+// most of a core to spare for it.
+func TestE6JudgedOnGrantedCPU(t *testing.T) {
+	i := slices.IndexFunc(Claims, func(c Claim) bool { return c.ID == "E6" })
+	e6 := Claims[i]
+	for _, tc := range []struct {
+		v     []float64
+		holds bool
+	}{
+		{[]float64{3.0e6, 2.9e6, 2}, true},    // idle host
+		{[]float64{3.1e6, 1.7e6, 0.8}, true},  // the window shared its core
+		{[]float64{3.0e6, 0.8e6, 1.0}, false}, // a core spare, yet slow by the wall clock
+		{[]float64{0.8e6, 0.8e6, 0.5}, false}, // slow per CPU-second
+		{[]float64{0.9e6, 1.0e6, 2.0}, false}, // a fast wall rate does not excuse the CPU rate
+	} {
+		if err := e6.check(tc.v); (err == nil) != tc.holds {
+			t.Errorf("E6 on %v: %v, want holds %t", tc.v, err, tc.holds)
+		}
+	}
+}

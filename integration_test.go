@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fdr"
 	"repro/internal/hbase"
+	"repro/internal/hdfs"
 	"repro/internal/ingest"
 	"repro/internal/simdata"
 	"repro/internal/tsdb"
@@ -50,7 +51,7 @@ func TestCSVDatasetEndToEnd(t *testing.T) {
 		t.Fatalf("dataset shape %d sensors / %d units", ds.Sensors(), len(ds.Units()))
 	}
 
-	cat := &core.ModelCatalog{Store: core.NewMemStore()}
+	cat := &core.ModelCatalog{Store: &hdfs.Store{C: hdfs.NewCluster(), Prefix: "/detector/"}}
 	src := core.WindowFunc(func(unit int) ([][]float64, error) {
 		return ds.Window(unit, 0, 120) // healthy prefix
 	})

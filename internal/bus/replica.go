@@ -55,6 +55,25 @@ func (p *partition) appendAt(offset int64, key uint64, value any, segSize int) (
 	return p.hwm, true
 }
 
+// restartReplica empties a follower's partition whose log ends below
+// offset and starts it there, at the leader's low-water mark: the leader
+// can no longer backfill what lies below, and every group has committed
+// it.
+func (t *Topic) restartReplica(part int, offset int64) {
+	if part < 0 || part >= len(t.partitions) {
+		return
+	}
+	p := t.partitions[part]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.hwm >= offset {
+		return
+	}
+	clear(p.segs)
+	p.segs = p.segs[:0]
+	p.low, p.hwm = offset, offset
+}
+
 // ForceCommit mirrors a committed offset onto this (follower) group
 // without membership fencing — the coordinator already fenced the
 // originating commit. Offsets never regress.

@@ -118,6 +118,10 @@ type busOp struct {
 	// committed offsets for the follower to apply — with records, one
 	// for every group attached at the leader.
 	Marks []commitMark
+	// From is a backfill's first offset, at or above the leader's
+	// low-water mark. A follower whose log ends below it restarts the
+	// partition there: the leader trimmed what lies between.
+	From int64
 }
 
 // commitMark commits one partition for a group: every record below
@@ -169,7 +173,7 @@ func (o *busOp) AppendWire(b []byte) ([]byte, error) {
 		b = rpc.AppendInt(b, int64(m.Part))
 		b = rpc.AppendInt(b, m.UpTo)
 	}
-	return b, nil
+	return rpc.AppendInt(b, o.From), nil
 }
 
 func decodeBusOp(r *rpc.WireReader) *busOp {
@@ -189,6 +193,7 @@ func decodeBusOp(r *rpc.WireReader) *busOp {
 			o.Marks[i] = commitMark{Group: r.Str(), Part: int(r.Int()), UpTo: r.Int()}
 		}
 	}
+	o.From = r.Int()
 	return o
 }
 
@@ -527,8 +532,12 @@ func (s *Service) replicate(ctx context.Context, op *busOp) error {
 
 // settleReplica takes one replica's answer (v, err) to the replicate
 // call that shipped op and, while the follower reports a gap, ships it
-// the backfill it asks for, with op's marks.
+// the backfill it asks for. A follower behind our low-water mark is
+// backfilled from that mark: it restarts its partition there, and the
+// backfill carries every group's offset read after the records, which
+// is at or past the mark — we trim only below every group's commit.
 func (s *Service) settleReplica(ctx context.Context, addr string, op *busOp, v any, err error) error {
+	t := s.broker.Topic(op.Topic)
 	for attempt := 0; ; attempt++ {
 		if err != nil {
 			return err
@@ -545,18 +554,33 @@ func (s *Service) settleReplica(ctx context.Context, addr string, op *busOp, v a
 		}
 		// Gap: the follower is at res.Offset; backfill from our log up
 		// to the last record op shipped.
-		n := max(op.Recs[len(op.Recs)-1].Offset+1-res.Offset, 1)
-		batch, err := s.broker.Topic(op.Topic).ReadAt(op.Part, res.Offset, make([]Record, 0, n))
-		if err != nil {
-			return fmt.Errorf("bus: backfill read @%d: %w", res.Offset, err)
+		from := max(res.Offset, t.LowWater(op.Part))
+		n := max(op.Recs[len(op.Recs)-1].Offset+1-from, 1)
+		batch, rerr := t.ReadAt(op.Part, from, make([]Record, 0, n))
+		if errors.Is(rerr, ErrOffsetTrimmed) {
+			continue // trimmed since LowWater: read from the new mark
+		}
+		if rerr != nil {
+			return fmt.Errorf("bus: backfill read @%d: %w", from, rerr)
 		}
 		if len(batch) == 0 {
-			return fmt.Errorf("%w: backfill found nothing at %d", ErrReplicaGap, res.Offset)
+			return fmt.Errorf("%w: backfill found nothing at %d", ErrReplicaGap, from)
 		}
 		cctx, cancel := context.WithTimeout(ctx, replicaTimeout)
-		v, err = s.net.Call(cctx, addr, "replicate", &busOp{Topic: op.Topic, Part: op.Part, Recs: batch, Marks: op.Marks})
+		v, err = s.net.Call(cctx, addr, "replicate", &busOp{Topic: op.Topic, Part: op.Part, Recs: batch, Marks: groupMarks(t, op.Part), From: from})
 		cancel()
 	}
+}
+
+// groupMarks is every attached group's committed offset on part, the
+// marks a record replicate carries.
+func groupMarks(t *Topic, part int) []commitMark {
+	gs := t.groupList()
+	marks := make([]commitMark, len(gs))
+	for i, g := range gs {
+		marks[i] = commitMark{Group: g.name, Part: part, UpTo: g.Committed(part)}
+	}
+	return marks
 }
 
 // commit applies a fetch's marks through the member's consumer and
@@ -614,12 +638,7 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 		// after the append.
 		rp := t.partitions[rec.Partition]
 		rp.rep.Lock()
-		gs := t.groupList()
-		rop := &busOp{Topic: op.Topic, Part: rec.Partition, Recs: []Record{rec}, Marks: make([]commitMark, len(gs))}
-		for i, g := range gs {
-			rop.Marks[i] = commitMark{Group: g.name, Part: rec.Partition, UpTo: g.Committed(rec.Partition)}
-		}
-		err = s.replicate(ctx, rop)
+		err = s.replicate(ctx, &busOp{Topic: op.Topic, Part: rec.Partition, Recs: []Record{rec}, Marks: groupMarks(t, rec.Partition)})
 		rp.rep.Unlock()
 		if err != nil {
 			// The local append is not acked; the producer retries and
@@ -629,6 +648,9 @@ func (s *Service) Handle(ctx context.Context, method string, payload any) (any, 
 		return &busResult{Rec: Record{Partition: rec.Partition, Offset: rec.Offset, Key: rec.Key}}, nil
 
 	case "replicate":
+		if op.From > 0 {
+			t.restartReplica(op.Part, op.From)
+		}
 		var hwm int64
 		for _, rec := range op.Recs {
 			h, err := t.ReplicaAppend(op.Part, rec.Offset, rec.Key, rec.Value)

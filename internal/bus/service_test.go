@@ -619,3 +619,57 @@ func TestServiceRestartsUnderItsOwnName(t *testing.T) {
 		t.Fatalf("replica registry exists = %v (%v)", ok, err)
 	}
 }
+
+// TestBackfillBelowLowWater restarts a follower with an empty log onto
+// a leader that has trimmed: the follower starts each partition at the
+// leader's low-water mark, the next publish is acked, and both logs end
+// at the same offsets. (A backfill read from the follower's offset 0,
+// below the mark, failed every publish.)
+func TestBackfillBelowLowWater(t *testing.T) {
+	c := startBusCluster(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	waitFor(t, ctx, "initial leadership", func() bool { return c.services[0].IsLeader(0) })
+	topic := c.remote(t, "client").Topic("t")
+	lead := c.brokers[0].Topic("t")
+	k := uint64(0)
+	publish := func() {
+		t.Helper()
+		if _, err := topic.Publish(ctx, k, k); err != nil {
+			t.Fatalf("publish %d: %v", k, err)
+		}
+		k++
+	}
+	for lead.HighWater(0) < 20 {
+		publish()
+	}
+	topic.Group("g").SeekToEnd()
+	if low := lead.LowWater(0); low != 16 {
+		t.Fatalf("leader low-water on partition 0 = %d after SeekToEnd, want 16", low)
+	}
+
+	// n2 is restarted with an empty broker under its own name.
+	old, oldBroker := c.services[1], c.brokers[1]
+	c.crash(1)
+	t.Cleanup(func() { old.Close(); oldBroker.Close() })
+	b := New(Config{Partitions: 4, SegmentRecords: 8})
+	sess := c.zks.NewSession()
+	svc, err := StartService(c.net, sess, b, ServiceConfig{Node: "n2", Addr: "bus/n2", MemberTTL: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.services[1], c.brokers[1], c.sessions[1] = svc, b, sess
+
+	for end := k + 40; k < end; {
+		publish()
+	}
+	fol := b.Topic("t")
+	for p := 0; p < 4; p++ {
+		if lh, fh := lead.HighWater(p), fol.HighWater(p); lh != fh {
+			t.Errorf("partition %d: leader hwm %d, restarted follower hwm %d", p, lh, fh)
+		}
+	}
+	if low := fol.LowWater(0); low != 16 {
+		t.Errorf("restarted follower's low-water on partition 0 = %d, want the leader's 16", low)
+	}
+}

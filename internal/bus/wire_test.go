@@ -52,7 +52,7 @@ func TestBusWireRoundTrip(t *testing.T) {
 		op := &busOp{
 			Topic: g.Str(12), Group: g.Str(12), Member: g.Str(12),
 			Part: g.Int(), Key: g.Uint64(),
-			Value: g.Bytes(2048), WaitMS: g.Int64(), Recs: genRecords(g),
+			Value: g.Bytes(2048), WaitMS: g.Int64(), Recs: genRecords(g), From: g.Int64(),
 		}
 		for n := g.IntN(5); n > 0; n-- {
 			op.Marks = append(op.Marks, commitMark{Group: g.Str(12), Part: g.Int(), UpTo: g.Int64()})

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/fdr"
+	"repro/internal/hdfs"
 	"repro/internal/linalg"
 	"repro/internal/simdata"
 )
@@ -213,27 +214,9 @@ func TestModelValidate(t *testing.T) {
 	}
 }
 
-func TestStoresRoundTrip(t *testing.T) {
-	var store BlobStore = NewMemStore()
-	if err := store.Put("models/unit-1", []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := store.Get("models/unit-1")
-	if err != nil || string(got) != "abc" {
-		t.Fatalf("get = %q, %v", got, err)
-	}
-	if _, err := store.Get("missing"); err == nil {
-		t.Fatal("missing blob must error")
-	}
-	names, err := store.List("models/")
-	if err != nil || len(names) != 1 || names[0] != "models/unit-1" {
-		t.Fatalf("list = %v, %v", names, err)
-	}
-}
-
 func TestCatalogSaveLoadUnits(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	cat := &ModelCatalog{Store: NewMemStore()}
+	cat := &ModelCatalog{Store: modelStore()}
 	for _, u := range []int{4, 2, 9} {
 		window := gaussianWindow(rng, 100, 3, constVec(3, 0), constVec(3, 1))
 		m, err := TrainUnit(u, window)
@@ -419,7 +402,7 @@ func TestTrainFleetSerialAndConcurrentAgree(t *testing.T) {
 func TestTrainFleetSavesToCatalog(t *testing.T) {
 	fleet := simdata.NewFleet(simdata.Config{Units: 3, SensorsPerUnit: 10, Seed: 100, FaultOnset: 500})
 	src := &fleetSource{fleet: fleet, rows: 200}
-	cat := &ModelCatalog{Store: NewMemStore()}
+	cat := &ModelCatalog{Store: modelStore()}
 	if _, err := TrainFleet([]int{0, 1, 2}, src, cat, true); err != nil {
 		t.Fatal(err)
 	}
@@ -456,10 +439,13 @@ func (s *countingSource) TrainingWindow(unit int) ([][]float64, error) {
 	return s.fleet.UnitWindow(unit, 0, 40), nil
 }
 
+// modelStore is an empty HDFS model cache, as the assembly builds one.
+func modelStore() *hdfs.Store { return &hdfs.Store{C: hdfs.NewCluster(), Prefix: "/detector/"} }
+
 // countingStore counts saves per blob and retires the source's window
 // in flight on each.
 type countingStore struct {
-	*MemStore
+	*hdfs.Store
 	src   *countingSource
 	mu    sync.Mutex
 	saves map[string]int
@@ -470,7 +456,7 @@ func (s *countingStore) Put(name string, data []byte) error {
 	s.saves[name]++
 	s.mu.Unlock()
 	s.src.inFlight.Add(-1)
-	return s.MemStore.Put(name, data)
+	return s.Store.Put(name, data)
 }
 
 // TestTrainFleetConcurrentBounds: concurrent TrainFleet never has more
@@ -480,7 +466,7 @@ func TestTrainFleetConcurrentBounds(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const units = 64
 	src := &countingSource{fleet: simdata.NewFleet(simdata.Config{Units: units, SensorsPerUnit: 5, Seed: 101, FaultOnset: 500})}
-	store := &countingStore{MemStore: NewMemStore(), src: src, saves: map[string]int{}}
+	store := &countingStore{Store: modelStore(), src: src, saves: map[string]int{}}
 	ids := make([]int, units)
 	for i := range ids {
 		ids[i] = i

@@ -38,11 +38,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/linalg"
 )
@@ -113,9 +111,10 @@ func DecodeModel(data []byte) (*Model, error) {
 }
 
 // BlobStore is the persistence seam for trained models: the trainer
-// writes through it and the evaluator loads through it. internal/hdfs
-// provides the distributed implementation the paper uses; MemStore
-// serves tests.
+// writes through it and the evaluator loads through it. Every catalog
+// is built on hdfs.Store, the HDFS model cache the paper uses (§IV-A);
+// the seam stays so a test can put a counting or failing store in its
+// place.
 type BlobStore interface {
 	// Put stores data under name, replacing any previous content.
 	Put(name string, data []byte) error
@@ -123,54 +122,6 @@ type BlobStore interface {
 	Get(name string) ([]byte, error)
 	// List returns the stored names with the given prefix, sorted.
 	List(prefix string) ([]string, error)
-}
-
-// MemStore is an in-memory BlobStore for tests.
-type MemStore struct {
-	mu    sync.RWMutex
-	blobs map[string][]byte
-}
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{blobs: make(map[string][]byte)}
-}
-
-// Put implements BlobStore.
-func (s *MemStore) Put(name string, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.blobs[name] = cp
-	return nil
-}
-
-// Get implements BlobStore.
-func (s *MemStore) Get(name string) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	data, ok := s.blobs[name]
-	if !ok {
-		return nil, fmt.Errorf("core: blob %q: %w", name, os.ErrNotExist)
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return cp, nil
-}
-
-// List implements BlobStore.
-func (s *MemStore) List(prefix string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var names []string
-	for n := range s.blobs {
-		if strings.HasPrefix(n, prefix) {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names, nil
 }
 
 // ModelCatalog stores and loads Models through a BlobStore using the

@@ -1,14 +1,14 @@
 // Package faultinject is the chaos fabric: a composable, deterministic,
 // runtime-toggleable fault layer wrapped around the system's internal
 // boundaries — the rpc client/server edge, bus publish and consumer
-// fetch, and tsdb/proxy writes.
+// fetch, tsdb/proxy writes, and HDFS file writes.
 //
 // An Injector holds named Rules. Each rule matches operations by
-// prefix ("rpc/tsd/", "bus/publish/", "tsdb/put/", "proxy/submit") and
-// injects some combination of added latency, a probabilistic error
-// (ErrInjected), a probabilistic drop (ErrDropped — at the rpc layer
-// the call simply never resolves, like a lost packet), or a stall that
-// blocks the operation until the rule is cleared. Rules are installed
+// prefix ("rpc/tsd/", "bus/publish/", "tsdb/put/", "proxy/submit",
+// "hdfs/write/") and injects some combination of added latency, a
+// probabilistic error (ErrInjected), a probabilistic drop (ErrDropped —
+// at the rpc layer the call simply never resolves, like a lost packet),
+// or a stall that blocks the operation until the rule is cleared. Rules are installed
 // with Set and removed with Clear/Reset at runtime, so a chaos scenario
 // can turn fault phases on and off mid-run; with no active rules the
 // decision path is a single atomic load.

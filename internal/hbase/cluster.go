@@ -14,7 +14,7 @@ import (
 
 // Config sizes a simulated HBase deployment. The defaults mirror the
 // paper's topology scaled to in-process: one active master, one backup
-// master, N region servers each co-located with an HDFS datanode.
+// master and N region servers, all over one HDFS file table.
 type Config struct {
 	// RegionServers is the initial server count (default 3).
 	RegionServers int
@@ -83,7 +83,7 @@ type Cluster struct {
 	stopped bool
 }
 
-// NewCluster boots the deployment: HDFS datanodes, ZooKeeper, an
+// NewCluster boots the deployment: the HDFS file table, ZooKeeper, an
 // active and a backup master, and cfg.RegionServers region servers.
 func NewCluster(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
@@ -91,7 +91,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		cfg:     cfg,
 		net:     rpc.NewNetwork(cfg.NetLatency, cfg.Clock),
 		zks:     zk.NewServer(),
-		dfs:     hdfs.NewCluster(cfg.RegionServers),
+		dfs:     hdfs.NewCluster(),
 		wal:     newWALStore(),
 		servers: make(map[string]*RegionServer),
 	}
@@ -114,7 +114,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // its daemons to it).
 func (c *Cluster) Network() *rpc.Network { return c.net }
 
-// DFS exposes the underlying HDFS cluster.
+// DFS exposes the underlying HDFS file table.
 func (c *Cluster) DFS() *hdfs.Cluster { return c.dfs }
 
 // masterAddrs lists master RPC addresses, active first when known.

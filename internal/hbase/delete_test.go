@@ -36,7 +36,7 @@ func TestDeleteTombstonesSlot(t *testing.T) {
 }
 
 func TestTombstoneShadowsFlushedData(t *testing.T) {
-	dfs := hdfs.NewCluster(2)
+	dfs := hdfs.NewCluster()
 	r := newRegion(RegionInfo{ID: 9})
 	r.put([]Cell{cell("k", "q", "old")}, 1)
 	if _, err := r.flush(dfs); err != nil {

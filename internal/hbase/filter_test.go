@@ -90,7 +90,7 @@ func layeredFleetRegion(t *testing.T) *region {
 		r.put(batch, seq)
 	}
 	put(0, 0, 40, "file", nil)
-	if _, err := r.flush(hdfs.NewCluster(2)); err != nil {
+	if _, err := r.flush(hdfs.NewCluster()); err != nil {
 		t.Fatal(err)
 	}
 	put(0, 20, 30, "snap", func(i int) bool { return i%5 == 0 })
@@ -156,7 +156,7 @@ func TestFilteredScanWalksOnlyItsSeries(t *testing.T) {
 	seq := int64(0)
 	for hour := 0; hour < 2; hour++ {
 		if hour == 1 {
-			if _, err := r.flush(hdfs.NewCluster(2)); err != nil {
+			if _, err := r.flush(hdfs.NewCluster()); err != nil {
 				t.Fatal(err)
 			}
 		}

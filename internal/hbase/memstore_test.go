@@ -12,22 +12,20 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/faultinject"
 	"repro/internal/hdfs"
 )
 
-// setDataNodes kills or restarts every datanode: with none live a
-// store-file write fails.
-func setDataNodes(t *testing.T, dfs *hdfs.Cluster, up bool) {
-	t.Helper()
-	for _, id := range dfs.DataNodes() {
-		op := dfs.KillDataNode
-		if up {
-			op = dfs.RestartDataNode
-		}
-		if err := op(id); err != nil {
-			t.Fatal(err)
-		}
+// failWrites makes every HDFS write fail, or, with on false, succeed
+// again: with it on, a store-file write fails.
+func failWrites(dfs *hdfs.Cluster, on bool) {
+	if !on {
+		dfs.SetFaults(nil)
+		return
 	}
+	inj := faultinject.New(1)
+	inj.Set("hdfs-down", faultinject.Rule{Op: "hdfs/write/", ErrorRate: 1})
+	dfs.SetFaults(inj)
 }
 
 // TestFlushKeepsConcurrentWrites is the regression test for the flush
@@ -36,7 +34,7 @@ func setDataNodes(t *testing.T, dfs *hdfs.Cluster, up bool) {
 // while flushes run — one of them failing at the HDFS write — and every
 // put must be readable afterwards, from memory and from a reopen.
 func TestFlushKeepsConcurrentWrites(t *testing.T) {
-	dfs := hdfs.NewCluster(2)
+	dfs := hdfs.NewCluster()
 	r := newRegion(RegionInfo{ID: 11})
 	const writers, perWriter = 4, 400
 	var seq atomic.Int64
@@ -64,12 +62,12 @@ func TestFlushKeepsConcurrentWrites(t *testing.T) {
 			running = false
 		default:
 		}
-		if flushes == 3 { // this one finds no datanode to write to
-			setDataNodes(t, dfs, false)
-			if _, err := r.flush(dfs); err != nil && !errors.Is(err, hdfs.ErrNoDataNodes) {
+		if flushes == 3 { // this one's store-file write fails
+			failWrites(dfs, true)
+			if _, err := r.flush(dfs); err != nil && !errors.Is(err, faultinject.ErrInjected) {
 				t.Fatal(err)
 			}
-			setDataNodes(t, dfs, true)
+			failWrites(dfs, false)
 			continue
 		}
 		if _, err := r.flush(dfs); err != nil {
@@ -106,7 +104,7 @@ func TestFlushKeepsConcurrentWrites(t *testing.T) {
 // flight, the snapshot returns under those writes (deletes included),
 // and the next flush persists both.
 func TestFailedFlushFoldsSnapshotBack(t *testing.T) {
-	dfs := hdfs.NewCluster(2)
+	dfs := hdfs.NewCluster()
 	r := newRegion(RegionInfo{ID: 12})
 	r.put([]Cell{cell("a", "1", "snap"), cell("a", "2", "snap"), cell("b", "1", "snap")}, 1)
 	snap, seq := r.snapshot()
@@ -124,11 +122,11 @@ func TestFailedFlushFoldsSnapshotBack(t *testing.T) {
 	if got := render(r.scan(nil, nil, 0, nil)); got != want || r.snap != nil {
 		t.Fatalf("scan after abandoned flush = %q (snapshot still set: %v), want %q", got, r.snap != nil, want)
 	}
-	setDataNodes(t, dfs, false)
-	if _, err := r.flush(dfs); !errors.Is(err, hdfs.ErrNoDataNodes) {
-		t.Fatalf("flush with no datanodes = %v", err)
+	failWrites(dfs, true)
+	if _, err := r.flush(dfs); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("flush with HDFS writes failing = %v", err)
 	}
-	setDataNodes(t, dfs, true)
+	failWrites(dfs, false)
 	if got := render(r.scan(nil, nil, 0, nil)); got != want {
 		t.Fatalf("scan after failed flush = %q, want %q", got, want)
 	}
@@ -271,7 +269,7 @@ func runRegionModel(t *testing.T, sched modelSchedule, seed int64, steps int) {
 	quals := []string{"", "0", "1", "10", "2"}
 	bounds := append([]string{"", "a\x00\x00", "bb", "e"}, rows...)
 	info := RegionInfo{ID: int(seed)}
-	dfs := hdfs.NewCluster(2)
+	dfs := hdfs.NewCluster()
 	r := newRegion(info)
 	ref := make(map[[2]string]string)
 	wal := newWALStore()                       // what the server's log holds past the last flush
@@ -329,11 +327,11 @@ func runRegionModel(t *testing.T, sched modelSchedule, seed int64, steps int) {
 				wal.Truncate("rs", info.ID, flushed)
 			}
 		case op < sched.put+sched.flush+sched.failFlush:
-			setDataNodes(t, dfs, false)
+			failWrites(dfs, true)
 			if _, err := r.flush(dfs); err == nil && len(r.mem.rows) > 0 {
-				fail(step, "flush with no datanodes succeeded")
+				fail(step, "flush with HDFS writes failing succeeded")
 			}
-			setDataNodes(t, dfs, true)
+			failWrites(dfs, false)
 		case op < sched.put+sched.flush+sched.failFlush+sched.compact:
 			if _, err := r.compact(dfs); err != nil {
 				fail(step, "compact: %v", err)

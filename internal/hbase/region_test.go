@@ -173,7 +173,7 @@ func TestRegionPutScanShadowing(t *testing.T) {
 }
 
 func TestRegionFlushAndReopen(t *testing.T) {
-	dfs := hdfs.NewCluster(3)
+	dfs := hdfs.NewCluster()
 	r := newRegion(RegionInfo{ID: 7})
 	r.put([]Cell{cell("a", "1", "v1"), cell("b", "1", "v2")}, 5)
 	seq, err := r.flush(dfs)
@@ -205,7 +205,7 @@ func TestRegionFlushAndReopen(t *testing.T) {
 }
 
 func TestRegionFlushEmptyIsNoop(t *testing.T) {
-	dfs := hdfs.NewCluster(2)
+	dfs := hdfs.NewCluster()
 	r := newRegion(RegionInfo{ID: 1})
 	seq, err := r.flush(dfs)
 	if err != nil || seq != 0 {
@@ -214,7 +214,7 @@ func TestRegionFlushEmptyIsNoop(t *testing.T) {
 }
 
 func TestRegionMultipleFlushesNewestWins(t *testing.T) {
-	dfs := hdfs.NewCluster(2)
+	dfs := hdfs.NewCluster()
 	r := newRegion(RegionInfo{ID: 2})
 	r.put([]Cell{cell("k", "q", "v1")}, 1)
 	if _, err := r.flush(dfs); err != nil {
@@ -240,7 +240,7 @@ func TestRegionMultipleFlushesNewestWins(t *testing.T) {
 }
 
 func TestRegionCompaction(t *testing.T) {
-	dfs := hdfs.NewCluster(2)
+	dfs := hdfs.NewCluster()
 	r := newRegion(RegionInfo{ID: 3})
 	for i := 0; i < 4; i++ {
 		r.put([]Cell{cell("k", "q", fmt.Sprintf("v%d", i)), cell(fmt.Sprintf("k%d", i), "q", "x")}, int64(i+1))
@@ -350,7 +350,7 @@ func TestStoreFileSizeIsBytesHeld(t *testing.T) {
 // per cell — the rows it serves are the buffer it read.
 func TestReopenAllocsFollowRows(t *testing.T) {
 	reopen := func(perRow int) float64 {
-		dfs := hdfs.NewCluster(1)
+		dfs := hdfs.NewCluster()
 		info := RegionInfo{ID: perRow}
 		r := newRegion(info)
 		for row := 0; row < 50; row++ {

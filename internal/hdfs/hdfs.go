@@ -1,327 +1,102 @@
-// Package hdfs is a miniature HDFS: a NameNode keeping file→block
-// metadata and a set of DataNodes storing replicated blocks. It backs
-// the simulated HBase cluster (store files and write-ahead logs live
-// here) and the anomaly-model cache (§IV-A: "results from the
-// decomposition are cached to HDFS").
+// Package hdfs is the file table HDFS stands for here: one in-memory
+// map from path to bytes, holding the simulated HBase cluster's store
+// files and flush markers, the sealed tier's spilled blocks and the
+// anomaly-model cache (§IV-A: "results from the decomposition are cached
+// to HDFS").
 //
-// The model captures what the reproduction needs from HDFS — block
-// splitting, replica placement across datanodes, reads surviving
-// datanode failures, and re-replication — without the protocol detail.
-// Files are immutable once written (like HDFS); overwriting replaces
-// the file wholesale.
+// It keeps one copy of each file. HDFS splits a file into blocks and
+// replicates each on several datanodes so that a file outlives a disk;
+// every datanode here would live in the one process the file table
+// does, and die with it, so replicas would protect nothing and only
+// cost memory. Files are immutable once written (like HDFS); overwriting
+// replaces the file wholesale. A write can be made to fail through the
+// system's fault injector (SetFaults, operation "hdfs/write/<path>").
 package hdfs
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
-	"repro/internal/telemetry"
+	"repro/internal/faultinject"
 )
 
-// Errors returned by the filesystem.
-var (
-	ErrNotFound    = errors.New("hdfs: file not found")
-	ErrNoDataNodes = errors.New("hdfs: no live datanodes")
-	ErrBlockLost   = errors.New("hdfs: block unavailable on all replicas")
-	ErrUnknownNode = errors.New("hdfs: unknown datanode")
-)
+// ErrNotFound is returned for a path that holds no file.
+var ErrNotFound = errors.New("hdfs: file not found")
 
-// DefaultBlockSize is the block split threshold (64 KiB here; real HDFS
-// uses 128 MiB — scaled down so tests exercise multi-block files).
-const DefaultBlockSize = 64 << 10
-
-// DefaultReplication is the replica count per block.
-const DefaultReplication = 3
-
-// DataNode stores block payloads. A crashed datanode keeps its blocks
-// (the process died, the disk did not) and serves them again after
-// Restart.
-type DataNode struct {
-	ID     string
-	mu     sync.RWMutex
-	blocks map[string][]byte
-	live   bool
-
-	// Stored counts blocks currently held.
-	Stored telemetry.Gauge
-}
-
-func newDataNode(id string) *DataNode {
-	return &DataNode{ID: id, blocks: make(map[string][]byte), live: true}
-}
-
-// Live reports whether the node serves requests.
-func (d *DataNode) Live() bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.live
-}
-
-func (d *DataNode) store(key string, data []byte) {
-	d.mu.Lock()
-	if _, exists := d.blocks[key]; !exists {
-		d.Stored.Inc()
-	}
-	d.blocks[key] = append([]byte(nil), data...)
-	d.mu.Unlock()
-}
-
-func (d *DataNode) read(key string) ([]byte, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if !d.live {
-		return nil, false
-	}
-	b, ok := d.blocks[key]
-	return b, ok
-}
-
-func (d *DataNode) drop(key string) {
-	d.mu.Lock()
-	if _, ok := d.blocks[key]; ok {
-		delete(d.blocks, key)
-		d.Stored.Dec()
-	}
-	d.mu.Unlock()
-}
-
-// blockMeta is the NameNode's record of one block.
-type blockMeta struct {
-	key      string
-	size     int
-	replicas []string // datanode ids
-}
-
-// fileMeta is the NameNode's record of one file.
-type fileMeta struct {
-	blocks []blockMeta
-	size   int
-}
-
-// Cluster is the filesystem: NameNode state plus its DataNodes.
+// Cluster is the filesystem: a mutex-guarded table of files.
 type Cluster struct {
-	mu          sync.Mutex
-	nodes       map[string]*DataNode
-	order       []string // stable placement order
-	files       map[string]*fileMeta
-	blockSize   int
-	replication int
-	place       int // round-robin cursor
-	blockSeq    int
+	mu    sync.RWMutex
+	files map[string][]byte
 
-	// BytesWritten counts payload bytes accepted (before replication).
-	BytesWritten telemetry.Counter
-	// BlocksLost counts reads that found a block on no live replica.
-	BlocksLost telemetry.Counter
+	// faults, when set, injects on writes ("hdfs/write/<path>").
+	faults atomic.Pointer[faultinject.Injector]
 }
 
-// Option configures a Cluster.
-type Option func(*Cluster)
-
-// WithBlockSize overrides the block split threshold.
-func WithBlockSize(n int) Option {
-	return func(c *Cluster) {
-		if n > 0 {
-			c.blockSize = n
-		}
-	}
+// NewCluster returns an empty filesystem.
+func NewCluster() *Cluster {
+	return &Cluster{files: make(map[string][]byte)}
 }
 
-// WithReplication overrides the replica count.
-func WithReplication(n int) Option {
-	return func(c *Cluster) {
-		if n > 0 {
-			c.replication = n
-		}
-	}
-}
+// SetFaults installs (or, with nil, removes) a fault injector consulted
+// on every WriteFile, as operation "hdfs/write/<path>" (the path without
+// its leading slash: "hdfs/write/hbase/" matches every HBase file).
+func (c *Cluster) SetFaults(f *faultinject.Injector) { c.faults.Store(f) }
 
-// NewCluster starts a filesystem with n datanodes named "dn-0"…"dn-{n-1}".
-func NewCluster(n int, opts ...Option) *Cluster {
-	c := &Cluster{
-		nodes:       make(map[string]*DataNode),
-		files:       make(map[string]*fileMeta),
-		blockSize:   DefaultBlockSize,
-		replication: DefaultReplication,
-	}
-	for _, o := range opts {
-		o(c)
-	}
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("dn-%d", i)
-		c.nodes[id] = newDataNode(id)
-		c.order = append(c.order, id)
-	}
-	return c
-}
-
-// DataNodes returns the datanode ids in placement order.
-func (c *Cluster) DataNodes() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.order...)
-}
-
-// Node returns the datanode with the given id.
-func (c *Cluster) Node(id string) (*DataNode, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, ok := c.nodes[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, id)
-	}
-	return n, nil
-}
-
-// KillDataNode marks a datanode dead (its blocks survive on disk).
-func (c *Cluster) KillDataNode(id string) error {
-	n, err := c.Node(id)
-	if err != nil {
-		return err
-	}
-	n.mu.Lock()
-	n.live = false
-	n.mu.Unlock()
-	return nil
-}
-
-// RestartDataNode brings a dead datanode back.
-func (c *Cluster) RestartDataNode(id string) error {
-	n, err := c.Node(id)
-	if err != nil {
-		return err
-	}
-	n.mu.Lock()
-	n.live = true
-	n.mu.Unlock()
-	return nil
-}
-
-// liveNodesLocked returns live datanodes starting at the round-robin
-// cursor.
-func (c *Cluster) liveNodesLocked() []*DataNode {
-	out := make([]*DataNode, 0, len(c.order))
-	n := len(c.order)
-	for i := 0; i < n; i++ {
-		id := c.order[(c.place+i)%n]
-		node := c.nodes[id]
-		if node.Live() {
-			out = append(out, node)
-		}
-	}
-	c.place = (c.place + 1) % maxInt(n, 1)
-	return out
-}
-
-// WriteFile stores data at path, splitting into blocks and replicating
-// each across distinct live datanodes. An existing file is replaced.
+// WriteFile stores a copy of data at path, replacing any existing file:
+// the caller may reuse data afterwards.
 func (c *Cluster) WriteFile(path string, data []byte) error {
+	if f := c.faults.Load(); f.Active() > 0 {
+		if err := f.Do(context.Background(), "hdfs/write/"+strings.TrimPrefix(path, "/")); err != nil {
+			return fmt.Errorf("hdfs: write %s: %w", path, err)
+		}
+	}
+	cp := append([]byte(nil), data...)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	live := c.liveNodesLocked()
-	if len(live) == 0 {
-		return ErrNoDataNodes
-	}
-	if old, ok := c.files[path]; ok {
-		c.deleteBlocksLocked(old)
-	}
-	repl := c.replication
-	if repl > len(live) {
-		repl = len(live)
-	}
-	meta := &fileMeta{size: len(data)}
-	for off, idx := 0, 0; off < len(data) || idx == 0; idx++ {
-		end := off + c.blockSize
-		if end > len(data) {
-			end = len(data)
-		}
-		c.blockSeq++
-		key := fmt.Sprintf("blk-%d", c.blockSeq)
-		bm := blockMeta{key: key, size: end - off}
-		for r := 0; r < repl; r++ {
-			node := live[(idx+r)%len(live)]
-			node.store(key, data[off:end])
-			bm.replicas = append(bm.replicas, node.ID)
-		}
-		meta.blocks = append(meta.blocks, bm)
-		off = end
-		if off >= len(data) {
-			break
-		}
-	}
-	c.files[path] = meta
-	c.BytesWritten.Add(int64(len(data)))
+	c.files[path] = cp
+	c.mu.Unlock()
 	return nil
 }
 
-// ReadFile reassembles path from any live replica of each block.
+// ReadFile returns a fresh copy of path's content: the caller may keep
+// or modify it.
 func (c *Cluster) ReadFile(path string) ([]byte, error) {
-	c.mu.Lock()
-	meta, ok := c.files[path]
+	c.mu.RLock()
+	data, ok := c.files[path]
+	c.mu.RUnlock()
 	if !ok {
-		c.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
-	blocks := append([]blockMeta(nil), meta.blocks...)
-	size := meta.size
-	nodes := c.nodes
-	c.mu.Unlock()
-
-	out := make([]byte, 0, size)
-	for _, bm := range blocks {
-		var got []byte
-		found := false
-		for _, id := range bm.replicas {
-			if b, ok := nodes[id].read(bm.key); ok {
-				got, found = b, true
-				break
-			}
-		}
-		if !found {
-			c.BlocksLost.Inc()
-			return nil, fmt.Errorf("%w: %s %s", ErrBlockLost, path, bm.key)
-		}
-		out = append(out, got...)
-	}
-	return out, nil
+	return append(make([]byte, 0, len(data)), data...), nil
 }
 
-// DeleteFile removes path and its blocks from all datanodes.
+// DeleteFile removes path.
 func (c *Cluster) DeleteFile(path string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	meta, ok := c.files[path]
-	if !ok {
+	if _, ok := c.files[path]; !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
-	c.deleteBlocksLocked(meta)
 	delete(c.files, path)
 	return nil
 }
 
-func (c *Cluster) deleteBlocksLocked(meta *fileMeta) {
-	for _, bm := range meta.blocks {
-		for _, id := range bm.replicas {
-			c.nodes[id].drop(bm.key)
-		}
-	}
-}
-
 // Exists reports whether path is a file.
 func (c *Cluster) Exists(path string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	_, ok := c.files[path]
 	return ok
 }
 
 // ListFiles returns the sorted file paths with the given prefix.
 func (c *Cluster) ListFiles(prefix string) []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	var out []string
 	for p := range c.files {
 		if strings.HasPrefix(p, prefix) {
@@ -330,110 +105,6 @@ func (c *Cluster) ListFiles(prefix string) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// UnderReplicated returns the number of blocks whose live replica count
-// is below the target replication.
-func (c *Cluster) UnderReplicated() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	count := 0
-	for _, meta := range c.files {
-		for _, bm := range meta.blocks {
-			if c.liveReplicasLocked(bm) < minInt(c.replication, c.liveCountLocked()) {
-				count++
-			}
-		}
-	}
-	return count
-}
-
-func (c *Cluster) liveReplicasLocked(bm blockMeta) int {
-	n := 0
-	for _, id := range bm.replicas {
-		if c.nodes[id].Live() {
-			n++
-		}
-	}
-	return n
-}
-
-func (c *Cluster) liveCountLocked() int {
-	n := 0
-	for _, node := range c.nodes {
-		if node.Live() {
-			n++
-		}
-	}
-	return n
-}
-
-// Rereplicate restores the replication factor of under-replicated
-// blocks by copying from a live replica to live datanodes that lack
-// the block. It returns the number of new replicas created.
-func (c *Cluster) Rereplicate() (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	created := 0
-	for _, meta := range c.files {
-		for i := range meta.blocks {
-			bm := &meta.blocks[i]
-			// Collect live holders and candidates.
-			var src []byte
-			holders := make(map[string]bool)
-			for _, id := range bm.replicas {
-				if b, ok := c.nodes[id].read(bm.key); ok {
-					holders[id] = true
-					if src == nil {
-						src = b
-					}
-				}
-			}
-			if src == nil {
-				continue // lost block; nothing to copy from
-			}
-			want := minInt(c.replication, c.liveCountLocked())
-			for _, id := range c.order {
-				if len(holders) >= want {
-					break
-				}
-				node := c.nodes[id]
-				if !node.Live() || holders[id] {
-					continue
-				}
-				node.store(bm.key, src)
-				holders[id] = true
-				bm.replicas = append(bm.replicas, id)
-				created++
-			}
-		}
-	}
-	return created, nil
-}
-
-// BlockDistribution returns blocks-per-datanode, for balance checks.
-func (c *Cluster) BlockDistribution() map[string]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int, len(c.nodes))
-	for id, n := range c.nodes {
-		out[id] = int(n.Stored.Value())
-	}
-	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Store adapts the cluster to the BlobStore seam used by the model

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/faultinject"
 )
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	c := NewCluster(4)
-	data := bytes.Repeat([]byte("sensor-data-"), 10000) // multi-block
+	c := NewCluster()
+	data := bytes.Repeat([]byte("sensor-data-"), 10000)
 	if err := c.WriteFile("/models/unit-1", data); err != nil {
 		t.Fatal(err)
 	}
@@ -20,13 +22,29 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("round trip corrupted data")
 	}
-	if c.BytesWritten.Value() != int64(len(data)) {
-		t.Fatal("BytesWritten wrong")
+}
+
+// TestFileOwnsItsBytes: a file is a copy of what was written, and a
+// read returns a copy of the file, so neither the writer's buffer nor a
+// reader's slice can change what the next read sees.
+func TestFileOwnsItsBytes(t *testing.T) {
+	c := NewCluster()
+	buf := []byte("store-file-rows")
+	must(t, c.WriteFile("/hbase/t/r/sf-1", buf))
+	buf[0] = 'X'
+	got, err := c.ReadFile("/hbase/t/r/sf-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got[1] = 'Y'
+	again, err := c.ReadFile("/hbase/t/r/sf-1")
+	if err != nil || string(again) != "store-file-rows" {
+		t.Fatalf("file reads %q (%v) after the written buffer and a read slice were modified", again, err)
 	}
 }
 
 func TestEmptyFile(t *testing.T) {
-	c := NewCluster(3)
+	c := NewCluster()
 	if err := c.WriteFile("/empty", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +55,7 @@ func TestEmptyFile(t *testing.T) {
 }
 
 func TestReadMissing(t *testing.T) {
-	c := NewCluster(2)
+	c := NewCluster()
 	if _, err := c.ReadFile("/nope"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
@@ -47,109 +65,39 @@ func TestReadMissing(t *testing.T) {
 }
 
 func TestOverwriteReplacesContent(t *testing.T) {
-	c := NewCluster(3, WithBlockSize(8))
-	must(t, c.WriteFile("/f", []byte("first version with blocks")))
+	c := NewCluster()
+	must(t, c.WriteFile("/f", []byte("first version, the longer one")))
 	must(t, c.WriteFile("/f", []byte("second")))
 	got, err := c.ReadFile("/f")
 	if err != nil || string(got) != "second" {
 		t.Fatalf("got %q, %v", got, err)
 	}
-	// Old blocks must have been dropped from the datanodes.
-	total := 0
-	for _, n := range c.BlockDistribution() {
-		total += n
-	}
-	if total != 3 { // one block × replication 3
-		t.Fatalf("blocks on datanodes = %d, want 3", total)
+	if files := c.ListFiles("/"); len(files) != 1 {
+		t.Fatalf("files after an overwrite = %v, want one", files)
 	}
 }
 
-func TestReplicationSurvivesNodeFailure(t *testing.T) {
-	c := NewCluster(5, WithBlockSize(16), WithReplication(3))
-	data := bytes.Repeat([]byte("x"), 100)
-	must(t, c.WriteFile("/f", data))
-	// Kill two datanodes: with 3 replicas on 5 nodes every block still
-	// has at least one live copy.
-	must(t, c.KillDataNode("dn-0"))
-	must(t, c.KillDataNode("dn-1"))
-	got, err := c.ReadFile("/f")
-	if err != nil {
-		t.Fatal(err)
+// TestWriteFailsUnderInjectedFault: an "hdfs/write/" rule fails the
+// write it matches and stores nothing; other paths and a cleared rule
+// write as before.
+func TestWriteFailsUnderInjectedFault(t *testing.T) {
+	c := NewCluster()
+	inj := faultinject.New(1)
+	c.SetFaults(inj)
+	inj.Set("flush", faultinject.Rule{Op: "hdfs/write/hbase/", ErrorRate: 1})
+	if err := c.WriteFile("/hbase/t/r/sf-1", []byte("x")); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("err = %v, want ErrInjected", err)
 	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("read after failures corrupted")
+	if c.Exists("/hbase/t/r/sf-1") {
+		t.Fatal("a failed write left a file")
 	}
-}
-
-func TestBlockLostWhenAllReplicasDead(t *testing.T) {
-	c := NewCluster(3, WithReplication(3))
-	must(t, c.WriteFile("/f", []byte("payload")))
-	for _, id := range c.DataNodes() {
-		must(t, c.KillDataNode(id))
-	}
-	if _, err := c.ReadFile("/f"); !errors.Is(err, ErrBlockLost) {
-		t.Fatalf("err = %v, want ErrBlockLost", err)
-	}
-	if c.BlocksLost.Value() == 0 {
-		t.Fatal("BlocksLost not counted")
-	}
-	// Restart: blocks were on disk, reads work again.
-	for _, id := range c.DataNodes() {
-		must(t, c.RestartDataNode(id))
-	}
-	if _, err := c.ReadFile("/f"); err != nil {
-		t.Fatalf("read after restart: %v", err)
-	}
-}
-
-func TestWriteFailsWithNoLiveNodes(t *testing.T) {
-	c := NewCluster(1)
-	must(t, c.KillDataNode("dn-0"))
-	if err := c.WriteFile("/f", []byte("x")); !errors.Is(err, ErrNoDataNodes) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestUnknownNode(t *testing.T) {
-	c := NewCluster(1)
-	if err := c.KillDataNode("dn-9"); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("err = %v", err)
-	}
-	if err := c.RestartDataNode("dn-9"); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestUnderReplicatedAndRereplicate(t *testing.T) {
-	c := NewCluster(5, WithBlockSize(16), WithReplication(3))
-	must(t, c.WriteFile("/f", bytes.Repeat([]byte("y"), 64)))
-	if n := c.UnderReplicated(); n != 0 {
-		t.Fatalf("fresh file under-replicated: %d", n)
-	}
-	must(t, c.KillDataNode("dn-0"))
-	under := c.UnderReplicated()
-	if under == 0 {
-		t.Fatal("killing a node must under-replicate some blocks")
-	}
-	created, err := c.Rereplicate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if created == 0 {
-		t.Fatal("rereplication must create replicas")
-	}
-	if n := c.UnderReplicated(); n != 0 {
-		t.Fatalf("still under-replicated after rereplicate: %d", n)
-	}
-	// Now dn-0's copies are redundant; reads must still be correct.
-	got, err := c.ReadFile("/f")
-	if err != nil || len(got) != 64 {
-		t.Fatalf("read after rereplicate: %v, %v", len(got), err)
-	}
+	must(t, c.WriteFile("/detector/models/unit-1", []byte("m")))
+	inj.Clear("flush")
+	must(t, c.WriteFile("/hbase/t/r/sf-1", []byte("x")))
 }
 
 func TestListFilesAndExists(t *testing.T) {
-	c := NewCluster(2)
+	c := NewCluster()
 	must(t, c.WriteFile("/models/unit-1", []byte("a")))
 	must(t, c.WriteFile("/models/unit-2", []byte("b")))
 	must(t, c.WriteFile("/wal/rs-1", []byte("c")))
@@ -160,23 +108,14 @@ func TestListFilesAndExists(t *testing.T) {
 	if !c.Exists("/wal/rs-1") || c.Exists("/wal/rs-2") {
 		t.Fatal("Exists wrong")
 	}
-}
-
-func TestBlocksSpreadAcrossNodes(t *testing.T) {
-	c := NewCluster(6, WithBlockSize(8), WithReplication(2))
-	for i := 0; i < 20; i++ {
-		must(t, c.WriteFile("/f"+string(rune('a'+i)), bytes.Repeat([]byte("z"), 64)))
-	}
-	dist := c.BlockDistribution()
-	for id, n := range dist {
-		if n == 0 {
-			t.Fatalf("datanode %s has no blocks; placement not spreading (dist=%v)", id, dist)
-		}
+	must(t, c.DeleteFile("/wal/rs-1"))
+	if c.Exists("/wal/rs-1") {
+		t.Fatal("deleted file still exists")
 	}
 }
 
 func TestRoundTripProperty(t *testing.T) {
-	c := NewCluster(4, WithBlockSize(32))
+	c := NewCluster()
 	f := func(data []byte) bool {
 		if err := c.WriteFile("/prop", data); err != nil {
 			return false
@@ -189,20 +128,28 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestBlobStoreAdapter holds Store to the core.BlobStore contract: a
+// put reads back, a missing blob is an error, names list sorted by
+// prefix with the store's own prefix stripped.
 func TestBlobStoreAdapter(t *testing.T) {
-	c := NewCluster(3)
+	c := NewCluster()
 	s := &Store{C: c, Prefix: "/detector/"}
 	must(t, s.Put("models/unit-7", []byte("model-bytes")))
+	must(t, s.Put("models/unit-1", []byte("abc")))
+	must(t, s.Put("other/x", []byte("y")))
 	got, err := s.Get("models/unit-7")
 	if err != nil || string(got) != "model-bytes" {
 		t.Fatalf("get = %q, %v", got, err)
 	}
 	names, err := s.List("models/")
-	if err != nil || len(names) != 1 || names[0] != "models/unit-7" {
+	if err != nil || len(names) != 2 || names[0] != "models/unit-1" || names[1] != "models/unit-7" {
 		t.Fatalf("list = %v, %v", names, err)
 	}
 	if _, err := s.Get("missing"); err == nil {
 		t.Fatal("missing blob must error")
+	}
+	if !c.Exists("/detector/models/unit-1") {
+		t.Fatal("blob not stored under the store's prefix")
 	}
 }
 

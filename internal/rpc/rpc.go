@@ -1,7 +1,9 @@
 // Package rpc is the in-process transport connecting the simulated
-// cluster's nodes: ZooKeeper, HDFS namenode/datanodes, the HBase
-// master and region servers, and the OpenTSDB daemons all expose
-// handlers on a shared Network and call each other through it.
+// cluster's nodes: ZooKeeper, the HBase master and region servers, the
+// OpenTSDB daemons and the bus services all expose handlers on a shared
+// Network and call each other through it. HDFS is not among them: it is
+// one in-process file table (internal/hdfs) the region servers and the
+// sealed tier call directly.
 //
 // The transport models the properties the paper's findings hinge on:
 //

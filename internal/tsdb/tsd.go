@@ -287,9 +287,6 @@ func (t *TSD) handle(ctx context.Context, method string, payload any) (any, erro
 			return nil, err
 		}
 		return &QueryResponse{Series: series}, nil
-	case "compact":
-		n, err := t.CompactRowsContext(ctx, payload.(int64))
-		return n, err
 	case "watermark":
 		q := &payload.(*QueryRequest).Query
 		return t.marks.Version(q.Metric, q.Start, q.End), nil

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/fdr"
+	"repro/internal/hdfs"
 	"repro/internal/ingest"
 	"repro/internal/mllib"
 	"repro/internal/simdata"
@@ -134,7 +135,7 @@ func newScorerRig(t *testing.T) *scorerRig {
 			Units: rigUnits, SensorsPerUnit: rigSensors, Seed: 101,
 			FaultFraction: 0.5, FaultOnset: 400, ShiftSigma: 6, DriftPerStep: 0.05,
 		}),
-		cat: &core.ModelCatalog{Store: core.NewMemStore()},
+		cat: &core.ModelCatalog{Store: &hdfs.Store{C: hdfs.NewCluster(), Prefix: "/detector/"}},
 	}
 	src := core.WindowFunc(func(unit int) ([][]float64, error) {
 		return r.fleet.UnitWindow(unit, 0, 350), nil // predates onset
@@ -234,7 +235,7 @@ func TestScorerEndToEndOnSimulatedFleet(t *testing.T) {
 
 func TestScorerMissingModel(t *testing.T) {
 	r := newScorerRig(t)
-	r.cat = &core.ModelCatalog{Store: core.NewMemStore()} // nothing trained
+	r.cat = &core.ModelCatalog{Store: &hdfs.Store{C: hdfs.NewCluster(), Prefix: "/detector/"}} // nothing trained
 	pool := r.start(t, core.AnomalySinkFunc(func(core.Anomaly) error {
 		t.Error("flag written without a trained model")
 		return nil

@@ -259,11 +259,13 @@ func (s *System) Config() Config { return s.tier }
 // "rpc/<addr>/<method>"), the commit log ("bus/publish/<topic>",
 // "bus/fetch/<topic>"), the TSD tier below the fabric
 // ("tsdb/put/<name>", "tsdb/query/<name>" — covering in-process
-// writers too), and the proxy's submission edge ("proxy/submit").
-// Runtime-toggleable: rules added or cleared on the injector take
-// effect on the next operation.
+// writers too), the proxy's submission edge ("proxy/submit"), and the
+// HDFS file table's writes ("hdfs/write/<path>": a store-file flush,
+// a block spill, a model save). Runtime-toggleable: rules added or
+// cleared on the injector take effect on the next operation.
 func (s *System) SetFaults(f *faultinject.Injector) {
 	s.Cluster.Network().SetFaults(f)
+	s.Cluster.DFS().SetFaults(f)
 	s.Bus.SetFaults(f)
 	s.TSDB.SetFaults(f)
 	s.Proxy.SetFaults(f)

@@ -381,6 +381,29 @@ func TestDetectParksOnTransientStorageFault(t *testing.T) {
 	}
 }
 
+// TestSetFaultsReachesHDFS: System.SetFaults installs the injector on
+// the HDFS file table too: an "hdfs/write/" rule fails a model save,
+// and once it is cleared the same training saves every unit.
+func TestSetFaultsReachesHDFS(t *testing.T) {
+	sys := newSmallSystem(t)
+	if _, err := sys.IngestRange(0, 50); err != nil {
+		t.Fatal(err)
+	}
+	inj := faultinject.New(1)
+	sys.SetFaults(inj)
+	inj.Set("hdfs-down", faultinject.Rule{Op: "hdfs/write/detector/", ErrorRate: 1})
+	if err := sys.TrainFromTSDB(0, 50, false); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("training with model saves failing = %v, want ErrInjected", err)
+	}
+	inj.Clear("hdfs-down")
+	if err := sys.TrainFromTSDB(0, 50, false); err != nil {
+		t.Fatal(err)
+	}
+	if units, err := sys.Catalog.Units(); err != nil || len(units) != 4 {
+		t.Fatalf("models saved for units %v (%v), want 4", units, err)
+	}
+}
+
 // TestStorageOutageLosesNothing: with the default configuration, every
 // TSD refusing writes for longer than the proxy's attempts last loses
 // no sample. The proxy hands each batch back as transient, the storage
