@@ -214,6 +214,30 @@ func TestModelValidate(t *testing.T) {
 	}
 }
 
+// TestStoresRoundTrip holds the catalog's model store to the BlobStore
+// contract: a put reads back and is not changed by the caller's later
+// writes to its slice, a missing blob is an error, and List names the
+// blobs under a prefix.
+func TestStoresRoundTrip(t *testing.T) {
+	var store BlobStore = modelStore()
+	data := []byte("abc")
+	if err := store.Put("models/unit-1", data); err != nil {
+		t.Fatal(err)
+	}
+	data[0] = 'x'
+	got, err := store.Get("models/unit-1")
+	if err != nil || string(got) != "abc" {
+		t.Fatalf("get = %q, %v", got, err)
+	}
+	if _, err := store.Get("missing"); err == nil {
+		t.Fatal("missing blob must error")
+	}
+	names, err := store.List("models/")
+	if err != nil || len(names) != 1 || names[0] != "models/unit-1" {
+		t.Fatalf("list = %v, %v", names, err)
+	}
+}
+
 func TestCatalogSaveLoadUnits(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	cat := &ModelCatalog{Store: modelStore()}
