@@ -85,7 +85,13 @@ vet:
 # only in-memory byte store (store files, spilled blocks and the model
 # cache all live there, and making it durable is a change to that one
 # table), so no non-test file outside internal/hdfs may declare a
-# map[string][]byte.
+# map[string][]byte. And the one-coordination-service rule: the
+# cluster's ZooKeeper, which sentinel boots (or dials) and the bus
+# elects its leaders through, is the only coordination service, so no
+# non-test file outside internal/bus and sentinel/ may import
+# repro/internal/zk — a tier with a zk.Server of its own holds a
+# private ensemble that dies with its process and coordinates nothing
+# another process can see.
 assembly:
 	@for call in 'api\.New(' 'tsdb\.NewCompactor(' 'ingest\.StartStorageWriters(' 'viz\.NewServer(' 'hbase\.NewCluster(' 'query\.New('; do \
 		files=$$(grep -rl --include='*.go' --exclude='*_test.go' "$$call" sentinel cmd); \
@@ -116,6 +122,10 @@ assembly:
 	@files=$$(grep -rlF --include='*.go' --exclude='*_test.go' 'map[string][]byte' . | grep -v '^\./internal/hdfs/'); \
 	if [ -n "$$files" ]; then \
 		echo "second file table: a map[string][]byte outside internal/hdfs (use hdfs.Cluster or hdfs.Store):"; echo "$$files"; exit 1; \
+	fi
+	@files=$$(grep -rlF --include='*.go' --exclude='*_test.go' '"repro/internal/zk"' . | grep -v -e '^\./internal/bus/' -e '^\./sentinel/'); \
+	if [ -n "$$files" ]; then \
+		echo "second coordination service: repro/internal/zk imported outside internal/bus and sentinel/ (use the cluster's ZooKeeper through them):"; echo "$$files"; exit 1; \
 	fi
 
 lint: fmt vet assembly

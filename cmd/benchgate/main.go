@@ -16,8 +16,8 @@
 //     baseline. The metric is `ns_per_op`, `bytes_per_op`,
 //     `allocs_per_op`, or any custom unit the benchmark reports
 //     (`samples/s`, `bytes/sample`, ...). Tolerance is a factor >= 1:
-//     lower-is-better metrics (ns/op, B/op, allocs/op, bytes/sample,
-//     heap-B/cell, subqueries/op) fail when fresh > baseline*tolerance,
+//     lower-is-better metrics (ns/op, cpu-ns/op, B/op, allocs/op,
+//     bytes/sample, heap-B/cell, subqueries/op) fail when fresh > baseline*tolerance,
 //     rates when fresh < baseline/tolerance. Tolerances absorb
 //     shared-runner noise; a genuine 2x regression still fails. After an
 //     intentional perf change, refresh the baselines (`make bench-json`)
@@ -102,6 +102,7 @@ func ceilingEntry(metric string, n float64) *entry {
 // smaller is the regression.
 var lowerBetter = map[string]bool{
 	"ns_per_op":     true,
+	"cpu-ns/op":     true,
 	"bytes_per_op":  true,
 	"allocs_per_op": true,
 	"bytes/sample":  true,

@@ -1,22 +1,18 @@
 package repro
 
 // Cross-module integration tests that don't fit a single package:
-// the external-dataset path (CSV → detector) and the scale-out path
-// (grow the cluster, rebalance, keep serving).
+// the external-dataset path (CSV → detector).
 
 import (
 	"bytes"
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fdr"
-	"repro/internal/hbase"
 	"repro/internal/hdfs"
 	"repro/internal/ingest"
 	"repro/internal/simdata"
-	"repro/internal/tsdb"
 )
 
 // TestCSVDatasetEndToEnd exports a faulted fleet to the datagen CSV
@@ -90,73 +86,5 @@ func TestCSVDatasetEndToEnd(t *testing.T) {
 	}
 	if fp > tp {
 		t.Fatalf("false alarms (%d) exceed true detections (%d)", fp, tp)
-	}
-}
-
-// TestScaleOutUnderLoad grows the storage tier mid-stream, rebalances,
-// and verifies ingestion and reads keep working with the new server
-// carrying traffic — §VI's first ongoing-work item end to end.
-func TestScaleOutUnderLoad(t *testing.T) {
-	cluster, err := hbase.NewCluster(hbase.Config{RegionServers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Stop()
-	deploy, err := tsdb.NewDeployment(cluster, 2, tsdb.TSDConfig{SaltBuckets: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := deploy.CreateTable(); err != nil {
-		t.Fatal(err)
-	}
-	tsd := deploy.TSDs()[0]
-	put := func(from, to int64) {
-		var pts []tsdb.Point
-		for ts := from; ts < to; ts++ {
-			for s := 0; s < 10; s++ {
-				pts = append(pts, tsdb.EnergyPoint(1, s, ts, float64(ts)))
-			}
-		}
-		if err := tsd.Put(pts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put(0, 30)
-
-	rs3, err := cluster.AddRegionServer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := cluster.ActiveMaster()
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved, err := m.Rebalance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved == 0 {
-		t.Fatal("rebalance moved nothing onto the new server")
-	}
-	put(30, 60)
-
-	// All data readable across the move; new server took writes.
-	series, err := tsd.Query(tsdb.Query{Metric: tsdb.MetricEnergy, Tags: map[string]string{"unit": "1"}, Start: 0, End: 59})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, ser := range series {
-		total += len(ser.Samples)
-	}
-	if total != 600 {
-		t.Fatalf("read back %d samples, want 600", total)
-	}
-	deadline := time.Now().Add(time.Second)
-	for rs3.CellsWritten.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("scaled-out server received no writes")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }

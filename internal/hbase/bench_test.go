@@ -74,11 +74,7 @@ func BenchmarkMemstoreFlushReopen(b *testing.B) {
 	if err := cl.Put(cells); err != nil {
 		b.Fatal(err)
 	}
-	m, err := c.ActiveMaster()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ri := m.Regions()[0]
+	ri := c.Regions()[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,7 +1,7 @@
 // Package hbase is a miniature HBase: a distributed, sorted,
-// range-partitioned key-value store layered on the simulated HDFS,
-// ZooKeeper and RPC substrates. It models the parts of HBase the
-// paper's findings depend on:
+// range-partitioned key-value store layered on the simulated HDFS and
+// RPC substrates. It models the parts of HBase the paper's findings
+// depend on:
 //
 //   - Regions: contiguous row-key ranges served by RegionServers, with
 //     in-memory MemStores flushed to immutable store files in HDFS and
@@ -40,8 +40,12 @@
 //     pipeline needs the buffering reverse proxy.
 //   - Key-hash placement: writes route by row key, so sequential keys
 //     hotspot one server until the TSDB layer salts them (§III-B).
-//   - Manual region splits and an HMaster (+backup, via ZooKeeper
-//     election) that reassigns regions and replays WALs on crashes.
+//   - One in-process master owning the region map (master.go): a table
+//     is pre-split once at creation, the paper's manual split, and
+//     regions move only when their server crashes — injected
+//     (KillRegionServer) or on queue overflow — which reopens them on
+//     the live servers with the dead server's WAL replayed. Clients
+//     cache the map and refresh it from the master's snapshot.
 package hbase
 
 import (

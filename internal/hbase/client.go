@@ -19,7 +19,8 @@ type ClientConfig struct {
 	// MaxRetries bounds put/scan retries after region-map refreshes
 	// (default 30 — failover takes a few refresh rounds).
 	MaxRetries int
-	// RetryBackoff is the pause between retries (default 5ms).
+	// RetryBackoff is the pause between retries, on the cluster's
+	// Config.Clock (default 5ms).
 	RetryBackoff time.Duration
 	// FailFast disables retries on queue overflow, surfacing
 	// backpressure to the caller instead of absorbing it. The ingestion
@@ -39,11 +40,11 @@ func (c ClientConfig) withDefaults() ClientConfig {
 }
 
 // Client routes puts and scans to region servers using a cached region
-// map, refreshing from the active master on routing misses — the same
-// caching protocol HBase clients use. Multi-region batches are
-// pipelined: the per-region RPCs are issued together through the
-// fabric's futures and awaited as a group, so a batch costs one
-// slowest-region round trip instead of the sum.
+// map, refreshing it from the master's snapshot on routing misses and
+// failed calls — the same caching protocol HBase clients use.
+// Multi-region batches are pipelined: the per-region RPCs are issued
+// together through the fabric's futures and awaited as a group, so a
+// batch costs one slowest-region round trip instead of the sum.
 type Client struct {
 	clu *Cluster
 	cfg ClientConfig
@@ -57,38 +58,38 @@ func (c *Cluster) NewClient(cfg ClientConfig) *Client {
 	return &Client{clu: c, cfg: cfg.withDefaults()}
 }
 
-// refresh fetches the region map from whichever master is active.
-func (cl *Client) refresh(ctx context.Context) error {
-	var lastErr error
-	for _, m := range cl.clu.masterAddrs() {
-		resp, err := cl.clu.net.Call(ctx, m, "regions", nil)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		regions := resp.([]RegionInfo)
-		cl.mu.Lock()
-		cl.regions = regions
-		cl.mu.Unlock()
-		return nil
-	}
-	return fmt.Errorf("hbase: no active master: %w", lastErr)
+// cached returns the cached region map. A refresh replaces the slice
+// and never writes into it, so the caller may keep it.
+func (cl *Client) cached() []RegionInfo {
+	cl.mu.RLock()
+	defer cl.mu.RUnlock()
+	return cl.regions
+}
+
+// refresh replaces the cached region map with the master's snapshot.
+func (cl *Client) refresh() []RegionInfo {
+	regions := cl.clu.Regions()
+	cl.mu.Lock()
+	cl.regions = regions
+	cl.mu.Unlock()
+	return regions
+}
+
+// retry pauses for the retry backoff on the cluster's clock — time for
+// a crashed server's regions to reopen elsewhere — then refreshes the
+// region map for the next attempt.
+func (cl *Client) retry() []RegionInfo {
+	cl.clu.cfg.Clock.Sleep(cl.cfg.RetryBackoff)
+	return cl.refresh()
 }
 
 // locate returns the region containing key, refreshing once on miss.
-func (cl *Client) locate(ctx context.Context, key []byte) (RegionInfo, error) {
-	cl.mu.RLock()
-	ri, ok := locateIn(cl.regions, key)
-	cl.mu.RUnlock()
+func (cl *Client) locate(key []byte) (RegionInfo, error) {
+	ri, ok := locateIn(cl.cached(), key)
 	if ok {
 		return ri, nil
 	}
-	if err := cl.refresh(ctx); err != nil {
-		return RegionInfo{}, err
-	}
-	cl.mu.RLock()
-	defer cl.mu.RUnlock()
-	ri, ok = locateIn(cl.regions, key)
+	ri, ok = locateIn(cl.refresh(), key)
 	if !ok {
 		return RegionInfo{}, fmt.Errorf("hbase: no region for key %q (table missing?)", key)
 	}
@@ -158,7 +159,7 @@ func (cl *Client) mutate(ctx context.Context, cells []Cell, method string, req f
 		groups := make(map[int][]Cell)
 		infos := make(map[int]RegionInfo)
 		for _, c := range remaining {
-			ri, err := cl.locate(ctx, c.Row)
+			ri, err := cl.locate(c.Row)
 			if err != nil {
 				return err
 			}
@@ -196,24 +197,9 @@ func (cl *Client) mutate(ctx context.Context, cells []Cell, method string, req f
 			return nil
 		}
 		remaining = failed
-		// Ask the active master to reconcile, then refresh the map.
-		cl.poke(ctx)
-		if err := cl.refresh(ctx); err != nil {
-			lastErr = err
-		}
-		time.Sleep(cl.cfg.RetryBackoff)
+		cl.retry()
 	}
 	return fmt.Errorf("%w: %v", ErrRetriesExhausted, lastErr)
-}
-
-// poke nudges the active master to reconcile assignments (stands in for
-// the ZooKeeper watch latency in the real system).
-func (cl *Client) poke(ctx context.Context) {
-	for _, m := range cl.clu.masterAddrs() {
-		if _, err := cl.clu.net.Call(ctx, m, "reconcile", nil); err == nil {
-			return
-		}
-	}
 }
 
 // Scan reads every row of [start, end) with no deadline (see
@@ -235,23 +221,11 @@ func (cl *Client) ScanContext(ctx context.Context, start, end []byte, limit int,
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		regions := cl.cached()
 		if attempt > 0 {
-			cl.poke(ctx)
-			if err := cl.refresh(ctx); err != nil {
-				return nil, err
-			}
-			time.Sleep(cl.cfg.RetryBackoff)
-		}
-		cl.mu.RLock()
-		regions := append([]RegionInfo(nil), cl.regions...)
-		cl.mu.RUnlock()
-		if len(regions) == 0 {
-			if err := cl.refresh(ctx); err != nil {
-				return nil, err
-			}
-			cl.mu.RLock()
-			regions = append([]RegionInfo(nil), cl.regions...)
-			cl.mu.RUnlock()
+			regions = cl.retry()
+		} else if len(regions) == 0 {
+			regions = cl.refresh()
 		}
 		overlapping := regions[:0:0]
 		for _, ri := range regions {

@@ -2,21 +2,22 @@ package hbase
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/hdfs"
 	"repro/internal/rpc"
-	"repro/internal/zk"
 )
 
 // Config sizes a simulated HBase deployment. The defaults mirror the
-// paper's topology scaled to in-process: one active master, one backup
-// master and N region servers, all over one HDFS file table.
+// paper's topology scaled to in-process: one master and N region
+// servers over one HDFS file table.
 type Config struct {
-	// RegionServers is the initial server count (default 3).
+	// RegionServers is the server count (default 3).
 	RegionServers int
 	// RSQueueCap bounds each region server's RPC queue (default 256).
 	RSQueueCap int
@@ -34,7 +35,8 @@ type Config struct {
 	ServiceRatePerRS float64
 	// NetLatency is the simulated per-RPC latency (default 0).
 	NetLatency time.Duration
-	// Clock drives rate emulation and latency (default real clock).
+	// Clock drives rate emulation, latency and the clients' retry
+	// pauses (default real clock).
 	Clock clock.Clock
 }
 
@@ -67,46 +69,43 @@ func (c Config) serviceBurst() float64 {
 	return b
 }
 
-// Cluster owns the whole simulated deployment: ZooKeeper, HDFS, both
-// masters, the region servers and the shared network.
+// Cluster owns the whole simulated deployment: the HDFS file table, the
+// master's region map (master.go), the region servers and the shared
+// network.
 type Cluster struct {
-	cfg Config
-	net *rpc.Network
-	zks *zk.Server
-	dfs *hdfs.Cluster
-	wal *walStore
+	cfg     Config
+	net     *rpc.Network
+	dfs     *hdfs.Cluster
+	wal     *walStore
+	servers []*RegionServer // sorted by name, fixed at boot
 
-	mu      sync.Mutex
-	masters []*Master
-	servers map[string]*RegionServer
-	nextRS  int
-	stopped bool
+	// regMu guards the region map and the round-robin cursor, and is held
+	// through a whole assignment change.
+	regMu   sync.Mutex
+	regions []RegionInfo // indexed by ID
+	cursor  int
+
+	stopped atomic.Bool
 }
 
-// NewCluster boots the deployment: the HDFS file table, ZooKeeper, an
-// active and a backup master, and cfg.RegionServers region servers.
+// NewCluster boots the deployment: the HDFS file table and
+// cfg.RegionServers region servers, rs-1 to rs-N.
 func NewCluster(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
-		cfg:     cfg,
-		net:     rpc.NewNetwork(cfg.NetLatency, cfg.Clock),
-		zks:     zk.NewServer(),
-		dfs:     hdfs.NewCluster(),
-		wal:     newWALStore(),
-		servers: make(map[string]*RegionServer),
+		cfg: cfg,
+		net: rpc.NewNetwork(cfg.NetLatency, cfg.Clock),
+		dfs: hdfs.NewCluster(),
+		wal: newWALStore(),
 	}
-	for i := 0; i < 2; i++ {
-		m, err := startMaster(fmt.Sprintf("hmaster-%d", i+1), c)
+	for i := 0; i < cfg.RegionServers; i++ {
+		rs, err := startRegionServer(fmt.Sprintf("rs-%d", i+1), c)
 		if err != nil {
 			return nil, err
 		}
-		c.masters = append(c.masters, m)
+		c.servers = append(c.servers, rs)
 	}
-	for i := 0; i < cfg.RegionServers; i++ {
-		if _, err := c.addRegionServer(); err != nil {
-			return nil, err
-		}
-	}
+	slices.SortFunc(c.servers, func(a, b *RegionServer) int { return strings.Compare(a.name, b.name) })
 	return c, nil
 }
 
@@ -117,117 +116,42 @@ func (c *Cluster) Network() *rpc.Network { return c.net }
 // DFS exposes the underlying HDFS file table.
 func (c *Cluster) DFS() *hdfs.Cluster { return c.dfs }
 
-// masterAddrs lists master RPC addresses, active first when known.
-func (c *Cluster) masterAddrs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	addrs := make([]string, 0, len(c.masters))
-	for _, m := range c.masters {
-		if m.IsActive() {
-			addrs = append([]string{masterAddr(m.name)}, addrs...)
-		} else {
-			addrs = append(addrs, masterAddr(m.name))
-		}
-	}
-	return addrs
-}
-
-// ActiveMaster returns the currently leading master.
-func (c *Cluster) ActiveMaster() (*Master, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, m := range c.masters {
-		if m.IsActive() {
-			return m, nil
-		}
-	}
-	return nil, ErrNotActive
-}
-
-// addRegionServer starts rs-<n> and registers it.
-func (c *Cluster) addRegionServer() (*RegionServer, error) {
-	c.mu.Lock()
-	c.nextRS++
-	name := fmt.Sprintf("rs-%d", c.nextRS)
-	c.mu.Unlock()
-	rs, err := startRegionServer(name, c)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.servers[name] = rs
-	c.mu.Unlock()
-	return rs, nil
-}
-
-// AddRegionServer scales the cluster out by one server and returns it.
-// Newly created regions will land on it; existing regions stay put
-// (the paper pre-splits before loading, so balance comes from the
-// split count).
-func (c *Cluster) AddRegionServer() (*RegionServer, error) {
-	return c.addRegionServer()
-}
-
 // RegionServer returns a server by name.
 func (c *Cluster) RegionServer(name string) (*RegionServer, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rs, ok := c.servers[name]
-	return rs, ok
+	i := slices.IndexFunc(c.servers, func(rs *RegionServer) bool { return rs.name == name })
+	if i < 0 {
+		return nil, false
+	}
+	return c.servers[i], true
 }
 
 // RegionServers returns the servers sorted by name.
-func (c *Cluster) RegionServers() []*RegionServer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*RegionServer, 0, len(c.servers))
-	for _, rs := range c.servers {
-		out = append(out, rs)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
+func (c *Cluster) RegionServers() []*RegionServer { return slices.Clone(c.servers) }
 
-// KillRegionServer crashes a server (failure injection). The master
-// notices through the lost ZooKeeper lease and recovers its regions.
+// KillRegionServer crashes a server (failure injection) and returns once
+// the master has reopened its regions on the live servers from their
+// store files and the dead server's WAL.
 func (c *Cluster) KillRegionServer(name string) error {
 	rs, ok := c.RegionServer(name)
 	if !ok {
 		return fmt.Errorf("hbase: unknown region server %q", name)
 	}
-	rs.crash()
+	rs.server.Crash()
+	c.reconcile()
 	return nil
 }
 
-// CreateTable pre-splits the key space (see Master.CreateTable).
-func (c *Cluster) CreateTable(splitKeys [][]byte) error {
-	m, err := c.ActiveMaster()
-	if err != nil {
-		return err
-	}
-	return m.CreateTable(splitKeys)
-}
-
-// Stop shuts everything down.
+// Stop shuts everything down. A crash after it moves no region.
 func (c *Cluster) Stop() {
-	c.mu.Lock()
-	if c.stopped {
-		c.mu.Unlock()
-		return
+	if !c.stopped.Swap(true) {
+		c.net.Close()
 	}
-	c.stopped = true
-	masters := append([]*Master(nil), c.masters...)
-	c.mu.Unlock()
-	for _, m := range masters {
-		m.stop()
-	}
-	c.net.Close()
 }
 
 // TotalCellsWritten sums cells accepted across all region servers.
 func (c *Cluster) TotalCellsWritten() int64 {
 	var total int64
-	for _, rs := range c.RegionServers() {
+	for _, rs := range c.servers {
 		total += rs.CellsWritten.Value()
 	}
 	return total
@@ -236,7 +160,7 @@ func (c *Cluster) TotalCellsWritten() int64 {
 // heldBytes sums size over the regions the live servers host.
 func (c *Cluster) heldBytes(size func(*region) int) int64 {
 	var total int64
-	for _, rs := range c.RegionServers() {
+	for _, rs := range c.servers {
 		if rs.Crashed() {
 			continue // its regions were reopened elsewhere
 		}
@@ -265,10 +189,9 @@ func (c *Cluster) WALBytes() int64 { return int64(c.wal.Bytes()) }
 // WriteShares returns each live server's fraction of all written
 // cells — the hotspotting diagnostic for the salting experiment.
 func (c *Cluster) WriteShares() map[string]float64 {
-	servers := c.RegionServers()
 	total := float64(c.TotalCellsWritten())
-	out := make(map[string]float64, len(servers))
-	for _, rs := range servers {
+	out := make(map[string]float64, len(c.servers))
+	for _, rs := range c.servers {
 		if total > 0 {
 			out[rs.name] = float64(rs.CellsWritten.Value()) / total
 		} else {

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 func newTestCluster(t *testing.T, cfg Config) *Cluster {
@@ -35,11 +37,7 @@ func TestClusterBootAndTableCreation(t *testing.T) {
 	if err := c.CreateTable(byteSplits(6)); err != nil {
 		t.Fatal(err)
 	}
-	m, err := c.ActiveMaster()
-	if err != nil {
-		t.Fatal(err)
-	}
-	regions := m.Regions()
+	regions := c.Regions()
 	if len(regions) != 6 {
 		t.Fatalf("regions = %d, want 6", len(regions))
 	}
@@ -138,38 +136,23 @@ func TestRegionServerCrashRecovery(t *testing.T) {
 	}
 	// Kill a server holding at least one region (none were flushed, so
 	// recovery must come from the WAL).
-	m, err := c.ActiveMaster()
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := m.Regions()[0].Server
+	victim := c.Regions()[0].Server
 	if err := c.KillRegionServer(victim); err != nil {
 		t.Fatal(err)
 	}
-	// Scans retry until the master reassigns; all 90 cells must survive.
+	// The kill returned: the victim owns nothing, and all 90 cells
+	// survived.
+	for _, ri := range c.Regions() {
+		if ri.Server == victim {
+			t.Fatalf("victim %s still owns region %d", victim, ri.ID)
+		}
+	}
 	got, err := cl.Scan(nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 90 {
 		t.Fatalf("scan after crash = %d cells, want 90 (WAL replay lost data)", len(got))
-	}
-	// The victim must no longer own anything.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		owns := 0
-		for _, ri := range m.Regions() {
-			if ri.Server == victim {
-				owns++
-			}
-		}
-		if owns == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("victim %s still owns %d regions", victim, owns)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -186,8 +169,7 @@ func TestCrashRecoveryWithFlushedData(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, _ := c.ActiveMaster()
-	victim := m.Regions()[0].Server
+	victim := c.Regions()[0].Server
 	if err := c.KillRegionServer(victim); err != nil {
 		t.Fatal(err)
 	}
@@ -200,78 +182,138 @@ func TestCrashRecoveryWithFlushedData(t *testing.T) {
 	}
 }
 
-func TestManualSplitRedistributesData(t *testing.T) {
-	c := newTestCluster(t, Config{RegionServers: 2})
+// TestCrashIsTheReassignmentTrigger: a region server's crash alone
+// moves its regions — no client call, map refresh or retry starts it.
+func TestCrashIsTheReassignmentTrigger(t *testing.T) {
+	// scanOwner reads a region from the server the map names, in one call.
+	scanOwner := func(t *testing.T, c *Cluster, ri RegionInfo) string {
+		t.Helper()
+		resp, err := c.net.Call(context.Background(), rsAddr(ri.Server), "scan", &ScanRequest{Region: ri.ID})
+		if err != nil {
+			t.Fatalf("scan region %d on %s: %v", ri.ID, ri.Server, err)
+		}
+		return render(resp.(*ScanResponse).Cells)
+	}
+	t.Run("kill", func(t *testing.T) {
+		c := newTestCluster(t, Config{RegionServers: 3, FlushThresholdBytes: -1})
+		if err := c.CreateTable(byteSplits(6)); err != nil {
+			t.Fatal(err)
+		}
+		cl := c.NewClient(ClientConfig{})
+		put := func(round int) {
+			var cells []Cell
+			for i := 0; i < 240; i++ {
+				cells = append(cells, Cell{Row: []byte{byte(i), 'r'}, Qual: []byte{byte(i % 7)}, Value: []byte(fmt.Sprintf("v%d.%d", round, i))})
+			}
+			if err := cl.Put(cells); err != nil {
+				t.Fatal(err)
+			}
+		}
+		put(0)
+		before := c.Regions()
+		// One of the victim's regions serves a store file under its WAL.
+		if _, err := c.net.Call(context.Background(), rsAddr(before[0].Server), "flush", &FlushRequest{Region: before[0].ID}); err != nil {
+			t.Fatal(err)
+		}
+		put(1)
+		victim := before[0].Server
+		want := make(map[int]string)
+		for _, ri := range before {
+			if ri.Server == victim {
+				want[ri.ID] = scanOwner(t, c, ri)
+			}
+		}
+		if err := c.KillRegionServer(victim); err != nil {
+			t.Fatal(err)
+		}
+		moved := 0
+		for _, ri := range c.Regions() {
+			if ri.Server == victim {
+				t.Fatalf("KillRegionServer returned with region %d still on %s", ri.ID, victim)
+			}
+			if w, ok := want[ri.ID]; ok {
+				moved++
+				if got := scanOwner(t, c, ri); got != w {
+					t.Fatalf("region %d on %s after the kill:\n got %q\nwant %q", ri.ID, ri.Server, got, w)
+				}
+			}
+		}
+		if moved != 2 {
+			t.Fatalf("%d of the victim's regions moved, want 2", moved)
+		}
+		if c.wal.log(victim, false) != nil {
+			t.Fatalf("the replayed WAL of %s was kept", victim)
+		}
+	})
+	t.Run("overflow", func(t *testing.T) {
+		c := newTestCluster(t, Config{RegionServers: 2, RSQueueCap: 1, RSWorkers: 1, CrashOnOverflow: 4, ServiceRatePerRS: 1000})
+		if err := c.CreateTable(byteSplits(2)); err != nil {
+			t.Fatal(err)
+		}
+		victim := c.Regions()[0]
+		rs, _ := c.RegionServer(victim.Server)
+		// Flood the victim's queue with raw calls: no client exists that
+		// could refresh, retry or nudge anything.
+		for i := 0; !rs.Crashed(); i++ {
+			if i == 10000 {
+				t.Fatal("region server never crashed on overflow")
+			}
+			c.net.Go(context.Background(), rsAddr(victim.Server), "put", &PutRequest{Region: victim.ID, Cells: []Cell{{Row: []byte{1, byte(i)}, Qual: []byte("q"), Value: []byte("v")}}})
+		}
+		if _, overflows := rs.RPCStats(); overflows < 4 {
+			t.Fatalf("crashed after %d overflows, want ≥ 4", overflows)
+		}
+		// The reassignment runs on the crash hook's goroutine.
+		deadline := time.Now().Add(5 * time.Second)
+		for c.Regions()[0].Server == victim.Server {
+			if time.Now().After(deadline) {
+				t.Fatalf("region %d still on crashed %s", victim.ID, victim.Server)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		scanOwner(t, c, c.Regions()[0])
+	})
+}
+
+// TestRetryPausesOnTheClusterClock: a client's retry pause is a sleep on
+// Config.Clock, so on a manual clock a put routed by a stale map waits
+// until the clock moves.
+func TestRetryPausesOnTheClusterClock(t *testing.T) {
+	clk := clock.NewManual(time.Unix(0, 0))
+	c := newTestCluster(t, Config{RegionServers: 2, Clock: clk})
 	if err := c.CreateTable(nil); err != nil {
 		t.Fatal(err)
 	}
 	cl := c.NewClient(ClientConfig{})
-	var cells []Cell
-	for i := 0; i < 100; i++ {
-		cells = append(cells, Cell{Row: []byte{byte(i * 2)}, Qual: []byte("q"), Value: []byte("v")})
-	}
-	if err := cl.Put(cells); err != nil {
+	if err := cl.Put([]Cell{cell("a", "q", "1")}); err != nil { // caches the map
 		t.Fatal(err)
 	}
-	m, _ := c.ActiveMaster()
-	parent := m.Regions()[0]
-	if err := m.Split(parent.ID, []byte{100}); err != nil {
+	if err := c.KillRegionServer(c.Regions()[0].Server); err != nil {
 		t.Fatal(err)
 	}
-	regions := m.Regions()
-	if len(regions) != 2 {
-		t.Fatalf("regions after split = %d", len(regions))
+	done := make(chan error, 1)
+	go func() { done <- cl.Put([]Cell{cell("b", "q", "2")}) }()
+	select {
+	case err := <-done:
+		t.Fatalf("a put by a stale map returned %v with the clock stopped", err)
+	case <-time.After(50 * time.Millisecond):
 	}
-	if string(regions[0].End) != string([]byte{100}) || string(regions[1].Start) != string([]byte{100}) {
-		t.Fatalf("split boundaries wrong: %+v", regions)
-	}
-	got, err := cl.Scan(nil, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 100 {
-		t.Fatalf("scan after split = %d cells, want 100", len(got))
-	}
-	// Splitting at a key outside the range must fail.
-	if err := m.Split(regions[0].ID, []byte{200}); err == nil {
-		t.Fatal("split outside range must fail")
-	}
-	if err := m.Split(9999, []byte{1}); err == nil {
-		t.Fatal("split of unknown region must fail")
-	}
-}
-
-func TestMasterFailover(t *testing.T) {
-	c := newTestCluster(t, Config{RegionServers: 2})
-	if err := c.CreateTable(byteSplits(2)); err != nil {
-		t.Fatal(err)
-	}
-	active, err := c.ActiveMaster()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Kill the active master's session; the backup must take over and
-	// keep serving the region map.
-	active.sess.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	var next *Master
-	for {
-		next, err = c.ActiveMaster()
-		if err == nil && next.name != active.name {
-			break
+	for i := 0; ; i++ {
+		if i == 1000 {
+			t.Fatal("the put never finished as the clock moved")
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("backup master never took over")
+		clk.Advance(5 * time.Millisecond)
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := cl.Scan(nil, nil, 0); err != nil || len(got) != 2 {
+				t.Fatalf("scan after the retried put = %d cells, %v; want 2", len(got), err)
+			}
+			return
+		case <-time.After(time.Millisecond):
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	cl := c.NewClient(ClientConfig{})
-	if err := cl.Put([]Cell{cell("k", "q", "v")}); err != nil {
-		t.Fatalf("put after failover: %v", err)
-	}
-	// The promoted master must have rebuilt the region map from zk.
-	if got := len(next.Regions()); got != 2 {
-		t.Fatalf("promoted master sees %d regions, want 2", got)
 	}
 }
 
@@ -319,29 +361,6 @@ func TestQueueOverflowCrashesServer(t *testing.T) {
 	_, overflows := rs.RPCStats()
 	if overflows < 8 {
 		t.Fatalf("overflows = %d, want ≥ 8", overflows)
-	}
-}
-
-func TestScaleOutAddsServers(t *testing.T) {
-	c := newTestCluster(t, Config{RegionServers: 2})
-	rs, err := c.AddRegionServer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Name() != "rs-3" {
-		t.Fatalf("new server = %s", rs.Name())
-	}
-	// A table created now spreads over all three.
-	if err := c.CreateTable(byteSplits(6)); err != nil {
-		t.Fatal(err)
-	}
-	m, _ := c.ActiveMaster()
-	byServer := map[string]int{}
-	for _, ri := range m.Regions() {
-		byServer[ri.Server]++
-	}
-	if len(byServer) != 3 {
-		t.Fatalf("regions on %d servers, want 3", len(byServer))
 	}
 }
 
@@ -512,10 +531,6 @@ func TestFailoverReplaysPackedWAL(t *testing.T) {
 	if err := c.CreateTable(byteSplits(2)); err != nil {
 		t.Fatal(err)
 	}
-	m, err := c.ActiveMaster()
-	if err != nil {
-		t.Fatal(err)
-	}
 	cl := c.NewClient(ClientConfig{})
 	rng := rand.New(rand.NewSource(5))
 	ref := make(map[[2]string]string)
@@ -545,7 +560,7 @@ func TestFailoverReplaysPackedWAL(t *testing.T) {
 	}
 	check := func(stage string) {
 		t.Helper()
-		got, err := cl.Scan(nil, nil, 0) // retries until the master reassigns
+		got, err := cl.Scan(nil, nil, 0) // the kill reassigned; the scan refreshes its map
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -554,7 +569,7 @@ func TestFailoverReplaysPackedWAL(t *testing.T) {
 		}
 	}
 	write(60)
-	for _, ri := range m.Regions() { // later deletes must shadow these files
+	for _, ri := range c.Regions() { // later deletes must shadow these files
 		if _, err := c.net.Call(context.Background(), rsAddr(ri.Server), "flush", &FlushRequest{Region: ri.ID}); err != nil {
 			t.Fatal(err)
 		}
@@ -565,7 +580,7 @@ func TestFailoverReplaysPackedWAL(t *testing.T) {
 		if c.WALBytes() == 0 {
 			t.Fatalf("%s: nothing in the WAL to replay", stage)
 		}
-		if err := c.KillRegionServer(m.Regions()[0].Server); err != nil {
+		if err := c.KillRegionServer(c.Regions()[0].Server); err != nil {
 			t.Fatal(err)
 		}
 		check(stage)

@@ -76,8 +76,7 @@ func TestTombstoneSurvivesCrashViaWAL(t *testing.T) {
 	if err := cl.Delete([]Cell{cell("a", "1", "")}); err != nil {
 		t.Fatal(err)
 	}
-	m, _ := c.ActiveMaster()
-	if err := c.KillRegionServer(m.Regions()[0].Server); err != nil {
+	if err := c.KillRegionServer(c.Regions()[0].Server); err != nil {
 		t.Fatal(err)
 	}
 	got, err := cl.Scan(nil, nil, 0)

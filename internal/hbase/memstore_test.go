@@ -153,11 +153,7 @@ func TestFlushUnderLoadSurvivesCrash(t *testing.T) {
 	if err := c.CreateTable(byteSplits(4)); err != nil {
 		t.Fatal(err)
 	}
-	m, err := c.ActiveMaster()
-	if err != nil {
-		t.Fatal(err)
-	}
-	regions := m.Regions()
+	regions := c.Regions()
 	const writers, perWriter = 8, 300
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -421,10 +417,6 @@ func TestFailoverFlushKeepsAckedCells(t *testing.T) {
 	if err := c.CreateTable(nil); err != nil {
 		t.Fatal(err)
 	}
-	m, err := c.ActiveMaster()
-	if err != nil {
-		t.Fatal(err)
-	}
 	cl := c.NewClient(ClientConfig{})
 	acked := 0
 	put := func(n int) {
@@ -436,16 +428,16 @@ func TestFailoverFlushKeepsAckedCells(t *testing.T) {
 		}
 	}
 	flush := func() {
-		ri := m.Regions()[0]
+		ri := c.Regions()[0]
 		if _, err := c.net.Call(context.Background(), rsAddr(ri.Server), "flush", &FlushRequest{Region: ri.ID}); err != nil {
 			t.Fatalf("flush on %s: %v (%s)", ri.Server, err, repro)
 		}
 	}
 	failover := func(stage string) {
-		if err := c.KillRegionServer(m.Regions()[0].Server); err != nil {
+		if err := c.KillRegionServer(c.Regions()[0].Server); err != nil {
 			t.Fatal(err)
 		}
-		got, err := cl.Scan(nil, nil, 0) // retries until the master reassigns
+		got, err := cl.Scan(nil, nil, 0) // the kill reassigned; the scan refreshes its map
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -462,7 +454,7 @@ func TestFailoverFlushKeepsAckedCells(t *testing.T) {
 	failover("after second failover")
 
 	var marker flushMarker
-	data, err := c.dfs.ReadFile(regionDir(m.Regions()[0].ID) + "marker")
+	data, err := c.dfs.ReadFile(regionDir(c.Regions()[0].ID) + "marker")
 	if err != nil || json.Unmarshal(data, &marker) != nil {
 		t.Fatalf("read flush marker: %v", err)
 	}

@@ -15,13 +15,13 @@ import (
 	"repro/internal/hdfs"
 )
 
-// RegionInfo is the metadata the master publishes for one region.
+// RegionInfo is the master's record of one region.
 type RegionInfo struct {
-	ID    int    `json:"id"`
-	Start []byte `json:"start"` // inclusive; empty = -inf
-	End   []byte `json:"end"`   // exclusive; empty = +inf
+	ID    int
+	Start []byte // inclusive; empty = -inf
+	End   []byte // exclusive; empty = +inf
 	// Server is the region server currently assigned, by name.
-	Server string `json:"server"`
+	Server string
 }
 
 // Contains reports whether key falls in this region's range.
@@ -293,7 +293,7 @@ func (r *region) compact(dfs *hdfs.Cluster) (int, error) {
 
 // openRegion reconstructs a region's flushed state from HDFS: reads the
 // marker, loads the listed store files. Used when a region is assigned
-// to a server (initial assignment, failover, split).
+// to a server (initial assignment, failover).
 func openRegion(info RegionInfo, dfs *hdfs.Cluster) (*region, int64, error) {
 	r := newRegion(info)
 	markerPath := info.dir() + "marker"

@@ -294,14 +294,10 @@ func TestStoreFileSizeIsBytesHeld(t *testing.T) {
 	if err := c.CreateTable(nil); err != nil {
 		t.Fatal(err)
 	}
-	m, err := c.ActiveMaster()
-	if err != nil {
-		t.Fatal(err)
-	}
 	cl := c.NewClient(ClientConfig{})
 	call := func(method string, req func(RegionInfo) any) {
 		t.Helper()
-		ri := m.Regions()[0]
+		ri := c.Regions()[0]
 		if _, err := c.net.Call(context.Background(), rsAddr(ri.Server), method, req(ri)); err != nil {
 			t.Fatal(err)
 		}
@@ -335,10 +331,10 @@ func TestStoreFileSizeIsBytesHeld(t *testing.T) {
 	if got := c.StoreFileBytes(); got != live {
 		t.Fatalf("after compaction: store files %d bytes, want %d", got, live)
 	}
-	if err := c.KillRegionServer(m.Regions()[0].Server); err != nil {
+	if err := c.KillRegionServer(c.Regions()[0].Server); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := cl.Scan(nil, nil, 0); err != nil || len(got) != len(batch)-perRow { // retries until reassigned
+	if got, err := cl.Scan(nil, nil, 0); err != nil || len(got) != len(batch)-perRow { // the kill reassigned
 		t.Fatalf("scan after failover = %d cells, %v", len(got), err)
 	}
 	if got := c.StoreFileBytes(); got != live {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/rpc"
 	"repro/internal/telemetry"
-	"repro/internal/zk"
 )
 
 // Errors surfaced by region servers.
@@ -40,7 +39,8 @@ type (
 		Cells []Cell
 	}
 	// OpenRequest assigns a region to the server, optionally replaying
-	// WAL records recovered from a dead server.
+	// WAL records recovered from a dead server. The master hands it to
+	// handleOpen directly; it never crosses the fabric.
 	OpenRequest struct {
 		Info   RegionInfo
 		Replay []walRecord
@@ -49,10 +49,6 @@ type (
 	DeleteRequest struct {
 		Region int
 		Cells  []Cell
-	}
-	// CloseRequest flushes and unloads a region (used for splits).
-	CloseRequest struct {
-		Region int
 	}
 	// FlushRequest forces a memstore flush.
 	FlushRequest struct {
@@ -73,7 +69,6 @@ type RegionServer struct {
 	regions map[int]*region
 
 	seq    atomic.Int64
-	zsess  *zk.Session
 	server *rpc.Server
 	bucket *clock.TokenBucket
 
@@ -89,30 +84,20 @@ type RegionServer struct {
 // rsAddr returns the RPC address for a region server name.
 func rsAddr(name string) string { return "rs/" + name }
 
-// livenessPath returns the server's ephemeral znode path.
-func livenessPath(name string) string { return "/hbase/rs/" + name }
-
-// startRegionServer registers the server on the network and its
-// liveness znode in ZooKeeper.
+// startRegionServer registers the server on the network. Its crash —
+// injected or from queue overflow — calls the master's reconcile.
 func startRegionServer(name string, clu *Cluster) (*RegionServer, error) {
 	rs := &RegionServer{
 		name:    name,
 		clu:     clu,
 		regions: make(map[int]*region),
-		zsess:   clu.zks.NewSession(),
 		bucket:  clock.NewTokenBucket(clu.cfg.ServiceRatePerRS, clu.cfg.serviceBurst(), clu.cfg.Clock),
-	}
-	if err := zk.EnsurePath(rs.zsess, "/hbase/rs"); err != nil {
-		return nil, err
-	}
-	if err := rs.zsess.Create(livenessPath(name), []byte(name), true); err != nil {
-		return nil, fmt.Errorf("hbase: register %s liveness: %w", name, err)
 	}
 	srv, err := clu.net.Register(rsAddr(name), rs.handle, rpc.ServerConfig{
 		QueueCap:        clu.cfg.RSQueueCap,
 		Workers:         clu.cfg.RSWorkers,
 		CrashOnOverflow: clu.cfg.CrashOnOverflow,
-		OnCrash:         rs.onCrash,
+		OnCrash:         clu.reconcile,
 	})
 	if err != nil {
 		return nil, err
@@ -131,14 +116,6 @@ func (rs *RegionServer) Crashed() bool { return rs.server.Crashed() }
 func (rs *RegionServer) RPCStats() (handled, overflows int64) {
 	return rs.server.Handled.Value(), rs.server.Overflows.Value()
 }
-
-// onCrash drops the liveness lease so the master notices.
-func (rs *RegionServer) onCrash() {
-	rs.zsess.Close()
-}
-
-// crash kills the server (failure injection / overflow path).
-func (rs *RegionServer) crash() { rs.server.Crash() }
 
 // regionIDs returns the hosted region ids.
 func (rs *RegionServer) regionIDs() []int {
@@ -168,10 +145,6 @@ func (rs *RegionServer) handle(_ context.Context, method string, payload any) (a
 		return nil, rs.handlePut(&PutRequest{Region: del.Region, Cells: cells})
 	case "scan":
 		return rs.handleScan(payload.(*ScanRequest))
-	case "open":
-		return nil, rs.handleOpen(payload.(*OpenRequest))
-	case "close":
-		return nil, rs.handleClose(payload.(*CloseRequest))
 	case "flush":
 		return nil, rs.handleFlush(payload.(*FlushRequest))
 	case "compact":
@@ -265,19 +238,6 @@ func (rs *RegionServer) handleOpen(req *OpenRequest) error {
 	rs.regions[info.ID] = r
 	rs.mu.Unlock()
 	return nil
-}
-
-func (rs *RegionServer) handleClose(req *CloseRequest) error {
-	rs.mu.Lock()
-	r, ok := rs.regions[req.Region]
-	if ok {
-		delete(rs.regions, req.Region)
-	}
-	rs.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: region %d on %s", ErrWrongRegion, req.Region, rs.name)
-	}
-	return rs.flushRegion(r)
 }
 
 func (rs *RegionServer) handleFlush(req *FlushRequest) error {

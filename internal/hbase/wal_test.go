@@ -217,11 +217,7 @@ func TestReplayRefusesCorruptLog(t *testing.T) {
 	if err := c.NewClient(ClientConfig{}).Put([]Cell{cell("a", "q", "1"), cell("b", "q", "2")}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := c.ActiveMaster()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ri := m.Regions()[0]
+	ri := c.Regions()[0]
 	l := c.wal.log(ri.Server, false)
 	whole := l.chunks[0]
 	for _, cut := range []int{1, 4, walRecordHeader + 3, len(whole) - 3} {
@@ -233,7 +229,7 @@ func TestReplayRefusesCorruptLog(t *testing.T) {
 		if got := c.wal.Bytes(); got != len(whole)-cut {
 			t.Fatalf("truncating the log cut by %d bytes left %d of its %d", cut, got, len(whole)-cut)
 		}
-		if err := m.assignRegion(&ri, m.liveServers(), ri.Server); !errors.Is(err, errCorrupt) {
+		if err := c.assignLocked(&ri, c.liveServers(), ri.Server); !errors.Is(err, errCorrupt) {
 			t.Fatalf("reassigning over the log cut by %d bytes = %v", cut, err)
 		}
 	}

@@ -1,9 +1,10 @@
 // Package rpc is the in-process transport connecting the simulated
-// cluster's nodes: ZooKeeper, the HBase master and region servers, the
-// OpenTSDB daemons and the bus services all expose handlers on a shared
-// Network and call each other through it. HDFS is not among them: it is
-// one in-process file table (internal/hdfs) the region servers and the
-// sealed tier call directly.
+// cluster's nodes: ZooKeeper, the HBase region servers, the OpenTSDB
+// daemons and the bus services all expose handlers on a shared Network
+// and call each other through it. HDFS and the HBase master are not
+// among them: the file table (internal/hdfs) is called directly by the
+// region servers and the sealed tier, and the master lives in its
+// store's process and opens regions by a direct call.
 //
 // The transport models the properties the paper's findings hinge on:
 //
@@ -156,7 +157,8 @@ type ServerConfig struct {
 	// §III-B. Zero disables crashing.
 	CrashOnOverflow int64
 	// OnCrash, when set, runs (once, on its own goroutine) after the
-	// server crashes, letting the owning node drop liveness leases.
+	// server crashes, letting its owner react (an hbase store reassigns
+	// the crashed region server's regions).
 	OnCrash func()
 }
 
